@@ -1,25 +1,29 @@
 """Ball-average kernels of the Green function.
 
-Two radial kernels drive the finite-N energy bound:
+Two radial kernels drive the finite-N energy bound. Integrating their
+defining double integrals by parts leaves one smooth single integral each:
 
-    K(M, a)     = (1/(V V(a))) int_0^a v(r) int_0^r V(u)/v(u) du dr
-    Theta(M, a) = (1/V(a)) int over the ball B(p0, a) of G(p0, .)
+    K(M, a)     = (1/(V V(a))) int_0^a V(u) (V(a) - V(u)) / v(u) du
+    Theta(M, a) = phi(a) + (1/(V V(a))) int_0^a V(r) psi(r) dr
 
-Both are computed by nested adaptive quadrature for every family, and by
-the exact closed formulas (complex/quaternionic projective spaces and the
-Cayley plane) where those exist; the two routes cross-validate each other.
-Near a = D the inner integrand V(u)/v(u) blows up like a power of sec, so
-integrals are split at D - 1e-3 and the tail taken in the variable
-w = -log(D - u), where the growth is a smooth exponential.
+where psi(r) = (V - V(r)) / v(r) is the slope magnitude of the Green
+profile, evaluated without cancellation by green._decreasing_ratio. Both
+integrands vanish like u at the pole and stay bounded up to the diameter,
+so plain adaptive quadrature converges for every family and radius.
 
-The closed formulas suffer heavy floating-point cancellation for small
-sin(a); they are evaluated in adaptive-precision arithmetic (mpmath) and
-rounded once at the end.
+While V(a) <= V/2, K takes V(a) - V(u) directly. Past that it uses
+v(u) psi(u) - (V - V(a)), with V - V(a) = v(a) psi(a): the direct
+difference loses its digits near a = D, the rewritten one at small a.
+
+The exact closed formulas (complex/quaternionic projective spaces and the
+Cayley plane) are the preferred route where they exist and the
+independent cross-check of the quadrature. They suffer heavy
+floating-point cancellation for small sin(a); they are evaluated in
+adaptive-precision arithmetic (mpmath) and rounded once at the end.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ from enum import Enum
 import mpmath as mp
 
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
-from .green import RadialGreenProfile
+from .green import RadialGreenProfile, _decreasing_ratio
 from .manifold import (
     Family,
     ManifoldSpec,
@@ -39,13 +43,7 @@ from .manifold import (
     sphere_area,
     volume,
 )
-from .special_math import (
-    QuadratureSettings,
-    harmonic_number,
-    integrate,
-    reg_incomplete_beta,
-    vol_unit_sphere,
-)
+from .special_math import QuadratureSettings, harmonic_number, integrate
 
 __all__ = [
     "Method",
@@ -64,17 +62,14 @@ __all__ = [
     "kernel_row",
 ]
 
-_TAIL_DELTA = 1e-3  # split distance from D beyond which integrals switch variables
-_W_CAP = 34.0  # -log(D - u) cap; going closer contributes below double precision
-
-_INNER_SETTINGS = QuadratureSettings(rel_tol=1e-11, abs_tol=1e-15, max_subdivisions=3000)
-_OUTER_SETTINGS = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-15, max_subdivisions=3000)
+# at rel_tol 1e-10 the K integral can stop early near the diameter (3e-7 off
+# on OP^2 at D - 1e-3); 1e-12 settles it to the closed forms' last digits
+_SETTINGS = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=3000)
 
 
 class Method(Enum):
     QUADRATURE = "quadrature"
     CLOSED_FORM = "closed_form"
-    ASYMPTOTIC = "asymptotic"
 
 
 @dataclass(frozen=True)
@@ -90,125 +85,6 @@ class BallKernelValue:
             raise DomainError(f"radius {self.a} outside (0, D] for {self.spec}")
 
 
-# ---------------------------------------------------------------------------
-# The cumulative inner integral H(r) = int_0^r V(u)/v(u) du
-# ---------------------------------------------------------------------------
-
-
-class _CumulativeCache:
-    """Per-manifold monotone cache of H(r) on [0, D - delta].
-
-    Every fresh radius only integrates from the nearest smaller cached
-    radius, so repeated kernel evaluations sweep [0, a] once instead of
-    re-integrating from zero for every quadrature node.
-    """
-
-    def __init__(self, spec: ManifoldSpec):
-        self.spec = spec
-        self.rs = [0.0]
-        self.hs = [0.0]
-        self.lock = threading.Lock()
-
-    _MAX_ENTRIES = 4096
-
-    def value(self, r: float, settings: QuadratureSettings) -> float:
-        g = _volume_over_area(self.spec)
-        with self.lock:
-            idx = bisect.bisect_right(self.rs, r) - 1
-            base_r = self.rs[idx]
-            base_h = self.hs[idx]
-            if base_r == r:
-                return base_h
-            h = base_h + integrate(g, base_r, r, settings)
-            if len(self.rs) < self._MAX_ENTRIES:
-                self.rs.insert(idx + 1, r)
-                self.hs.insert(idx + 1, h)
-            return h
-
-
-_H_CACHES: dict[ManifoldSpec, _CumulativeCache] = {}
-_H_LOCK = threading.Lock()
-
-
-def _volume_over_area(spec: ManifoldSpec):
-    def g(u: float) -> float:
-        return ball_volume(spec, u) / sphere_area(spec, u)
-
-    return g
-
-
-def _density_vanishes_at_diameter(spec: ManifoldSpec) -> bool:
-    # real projective spaces keep v(D) = vol(S^{d-1}); everywhere else the
-    # density carries a sin/cos factor that dies at D
-    return spec.family is not Family.REAL_PROJ
-
-
-def _tail_forms(spec: ManifoldSpec):
-    """Stable (v(D-eps), V(D-eps)/v(D-eps)) as functions of eps = D - u.
-
-    Near the diameter, cos(u) evaluated directly loses every digit; the
-    shifted forms below run on sin(eps)/cos(eps) instead and stay exact.
-    """
-    n = spec.n
-    d = dimension(spec)
-    area = vol_unit_sphere(d)
-    vol_ratio = volume(spec) / area
-
-    if spec.family is Family.SPHERE:
-        a_half = 0.5 * n
-        c_n = math.exp(
-            (n - 1) * math.log(2.0) + 2.0 * math.lgamma(a_half) - math.lgamma(n)
-        )
-
-        def v_tail(eps: float) -> float:
-            return area * math.sin(eps) ** (n - 1)
-
-        def g_tail(eps: float) -> float:
-            mass = c_n * reg_incomplete_beta(math.cos(0.5 * eps) ** 2, a_half, a_half)
-            return mass / math.sin(eps) ** (n - 1)
-
-    elif spec.family is Family.COMPLEX_PROJ:
-
-        def v_tail(eps: float) -> float:
-            return area * math.cos(eps) ** (2 * n - 1) * math.sin(eps)
-
-        def g_tail(eps: float) -> float:
-            return vol_ratio * math.cos(eps) / math.sin(eps)
-
-    elif spec.family is Family.QUAT_PROJ:
-
-        def v_tail(eps: float) -> float:
-            return area * math.cos(eps) ** (4 * n - 1) * math.sin(eps) ** 3
-
-        def g_tail(eps: float) -> float:
-            s2 = math.sin(eps) ** 2
-            return vol_ratio * (1.0 + 2 * n * s2) * math.cos(eps) / math.sin(eps) ** 3
-
-    elif spec.family is Family.CAYLEY_PLANE:
-
-        def v_tail(eps: float) -> float:
-            return area * math.cos(eps) ** 15 * math.sin(eps) ** 7
-
-        def g_tail(eps: float) -> float:
-            x = math.sin(eps) ** 2
-            poly = 1.0 + x * (8.0 + x * (36.0 + 120.0 * x))
-            return vol_ratio * poly * math.cos(eps) / math.sin(eps) ** 7
-
-    else:
-        raise UnsupportedManifoldError(f"no tail forms for {spec}")
-
-    return v_tail, g_tail
-
-
-def _h_cache(spec: ManifoldSpec) -> _CumulativeCache:
-    with _H_LOCK:
-        cache = _H_CACHES.get(spec)
-        if cache is None:
-            cache = _CumulativeCache(spec)
-            _H_CACHES[spec] = cache
-        return cache
-
-
 def cum_volume_over_area(
     spec: ManifoldSpec, r: float, settings: QuadratureSettings | None = None
 ) -> float:
@@ -217,65 +93,40 @@ def cum_volume_over_area(
     Diverges at r = D on every family whose density vanishes there, hence
     the strict upper bound.
     """
-    D = diameter(spec)
-    if settings is None:
-        settings = _INNER_SETTINGS
-    if r < 0.0 or r >= D:
+    if r < 0.0 or r >= diameter(spec):
         raise DomainError(f"cumulative volume ratio needs 0 <= r < D, got {r}")
-    if r == 0.0:
-        return 0.0
-    split = D - _TAIL_DELTA
-    cache = _h_cache(spec)
-    if r <= split or not _density_vanishes_at_diameter(spec):
-        return cache.value(r, settings)
-    base = cache.value(split, settings)
-    _, g_tail = _tail_forms(spec)
 
-    def tail(w: float) -> float:
-        eps = math.exp(-w)
-        return g_tail(eps) * eps
+    def integrand(u: float) -> float:
+        return ball_volume(spec, u) / sphere_area(spec, u)
 
-    w_hi = min(-math.log(D - r), _W_CAP)
-    return base + integrate(tail, -math.log(_TAIL_DELTA), w_hi, settings)
+    return integrate(integrand, 0.0, r, settings or _SETTINGS)
 
 
 def k_quadrature(
     spec: ManifoldSpec, a: float, settings: QuadratureSettings | None = None
 ) -> float:
-    """K(M, a) by nested adaptive quadrature of its defining double integral."""
+    """K(M, a) by adaptive quadrature of its single-integral form."""
     D = diameter(spec)
     if not 0.0 < a <= D * (1.0 + 1e-12):
         raise DomainError(f"K needs a in (0, D], got {a}")
     a = min(a, D)
-    outer = settings or _OUTER_SETTINGS
-    inner = settings or _INNER_SETTINGS
+    V = volume(spec)
+    va = ball_volume(spec, a)
+    if va <= 0.5 * V:
 
-    def outer_integrand(r: float) -> float:
-        return sphere_area(spec, r) * cum_volume_over_area(spec, r, inner)
+        def integrand(u: float) -> float:
+            vu = ball_volume(spec, u)
+            return vu * (va - vu) / sphere_area(spec, u)
 
-    split = D - _TAIL_DELTA
-    if a <= split or not _density_vanishes_at_diameter(spec):
-        total = integrate(outer_integrand, 0.0, a, outer)
     else:
-        total = integrate(outer_integrand, 0.0, split, outer)
-        v_tail, g_tail = _tail_forms(spec)
-        h_base = cum_volume_over_area(spec, split, inner)
-        w_lo = -math.log(_TAIL_DELTA)
+        psi = _decreasing_ratio(spec)
+        # V - V(a) without the cancellation of the direct difference
+        rest = sphere_area(spec, a) * psi(a) if a < D else 0.0
 
-        def h_near_diameter(w: float) -> float:
-            def inner_tail(ww: float) -> float:
-                eps = math.exp(-ww)
-                return g_tail(eps) * eps
+        def integrand(u: float) -> float:
+            return ball_volume(spec, u) * (psi(u) - rest / sphere_area(spec, u))
 
-            return h_base + integrate(inner_tail, w_lo, w, inner)
-
-        def tail(w: float) -> float:
-            eps = math.exp(-w)
-            return v_tail(eps) * h_near_diameter(w) * eps
-
-        w_hi = _W_CAP if a == D else min(-math.log(D - a), _W_CAP)
-        total += integrate(tail, w_lo, w_hi, outer)
-    return total / (volume(spec) * ball_volume(spec, a))
+    return integrate(integrand, 0.0, a, settings or _SETTINGS) / (V * va)
 
 
 def theta_quadrature(
@@ -287,17 +138,13 @@ def theta_quadrature(
     if not 0.0 < a <= D * (1.0 + 1e-12):
         raise DomainError(f"Theta needs a in (0, D], got {a}")
     a = min(a, D)
-    if settings is None:
-        settings = QuadratureSettings(
-            rel_tol=1e-10,
-            abs_tol=1e-12 * max(abs(profile.c_m), 1e-6),
-            max_subdivisions=3000,
-        )
+    psi = _decreasing_ratio(spec)
 
     def integrand(r: float) -> float:
-        return sphere_area(spec, r) * profile.phi(r)
+        return ball_volume(spec, r) * psi(r)
 
-    return integrate(integrand, 0.0, a, settings) / ball_volume(spec, a)
+    moment = integrate(integrand, 0.0, a, settings or _SETTINGS)
+    return profile.phi(a) + moment / (volume(spec) * ball_volume(spec, a))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +355,7 @@ def ball_average_green(
     def overlap(u: float) -> float:
         return (va - ball_volume(spec, u)) / sphere_area(spec, u)
 
-    correction = integrate(overlap, t, a, _INNER_SETTINGS) / va
+    correction = integrate(overlap, t, a, _SETTINGS) / va
     return base - correction
 
 

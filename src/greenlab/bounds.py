@@ -34,7 +34,6 @@ __all__ = [
     "BoundReport",
     "finite_bound",
     "optimal_radius_constant",
-    "asymptotic_radius",
     "sphere_leading_coefficient",
     "matzke_coefficient",
     "our_coefficient",
@@ -132,12 +131,6 @@ def optimal_radius_constant(spec: ManifoldSpec) -> BoundCoefficients:
     c_opt = (0.25 * d * (d - 2) * (d + 2) * margin) ** (2.0 / d)
     leading = d * c_opt / ((d * d - 4) * volume(spec))
     return BoundCoefficients(spec=spec, c_opt=c_opt, leading=leading, exponent=2.0 - 2.0 / d)
-
-
-def asymptotic_radius(spec: ManifoldSpec, N: int) -> float:
-    """The optimal probe radius sqrt(c_opt) N^(-1/d) of the leading-term analysis."""
-    coeff = optimal_radius_constant(spec)
-    return math.sqrt(coeff.c_opt) * float(N) ** (-1.0 / dimension(spec))
 
 
 def sphere_leading_coefficient(n: int) -> float:

@@ -2,9 +2,9 @@
 
 Subcommands: profile, ball, bound, compare, energy, optimize, verify.
 Every run emits the payload (CSV or JSON, 17 significant digits) plus a
-run manifest with the full parameter set, seed, version, tolerances and
-wall time; with --out the manifest lands next to the payload as
-<out>.manifest.json, otherwise it goes to stderr. Identical invocations
+run manifest with the full parameter set, seed, version and wall time;
+with --out the manifest lands next to the payload as <out>.manifest.json,
+otherwise it goes to stderr. Identical invocations
 with the same seed reproduce payload bytes exactly.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -33,7 +32,6 @@ from .manifold import (
     load_configuration,
     save_configuration,
 )
-from .special_math import QuadratureSettings, set_default_settings
 from .verify import run_verification
 
 _FMT = "{:.17g}"
@@ -46,19 +44,6 @@ class RunManifest:
     seed: int | None
     version: str
     wall_time_s: float
-    rel_tol: float
-    abs_tol: float
-
-
-def _default_rel_tol() -> float:
-    env = os.environ.get("GREENLAB_TOL_REL")
-    if env is None:
-        return 1e-10
-    try:
-        value = float(env)
-    except ValueError as exc:
-        raise GreenLabError(f"bad GREENLAB_TOL_REL value {env!r}") from exc
-    return value
 
 
 def _spec_from_args(args) -> ManifoldSpec:
@@ -218,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=None, help="dimension parameter")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-rel", type=float, default=None, help="relative quadrature tolerance")
         p.add_argument("--out", default=None, help="payload file; manifest lands alongside")
         p.add_argument("--format", choices=["csv", "json"], default=None)
         p.add_argument("--threads", type=int, default=1)
@@ -272,9 +256,6 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     try:
-        rel_tol = args.tol_rel if args.tol_rel is not None else _default_rel_tol()
-        settings = QuadratureSettings(rel_tol=rel_tol)
-        set_default_settings(settings)
         if args.subcommand == "verify":
             ok = run_verification(quick=args.quick)
             return 0 if ok else 1
@@ -292,8 +273,6 @@ def main(argv=None) -> int:
         seed=getattr(args, "seed", None),
         version=__version__,
         wall_time_s=time.monotonic() - start,
-        rel_tol=settings.rel_tol,
-        abs_tol=settings.abs_tol,
     )
     _emit(args, payload, manifest)
     return 0

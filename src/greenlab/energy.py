@@ -32,7 +32,6 @@ __all__ = [
     "energy",
     "optimize",
     "mc_energy_moment",
-    "pairwise_distances",
 ]
 
 _MIN_SEPARATION_FACTOR = 1e-9
@@ -82,27 +81,6 @@ def _gram_modulus(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np
             acc += sign * np.einsum("im,jm->ij", left[:, :, a], right[:, :, b])
         comps.append(acc)
     return np.sqrt(sum(c * c for c in comps))
-
-
-def pairwise_distances(config: Configuration) -> np.ndarray:
-    """Symmetric matrix of geodesic distances (zero diagonal).
-
-    Entries the Gram-matrix arccos cannot resolve (near-coincident pairs,
-    where it floors at ~1e-8) are recomputed with the exact pointwise
-    distance so the duplicate guard sees true separations.
-    """
-    from .manifold import distance
-
-    coords = config.coords_array()
-    gram = _gram_modulus(config.spec, coords, coords)
-    np.clip(gram, -1.0, 1.0, out=gram)
-    dist = np.arccos(gram)
-    np.fill_diagonal(dist, 0.0)
-    close_i, close_j = np.nonzero(np.triu(dist < 1e-6, k=1))
-    for i, j in zip(close_i.tolist(), close_j.tolist()):
-        d = distance(config.points[i], config.points[j])
-        dist[i, j] = dist[j, i] = d
-    return dist
 
 
 _BLOCK_ROWS = 256

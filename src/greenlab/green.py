@@ -35,14 +35,15 @@ from .manifold import (
     Family,
     ManifoldSpec,
     Point,
+    ball_volume,
     diameter,
     dimension,
     distance,
-    radial_density,
     volume,
 )
 from .special_math import (
     QuadratureSettings,
+    _beta_continued_fraction,
     integrate,
     reg_incomplete_beta,
     vol_unit_sphere,
@@ -105,9 +106,16 @@ def _decreasing_ratio(spec: ManifoldSpec) -> Callable[[float], float]:
 
     if spec.family is Family.SPHERE:
         mass = _sin_power_mass(n - 1)
+        half = 0.5 * n
 
         def psi(s: float) -> float:
-            return mass(math.pi - s) / math.sin(s) ** (n - 1)
+            if s <= 0.5 * math.pi:
+                return mass(math.pi - s) / math.sin(s) ** (n - 1)
+            # past pi/2 the mass is sin(e)^n F / n with e = pi - s and F the
+            # incomplete-beta continued fraction, so the sin(e)^(n-1) that
+            # underflows near pi for large n cancels exactly
+            x = math.sin(0.5 * (math.pi - s)) ** 2
+            return math.sin(s) * _beta_continued_fraction(half, half, x) / n
 
     elif spec.family is Family.REAL_PROJ:
         mass = _sin_power_mass(n - 1)
@@ -324,35 +332,20 @@ def build_profile(
     r_min = min(r_min, 0.5 * r_cut)
 
     main, head = _build_phi_hat_tables(spec, r_cut, r_min, settings)
-    log_coeff = volume(spec) / vol_unit_sphere(d)
+    psi = _decreasing_ratio(spec)
 
-    profile = RadialGreenProfile(
-        spec=spec,
-        c_m=0.0,
-        r_cut=r_cut,
-        r_min=r_min,
-        _main=main,
-        _head=head,
-        _log_coeff=log_coeff,
-    )
+    # mean-zero constant: Theta(M, D) = 0 gives C = -(1/V) int_0^D V(s) psi(s) ds
+    def moment(s: float) -> float:
+        return ball_volume(spec, s) * psi(s)
 
-    # mean-zero constant: C = -(vol(S^{d-1})/V) * int_0^D phi_hat * density
-    def weighted(r: float) -> float:
-        return float(profile.phi_hat_values(r)[0]) * radial_density(spec, r)
-
-    moment_settings = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-290, max_subdivisions=4000)
-    moment = integrate(weighted, r_cut, D, moment_settings) + integrate(
-        weighted, 0.0, r_cut, moment_settings
-    )
-    c_m = -vol_unit_sphere(d) / volume(spec) * moment
     return RadialGreenProfile(
         spec=spec,
-        c_m=c_m,
+        c_m=-integrate(moment, 0.0, D, settings) / volume(spec),
         r_cut=r_cut,
         r_min=r_min,
         _main=main,
         _head=head,
-        _log_coeff=log_coeff,
+        _log_coeff=volume(spec) / vol_unit_sphere(d),
     )
 
 

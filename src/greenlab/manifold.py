@@ -54,7 +54,6 @@ __all__ = [
     "sample_uniform",
     "geodesic_step",
     "random_distance",
-    "sphere_segment_volume",
     "quat_hermitian_inner",
     "save_configuration",
     "load_configuration",
@@ -226,30 +225,6 @@ def ball_volume_fraction(spec: ManifoldSpec, a: np.ndarray) -> np.ndarray:
     if spec.family is Family.QUAT_PROJ:
         return (1.0 + 2 * n * np.cos(a) ** 2) * np.sin(a) ** (4 * n)
     return _cayley_poly(np.sin(a) ** 2) * np.sin(a) ** 16
-
-
-def sphere_segment_volume(m: int, u: float) -> float:
-    """Integral of sin^m over [0, u], by the stable Wallis-type recursion.
-
-    This is the radial mass of the n-sphere density with m = n - 1; used
-    where many evaluations make the incomplete-beta route too slow.
-    """
-    if m == 0:
-        return u
-    s = math.sin(u)
-    c = math.cos(u)
-    if m % 2 == 0:
-        acc = u  # W_0
-        k = 2
-    else:
-        acc = 1.0 - c  # W_1
-        k = 3
-    sk = s ** (k - 1)
-    while k <= m:
-        acc = ((k - 1) * acc - c * sk) / k
-        sk *= s * s
-        k += 2
-    return acc
 
 
 # ---------------------------------------------------------------------------

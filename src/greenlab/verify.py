@@ -188,11 +188,18 @@ def _check_kernel_cross_validation(quick: bool):
     for fam, n in grid:
         spec = ManifoldSpec(fam, n)
         prof = get_profile(spec)
-        for a in (0.3, 0.9, 1.4):
+        # D - 1e-3 guards K near the diameter; Theta is left out there because
+        # it crosses zero at D, so its relative defect would measure that
+        # cancellation (OP^2: Theta ~ 1e-20 against terms ~ 48), not the quadrature
+        for a in (0.3, 0.9, 1.4, diameter(spec) - 1e-3):
             worst = max(
                 worst,
                 abs(bs.k_quadrature(spec, a) - bs.k_closed(spec, a))
                 / abs(bs.k_closed(spec, a)),
+            )
+        for a in (0.3, 0.9, 1.4):
+            worst = max(
+                worst,
                 abs(bs.theta_quadrature(prof, a) - bs.theta_closed(spec, a))
                 / max(abs(bs.theta_closed(spec, a)), 1e-12),
             )

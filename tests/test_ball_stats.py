@@ -1,11 +1,15 @@
 """Ball kernels: quadrature vs closed forms, asymptotics, average identities."""
 
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import greenlab
 from greenlab import ball_stats as bs
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.green import get_profile
@@ -27,11 +31,17 @@ CP2 = ManifoldSpec(Family.COMPLEX_PROJ, 2)
 HP1 = ManifoldSpec(Family.QUAT_PROJ, 1)
 OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
 
-CROSS_GRID = (
-    [(ManifoldSpec(Family.COMPLEX_PROJ, n), a) for n in (1, 2, 3, 5, 10) for a in (0.2, 0.6, 1.0, 1.4)]
-    + [(ManifoldSpec(Family.QUAT_PROJ, n), a) for n in (1, 2, 3, 5) for a in (0.2, 0.6, 1.0, 1.4)]
-    + [(OP2, a) for a in (0.2, 0.6, 1.0, 1.4)]
+SRC = os.path.dirname(os.path.dirname(greenlab.__file__))
+
+CLOSED_SPECS = (
+    [ManifoldSpec(Family.COMPLEX_PROJ, n) for n in (1, 2, 3, 5, 10)]
+    + [ManifoldSpec(Family.QUAT_PROJ, n) for n in (1, 2, 3, 5)]
+    + [OP2]
 )
+# the near-diameter radii come last so the earlier cases keep their test ids
+CROSS_GRID = [(spec, a) for spec in CLOSED_SPECS for a in (0.2, 0.6, 1.0, 1.4)] + [
+    (spec, diameter(spec) - eps) for spec in CLOSED_SPECS for eps in (1e-3, 1e-6)
+]
 
 
 class TestKQuadrature:
@@ -59,6 +69,41 @@ class TestKQuadrature:
             bs.k_quadrature(S2, 0.0)
         with pytest.raises(DomainError):
             bs.k_quadrature(S2, 4.0)
+
+    @pytest.mark.parametrize("n", [16, 20, 30, 40])
+    def test_high_dimensional_spheres(self, n):
+        spec = ManifoldSpec(Family.SPHERE, n)
+        for a in (0.5, diameter(spec)):
+            k = bs.k_quadrature(spec, a)
+            assert math.isfinite(k) and k > 0.0
+
+    def test_s40_against_mpmath(self):
+        # mpmath at 50 digits, V(a) from mp.betainc
+        k = bs.k_quadrature(ManifoldSpec(Family.SPHERE, 40), 0.5)
+        assert k == pytest.approx(53570.656460745508, rel=1e-9)
+
+    def test_independent_of_earlier_calls(self):
+        code = (
+            "import sys\n"
+            "from greenlab import ball_stats as bs\n"
+            "from greenlab.manifold import ManifoldSpec\n"
+            "s3 = ManifoldSpec.from_token('s', 3)\n"
+            "for a in sys.argv[1:]:\n"
+            "    bs.k_quadrature(s3, float(a))\n"
+            "print(repr(bs.k_quadrature(s3, 1.3)))\n"
+        )
+
+        def fresh(*radii):
+            return subprocess.run(
+                [sys.executable, "-c", code, *radii],
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": SRC},
+            ).stdout
+
+        assert fresh() == fresh("0.2", "0.5", "2.0", "3.0")
 
 
 class TestClosedForms:

@@ -169,6 +169,12 @@ class TestIntegrate:
             val, _, _ = gauss_kronrod_panel(lambda x, d=deg: x**d, 0.0, 1.0)
             assert val == pytest.approx(1.0 / (deg + 1), rel=1e-13)
 
+    def test_panel_huge_integrand_stays_finite(self):
+        # |K - G| near 1e240 must not reach the (200 |K - G|)^1.5 power
+        val, err, _ = gauss_kronrod_panel(lambda x: 1e250 * x**40, 0.0, 1.0)
+        assert math.isfinite(val) and math.isfinite(err)
+        assert val == pytest.approx(1e250 / 41, rel=1e-6)
+
 
 class TestQuadratureSettings:
     @pytest.mark.parametrize(
