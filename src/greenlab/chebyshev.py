@@ -1,10 +1,17 @@
-"""Barycentric interpolation on Chebyshev-Lobatto grids."""
+"""Barycentric interpolation on Chebyshev-Lobatto grids.
+
+Evaluation sweeps its radii in chunks of `_CHUNK`, so one call holds at
+most a `_CHUNK` x m work matrix (m nodes; 200 x 256 doubles is 400 KB)
+whatever the number of radii, and the chunk stays in cache.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = ["lobatto_nodes", "ChebyshevInterpolant"]
+
+_CHUNK = 256
 
 
 def lobatto_nodes(m: int, lo: float, hi: float) -> np.ndarray:
@@ -19,9 +26,13 @@ def lobatto_nodes(m: int, lo: float, hi: float) -> np.ndarray:
 class ChebyshevInterpolant:
     """Barycentric interpolant through values on a Chebyshev-Lobatto grid.
 
-    Exact at the nodes; evaluation is vectorized over numpy arrays. The
-    barycentric weights for Lobatto points are (-1)^k with the endpoints
-    halved, which keeps the formula stable for any degree.
+    Exact at the nodes; evaluation is vectorized over numpy arrays and runs
+    in chunks of `_CHUNK` radii through one reused work matrix, so its
+    memory is bounded by the chunk, not by the input size. Chunks start at
+    multiples of `_CHUNK`, so each value has the bits of one single-threaded
+    sweep over the whole input. The barycentric
+    weights for Lobatto points are (-1)^k with the endpoints halved, which
+    keeps the formula stable for any degree.
     """
 
     def __init__(self, nodes: np.ndarray, values: np.ndarray):
@@ -46,14 +57,29 @@ class ChebyshevInterpolant:
         return cls(nodes, np.array([f(x) for x in nodes]))
 
     def __call__(self, x):
+        # The barycentric form is kept over a Clenshaw sum of the Chebyshev
+        # coefficients: its rounding error is local, relative to the values
+        # near x, while Clenshaw's is global, of order eps * sum |c_k|. The
+        # high-dimensional tables span many decades (5e11 on S^30), where
+        # Clenshaw loses digits at the small end.
         x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        xf = np.atleast_1d(x_arr).ravel()
-        diff = xf[:, None] - self.nodes[None, :]
-        exact_row, exact_col = np.nonzero(diff == 0.0)
+        xf = x_arr.ravel()
+        n = xf.size
+        starts = list(range(0, n, _CHUNK))
+        if n > 1 and n - starts[-1] == 1:
+            # a one-row product takes numpy's dot path, which rounds
+            # differently from the matrix-vector kernel; fold the row in
+            starts.pop()
+        out = np.empty(n)
+        work = np.empty((min(n, _CHUNK + 1), self.nodes.size))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = self._w[None, :] / diff
-            out = ratios @ self.values / ratios.sum(axis=1)
-        out[exact_row] = self.values[exact_col]
-        out = out.reshape(np.atleast_1d(x_arr).shape)
-        return float(out[0]) if scalar else out
+            for lo, hi in zip(starts, starts[1:] + [n]):
+                ratios = work[: hi - lo]
+                np.subtract(xf[lo:hi, None], self.nodes, out=ratios)
+                np.divide(self._w, ratios, out=ratios)
+                np.divide(ratios @ self.values, ratios.sum(axis=1), out=out[lo:hi])
+        # at a node the formula is 0/0 or inf/inf; return the stored value
+        idx = np.minimum(np.searchsorted(self.nodes, xf), self.nodes.size - 1)
+        hit = self.nodes[idx] == xf
+        out[hit] = self.values[idx[hit]]
+        return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)

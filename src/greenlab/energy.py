@@ -83,7 +83,9 @@ def _gram_modulus(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np
     return np.sqrt(sum(c * c for c in comps))
 
 
-_BLOCK_ROWS = 256
+# pairs per block: the block's Gram, distance and profile temporaries stay
+# a few MB whatever N is
+_BLOCK_PAIRS = 1 << 16
 
 
 def energy(
@@ -93,9 +95,10 @@ def energy(
 ) -> float:
     """Sum of the Green profile over ordered distinct pairs.
 
-    The upper triangle is swept in fixed row blocks whose partial sums are
-    reduced in block order, so the result is bit-identical for any thread
-    count; numpy's pairwise summation compensates within blocks.
+    The upper triangle is swept in row blocks of about `_BLOCK_PAIRS`
+    pairs, whose partial sums are reduced in block order, so the result is
+    bit-identical for any thread count and peak memory does not grow with
+    N; numpy's pairwise summation compensates within blocks.
     """
     from .manifold import distance
 
@@ -127,7 +130,8 @@ def energy(
             )
         return float(np.sum(profile.phi(pair_d)))
 
-    blocks = [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+    rows = max(1, _BLOCK_PAIRS // n)
+    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     if threads <= 1 or len(blocks) == 1:
         partials = [block_sum(lo, hi) for lo, hi in blocks]
     else:

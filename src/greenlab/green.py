@@ -16,7 +16,8 @@ A built profile tabulates phi_hat twice, once on a Chebyshev grid over
 [r_cut, D] (scaled by r^(d-2), or with the log term removed when d = 2,
 so the stored function is tame) and once in the log variable for the
 singular head below r_cut. Below the head table, evaluation falls back
-to direct quadrature.
+to direct quadrature, down to the radius where phi_hat stops being
+representable in floating point; below that it raises SingularityError.
 """
 
 from __future__ import annotations
@@ -196,6 +197,20 @@ def _segment_integral(
     return integrate(integrand, 0.0, w_hi, settings)
 
 
+def _phi_hat_floor(spec: ManifoldSpec) -> float:
+    """Smallest radius at which phi_hat can be represented in floating point.
+
+    Below it the sin(s)^(d-1) in the slope psi underflows, or, for d > 2,
+    phi_hat ~ r^(2-d) comes within ten decades of overflow.
+    """
+    D = diameter(spec)
+    d = dimension(spec)
+    floor = D * 10.0 ** (-300.0 / (d - 1))
+    if d > 2:
+        floor = max(floor, D * 10.0 ** (-270.0 / (d - 2)))
+    return floor
+
+
 def phi_hat(
     spec: ManifoldSpec, r: float, settings: QuadratureSettings | None = None
 ) -> float:
@@ -203,6 +218,12 @@ def phi_hat(
     D = diameter(spec)
     if r <= 0.0:
         raise DomainError(f"phi_hat needs r > 0, got r={r}")
+    floor = _phi_hat_floor(spec)
+    if r < floor:
+        raise SingularityError(
+            f"phi_hat at r={r:g} on {spec} is not representable: "
+            f"radii below {floor:g} underflow or overflow in floating point"
+        )
     if r > D * (1.0 + 1e-12):
         raise DomainError(f"phi_hat needs r <= D={D}, got r={r}")
     if r >= D:
@@ -323,13 +344,7 @@ def build_profile(
     if not 0.0 < r_cut < D:
         raise DomainError(f"r_cut must lie in (0, D), got {r_cut}")
 
-    # keep phi_hat representable: r^(2-d) must stay below ~1e280
-    if d > 2:
-        r_floor = D * 10.0 ** (-270.0 / (d - 2))
-        r_min = max(1e-9 * D, r_floor)
-    else:
-        r_min = 1e-9 * D
-    r_min = min(r_min, 0.5 * r_cut)
+    r_min = min(max(1e-9 * D, _phi_hat_floor(spec)), 0.5 * r_cut)
 
     main, head = _build_phi_hat_tables(spec, r_cut, r_min, settings)
     psi = _decreasing_ratio(spec)

@@ -389,19 +389,25 @@ FULL_CHECKS = QUICK_CHECKS + [
 
 
 def run_verification(quick: bool = False, stream=None) -> bool:
-    """Run the invariant suite, print a pass/fail table, return overall success."""
+    """Run the invariant suite, print a pass/fail table, return overall success.
+
+    Each line ends with the check's wall time.
+    """
     import sys
+    import time
 
     out = stream or sys.stdout
     checks = QUICK_CHECKS if quick else FULL_CHECKS
     all_ok = True
     width = max(len(name) for name, _ in checks) + 2
     for name, fn in checks:
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failure with its own diagnostic
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - start
         all_ok &= ok
-        out.write(f"{'PASS' if ok else 'FAIL'}  {name:<{width}} {detail}\n")
+        out.write(f"{'PASS' if ok else 'FAIL'}  {name:<{width}} {detail} ({elapsed:.2f} s)\n")
     out.write(("all checks passed\n") if all_ok else ("FAILURES detected\n"))
     return all_ok

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from greenlab.chebyshev import ChebyshevInterpolant, lobatto_nodes
+from greenlab.chebyshev import _CHUNK, ChebyshevInterpolant, lobatto_nodes
 
 
 class TestLobattoNodes:
@@ -24,6 +24,20 @@ class TestInterpolant:
     def test_exact_at_nodes(self):
         itp = ChebyshevInterpolant.from_function(math.exp, 20, 0.0, 1.0)
         assert itp(itp.nodes[7]) == itp.values[7]
+        reps = _CHUNK // itp.nodes.size + 2  # a grid longer than one chunk
+        assert np.array_equal(itp(np.tile(itp.nodes, reps)), np.tile(itp.values, reps))
+
+    @pytest.mark.parametrize("size", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1, 3 * _CHUNK + 7])
+    def test_chunks_match_one_sweep(self, size):
+        # the whole input in one barycentric sweep, as the chunks compute it
+        itp = ChebyshevInterpolant.from_function(lambda x: math.exp(math.sin(3 * x)), 64, 0.0, 2.0)
+        x = np.random.default_rng(size).uniform(0.0, 2.0, size)
+        ratios = itp._w / (x[:, None] - itp.nodes)
+        assert np.array_equal(itp(x), ratios @ itp.values / ratios.sum(axis=1))
+
+    def test_empty_input(self):
+        itp = ChebyshevInterpolant.from_function(math.cos, 30, 0.0, 3.0)
+        assert itp(np.array([])).shape == (0,)
 
     def test_spectral_accuracy_on_smooth_function(self):
         itp = ChebyshevInterpolant.from_function(lambda x: math.exp(math.sin(3 * x)), 64, 0.0, 2.0)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -169,6 +170,22 @@ class TestEnergyAndOptimize:
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("t", [4e-9, 6.28e-9])
+    def test_unrepresentable_pair_distance_is_error(self, capsys, tmp_path, t):
+        # two points of S^40 at distance t, above the 1e-9 D separation
+        # floor but below the radius where phi_hat is representable
+        e = [[1.0 if i == k else 0.0 for i in range(41)] for k in range(3)]
+        near = [math.cos(t) * a + math.sin(t) * b for a, b in zip(e[0], e[1])]
+        cfg = tmp_path / "s40.txt"
+        cfg.write_text(
+            "# manifold=s n=40\n"
+            + "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in (e[0], near, e[2]))
+        )
+        code, out, err = run_cli(capsys, "energy", "--config", str(cfg))
+        assert code == 1
+        assert "error:" in err and "not representable" in err
+        assert "Infinity" not in out and "Traceback" not in err
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
@@ -176,6 +193,10 @@ class TestVerify:
         assert code == 0
         assert "all checks passed" in out
         assert "FAIL" not in out
+        checks = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+        assert checks
+        for line in checks:
+            assert re.search(r"\(\d+\.\d\d s\)$", line), line
 
 
 class TestPlumbing:

@@ -1,6 +1,7 @@
 """Configuration energies, certificates, the descent optimizer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ class TestEnergy:
         single = en.energy(cfg, threads=1)
         multi = en.energy(cfg, threads=4)
         assert single == multi
+
+    def test_peak_memory_flat_in_n(self):
+        cfg = random_config(S3, 1200, 34)
+        get_profile(S3)
+        tracemalloc.start()
+        try:
+            en.energy(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestEnergyReport:

@@ -11,11 +11,13 @@ slope (V - V(s))/v(s) and of the mean-zero constant):
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from greenlab.errors import DomainError, SingularityError
+from greenlab.chebyshev import _CHUNK
+from greenlab.errors import DomainError, GreenLabError, SingularityError
 from greenlab.green import (
     build_profile,
     get_profile,
@@ -231,6 +233,62 @@ class TestGreenEval:
         r = prof.r_min / 10.0
         direct = (phi_hat(S2, r) + prof.c_m) / volume(S2)
         assert prof.phi(r) == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "spec, scale",
+        [
+            (ManifoldSpec(Family.SPHERE, 40), 1e-9),
+            (ManifoldSpec(Family.REAL_PROJ, 40), 1e-9),
+            (ManifoldSpec(Family.SPHERE, 30), 1e-12),
+        ],
+    )
+    def test_unrepresentable_radius_raises(self, spec, scale):
+        # sin(r)^(d-1) underflows in the quadrature below the floor
+        prof = get_profile(spec)
+        r = scale * diameter(spec)
+        with pytest.raises(GreenLabError, match="not representable"):
+            prof.phi(r)
+        with pytest.raises(GreenLabError, match="not representable"):
+            prof.phi(np.array([1.0, r]))
+        with pytest.raises(GreenLabError, match="not representable"):
+            phi_hat(spec, r)
+
+
+class TestChunkedEvaluation:
+    @pytest.mark.parametrize("spec", [S2, CP2])
+    def test_vector_matches_scalar_bit_for_bit(self, spec):
+        # Every radius but two lands on a table node or below the tables,
+        # where the value does not depend on the batch it is evaluated in.
+        # The first Lobatto node rounds to just below r_cut, so neither it
+        # (served by the head table) nor r_cut is a table node; between
+        # nodes a lone radius and a batched one take different BLAS
+        # kernels, which round differently in the last bits.
+        prof = get_profile(spec)
+        D = diameter(spec)
+        head_w = prof._head.nodes
+        head_r = prof.r_cut * np.exp(-head_w)
+        head_r = head_r[np.log(prof.r_cut / head_r) == head_w]
+        assert head_r.size > 100
+        one = np.concatenate([prof._main.nodes, [prof.r_cut, D, 0.5 * prof.r_min], head_r])
+        r = np.tile(one, 3 * _CHUNK // one.size + 1)
+        assert r.size > 3 * _CHUNK
+        vec = prof.phi(r)
+        single = np.array([prof.phi(float(x)) for x in r])
+        at_cut = (r == prof.r_cut) | (r == prof._main.nodes[0])
+        assert np.array_equal(vec[~at_cut], single[~at_cut])
+        assert np.allclose(vec[at_cut], single[at_cut], rtol=1e-14, atol=0.0)
+
+    def test_memory_does_not_grow_with_radius_count(self):
+        prof = get_profile(S3)
+        r = np.linspace(prof.r_cut, diameter(S3), 20_000)
+        prof.phi(r[:10])
+        tracemalloc.start()
+        try:
+            prof.phi(r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestCrossFamilyIdentities:
