@@ -2,8 +2,9 @@
 
 The energy of a configuration is the sum of the radial Green profile over
 all ordered distinct pairs. Pair distances are formed from Gram matrices
-of the representative vectors, so the whole evaluation is O(N^2) dense
-linear algebra plus one vectorized profile sweep.
+of the points' real frames (see `manifold`), so the whole evaluation is
+O(N^2) dense linear algebra plus one vectorized profile sweep, the same
+for every family.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from .manifold import (
     Family,
     ManifoldSpec,
     Point,
+    _aligned,
     _as_generator,
+    _cosines,
+    _flatten_coords,
+    _project_horizontal,
+    _unflatten_coords,
     diameter,
     random_distance,
     sample_uniform,
@@ -55,32 +61,8 @@ class Configuration:
         return len(self.points)
 
     def coords_array(self) -> np.ndarray:
-        return np.stack([p.coords for p in self.points])
-
-
-def _gram_modulus(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """|<p_i, q_j>| over the base field; plain <.,.> for the sphere."""
-    fam = spec.family
-    if fam is Family.SPHERE:
-        return left @ right.T
-    if fam is Family.REAL_PROJ:
-        return np.abs(left @ right.T)
-    if fam is Family.COMPLEX_PROJ:
-        return np.abs(left.conj() @ right.T)
-    comps = []
-    signs = {
-        # quaternion component index pairs of conj(p) * q and their signs
-        0: [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)],
-        1: [(0, 1, 1.0), (1, 0, -1.0), (2, 3, -1.0), (3, 2, 1.0)],
-        2: [(0, 2, 1.0), (2, 0, -1.0), (3, 1, -1.0), (1, 3, 1.0)],
-        3: [(0, 3, 1.0), (3, 0, -1.0), (1, 2, -1.0), (2, 1, 1.0)],
-    }
-    for comp in range(4):
-        acc = np.zeros((left.shape[0], right.shape[0]))
-        for a, b, sign in signs[comp]:
-            acc += sign * np.einsum("im,jm->ij", left[:, :, a], right[:, :, b])
-        comps.append(acc)
-    return np.sqrt(sum(c * c for c in comps))
+        """(N, D) real frames of the points, one configuration-file row each."""
+        return np.stack([_flatten_coords(self.spec, p.coords) for p in self.points])
 
 
 # pairs per block: the block's Gram, distance and profile temporaries stay
@@ -114,7 +96,7 @@ def energy(
     floor = _MIN_SEPARATION_FACTOR * diameter(spec)
 
     def block_sum(lo: int, hi: int) -> float:
-        gram = _gram_modulus(spec, coords[lo:hi], coords)
+        gram = _cosines(spec, coords[lo:hi], coords)
         np.clip(gram, -1.0, 1.0, out=gram)
         dist = np.arccos(gram)
         upper = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
@@ -196,35 +178,6 @@ class EnergyReport:
         }
 
 
-def _phase_aligned(spec: ManifoldSpec, base: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Representatives of `others` rotated so each inner product with base is real >= 0."""
-    fam = spec.family
-    if fam is Family.SPHERE:
-        return others
-    if fam is Family.REAL_PROJ:
-        signs = np.sign(others @ base)
-        signs[signs == 0.0] = 1.0
-        return others * signs[:, None]
-    if fam is Family.COMPLEX_PROJ:
-        inner = others.conj() @ base
-        mod = np.abs(inner)
-        safe = np.where(mod == 0.0, 1.0, mod)
-        factor = np.where(mod == 0.0, 1.0 + 0.0j, inner / safe)
-        return others * factor[:, None]
-    aligned = np.empty_like(others)
-    from .manifold import _quat_scale, quat_hermitian_inner
-
-    for idx in range(others.shape[0]):
-        h = quat_hermitian_inner(base, others[idx])
-        nrm = float(np.linalg.norm(h))
-        if nrm == 0.0:
-            aligned[idx] = others[idx]
-            continue
-        u = np.array([h[0], -h[1], -h[2], -h[3]]) / nrm
-        aligned[idx] = _quat_scale(others[idx], u)
-    return aligned
-
-
 def _descent_direction(
     spec: ManifoldSpec,
     profile: RadialGreenProfile,
@@ -236,20 +189,8 @@ def _descent_direction(
     from .manifold import volume
 
     base = coords[i]
-    others = np.delete(coords, i, axis=0)
-    aligned = _phase_aligned(spec, base, others)
-    if spec.family is Family.QUAT_PROJ:
-        cos_d = np.array(
-            [
-                float(np.sum(base * aligned[k]))
-                for k in range(aligned.shape[0])
-            ]
-        )
-    elif spec.family is Family.COMPLEX_PROJ:
-        cos_d = np.real(aligned.conj() @ base)
-    else:
-        cos_d = aligned @ base
-    cos_d = np.clip(cos_d, -1.0, 1.0)
+    aligned = _aligned(spec, base, np.delete(coords, i, axis=0))
+    cos_d = np.clip(aligned @ base, -1.0, 1.0)
     d = np.arccos(cos_d)
     sin_d = np.sqrt(np.maximum(1.0 - cos_d * cos_d, 1e-30))
     v = volume(spec)
@@ -258,11 +199,7 @@ def _descent_direction(
     )
     # descent = -grad E_i = sum_k [phi'(d_k)/sin d_k] (q_k - cos(d_k) p)
     scale = weights / sin_d
-    if spec.family is Family.QUAT_PROJ:
-        direction = np.einsum("k,kmc->mc", scale, aligned - cos_d[:, None, None] * base)
-    else:
-        direction = np.einsum("k,km->m", scale, aligned - cos_d[:, None] * base)
-    return direction
+    return np.einsum("k,km->m", scale, aligned - cos_d[:, None] * base)
 
 
 def optimize(
@@ -288,30 +225,22 @@ def optimize(
     if profile is None:
         profile = get_profile(spec)
     points = [sample_uniform(spec, gen) for _ in range(N)]
-    coords = np.stack([p.coords for p in points])
+    coords = Configuration(spec, points).coords_array()
     D = diameter(spec)
     steps = np.full(N, 0.1 * D)
 
     def point_energy(idx: int, candidate: np.ndarray) -> float:
-        ref = coords[idx].copy()
-        coords[idx] = candidate
-        try:
-            others = np.delete(coords, idx, axis=0)
-            aligned_cos = _pair_cos(spec, candidate, others)
-            dd = np.arccos(np.clip(aligned_cos, -1.0, 1.0))
-            if np.any(dd <= _MIN_SEPARATION_FACTOR * D):
-                return math.inf
-            return float(np.sum(profile.phi(dd)))
-        finally:
-            coords[idx] = ref
-
-    from .manifold import _project_horizontal
+        others = np.delete(coords, idx, axis=0)
+        dd = np.arccos(np.clip(_cosines(spec, candidate[None], others)[0], -1.0, 1.0))
+        if np.any(dd <= _MIN_SEPARATION_FACTOR * D):
+            return math.inf
+        return float(np.sum(profile.phi(dd)))
 
     for _ in range(iterations):
         improved = False
         for i in range(N):
             direction = _descent_direction(spec, profile, coords, i)
-            u = _project_horizontal(spec, coords[i], direction.astype(coords.dtype))
+            u = _project_horizontal(spec, coords[i], direction)
             nrm = float(np.linalg.norm(u))
             if nrm < 1e-15:
                 continue
@@ -331,23 +260,8 @@ def optimize(
             improved = improved or accepted
         if not improved:
             break
-    pts = [Point(spec, coords[i] / np.linalg.norm(coords[i])) for i in range(N)]
+    pts = [Point(spec, _unflatten_coords(spec, x / np.linalg.norm(x))) for x in coords]
     return Configuration(spec, pts)
-
-
-def _pair_cos(spec: ManifoldSpec, base: np.ndarray, others: np.ndarray) -> np.ndarray:
-    fam = spec.family
-    if fam is Family.SPHERE:
-        return others @ base
-    if fam is Family.REAL_PROJ:
-        return np.abs(others @ base)
-    if fam is Family.COMPLEX_PROJ:
-        return np.abs(others.conj() @ base)
-    from .manifold import quat_hermitian_inner
-
-    return np.array(
-        [float(np.linalg.norm(quat_hermitian_inner(base, others[k]))) for k in range(others.shape[0])]
-    )
 
 
 def mc_energy_moment(

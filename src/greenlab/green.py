@@ -167,10 +167,15 @@ def _decreasing_ratio(spec: ManifoldSpec) -> Callable[[float], float]:
 
 
 def phi_hat_prime(spec: ManifoldSpec, s: float) -> float:
-    """Radial derivative of phi_hat: -(V - V(s)) / v(s), negative on (0, D)."""
+    """Radial derivative of phi_hat: -(V - V(s)) / v(s), negative on (0, D).
+
+    Like phi_hat, raises `SingularityError` below `_phi_hat_floor`.
+    """
     D = diameter(spec)
     if not 0.0 < s < D:
         raise DomainError(f"phi_hat_prime needs 0 < s < D={D}, got s={s}")
+    if s < _phi_hat_floor(spec):
+        raise _unrepresentable(spec, s, "phi_hat_prime")
     return -_decreasing_ratio(spec)(s)
 
 
@@ -197,6 +202,7 @@ def _segment_integral(
     return integrate(integrand, 0.0, w_hi, settings)
 
 
+@lru_cache(maxsize=None)
 def _phi_hat_floor(spec: ManifoldSpec) -> float:
     """Smallest radius at which phi_hat can be represented in floating point.
 
@@ -211,6 +217,13 @@ def _phi_hat_floor(spec: ManifoldSpec) -> float:
     return floor
 
 
+def _unrepresentable(spec: ManifoldSpec, r: float, what: str) -> SingularityError:
+    return SingularityError(
+        f"{what} at r={r:g} on {spec} is not representable: radii below "
+        f"{_phi_hat_floor(spec):g} underflow or overflow in floating point"
+    )
+
+
 def phi_hat(
     spec: ManifoldSpec, r: float, settings: QuadratureSettings | None = None
 ) -> float:
@@ -218,12 +231,8 @@ def phi_hat(
     D = diameter(spec)
     if r <= 0.0:
         raise DomainError(f"phi_hat needs r > 0, got r={r}")
-    floor = _phi_hat_floor(spec)
-    if r < floor:
-        raise SingularityError(
-            f"phi_hat at r={r:g} on {spec} is not representable: "
-            f"radii below {floor:g} underflow or overflow in floating point"
-        )
+    if r < _phi_hat_floor(spec):
+        raise _unrepresentable(spec, r, "phi_hat")
     if r > D * (1.0 + 1e-12):
         raise DomainError(f"phi_hat needs r <= D={D}, got r={r}")
     if r >= D:

@@ -7,14 +7,21 @@ distance sampling.
 
 Point model
 -----------
-Sphere and real projective points are unit vectors in R^(n+1); complex
-and quaternionic projective points are unit vectors in C^(n+1) and
-H^(n+1) (homogeneous representatives, any unit scalar multiple names the
-same point). Distance is arccos of the inner product (sphere) or of the
-modulus of the Hermitian inner product (projective families), which is
-the normalization under which the radial densities below hold. The
-Cayley plane has no point model here; all its radial quantities and
-radial sampling are fully supported.
+A point of S^n or RP^n is a unit vector in R^(n+1), of CP^n a unit vector
+in C^(n+1) and of HP^n a unit vector in H^(n+1) (on the projective
+families a homogeneous representative: any right multiple by a unit
+scalar names the same point). All geometry works on the real frame of
+that vector: the row x in R^(k(n+1)), k = 1, 1, 2, 4, holding each
+coordinate's real components (re, im or w, x, y, z) in turn, which is
+exactly one line of a configuration file. Right multiplication by
+e_c in {1, i, j, k} only permutes and negates the entries of x, so the k
+components h_c = (x_p e_c) . x_q of the Hermitian inner product
+<p, q> = sum conj(p_i) q_i come from one real matrix product for every
+family. Distance is arccos of h_0 on the sphere and of |<p, q>| = ||h||
+on the projective families, the normalization under which the radial
+densities below hold; phase alignment and the horizontal projection are
+built from the same products. The Cayley plane has no point model here;
+all its radial quantities and radial sampling are fully supported.
 
 Configuration file format
 -------------------------
@@ -26,6 +33,7 @@ quaternionic ones 4(n+1) (w, x, y, z per coordinate).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -232,8 +240,91 @@ def ball_volume_fraction(spec: ManifoldSpec, a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# real components per coordinate: the rank k of the base field over R
+_FIELD_RANK = {
+    Family.SPHERE: 1,
+    Family.REAL_PROJ: 1,
+    Family.COMPLEX_PROJ: 2,
+    Family.QUAT_PROJ: 4,
+}
+
+# component j of the right product q e_c of q = (w, x, y, z) with
+# e_c in (1, i, j, k) is _RIGHT_SIGN[c, j] * q[_RIGHT_PERM[c, j]]; the
+# leading 2 x 2 blocks do the same for a complex number (re, im)
+_RIGHT_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_RIGHT_SIGN = np.array(
+    [[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]]
+)
+_CONJ_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 def _is_point_family(family: Family) -> bool:
     return family is not Family.CAYLEY_PLANE
+
+
+@functools.lru_cache(maxsize=None)
+def _right_units(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and sign arrays, each (k, k m), of the maps x -> x e_c on real frames."""
+    index = k * np.arange(m)[:, None] + _RIGHT_PERM[:k, None, :k]
+    sign = np.broadcast_to(_RIGHT_SIGN[:k, None, :k], index.shape)
+    index, sign = index.reshape(k, k * m), sign.reshape(k, k * m)
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+def _frames(k: int, rows: np.ndarray) -> np.ndarray:
+    """(A, k, D) right multiples x e_c of the real frames x, rows (A, D)."""
+    if k == 1:
+        return rows[:, None, :]
+    index, sign = _right_units(k, rows.shape[1] // k)
+    return rows[:, index] * sign
+
+
+def _products(k: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Components h[a, c, b] = (x_a e_c) . y_b of the inner products <x_a, y_b>.
+
+    Rows are real frames over a base field of rank k. Only the left rows
+    are expanded into their k right multiples; the right rows enter as
+    they are.
+    """
+    framed = _frames(k, left).reshape(len(left) * k, -1)
+    return (framed @ right.T).reshape(len(left), k, len(right))
+
+
+def _modulus(h: np.ndarray) -> np.ndarray:
+    """|<x, y>| from the components on axis -2 of h."""
+    if h.shape[-2] == 1:
+        return np.abs(h[..., 0, :])
+    return np.sqrt(np.sum(h * h, axis=-2))
+
+
+def _cosines(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(A, B) cosines of the distances between two stacks of real frames."""
+    h = _products(_FIELD_RANK[spec.family], left, right)
+    return h[:, 0] if spec.family is Family.SPHERE else _modulus(h)
+
+
+def _aligned(spec: ManifoldSpec, x: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Representatives y u of the rows y of others with <x, y u> real and >= 0.
+
+    u = conj(h) / |h| for h = <x, y>, and u = 1 where h = 0. This is the
+    sign on RP^n, the phase on CP^n and a unit quaternion on HP^n; sphere
+    points are returned unchanged.
+    """
+    if spec.family is Family.SPHERE:
+        return others
+    k = _FIELD_RANK[spec.family]
+    h = _products(k, x[None], others)[0]
+    mod = _modulus(h)
+    u = h * _CONJ_SIGN[:k, None] / np.where(mod > 0.0, mod, 1.0)
+    u[0, mod == 0.0] = 1.0
+    return np.einsum("cb,bcd->bd", u, _frames(k, others))
+
+
+def _project_horizontal(spec: ManifoldSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v minus its components along every x e_c: the part orthogonal to x's line."""
+    frames = _frames(_FIELD_RANK[spec.family], x[None])[0]
+    return v - (frames @ v) @ frames
 
 
 def quat_hermitian_inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -243,31 +334,7 @@ def quat_hermitian_inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     quaternion. Right-module convention; only the modulus is consumed by
     distances, which is convention independent.
     """
-    pw, px, py, pz = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
-    qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    return np.array(
-        [
-            np.sum(pw * qw + px * qx + py * qy + pz * qz),
-            np.sum(pw * qx - px * qw - py * qz + pz * qy),
-            np.sum(pw * qy - py * qw - pz * qx + px * qz),
-            np.sum(pw * qz - pz * qw - px * qy + py * qx),
-        ]
-    )
-
-
-def _quat_scale(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Right-multiply every quaternionic coordinate of p (shape (m,4)) by u."""
-    pw, px, py, pz = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
-    uw, ux, uy, uz = u
-    return np.stack(
-        [
-            pw * uw - px * ux - py * uy - pz * uz,
-            pw * ux + px * uw + py * uz - pz * uy,
-            pw * uy + py * uw + pz * ux - px * uz,
-            pw * uz + pz * uw + px * uy - py * ux,
-        ],
-        axis=1,
-    )
+    return _products(4, np.reshape(p, (1, -1)), np.reshape(q, (1, -1)))[0, :, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,6 +343,9 @@ class Point:
 
     coords is float (n+1,) for sphere/real projective, complex (n+1,) for
     complex projective and float (n+1, 4) for quaternionic projective.
+    Distances and steps use its real frame, the row of k(n+1) reals
+    (k = 1, 1, 2, 4) that `_flatten_coords` returns and a configuration
+    file stores, together with the frame's right multiples by 1, i, j, k.
     Treated as immutable; do not mutate coords in place.
     """
 
@@ -287,7 +357,7 @@ class Point:
             raise UnsupportedManifoldError(
                 "the Cayley plane has no point model; radial quantities only"
             )
-        expected = self._expected_shape()
+        expected = _coords_shape(self.spec)
         if self.coords.shape != expected:
             raise DomainError(
                 f"coords shape {self.coords.shape} does not match {expected} for {self.spec}"
@@ -296,11 +366,10 @@ class Point:
         if abs(nrm - 1.0) > 1e-12:
             raise DomainError(f"representative vector must be unit norm, got {nrm!r}")
 
-    def _expected_shape(self) -> tuple:
-        m = self.spec.n + 1
-        if self.spec.family is Family.QUAT_PROJ:
-            return (m, 4)
-        return (m,)
+
+def _coords_shape(spec: ManifoldSpec) -> tuple:
+    m = spec.n + 1
+    return (m, 4) if spec.family is Family.QUAT_PROJ else (m,)
 
 
 def _make_point(spec: ManifoldSpec, raw: np.ndarray) -> Point:
@@ -308,39 +377,6 @@ def _make_point(spec: ManifoldSpec, raw: np.ndarray) -> Point:
     if nrm == 0.0:
         raise DomainError("zero vector cannot represent a point")
     return Point(spec, raw / nrm)
-
-
-def _inner_modulus(p: Point, q: Point) -> float:
-    fam = p.spec.family
-    if fam in (Family.SPHERE, Family.REAL_PROJ):
-        val = float(np.dot(p.coords, q.coords))
-        return val if fam is Family.SPHERE else abs(val)
-    if fam is Family.COMPLEX_PROJ:
-        return abs(complex(np.vdot(p.coords, q.coords)))
-    return float(np.linalg.norm(quat_hermitian_inner(p.coords, q.coords)))
-
-
-def _aligned_chord(p: Point, q: Point) -> float:
-    """Norm of q - p after rotating q's representative onto p's phase."""
-    fam = p.spec.family
-    if fam is Family.SPHERE:
-        diff = q.coords - p.coords
-    elif fam is Family.REAL_PROJ:
-        sign = 1.0 if float(np.dot(p.coords, q.coords)) >= 0.0 else -1.0
-        diff = sign * q.coords - p.coords
-    elif fam is Family.COMPLEX_PROJ:
-        h = complex(np.vdot(p.coords, q.coords))
-        phase = h.conjugate() / abs(h) if h != 0 else 1.0
-        diff = q.coords * phase - p.coords
-    else:
-        h = quat_hermitian_inner(p.coords, q.coords)
-        mod = float(np.linalg.norm(h))
-        if mod == 0.0:
-            diff = q.coords - p.coords
-        else:
-            u = np.array([h[0], -h[1], -h[2], -h[3]]) / mod
-            diff = _quat_scale(q.coords, u) - p.coords
-    return float(np.linalg.norm(diff))
 
 
 def distance(p: Point, q: Point) -> float:
@@ -352,9 +388,10 @@ def distance(p: Point, q: Point) -> float:
     """
     if p.spec != q.spec:
         raise DomainError(f"points live on different manifolds: {p.spec} vs {q.spec}")
-    c = _inner_modulus(p, q)
+    x, y = _flatten_coords(p.spec, p.coords), _flatten_coords(q.spec, q.coords)
+    c = float(_cosines(p.spec, x[None], y[None])[0, 0])
     if c > 0.99:
-        half = 0.5 * _aligned_chord(p, q)
+        half = 0.5 * float(np.linalg.norm(_aligned(p.spec, x, y[None])[0] - x))
         return 2.0 * math.asin(min(1.0, half))
     c = min(1.0, max(-1.0, c))
     return math.acos(c)
@@ -404,16 +441,6 @@ def sample_uniform(spec: ManifoldSpec, rng) -> Point:
     return _make_point(spec, raw)
 
 
-def _project_horizontal(spec: ManifoldSpec, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    fam = spec.family
-    if fam in (Family.SPHERE, Family.REAL_PROJ):
-        return v - np.dot(p, v) * p
-    if fam is Family.COMPLEX_PROJ:
-        return v - complex(np.vdot(p, v)) * p
-    s = quat_hermitian_inner(p, v)
-    return v - _quat_scale(p, s)
-
-
 def geodesic_step(p: Point, tangent_direction: np.ndarray, t: float) -> Point:
     """Point at arclength t along the geodesic from p in the given direction.
 
@@ -427,13 +454,14 @@ def geodesic_step(p: Point, tangent_direction: np.ndarray, t: float) -> Point:
     v = np.asarray(tangent_direction)
     if v.shape != p.coords.shape:
         raise DomainError("tangent direction has wrong shape")
-    u = _project_horizontal(spec, p.coords, v.astype(p.coords.dtype, copy=False))
+    x = _flatten_coords(spec, p.coords)
+    u = _project_horizontal(spec, x, _flatten_coords(spec, v))
     nrm = float(np.linalg.norm(u))
     if nrm < 1e-14:
         raise DomainError("tangent direction is degenerate after horizontal projection")
     u = u / nrm
-    stepped = math.cos(t) * p.coords + math.sin(t) * u
-    return _make_point(spec, stepped)
+    stepped = math.cos(t) * x + math.sin(t) * u
+    return _make_point(spec, _unflatten_coords(spec, stepped))
 
 
 def random_distance(spec: ManifoldSpec, rng, size: int | None = None):
@@ -461,30 +489,19 @@ def random_distance(spec: ManifoldSpec, rng, size: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _flatten_coords(p: Point) -> np.ndarray:
-    if p.spec.family is Family.COMPLEX_PROJ:
-        flat = np.empty(2 * p.coords.size)
-        flat[0::2] = p.coords.real
-        flat[1::2] = p.coords.imag
-        return flat
-    return np.asarray(p.coords, dtype=float).ravel()
+def _flatten_coords(spec: ManifoldSpec, coords: np.ndarray) -> np.ndarray:
+    """Real frame of Point-shaped coords: each coordinate's (re, im) or (w, x, y, z) in turn."""
+    dtype = complex if spec.family is Family.COMPLEX_PROJ else float
+    return np.ascontiguousarray(coords, dtype=dtype).view(float).ravel()
 
 
 def _unflatten_coords(spec: ManifoldSpec, row: np.ndarray) -> np.ndarray:
-    m = spec.n + 1
-    if spec.family in (Family.SPHERE, Family.REAL_PROJ):
-        expected = m
-    elif spec.family is Family.COMPLEX_PROJ:
-        expected = 2 * m
-    else:
-        expected = 4 * m
+    """Point-shaped coords of a real frame; inverse of `_flatten_coords`."""
+    expected = _FIELD_RANK[spec.family] * (spec.n + 1)
     if row.size != expected:
         raise DomainError(f"expected {expected} coordinates per line for {spec}, got {row.size}")
-    if spec.family is Family.COMPLEX_PROJ:
-        return row[0::2] + 1j * row[1::2]
-    if spec.family is Family.QUAT_PROJ:
-        return row.reshape(m, 4)
-    return row
+    dtype = complex if spec.family is Family.COMPLEX_PROJ else float
+    return np.ascontiguousarray(row, dtype=float).view(dtype).reshape(_coords_shape(spec))
 
 
 def save_configuration(points: Iterable[Point], fh: TextIO) -> None:
@@ -496,7 +513,7 @@ def save_configuration(points: Iterable[Point], fh: TextIO) -> None:
     for p in pts:
         if p.spec != spec:
             raise DomainError("all points must share one manifold")
-        fh.write(" ".join(f"{x:.17g}" for x in _flatten_coords(p)) + "\n")
+        fh.write(" ".join(f"{x:.17g}" for x in _flatten_coords(spec, p.coords)) + "\n")
 
 
 def load_configuration(fh: TextIO) -> list[Point]:

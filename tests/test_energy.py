@@ -13,12 +13,15 @@ from greenlab.manifold import (
     Family,
     ManifoldSpec,
     Point,
+    distance,
+    geodesic_step,
     sample_uniform,
 )
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
 S3 = ManifoldSpec(Family.SPHERE, 3)
 RP2 = ManifoldSpec(Family.REAL_PROJ, 2)
+RP3 = ManifoldSpec(Family.REAL_PROJ, 3)
 CP1 = ManifoldSpec(Family.COMPLEX_PROJ, 1)
 CP2 = ManifoldSpec(Family.COMPLEX_PROJ, 2)
 HP1 = ManifoldSpec(Family.QUAT_PROJ, 1)
@@ -37,6 +40,19 @@ def hopf_image(p: Point) -> Point:
     y = 2.0 * (z0.conjugate() * z1).imag
     z = abs(z0) ** 2 - abs(z1) ** 2
     return Point(S2, np.array([x, y, z]) / np.linalg.norm([x, y, z]))
+
+
+def rephased(p: Point) -> Point:
+    """The same point under another representative: coords times a unit scalar on the right."""
+    c, s = math.cos(0.7), math.sin(0.7)
+    if p.spec.family is Family.SPHERE:
+        return p
+    if p.spec.family is Family.REAL_PROJ:
+        return Point(p.spec, -p.coords)
+    if p.spec.family is Family.COMPLEX_PROJ:
+        return Point(p.spec, p.coords * complex(c, s))
+    w, x, y, z = p.coords.T  # right product by the quaternion c + s i
+    return Point(p.spec, np.stack([c * w - s * x, c * x + s * w, c * y + s * z, c * z - s * y], axis=1))
 
 
 class TestEnergy:
@@ -77,8 +93,6 @@ class TestEnergy:
     def test_quaternionic_isometry_invariance(self):
         # coordinate permutation composed with a left unit-quaternion twist
         # preserves the Hermitian inner product
-        from greenlab.manifold import _quat_scale
-
         rng = np.random.default_rng(10)
         cfg = random_config(HP1, 10, 10)
         u = rng.standard_normal(4)
@@ -121,6 +135,23 @@ class TestEnergy:
         cfg = random_config(S2, 3, 2)
         with pytest.raises(DomainError):
             en.energy(cfg, get_profile(S3))
+
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    def test_batched_sweep_matches_pairwise_distances(self, spec):
+        # the Gram/arccos sweep against scalar `distance` calls; the pair 1e-7
+        # apart, under another representative, takes the chord route in both
+        rng = np.random.default_rng(17)
+        points = [sample_uniform(spec, rng) for _ in range(12)]
+        step = rng.standard_normal(points[0].coords.shape)
+        near = rephased(geodesic_step(points[0], step, 1e-7))
+        assert distance(points[0], near) == pytest.approx(1e-7, rel=1e-8)
+        profile = get_profile(spec)
+        for pts in (points, points + [near]):
+            terms = [profile.phi(distance(p, q)) for i, p in enumerate(pts) for q in pts[i + 1 :]]
+            # relative to sum |phi|: the random pairs' terms largely cancel
+            scale = 2.0 * math.fsum(abs(t) for t in terms)
+            got = en.energy(en.Configuration(spec, pts))
+            assert abs(got - 2.0 * math.fsum(terms)) <= 1e-12 * scale
 
     def test_thread_count_does_not_change_bits(self):
         cfg = random_config(S3, 600, 33)

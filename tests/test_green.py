@@ -253,6 +253,15 @@ class TestGreenEval:
         with pytest.raises(GreenLabError, match="not representable"):
             phi_hat(spec, r)
 
+    @pytest.mark.parametrize(
+        "spec", [ManifoldSpec(Family.SPHERE, 40), ManifoldSpec(Family.REAL_PROJ, 40)]
+    )
+    def test_unrepresentable_slope_raises(self, spec):
+        # the slope -psi underflows like phi_hat itself; the optimizer reaches it
+        r = 1e-9 * diameter(spec)
+        with pytest.raises(SingularityError, match=rf"phi_hat_prime at r={r:g} .* below \d"):
+            phi_hat_prime(spec, r)
+
 
 class TestChunkedEvaluation:
     @pytest.mark.parametrize("spec", [S2, CP2])

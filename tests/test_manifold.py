@@ -216,13 +216,22 @@ class TestDistance:
         assert distance(p, q2) == pytest.approx(distance(p, q), abs=1e-12)
 
     def test_phase_invariance_quaternion(self):
-        from greenlab.manifold import _quat_scale
-
         rng = np.random.default_rng(4)
         p, q = sample_uniform(HP1, rng), sample_uniform(HP1, rng)
         u = rng.standard_normal(4)
         u /= np.linalg.norm(u)
-        q2 = Point(HP1, _quat_scale(q.coords, u))
+        # right product q_i u of every quaternionic coordinate, (w, x, y, z) layout
+        w, x, y, z = q.coords.T
+        rephased = np.stack(
+            [
+                w * u[0] - x * u[1] - y * u[2] - z * u[3],
+                w * u[1] + x * u[0] + y * u[3] - z * u[2],
+                w * u[2] - x * u[3] + y * u[0] + z * u[1],
+                w * u[3] + x * u[2] - y * u[1] + z * u[0],
+            ],
+            axis=1,
+        )
+        q2 = Point(HP1, rephased)
         assert distance(p, q2) == pytest.approx(distance(p, q), abs=1e-12)
 
 
