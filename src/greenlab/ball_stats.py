@@ -30,13 +30,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 import mpmath as mp
+import numpy as np
 
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
-from .green import RadialGreenProfile, _decreasing_ratio
+from .green import RadialGreenProfile, _radial_ratios
 from .manifold import (
     Family,
     ManifoldSpec,
     ball_volume,
+    ball_volume_fraction,
     bm_constant,
     diameter,
     dimension,
@@ -95,11 +97,7 @@ def cum_volume_over_area(
     """
     if r < 0.0 or r >= diameter(spec):
         raise DomainError(f"cumulative volume ratio needs 0 <= r < D, got {r}")
-
-    def integrand(u: float) -> float:
-        return ball_volume(spec, u) / sphere_area(spec, u)
-
-    return integrate(integrand, 0.0, r, settings or _SETTINGS)
+    return integrate(_radial_ratios(spec).rho, 0.0, r, settings or _SETTINGS)
 
 
 def k_quadrature(
@@ -112,19 +110,18 @@ def k_quadrature(
     a = min(a, D)
     V = volume(spec)
     va = ball_volume(spec, a)
+    ratios = _radial_ratios(spec)
     if va <= 0.5 * V:
 
-        def integrand(u: float) -> float:
-            vu = ball_volume(spec, u)
-            return vu * (va - vu) / sphere_area(spec, u)
+        def integrand(u: np.ndarray) -> np.ndarray:
+            return ratios.rho(u) * (va - V * ball_volume_fraction(spec, u))
 
     else:
-        psi = _decreasing_ratio(spec)
         # V - V(a) without the cancellation of the direct difference
-        rest = sphere_area(spec, a) * psi(a) if a < D else 0.0
+        rest = sphere_area(spec, a) * float(ratios.psi(np.array([a]))[0]) if a < D else 0.0
 
-        def integrand(u: float) -> float:
-            return ball_volume(spec, u) * (psi(u) - rest / sphere_area(spec, u))
+        def integrand(u: np.ndarray) -> np.ndarray:
+            return ratios.moment(u) - rest * ratios.rho(u) if rest else ratios.moment(u)
 
     return integrate(integrand, 0.0, a, settings or _SETTINGS) / (V * va)
 
@@ -138,12 +135,7 @@ def theta_quadrature(
     if not 0.0 < a <= D * (1.0 + 1e-12):
         raise DomainError(f"Theta needs a in (0, D], got {a}")
     a = min(a, D)
-    psi = _decreasing_ratio(spec)
-
-    def integrand(r: float) -> float:
-        return ball_volume(spec, r) * psi(r)
-
-    moment = integrate(integrand, 0.0, a, settings or _SETTINGS)
+    moment = integrate(_radial_ratios(spec).moment, 0.0, a, settings or _SETTINGS)
     return profile.phi(a) + moment / (volume(spec) * ball_volume(spec, a))
 
 
@@ -352,10 +344,12 @@ def ball_average_green(
         return base
     va = ball_volume(spec, a)
 
-    def overlap(u: float) -> float:
+    def overlap(u: np.ndarray) -> np.ndarray:
         return (va - ball_volume(spec, u)) / sphere_area(spec, u)
 
-    correction = integrate(overlap, t, a, _SETTINGS) / va
+    # only the base's absolute accuracy is needed: near t = a, va - V(u) is rounding noise
+    settings = QuadratureSettings(rel_tol=1e-12, abs_tol=max(1e-15 * va * abs(base), 1e-300))
+    correction = integrate(overlap, t, a, settings) / va
     return base - correction
 
 

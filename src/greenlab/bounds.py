@@ -43,8 +43,6 @@ __all__ = [
 ]
 
 GRID_POINTS = 32
-GOLDEN_ITERATIONS = 80
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -204,28 +202,56 @@ def _log_grid(spec: ManifoldSpec, N: int, count: int = GRID_POINTS) -> list[floa
     return [math.exp(math.log(lo) + k * step) for k in range(count)]
 
 
-def _golden_max(f, lo: float, hi: float, iterations: int = GOLDEN_ITERATIONS):
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iterations):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
+def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Maximize f on [lo, hi]: Brent's bounded search, the fmin of Forsythe, Malcolm & Moler.
+
+    Parabolic steps through the three best points, guarded by golden-section
+    steps; stops once the bracket is within tol1 of the best point x.
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    v = w = x = lo + golden * (hi - lo)
+    fv = fw = fx = f(x)
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        tol1 = 1.4901161193847656e-08 * abs(x) + 1e-12  # sqrt(eps) |x| + 1e-12
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (hi - lo):
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > tol1:  # the vertex step p / q is the same for f and -f
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (lo - x) < p < q * (hi - x):
+            d = p / q
+            if min(x + d - lo, hi - x - d) < 2.0 * tol1:  # keep off the ends
+                d = tol1 if x < mid else -tol1
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+            e = (hi - x) if x < mid else (lo - x)
+            d = golden * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu >= fx:
+            lo, hi = (lo, x) if u < x else (x, hi)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def best_finite_bound(spec: ManifoldSpec, N: int) -> BoundReport:
     """Maximize the finite-N bound over the probe radius.
 
-    Seeds a golden-section search at the asymptotic radius when d > 2 and
-    always sweeps a coarse log-spaced grid as a mis-bracketing guard; the
-    reported best is the maximum over everything evaluated.
+    Runs Brent's bounded search around the asymptotic radius when d > 2, or
+    around the grid's best point when d = 2, and always sweeps a coarse
+    log-spaced grid as a mis-bracketing guard; the reported best is the
+    maximum over everything evaluated.
     """
     if N < 2:
         raise DomainError(f"need N >= 2, got {N}")
@@ -265,7 +291,7 @@ def best_finite_bound(spec: ManifoldSpec, N: int) -> BoundReport:
         lo = grid[max(best_idx - 1, 0)][0]
         hi = grid[min(best_idx + 1, len(grid) - 1)][0]
 
-    a_star, f_star = _golden_max(f, lo, hi)
+    a_star, f_star = _brent_max(f, lo, hi)
     evaluations[a_star] = f_star
     best_a, best_bound = max(evaluations.items(), key=lambda kv: kv[1])
     report.best_a = best_a

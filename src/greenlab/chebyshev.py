@@ -15,12 +15,14 @@ _CHUNK = 256
 
 
 def lobatto_nodes(m: int, lo: float, hi: float) -> np.ndarray:
-    """m Chebyshev points of the second kind on [lo, hi], ascending, endpoints included."""
+    """m Chebyshev points of the second kind on [lo, hi], ascending, from exactly lo to hi."""
     if m < 2:
         raise ValueError("need at least two nodes")
     k = np.arange(m)
     x = np.cos(np.pi * k / (m - 1))[::-1]  # ascending on [-1, 1]
-    return (lo + hi) / 2.0 + (hi - lo) / 2.0 * x
+    nodes = (lo + hi) / 2.0 + (hi - lo) / 2.0 * x
+    nodes[0], nodes[-1] = lo, hi  # the affine map can miss the ends by an ulp
+    return nodes
 
 
 class ChebyshevInterpolant:

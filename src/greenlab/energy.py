@@ -193,10 +193,9 @@ def _descent_direction(
     cos_d = np.clip(aligned @ base, -1.0, 1.0)
     d = np.arccos(cos_d)
     sin_d = np.sqrt(np.maximum(1.0 - cos_d * cos_d, 1e-30))
-    v = volume(spec)
-    weights = np.array(
-        [phi_hat_prime(spec, float(x)) / v if 0.0 < x < diameter(spec) else 0.0 for x in d]
-    )
+    inside = (d > 0.0) & (d < diameter(spec))
+    weights = np.zeros_like(d)
+    weights[inside] = phi_hat_prime(spec, d[inside]) / volume(spec)
     # descent = -grad E_i = sum_k [phi'(d_k)/sin d_k] (q_k - cos(d_k) p)
     scale = weights / sin_d
     return np.einsum("k,km->m", scale, aligned - cos_d[:, None] * base)

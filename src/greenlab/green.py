@@ -26,9 +26,10 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import betainc
 
 from .chebyshev import ChebyshevInterpolant, lobatto_nodes
 from .errors import DomainError, SingularityError
@@ -36,7 +37,7 @@ from .manifold import (
     Family,
     ManifoldSpec,
     Point,
-    ball_volume,
+    _density,
     diameter,
     dimension,
     distance,
@@ -46,7 +47,6 @@ from .special_math import (
     QuadratureSettings,
     _beta_continued_fraction,
     integrate,
-    reg_incomplete_beta,
     vol_unit_sphere,
 )
 
@@ -71,116 +71,132 @@ _HEAD_NODES = 160
 _CAYLEY_TAIL_COEFFS = (330.0, -1848.0, 4620.0, -6600.0, 5775.0, -3080.0, 924.0, -120.0)
 
 
-def _sin_power_mass(m: int):
-    """Integral of sin^m over [0, u] as a relative-accurate callable.
-
-    Reduces to the regularized incomplete beta, W_m(u) = c_m * I_{sin^2(u/2)}
-    with symmetric parameters (m+1)/2, which keeps full relative accuracy
-    for u near 0 where the naive Wallis recursion cancels.
-    """
-    a = 0.5 * (m + 1)
-    c_m = math.exp(m * math.log(2.0) + 2.0 * math.lgamma(a) - math.lgamma(2.0 * a))
-
-    def mass(u: float) -> float:
-        return c_m * reg_incomplete_beta(math.sin(0.5 * u) ** 2, a, a)
-
-    return mass
+class _Ratios(NamedTuple):
+    rho: Callable[[np.ndarray], np.ndarray]
+    psi: Callable[[np.ndarray], np.ndarray]
+    moment: Callable[[np.ndarray], np.ndarray]
 
 
 @lru_cache(maxsize=None)
-def _decreasing_ratio(spec: ManifoldSpec) -> Callable[[float], float]:
-    """The profile slope magnitude psi(s) = (V - V(s)) / v(s), stably evaluated.
+def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
+    """Array functions rho(s) = V(s)/v(s), psi(s) = (V - V(s))/v(s), moment(s) = V(s) psi(s).
 
-    Each family gets a cancellation-free form of the numerator: spheres use
-    the reflected segment integral of sin^(n-1), the projective families an
-    expansion in x = cos^2(s) whose low orders cancel exactly.
+    psi is the profile slope magnitude, moment the integrand of Theta and of
+    the mean-zero constant. No underflowed number is a divisor, and no
+    complement V - V(s) cancels:
+    - CP^n, HP^n and OP^2 cancel the powers of sin s between V(s) and v(s)
+      exactly, and expand V - V(s) in x = cos^2 s, whose low orders cancel;
+    - S^n and RP^n take the mass from betainc or, where it leaves the normal
+      range, W(u)/sin^(n-1) u = sin(u) 2F1(n, 1; n/2 + 1; sin^2(u/2)) / n from
+      a continued fraction, which also gives the sphere's psi past pi/2.
     """
     n = spec.n
-    d = dimension(spec)
-    vol_ratio = volume(spec) / vol_unit_sphere(d)
+    omega = vol_unit_sphere(dimension(spec))
+    mass = volume(spec) / omega
 
-    def log_sin_sq(s: float) -> float:
-        # log(1 - cos^2 s) without the cancellation at either end
-        if s <= 0.25 * math.pi:
-            return 2.0 * math.log(math.sin(s))
-        return math.log1p(-math.cos(s) ** 2)
+    def log_sin_sq(s):
+        # log(1 - cos^2 s) without the cancellation at either end (the
+        # minimum only keeps the unused branch finite)
+        direct = np.log1p(-np.minimum(np.cos(s) ** 2, 0.5))
+        return np.where(s <= 0.25 * np.pi, 2.0 * np.log(np.sin(s)), direct)
 
-    if spec.family is Family.SPHERE:
-        mass = _sin_power_mass(n - 1)
-        half = 0.5 * n
+    if spec.family in (Family.SPHERE, Family.REAL_PROJ):
+        a = 0.5 * n
+        # V(s)/omega = sphere_mass I_x(a, a), x = sin^2(s/2), on both families
+        sphere_mass = mass if spec.family is Family.SPHERE else 2.0 * mass
 
-        def psi(s: float) -> float:
-            if s <= 0.5 * math.pi:
-                return mass(math.pi - s) / math.sin(s) ** (n - 1)
-            # past pi/2 the mass is sin(e)^n F / n with e = pi - s and F the
-            # incomplete-beta continued fraction, so the sin(e)^(n-1) that
-            # underflows near pi for large n cancels exactly
-            x = math.sin(0.5 * (math.pi - s)) ** 2
-            return math.sin(s) * _beta_continued_fraction(half, half, x) / n
+        def rho(s):
+            x = np.sin(0.5 * s) ** 2
+            frac = betainc(a, a, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = sphere_mass * frac / np.sin(s) ** (n - 1)
+            low = frac < 1e-280  # the mass leaves the normal range
+            if low.any():
+                out[low] = np.sin(s[low]) * _beta_continued_fraction(a, a, x[low]) / n
+            return out
 
-    elif spec.family is Family.REAL_PROJ:
-        mass = _sin_power_mass(n - 1)
+        if spec.family is Family.SPHERE:
 
-        def psi(s: float) -> float:
-            return 0.5 * (mass(math.pi - s) - mass(s)) / math.sin(s) ** (n - 1)
+            def complement(s):  # the ball about the antipode
+                return mass * betainc(a, a, np.sin(0.5 * (np.pi - s)) ** 2)
+
+        else:
+
+            def complement(s):  # (V/2) (1 - 2 I_x(a, a)) = (V/2) I_{cos^2 s}(1/2, a)
+                return mass * betainc(0.5, a, np.cos(s) ** 2)
 
     elif spec.family is Family.COMPLEX_PROJ:
 
-        def psi(s: float) -> float:
-            f = -math.expm1(n * log_sin_sq(s))
-            return vol_ratio * f / (math.sin(s) ** (2 * n - 1) * math.cos(s))
+        def rho(s):
+            return mass * np.tan(s)
+
+        def complement(s):
+            return -mass * np.expm1(n * log_sin_sq(s))
 
     elif spec.family is Family.QUAT_PROJ:
-        # exact coefficients of 1 - (1+2nx)(1-x)^(2n); orders 0 and 1 vanish
-        coeffs = [
-            float((-1) ** (j - 1) * (math.comb(2 * n, j) - 2 * n * math.comb(2 * n, j - 1)))
-            for j in range(2, 2 * n + 2)
-        ]
-        x_series = 1.0 / (4.0 * n)
+        # exact coefficients of 1 - (1+2nx)(1-x)^(2n), highest first; orders 0 and 1 vanish
+        coeffs = [float((-1) ** (j - 1) * (math.comb(2 * n, j) - 2 * n * math.comb(2 * n, j - 1)))
+                  for j in range(2 * n + 1, 1, -1)]
 
-        def psi(s: float) -> float:
-            x = math.cos(s) ** 2
-            if x < x_series:
-                f = 0.0
-                for c in reversed(coeffs):
-                    f = f * x + c
-                f *= x * x
-            else:
-                f = 1.0 - (1.0 + 2 * n * x) * math.exp(2 * n * log_sin_sq(s))
-            return vol_ratio * f / (math.sin(s) ** (4 * n - 1) * math.cos(s) ** 3)
+        def rho(s):
+            return mass * (1.0 + 2 * n * np.cos(s) ** 2) * np.sin(s) / np.cos(s) ** 3
+
+        def complement(s):
+            x = np.cos(s) ** 2
+            series = np.polyval(coeffs, x) * x * x
+            direct = 1.0 - (1.0 + 2 * n * x) * np.exp(2 * n * log_sin_sq(s))
+            return mass * np.where(x < 1.0 / (4.0 * n), series, direct)
 
     else:
 
-        def psi(s: float) -> float:
-            x = math.cos(s) ** 2
-            if x < 0.05:
-                f = 0.0
-                for c in reversed(_CAYLEY_TAIL_COEFFS):
-                    f = f * x + c
-                f *= x**4
-            else:
-                poly = 1.0 + x * (8.0 + x * (36.0 + 120.0 * x))
-                f = -math.expm1(8.0 * log_sin_sq(s) + math.log(poly))
-            return vol_ratio * f / (math.sin(s) ** 15 * math.cos(s) ** 7)
+        def rho(s):
+            x = np.cos(s) ** 2
+            return mass * (1.0 + x * (8.0 + x * (36.0 + 120.0 * x))) * np.sin(s) / np.cos(s) ** 7
 
-    return psi
+        def complement(s):
+            x = np.cos(s) ** 2
+            series = np.polyval(_CAYLEY_TAIL_COEFFS[::-1], x) * x**4
+            poly = 1.0 + x * (8.0 + x * (36.0 + 120.0 * x))
+            direct = -np.expm1(8.0 * log_sin_sq(s) + np.log(poly))
+            return mass * np.where(x < 0.05, series, direct)
+
+    def psi(s):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = complement(s) / _density(spec, s)
+        far = s > 0.5 * np.pi  # only on the sphere: rho at pi - s, by the continued fraction
+        if far.any():
+            y = np.sin(0.5 * (np.pi - s[far])) ** 2
+            out[far] = np.sin(s[far]) * _beta_continued_fraction(a, a, y) / n
+        return out
+
+    def moment(s):
+        c = complement(s)
+        if spec.family is not Family.SPHERE:
+            return omega * rho(s) * c
+        # past pi/2, rho overflows where c underflows; V(s) psi(s) stays tame
+        with np.errstate(invalid="ignore", over="ignore"):
+            return omega * np.where(s <= 0.5 * np.pi, rho(s) * c, (mass - c) * psi(s))
+
+    return _Ratios(rho, psi, moment)
 
 
-def phi_hat_prime(spec: ManifoldSpec, s: float) -> float:
+def phi_hat_prime(spec: ManifoldSpec, s):
     """Radial derivative of phi_hat: -(V - V(s)) / v(s), negative on (0, D).
 
-    Like phi_hat, raises `SingularityError` below `_phi_hat_floor`.
+    Array-valued like s; like phi_hat, raises `SingularityError` below `_phi_hat_floor`.
     """
     D = diameter(spec)
-    if not 0.0 < s < D:
+    s_arr = np.asarray(s, dtype=float)
+    if not ((s_arr > 0.0).all() and (s_arr < D).all()):
         raise DomainError(f"phi_hat_prime needs 0 < s < D={D}, got s={s}")
-    if s < _phi_hat_floor(spec):
-        raise _unrepresentable(spec, s, "phi_hat_prime")
-    return -_decreasing_ratio(spec)(s)
+    if (s_arr < _phi_hat_floor(spec)).any():
+        raise _unrepresentable(spec, float(np.min(s_arr)), "phi_hat_prime")
+    out = -_radial_ratios(spec).psi(np.atleast_1d(s_arr))
+    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
 
 
 def _segment_integral(
-    psi: Callable[[float], float],
+    psi: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     settings: QuadratureSettings,
@@ -195,8 +211,8 @@ def _segment_integral(
         return 0.0
     w_hi = math.log(hi / lo)
 
-    def integrand(w: float) -> float:
-        s = hi * math.exp(-w)
+    def integrand(w: np.ndarray) -> np.ndarray:
+        s = hi * np.exp(-w)
         return psi(s) * s
 
     return integrate(integrand, 0.0, w_hi, settings)
@@ -239,7 +255,7 @@ def phi_hat(
         return 0.0
     if settings is None:
         settings = _BUILD_SETTINGS
-    psi = _decreasing_ratio(spec)
+    psi = _radial_ratios(spec).psi
     knee = D / 8.0
     if r >= knee:
         return integrate(psi, r, D, settings)
@@ -309,7 +325,7 @@ class RadialGreenProfile:
 def _build_phi_hat_tables(spec, r_cut, r_min, settings):
     D = diameter(spec)
     d = dimension(spec)
-    psi = _decreasing_ratio(spec)
+    psi = _radial_ratios(spec).psi
 
     main_nodes = lobatto_nodes(_MAIN_NODES, r_cut, D)
     acc = 0.0
@@ -356,15 +372,10 @@ def build_profile(
     r_min = min(max(1e-9 * D, _phi_hat_floor(spec)), 0.5 * r_cut)
 
     main, head = _build_phi_hat_tables(spec, r_cut, r_min, settings)
-    psi = _decreasing_ratio(spec)
-
     # mean-zero constant: Theta(M, D) = 0 gives C = -(1/V) int_0^D V(s) psi(s) ds
-    def moment(s: float) -> float:
-        return ball_volume(spec, s) * psi(s)
-
     return RadialGreenProfile(
         spec=spec,
-        c_m=-integrate(moment, 0.0, D, settings) / volume(spec),
+        c_m=-integrate(_radial_ratios(spec).moment, 0.0, D, settings) / volume(spec),
         r_cut=r_cut,
         r_min=r_min,
         _main=main,

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import betainc as _betainc_vec
 
 from .errors import DomainError, UnsupportedManifoldError
-from .special_math import log_gamma, reg_incomplete_beta, vol_unit_sphere
+from .special_math import log_gamma, vol_unit_sphere
 
 __all__ = [
     "Family",
@@ -172,51 +172,51 @@ def bm_constant(spec: ManifoldSpec) -> float:
     return 1.0 / 36960.0
 
 
-def _check_radius(spec: ManifoldSpec, r: float, what: str = "r") -> None:
-    if r < 0.0 or r > diameter(spec) * (1.0 + 1e-12):
+def _radii(spec: ManifoldSpec, r, what: str = "r") -> np.ndarray:
+    """r as a float array, checked to lie in [0, D]."""
+    r = np.asarray(r, dtype=float)
+    if (r < 0.0).any() or (r > diameter(spec) * (1.0 + 1e-12)).any():
         raise DomainError(f"{what}={r} outside [0, {diameter(spec)}] for {spec}")
+    return r
 
 
-def radial_density(spec: ManifoldSpec, r: float) -> float:
-    """Radial integration weight r^(d-1) * Omega(r)."""
-    _check_radius(spec, r)
+def _like(r: np.ndarray, values: np.ndarray):
+    """values, computed on np.atleast_1d(r), as a float for a scalar r (a
+    one-element array gets the bits of a batch; numpy's scalar power does not)."""
+    return float(values[0]) if r.ndim == 0 else values
+
+
+def _density(spec: ManifoldSpec, r: np.ndarray) -> np.ndarray:
     n = spec.n
     if spec.family in (Family.SPHERE, Family.REAL_PROJ):
-        return math.sin(r) ** (n - 1)
+        return np.sin(r) ** (n - 1)
     if spec.family is Family.COMPLEX_PROJ:
-        return math.sin(r) ** (2 * n - 1) * math.cos(r)
+        return np.sin(r) ** (2 * n - 1) * np.cos(r)
     if spec.family is Family.QUAT_PROJ:
-        return math.sin(r) ** (4 * n - 1) * math.cos(r) ** 3
-    return math.sin(r) ** 15 * math.cos(r) ** 7
+        return np.sin(r) ** (4 * n - 1) * np.cos(r) ** 3
+    return np.sin(r) ** 15 * np.cos(r) ** 7
 
 
-def sphere_area(spec: ManifoldSpec, a: float) -> float:
-    """(d-1)-volume v(a) of the geodesic sphere of radius a."""
+def radial_density(spec: ManifoldSpec, r):
+    """Radial integration weight r^(d-1) * Omega(r), for a radius or an array of them."""
+    r = _radii(spec, r)
+    return _like(r, _density(spec, np.atleast_1d(r)))
+
+
+def sphere_area(spec: ManifoldSpec, a):
+    """(d-1)-volume v(a) of the geodesic sphere of radius a (array-valued like a)."""
     return vol_unit_sphere(dimension(spec)) * radial_density(spec, a)
 
 
-def _cayley_poly(sin_sq: float) -> float:
+def _cayley_poly(sin_sq):
     """165 - 440 S^2 + 396 S^4 - 120 S^6 with S^2 = sin_sq."""
     return 165.0 + sin_sq * (-440.0 + sin_sq * (396.0 - 120.0 * sin_sq))
 
 
-def ball_volume(spec: ManifoldSpec, a: float) -> float:
-    """Volume V(a) of a geodesic ball of radius a, by the closed forms."""
-    _check_radius(spec, a, "a")
-    n = spec.n
-    if spec.family is Family.SPHERE:
-        s = math.sin(0.5 * a) ** 2
-        return volume(spec) * reg_incomplete_beta(s, 0.5 * n, 0.5 * n)
-    if spec.family is Family.REAL_PROJ:
-        s = math.sin(0.5 * a) ** 2
-        return 2.0 * volume(spec) * reg_incomplete_beta(min(s, 0.5), 0.5 * n, 0.5 * n)
-    if spec.family is Family.COMPLEX_PROJ:
-        return volume(spec) * math.sin(a) ** (2 * n)
-    if spec.family is Family.QUAT_PROJ:
-        c2 = math.cos(a) ** 2
-        return volume(spec) * (1.0 + 2 * n * c2) * math.sin(a) ** (4 * n)
-    s2 = math.sin(a) ** 2
-    return volume(spec) * _cayley_poly(s2) * math.sin(a) ** 16
+def ball_volume(spec: ManifoldSpec, a):
+    """Volume V(a) of a geodesic ball of radius a, by the closed forms (array-valued like a)."""
+    a = _radii(spec, a, "a")
+    return _like(a, volume(spec) * ball_volume_fraction(spec, np.atleast_1d(a)))
 
 
 def ball_volume_fraction(spec: ManifoldSpec, a: np.ndarray) -> np.ndarray:

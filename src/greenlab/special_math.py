@@ -1,8 +1,13 @@
-"""Scalar special functions and adaptive 1-D quadrature.
+"""Special functions and adaptive 1-D quadrature.
 
 Everything here is a pure function of its arguments; the rest of the
 library builds radial integrals, ball volumes and Green profiles on top
 of these primitives.
+
+`integrate` and `gauss_kronrod_panel` take array integrands: f receives a
+1-D numpy array of abscissae (the 15 Kronrod nodes of one panel) and must
+return an array of the same shape, so a panel costs one call of f. There
+is no scalar path; write integrands with numpy ufuncs, not `math`.
 """
 
 from __future__ import annotations
@@ -11,6 +16,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
+from scipy.special import betainc
 
 from .errors import DomainError, QuadratureError
 
@@ -61,79 +69,41 @@ def vol_unit_sphere(k: int) -> float:
     return math.exp(math.log(2.0) + 0.5 * k * math.log(math.pi) - math.lgamma(0.5 * k))
 
 
-def _beta_continued_fraction(a: float, b: float, s: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz iteration).
-
-    Converges rapidly for s below the symmetry switch point.
-    """
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * s / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * s / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * s / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise QuadratureError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, s={s}",
-        estimate=h,
-        error_bound=float("nan"),
-    )
-
-
 def reg_incomplete_beta(s: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_s(a, b) = B_s(a,b) / B(a,b).
-
-    Evaluated through the continued fraction, switching to the symmetric
-    form 1 - I_{1-s}(b, a) past s = a/(a+b) so the fraction always runs
-    in its fast-convergence region.
-    """
+    """Regularized incomplete beta function I_s(a, b) = B_s(a,b) / B(a,b), via scipy."""
     if a <= 0 or b <= 0:
         raise DomainError(f"reg_incomplete_beta requires a, b > 0, got a={a}, b={b}")
     if s < 0.0 or s > 1.0:
         raise DomainError(f"reg_incomplete_beta requires 0 <= s <= 1, got s={s}")
-    if s == 0.0:
-        return 0.0
-    if s == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(s)
-        + b * math.log1p(-s)
-    )
-    front = math.exp(log_front)
-    if s < a / (a + b):
-        return front * _beta_continued_fraction(a, b, s) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - s) / b
+    return float(betainc(a, b, s))
+
+
+def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The incomplete-beta continued fraction 2F1(a+b, 1; a+1; x), vectorised.
+
+    Modified Lentz iteration (Press et al., Numerical Recipes, 6.4), so that
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) times the result. Converges fast for
+    x below a/(a+b); within 3.6e-15 of mpmath for a = b = n/2, n <= 100, x <= 1/2.
+    """
+    tiny = 1e-300
+    x = np.asarray(x, dtype=float)
+    c = np.ones_like(x)
+    h = d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    for m in range(1, 400):
+        for aa in (
+            m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+            c = 1.0 + aa / c
+            c = np.where(np.abs(c) < tiny, tiny, c)
+            h = h * (d * c)
+        # one ulp of slack: for a = b = 1/2 the last factor settles at 1 - eps/2
+        if np.all(np.abs(d * c - 1.0) <= 2.3e-16):
+            return h
+    nan = float("nan")
+    raise QuadratureError(f"beta continued fraction did not converge for a={a}, b={b}", nan, nan)
 
 
 def harmonic_number(k: int) -> float:
@@ -163,46 +133,34 @@ _GK15 = (
     (9.914553711208126392e-1, 0.0, 2.293532201052922496e-2),
     (-9.914553711208126392e-1, 0.0, 2.293532201052922496e-2),
 )
+_GK15_NODES = np.array([node for node, _, _ in _GK15])
+_GK15_WEIGHTS = np.array([[wk for _, _, wk in _GK15], [wg for _, wg, _ in _GK15]])
 
 
 def gauss_kronrod_panel(
-    f: Callable[[float], float], lo: float, hi: float
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 ) -> tuple[float, float, float]:
-    """One G7/K15 panel on [lo, hi].
+    """One G7/K15 panel on [lo, hi], from a single call of f on its 15 nodes.
 
-    Returns (kronrod_estimate, error_estimate, resabs). The error estimate
-    follows the QUADPACK recipe (200|K-G|)^{3/2} capped by |K-G|, with a
-    roundoff floor tied to the integral of |f|.
+    Returns (kronrod_estimate, error_estimate, resabs) by QUADPACK's qk15
+    recipe (Piessens et al., 1983): with resasc = int |f - mean f|, the error
+    is resasc * min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs,
+    so it follows the integrand's own variation, not its magnitude.
     """
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    gauss = 0.0
-    kronrod = 0.0
-    resabs = 0.0
-    for node, wg, wk in _GK15:
-        fx = f(mid + half * node)
-        gauss += wg * fx
-        kronrod += wk * fx
-        resabs += wk * abs(fx)
-    gauss *= half
-    kronrod *= half
-    resabs *= abs(half)
-    diff = abs(kronrod - gauss)
-    err = diff
-    # (200 diff)^1.5 is the smaller term only for diff < 200^-3 = 1.25e-7,
-    # and it overflows for diff above ~1e205, so it is formed only below 2e-7
-    if 0.0 < diff < 2e-7:
-        scaled = (200.0 * diff) ** 1.5
-        if scaled < diff:
-            err = scaled
-    floor = 50.0 * 2.220446049250313e-16 * resabs
-    if err < floor:
-        err = floor
-    return kronrod, err, resabs
+    fx = np.asarray(f(0.5 * (hi + lo) + half * _GK15_NODES), dtype=float)
+    kronrod, gauss = _GK15_WEIGHTS @ fx
+    resabs = abs(half) * float(_GK15_WEIGHTS[0] @ np.abs(fx))
+    resasc = abs(half) * float(_GK15_WEIGHTS[0] @ np.abs(fx - 0.5 * kronrod))
+    err = abs(half * (kronrod - gauss))
+    if resasc != 0.0 and err != 0.0:
+        # the ratio is capped at 1 before the power, so it cannot overflow
+        err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
+    return float(half * kronrod), float(max(err, 50.0 * 2.220446049250313e-16 * resabs)), resabs
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     settings: QuadratureSettings | None = None,
@@ -210,10 +168,12 @@ def integrate(
     """Adaptive Gauss-Kronrod integration of f over [lo, hi].
 
     Bisects the interval with the largest error estimate until the summed
-    error drops below max(rel_tol * |result|, abs_tol). Endpoints are never
-    evaluated (the K15 rule is open), so integrable endpoint singularities
-    are tolerated, though callers with strong singularities should split or
-    transform first. Deterministic for fixed inputs.
+    error drops below max(rel_tol * |result|, abs_tol). f is an array
+    integrand, called once per panel (see the module docstring). Endpoints
+    are never evaluated (the K15 rule is open), so integrable endpoint
+    singularities are tolerated, though callers with strong singularities
+    should split or transform first. A panel whose values are not finite
+    raises QuadratureError. Deterministic for fixed inputs.
     """
     if settings is None:
         settings = DEFAULT_SETTINGS
@@ -251,4 +211,9 @@ def integrate(
         heapq.heappush(heap, (-e1, counter, a, m, v1, e1))
         heapq.heappush(heap, (-e2, counter + 1, m, b, v2, e2))
         counter += 2
+    # a nan or inf value makes the loop test false, so it ends up here
+    if not math.isfinite(total):
+        raise QuadratureError(
+            f"integrand is not finite on [{lo}, {hi}]", estimate=total, error_bound=total_err
+        )
     return total

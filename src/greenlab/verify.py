@@ -69,7 +69,7 @@ def _check_panel_exactness():
 
 
 def _check_quadrature_additivity():
-    f = lambda x: math.exp(-x) * math.sin(3 * x)
+    f = lambda x: np.exp(-x) * np.sin(3 * x)
     whole = integrate(f, 0.0, 2.0)
     split = integrate(f, 0.0, 0.7) + integrate(f, 0.7, 2.0)
     return abs(whole - split) < 1e-12, f"split defect {abs(whole - split):.2e}"

@@ -82,6 +82,23 @@ class TestKQuadrature:
         k = bs.k_quadrature(ManifoldSpec(Family.SPHERE, 40), 0.5)
         assert k == pytest.approx(53570.656460745508, rel=1e-9)
 
+    def test_s40_against_mpmath_to_roundoff(self):
+        # an integral of magnitude 2e-24 before the 1/(V V(a)) factor: the
+        # panel error is scaled by the integrand's own variation (resasc), so
+        # it runs to rel_tol instead of stopping 3.5e-10 off
+        k = bs.k_quadrature(ManifoldSpec(Family.SPHERE, 40), 0.5)
+        assert k == pytest.approx(53570.656460745508, rel=1e-13)
+
+    @pytest.mark.parametrize("spec", [ManifoldSpec(Family.SPHERE, 60), ManifoldSpec(Family.REAL_PROJ, 60)])
+    def test_finite_where_the_density_underflows(self, spec):
+        # v(u) ~ u^59 underflows at the first panel's nodes near u = 1e-6
+        a = 1e-4 * diameter(spec)
+        k = bs.k_quadrature(spec, a)
+        theta = bs.theta_quadrature(get_profile(spec), a)
+        assert math.isfinite(k) and k > 0.0
+        assert math.isfinite(theta) and theta > 0.0
+        assert k == pytest.approx(bs.k_asymptotic(spec, a), rel=1e-6)
+
     def test_independent_of_earlier_calls(self):
         code = (
             "import sys\n"

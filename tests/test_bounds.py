@@ -176,6 +176,82 @@ class TestBestFiniteBound:
         assert len(payload["radius_grid"]) == bd.GRID_POINTS
 
 
+def _golden_reference(spec, N, rep):
+    """Max over rep's grid, its asymptotic radius and an 80-step golden-section search."""
+
+    def f(a):
+        return bd.finite_bound(spec, N, a)
+
+    grid = rep.radius_grid
+    if rep.asymptotic_a is not None:
+        lo = max(1e-6, 0.1 * rep.asymptotic_a)
+        hi = min(0.9 * diameter(spec), 10.0 * rep.asymptotic_a)
+    else:
+        best = max(range(len(grid)), key=lambda i: grid[i][1])
+        lo, hi = grid[max(best - 1, 0)][0], grid[min(best + 1, len(grid) - 1)][0]
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(80):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv * (hi - lo)
+            f1 = f(x1)
+    found = [f1, f2] + [b for _, b in grid]
+    if rep.asymptotic_bound is not None:
+        found.append(rep.asymptotic_bound)
+    return max(found)
+
+
+class TestRadiusSearch:
+    SPECS = [S2, S3, RP3, CP2, HP1, OP2]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_few_evaluations(self, spec, monkeypatch):
+        calls = []
+        inner = bd.finite_bound
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(bd, "finite_bound", counted)
+        bd.best_finite_bound(spec, 1000)
+        # 32 grid points, the asymptotic radius and the Brent steps
+        assert len(calls) <= 60
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_golden_section_reference(self, spec):
+        rep = bd.best_finite_bound(spec, 1000)
+        reference = _golden_reference(spec, 1000, rep)
+        assert rep.best_bound == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_dominates_every_grid_value(self, spec):
+        rep = bd.best_finite_bound(spec, 1000)
+        assert all(rep.best_bound >= val for _, val in rep.radius_grid)
+
+    def test_brent_finds_interior_maximum(self):
+        evaluations = []
+
+        def f(x):
+            evaluations.append(x)
+            return -((x - 0.3) ** 2) + 0.01 * (x - 0.3) ** 3
+
+        x, fx = bd._brent_max(f, 0.0, 1.0)
+        assert x == pytest.approx(0.3, abs=1e-8)
+        assert fx == f(x) and fx == pytest.approx(0.0, abs=1e-15)
+        assert len(evaluations) < 30
+
+    def test_brent_stays_in_bracket_at_a_boundary_maximum(self):
+        x, _ = bd._brent_max(lambda t: t, 0.2, 0.7)
+        assert 0.2 < x < 0.7 and x == pytest.approx(0.7, abs=1e-7)
+
+
 class TestCompareTable:
     @pytest.mark.parametrize(
         ("family", "lo", "hi"),

@@ -15,6 +15,12 @@ class TestLobattoNodes:
         assert nodes[-1] == pytest.approx(2.5)
         assert np.all(np.diff(nodes) > 0)
 
+    @pytest.mark.parametrize(("lo", "hi"), [(math.pi / 100, math.pi / 2), (0.1, 0.7), (-1.5, 2.5), (1e-9, 3.0)])
+    def test_ends_are_exact(self, lo, hi):
+        for m in (2, 17, 200):
+            nodes = lobatto_nodes(m, lo, hi)
+            assert nodes[0] == lo and nodes[-1] == hi
+
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             lobatto_nodes(1, 0.0, 1.0)

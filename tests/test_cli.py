@@ -22,6 +22,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize costs about 0.3 s and 22 MB at start-up; the radius
+    # search is written in bounds.py so that the CLI never loads it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, greenlab.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.stdout.strip() == "False"
+
+
 class TestCompare:
     def test_cayley_plane_row(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--family", "op2")

@@ -218,6 +218,26 @@ class TestIsometryRelations:
 
 
 class TestOptimizer:
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    def test_descent_direction_matches_per_distance_loop(self, spec):
+        from greenlab.green import phi_hat_prime
+        from greenlab.manifold import diameter, volume
+
+        coords = random_config(spec, 12, 5).coords_array()
+        for i in (0, 7):
+            base = coords[i]
+            aligned = en._aligned(spec, base, np.delete(coords, i, axis=0))
+            cos_d = np.clip(aligned @ base, -1.0, 1.0)
+            d = np.arccos(cos_d)
+            sin_d = np.sqrt(np.maximum(1.0 - cos_d * cos_d, 1e-30))
+            weights = np.array(
+                [phi_hat_prime(spec, float(x)) / volume(spec) if 0.0 < x < diameter(spec) else 0.0
+                 for x in d]
+            )
+            loop = np.einsum("k,km->m", weights / sin_d, aligned - cos_d[:, None] * base)
+            got = en._descent_direction(spec, get_profile(spec), coords, i)
+            np.testing.assert_allclose(got, loop, rtol=1e-14, atol=1e-14 * np.abs(loop).max())
+
     def test_energy_never_increases_from_start(self):
         seed = 21
         spec = S2

@@ -13,6 +13,7 @@ slope (V - V(s))/v(s) and of the mean-zero constant):
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -94,6 +95,35 @@ class TestPhiHatPrime:
             phi_hat_prime(S2, 0.0)
         with pytest.raises(DomainError):
             phi_hat_prime(S2, math.pi)
+        with pytest.raises(DomainError):
+            phi_hat_prime(S2, np.array([0.5, math.pi]))
+
+    @pytest.mark.parametrize("spec", CORE + [ManifoldSpec(Family.SPHERE, 40)])
+    def test_array_matches_scalar_calls(self, spec):
+        s = np.linspace(0.01, 0.99, 37) * diameter(spec)
+        loop = np.array([phi_hat_prime(spec, float(x)) for x in s])
+        got = phi_hat_prime(spec, s)
+        assert got.shape == s.shape
+        # the continued fraction iterates until every element has converged,
+        # so a batch may run a few more steps than a lone radius
+        np.testing.assert_allclose(got, loop, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.parametrize(("family", "n"), [(Family.SPHERE, 3), (Family.SPHERE, 40), (Family.SPHERE, 100), (Family.REAL_PROJ, 60)])
+    def test_against_mpmath(self, family, n):
+        # psi = (V - V(s)) / v(s) from the regularized incomplete beta at 40 digits
+        spec = ManifoldSpec(family, n)
+        D = diameter(spec)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(n) / 2
+            for s in (0.05 * D, 0.3 * D, 0.49 * D, 0.51 * D, 0.8 * D, 0.999 * D):
+                x = mpmath.sin(mpmath.mpf(s) / 2) ** 2
+                # I over [x, 1] is I over [0, 1 - x] for equal parameters
+                rest = mpmath.betainc(a, a, 0, mpmath.cos(mpmath.mpf(s) / 2) ** 2, regularized=True)
+                if family is Family.REAL_PROJ:
+                    rest -= mpmath.betainc(a, a, 0, x, regularized=True)
+                    rest /= 2
+                exact = 2 ** (n - 1) * mpmath.beta(a, a) * rest / mpmath.sin(mpmath.mpf(s)) ** (n - 1)
+                assert -phi_hat_prime(spec, s) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
 class TestPhiHat:
@@ -377,6 +407,14 @@ class TestBuildProfile:
     def test_bad_cut(self):
         with pytest.raises(DomainError):
             build_profile(S2, r_cut=4.0)
+
+    def test_first_grid_row_is_the_stored_cut_value(self):
+        # the first main-table node is r_cut itself, so it is served by the
+        # main table's stored value, not by the head table
+        prof = get_profile(CP2)
+        r, ph, _ = next(iter(prof.grid_rows()))
+        assert r == prof.r_cut
+        assert ph == prof._main.values[0] * r ** (2 - dimension(CP2))
 
     def test_grid_rows_cover_cut_to_diameter(self):
         prof = get_profile(CP2)

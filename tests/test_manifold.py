@@ -160,6 +160,23 @@ class TestBallVolume:
         assert np.allclose(vec, scalar, rtol=1e-11, atol=1e-14)
 
 
+class TestArrayRadii:
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_array_matches_scalar_calls(self, spec):
+        grid = np.linspace(0.0, 1.0, 23) * diameter(spec)
+        for fn in (ball_volume, sphere_area, radial_density):
+            got = fn(spec, grid)
+            assert isinstance(got, np.ndarray) and got.shape == grid.shape
+            assert np.array_equal(got, [fn(spec, float(a)) for a in grid])
+            assert isinstance(fn(spec, float(grid[5])), float)
+
+    def test_any_bad_radius_is_rejected(self):
+        with pytest.raises(DomainError):
+            ball_volume(S2, np.array([0.5, 4.0]))
+        with pytest.raises(DomainError):
+            sphere_area(CP2, np.array([-0.1, 0.5]))
+
+
 class TestSphereArea:
     def test_two_sphere_circumference(self):
         for a in (0.3, 1.0, 2.5):

@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,8 +77,8 @@ class TestRegIncompleteBeta:
     def test_half_sphere_volume_fraction(self):
         # I_{sin^2(pi/4)}(3/2, 3/2) is the half-ball fraction of the 3-sphere:
         # quadrature of sin^2 over [0, pi/2] against [0, pi]
-        num = integrate(lambda t: math.sin(t) ** 2, 0.0, math.pi / 2)
-        den = integrate(lambda t: math.sin(t) ** 2, 0.0, math.pi)
+        num = integrate(lambda t: np.sin(t) ** 2, 0.0, math.pi / 2)
+        den = integrate(lambda t: np.sin(t) ** 2, 0.0, math.pi)
         oracle = num / den
         got = reg_incomplete_beta(math.sin(math.pi / 4) ** 2, 1.5, 1.5)
         assert got == pytest.approx(oracle, rel=1e-12)
@@ -130,28 +131,28 @@ class TestHarmonicNumber:
 
 class TestIntegrate:
     def test_sine_arch(self):
-        assert integrate(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
+        assert integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
 
     def test_power_of_sine_times_cosine(self):
         # antiderivative sin^4/4 gives exactly 1/4 on [0, pi/2]
-        val = integrate(lambda t: math.sin(t) ** 3 * math.cos(t), 0.0, math.pi / 2)
+        val = integrate(lambda t: np.sin(t) ** 3 * np.cos(t), 0.0, math.pi / 2)
         assert val == pytest.approx(0.25, rel=1e-12)
 
     def test_endpoint_log_singularity(self):
-        val = integrate(lambda t: -math.log(t), 0.0, 1.0)
+        val = integrate(lambda t: -np.log(t), 0.0, 1.0)
         assert val == pytest.approx(1.0, rel=1e-9)
 
     def test_empty_interval(self):
-        assert integrate(math.sin, 1.0, 1.0) == 0.0
+        assert integrate(np.sin, 1.0, 1.0) == 0.0
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(DomainError):
-            integrate(math.sin, 1.0, 0.0)
+            integrate(np.sin, 1.0, 0.0)
 
     @given(split=st.floats(0.05, 1.95))
     @settings(max_examples=50, deadline=None)
     def test_additivity(self, split):
-        f = lambda x: math.exp(-x) * math.cos(4.0 * x)
+        f = lambda x: np.exp(-x) * np.cos(4.0 * x)
         whole = integrate(f, 0.0, 2.0)
         parts = integrate(f, 0.0, split) + integrate(f, split, 2.0)
         assert parts == pytest.approx(whole, abs=5e-12)
@@ -162,6 +163,34 @@ class TestIntegrate:
             integrate(lambda t: abs(t - 1 / math.pi) ** -0.5, 0.0, 1.0, settings_small)
         assert math.isfinite(err.value.estimate)
         assert err.value.error_bound > 0.0
+
+    def test_non_finite_integrand_raises(self):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(QuadratureError, match="not finite"):
+                integrate(lambda t: np.where(t > 0.7, np.nan, t), 0.0, 1.0)
+            with pytest.raises(QuadratureError, match="not finite"):
+                integrate(lambda t: 1.0 / (t - t), 0.0, 1.0)
+
+    def test_integrand_called_once_per_panel(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return np.cos(t)
+
+        val, _, _ = gauss_kronrod_panel(f, 0.0, 1.0)
+        assert calls == [(15,)]
+        assert val == pytest.approx(math.sin(1.0), rel=1e-15)
+
+    def test_small_integral_converges_to_its_own_scale(self):
+        # a bump of height 1e-30: the error estimate follows the integrand's
+        # variation, not its absolute size, so rel_tol governs the result
+        tight = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-300)
+        val = integrate(lambda t: 1e-30 * np.exp(-40.0 * (t - 0.3) ** 2), 0.0, 1.0, tight)
+        exact = 1e-30 * float(
+            mpmath.sqrt(mpmath.pi / 40) / 2 * (mpmath.erf(mpmath.sqrt(40) * 0.7) + mpmath.erf(mpmath.sqrt(40) * 0.3))
+        )
+        assert val == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_panel_exact_on_polynomials(self):
         # the 15-point Kronrod rule integrates degree <= 22 exactly
