@@ -18,11 +18,13 @@ from .bounds import BoundReport, best_finite_bound
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
 from .green import RadialGreenProfile, get_profile
 from .manifold import (
+    _CHORD_COSINE,
     Family,
     ManifoldSpec,
     Point,
     _aligned,
     _as_generator,
+    _chord_distances,
     _cosines,
     _flatten_coords,
     _project_horizontal,
@@ -82,8 +84,6 @@ def energy(
     bit-identical for any thread count and peak memory does not grow with
     N; numpy's pairwise summation compensates within blocks.
     """
-    from .manifold import distance
-
     if profile is None:
         profile = get_profile(config.spec)
     if profile.spec != config.spec:
@@ -97,11 +97,12 @@ def energy(
 
     def block_sum(lo: int, hi: int) -> float:
         gram = _cosines(spec, coords[lo:hi], coords)
+        upper = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
+        rows, cols = np.nonzero(upper & (gram > _CHORD_COSINE))
         np.clip(gram, -1.0, 1.0, out=gram)
         dist = np.arccos(gram)
-        upper = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
-        for bi, bj in zip(*np.nonzero(upper & (dist < 1e-6))):
-            dist[bi, bj] = distance(config.points[lo + int(bi)], config.points[int(bj)])
+        # close pairs: arccos of a cosine near 1 keeps only half the digits
+        dist[rows, cols] = _chord_distances(spec, coords[lo + rows], coords[cols])
         pair_d = dist[upper]
         if np.any(pair_d < floor):
             rows, cols = np.nonzero(upper & (dist < floor))

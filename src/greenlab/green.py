@@ -12,12 +12,22 @@ here runs on smooth integrands: the r^(2-d) blow-up toward r = 0 is
 tamed by integrating in the variable w = log(r_cut / r), where the
 integrand grows like a smooth exponential.
 
-A built profile tabulates phi_hat twice, once on a Chebyshev grid over
-[r_cut, D] (scaled by r^(d-2), or with the log term removed when d = 2,
-so the stored function is tame) and once in the log variable for the
-singular head below r_cut. Below the head table, evaluation falls back
-to direct quadrature, down to the radius where phi_hat stops being
-representable in floating point; below that it raises SingularityError.
+A built profile tabulates phi_hat twice. The main table covers
+[r_cut, D] with panels of 17 Chebyshev-Lobatto nodes (see `chebyshev`),
+storing phi_hat r^(d-2), or phi_hat with the log term removed when d = 2,
+so the stored function is tame on each panel. Its breakpoints start
+geometric on [r_cut, D/2] and uniform on [D/2, D], and a panel is halved
+while its highest Chebyshev coefficients exceed 1e-14 of the local error
+scale (|phi_hat| + |c_m|) r^(d-2): on high-dimensional spheres, where
+phi_hat r^(d-2) spans many decades, one polynomial over [r_cut, D] would
+be off by more than phi_hat itself. The head table, one 160-node panel in
+the log variable, covers the singular head below r_cut. Both are filled
+from the integrals of psi between neighbouring nodes, which one batched
+G7/K15 call computes for all new intervals at once; an interval that
+misses the single-panel accuracy test goes through adaptive quadrature.
+Below the head table, evaluation falls back to direct quadrature, down
+to the radius where phi_hat stops being representable in floating point;
+below that it raises SingularityError.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .manifold import (
 from .special_math import (
     QuadratureSettings,
     _beta_continued_fraction,
+    gauss_kronrod_panels,
     integrate,
     vol_unit_sphere,
 )
@@ -63,8 +74,17 @@ __all__ = [
 
 _BUILD_SETTINGS = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-290, max_subdivisions=4000)
 
-_MAIN_NODES = 200
+# main table: panels of _PANEL_NODES Lobatto nodes, first laid out geometrically
+# on [r_cut, D/2] and uniformly on [D/2, D], then halved (geometrically below
+# D/2) while the two highest Chebyshev coefficients of the stored function
+# exceed _TAIL_TOL of the error scale (|phi_hat| + |c_m|) r^(d-2)
+_PANEL_NODES = 17
+_GEOMETRIC_PANELS = 8
+_UNIFORM_PANELS = 4
+_TAIL_TOL = 1e-14
+_MAX_SPLIT_ROUNDS = 8
 _HEAD_NODES = 160
+_PROFILE_ROWS = 200  # radii listed by `grid_rows`
 
 
 # 1 - (1 + 8x + 36x^2 + 120x^3)(1-x)^8 expanded exactly; lower orders cancel
@@ -274,7 +294,7 @@ class RadialGreenProfile:
     c_m: float
     r_cut: float
     r_min: float
-    _main: ChebyshevInterpolant  # phi_hat * r^(d-2) on [r_cut, D] (d=2: +log term removed)
+    _main: ChebyshevInterpolant  # phi_hat * r^(d-2) on [r_cut, D] in panels (d=2: +log term removed)
     _head: ChebyshevInterpolant  # log(phi_hat) against w = log(r_cut / r)
     _log_coeff: float  # V / vol(S^(d-1)); the d=2 log-head slope
 
@@ -285,28 +305,34 @@ class RadialGreenProfile:
     def phi_hat_values(self, r) -> np.ndarray:
         """Vectorized phi_hat over radii in (0, D]."""
         d = dimension(self.spec)
+        D = self.diameter
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(r_arr <= 0.0):
+        if r_arr.size == 0:
+            return np.empty_like(r_arr)
+        least, most = r_arr.min(), r_arr.max()
+        if least <= 0.0:
             raise SingularityError("phi_hat diverges at r = 0")
-        if np.any(r_arr > self.diameter * (1.0 + 1e-12)):
+        if most > D * (1.0 + 1e-12):
             raise DomainError("radius beyond the manifold diameter")
+        if least >= self.r_cut:  # the usual case: the main table only
+            return self._main_values(r_arr if most <= D else np.minimum(r_arr, D), d)
         out = np.empty_like(r_arr)
         main = r_arr >= self.r_cut
         if np.any(main):
-            x = np.minimum(r_arr[main], self.diameter)
-            if d > 2:
-                out[main] = self._main(x) * x ** (2 - d)
-            else:
-                out[main] = self._main(x) - self._log_coeff * np.log(x)
+            out[main] = self._main_values(np.minimum(r_arr[main], D), d)
         head = ~main
-        if np.any(head):
-            xh = r_arr[head]
-            w = np.log(self.r_cut / np.maximum(xh, self.r_min))
-            vals = np.atleast_1d(np.exp(self._head(w)))
-            for idx in np.nonzero(xh < self.r_min)[0]:
-                vals[idx] = phi_hat(self.spec, float(xh[idx]))
-            out[head] = vals
+        xh = r_arr[head]
+        w = np.log(self.r_cut / np.maximum(xh, self.r_min))
+        vals = np.atleast_1d(np.exp(self._head(w)))
+        for idx in np.nonzero(xh < self.r_min)[0]:
+            vals[idx] = phi_hat(self.spec, float(xh[idx]))
+        out[head] = vals
         return out
+
+    def _main_values(self, x: np.ndarray, d: int) -> np.ndarray:
+        if d > 2:
+            return self._main(x) * x ** (2 - d)
+        return self._main(x) - self._log_coeff * np.log(x)
 
     def phi(self, r):
         """Green profile value(s) phi(r); scalar in, scalar out."""
@@ -315,41 +341,99 @@ class RadialGreenProfile:
         return float(vals[0]) if r_arr.ndim == 0 else vals.reshape(r_arr.shape)
 
     def grid_rows(self):
-        """(r, phi_hat, phi) rows over the main tabulation nodes."""
-        nodes = self._main.nodes
+        """(r, phi_hat, phi) rows at 200 Chebyshev-Lobatto radii from r_cut to D."""
+        nodes = lobatto_nodes(_PROFILE_ROWS, self.r_cut, self.diameter)
         ph = self.phi_hat_values(nodes)
         phi = (ph + self.c_m) / volume(self.spec)
         return zip(nodes.tolist(), ph.tolist(), phi.tolist())
 
 
-def _build_phi_hat_tables(spec, r_cut, r_min, settings):
+def _log_interval_integrals(psi, lo, hi, settings):
+    """Integrals of psi over every [lo_i, hi_i], 0 < lo_i < hi_i, from one G7/K15 call.
+
+    Each interval takes the log substitution of `_segment_integral` and
+    the acceptance test of `integrate`'s first panel; one that fails it,
+    or whose value is not finite, goes through `_segment_integral` itself.
+    """
+    def integrand(w: np.ndarray) -> np.ndarray:
+        s = np.repeat(hi, w.size // hi.size) * np.exp(-w)  # w holds each interval's nodes in turn
+        return psi(s) * s
+
+    width = np.log(hi / lo)
+    values, errors, _ = gauss_kronrod_panels(integrand, np.zeros_like(width), width)
+    tol = np.maximum(settings.rel_tol * np.abs(values), settings.abs_tol)
+    for i in np.nonzero(~(np.isfinite(values) & (errors <= tol)))[0]:
+        values[i] = _segment_integral(psi, float(lo[i]), float(hi[i]), settings)
+    return values
+
+
+def _tail(values: np.ndarray) -> np.ndarray:
+    """Largest of the two highest Chebyshev coefficients of each row of Lobatto values."""
+    m = values.shape[1]
+    theta = np.pi * np.arange(m - 1, -1, -1) / (m - 1)  # ascending nodes: x_j = cos(theta_j)
+    weights = np.full(m, 2.0 / (m - 1))
+    weights[[0, -1]] *= 0.5
+    basis = np.cos(np.outer([m - 2, m - 1], theta)) * weights
+    basis[1] *= 0.5
+    return np.max(np.abs(values @ basis.T), axis=1)
+
+
+def _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings):
+    """The main table of phi_hat on [r_cut, D], split into panels until each resolves it, and the head.
+
+    Node values come from the integrals of psi between neighbouring nodes,
+    summed from D down: over whole panels first, then within each panel,
+    so no sum runs over more than a few dozen terms.
+    """
     D = diameter(spec)
     d = dimension(spec)
     psi = _radial_ratios(spec).psi
+    m = _PANEL_NODES
 
-    main_nodes = lobatto_nodes(_MAIN_NODES, r_cut, D)
-    acc = 0.0
-    vals = np.empty(_MAIN_NODES)
-    vals[-1] = 0.0
-    for k in range(_MAIN_NODES - 2, -1, -1):
-        acc += _segment_integral(psi, main_nodes[k], main_nodes[k + 1], settings)
-        vals[k] = acc
-    if d > 2:
-        scaled = vals * main_nodes ** (d - 2)
-    else:
-        scaled = vals + (volume(spec) / vol_unit_sphere(d)) * np.log(main_nodes)
-    main = ChebyshevInterpolant(main_nodes, scaled)
+    knee = 0.5 * D if r_cut < 0.5 * D else r_cut
+    breaks = np.concatenate([
+        np.geomspace(r_cut, knee, _GEOMETRIC_PANELS + 1)[:-1] if knee > r_cut else [],
+        np.linspace(knee, D, _UNIFORM_PANELS + 1),
+    ])
+    breaks[0], breaks[-1] = r_cut, D
 
-    w_max = math.log(r_cut / r_min)
-    w_nodes = lobatto_nodes(_HEAD_NODES, 0.0, w_max)
-    head_vals = np.empty(_HEAD_NODES)
-    acc = vals[0]
-    head_vals[0] = acc
-    for j in range(1, _HEAD_NODES):
-        hi = r_cut * math.exp(-w_nodes[j - 1])
-        lo = r_cut * math.exp(-w_nodes[j])
-        acc += _segment_integral(psi, lo, hi, settings)
-        head_vals[j] = acc
+    w_nodes = lobatto_nodes(_HEAD_NODES, 0.0, math.log(r_cut / r_min))
+    head_r = r_cut * np.exp(-w_nodes)
+    integrals = {}  # (lo, hi) of a panel -> its m-1 node-interval integrals
+    for round_ in range(_MAX_SPLIT_ROUNDS):
+        keys = list(zip(breaks[:-1], breaks[1:]))
+        nodes = np.array([lobatto_nodes(m, lo, hi) for lo, hi in keys])
+        new = np.array([key not in integrals for key in keys])
+        lo_r, hi_r = nodes[new, :-1].ravel(), nodes[new, 1:].ravel()
+        if round_ == 0:  # the head's intervals ride along in the first call
+            lo_r, hi_r = np.append(lo_r, head_r[1:]), np.append(hi_r, head_r[:-1])
+        ints = _log_interval_integrals(psi, lo_r, hi_r, settings)
+        fresh = ints[: new.sum() * (m - 1)].reshape(-1, m - 1)
+        integrals.update(zip([key for key, n in zip(keys, new) if n], fresh))
+        if round_ == 0:
+            head_ints = ints[fresh.size :]
+
+        panels = np.array([integrals[key] for key in keys])
+        # value at each node minus the value at its panel's right end
+        within = np.cumsum(panels[:, ::-1], axis=1)[:, ::-1]
+        right = np.append(np.cumsum(within[:0:-1, 0])[::-1], 0.0)
+        vals = np.column_stack([within, np.zeros(len(keys))]) + right[:, None]
+        if d > 2:
+            stored = vals * nodes ** (d - 2)
+            scale = (vals + abs(c_m)) * nodes ** (d - 2)
+        else:
+            stored = vals + (volume(spec) / vol_unit_sphere(d)) * np.log(nodes)
+            scale = vals + abs(c_m)
+        coarse = _tail(stored) > _TAIL_TOL * scale.min(axis=1)
+        if not coarse.any() or round_ == _MAX_SPLIT_ROUNDS - 1:
+            break
+        lo, hi = breaks[:-1][coarse], breaks[1:][coarse]
+        mids = np.where(hi <= knee, np.sqrt(lo * hi), 0.5 * (lo + hi))
+        breaks = np.sort(np.concatenate([breaks, mids]))
+
+    flat = np.append(stored[:, :-1].ravel(), stored[-1, -1])
+    main = ChebyshevInterpolant(np.append(nodes[:, :-1].ravel(), D), flat, m)
+    head_vals = np.cumsum(np.append(vals[0, 0], head_ints))
     head = ChebyshevInterpolant(w_nodes, np.log(head_vals))
     return main, head
 
@@ -371,11 +455,12 @@ def build_profile(
 
     r_min = min(max(1e-9 * D, _phi_hat_floor(spec)), 0.5 * r_cut)
 
-    main, head = _build_phi_hat_tables(spec, r_cut, r_min, settings)
     # mean-zero constant: Theta(M, D) = 0 gives C = -(1/V) int_0^D V(s) psi(s) ds
+    c_m = -integrate(_radial_ratios(spec).moment, 0.0, D, settings) / volume(spec)
+    main, head = _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings)
     return RadialGreenProfile(
         spec=spec,
-        c_m=-integrate(_radial_ratios(spec).moment, 0.0, D, settings) / volume(spec),
+        c_m=c_m,
         r_cut=r_cut,
         r_min=r_min,
         _main=main,

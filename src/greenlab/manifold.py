@@ -256,6 +256,8 @@ _RIGHT_SIGN = np.array(
     [[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]]
 )
 _CONJ_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
+# above this cosine a distance is taken from the chord, not from arccos
+_CHORD_COSINE = 0.99
 
 
 def _is_point_family(family: Family) -> bool:
@@ -319,6 +321,24 @@ def _aligned(spec: ManifoldSpec, x: np.ndarray, others: np.ndarray) -> np.ndarra
     u = h * _CONJ_SIGN[:k, None] / np.where(mod > 0.0, mod, 1.0)
     u[0, mod == 0.0] = 1.0
     return np.einsum("cb,bcd->bd", u, _frames(k, others))
+
+
+def _chord_distances(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Distances between the paired rows of left and right, 2 asin(|x - y u| / 2).
+
+    y u is y's representative aligned to x (see `_aligned`), formed pair
+    by pair from the products of `_frames`. Near coincidence this keeps
+    the digits that arccos of the cosine loses; <x, y> must not be 0.
+    """
+    if spec.family is Family.SPHERE:
+        chord = left - right
+    else:
+        k = _FIELD_RANK[spec.family]
+        h = np.einsum("acd,ad->ac", _frames(k, left), right)
+        u = h * _CONJ_SIGN[:k] / _modulus(h[..., None])
+        chord = left - np.einsum("ac,acd->ad", u, _frames(k, right))
+    half = 0.5 * np.sqrt(np.einsum("ad,ad->a", chord, chord))
+    return 2.0 * np.arcsin(np.minimum(half, 1.0))
 
 
 def _project_horizontal(spec: ManifoldSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -390,11 +410,9 @@ def distance(p: Point, q: Point) -> float:
         raise DomainError(f"points live on different manifolds: {p.spec} vs {q.spec}")
     x, y = _flatten_coords(p.spec, p.coords), _flatten_coords(q.spec, q.coords)
     c = float(_cosines(p.spec, x[None], y[None])[0, 0])
-    if c > 0.99:
-        half = 0.5 * float(np.linalg.norm(_aligned(p.spec, x, y[None])[0] - x))
-        return 2.0 * math.asin(min(1.0, half))
-    c = min(1.0, max(-1.0, c))
-    return math.acos(c)
+    if c > _CHORD_COSINE:
+        return float(_chord_distances(p.spec, x[None], y[None])[0])
+    return math.acos(min(1.0, max(-1.0, c)))
 
 
 @dataclass(frozen=True)

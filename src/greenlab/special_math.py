@@ -4,10 +4,11 @@ Everything here is a pure function of its arguments; the rest of the
 library builds radial integrals, ball volumes and Green profiles on top
 of these primitives.
 
-`integrate` and `gauss_kronrod_panel` take array integrands: f receives a
-1-D numpy array of abscissae (the 15 Kronrod nodes of one panel) and must
-return an array of the same shape, so a panel costs one call of f. There
-is no scalar path; write integrands with numpy ufuncs, not `math`.
+`integrate`, `gauss_kronrod_panel` and `gauss_kronrod_panels` take array
+integrands: f receives a 1-D numpy array of abscissae (the 15 Kronrod
+nodes of each panel, panel by panel) and must return an array of the same
+shape, so a batch of panels costs one call of f. There is no scalar path;
+write integrands with numpy ufuncs, not `math`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "harmonic_number",
     "integrate",
     "gauss_kronrod_panel",
+    "gauss_kronrod_panels",
 ]
 
 
@@ -135,28 +137,44 @@ _GK15 = (
 )
 _GK15_NODES = np.array([node for node, _, _ in _GK15])
 _GK15_WEIGHTS = np.array([[wk for _, _, wk in _GK15], [wg for _, wg, _ in _GK15]])
+_EPS = 2.220446049250313e-16
+
+
+def gauss_kronrod_panels(
+    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One G7/K15 panel on each interval [lo_i, hi_i], from a single call of f.
+
+    lo and hi are 1-D float arrays of one length; f receives the 15
+    Kronrod nodes of every interval, interval by interval, as one 1-D
+    array. Returns arrays (kronrod_estimate, error_estimate, resabs) by
+    QUADPACK's qk15 recipe (Piessens et al., 1983): with
+    resasc = int |f - mean f|, the error is
+    resasc * min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs,
+    so it follows the integrand's own variation, not its magnitude.
+    """
+    half = (0.5 * (hi - lo))[:, None]
+    x = half * _GK15_NODES + (0.5 * (hi + lo))[:, None]
+    # the integrand scaled by the half width, so that the weighted sums are integrals
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape) * half
+    kronrod, gauss = (fx @ _GK15_WEIGHTS.T).T
+    resabs = np.abs(fx) @ _GK15_WEIGHTS[0]
+    resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _GK15_WEIGHTS[0]
+    err = []
+    for diff, asc, absum in zip(np.abs(kronrod - gauss).tolist(), resasc.tolist(), resabs.tolist()):
+        if asc != 0.0 and diff != 0.0:
+            # the ratio is capped at 1 before the power, so it cannot overflow
+            diff = asc * min(1.0, 200.0 * diff / asc) ** 1.5
+        err.append(max(diff, 50.0 * _EPS * absum))
+    return kronrod, np.array(err), resabs
 
 
 def gauss_kronrod_panel(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 ) -> tuple[float, float, float]:
-    """One G7/K15 panel on [lo, hi], from a single call of f on its 15 nodes.
-
-    Returns (kronrod_estimate, error_estimate, resabs) by QUADPACK's qk15
-    recipe (Piessens et al., 1983): with resasc = int |f - mean f|, the error
-    is resasc * min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs,
-    so it follows the integrand's own variation, not its magnitude.
-    """
-    half = 0.5 * (hi - lo)
-    fx = np.asarray(f(0.5 * (hi + lo) + half * _GK15_NODES), dtype=float)
-    kronrod, gauss = _GK15_WEIGHTS @ fx
-    resabs = abs(half) * float(_GK15_WEIGHTS[0] @ np.abs(fx))
-    resasc = abs(half) * float(_GK15_WEIGHTS[0] @ np.abs(fx - 0.5 * kronrod))
-    err = abs(half * (kronrod - gauss))
-    if resasc != 0.0 and err != 0.0:
-        # the ratio is capped at 1 before the power, so it cannot overflow
-        err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
-    return float(half * kronrod), float(max(err, 50.0 * 2.220446049250313e-16 * resabs)), resabs
+    """`gauss_kronrod_panels` on the one interval [lo, hi], as floats."""
+    value, err, resabs = gauss_kronrod_panels(f, np.array([lo]), np.array([hi]))
+    return float(value[0]), float(err[0]), float(resabs[0])
 
 
 def integrate(
@@ -169,7 +187,8 @@ def integrate(
 
     Bisects the interval with the largest error estimate until the summed
     error drops below max(rel_tol * |result|, abs_tol). f is an array
-    integrand, called once per panel (see the module docstring). Endpoints
+    integrand, called once for the first panel and once for the two halves
+    of each bisection (see the module docstring). Endpoints
     are never evaluated (the K15 rule is open), so integrable endpoint
     singularities are tolerated, though callers with strong singularities
     should split or transform first. A panel whose values are not finite
@@ -204,8 +223,8 @@ def integrate(
             counter += 1
             total_err -= e
             continue
-        v1, e1, _ = gauss_kronrod_panel(f, a, m)
-        v2, e2, _ = gauss_kronrod_panel(f, m, b)
+        values, errors, _ = gauss_kronrod_panels(f, np.array([a, m]), np.array([m, b]))
+        (v1, v2), (e1, e2) = values.tolist(), errors.tolist()
         total += (v1 + v2) - v
         total_err += (e1 + e2) - e
         heapq.heappush(heap, (-e1, counter, a, m, v1, e1))

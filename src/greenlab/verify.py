@@ -153,6 +153,31 @@ def _check_sphere_profile_closed_form():
     return worst < 1e-8, f"max pointwise defect {worst:.2e}"
 
 
+def _check_profile_table():
+    # the table against direct quadrature, where high dimensions make the
+    # stored phi_hat r^(d-2) span many decades
+    specs = [
+        ManifoldSpec(Family.SPHERE, 2),
+        ManifoldSpec(Family.SPHERE, 16),
+        ManifoldSpec(Family.SPHERE, 40),
+        ManifoldSpec(Family.SPHERE, 60),
+        ManifoldSpec(Family.REAL_PROJ, 40),
+        ManifoldSpec(Family.COMPLEX_PROJ, 20),
+        ManifoldSpec(Family.QUAT_PROJ, 10),
+        ManifoldSpec(Family.CAYLEY_PLANE, 2),
+    ]
+    worst = 0.0
+    for spec in specs:
+        prof = get_profile(spec)
+        D = diameter(spec)
+        frac = np.linspace(0.0, 1.0, 14)[1:-1] + 0.013
+        radii = np.concatenate([prof.r_cut * (D / prof.r_cut) ** frac, D * (0.5 + 0.5 * frac[::2])])
+        table = prof.phi_hat_values(radii)
+        direct = np.array([phi_hat(spec, float(r)) for r in radii])
+        worst = max(worst, float(np.max(np.abs(table - direct) / (np.abs(direct) + abs(prof.c_m)))))
+    return worst < 1e-13, f"max table defect {worst:.2e} of |phi_hat| + |c_m|"
+
+
 def _check_bm_heads():
     worst = 0.0
     for spec in CORE_SPECS:
@@ -366,6 +391,7 @@ QUICK_CHECKS = [
     ("distance axioms", _check_distance_axioms),
     ("green mean zero", _check_green_mean_zero),
     ("sphere profile closed form", _check_sphere_profile_closed_form),
+    ("profile table vs quadrature", _check_profile_table),
     ("near-diagonal heads", _check_bm_heads),
     ("profile derivative", _check_profile_derivative),
     ("kernel closed vs quadrature", lambda: _check_kernel_cross_validation(True)),

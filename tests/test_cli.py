@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import greenlab
+from greenlab import verify
 from greenlab.cli import main
 from greenlab.manifold import Family, ManifoldSpec, volume
 
@@ -75,6 +76,15 @@ class TestBound:
     def test_high_dimensional_spheres(self, capsys, n):
         code, out, _ = run_cli(capsys, "bound", "--family", "s", "--n", str(n), "--points", "1000")
         assert code == 0
+        best = json.loads(out)["best_bound"]
+        assert math.isfinite(best) and best <= 0.0
+
+    @pytest.mark.parametrize("n", [44, 50, 60])
+    def test_highest_dimensional_spheres_give_a_nonpositive_bound(self, capsys, n):
+        # Theta reads phi(a) from the profile table, whose error once swamped
+        # phi itself here and made the bound positive
+        code, out, err = run_cli(capsys, "bound", "--family", "s", "--n", str(n), "--points", "1000")
+        assert code == 0, err
         best = json.loads(out)["best_bound"]
         assert math.isfinite(best) and best <= 0.0
 
@@ -211,6 +221,11 @@ class TestVerify:
         assert checks
         for line in checks:
             assert re.search(r"\(\d+\.\d\d s\)$", line), line
+
+    def test_profile_table_check_passes(self):
+        ok, detail = dict(verify.QUICK_CHECKS)["profile table vs quadrature"]()
+        assert ok, detail
+        assert "profile table vs quadrature" in dict(verify.FULL_CHECKS)
 
 
 class TestPlumbing:

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,9 +11,12 @@ from greenlab import energy as en
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.green import get_profile
 from greenlab.manifold import (
+    _FIELD_RANK,
     Family,
     ManifoldSpec,
     Point,
+    _frames,
+    diameter,
     distance,
     geodesic_step,
     sample_uniform,
@@ -169,6 +173,51 @@ class TestEnergy:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+
+def reference_distances(spec, rows):
+    """Distances of the pairs i < j of normalized rows: mpmath at 40 digits above cosine 0.9,
+    long-double arccos (well conditioned there) below."""
+    k = _FIELD_RANK[spec.family]
+    iu, ju = np.triu_indices(len(rows), 1)
+    wide = rows.astype(np.longdouble)
+    h = np.einsum("acd,bd->abc", _frames(k, wide), wide)[iu, ju]
+    cos = h[:, 0] if spec.family is Family.SPHERE else np.sqrt(np.sum(h * h, axis=1))
+    norms = np.sqrt(np.sum(wide * wide, axis=1))
+    cos = cos / (norms[iu] * norms[ju])
+    dist = np.arccos(np.clip(cos, -1.0, 1.0))
+    frames = _frames(k, rows)
+    with mpmath.workdps(40):
+        for p in np.nonzero(cos > 0.9)[0]:
+            i, j = iu[p], ju[p]
+            comps = [mpmath.fdot(frames[i, c].tolist(), rows[j].tolist()) for c in range(k)]
+            c = comps[0] if spec.family is Family.SPHERE else mpmath.sqrt(mpmath.fdot(comps, comps))
+            ni, nj = (mpmath.sqrt(mpmath.fdot(rows[a].tolist(), rows[a].tolist())) for a in (i, j))
+            dist[p] = mpmath.acos(c / (ni * nj))
+    return dist.astype(float)
+
+
+class TestClosePairs:
+    @pytest.mark.parametrize("spec, n", [(HP1, 290), (CP2, 340), (S2, 450)])
+    def test_energy_matches_mpmath_distances(self, spec, n):
+        # Seeded random points, then four planted 1e-3 to 3e-2 D from others,
+        # where arccos of the cosine loses digits (an arccos sweep is about
+        # 6e-11 of sum |phi| off here on HP^1 and CP^2).
+        # The scale is sum |phi|: E itself cancels 100 to 1250 fold, so that
+        # even ulp-exact distances would move it by about 1e-14 of |E|.
+        rng = np.random.default_rng(0)
+        points = [sample_uniform(spec, rng) for _ in range(n)]
+        for t in (1e-3, 3e-3, 1e-2, 3e-2):
+            step = rng.standard_normal(points[0].coords.shape)
+            points.append(geodesic_step(points[len(points) % 7], step, t * diameter(spec)))
+        profile = get_profile(spec)
+        rows = en.Configuration(spec, points).coords_array()
+        terms = profile.phi(reference_distances(spec, rows))
+        first = np.triu_indices(len(points), 1)[1] < n  # pairs among the random points
+        for pts, sel, tol in ((points[:n], first, 1e-15), (points, slice(None), 1e-13)):
+            got = en.energy(en.Configuration(spec, pts))
+            scale = 2.0 * math.fsum(np.abs(terms[sel]))
+            assert abs(got - 2.0 * math.fsum(terms[sel])) <= tol * scale
 
 
 class TestEnergyReport:

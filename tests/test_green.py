@@ -296,26 +296,26 @@ class TestGreenEval:
 class TestChunkedEvaluation:
     @pytest.mark.parametrize("spec", [S2, CP2])
     def test_vector_matches_scalar_bit_for_bit(self, spec):
-        # Every radius but two lands on a table node or below the tables,
-        # where the value does not depend on the batch it is evaluated in.
-        # The first Lobatto node rounds to just below r_cut, so neither it
-        # (served by the head table) nor r_cut is a table node; between
-        # nodes a lone radius and a batched one take different BLAS
-        # kernels, which round differently in the last bits.
+        # Every sum runs along one row of the barycentric formula, so a radius
+        # has the same bits alone as inside any batch: random radii between
+        # the nodes of both tables, the nodes themselves, r_cut, D and a
+        # radius below the head table, shuffled across chunk boundaries.
         prof = get_profile(spec)
         D = diameter(spec)
-        head_w = prof._head.nodes
-        head_r = prof.r_cut * np.exp(-head_w)
-        head_r = head_r[np.log(prof.r_cut / head_r) == head_w]
-        assert head_r.size > 100
-        one = np.concatenate([prof._main.nodes, [prof.r_cut, D, 0.5 * prof.r_min], head_r])
+        rng = np.random.default_rng(5)
+        one = np.concatenate([
+            rng.uniform(prof.r_cut, D, 400),
+            np.exp(rng.uniform(math.log(prof.r_min), math.log(prof.r_cut), 200)),
+            prof._main.nodes,
+            prof.r_cut * np.exp(-prof._head.nodes),
+            [prof.r_cut, D, 0.5 * prof.r_min],
+        ])
         r = np.tile(one, 3 * _CHUNK // one.size + 1)
+        rng.shuffle(r)
         assert r.size > 3 * _CHUNK
         vec = prof.phi(r)
         single = np.array([prof.phi(float(x)) for x in r])
-        at_cut = (r == prof.r_cut) | (r == prof._main.nodes[0])
-        assert np.array_equal(vec[~at_cut], single[~at_cut])
-        assert np.allclose(vec[at_cut], single[at_cut], rtol=1e-14, atol=0.0)
+        assert np.array_equal(vec, single)
 
     def test_memory_does_not_grow_with_radius_count(self):
         prof = get_profile(S3)
