@@ -11,6 +11,7 @@ with the same seed reproduce payload bytes exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -167,10 +168,8 @@ def _cmd_compare(args) -> str:
 
 def _cmd_energy(args) -> str:
     with open(args.config) as fh:
-        points = load_configuration(fh)
-    spec = points[0].spec
-    cfg = en.Configuration(spec, points)
-    profile = get_profile(spec)
+        cfg = load_configuration(fh)
+    profile = get_profile(cfg.spec)
     report = en.EnergyReport.from_configuration(
         cfg, profile, seed=args.seed, threads=args.threads
     )
@@ -182,13 +181,15 @@ def _cmd_optimize(args) -> str:
     rng = np.random.default_rng(args.seed)
     cfg = en.optimize(spec, args.points, args.iters, rng)
     buf = io.StringIO()
-    save_configuration(cfg.points, buf)
+    save_configuration(cfg, buf)
     e = en.energy(cfg)
     sys.stderr.write(f"final energy {_FMT.format(e)}\n")
     return buf.getvalue()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="greenlab",
         description="Green functions, energies and certified lower bounds on "
@@ -234,10 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(fn=_cmd_energy, default_format="json")
 
-    p = sub.add_parser("optimize", help="local descent from a random start")
+    p = sub.add_parser("optimize", help="Riemannian gradient descent from a random start")
     common(p)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument(
+        "--iters",
+        type=int,
+        default=200,
+        help="sweeps; each is 3 steps, every step one gradient over all pairs "
+        "and one backtracking line search that moves every point",
+    )
     p.set_defaults(fn=_cmd_optimize, default_format="csv")
 
     p = sub.add_parser("verify", help="run the invariant suite")

@@ -1,10 +1,11 @@
-"""Green energies of explicit configurations and a local descent optimizer.
+"""Green energies of explicit configurations and a Riemannian descent optimizer.
 
 The energy of a configuration is the sum of the radial Green profile over
 all ordered distinct pairs. Pair distances are formed from Gram matrices
 of the points' real frames (see `manifold`), so the whole evaluation is
 O(N^2) dense linear algebra plus one vectorized profile sweep, the same
-for every family.
+for every family. The optimizer's gradient is formed the same way, from
+the same products, with one array evaluation of phi' per block of pairs.
 """
 
 from __future__ import annotations
@@ -16,22 +17,26 @@ import numpy as np
 
 from .bounds import BoundReport, best_finite_bound
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
-from .green import RadialGreenProfile, get_profile
+from .green import RadialGreenProfile, get_profile, phi_hat_prime
 from .manifold import (
     _CHORD_COSINE,
+    _CONJ_SIGN,
+    _FIELD_RANK,
+    Configuration,
     Family,
     ManifoldSpec,
-    Point,
-    _aligned,
     _as_generator,
     _chord_distances,
     _cosines,
-    _flatten_coords,
+    _frames,
+    _geodesic_rows,
+    _modulus,
+    _products,
     _project_horizontal,
-    _unflatten_coords,
     diameter,
     random_distance,
     sample_uniform,
+    volume,
 )
 
 __all__ = [
@@ -43,28 +48,6 @@ __all__ = [
 ]
 
 _MIN_SEPARATION_FACTOR = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class Configuration:
-    """A finite list of points sharing one manifold."""
-
-    spec: ManifoldSpec
-    points: list[Point]
-
-    def __post_init__(self):
-        if not self.points:
-            raise DomainError("a configuration needs at least one point")
-        for p in self.points:
-            if p.spec != self.spec:
-                raise DomainError("all points must share the configuration's manifold")
-
-    def __len__(self):
-        return len(self.points)
-
-    def coords_array(self) -> np.ndarray:
-        """(N, D) real frames of the points, one configuration-file row each."""
-        return np.stack([_flatten_coords(self.spec, p.coords) for p in self.points])
 
 
 # pairs per block: the block's Gram, distance and profile temporaries stay
@@ -88,11 +71,22 @@ def energy(
         profile = get_profile(config.spec)
     if profile.spec != config.spec:
         raise DomainError("profile and configuration disagree on the manifold")
-    n = len(config)
+    return _energy_rows(config.spec, profile, config.coords_array(), threads)
+
+
+def _row_blocks(n: int, pairs: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of about `pairs` pairs each against all n rows."""
+    rows = max(1, pairs // n)
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def _energy_rows(
+    spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray, threads: int = 1
+) -> float:
+    """`energy` of the unit rows of coords."""
+    n = len(coords)
     if n == 1:
         return 0.0
-    spec = config.spec
-    coords = config.coords_array()
     floor = _MIN_SEPARATION_FACTOR * diameter(spec)
 
     def block_sum(lo: int, hi: int) -> float:
@@ -113,8 +107,7 @@ def energy(
             )
         return float(np.sum(profile.phi(pair_d)))
 
-    rows = max(1, _BLOCK_PAIRS // n)
-    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    blocks = _row_blocks(n, _BLOCK_PAIRS)
     if threads <= 1 or len(blocks) == 1:
         partials = [block_sum(lo, hi) for lo, hi in blocks]
     else:
@@ -179,27 +172,99 @@ class EnergyReport:
         }
 
 
-def _descent_direction(
-    spec: ManifoldSpec,
-    profile: RadialGreenProfile,
-    coords: np.ndarray,
-    i: int,
+def _descent_rows(
+    spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray
 ) -> np.ndarray:
-    """Negative Riemannian gradient of point i's interaction energy (ambient)."""
-    from .green import phi_hat_prime
-    from .manifold import volume
+    """Negative Riemannian gradients of every point's interaction energy, as rows.
 
-    base = coords[i]
-    aligned = _aligned(spec, base, np.delete(coords, i, axis=0))
-    cos_d = np.clip(aligned @ base, -1.0, 1.0)
-    d = np.arccos(cos_d)
-    sin_d = np.sqrt(np.maximum(1.0 - cos_d * cos_d, 1e-30))
-    inside = (d > 0.0) & (d < diameter(spec))
-    weights = np.zeros_like(d)
-    weights[inside] = phi_hat_prime(spec, d[inside]) / volume(spec)
-    # descent = -grad E_i = sum_k [phi'(d_k)/sin d_k] (q_k - cos(d_k) p)
-    scale = weights / sin_d
-    return np.einsum("k,km->m", scale, aligned - cos_d[:, None] * base)
+    Row i is sum_j [phi'(d_ij) / sin d_ij] (x_j u_ij - cos(d_ij) x_i), with
+    x_j u_ij the representative of x_j aligned to x_i (see
+    `manifold._aligned`). The upper triangle is swept in row blocks, phi' is
+    evaluated once per unordered pair, and each pair adds to both of its rows
+    through k matrix products with the right multiples x e_c, so no
+    temporary holds more than a block's products. The total energy's
+    gradient at row i is -2 times row i.
+    """
+    n, width = coords.shape
+    k = _FIELD_RANK[spec.family]
+    D, V = diameter(spec), volume(spec)
+    frames = _frames(k, coords)
+    # row c n + j holds x_j conj(e_c) = conj-sign c times x_j e_c
+    conj_frames = (frames * _CONJ_SIGN[:k, None]).transpose(1, 0, 2).reshape(k * n, width)
+    descent = np.zeros_like(coords)
+    # a block's k products per pair fill about _BLOCK_PAIRS entries: phi'
+    # keeps more temporaries per pair than phi
+    for lo, hi in _row_blocks(n, _BLOCK_PAIRS // k):
+        h = _products(k, coords[lo:hi], coords)
+        cos = h[:, 0] if spec.family is Family.SPHERE else _modulus(h)
+        c = np.clip(cos, -1.0, 1.0)
+        d = np.arccos(c)
+        inside = (np.arange(n)[None, :] > np.arange(lo, hi)[:, None]) & (d > 0.0) & (d < D)
+        w = np.zeros_like(d)
+        sin_d = np.sqrt(np.maximum(1.0 - c[inside] ** 2, 1e-30))
+        w[inside] = phi_hat_prime(spec, d[inside]) / (V * sin_d)
+        if spec.family is Family.SPHERE:
+            a = w[:, None, :]
+        else:  # w times the components of conj(u_ij) = <x_i, x_j> / |<x_i, x_j>|
+            h *= (w / np.where(cos > 0.0, cos, 1.0))[:, None, :]
+            a = h
+        wc = w * c
+        descent[lo:hi] += a.reshape(hi - lo, k * n) @ conj_frames
+        descent[lo:hi] -= wc.sum(axis=1)[:, None] * coords[lo:hi]
+        descent += a.reshape(-1, n).T @ frames[lo:hi].reshape(-1, width)
+        descent -= wc.sum(axis=0)[:, None] * coords
+    return _project_horizontal(spec, coords, descent)
+
+
+# a sweep is this many descent steps
+_STEPS_PER_SWEEP = 3
+# the first trial step moves the fastest point this share of D, and no
+# step moves any point further than _MAX_MOVE D
+_FIRST_MOVE = 0.2
+_MAX_MOVE = 0.5
+# Armijo's sufficient-decrease constant and the halvings tried per step
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
+
+
+def _descent_steps(
+    spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray, steps: int
+):
+    """Riemannian gradient descent on the total energy; yields (coords, energy)
+    after each of at most `steps` accepted steps.
+
+    Every step moves all rows at once, row i by the angle t |g_i| (capped at
+    `_MAX_MOVE` D) along the geodesic towards its descent direction g_i, and
+    halves t until the energy falls by at least `_ARMIJO` times the decrease
+    the gradient predicts (Armijo backtracking; Absil, Mahony & Sepulchre,
+    *Optimization Algorithms on Matrix Manifolds*, 2008, ch. 4). A candidate
+    with a pair closer than the separation floor of `energy` is rejected.
+    Each step tries twice the previous step's t first. The generator stops
+    early when a step finds no decrease.
+    """
+    D = diameter(spec)
+    e = _energy_rows(spec, profile, coords)
+    t = None
+    for _ in range(steps):
+        g = _descent_rows(spec, profile, coords)
+        speed = np.linalg.norm(g, axis=1)
+        if not speed.max() > 0.0:
+            return
+        t = _FIRST_MOVE * D / speed.max() if t is None else 2.0 * t
+        slope = 2.0 * float(np.sum(speed * speed))  # -dE/dt at t = 0
+        for _ in range(_MAX_HALVINGS):
+            trial = _geodesic_rows(coords, g, np.minimum(t * speed, _MAX_MOVE * D))
+            try:
+                e_trial = _energy_rows(spec, profile, trial)
+            except SingularityError:
+                e_trial = math.inf
+            if e_trial <= e - _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            return
+        coords, e = trial, e_trial
+        yield coords, e
 
 
 def optimize(
@@ -209,59 +274,32 @@ def optimize(
     rng,
     profile: RadialGreenProfile | None = None,
 ) -> Configuration:
-    """First-order descent with backtracking, from a uniform random start.
+    """Riemannian gradient descent from a uniform random start.
 
-    Each sweep visits every point once, proposes a geodesic step along the
-    negative gradient of its interaction energy and halves the step until
-    the energy decreases; only decreases are accepted, so the energy is
-    monotone over accepted moves and the run is deterministic for a fixed
-    seed.
+    The start is `sample_uniform(spec, rng, N)`. Each of the `iterations`
+    sweeps takes `_STEPS_PER_SWEEP` (3) steps of `_descent_steps`: one
+    gradient of the total energy over all pairs, then one Armijo
+    backtracking search along it in which every point moves on its own
+    geodesic. The energy decreases at every step, and the run is
+    deterministic for a fixed seed. It ends early when a step finds no
+    decrease.
     """
     if spec.family is Family.CAYLEY_PLANE:
         raise UnsupportedManifoldError("no point model on the Cayley plane")
     if N < 2:
         raise DomainError(f"need N >= 2, got {N}")
+    if iterations < 0:
+        raise DomainError(f"need iterations >= 0, got {iterations}")
     gen = _as_generator(rng)
     if profile is None:
         profile = get_profile(spec)
-    points = [sample_uniform(spec, gen) for _ in range(N)]
-    coords = Configuration(spec, points).coords_array()
-    D = diameter(spec)
-    steps = np.full(N, 0.1 * D)
-
-    def point_energy(idx: int, candidate: np.ndarray) -> float:
-        others = np.delete(coords, idx, axis=0)
-        dd = np.arccos(np.clip(_cosines(spec, candidate[None], others)[0], -1.0, 1.0))
-        if np.any(dd <= _MIN_SEPARATION_FACTOR * D):
-            return math.inf
-        return float(np.sum(profile.phi(dd)))
-
-    for _ in range(iterations):
-        improved = False
-        for i in range(N):
-            direction = _descent_direction(spec, profile, coords, i)
-            u = _project_horizontal(spec, coords[i], direction)
-            nrm = float(np.linalg.norm(u))
-            if nrm < 1e-15:
-                continue
-            u = u / nrm
-            current = point_energy(i, coords[i])
-            t = min(float(steps[i]) * 2.0, 0.5 * D)
-            accepted = False
-            for _ in range(40):
-                candidate = math.cos(t) * coords[i] + math.sin(t) * u
-                candidate /= np.linalg.norm(candidate)
-                if point_energy(i, candidate) < current:
-                    coords[i] = candidate
-                    steps[i] = t
-                    accepted = True
-                    break
-                t *= 0.5
-            improved = improved or accepted
-        if not improved:
-            break
-    pts = [Point(spec, _unflatten_coords(spec, x / np.linalg.norm(x))) for x in coords]
-    return Configuration(spec, pts)
+    coords = sample_uniform(spec, gen, N).coords_array()
+    # rescaled once more as real frames, as the output of earlier versions
+    # was: a seeded run with no sweeps keeps its bits
+    coords = coords / np.sqrt([x.dot(x) for x in coords])[:, None]
+    for coords, _ in _descent_steps(spec, profile, coords, _STEPS_PER_SWEEP * iterations):
+        pass
+    return Configuration.from_array(spec, coords)
 
 
 def mc_energy_moment(
@@ -286,8 +324,7 @@ def mc_energy_moment(
         values = profile.phi(draws).reshape(samples, pairs).sum(axis=1)
     else:
         for s in range(samples):
-            config = Configuration(spec, [sample_uniform(spec, gen) for _ in range(N)])
-            values[s] = energy(config, profile)
+            values[s] = energy(sample_uniform(spec, gen, N), profile)
     mean = float(np.mean(values))
     std_err = float(np.std(values, ddof=1) / math.sqrt(samples))
     return mean, std_err

@@ -20,8 +20,9 @@ components h_c = (x_p e_c) . x_q of the Hermitian inner product
 family. Distance is arccos of h_0 on the sphere and of |<p, q>| = ||h||
 on the projective families, the normalization under which the radial
 densities below hold; phase alignment and the horizontal projection are
-built from the same products. The Cayley plane has no point model here;
-all its radial quantities and radial sampling are fully supported.
+built from the same products. A `Configuration` holds N points as the
+(N, D) array of their real frames. The Cayley plane has no point model
+here; all its radial quantities and radial sampling are fully supported.
 
 Configuration file format
 -------------------------
@@ -49,6 +50,7 @@ __all__ = [
     "Family",
     "ManifoldSpec",
     "Point",
+    "Configuration",
     "RngSeed",
     "dimension",
     "diameter",
@@ -98,6 +100,13 @@ class ManifoldSpec:
                 raise DomainError("the Cayley plane exists only for n = 2")
         elif self.n < 1:
             raise DomainError(f"{self.family.value} requires n >= 1, got n={self.n}")
+        elif self.n == 1 and self.family in (Family.SPHERE, Family.REAL_PROJ):
+            # a circle: psi = (V - V(s)) / v(s) stays bounded at s = 0, so
+            # none of the singular forms of the profile and the bound apply
+            raise DomainError(
+                f"{self.family.value} with n=1 is a circle; the Green energy "
+                "needs dimension d >= 2"
+            )
 
     @classmethod
     def from_token(cls, token: str, n: int | None = None) -> "ManifoldSpec":
@@ -341,10 +350,21 @@ def _chord_distances(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) ->
     return 2.0 * np.arcsin(np.minimum(half, 1.0))
 
 
-def _project_horizontal(spec: ManifoldSpec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v minus its components along every x e_c: the part orthogonal to x's line."""
-    frames = _frames(_FIELD_RANK[spec.family], x[None])[0]
-    return v - (frames @ v) @ frames
+def _project_horizontal(spec: ManifoldSpec, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each row of v minus its components along every x e_c of the matching
+    row x of rows: the part orthogonal to x's line."""
+    frames = _frames(_FIELD_RANK[spec.family], rows)
+    return v - np.einsum("ac,acd->ad", np.einsum("acd,ad->ac", frames, v), frames)
+
+
+def _geodesic_rows(rows: np.ndarray, directions: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Each unit row x moved by its angle along the geodesic towards its
+    horizontal direction g: cos(angle) x + sin(angle) g / |g|, rescaled to unit
+    length. A zero direction leaves its row where it is."""
+    lengths = np.linalg.norm(directions, axis=1)
+    unit = directions / np.where(lengths > 0.0, lengths, 1.0)[:, None]
+    moved = np.cos(angles)[:, None] * rows + np.sin(angles)[:, None] * unit
+    return moved / np.linalg.norm(moved, axis=1)[:, None]
 
 
 def quat_hermitian_inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -392,11 +412,84 @@ def _coords_shape(spec: ManifoldSpec) -> tuple:
     return (m, 4) if spec.family is Family.QUAT_PROJ else (m,)
 
 
-def _make_point(spec: ManifoldSpec, raw: np.ndarray) -> Point:
-    nrm = float(np.linalg.norm(raw))
-    if nrm == 0.0:
+def _row_width(spec: ManifoldSpec) -> int:
+    """Length k(n+1) of a real frame; the Cayley plane has none."""
+    if not _is_point_family(spec.family):
+        raise UnsupportedManifoldError(
+            "the Cayley plane has no point model; radial quantities only"
+        )
+    return _FIELD_RANK[spec.family] * (spec.n + 1)
+
+
+def _unit_rows(spec: ManifoldSpec, rows: np.ndarray) -> np.ndarray:
+    """rows scaled to unit length, each with the bits its Point-shaped coords
+    get from division by np.linalg.norm: the same dot products, and for
+    complex coords a product with the reciprocal, which is how numpy divides
+    a complex array by a real."""
+    if spec.family is Family.COMPLEX_PROJ:
+        norms = np.sqrt([x[0::2].dot(x[0::2]) + x[1::2].dot(x[1::2]) for x in rows])
+    else:
+        norms = np.sqrt([x.dot(x) for x in rows])
+    if not norms.all():
         raise DomainError("zero vector cannot represent a point")
-    return Point(spec, raw / nrm)
+    if spec.family is Family.COMPLEX_PROJ:
+        return rows * (1.0 / norms)[:, None]
+    return rows / norms[:, None]
+
+
+class Configuration:
+    """A finite set of points sharing one manifold, held as the (N, D) array
+    of their real frames.
+
+    `Configuration(spec, points)` takes `Point`s and `from_array` takes the
+    rows directly; `Point`s are built only on request (`points`, iteration).
+    """
+
+    __slots__ = ("spec", "_coords")
+
+    def __init__(self, spec: ManifoldSpec, points: Iterable[Point]):
+        points = list(points)
+        if not points:
+            raise DomainError("a configuration needs at least one point")
+        for p in points:
+            if p.spec != spec:
+                raise DomainError("all points must share the configuration's manifold")
+        self.spec = spec
+        self._coords = np.stack([_flatten_coords(spec, p.coords) for p in points])
+        self._coords.flags.writeable = False
+
+    @classmethod
+    def from_array(cls, spec: ManifoldSpec, coords: np.ndarray) -> "Configuration":
+        """Configuration of the rows of coords, unit real frames (copied)."""
+        coords = np.array(coords, dtype=float)
+        width = _row_width(spec)
+        if coords.ndim != 2 or coords.shape[1] != width:
+            raise DomainError(
+                f"expected rows of {width} coordinates for {spec}, got shape {coords.shape}"
+            )
+        if not len(coords):
+            raise DomainError("a configuration needs at least one point")
+        norms = np.linalg.norm(coords, axis=1)
+        if not (np.abs(norms - 1.0) <= 1e-12).all():
+            raise DomainError("every row must be a finite unit vector")
+        coords.flags.writeable = False
+        config = cls.__new__(cls)
+        config.spec, config._coords = spec, coords
+        return config
+
+    def __len__(self):
+        return len(self._coords)
+
+    def __iter__(self):
+        return iter(self.points)
+
+    @property
+    def points(self) -> list[Point]:
+        return [Point(self.spec, _unflatten_coords(self.spec, x)) for x in self._coords]
+
+    def coords_array(self) -> np.ndarray:
+        """(N, D) real frames of the points, one configuration-file row each (read-only)."""
+        return self._coords
 
 
 def distance(p: Point, q: Point) -> float:
@@ -437,11 +530,13 @@ def _as_generator(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def sample_uniform(spec: ManifoldSpec, rng) -> Point:
-    """Uniform point with respect to normalized Riemannian volume.
+def sample_uniform(spec: ManifoldSpec, rng, size: int | None = None):
+    """Uniform point with respect to normalized Riemannian volume, or a
+    `Configuration` of `size` independent ones.
 
     Normalizes a standard Gaussian vector over the base field, which is
     rotation invariant and hence uniform on the sphere of representatives.
+    The draws for `size` points are those of `size` single calls, in turn.
     """
     if not _is_point_family(spec.family):
         raise UnsupportedManifoldError(
@@ -449,14 +544,16 @@ def sample_uniform(spec: ManifoldSpec, rng) -> Point:
             "use random_distance for radial statistics"
         )
     gen = _as_generator(rng)
-    m = spec.n + 1
-    if spec.family in (Family.SPHERE, Family.REAL_PROJ):
-        raw = gen.standard_normal(m)
-    elif spec.family is Family.COMPLEX_PROJ:
-        raw = gen.standard_normal(m) + 1j * gen.standard_normal(m)
+    count = 1 if size is None else int(size)
+    m, k = spec.n + 1, _FIELD_RANK[spec.family]
+    if spec.family is Family.COMPLEX_PROJ:  # m real parts, then m imaginary parts
+        raw = gen.standard_normal((count, 2, m)).swapaxes(1, 2)
     else:
-        raw = gen.standard_normal((m, 4))
-    return _make_point(spec, raw)
+        raw = gen.standard_normal((count, m, k))
+    rows = _unit_rows(spec, raw.reshape(count, k * m))
+    if size is None:
+        return Point(spec, _unflatten_coords(spec, rows[0]))
+    return Configuration.from_array(spec, rows)
 
 
 def geodesic_step(p: Point, tangent_direction: np.ndarray, t: float) -> Point:
@@ -472,14 +569,11 @@ def geodesic_step(p: Point, tangent_direction: np.ndarray, t: float) -> Point:
     v = np.asarray(tangent_direction)
     if v.shape != p.coords.shape:
         raise DomainError("tangent direction has wrong shape")
-    x = _flatten_coords(spec, p.coords)
-    u = _project_horizontal(spec, x, _flatten_coords(spec, v))
-    nrm = float(np.linalg.norm(u))
-    if nrm < 1e-14:
+    x = _flatten_coords(spec, p.coords)[None]
+    u = _project_horizontal(spec, x, _flatten_coords(spec, v)[None])
+    if float(np.linalg.norm(u)) < 1e-14:
         raise DomainError("tangent direction is degenerate after horizontal projection")
-    u = u / nrm
-    stepped = math.cos(t) * x + math.sin(t) * u
-    return _make_point(spec, _unflatten_coords(spec, stepped))
+    return Point(spec, _unflatten_coords(spec, _geodesic_rows(x, u, np.array([t]))[0]))
 
 
 def random_distance(spec: ManifoldSpec, rng, size: int | None = None):
@@ -515,26 +609,28 @@ def _flatten_coords(spec: ManifoldSpec, coords: np.ndarray) -> np.ndarray:
 
 def _unflatten_coords(spec: ManifoldSpec, row: np.ndarray) -> np.ndarray:
     """Point-shaped coords of a real frame; inverse of `_flatten_coords`."""
-    expected = _FIELD_RANK[spec.family] * (spec.n + 1)
+    expected = _row_width(spec)
     if row.size != expected:
         raise DomainError(f"expected {expected} coordinates per line for {spec}, got {row.size}")
     dtype = complex if spec.family is Family.COMPLEX_PROJ else float
     return np.ascontiguousarray(row, dtype=float).view(dtype).reshape(_coords_shape(spec))
 
 
-def save_configuration(points: Iterable[Point], fh: TextIO) -> None:
-    pts = list(points)
-    if not pts:
-        raise DomainError("cannot save an empty configuration")
-    spec = pts[0].spec
-    fh.write(f"# manifold={spec.token} n={spec.n}\n")
-    for p in pts:
-        if p.spec != spec:
-            raise DomainError("all points must share one manifold")
-        fh.write(" ".join(f"{x:.17g}" for x in _flatten_coords(spec, p.coords)) + "\n")
+def save_configuration(points: Configuration | Iterable[Point], fh: TextIO) -> None:
+    """Write a header line and one real frame per line, 17 significant digits."""
+    if not isinstance(points, Configuration):
+        points = list(points)
+        if not points:
+            raise DomainError("cannot save an empty configuration")
+        points = Configuration(points[0].spec, points)
+    spec = points.spec
+    lines = [f"# manifold={spec.token} n={spec.n}"]
+    lines += [" ".join(f"{x:.17g}" for x in row) for row in points.coords_array().tolist()]
+    fh.write("\n".join(lines) + "\n")
 
 
-def load_configuration(fh: TextIO) -> list[Point]:
+def load_configuration(fh: TextIO) -> Configuration:
+    """Read a configuration file; each row is scaled to unit length as a `Point` is."""
     header = fh.readline().strip()
     if not header.startswith("#"):
         raise DomainError("configuration file must start with '# manifold=<family> n=<n>'")
@@ -544,16 +640,22 @@ def load_configuration(fh: TextIO) -> list[Point]:
     if "manifold" not in fields or "n" not in fields:
         raise DomainError(f"malformed configuration header: {header!r}")
     spec = ManifoldSpec.from_token(fields["manifold"], int(fields["n"]))
-    points = []
+    width = _row_width(spec)
+    rows = []
     for line_no, line in enumerate(fh, start=2):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            row = np.array([float(tok) for tok in line.split()])
+            row = [float(tok) for tok in line.split()]
         except ValueError as exc:
             raise DomainError(f"bad coordinate on line {line_no}: {exc}") from exc
-        points.append(_make_point(spec, _unflatten_coords(spec, row)))
-    if not points:
+        if len(row) != width:
+            raise DomainError(
+                f"expected {width} coordinates per line for {spec}, "
+                f"got {len(row)} on line {line_no}"
+            )
+        rows.append(row)
+    if not rows:
         raise DomainError("configuration file contains no points")
-    return points
+    return Configuration.from_array(spec, _unit_rows(spec, np.array(rows)))

@@ -211,6 +211,65 @@ class TestEnergyAndOptimize:
         assert "Infinity" not in out and "Traceback" not in err
 
 
+class TestRejectedInputs:
+    CIRCLE_COMMANDS = [
+        ["profile"],
+        ["ball"],
+        ["bound", "--points", "100"],
+        ["optimize", "--points", "5", "--iters", "1"],
+    ]
+
+    @pytest.mark.parametrize("family", ["s", "rp"])
+    @pytest.mark.parametrize("argv", CIRCLE_COMMANDS, ids=lambda a: a[0])
+    def test_circle_is_an_error_not_a_traceback(self, capsys, family, argv):
+        code, out, err = run_cli(capsys, argv[0], "--family", family, "--n", "1", *argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "circle" in err
+
+    @pytest.mark.parametrize("family", ["s", "rp"])
+    def test_circle_configuration_file_is_an_error(self, capsys, tmp_path, family):
+        cfg = tmp_path / "circle.txt"
+        cfg.write_text(f"# manifold={family} n=1\n1 0\n0 1\n")
+        code, _, err = run_cli(capsys, "energy", "--config", str(cfg))
+        assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("iters", ["-1", "-200"])
+    def test_negative_iterations_are_an_error(self, capsys, iters):
+        code, out, err = run_cli(
+            capsys, "optimize", "--family", "s", "--n", "2", "--points", "5", "--iters", iters
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "iterations" in err
+
+
+class TestParserReuse:
+    def test_one_process_matches_separate_runs(self, capsys, tmp_path):
+        config = tmp_path / "points.txt"
+        bound = ["bound", "--family", "cp", "--n", "2", "--points", "300"]
+        optimize = ["optimize", "--family", "hp", "--n", "1", "--points", "8",
+                    "--iters", "2", "--seed", "3"]
+        energy = ["energy", "--config", str(config)]
+        payloads = []
+        for argv in (bound, optimize, energy, bound):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            payloads.append(out)
+            if argv is optimize:
+                config.write_text(out)
+        separate = {}
+        for argv in (bound, optimize, energy):
+            proc = subprocess.run(
+                [sys.executable, "-m", "greenlab.cli", *argv],
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+            separate[id(argv)] = proc.stdout
+        assert payloads == [separate[id(a)] for a in (bound, optimize, energy, bound)]
+
+
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--quick")

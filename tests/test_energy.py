@@ -270,12 +270,13 @@ class TestOptimizer:
     @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
     def test_descent_direction_matches_per_distance_loop(self, spec):
         from greenlab.green import phi_hat_prime
-        from greenlab.manifold import diameter, volume
+        from greenlab.manifold import _aligned, volume
 
         coords = random_config(spec, 12, 5).coords_array()
+        rows = en._descent_rows(spec, get_profile(spec), coords)
         for i in (0, 7):
             base = coords[i]
-            aligned = en._aligned(spec, base, np.delete(coords, i, axis=0))
+            aligned = _aligned(spec, base, np.delete(coords, i, axis=0))
             cos_d = np.clip(aligned @ base, -1.0, 1.0)
             d = np.arccos(cos_d)
             sin_d = np.sqrt(np.maximum(1.0 - cos_d * cos_d, 1e-30))
@@ -284,8 +285,71 @@ class TestOptimizer:
                  for x in d]
             )
             loop = np.einsum("k,km->m", weights / sin_d, aligned - cos_d[:, None] * base)
-            got = en._descent_direction(spec, get_profile(spec), coords, i)
-            np.testing.assert_allclose(got, loop, rtol=1e-14, atol=1e-14 * np.abs(loop).max())
+            np.testing.assert_allclose(rows[i], loop, rtol=1e-14, atol=1e-14 * np.abs(loop).max())
+
+    # final energies of the point-by-point descent that the batched one
+    # replaced, at --iters 3 and seeds 1 to 6: the batched descent must not end higher
+    EARLIER_FINAL_ENERGIES = {
+        (S2, 54): (-18.84281301404115, -18.84557091601775, -18.88425150505801,
+                   -18.804745423670397, -18.77772896737105, -18.76578112711082),
+        (RP3, 40): (-10.935529590180472, -10.773215467934037, -10.798856987176244,
+                    -10.701157714085344, -10.81392479631084, -10.866688469206057),
+        (CP2, 60): (-29.831205238665493, -29.923852182637887, -29.95698603493107,
+                    -29.907971313856336, -29.879905900683163, -29.878106620417427),
+        (HP1, 16): (-6.964460103831392, -7.085807462410463, -7.1542489861114635,
+                    -7.170174574557086, -7.150301543636216, -7.0741691770476685),
+    }
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    @pytest.mark.parametrize("spec, n", list(EARLIER_FINAL_ENERGIES))
+    def test_three_sweeps_end_no_higher_than_before(self, spec, n, seed):
+        pinned = self.EARLIER_FINAL_ENERGIES[spec, n][seed - 1]
+        got = en.energy(en.optimize(spec, n, 3, np.random.default_rng(seed)))
+        assert got <= pinned + 1e-12 * abs(pinned)
+
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    def test_energy_never_increases_from_step_to_step(self, spec):
+        rng = np.random.default_rng(8)
+        coords = sample_uniform(spec, rng, 30).coords_array()
+        profile = get_profile(spec)
+        energies = [en.energy(en.Configuration.from_array(spec, coords))]
+        for rows, e in en._descent_steps(spec, profile, coords, 12):
+            assert e == en.energy(en.Configuration.from_array(spec, rows))
+            energies.append(e)
+        assert len(energies) == 13
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    def test_no_sweeps_return_the_start(self, spec):
+        # the start is the sample rescaled once more as real frames, which
+        # moves no coordinate by more than two units in the last place
+        rng = np.random.default_rng(4)
+        points = [sample_uniform(spec, rng) for _ in range(25)]
+        sample = en.Configuration(spec, points).coords_array()
+        got = en.optimize(spec, 25, 0, np.random.default_rng(4)).coords_array()
+        norms = np.sqrt([x.dot(x) for x in sample])
+        assert np.array_equal(got, sample / norms[:, None])
+        assert np.all(np.abs(got - sample) <= 2.0 * np.spacing(np.abs(sample)))
+
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    def test_blocks_do_not_change_the_descent(self, spec, monkeypatch):
+        # one sweep of 20 points: from a random start the first steps
+        # amplify any rounding difference about tenfold each (S^2, 40
+        # points: 3e-15 after one step, 4e-13 after six)
+        profile = get_profile(spec)
+        coords = random_config(spec, 40, 9).coords_array()
+        one_block = en._descent_rows(spec, profile, coords)
+        final = en.optimize(spec, 20, 1, np.random.default_rng(9)).coords_array()
+        monkeypatch.setattr(en, "_BLOCK_PAIRS", 64)
+        assert len(en._row_blocks(40, en._BLOCK_PAIRS // 4)) == 40
+        blocked = en._descent_rows(spec, profile, coords)
+        np.testing.assert_allclose(blocked, one_block, rtol=0, atol=1e-14 * np.abs(one_block).max())
+        again = en.optimize(spec, 20, 1, np.random.default_rng(9)).coords_array()
+        np.testing.assert_allclose(again, final, rtol=0, atol=1e-14)
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(DomainError):
+            en.optimize(S2, 5, -1, np.random.default_rng(0))
 
     def test_energy_never_increases_from_start(self):
         seed = 21

@@ -8,6 +8,7 @@ import pytest
 
 from greenlab.errors import DomainError, UnsupportedManifoldError
 from greenlab.manifold import (
+    Configuration,
     Family,
     ManifoldSpec,
     Point,
@@ -18,6 +19,10 @@ from greenlab.manifold import (
     diameter,
     dimension,
     distance,
+    _geodesic_rows,
+    _project_horizontal,
+    _row_width,
+    _unflatten_coords,
     geodesic_step,
     load_configuration,
     radial_density,
@@ -48,6 +53,11 @@ class TestSpecValidation:
     def test_positive_n(self):
         with pytest.raises(DomainError):
             ManifoldSpec(Family.SPHERE, 0)
+
+    @pytest.mark.parametrize("family", [Family.SPHERE, Family.REAL_PROJ])
+    def test_circle_rejected(self, family):
+        with pytest.raises(DomainError, match="circle"):
+            ManifoldSpec(family, 1)
 
     def test_tokens_round_trip(self):
         for spec in ALL_SPECS:
@@ -281,6 +291,32 @@ class TestSampleUniform:
             sample_uniform(OP2, np.random.default_rng(0))
 
 
+class TestBatchedSampling:
+    @pytest.mark.parametrize("spec", POINT_SPECS + [ManifoldSpec(Family.COMPLEX_PROJ, 20)])
+    def test_batch_is_the_single_draws_in_turn(self, spec):
+        rng = np.random.default_rng(6)
+        single = Configuration(spec, [sample_uniform(spec, rng) for _ in range(30)])
+        batch = sample_uniform(spec, np.random.default_rng(6), 30)
+        assert isinstance(batch, Configuration) and batch.spec == spec
+        assert np.array_equal(batch.coords_array(), single.coords_array())
+
+
+class TestGeodesicStep:
+    @pytest.mark.parametrize("spec", POINT_SPECS)
+    def test_rows_move_as_single_steps(self, spec):
+        rng = np.random.default_rng(14)
+        config = sample_uniform(spec, rng, 6)
+        tangents = rng.standard_normal(config.coords_array().shape)
+        angles = np.linspace(-0.3, 0.9, 6) * diameter(spec)
+        steps = [
+            geodesic_step(p, _unflatten_coords(spec, v), t)
+            for p, v, t in zip(config, tangents, angles)
+        ]
+        rows = config.coords_array()
+        moved = _geodesic_rows(rows, _project_horizontal(spec, rows, tangents), angles)
+        expected = Configuration(spec, steps).coords_array()
+        np.testing.assert_allclose(moved, expected, rtol=0, atol=1e-15)
+
 class TestGeodesicStep:
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(2)
@@ -395,6 +431,34 @@ class TestConfigurationFiles:
         for p, q in zip(pts, again):
             assert q.spec == spec
             assert distance(p, q) < 1e-12
+
+    @pytest.mark.parametrize("spec", POINT_SPECS)
+    def test_rows_scaled_as_points(self, spec):
+        # each row gets the bits of its Point-shaped coords divided by their norm
+        rng = np.random.default_rng(56)
+        raw = rng.standard_normal((7, _row_width(spec)))
+        text = f"# manifold={spec.token} n={spec.n}\n"
+        text += "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in raw)
+        loaded = load_configuration(io.StringIO(text))
+        expected = []
+        for row in raw:
+            coords = _unflatten_coords(spec, row)
+            expected.append(Point(spec, coords / np.linalg.norm(coords)))
+        assert np.array_equal(loaded.coords_array(), Configuration(spec, expected).coords_array())
+
+    def test_array_must_hold_unit_rows(self):
+        with pytest.raises(DomainError):
+            Configuration.from_array(S2, np.array([[1.0, 1.0, 0.0]]))
+        with pytest.raises(DomainError):
+            Configuration.from_array(S2, np.array([[np.nan, 0.0, 0.0]]))
+        with pytest.raises(DomainError):
+            Configuration.from_array(S2, np.array([[1.0, 0.0]]))
+        with pytest.raises(UnsupportedManifoldError):
+            Configuration.from_array(OP2, np.eye(17)[:1])
+
+    def test_cayley_plane_file_rejected(self):
+        with pytest.raises(UnsupportedManifoldError):
+            load_configuration(io.StringIO("# manifold=op2 n=2\n" + "0 " * 16 + "1\n"))
 
     def test_header_required(self):
         with pytest.raises(DomainError):
