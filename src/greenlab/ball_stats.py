@@ -7,7 +7,7 @@ defining double integrals by parts leaves one smooth single integral each:
     Theta(M, a) = phi(a) + (1/(V V(a))) int_0^a V(r) psi(r) dr
 
 where psi(r) = (V - V(r)) / v(r) is the slope magnitude of the Green
-profile, evaluated without cancellation by green._decreasing_ratio. Both
+profile, evaluated without cancellation by green._radial_ratios. Both
 integrands vanish like u at the pole and stay bounded up to the diameter,
 so plain adaptive quadrature converges for every family and radius.
 
@@ -16,20 +16,38 @@ v(u) psi(u) - (V - V(a)), with V - V(a) = v(a) psi(a): the direct
 difference loses its digits near a = D, the rewritten one at small a.
 
 The exact closed formulas (complex/quaternionic projective spaces and the
-Cayley plane) are the preferred route where they exist and the
-independent cross-check of the quadrature. They suffer heavy
-floating-point cancellation for small sin(a); they are evaluated in
-adaptive-precision arithmetic (mpmath) and rounded once at the end.
+Cayley plane) are the preferred route where they exist, and the
+quadrature is their independent cross-check. Multiplied out, each reads
+
+    c V x^e D(y) kernel = R(x) + P(x) log(1 - t)
+
+with x = sin^2 a, y = cos^2 a, polynomials R, P and D (D with positive
+coefficients in y) and t the variable in which the numerator vanishes:
+t = x for K, to order e + 1 at the pole, and t = y for Theta, which is
+zero at a = D. The direct formula cancels as t -> 0, so up to a switch
+point the kernel is the Taylor series of the numerator in t, whose
+vanishing coefficients are dropped exactly and nothing cancels; past it,
+the direct formula with R and P re-centred in u = 1 - t and log u taken as
+2 log cos a (K) or 2 log sin a (Theta). Both are derived once per
+manifold in rational arithmetic and evaluated in double precision.
+
+The switch is the first t at which the direct formula's rounding-error
+amplification, sum |coefficient * term| / |value|, is no larger than the
+series', and at most t = 1/2 (x^e = 1/4 for K when e > 2), so neither
+route loses more than a few bits. Past the polynomials the series
+coefficients are bounded by |P|_1 / (j - deg P); the series stops once the
+terms it drops, at most |P|_1 t^J / ((J - deg P)(1 - t)), are below 2^-56
+of its value at the switch, and they shrink like t^J below it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
-from enum import Enum
+from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
@@ -45,11 +63,9 @@ from .manifold import (
     sphere_area,
     volume,
 )
-from .special_math import QuadratureSettings, harmonic_number, integrate
+from .special_math import QuadratureSettings, integrate
 
 __all__ = [
-    "Method",
-    "BallKernelValue",
     "k_quadrature",
     "k_closed",
     "theta_quadrature",
@@ -61,30 +77,11 @@ __all__ = [
     "ball_average_green",
     "spherical_mean",
     "cum_volume_over_area",
-    "kernel_row",
 ]
 
 # at rel_tol 1e-10 the K integral can stop early near the diameter (3e-7 off
 # on OP^2 at D - 1e-3); 1e-12 settles it to the closed forms' last digits
 _SETTINGS = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=3000)
-
-
-class Method(Enum):
-    QUADRATURE = "quadrature"
-    CLOSED_FORM = "closed_form"
-
-
-@dataclass(frozen=True)
-class BallKernelValue:
-    spec: ManifoldSpec
-    a: float
-    k_value: float
-    theta_value: float
-    method: Method
-
-    def __post_init__(self):
-        if not 0.0 < self.a <= diameter(self.spec):
-            raise DomainError(f"radius {self.a} outside (0, D] for {self.spec}")
 
 
 def cum_volume_over_area(
@@ -144,117 +141,216 @@ def theta_quadrature(
 # ---------------------------------------------------------------------------
 
 
-def _closed_dps(n: int, a: float, D: float) -> int:
-    # the formulas cancel through ~2n*log10(1/S) digits for small S = sin a
-    s = math.sin(min(a, D))
-    if s <= 0.0:
-        raise DomainError("closed forms need a > 0")
-    extra = int(2 * max(n, 8) * math.log10(1.0 / s)) + 10 if s < 1.0 else 10
-    return min(40 + max(extra, 0), 600)
+# Each function gives one formula's parts (R, P, e, D, c), as in the module
+# docstring, with exact rational coefficients in ascending powers of x (D in y).
+
+
+def _harmonic(k: int) -> Fraction:
+    return sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
+
+
+# the Cayley plane's 165 - 440x + 396x^2 - 120x^3 at x = 1 - y
+_OP2_D = (1, 8, 36, 120)
+
+
+def _k_parts(spec: ManifoldSpec):
+    n = spec.n
+    if spec.family is Family.COMPLEX_PROJ:
+        # 4n V x^n K = sum_{k<=n} x^k / k + (1 - x^n) log(1 - x)
+        r = [Fraction(0)] + [Fraction(1, k) for k in range(1, n + 1)]
+        p = [Fraction(1)] + [Fraction(0)] * (n - 1) + [Fraction(-1)]
+        return r, p, n, (1,), 4 * n
+    if spec.family is Family.QUAT_PROJ:
+        # 4(m+1) V x^m w K = sum_{k<=m+1} x^k / k + (1 - w x^m) log(1 - x), w = 1 + m y
+        m = 2 * n
+        r = [Fraction(0)] + [Fraction(1, k) for k in range(1, m + 2)]
+        p = [Fraction(1)] + [Fraction(0)] * (m - 1) + [Fraction(-(m + 1)), Fraction(m)]
+        return r, p, m, (1, m), 4 * (m + 1)
+    # 1219680 V x^8 D K = x poly(x) + 27720 (1 - 165x^8 + 440x^9 - 396x^10 + 120x^11) log(1 - x)
+    poly = (27720, 13860, 9240, 6930, 5544, 4620, 3960, 3465, 1019480, -1826748, 815640)
+    r = [Fraction(0)] + [Fraction(v) for v in poly]
+    p = [Fraction(27720 * v) for v in (1, 0, 0, 0, 0, 0, 0, 0, -165, 440, -396, 120)]
+    return r, p, 8, _OP2_D, 1219680
+
+
+def _theta_parts(spec: ManifoldSpec):
+    n = spec.n
+    if spec.family is Family.COMPLEX_PROJ:
+        # 2n V x^(n-1) Theta = (n/2) sum_{k<n} x^(n-1-k) / (k (n-k)) - (H_{n-1} + log(x) / 2) x^(n-1)
+        r = [Fraction(n, 2 * k * (n - k)) for k in range(n - 1, 0, -1)] + [-_harmonic(n - 1)]
+        p = [Fraction(0)] * (n - 1) + [Fraction(-1, 2)]
+        return r, p, n - 1, (1,), 2 * n
+    if spec.family is Family.QUAT_PROJ:
+        # 4(m+1) V x^(m-1) w Theta = 2n(m+1) sum_{k<m} x^(m-1-k) / (k (k+1) (m-k))
+        #     - (2 H_{m-1} w + 1 + 2(n-1) x + w log x) x^(m-1), w = m + 1 - m x
+        m = 2 * n
+        h = _harmonic(m - 1)
+        r = [Fraction(2 * n * (m + 1), k * (k + 1) * (m - k)) for k in range(m - 1, 0, -1)]
+        r += [-2 * h * (m + 1) - 1, 2 * h * m - 2 * (n - 1)]
+        p = [Fraction(0)] * (m - 1) + [Fraction(-(m + 1)), Fraction(m)]
+        return r, p, m - 1, (1, m), 4 * (m + 1)
+    # 9240 V x^7 D Theta = poly(x) - 210 x^7 D log x, D = 165 - 440x + 396x^2 - 120x^3
+    poly = (330, 275, 330, 495, 924, 2310, 9900, -190150, 427500, -353334, 101420)
+    p = [Fraction(0)] * 7 + [Fraction(-210 * v) for v in (165, -440, 396, -120)]
+    return [Fraction(v) for v in poly], p, 7, _OP2_D, 9240
+
+
+def _recentre(coeffs: list[Fraction]) -> list[Fraction]:
+    """The coefficients of c(1 - s) from those of c(s)."""
+    out = [Fraction(0)] * len(coeffs)
+    for i, ci in enumerate(coeffs):
+        if ci:
+            for k in range(i + 1):
+                out[k] += ci * math.comb(i, k) * (-1) ** k
+    return out
+
+
+@dataclass(frozen=True)
+class _ClosedForm:
+    """One kernel's closed formula on one manifold, tabulated in doubles.
+
+    Below t = switch the kernel is t * poly(series, t) / (scale D(y)) for K
+    (the series is already divided by x^e) and / (scale x^e D(y)) for Theta;
+    from there on (poly(r, u) + poly(p, u) log u) / (scale x^e D(y)), with
+    u = 1 - t. tail bounds the relative size of the series terms left out.
+    """
+
+    t_is_x: bool
+    series: tuple[float, ...]
+    r: tuple[float, ...]
+    p: tuple[float, ...]
+    e: int
+    d: tuple[float, ...]
+    scale: float
+    switch: float
+    tail: float
+
+
+def _poly(coeffs: tuple[float, ...], s: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
+
+
+def _abs_poly(coeffs: list[Fraction], s: np.ndarray) -> np.ndarray:
+    return s[:, None] ** np.arange(len(coeffs)) @ np.array([abs(float(v)) for v in coeffs])
+
+
+@functools.cache
+def _closed_form(spec: ManifoldSpec, kernel: str) -> _ClosedForm:
+    """Derive one formula's series and re-centred polynomials exactly."""
+    t_is_x = kernel == "k"
+    r, p, e, d, c = (_k_parts if t_is_x else _theta_parts)(spec)
+    r_t, p_t = (r, p) if t_is_x else (_recentre(r), _recentre(p))
+    r_u, p_u = (_recentre(r), _recentre(p)) if t_is_x else (r, p)
+    # the numerator vanishes to order e + 1 in x (K) or 1 in y (Theta)
+    order = e + 1 if t_is_x else 1
+    # log(1 - t) = -sum t^k / k, so R + P log(1 - t) = sum_j (R_j - sum_i P_i / (j - i)) t^j
+    nonzero = [(i, pi) for i, pi in enumerate(p_t) if pi]
+    p_norm = float(sum(abs(pi) for _, pi in nonzero))
+    coeffs: list[Fraction] = []
+
+    def series(switch: float) -> tuple[tuple[float, ...], float]:
+        """Coefficients from t^order on for t < switch, and the relative size of the rest.
+
+        Past the polynomials |coefficient j| <= |P|_1 / (j - deg P), so the
+        terms from t^count on sum to at most `dropped` at the switch.
+        """
+        count = max(order + math.ceil(38.0 / -math.log(switch)), len(r_t) + 1)
+        while True:
+            for j in range(len(coeffs), count):
+                rj = r_t[j] if j < len(r_t) else Fraction(0)
+                coeffs.append(rj - sum((pi / (j - i) for i, pi in nonzero if i < j), Fraction(0)))
+            kept = tuple(float(v) for v in coeffs[order:count])
+            value = abs(switch**order * _poly(kept, switch))
+            dropped = p_norm * switch**count / ((count - len(p_t) + 1) * (1.0 - switch))
+            if dropped <= 2.0**-56 * value:
+                return kept, dropped / value
+            count += 4
+
+    # past t = 1/2, or x^e = 1/4 for K with e > 2, the series needs too many terms
+    cap = max(0.5, 4.0 ** (-1.0 / e)) if t_is_x else 0.5
+    kept, _ = series(cap)
+    if any(coeffs[:order]):
+        raise AssertionError(f"closed {kernel} numerator on {spec} does not vanish to order {order}")
+    # rounding-error amplification of both routes on a grid up to the cap; the
+    # series serves t until the direct formula's falls to its own. log u is off
+    # by an ulp of 1 near u = 1, hence the 1 added to |log u|
+    grid = cap * np.arange(1, 65) / 64
+    powers = grid[:, None] ** np.arange(len(kept))
+    values = np.abs(powers @ np.array(kept))
+    u = 1.0 - grid
+    with np.errstate(divide="ignore", under="ignore"):  # t^order underflows on a high-dimensional grid
+        amp_series = (powers @ np.abs(kept)) / values
+        amp_direct = (_abs_poly(r_u, u) + (np.abs(np.log(u)) + 1.0) * _abs_poly(p_u, u)) / (
+            grid**order * values
+        )
+    crossed = np.flatnonzero(amp_direct <= amp_series)
+    switch = float(grid[crossed[0]]) if crossed.size else cap
+    kept, tail = series(switch)
+    return _ClosedForm(
+        t_is_x=t_is_x,
+        series=kept,
+        r=tuple(float(v) for v in r_u),
+        p=tuple(float(v) for v in p_u),
+        e=e,
+        d=tuple(float(v) for v in d),
+        scale=c * volume(spec),
+        switch=switch,
+        tail=tail,
+    )
+
+
+def _closed_eval(form: _ClosedForm, a: float) -> float:
+    sin_a, cos_a = math.sin(a), math.cos(a)
+    x, y = sin_a * sin_a, cos_a * cos_a
+    t, u = (x, y) if form.t_is_x else (y, x)
+    if t < form.switch:
+        num, e = t * _poly(form.series, t), 0 if form.t_is_x else form.e
+    else:
+        log_u = 2.0 * math.log(cos_a if form.t_is_x else sin_a)
+        num, e = _poly(form.r, u) + _poly(form.p, u) * log_u, form.e
+    den = form.scale * sin_a ** (2 * e) * _poly(form.d, y)
+    value = num / den if den else math.inf
+    if not math.isfinite(value):
+        raise SingularityError(f"the closed kernel formula overflows a double at a = {a!r}")
+    return value
+
+
+def _check_closed(spec: ManifoldSpec, a: float, name: str) -> float:
+    if spec.family in (Family.SPHERE, Family.REAL_PROJ):
+        raise UnsupportedManifoldError(
+            "no closed ball kernel exists for spheres or real projective spaces"
+        )
+    D = diameter(spec)
+    if not 0.0 < a <= D * (1.0 + 1e-12):
+        raise DomainError(f"{name} needs a in (0, D], got {a}")
+    return min(a, D)
 
 
 def k_closed(spec: ManifoldSpec, a: float) -> float:
-    """The exact K(M, a) formulas in S = sin a, at adaptive precision."""
-    D = diameter(spec)
-    if spec.family in (Family.SPHERE, Family.REAL_PROJ):
-        raise UnsupportedManifoldError(
-            "no closed ball kernel exists for spheres or real projective spaces"
-        )
-    if not 0.0 < a <= D * (1.0 + 1e-12):
-        raise DomainError(f"K needs a in (0, D], got {a}")
-    n = spec.n
-    V = volume(spec)
-    if a >= D:
-        # S -> 1 limit: the (1 - S^{2n}) log(1 - S^2) terms vanish
-        if spec.family is Family.COMPLEX_PROJ:
-            return harmonic_number(n) / (4.0 * n * V)
-        if spec.family is Family.QUAT_PROJ:
-            return harmonic_number(2 * n + 1) / (4.0 * (2 * n + 1) * V)
-        return 83711.0 / 1219680.0 / V
+    """The exact K(M, a) formula in double precision.
 
-    with mp.workdps(_closed_dps(2 * n if spec.family is Family.QUAT_PROJ else n, a, D)):
-        S2 = mp.sin(mp.mpf(a)) ** 2
-        log1mS2 = mp.log(1 - S2)
-        if spec.family is Family.COMPLEX_PROJ:
-            acc = mp.fsum(S2**k / k for k in range(1, n + 1))
-            val = ((1 - S2**n) * log1mS2 + acc) / (4 * n * V * S2**n)
-        elif spec.family is Family.QUAT_PROJ:
-            m = 2 * n
-            acc = mp.fsum(S2**k / k for k in range(1, m + 2))
-            w = m * (1 - S2) + 1
-            val = ((acc + log1mS2) / S2 ** (2 * n) - w * log1mS2) / (
-                4 * (m + 1) * w * V
-            )
-        else:
-            S = mp.sqrt(S2)
-            poly = (
-                815640 * S**20
-                - 1826748 * S**18
-                + 1019480 * S**16
-                + 3465 * S**14
-                + 3960 * S**12
-                + 4620 * S**10
-                + 5544 * S**8
-                + 6930 * S**6
-                + 9240 * S**4
-                + 13860 * S**2
-                + 27720
-            )
-            logpoly = 120 * S**22 - 396 * S**20 + 440 * S**18 - 165 * S**16 + 1
-            denom = 1219680 * V * S**16 * (-120 * S**6 + 396 * S**4 - 440 * S**2 + 165)
-            val = (S**2 * poly + 27720 * logpoly * mp.log(1 - S**2)) / denom
-        return float(val)
+    c V x^e D(y) K = R(x) + P(x) log y vanishes to order e + 1 at x = 0.
+    Below the switch, K is the Taylor series of that numerator over x^e
+    (CP^n: sum_j x^j / (4 V j (j + n)); HP^n with m = 2n:
+    ((m+1) x - m(m+1) sum_{j>=2} x^j / (j (j-1) (j+m))) / (4 (m+1) (1 + m y) V)),
+    which leaves out less than 2^-56 of the value; above it, the direct
+    formula in powers of y with log y = 2 log cos a.
+    """
+    return _closed_eval(_closed_form(spec, "k"), _check_closed(spec, a, "K"))
 
 
 def theta_closed(spec: ManifoldSpec, a: float) -> float:
-    """The exact Theta(M, a) formulas in S = sin a, at adaptive precision."""
-    D = diameter(spec)
-    if spec.family in (Family.SPHERE, Family.REAL_PROJ):
-        raise UnsupportedManifoldError(
-            "no closed ball kernel exists for spheres or real projective spaces"
-        )
-    if not 0.0 < a <= D * (1.0 + 1e-12):
-        raise DomainError(f"Theta needs a in (0, D], got {a}")
-    n = spec.n
-    V = volume(spec)
-    with mp.workdps(_closed_dps(2 * n if spec.family is Family.QUAT_PROJ else n, a, D)):
-        S2 = mp.sin(mp.mpf(min(a, D))) ** 2
-        logS = mp.log(S2) / 2
-        if spec.family is Family.COMPLEX_PROJ:
-            acc = mp.fsum(
-                mp.mpf(1) / (k * (n - k) * S2**k) for k in range(1, n)
-            )
-            val = (-harmonic_number(n - 1) - logS + n * acc / 2) / (2 * n * V)
-        elif spec.family is Family.QUAT_PROJ:
-            m = 2 * n
-            w = m * (1 - S2) + 1
-            acc = mp.fsum(
-                mp.mpf(1) / (k * (k + 1) * (m - k) * S2**k) for k in range(1, m)
-            )
-            val = (
-                n * acc / (2 * w)
-                - mp.mpf(harmonic_number(m - 1)) / (2 * (m + 1))
-                - logS / (2 * (m + 1))
-                - (1 + 2 * (n - 1) * S2) / (4 * (m + 1) * w)
-            ) / V
-        else:
-            S = mp.sqrt(S2)
-            poly = (
-                101420 * S**20
-                - 353334 * S**18
-                + 427500 * S**16
-                - 190150 * S**14
-                + 9900 * S**12
-                + 2310 * S**10
-                + 924 * S**8
-                + 495 * S**6
-                + 330 * S**4
-                + 275 * S**2
-                + 330
-            )
-            denom = 9240 * S**14 * (-120 * S**6 + 396 * S**4 - 440 * S**2 + 165)
-            val = (poly / denom - logS / 22) / V
-        return float(val)
+    """The exact Theta(M, a) formula in double precision.
+
+    c V x^e D(y) Theta = R(x) + P(x) log x vanishes at y = 0, where
+    Theta(M, D) = 0. Below the switch in y, Theta is the Taylor series of
+    that numerator in y, which leaves out less than 2^-56 of the value;
+    above it, the direct formula in powers of x with log x = 2 log sin a.
+    """
+    return _closed_eval(_closed_form(spec, "theta"), _check_closed(spec, a, "Theta"))
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +402,6 @@ def theta_asymptotic(spec: ManifoldSpec, a: float) -> float:
     """Small-radius law Theta = d B_M a^(2-d) / (2 V); requires d > 2."""
     d = dimension(spec)
     return d * bm_constant(spec) * a ** (2 - d) / (2.0 * volume(spec))
-
-
-def kernel_row(spec: ManifoldSpec, a: float) -> BallKernelValue:
-    """Both kernels at (spec, a) via the preferred route."""
-    method = Method.CLOSED_FORM if spec.family in _HAS_CLOSED else Method.QUADRATURE
-    return BallKernelValue(spec, a, k_value(spec, a), theta_value(spec, a), method)
 
 
 # ---------------------------------------------------------------------------

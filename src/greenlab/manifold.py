@@ -639,7 +639,13 @@ def load_configuration(fh: TextIO) -> Configuration:
     )
     if "manifold" not in fields or "n" not in fields:
         raise DomainError(f"malformed configuration header: {header!r}")
-    spec = ManifoldSpec.from_token(fields["manifold"], int(fields["n"]))
+    try:
+        n = int(fields["n"])
+    except ValueError as exc:
+        raise DomainError(
+            f"configuration header field n must be an integer, got {fields['n']!r}"
+        ) from exc
+    spec = ManifoldSpec.from_token(fields["manifold"], n)
     width = _row_width(spec)
     rows = []
     for line_no, line in enumerate(fh, start=2):

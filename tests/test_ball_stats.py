@@ -1,10 +1,12 @@
 """Ball kernels: quadrature vs closed forms, asymptotics, average identities."""
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from greenlab.manifold import (
     volume,
 )
 from greenlab.special_math import harmonic_number
+
+from closed_form_oracle import k_oracle, theta_oracle
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
 S3 = ManifoldSpec(Family.SPHERE, 3)
@@ -158,13 +162,73 @@ class TestClosedForms:
             assert acc == pytest.approx(harmonic_number(n - 1), rel=1e-13)
 
     def test_small_radius_cancellation_regime(self):
-        # tiny sin(a) drives the closed forms through massive cancellation;
-        # adaptive precision must still match quadrature
+        # tiny sin(a) drives the direct closed formula through massive
+        # cancellation; the series branch must still match quadrature
         spec = ManifoldSpec(Family.COMPLEX_PROJ, 10)
         a = 0.05
         assert bs.k_closed(spec, a) == pytest.approx(
             bs.k_quadrature(spec, a), rel=1e-7
         )
+
+
+class TestClosedFormsAgainstMpmath:
+    """The double-precision closed forms against the same formulas in mpmath."""
+
+    SPECS = [ManifoldSpec(Family.COMPLEX_PROJ, n) for n in (2, 10, 30)] + [
+        ManifoldSpec(Family.QUAT_PROJ, n) for n in (1, 5, 15)
+    ] + [OP2]
+
+    @staticmethod
+    def radii(spec):
+        D = diameter(spec)
+        return [float(a) for a in np.geomspace(1e-4 * D, D, 200)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_k(self, spec):
+        worst = max(
+            abs(bs.k_closed(spec, a) / k_oracle(spec, a) - 1.0) for a in self.radii(spec)
+        )
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_theta(self, spec):
+        floor = 1e-14 / volume(spec)
+        for a in self.radii(spec):
+            want = theta_oracle(spec, a)
+            assert abs(bs.theta_closed(spec, a) - want) <= 1e-13 * abs(want) + floor, a
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_series_truncation_bound(self, spec):
+        for kernel in ("k", "theta"):
+            form = bs._closed_form(spec, kernel)
+            assert 0.0 < form.switch < 1.0
+            assert form.tail <= 2.0**-56
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_complex_k_series_coefficients(self, n):
+        # K = sum_j x^j / (4 V j (j + n)), x = sin^2 a
+        series = bs._closed_form(ManifoldSpec(Family.COMPLEX_PROJ, n), "k").series
+        assert series == tuple(float(Fraction(n, j * (j + n))) for j in range(1, len(series) + 1))
+
+    @pytest.mark.parametrize("n", [1, 3, 15])
+    def test_quaternionic_k_series_coefficients(self, n):
+        # numerator / x^m = (m+1) x - m(m+1) sum_{j>=2} x^j / (j (j-1) (j+m)), m = 2n
+        m = 2 * n
+        series = bs._closed_form(ManifoldSpec(Family.QUAT_PROJ, n), "k").series
+        want = [float(m + 1)] + [
+            float(Fraction(-m * (m + 1), j * (j - 1) * (j + m))) for j in range(2, len(series) + 1)
+        ]
+        assert series == tuple(want)
+
+    @pytest.mark.parametrize("spec", [CP2, HP1, OP2], ids=str)
+    def test_branches_meet_at_the_switch(self, spec):
+        for kernel in ("k", "theta"):
+            form = bs._closed_form(spec, kernel)
+            # the radius whose sin^2 (K) or cos^2 (Theta) is the switch
+            a = math.asin(math.sqrt(form.switch if form.t_is_x else 1.0 - form.switch))
+            series = bs._closed_eval(dataclasses.replace(form, switch=2.0), a)
+            direct = bs._closed_eval(dataclasses.replace(form, switch=-1.0), a)
+            assert direct == pytest.approx(series, rel=1e-14)
 
 
 class TestThetaQuadrature:
@@ -302,13 +366,3 @@ class TestMemoization:
         with ThreadPoolExecutor(max_workers=8) as pool:
             vals = list(pool.map(lambda _: bs.theta_value(spec, 0.77), range(32)))
         assert len(set(vals)) == 1
-
-    def test_kernel_row_method_tag(self):
-        row = bs.kernel_row(CP2, 0.9)
-        assert row.method is bs.Method.CLOSED_FORM
-        row = bs.kernel_row(S3, 0.9)
-        assert row.method is bs.Method.QUADRATURE
-
-    def test_kernel_value_validation(self):
-        with pytest.raises(DomainError):
-            bs.BallKernelValue(S2, 0.0, 1.0, 1.0, bs.Method.QUADRATURE)

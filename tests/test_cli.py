@@ -37,6 +37,26 @@ def test_import_leaves_scipy_optimize_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_bound_leaves_mpmath_out():
+    # the closed K and Theta formulas run in double precision; mpmath is a
+    # test-only dependency
+    code = (
+        "import sys\n"
+        "from greenlab.cli import main\n"
+        "assert main(['bound', '--family', 'cp', '--n', '2', '--points', '500']) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 class TestCompare:
     def test_cayley_plane_row(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--family", "op2")
@@ -232,6 +252,13 @@ class TestRejectedInputs:
         cfg.write_text(f"# manifold={family} n=1\n1 0\n0 1\n")
         code, _, err = run_cli(capsys, "energy", "--config", str(cfg))
         assert code == 1 and err.startswith("error:")
+
+    def test_non_integer_dimension_in_configuration_is_an_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad_n.txt"
+        cfg.write_text("# manifold=s n=two\n1 0 0\n0 1 0\n")
+        code, out, err = run_cli(capsys, "energy", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "field n" in err and "'two'" in err
 
     @pytest.mark.parametrize("iters", ["-1", "-200"])
     def test_negative_iterations_are_an_error(self, capsys, iters):

@@ -464,6 +464,11 @@ class TestConfigurationFiles:
         with pytest.raises(DomainError):
             load_configuration(io.StringIO("1.0 0.0 0.0\n"))
 
+    @pytest.mark.parametrize("n", ["two", "2.5", ""])
+    def test_non_integer_dimension_rejected(self, n):
+        with pytest.raises(DomainError, match="field n"):
+            load_configuration(io.StringIO(f"# manifold=s n={n}\n1.0 0.0 0.0\n"))
+
     def test_bad_coordinates(self):
         with pytest.raises(DomainError):
             load_configuration(io.StringIO("# manifold=s n=2\n1.0 zero 0.0\n"))
