@@ -1,11 +1,14 @@
 """Green energies of explicit configurations and a Riemannian descent optimizer.
 
 The energy of a configuration is the sum of the radial Green profile over
-all ordered distinct pairs. Pair distances are formed from Gram matrices
-of the points' real frames (see `manifold`), so the whole evaluation is
-O(N^2) dense linear algebra plus one vectorized profile sweep, the same
-for every family. The optimizer's gradient is formed the same way, from
-the same products, with one array evaluation of phi' per block of pairs.
+all ordered distinct pairs, twice the sum over the upper triangle i < j.
+Pair distances are formed from Gram products of the points' real frames
+(see `manifold`): a block of rows lo..hi-1 meets only the points after
+lo, so the sweep forms cosines, arccos values and profile values for
+about N^2/2 pairs, not N^2. The whole evaluation is O(N^2) dense linear
+algebra plus one vectorized profile sweep, the same for every family. The
+optimizer's gradient is formed the same way, from the same products, with
+one array evaluation of phi' per block of pairs.
 """
 
 from __future__ import annotations
@@ -90,24 +93,27 @@ def _energy_rows(
     floor = _MIN_SEPARATION_FACTOR * diameter(spec)
 
     def block_sum(lo: int, hi: int) -> float:
-        gram = _cosines(spec, coords[lo:hi], coords)
-        upper = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
+        # rows lo..hi-1 against the points after lo: column c is point lo + 1 + c
+        later = coords[lo + 1 :]
+        gram = _cosines(spec, coords[lo:hi], later)
+        upper = np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
         rows, cols = np.nonzero(upper & (gram > _CHORD_COSINE))
         np.clip(gram, -1.0, 1.0, out=gram)
         dist = np.arccos(gram)
         # close pairs: arccos of a cosine near 1 keeps only half the digits
-        dist[rows, cols] = _chord_distances(spec, coords[lo + rows], coords[cols])
+        dist[rows, cols] = _chord_distances(spec, coords[lo + rows], later[cols])
         pair_d = dist[upper]
         if np.any(pair_d < floor):
             rows, cols = np.nonzero(upper & (dist < floor))
-            i, j = lo + int(rows[0]), int(cols[0])
+            i, j = lo + int(rows[0]), lo + 1 + int(cols[0])
             raise SingularityError(
                 f"points {i} and {j} are closer than {floor:g} "
                 f"(distance {dist[rows[0], cols[0]]:g})"
             )
         return float(np.sum(profile.phi(pair_d)))
 
-    blocks = _row_blocks(n, _BLOCK_PAIRS)
+    # the last point has no later partner: a block of it alone is left out
+    blocks = [(lo, hi) for lo, hi in _row_blocks(n, _BLOCK_PAIRS) if lo < n - 1]
     if threads <= 1 or len(blocks) == 1:
         partials = [block_sum(lo, hi) for lo, hi in blocks]
     else:

@@ -25,9 +25,15 @@ the log variable, covers the singular head below r_cut. Both are filled
 from the integrals of psi between neighbouring nodes, which one batched
 G7/K15 call computes for all new intervals at once; an interval that
 misses the single-panel accuracy test goes through adaptive quadrature.
-Below the head table, evaluation falls back to direct quadrature, down
-to the radius where phi_hat stops being representable in floating point;
-below that it raises SingularityError.
+
+The main table's panels are only the build source. Radii in [r_cut, D]
+are evaluated from a cell table fitted to them (`chebyshev.CellTable`):
+S uniform cells of degree-5 polynomials, found by arithmetic instead of
+a search, with S doubled from 2048 until the cells match the panels
+within 1e-14 of the same error scale at off-grid check points. Below the
+head table, evaluation falls back to direct quadrature, down to the
+radius where phi_hat stops being representable in floating point; below
+that it raises SingularityError.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import betainc
 
-from .chebyshev import ChebyshevInterpolant, lobatto_nodes
+from .chebyshev import CellTable, ChebyshevInterpolant, lobatto_nodes
 from .errors import DomainError, SingularityError
 from .manifold import (
     Family,
@@ -84,6 +90,13 @@ _UNIFORM_PANELS = 4
 _TAIL_TOL = 1e-14
 _MAX_SPLIT_ROUNDS = 8
 _HEAD_NODES = 160
+# the cell table evaluated in place of the main table: _MIN_CELLS cells,
+# doubled up to _MAX_CELLS until they match the main table within _TAIL_TOL
+# of the same error scale at the _CELL_CHECKS offsets (in cell widths) from
+# every centre: both ends of each cell, where the interpolation error peaks
+_MIN_CELLS = 2048
+_MAX_CELLS = 1 << 16
+_CELL_CHECKS = np.array([-0.499, 0.499])
 _PROFILE_ROWS = 200  # radii listed by `grid_rows`
 
 
@@ -295,6 +308,7 @@ class RadialGreenProfile:
     r_cut: float
     r_min: float
     _main: ChebyshevInterpolant  # phi_hat * r^(d-2) on [r_cut, D] in panels (d=2: +log term removed)
+    _cells: CellTable  # the same function, fitted to _main in uniform cells; evaluated in its place
     _head: ChebyshevInterpolant  # log(phi_hat) against w = log(r_cut / r)
     _log_coeff: float  # V / vol(S^(d-1)); the d=2 log-head slope
 
@@ -330,9 +344,7 @@ class RadialGreenProfile:
         return out
 
     def _main_values(self, x: np.ndarray, d: int) -> np.ndarray:
-        if d > 2:
-            return self._main(x) * x ** (2 - d)
-        return self._main(x) - self._log_coeff * np.log(x)
+        return _phi_hat_from_stored(self._cells(x), x, d, self._log_coeff)
 
     def phi(self, r):
         """Green profile value(s) phi(r); scalar in, scalar out."""
@@ -378,8 +390,30 @@ def _tail(values: np.ndarray) -> np.ndarray:
     return np.max(np.abs(values @ basis.T), axis=1)
 
 
+def _phi_hat_from_stored(stored: np.ndarray, x: np.ndarray, d: int, log_coeff: float) -> np.ndarray:
+    """phi_hat at x from the main table's stored function: phi_hat r^(d-2), or phi_hat + log_coeff log r when d = 2."""
+    if d > 2:
+        return stored * x ** (2 - d)
+    return stored - log_coeff * np.log(x)
+
+
+def _fit_cells(main: ChebyshevInterpolant, c_m: float, d: int, log_coeff: float) -> CellTable:
+    """The fewest cells, from _MIN_CELLS doubling, that match the main table at the check points."""
+    lo, hi = main.nodes[0], main.nodes[-1]
+    cells = _MIN_CELLS
+    while True:
+        table = CellTable.fit(main, lo, hi, cells)
+        x = np.clip((table.centres[:, None] + table.h * _CELL_CHECKS).ravel(), lo, hi)
+        exact = _phi_hat_from_stored(main(x), x, d, log_coeff)
+        defect = np.abs(_phi_hat_from_stored(table(x), x, d, log_coeff) - exact)
+        if cells >= _MAX_CELLS or np.all(defect <= _TAIL_TOL * (np.abs(exact) + abs(c_m))):
+            return table
+        cells *= 2
+
+
 def _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings):
-    """The main table of phi_hat on [r_cut, D], split into panels until each resolves it, and the head.
+    """The main table of phi_hat on [r_cut, D], split into panels until each resolves it,
+    its cell table, and the head.
 
     Node values come from the integrals of psi between neighbouring nodes,
     summed from D down: over whole panels first, then within each panel,
@@ -389,6 +423,7 @@ def _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings):
     d = dimension(spec)
     psi = _radial_ratios(spec).psi
     m = _PANEL_NODES
+    log_coeff = volume(spec) / vol_unit_sphere(d)
 
     knee = 0.5 * D if r_cut < 0.5 * D else r_cut
     breaks = np.concatenate([
@@ -422,7 +457,7 @@ def _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings):
             stored = vals * nodes ** (d - 2)
             scale = (vals + abs(c_m)) * nodes ** (d - 2)
         else:
-            stored = vals + (volume(spec) / vol_unit_sphere(d)) * np.log(nodes)
+            stored = vals + log_coeff * np.log(nodes)
             scale = vals + abs(c_m)
         coarse = _tail(stored) > _TAIL_TOL * scale.min(axis=1)
         if not coarse.any() or round_ == _MAX_SPLIT_ROUNDS - 1:
@@ -435,7 +470,7 @@ def _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings):
     main = ChebyshevInterpolant(np.append(nodes[:, :-1].ravel(), D), flat, m)
     head_vals = np.cumsum(np.append(vals[0, 0], head_ints))
     head = ChebyshevInterpolant(w_nodes, np.log(head_vals))
-    return main, head
+    return main, _fit_cells(main, c_m, d, log_coeff), head
 
 
 def build_profile(
@@ -457,13 +492,14 @@ def build_profile(
 
     # mean-zero constant: Theta(M, D) = 0 gives C = -(1/V) int_0^D V(s) psi(s) ds
     c_m = -integrate(_radial_ratios(spec).moment, 0.0, D, settings) / volume(spec)
-    main, head = _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings)
+    main, cells, head = _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings)
     return RadialGreenProfile(
         spec=spec,
         c_m=c_m,
         r_cut=r_cut,
         r_min=r_min,
         _main=main,
+        _cells=cells,
         _head=head,
         _log_coeff=volume(spec) / vol_unit_sphere(d),
     )

@@ -421,15 +421,20 @@ def _row_width(spec: ManifoldSpec) -> int:
     return _FIELD_RANK[spec.family] * (spec.n + 1)
 
 
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """x . x for every row x, each from the BLAS dot a lone `x.dot(x)` takes."""
+    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
 def _unit_rows(spec: ManifoldSpec, rows: np.ndarray) -> np.ndarray:
     """rows scaled to unit length, each with the bits its Point-shaped coords
     get from division by np.linalg.norm: the same dot products, and for
     complex coords a product with the reciprocal, which is how numpy divides
     a complex array by a real."""
     if spec.family is Family.COMPLEX_PROJ:
-        norms = np.sqrt([x[0::2].dot(x[0::2]) + x[1::2].dot(x[1::2]) for x in rows])
+        norms = np.sqrt(_row_dots(rows[:, 0::2]) + _row_dots(rows[:, 1::2]))
     else:
-        norms = np.sqrt([x.dot(x) for x in rows])
+        norms = np.sqrt(_row_dots(rows))
     if not norms.all():
         raise DomainError("zero vector cannot represent a point")
     if spec.family is Family.COMPLEX_PROJ:
@@ -647,21 +652,33 @@ def load_configuration(fh: TextIO) -> Configuration:
         ) from exc
     spec = ManifoldSpec.from_token(fields["manifold"], n)
     width = _row_width(spec)
-    rows = []
-    for line_no, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            row = [float(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise DomainError(f"bad coordinate on line {line_no}: {exc}") from exc
-        if len(row) != width:
-            raise DomainError(
-                f"expected {width} coordinates per line for {spec}, "
-                f"got {len(row)} on line {line_no}"
-            )
-        rows.append(row)
+    # the body in one pass: blank and comment lines dropped, the rest parsed
+    # by one array conversion, which fails on a bad token or a ragged row
+    lines = [line.split() for line in fh]
+    rows = [tokens for tokens in lines if tokens and not tokens[0].startswith("#")]
     if not rows:
         raise DomainError("configuration file contains no points")
-    return Configuration.from_array(spec, _unit_rows(spec, np.array(rows)))
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        values = None
+    if values is None or values.shape[1] != width:
+        _raise_bad_line(lines, width, spec)
+    return Configuration.from_array(spec, _unit_rows(spec, values))
+
+
+def _raise_bad_line(lines: list[list[str]], width: int, spec: ManifoldSpec) -> None:
+    """Raise the `DomainError` naming the first body line (numbered from the
+    header's 1) with a bad coordinate or the wrong number of them."""
+    for line_no, tokens in enumerate(lines, start=2):
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        try:
+            [float(tok) for tok in tokens]
+        except ValueError as exc:
+            raise DomainError(f"bad coordinate on line {line_no}: {exc}") from exc
+        if len(tokens) != width:
+            raise DomainError(
+                f"expected {width} coordinates per line for {spec}, "
+                f"got {len(tokens)} on line {line_no}"
+            )

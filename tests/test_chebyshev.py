@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from greenlab.chebyshev import _CHUNK, ChebyshevInterpolant, lobatto_nodes
+from greenlab.chebyshev import _CELL_CHUNK, _CHUNK, CellTable, ChebyshevInterpolant, lobatto_nodes
 
 
 def panel_nodes(breaks, m):
@@ -114,3 +114,53 @@ class TestPanels:
     def test_panels_must_tile_the_nodes(self):
         with pytest.raises(ValueError):
             ChebyshevInterpolant(np.arange(20.0), np.arange(20.0), 17)
+
+
+class TestCells:
+    LO, HI = 0.1, 2.0
+
+    @staticmethod
+    def f(x):
+        return np.exp(np.sin(3 * x)) / x
+
+    def table(self, cells=256):
+        return CellTable.fit(self.f, self.LO, self.HI, cells)
+
+    def test_centres_return_the_function_bit_for_bit(self):
+        cells = self.table()
+        assert cells.centres[0] == self.LO and cells.centres[-1] == self.HI
+        assert np.array_equal(cells(cells.centres), self.f(cells.centres))
+        assert cells(self.LO) == self.f(np.array([self.LO]))[0]
+
+    def test_degree_five_accuracy(self):
+        # interpolation at six points per cell: the error falls as h^6
+        x = np.random.default_rng(6).uniform(self.LO, self.HI, 5000)
+        exact = self.f(x)
+        errs = [np.max(np.abs(self.table(c)(x) - exact) / np.abs(exact)) for c in (128, 256)]
+        assert errs[1] < 1e-9
+        assert errs[0] / errs[1] > 40
+
+    def test_exact_on_quintics(self):
+        def quintic(x):
+            return 1.0 + x * (-2.0 + x * (0.5 + x * (3.0 + x * (-1.0 + 0.25 * x))))
+
+        cells = CellTable.fit(quintic, self.LO, self.HI, 8)
+        x = np.linspace(self.LO, self.HI, 1001)
+        assert np.max(np.abs(cells(x) - quintic(x))) < 1e-13
+
+    def test_lone_point_has_its_batch_bits(self):
+        cells = self.table()
+        x = np.random.default_rng(7).uniform(self.LO, self.HI, 2 * _CELL_CHUNK + 5)
+        batch = cells(x)
+        assert np.array_equal(batch, [cells(float(v)) for v in x])
+        assert np.array_equal(batch[::-1], cells(x[::-1]))
+
+    def test_scalar_empty_and_shaped_forms(self):
+        cells = self.table()
+        assert isinstance(cells(1.0), float)
+        assert cells(np.array([])).shape == (0,)
+        assert cells(np.full((2, 3), 1.5)).shape == (2, 3)
+
+    def test_coefficients_must_match_cells(self):
+        with pytest.raises(ValueError):
+            CellTable(0.0, 1.0, np.linspace(0.0, 1.0, 5), np.zeros((6, 4)))

@@ -135,6 +135,16 @@ class TestEnergy:
         with pytest.raises(SingularityError, match="0 and 2"):
             en.energy(cfg)
 
+    def test_duplicate_guard_names_indices_past_the_first_block(self):
+        # 300 points sweep in two row blocks; the second meets only the
+        # points after its first row, and the error still names both indices
+        rows = sample_uniform(S2, np.random.default_rng(2), 300).coords_array().copy()
+        rows[280] = rows[250]
+        cfg = en.Configuration.from_array(S2, rows)
+        assert len(en._row_blocks(300, en._BLOCK_PAIRS)) > 1
+        with pytest.raises(SingularityError, match="points 250 and 280 "):
+            en.energy(cfg)
+
     def test_profile_spec_mismatch(self):
         cfg = random_config(S2, 3, 2)
         with pytest.raises(DomainError):
