@@ -15,6 +15,16 @@ While V(a) <= V/2, K takes V(a) - V(u) directly. Past that it uses
 v(u) psi(u) - (V - V(a)), with V - V(a) = v(a) psi(a): the direct
 difference loses its digits near a = D, the rewritten one at small a.
 
+`k_values` and `theta_values` evaluate a vector of radii, and `k_value`
+and `theta_value` are their one-radius case. On spheres and real
+projective spaces one G7/K15 call takes the first panel of every
+[0, a_i], which settles most of these integrals; an interval whose panel
+misses `integrate`'s acceptance test goes on by `integrate`'s bisection
+from that panel. Every sum runs along its own interval, so a radius gets
+the same bits alone as in any batch, and the same as `k_quadrature` and
+`theta_quadrature`. Nothing is memoised: a value depends only on its
+radius. A non-finite K or Theta raises SingularityError naming the radius.
+
 The exact closed formulas (complex/quaternionic projective spaces and the
 Cayley plane) are the preferred route where they exist, and the
 quadrature is their independent cross-check. Multiplied out, each reads
@@ -44,14 +54,13 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
-from .green import RadialGreenProfile, _radial_ratios
+from .green import RadialGreenProfile, _radial_ratios, get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
@@ -63,7 +72,7 @@ from .manifold import (
     sphere_area,
     volume,
 )
-from .special_math import QuadratureSettings, integrate
+from .special_math import QuadratureSettings, _refine, gauss_kronrod_panels, integrate
 
 __all__ = [
     "k_quadrature",
@@ -72,6 +81,8 @@ __all__ = [
     "theta_closed",
     "k_value",
     "theta_value",
+    "k_values",
+    "theta_values",
     "k_asymptotic",
     "theta_asymptotic",
     "ball_average_green",
@@ -97,43 +108,152 @@ def cum_volume_over_area(
     return integrate(_radial_ratios(spec).rho, 0.0, r, settings or _SETTINGS)
 
 
+def _kernel_radii(spec: ManifoldSpec, radii, name: str) -> np.ndarray:
+    """radii as a 1-D float array, checked to lie in (0, D] up to rounding and clamped to D."""
+    a = np.asarray(radii, dtype=float)
+    if a.ndim != 1:
+        raise DomainError(f"{name} needs a 1-D array of radii, got shape {a.shape}")
+    D = diameter(spec)
+    limit = D * (1.0 + 1e-12)
+    beyond = False
+    for x in a.tolist():
+        if not 0.0 < x <= limit:
+            raise DomainError(f"{name} needs a in (0, D], got {x!r}")
+        beyond = beyond or x > D
+    return np.minimum(a, D) if beyond else a
+
+
+def _require_finite(values: np.ndarray, radii: np.ndarray, name: str, spec: ManifoldSpec):
+    """values, or a SingularityError naming the first radius where one is not finite."""
+    for value, a in zip(values.tolist(), radii.tolist()):
+        if not math.isfinite(value):
+            raise SingularityError(
+                f"{name} is {value!r} at a = {a!r} on {spec}: "
+                "a ball volume or kernel leaves the range of a double there"
+            )
+    return values
+
+
+def _integrals(integrand, radii: np.ndarray, settings: QuadratureSettings) -> np.ndarray:
+    """int_0^a_i of integrand(rows) for every radius, each by `integrate`'s rule.
+
+    integrand(rows) is the integrand of the intervals radii[rows]. One
+    G7/K15 call takes the first panel of every interval, and `integrate`'s
+    own loop goes on from there interval by interval. So each value has the
+    bits of `integrate` on its interval alone.
+    """
+    if not radii.size:
+        return np.zeros(0)
+    values, errors, _ = gauss_kronrod_panels(integrand(slice(None)), np.zeros(radii.size), radii)
+    for i, (a, value, err) in enumerate(zip(radii.tolist(), values.tolist(), errors.tolist())):
+        values[i] = _refine(_row_integrand(integrand, i), 0.0, a, value, err, settings)
+    return values
+
+
+def _row_integrand(integrand, i: int):
+    """integrand(rows) on the one interval i, built at its first call: only
+    an interval whose first panel misses the acceptance test needs it."""
+    f = None
+
+    def call(u: np.ndarray) -> np.ndarray:
+        nonlocal f
+        if f is None:
+            f = integrand(slice(i, i + 1))
+        return f(u)
+
+    return call
+
+
+def _k_quadratures(spec: ManifoldSpec, radii: np.ndarray, settings=_SETTINGS) -> np.ndarray:
+    """K at every radius by `_integrals`, each interval on its own branch.
+
+    As in the module docstring: V(a) - V(u) directly while V(a) <= V/2,
+    v(u) psi(u) - (V - V(a)) past that, with V - V(a) = v(a) psi(a) free
+    of the direct difference's cancellation, and the plain moment at a = D.
+    The branches are split by interval, not blended by `np.where`: on the
+    sphere the moment runs the continued fraction, which a direct interval
+    need not pay for.
+    """
+    V = volume(spec)
+    D = diameter(spec)
+    ratios = _radial_ratios(spec)
+    va = V * ball_volume_fraction(spec, radii)
+    branch = [
+        "direct" if v <= 0.5 * V else "rewritten" if a < D else "moment"
+        for v, a in zip(va.tolist(), radii.tolist())
+    ]
+    rest = np.zeros(radii.size)
+    far = [i for i, kind in enumerate(branch) if kind == "rewritten"]
+    if far:
+        rest[far] = sphere_area(spec, radii[far]) * ratios.psi(radii[far])
+
+    def integrand(rows: slice):
+        # the nodes of each interval in turn, the same number per interval
+        c_direct, c_rewritten = va[rows, None], rest[rows, None]
+        groups: dict[str, list[int]] = {}
+        for i, kind in enumerate(branch[rows]):
+            groups.setdefault(kind, []).append(i)
+        parts = []  # (intervals, integrand on their nodes)
+        for kind, idx in groups.items():
+            idx = slice(None) if len(groups) == 1 else np.array(idx)
+            if kind == "direct":
+
+                def part(x, c=c_direct[idx]):
+                    return ratios.rho(x) * (c - V * ball_volume_fraction(spec, x))
+
+            elif kind == "rewritten":
+
+                def part(x, c=c_rewritten[idx]):
+                    return ratios.moment(x) - c * ratios.rho(x)
+
+            else:
+                part = ratios.moment
+            parts.append((idx, part))
+
+        def f(u: np.ndarray) -> np.ndarray:
+            u = u.reshape(len(c_direct), -1)
+            if len(parts) == 1:
+                return parts[0][1](u).ravel()
+            out = np.empty_like(u)
+            for idx, part in parts:
+                out[idx] = part(u[idx])
+            return out.ravel()
+
+        return f
+
+    integrals = _integrals(integrand, radii, settings)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = integrals / (V * va)
+    return _require_finite(k, radii, "K", spec)
+
+
+def _theta_quadratures(
+    profile: RadialGreenProfile, radii: np.ndarray, settings=_SETTINGS
+) -> np.ndarray:
+    spec = profile.spec
+    V = volume(spec)
+    moment = _radial_ratios(spec).moment
+    integrals = _integrals(lambda rows: moment, radii, settings)
+    va = V * ball_volume_fraction(spec, radii)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta = profile.phi(radii) + integrals / (V * va)
+    return _require_finite(theta, radii, "Theta", spec)
+
+
 def k_quadrature(
     spec: ManifoldSpec, a: float, settings: QuadratureSettings | None = None
 ) -> float:
     """K(M, a) by adaptive quadrature of its single-integral form."""
-    D = diameter(spec)
-    if not 0.0 < a <= D * (1.0 + 1e-12):
-        raise DomainError(f"K needs a in (0, D], got {a}")
-    a = min(a, D)
-    V = volume(spec)
-    va = ball_volume(spec, a)
-    ratios = _radial_ratios(spec)
-    if va <= 0.5 * V:
-
-        def integrand(u: np.ndarray) -> np.ndarray:
-            return ratios.rho(u) * (va - V * ball_volume_fraction(spec, u))
-
-    else:
-        # V - V(a) without the cancellation of the direct difference
-        rest = sphere_area(spec, a) * float(ratios.psi(np.array([a]))[0]) if a < D else 0.0
-
-        def integrand(u: np.ndarray) -> np.ndarray:
-            return ratios.moment(u) - rest * ratios.rho(u) if rest else ratios.moment(u)
-
-    return integrate(integrand, 0.0, a, settings or _SETTINGS) / (V * va)
+    radii = _kernel_radii(spec, [a], "K")
+    return float(_k_quadratures(spec, radii, settings or _SETTINGS)[0])
 
 
 def theta_quadrature(
     profile: RadialGreenProfile, a: float, settings: QuadratureSettings | None = None
 ) -> float:
     """Theta(M, a): mean of the Green function over a ball about its pole."""
-    spec = profile.spec
-    D = diameter(spec)
-    if not 0.0 < a <= D * (1.0 + 1e-12):
-        raise DomainError(f"Theta needs a in (0, D], got {a}")
-    a = min(a, D)
-    moment = integrate(_radial_ratios(spec).moment, 0.0, a, settings or _SETTINGS)
-    return profile.phi(a) + moment / (volume(spec) * ball_volume(spec, a))
+    radii = _kernel_radii(profile.spec, [a], "Theta")
+    return float(_theta_quadratures(profile, radii, settings or _SETTINGS)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,43 +474,49 @@ def theta_closed(spec: ManifoldSpec, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Route selection, memoization, asymptotics
+# Route selection, asymptotics
 # ---------------------------------------------------------------------------
 
 _HAS_CLOSED = (Family.COMPLEX_PROJ, Family.QUAT_PROJ, Family.CAYLEY_PLANE)
 
-_K_MEMO: dict[tuple[ManifoldSpec, float], float] = {}
-_THETA_MEMO: dict[tuple[ManifoldSpec, float], float] = {}
-_MEMO_LOCK = threading.Lock()
+
+def _closed_values(spec: ManifoldSpec, kernel: str, radii: np.ndarray) -> np.ndarray:
+    form = _closed_form(spec, kernel)
+    return np.array([_closed_eval(form, a) for a in radii.tolist()])
+
+
+def k_values(spec: ManifoldSpec, radii) -> np.ndarray:
+    """K(M, a) at every radius of a 1-D array: closed form else quadrature.
+
+    The quadrature route takes the first G7/K15 panel of every [0, a_i] in
+    one call, and only an interval whose panel misses `integrate`'s
+    acceptance test is bisected further; each value has the bits of
+    `k_quadrature` at its radius, alone or in any batch. A non-finite value
+    raises SingularityError naming the radius.
+    """
+    radii = _kernel_radii(spec, radii, "K")
+    if spec.family in _HAS_CLOSED:
+        return _closed_values(spec, "k", radii)
+    return _k_quadratures(spec, radii)
+
+
+def theta_values(spec: ManifoldSpec, radii) -> np.ndarray:
+    """Theta(M, a) at every radius of a 1-D array: closed form else quadrature,
+    as `k_values`; the same bits as `theta_quadrature` at each radius."""
+    radii = _kernel_radii(spec, radii, "Theta")
+    if spec.family in _HAS_CLOSED:
+        return _closed_values(spec, "theta", radii)
+    return _theta_quadratures(get_profile(spec), radii)
 
 
 def k_value(spec: ManifoldSpec, a: float) -> float:
-    """K(M, a) through the preferred route: closed form else quadrature."""
-    key = (spec, float(a))
-    with _MEMO_LOCK:
-        if key in _K_MEMO:
-            return _K_MEMO[key]
-    val = k_closed(spec, a) if spec.family in _HAS_CLOSED else k_quadrature(spec, a)
-    with _MEMO_LOCK:
-        _K_MEMO.setdefault(key, val)
-    return val
+    """K(M, a) at one radius: `k_values` on a one-element array."""
+    return float(k_values(spec, [a])[0])
 
 
 def theta_value(spec: ManifoldSpec, a: float) -> float:
-    """Theta(M, a) through the preferred route: closed form else quadrature."""
-    key = (spec, float(a))
-    with _MEMO_LOCK:
-        if key in _THETA_MEMO:
-            return _THETA_MEMO[key]
-    if spec.family in _HAS_CLOSED:
-        val = theta_closed(spec, a)
-    else:
-        from .green import get_profile
-
-        val = theta_quadrature(get_profile(spec), a)
-    with _MEMO_LOCK:
-        _THETA_MEMO.setdefault(key, val)
-    return val
+    """Theta(M, a) at one radius: `theta_values` on a one-element array."""
+    return float(theta_values(spec, [a])[0])
 
 
 def k_asymptotic(spec: ManifoldSpec, a: float) -> float:

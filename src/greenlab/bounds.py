@@ -9,19 +9,29 @@ over a for d > 2 gives a closed optimal-radius constant and an
 asymptotic coefficient of N^(2-2/d), which this module reproduces both
 through the general pipeline and through the per-family closed formulas,
 together with the prior coefficients they are compared against.
+
+`best_finite_bound` maximises the finite-N bound over a: a 32-point log
+grid from a small radius to exactly D, with the asymptotic radius when
+d > 2, is one `finite_bounds` pass (K and Theta over all radii at once),
+and Brent's search between the grid argmax's neighbours adds about ten
+single-radius evaluations. Each (spec, N) is searched once per process;
+later calls get copies of the stored report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 
-from .ball_stats import k_value, theta_value
+import numpy as np
+
+from .ball_stats import _kernel_radii, _require_finite, k_values, theta_values
 from .errors import DomainError, UnsupportedManifoldError
 from .manifold import (
     Family,
     ManifoldSpec,
-    ball_volume,
+    ball_volume_fraction,
     bm_constant,
     diameter,
     dimension,
@@ -99,18 +109,28 @@ class BoundReport:
         }
 
 
-def finite_bound(spec: ManifoldSpec, N: int, a: float) -> float:
-    """The certified lower bound at probe radius a."""
+def finite_bounds(spec: ManifoldSpec, N: int, radii) -> np.ndarray:
+    """The certified lower bound at every probe radius of a 1-D array.
+
+    K and Theta come from one `k_values` and one `theta_values` pass, so a
+    radius gets the same bits alone as in any batch. A non-finite bound, as
+    where V(a) underflows, raises SingularityError naming the radius.
+    """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
-    D = diameter(spec)
-    if not 0.0 < a <= D * (1.0 + 1e-12):
-        raise DomainError(f"need a in (0, D], got {a}")
-    a = min(a, D)
-    k = k_value(spec, a)
-    theta = theta_value(spec, a)
-    ratio = volume(spec) / ball_volume(spec, a)
-    return N * (1.0 - 2.0 * N + ratio) * k - N * theta
+    radii = _kernel_radii(spec, radii, "the bound")
+    k = k_values(spec, radii)
+    theta = theta_values(spec, radii)
+    V = volume(spec)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = V / (V * ball_volume_fraction(spec, radii))
+        bound = N * (1.0 - 2.0 * N + ratio) * k - N * theta
+    return _require_finite(bound, radii, "the bound", spec)
+
+
+def finite_bound(spec: ManifoldSpec, N: int, a: float) -> float:
+    """The certified lower bound at probe radius a: `finite_bounds` on one radius."""
+    return float(finite_bounds(spec, N, [a])[0])
 
 
 def optimal_radius_constant(spec: ManifoldSpec) -> BoundCoefficients:
@@ -194,12 +214,13 @@ def legacy_2d_constants() -> dict[str, float]:
     }
 
 
-def _log_grid(spec: ManifoldSpec, N: int, count: int = GRID_POINTS) -> list[float]:
+def _log_grid(spec: ManifoldSpec, N: int, count: int = GRID_POINTS) -> np.ndarray:
+    """count log-spaced radii from lo to exactly D."""
     D = diameter(spec)
     lo = max(1e-4 * D, 0.05 * D * float(N) ** (-2.0 / dimension(spec)))
-    hi = D
-    step = (math.log(hi) - math.log(lo)) / (count - 1)
-    return [math.exp(math.log(lo) + k * step) for k in range(count)]
+    step = (math.log(D) - math.log(lo)) / (count - 1)
+    inner = [math.exp(math.log(lo) + k * step) for k in range(1, count - 1)]
+    return np.array([lo, *inner, D])
 
 
 def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -245,57 +266,57 @@ def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
                 v, fv = u, fu
 
 
-def best_finite_bound(spec: ManifoldSpec, N: int) -> BoundReport:
-    """Maximize the finite-N bound over the probe radius.
+_REPORTS: dict[tuple[ManifoldSpec, int], BoundReport] = {}
+_REPORTS_LOCK = threading.Lock()
 
-    Runs Brent's bounded search around the asymptotic radius when d > 2, or
-    around the grid's best point when d = 2, and always sweeps a coarse
-    log-spaced grid as a mis-bracketing guard; the reported best is the
-    maximum over everything evaluated.
+
+def best_finite_bound(spec: ManifoldSpec, N: int) -> BoundReport:
+    """Maximize the finite-N bound over the probe radius (module docstring).
+
+    The reported best is the maximum over everything evaluated. The first
+    call for a (spec, N) runs the search and keeps its report; every call
+    returns its own copy, so callers may mutate it.
     """
     if N < 2:
         raise DomainError(f"need N >= 2, got {N}")
-    D = diameter(spec)
+    key = (spec, N)
+    with _REPORTS_LOCK:
+        report = _REPORTS.get(key)
+    if report is None:
+        report = _search_radius(spec, N)
+        with _REPORTS_LOCK:
+            report = _REPORTS.setdefault(key, report)
+    return replace(report, radius_grid=list(report.radius_grid))
+
+
+def _search_radius(spec: ManifoldSpec, N: int) -> BoundReport:
     d = dimension(spec)
-
-    def f(a: float) -> float:
-        return finite_bound(spec, N, a)
-
-    grid = [(a, f(a)) for a in _log_grid(spec, N)]
-    evaluations = dict(grid)
-
-    report = BoundReport(
-        spec=spec,
-        N=N,
-        radius_grid=grid,
-        best_a=float("nan"),
-        best_bound=-math.inf,
-    )
+    grid_radii = _log_grid(spec, N)
+    radii = grid_radii
+    report = BoundReport(spec=spec, N=N, radius_grid=[], best_a=math.nan, best_bound=-math.inf)
     if d > 2:
         coeff = optimal_radius_constant(spec)
-        a_asym = math.sqrt(coeff.c_opt) * float(N) ** (-1.0 / d)
-        lo = max(1e-6, 0.1 * a_asym)
-        hi = min(0.9 * D, 10.0 * a_asym)
-        report.asymptotic_a = a_asym
-        report.asymptotic_bound = f(a_asym)
-        evaluations[a_asym] = report.asymptotic_bound
+        report.asymptotic_a = math.sqrt(coeff.c_opt) * float(N) ** (-1.0 / d)
         report.leading_coefficient = coeff.leading
         report.exponent = coeff.exponent
         try:
             report.matzke_coefficient = matzke_coefficient(spec)
         except (DomainError, UnsupportedManifoldError):
             report.matzke_coefficient = None
-    else:
-        # no closed optimum in dimension 2; bracket around the grid argmax
-        best_idx = max(range(len(grid)), key=lambda i: grid[i][1])
-        lo = grid[max(best_idx - 1, 0)][0]
-        hi = grid[min(best_idx + 1, len(grid) - 1)][0]
+        radii = np.append(grid_radii, report.asymptotic_a)
 
-    a_star, f_star = _brent_max(f, lo, hi)
+    values = finite_bounds(spec, N, radii).tolist()
+    grid = report.radius_grid = list(zip(grid_radii.tolist(), values))
+    evaluations = dict(grid)
+    if d > 2:
+        report.asymptotic_bound = evaluations[report.asymptotic_a] = values[-1]
+    # the bound is flat near its maximum; bracket it by the grid argmax's neighbours
+    best_idx = max(range(len(grid)), key=lambda i: grid[i][1])
+    lo = grid[max(best_idx - 1, 0)][0]
+    hi = grid[min(best_idx + 1, len(grid) - 1)][0]
+    a_star, f_star = _brent_max(lambda a: finite_bound(spec, N, a), lo, hi)
     evaluations[a_star] = f_star
-    best_a, best_bound = max(evaluations.items(), key=lambda kv: kv[1])
-    report.best_a = best_a
-    report.best_bound = best_bound
+    report.best_a, report.best_bound = max(evaluations.items(), key=lambda kv: kv[1])
     report.__post_init__()
     return report
 

@@ -193,22 +193,30 @@ def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
             direct = -np.expm1(8.0 * log_sin_sq(s) + np.log(poly))
             return mass * np.where(x < 0.05, series, direct)
 
+    limit = diameter(spec) * (1.0 + 1e-12)
+
     def psi(s):
+        if (s > limit).any():
+            raise DomainError(f"psi needs s <= D = {diameter(spec)} on {spec}, got {float(s.max())!r}")
         with np.errstate(divide="ignore", invalid="ignore"):
             out = complement(s) / _density(spec, s)
-        far = s > 0.5 * np.pi  # only on the sphere: rho at pi - s, by the continued fraction
-        if far.any():
-            y = np.sin(0.5 * (np.pi - s[far])) ** 2
-            out[far] = np.sin(s[far]) * _beta_continued_fraction(a, a, y) / n
+        if spec.family is Family.SPHERE:
+            far = s > 0.5 * np.pi  # rho at pi - s, by the continued fraction
+            if far.any():
+                y = np.sin(0.5 * (np.pi - s[far])) ** 2
+                out[far] = np.sin(s[far]) * _beta_continued_fraction(a, a, y) / n
         return out
 
     def moment(s):
         c = complement(s)
         if spec.family is not Family.SPHERE:
             return omega * rho(s) * c
+        near = s <= 0.5 * np.pi
+        if near.all():
+            return omega * (rho(s) * c)
         # past pi/2, rho overflows where c underflows; V(s) psi(s) stays tame
         with np.errstate(invalid="ignore", over="ignore"):
-            return omega * np.where(s <= 0.5 * np.pi, rho(s) * c, (mass - c) * psi(s))
+            return omega * np.where(near, rho(s) * c, (mass - c) * psi(s))
 
     return _Ratios(rho, psi, moment)
 

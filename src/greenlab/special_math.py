@@ -86,11 +86,15 @@ def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
     Modified Lentz iteration (Press et al., Numerical Recipes, 6.4), so that
     I_x(a, b) = x^a (1-x)^b / (a B(a, b)) times the result. Converges fast for
     x below a/(a+b); within 3.6e-15 of mpmath for a = b = n/2, n <= 100, x <= 1/2.
+    An element whose last factor settles has its x set to 0, which makes
+    every later factor exactly 1, so it keeps the value it has alone however
+    long the rest of the batch runs.
     """
     tiny = 1e-300
     x = np.asarray(x, dtype=float)
     c = np.ones_like(x)
     h = d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    settled_count = 0
     for m in range(1, 400):
         for aa in (
             m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
@@ -100,10 +104,16 @@ def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
             d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
             c = 1.0 + aa / c
             c = np.where(np.abs(c) < tiny, tiny, c)
-            h = h * (d * c)
+            factor = d * c
+            h = h * factor
         # one ulp of slack: for a = b = 1/2 the last factor settles at 1 - eps/2
-        if np.all(np.abs(d * c - 1.0) <= 2.3e-16):
+        settled = np.abs(factor - 1.0) <= 2.3e-16
+        count = np.count_nonzero(settled)
+        if count == x.size:
             return h
+        if count > settled_count:
+            x = np.where(settled, 0.0, x)
+            settled_count = count
     nan = float("nan")
     raise QuadratureError(f"beta continued fraction did not converge for a={a}, b={b}", nan, nan)
 
@@ -137,7 +147,23 @@ _GK15 = (
 )
 _GK15_NODES = np.array([node for node, _, _ in _GK15])
 _GK15_WEIGHTS = np.array([[wk for _, _, wk in _GK15], [wg for _, wg, _ in _GK15]])
+_K15_WEIGHTS = _GK15_WEIGHTS[0].copy()
+# K, 200 (K - G) and the mean K/2 as the weighted sums of one pass over f,
+# resabs and its floor 50 eps resabs as those of one pass over |f|
+_PASS_WEIGHTS = np.array(
+    [_K15_WEIGHTS, 200.0 * (_K15_WEIGHTS - _GK15_WEIGHTS[1]), 0.5 * _K15_WEIGHTS]
+)
 _EPS = 2.220446049250313e-16
+_ABS_WEIGHTS = np.array([_K15_WEIGHTS, 50.0 * _EPS * _K15_WEIGHTS])
+
+
+def _row_sums(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] w[..., j], each row summed on its own (numpy < 2)."""
+    return (a * w).sum(axis=-1)
+
+
+# np.vecdot is numpy 2's row-local dot product; numpy 1 gets the plain sum
+_row_dot = getattr(np, "vecdot", _row_sums)
 
 
 def gauss_kronrod_panels(
@@ -151,22 +177,28 @@ def gauss_kronrod_panels(
     QUADPACK's qk15 recipe (Piessens et al., 1983): with
     resasc = int |f - mean f|, the error is
     resasc * min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs,
-    so it follows the integrand's own variation, not its magnitude.
+    so it follows the integrand's own variation, not its magnitude. K - G
+    is summed with the weight differences, in one pass with K.
+
+    Every weighted sum runs along its own row (`_row_dot`, not a BLAS
+    matrix product, whose summation order depends on the row's place in the
+    batch), so an interval gets the same bits alone as in any batch.
     """
     half = (0.5 * (hi - lo))[:, None]
     x = half * _GK15_NODES + (0.5 * (hi + lo))[:, None]
     # the integrand scaled by the half width, so that the weighted sums are integrals
     fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape) * half
-    kronrod, gauss = (fx @ _GK15_WEIGHTS.T).T
-    resabs = np.abs(fx) @ _GK15_WEIGHTS[0]
-    resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _GK15_WEIGHTS[0]
-    err = []
-    for diff, asc, absum in zip(np.abs(kronrod - gauss).tolist(), resasc.tolist(), resabs.tolist()):
-        if asc != 0.0 and diff != 0.0:
-            # the ratio is capped at 1 before the power, so it cannot overflow
-            diff = asc * min(1.0, 200.0 * diff / asc) ** 1.5
-        err.append(max(diff, 50.0 * _EPS * absum))
-    return kronrod, np.array(err), resabs
+    sums = _row_dot(fx[:, None, :], _PASS_WEIGHTS)
+    kronrod, diff = sums[:, 0], sums[:, 1]
+    abs_sums = _row_dot(np.abs(fx)[:, None, :], _ABS_WEIGHTS)
+    resabs, floor = abs_sums[:, 0], abs_sums[:, 1]
+    resasc = _row_dot(np.abs(fx - sums[:, 2:]), _K15_WEIGHTS)
+    # min(1, 200 |K - G| / resasc) as min(resasc, 200 |K - G|) / resasc, capped
+    # at 1 before the power. Where resasc = 0 the integrand is constant on the
+    # panel and |K - G| is rounding: the divisor 5e-324 gives err 0, so the
+    # floor stands in, with no division by zero
+    capped = np.minimum(resasc, np.abs(diff)) / np.fmax(resasc, 5e-324)
+    return kronrod, np.fmax(resasc * capped**1.5, floor), resabs
 
 
 def gauss_kronrod_panel(
@@ -202,6 +234,20 @@ def integrate(
         return 0.0
 
     value, err, _ = gauss_kronrod_panel(f, lo, hi)
+    return _refine(f, lo, hi, value, err, settings)
+
+
+def _refine(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    value: float,
+    err: float,
+    settings: QuadratureSettings,
+) -> float:
+    """`integrate` from its first panel on: value and err are the G7/K15
+    panel on [lo, hi], as `gauss_kronrod_panels` gives them, so a batch of
+    first panels can go on interval by interval to the same bits."""
     # heap entries: (-error, insertion_counter, lo, hi, value, error)
     heap = [(-err, 0, lo, hi, value, err)]
     total = value

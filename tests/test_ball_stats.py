@@ -366,3 +366,52 @@ class TestMemoization:
         with ThreadPoolExecutor(max_workers=8) as pool:
             vals = list(pool.map(lambda _: bs.theta_value(spec, 0.77), range(32)))
         assert len(set(vals)) == 1
+
+
+class TestArrayKernels:
+    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2])
+    def test_lone_radius_matches_batch_bit_for_bit(self, spec, monkeypatch):
+        D = diameter(spec)
+        # 31 random radii, one that takes the adaptive fallback, and D itself
+        radii = np.append(np.random.default_rng(33).uniform(0.005 * D, D, 31), [0.9 * D, D])
+        refined = []
+        inner = bs._refine
+
+        def spy(f, lo, hi, value, err, settings):
+            refined.append(hi)
+            return inner(f, lo, hi, value, err, settings)
+
+        monkeypatch.setattr(bs, "_refine", spy)
+        k, theta = bs.k_values(spec, radii), bs.theta_values(spec, radii)
+        assert k.tolist() == [bs.k_value(spec, a) for a in radii.tolist()]
+        assert theta.tolist() == [bs.theta_value(spec, a) for a in radii.tolist()]
+        if spec.family in (Family.SPHERE, Family.REAL_PROJ):
+            assert 0.9 * D in refined
+            prof = get_profile(spec)
+            assert k.tolist() == [bs.k_quadrature(spec, a) for a in radii.tolist()]
+            assert theta.tolist() == [bs.theta_quadrature(prof, a) for a in radii.tolist()]
+        else:
+            assert k.tolist() == [bs.k_closed(spec, a) for a in radii.tolist()]
+            assert theta.tolist() == [bs.theta_closed(spec, a) for a in radii.tolist()]
+
+    @pytest.mark.parametrize("radii", [[0.5, 0.0], [0.5, 3.2], [[0.5]], [0.5, float("nan")]])
+    def test_radii_outside_the_domain_rejected(self, radii):
+        with pytest.raises(DomainError):
+            bs.k_values(S2, radii)
+        with pytest.raises(DomainError):
+            bs.theta_values(S2, radii)
+
+    @pytest.mark.parametrize("spec", [S3, CP2])
+    def test_no_radii(self, spec):
+        assert bs.k_values(spec, []).shape == (0,)
+        assert bs.theta_values(spec, np.array([])).shape == (0,)
+
+    def test_radius_rounded_past_the_diameter_is_clamped(self):
+        D = diameter(S3)
+        assert bs.k_values(S3, [D * (1 + 1e-14)]).tolist() == [bs.k_value(S3, D)]
+
+    @pytest.mark.parametrize("family", [Family.SPHERE, Family.REAL_PROJ])
+    def test_underflowed_ball_volume_names_the_radius(self, family):
+        # V V(a) underflows at small radii in 200 dimensions
+        with pytest.raises(SingularityError, match=r"K is (inf|nan) at a = 0\.05 on"):
+            bs.k_values(ManifoldSpec(family, 200), [1.0, 0.05])

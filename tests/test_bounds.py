@@ -1,17 +1,21 @@
 """Finite-N lower bounds, optimal-radius constants, prior comparisons."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from greenlab import ball_stats as bs
 from greenlab import bounds as bd
 from greenlab.errors import DomainError, UnsupportedManifoldError
-from greenlab.manifold import Family, ManifoldSpec, diameter, volume
+from greenlab.manifold import Family, ManifoldSpec, diameter, dimension, volume
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
 S3 = ManifoldSpec(Family.SPHERE, 3)
+RP2 = ManifoldSpec(Family.REAL_PROJ, 2)
 RP3 = ManifoldSpec(Family.REAL_PROJ, 3)
+CP1 = ManifoldSpec(Family.COMPLEX_PROJ, 1)
 CP2 = ManifoldSpec(Family.COMPLEX_PROJ, 2)
 HP1 = ManifoldSpec(Family.QUAT_PROJ, 1)
 OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
@@ -213,16 +217,19 @@ class TestRadiusSearch:
     @pytest.mark.parametrize("spec", SPECS)
     def test_few_evaluations(self, spec, monkeypatch):
         calls = []
-        inner = bd.finite_bound
+        inner = bd.finite_bounds
 
-        def counted(*args):
-            calls.append(args)
-            return inner(*args)
+        def counted(spec, N, radii):
+            calls.append(len(radii))
+            return inner(spec, N, radii)
 
-        monkeypatch.setattr(bd, "finite_bound", counted)
+        monkeypatch.setattr(bd, "finite_bounds", counted)
+        monkeypatch.setattr(bd, "_REPORTS", {})
         bd.best_finite_bound(spec, 1000)
-        # 32 grid points, the asymptotic radius and the Brent steps
-        assert len(calls) <= 60
+        # one pass over the 32 grid points and the asymptotic radius, then the Brent steps
+        assert calls[0] == bd.GRID_POINTS + (dimension(spec) > 2)
+        assert calls[1:] == [1] * (len(calls) - 1)
+        assert sum(calls) <= 60
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_golden_section_reference(self, spec):
@@ -278,3 +285,53 @@ class TestCompareTable:
             bd.compare_table(Family.REAL_PROJ, 2, 10)
         with pytest.raises(UnsupportedManifoldError):
             bd.compare_table(Family.SPHERE, 3, 5)
+
+
+class TestBoundArrays:
+    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2])
+    def test_batch_matches_one_radius_calls(self, spec):
+        D = diameter(spec)
+        radii = np.append(np.random.default_rng(4).uniform(0.01 * D, D, 16), [0.9 * D, D])
+        lone = [bd.finite_bound(spec, 300, a) for a in radii.tolist()]
+        assert bd.finite_bounds(spec, 300, radii).tolist() == lone
+
+    def test_radius_past_the_diameter_rejected(self):
+        with pytest.raises(DomainError):
+            bd.finite_bounds(S2, 10, [0.5, 3.2])
+
+    @pytest.mark.parametrize("spec", [S2, S3, RP2, RP3, CP1, CP2, HP1, OP2])
+    @pytest.mark.parametrize("N", [10, 100, 400, 1000, 2400, 10_000, 1_000_000])
+    def test_grid_ends_at_the_diameter(self, spec, N):
+        radii = [a for a, _ in bd.best_finite_bound(spec, N).radius_grid]
+        assert len(radii) == bd.GRID_POINTS
+        assert all(a <= diameter(spec) for a in radii)
+        assert radii[-1] == diameter(spec)
+        assert radii == sorted(radii)
+
+
+class TestReportCache:
+    def test_repeated_calls_return_equal_reports(self, monkeypatch):
+        monkeypatch.setattr(bd, "_REPORTS", {})
+        first = bd.best_finite_bound(S3, 777)
+        second = bd.best_finite_bound(S3, 777)
+        assert first == second and first is not second
+        assert len(bd._REPORTS) == 1
+
+    def test_mutating_a_report_leaves_the_cache_alone(self, monkeypatch):
+        monkeypatch.setattr(bd, "_REPORTS", {})
+        first = bd.best_finite_bound(CP2, 778)
+        grid = list(first.radius_grid)
+        first.radius_grid[0] = (1.0, 1.0)
+        first.radius_grid.append((2.0, 2.0))
+        first.best_bound = -1.0
+        again = bd.best_finite_bound(CP2, 778)
+        assert again.radius_grid == grid
+        assert again.best_bound != -1.0
+
+    def test_concurrent_searches_agree(self, monkeypatch):
+        monkeypatch.setattr(bd, "_REPORTS", {})
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            reports = list(pool.map(lambda _: bd.best_finite_bound(RP3, 779), range(16)))
+        assert all(rep == reports[0] for rep in reports)
+        assert len({id(rep.radius_grid) for rep in reports}) == len(reports)
+        assert len(bd._REPORTS) == 1

@@ -122,6 +122,13 @@ class TestBound:
         assert proc.returncode == 0 or (proc.returncode == 1 and "error:" in proc.stderr)
 
 
+    @pytest.mark.parametrize("family", ["s", "rp"])
+    def test_underflowing_ball_volume_is_an_error_naming_the_radius(self, capsys, family):
+        code, out, err = run_cli(capsys, "bound", "--family", family, "--n", "200", "--points", "1000")
+        assert code == 1 and out == ""
+        assert re.match(r"error: K is (inf|nan) at a = [0-9.e-]+ on " + family + "200", err)
+
+
 class TestProfile:
     def test_csv_header_and_precision(self, capsys):
         code, out, _ = run_cli(capsys, "profile", "--family", "s", "--n", "2")

@@ -20,6 +20,7 @@ import pytest
 from greenlab.chebyshev import _CELL_CHUNK, _CHUNK
 from greenlab.errors import DomainError, GreenLabError, SingularityError
 from greenlab.green import (
+    _radial_ratios,
     build_profile,
     get_profile,
     green_constant,
@@ -110,9 +111,8 @@ class TestPhiHatPrime:
         loop = np.array([phi_hat_prime(spec, float(x)) for x in s])
         got = phi_hat_prime(spec, s)
         assert got.shape == s.shape
-        # the continued fraction iterates until every element has converged,
-        # so a batch may run a few more steps than a lone radius
-        np.testing.assert_allclose(got, loop, rtol=4 * np.finfo(float).eps, atol=0.0)
+        # the continued fraction takes each element at its own convergence
+        assert got.tolist() == loop.tolist()
 
     @pytest.mark.parametrize(("family", "n"), [(Family.SPHERE, 3), (Family.SPHERE, 40), (Family.SPHERE, 100), (Family.REAL_PROJ, 60)])
     def test_against_mpmath(self, family, n):
@@ -130,6 +130,21 @@ class TestPhiHatPrime:
                     rest /= 2
                 exact = 2 ** (n - 1) * mpmath.beta(a, a) * rest / mpmath.sin(mpmath.mpf(s)) ** (n - 1)
                 assert -phi_hat_prime(spec, s) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+class TestRadialRatios:
+    @pytest.mark.parametrize("spec", [CP1, CP2, HP1, HP10, OP2, RP3])
+    def test_psi_refuses_radii_past_the_diameter(self, spec):
+        psi = _radial_ratios(spec).psi
+        D = diameter(spec)
+        assert np.all(np.isfinite(psi(np.array([0.5 * D, D * (1 + 1e-13)]))))
+        with pytest.raises(DomainError, match="psi needs s <= D"):
+            psi(np.array([0.5 * D, 1.6]))
+
+    def test_sphere_psi_past_half_the_diameter_is_the_mirrored_ratio(self):
+        ratios = _radial_ratios(S3)
+        s = np.array([1.7, 2.5, 3.1])
+        np.testing.assert_allclose(ratios.psi(s), ratios.rho(np.pi - s), rtol=1e-14)
 
 
 class TestPhiHat:

@@ -1,6 +1,7 @@
 """Special functions and the adaptive integrator."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc as scipy_betainc
 
+from greenlab import special_math
 from greenlab.errors import DomainError, QuadratureError
 from greenlab.special_math import (
+    _GK15_NODES,
+    _GK15_WEIGHTS,
     QuadratureSettings,
+    _beta_continued_fraction,
     gauss_kronrod_panel,
+    gauss_kronrod_panels,
     harmonic_number,
     integrate,
     log_gamma,
@@ -203,6 +209,73 @@ class TestIntegrate:
         val, err, _ = gauss_kronrod_panel(lambda x: 1e250 * x**40, 0.0, 1.0)
         assert math.isfinite(val) and math.isfinite(err)
         assert val == pytest.approx(1e250 / 41, rel=1e-6)
+
+
+# the row sums numpy 2 takes, and the ones numpy 1 falls back to
+ROW_DOTS = pytest.mark.parametrize(
+    "row_dot", [special_math._row_dot, special_math._row_sums], ids=["installed", "numpy1"]
+)
+
+
+class TestPanels:
+    @staticmethod
+    def f(x):
+        return np.exp(np.sin(7.0 * x)) / (1.0 + x * x)
+
+    @ROW_DOTS
+    def test_interval_alone_matches_batch_bit_for_bit(self, row_dot, monkeypatch):
+        monkeypatch.setattr(special_math, "_row_dot", row_dot)
+        rng = np.random.default_rng(2)
+        lo = rng.uniform(-3.0, 1.0, 40)
+        hi = lo + rng.uniform(1e-6, 4.0, 40)
+        values, errors, resabs = gauss_kronrod_panels(self.f, lo, hi)
+        for i in range(40):
+            one = gauss_kronrod_panels(self.f, lo[i : i + 1], hi[i : i + 1])
+            assert (one[0][0], one[1][0], one[2][0]) == (values[i], errors[i], resabs[i])
+
+    @ROW_DOTS
+    def test_error_follows_the_quadpack_recipe(self, row_dot, monkeypatch):
+        # the loop the array form replaced, on the same node values
+        monkeypatch.setattr(special_math, "_row_dot", row_dot)
+        lo = np.linspace(0.0, 2.0, 25)
+        hi = lo + np.geomspace(1e-3, 3.0, 25)
+        values, errors, resabs = gauss_kronrod_panels(self.f, lo, hi)
+        half = 0.5 * (hi - lo)
+        nodes = half[:, None] * _GK15_NODES + (0.5 * (hi + lo))[:, None]
+        fx = self.f(nodes) * half[:, None]
+        for i in range(25):
+            k = math.fsum(fx[i] * _GK15_WEIGHTS[0])
+            g = math.fsum(fx[i] * _GK15_WEIGHTS[1])
+            asc = math.fsum(np.abs(fx[i] - 0.5 * k) * _GK15_WEIGHTS[0])
+            err = max(asc * min(1.0, 200.0 * abs(k - g) / asc) ** 1.5, 50.0 * 2.0**-52 * resabs[i])
+            assert values[i] == pytest.approx(k, rel=1e-14)
+            assert errors[i] == pytest.approx(err, rel=1e-9)
+
+    def test_constant_integrand_error_is_the_floor(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, errors, resabs = gauss_kronrod_panels(
+                lambda x: np.full_like(x, 3.0), np.array([0.0, 1.0]), np.array([1.0, 5.0])
+            )
+        assert values == pytest.approx([3.0, 12.0], rel=1e-15)
+        assert errors == pytest.approx(50.0 * 2.0**-52 * resabs, rel=1e-14)
+
+
+class TestBetaContinuedFraction:
+    @pytest.mark.parametrize("a", [1.0, 1.5, 2.5, 20.0])
+    def test_element_alone_matches_batch_bit_for_bit(self, a):
+        x = np.random.default_rng(8).uniform(0.0, 0.5, 300)
+        batch = _beta_continued_fraction(a, a, x)
+        lone = [_beta_continued_fraction(a, a, x[i : i + 1])[0] for i in range(x.size)]
+        assert batch.tolist() == lone
+
+    def test_against_mpmath(self):
+        for n in (2, 3, 10, 40):
+            x = np.linspace(0.001, 0.5, 25)
+            got = _beta_continued_fraction(n / 2, n / 2, x)
+            for xi, gi in zip(x.tolist(), got.tolist()):
+                exact = float(mpmath.hyp2f1(n, 1, n / 2 + 1, xi))
+                assert gi == pytest.approx(exact, rel=3.6e-15, abs=0.0)
 
 
 class TestQuadratureSettings:
