@@ -17,13 +17,13 @@ difference loses its digits near a = D, the rewritten one at small a.
 
 `k_values` and `theta_values` evaluate a vector of radii, and `k_value`
 and `theta_value` are their one-radius case. On spheres and real
-projective spaces one G7/K15 call takes the first panel of every
-[0, a_i], which settles most of these integrals; an interval whose panel
-misses `integrate`'s acceptance test goes on by `integrate`'s bisection
-from that panel. Every sum runs along its own interval, so a radius gets
-the same bits alone as in any batch, and the same as `k_quadrature` and
-`theta_quadrature`. Nothing is memoised: a value depends only on its
-radius. A non-finite K or Theta raises SingularityError naming the radius.
+projective spaces `special_math.integrate_intervals` integrates every
+[0, a_i] of one K branch, or of Theta, from one G7/K15 call, and bisects
+only the intervals whose first panel misses `integrate`'s tolerance. Every
+sum runs along its own interval, so a radius gets the same bits alone as in
+any batch, and the same as `k_quadrature` and `theta_quadrature`. Nothing
+is memoised: a value depends only on its radius. A non-finite K or Theta
+raises SingularityError naming the radius.
 
 The exact closed formulas (complex/quaternionic projective spaces and the
 Cayley plane) are the preferred route where they exist, and the
@@ -72,7 +72,7 @@ from .manifold import (
     sphere_area,
     volume,
 )
-from .special_math import QuadratureSettings, _refine, gauss_kronrod_panels, integrate
+from .special_math import QuadratureSettings, integrate, integrate_intervals
 
 __all__ = [
     "k_quadrature",
@@ -95,9 +95,7 @@ __all__ = [
 _SETTINGS = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=3000)
 
 
-def cum_volume_over_area(
-    spec: ManifoldSpec, r: float, settings: QuadratureSettings | None = None
-) -> float:
+def cum_volume_over_area(spec: ManifoldSpec, r: float) -> float:
     """H(r) = int_0^r V(u)/v(u) du for 0 <= r < D.
 
     Diverges at r = D on every family whose density vanishes there, hence
@@ -105,7 +103,7 @@ def cum_volume_over_area(
     """
     if r < 0.0 or r >= diameter(spec):
         raise DomainError(f"cumulative volume ratio needs 0 <= r < D, got {r}")
-    return integrate(_radial_ratios(spec).rho, 0.0, r, settings or _SETTINGS)
+    return integrate(_radial_ratios(spec).rho, 0.0, r, _SETTINGS)
 
 
 def _kernel_radii(spec: ManifoldSpec, radii, name: str) -> np.ndarray:
@@ -134,126 +132,75 @@ def _require_finite(values: np.ndarray, radii: np.ndarray, name: str, spec: Mani
     return values
 
 
-def _integrals(integrand, radii: np.ndarray, settings: QuadratureSettings) -> np.ndarray:
-    """int_0^a_i of integrand(rows) for every radius, each by `integrate`'s rule.
+def _k_quadratures(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray) -> np.ndarray:
+    """K at checked radii with ball volumes va = V(a), one `integrate_intervals`
+    call per branch.
 
-    integrand(rows) is the integrand of the intervals radii[rows]. One
-    G7/K15 call takes the first panel of every interval, and `integrate`'s
-    own loop goes on from there interval by interval. So each value has the
-    bits of `integrate` on its interval alone.
-    """
-    if not radii.size:
-        return np.zeros(0)
-    values, errors, _ = gauss_kronrod_panels(integrand(slice(None)), np.zeros(radii.size), radii)
-    for i, (a, value, err) in enumerate(zip(radii.tolist(), values.tolist(), errors.tolist())):
-        values[i] = _refine(_row_integrand(integrand, i), 0.0, a, value, err, settings)
-    return values
-
-
-def _row_integrand(integrand, i: int):
-    """integrand(rows) on the one interval i, built at its first call: only
-    an interval whose first panel misses the acceptance test needs it."""
-    f = None
-
-    def call(u: np.ndarray) -> np.ndarray:
-        nonlocal f
-        if f is None:
-            f = integrand(slice(i, i + 1))
-        return f(u)
-
-    return call
-
-
-def _k_quadratures(spec: ManifoldSpec, radii: np.ndarray, settings=_SETTINGS) -> np.ndarray:
-    """K at every radius by `_integrals`, each interval on its own branch.
-
-    As in the module docstring: V(a) - V(u) directly while V(a) <= V/2,
-    v(u) psi(u) - (V - V(a)) past that, with V - V(a) = v(a) psi(a) free
-    of the direct difference's cancellation, and the plain moment at a = D.
-    The branches are split by interval, not blended by `np.where`: on the
-    sphere the moment runs the continued fraction, which a direct interval
+    As in the module docstring: V(a) - V(u) directly while V(a) <= V/2
+    (near), v(u) psi(u) - (V - V(a)) past that (far), with V - V(a) =
+    v(a) psi(a) free of the direct difference's cancellation, and the plain
+    moment at a = D (full). A branch with no radius makes no call: on the
+    sphere the far branch runs the continued fraction, which a near radius
     need not pay for.
     """
     V = volume(spec)
-    D = diameter(spec)
     ratios = _radial_ratios(spec)
-    va = V * ball_volume_fraction(spec, radii)
-    branch = [
-        "direct" if v <= 0.5 * V else "rewritten" if a < D else "moment"
-        for v, a in zip(va.tolist(), radii.tolist())
-    ]
-    rest = np.zeros(radii.size)
-    far = [i for i, kind in enumerate(branch) if kind == "rewritten"]
-    if far:
-        rest[far] = sphere_area(spec, radii[far]) * ratios.psi(radii[far])
-
-    def integrand(rows: slice):
-        # the nodes of each interval in turn, the same number per interval
-        c_direct, c_rewritten = va[rows, None], rest[rows, None]
-        groups: dict[str, list[int]] = {}
-        for i, kind in enumerate(branch[rows]):
-            groups.setdefault(kind, []).append(i)
-        parts = []  # (intervals, integrand on their nodes)
-        for kind, idx in groups.items():
-            idx = slice(None) if len(groups) == 1 else np.array(idx)
-            if kind == "direct":
-
-                def part(x, c=c_direct[idx]):
-                    return ratios.rho(x) * (c - V * ball_volume_fraction(spec, x))
-
-            elif kind == "rewritten":
-
-                def part(x, c=c_rewritten[idx]):
-                    return ratios.moment(x) - c * ratios.rho(x)
-
-            else:
-                part = ratios.moment
-            parts.append((idx, part))
-
-        def f(u: np.ndarray) -> np.ndarray:
-            u = u.reshape(len(c_direct), -1)
-            if len(parts) == 1:
-                return parts[0][1](u).ravel()
-            out = np.empty_like(u)
-            for idx, part in parts:
-                out[idx] = part(u[idx])
-            return out.ravel()
-
-        return f
-
-    integrals = _integrals(integrand, radii, settings)
+    near = va <= 0.5 * V
+    full = radii == diameter(spec)
+    far = ~(near | full)
+    integrals = np.empty(radii.size)
+    if near.any():
+        a, c = radii[near], va[near]
+        integrals[near] = integrate_intervals(
+            lambda u, rows: ratios.rho(u) * (c[rows] - V * ball_volume_fraction(spec, u)),
+            np.zeros(a.size), a, _SETTINGS,
+        )
+    if far.any():
+        a = radii[far]
+        c = sphere_area(spec, a) * ratios.psi(a)
+        integrals[far] = integrate_intervals(
+            lambda u, rows: ratios.moment(u) - c[rows] * ratios.rho(u),
+            np.zeros(a.size), a, _SETTINGS,
+        )
+    if full.any():
+        a = radii[full]
+        integrals[full] = integrate_intervals(
+            lambda u, rows: ratios.moment(u), np.zeros(a.size), a, _SETTINGS
+        )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k = integrals / (V * va)
     return _require_finite(k, radii, "K", spec)
 
 
 def _theta_quadratures(
-    profile: RadialGreenProfile, radii: np.ndarray, settings=_SETTINGS
+    profile: RadialGreenProfile, radii: np.ndarray, va: np.ndarray
 ) -> np.ndarray:
+    """Theta at checked radii with ball volumes va = V(a), from one `integrate_intervals` call."""
     spec = profile.spec
-    V = volume(spec)
     moment = _radial_ratios(spec).moment
-    integrals = _integrals(lambda rows: moment, radii, settings)
-    va = V * ball_volume_fraction(spec, radii)
+    integrals = integrate_intervals(
+        lambda u, rows: moment(u), np.zeros(radii.size), radii, _SETTINGS
+    )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta = profile.phi(radii) + integrals / (V * va)
+        theta = profile.phi(radii) + integrals / (volume(spec) * va)
     return _require_finite(theta, radii, "Theta", spec)
 
 
-def k_quadrature(
-    spec: ManifoldSpec, a: float, settings: QuadratureSettings | None = None
-) -> float:
+def _ball_volumes(spec: ManifoldSpec, radii: np.ndarray) -> np.ndarray:
+    """V(a) at every radius."""
+    return volume(spec) * ball_volume_fraction(spec, radii)
+
+
+def k_quadrature(spec: ManifoldSpec, a: float) -> float:
     """K(M, a) by adaptive quadrature of its single-integral form."""
     radii = _kernel_radii(spec, [a], "K")
-    return float(_k_quadratures(spec, radii, settings or _SETTINGS)[0])
+    return float(_k_quadratures(spec, radii, _ball_volumes(spec, radii))[0])
 
 
-def theta_quadrature(
-    profile: RadialGreenProfile, a: float, settings: QuadratureSettings | None = None
-) -> float:
+def theta_quadrature(profile: RadialGreenProfile, a: float) -> float:
     """Theta(M, a): mean of the Green function over a ball about its pole."""
     radii = _kernel_radii(profile.spec, [a], "Theta")
-    return float(_theta_quadratures(profile, radii, settings or _SETTINGS)[0])
+    return float(_theta_quadratures(profile, radii, _ball_volumes(profile.spec, radii))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -485,28 +432,36 @@ def _closed_values(spec: ManifoldSpec, kernel: str, radii: np.ndarray) -> np.nda
     return np.array([_closed_eval(form, a) for a in radii.tolist()])
 
 
+def _k_values(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray) -> np.ndarray:
+    """K at checked radii with ball volumes va = V(a): closed form else quadrature."""
+    if spec.family in _HAS_CLOSED:
+        return _closed_values(spec, "k", radii)
+    return _k_quadratures(spec, radii, va)
+
+
+def _theta_values(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray) -> np.ndarray:
+    """Theta at checked radii with ball volumes va = V(a): closed form else quadrature."""
+    if spec.family in _HAS_CLOSED:
+        return _closed_values(spec, "theta", radii)
+    return _theta_quadratures(get_profile(spec), radii, va)
+
+
 def k_values(spec: ManifoldSpec, radii) -> np.ndarray:
     """K(M, a) at every radius of a 1-D array: closed form else quadrature.
 
-    The quadrature route takes the first G7/K15 panel of every [0, a_i] in
-    one call, and only an interval whose panel misses `integrate`'s
-    acceptance test is bisected further; each value has the bits of
-    `k_quadrature` at its radius, alone or in any batch. A non-finite value
-    raises SingularityError naming the radius.
+    The quadrature route integrates every [0, a_i] by `integrate_intervals`;
+    each value has the bits of `k_quadrature` at its radius, alone or in any
+    batch. A non-finite value raises SingularityError naming the radius.
     """
     radii = _kernel_radii(spec, radii, "K")
-    if spec.family in _HAS_CLOSED:
-        return _closed_values(spec, "k", radii)
-    return _k_quadratures(spec, radii)
+    return _k_values(spec, radii, _ball_volumes(spec, radii))
 
 
 def theta_values(spec: ManifoldSpec, radii) -> np.ndarray:
     """Theta(M, a) at every radius of a 1-D array: closed form else quadrature,
     as `k_values`; the same bits as `theta_quadrature` at each radius."""
     radii = _kernel_radii(spec, radii, "Theta")
-    if spec.family in _HAS_CLOSED:
-        return _closed_values(spec, "theta", radii)
-    return _theta_quadratures(get_profile(spec), radii)
+    return _theta_values(spec, radii, _ball_volumes(spec, radii))
 
 
 def k_value(spec: ManifoldSpec, a: float) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ball_stats import _kernel_radii, _require_finite, k_values, theta_values
+from .ball_stats import _k_values, _kernel_radii, _require_finite, _theta_values
 from .errors import DomainError, UnsupportedManifoldError
 from .manifold import (
     Family,
@@ -112,19 +112,20 @@ class BoundReport:
 def finite_bounds(spec: ManifoldSpec, N: int, radii) -> np.ndarray:
     """The certified lower bound at every probe radius of a 1-D array.
 
-    K and Theta come from one `k_values` and one `theta_values` pass, so a
+    The radii are checked and V(a) computed once, and K and Theta come from
+    one pass each of the routes behind `k_values` and `theta_values`, so a
     radius gets the same bits alone as in any batch. A non-finite bound, as
     where V(a) underflows, raises SingularityError naming the radius.
     """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
     radii = _kernel_radii(spec, radii, "the bound")
-    k = k_values(spec, radii)
-    theta = theta_values(spec, radii)
     V = volume(spec)
+    va = V * ball_volume_fraction(spec, radii)
+    k = _k_values(spec, radii, va)
+    theta = _theta_values(spec, radii, va)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = V / (V * ball_volume_fraction(spec, radii))
-        bound = N * (1.0 - 2.0 * N + ratio) * k - N * theta
+        bound = N * (1.0 - 2.0 * N + V / va) * k - N * theta
     return _require_finite(bound, radii, "the bound", spec)
 
 

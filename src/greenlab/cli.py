@@ -198,45 +198,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, family=True, seed=True):
-        if family:
-            p.add_argument("--family", required=True, choices=["s", "rp", "cp", "hp", "op2"])
+    # each subcommand registers only the options it reads, so the manifest's
+    # parameters are exactly the knobs that shaped the result
+    def family(p, n=True):
+        p.add_argument("--family", required=True, choices=["s", "rp", "cp", "hp", "op2"])
+        if n:
             p.add_argument("--n", type=int, default=None, help="dimension parameter")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+
+    def output(p, default_format=None):
         p.add_argument("--out", default=None, help="payload file; manifest lands alongside")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--threads", type=int, default=1)
+        if default_format:
+            p.add_argument("--format", choices=["csv", "json"], default=default_format)
 
     p = sub.add_parser("profile", help="dump the radial Green profile grid")
-    common(p)
+    family(p)
+    output(p, "csv")
     p.add_argument("--r-cut", type=float, default=None)
-    p.set_defaults(fn=_cmd_profile, default_format="csv")
+    p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("ball", help="ball kernels by quadrature and closed form")
-    common(p)
+    family(p)
+    output(p, "csv")
     p.add_argument("--grid-size", type=int, default=8)
     p.add_argument("--radius", type=float, action="append", help="explicit radius (repeatable)")
-    p.set_defaults(fn=_cmd_ball, default_format="csv")
+    p.set_defaults(fn=_cmd_ball)
 
     p = sub.add_parser("bound", help="maximize the finite-N lower bound")
-    common(p)
+    family(p)
+    output(p, "json")
     p.add_argument("--points", type=int, required=True, help="number of points N")
-    p.set_defaults(fn=_cmd_bound, default_format="json")
+    p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("compare", help="our coefficients against the prior ones")
-    common(p)
+    family(p, n=False)
+    output(p, "csv")
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
-    p.set_defaults(fn=_cmd_compare, default_format="csv")
+    p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("energy", help="energy report for a configuration file")
-    common(p, family=False)
+    output(p)
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=_cmd_energy, default_format="json")
+    p.add_argument("--seed", type=int, default=0, help="recorded in the report")
+    p.add_argument("--threads", type=int, default=1)
+    p.set_defaults(fn=_cmd_energy)
 
     p = sub.add_parser("optimize", help="Riemannian gradient descent from a random start")
-    common(p)
+    family(p)
+    output(p)
     p.add_argument("--points", type=int, required=True)
     p.add_argument(
         "--iters",
@@ -245,12 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweeps; each is 3 steps, every step one gradient over all pairs "
         "and one backtracking line search that moves every point",
     )
-    p.set_defaults(fn=_cmd_optimize, default_format="csv")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    common(p, family=False)
     p.add_argument("--quick", action="store_true")
-    p.set_defaults(fn=None, default_format="csv")
+    p.set_defaults(fn=None)
 
     return parser
 
@@ -258,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
 
     start = time.monotonic()
     try:
@@ -273,9 +280,7 @@ def main(argv=None) -> int:
     manifest = RunManifest(
         subcommand=args.subcommand,
         parameters={
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("fn", "default_format") and not k.startswith("_")
+            k: v for k, v in vars(args).items() if k not in ("subcommand", "fn")
         },
         seed=getattr(args, "seed", None),
         version=__version__,

@@ -22,9 +22,10 @@ scale (|phi_hat| + |c_m|) r^(d-2): on high-dimensional spheres, where
 phi_hat r^(d-2) spans many decades, one polynomial over [r_cut, D] would
 be off by more than phi_hat itself. The head table, one 160-node panel in
 the log variable, covers the singular head below r_cut. Both are filled
-from the integrals of psi between neighbouring nodes, which one batched
-G7/K15 call computes for all new intervals at once; an interval that
-misses the single-panel accuracy test goes through adaptive quadrature.
+from the integrals of psi between neighbouring nodes, which one
+`special_math.integrate_intervals` call computes for all new intervals at
+once: one batched G7/K15 panel each, and bisection only for an interval
+whose panel misses `integrate`'s tolerance.
 
 The main table's panels are only the build source. Radii in [r_cut, D]
 are evaluated from a cell table fitted to them (`chebyshev.CellTable`):
@@ -52,18 +53,16 @@ from .errors import DomainError, SingularityError
 from .manifold import (
     Family,
     ManifoldSpec,
-    Point,
     _density,
     diameter,
     dimension,
-    distance,
     volume,
 )
 from .special_math import (
     QuadratureSettings,
     _beta_continued_fraction,
-    gauss_kronrod_panels,
     integrate,
+    integrate_intervals,
     vol_unit_sphere,
 )
 
@@ -71,9 +70,6 @@ __all__ = [
     "RadialGreenProfile",
     "phi_hat_prime",
     "phi_hat",
-    "green_constant",
-    "green_eval",
-    "green_pair",
     "build_profile",
     "get_profile",
 ]
@@ -236,27 +232,20 @@ def phi_hat_prime(spec: ManifoldSpec, s):
     return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
 
 
-def _segment_integral(
-    psi: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    settings: QuadratureSettings,
-) -> float:
-    """Integral of psi over [lo, hi] with lo > 0, via the log substitution.
+def _log_interval_integrals(psi, hi: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Integrals of psi over every [hi_i exp(-width_i), hi_i], by `integrate_intervals`.
 
-    Substituting s = hi * exp(-w) keeps the integrand a smooth exponential
+    Substituting s = hi exp(-w) keeps the integrand a smooth exponential
     even when psi carries the s^(1-d) blow-up, so plain adaptive panels
-    converge quickly regardless of how small lo is.
+    converge quickly however small the lower end is. A caller passes
+    width = log(hi / lo) as it computes it: `math.log` and `np.log` can
+    differ in the last bit.
     """
-    if lo >= hi:
-        return 0.0
-    w_hi = math.log(hi / lo)
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        s = hi * np.exp(-w)
+    def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        s = hi[rows] * np.exp(-w)
         return psi(s) * s
 
-    return integrate(integrand, 0.0, w_hi, settings)
+    return integrate_intervals(integrand, np.zeros_like(width), width, _BUILD_SETTINGS)
 
 
 @lru_cache(maxsize=None)
@@ -281,9 +270,7 @@ def _unrepresentable(spec: ManifoldSpec, r: float, what: str) -> SingularityErro
     )
 
 
-def phi_hat(
-    spec: ManifoldSpec, r: float, settings: QuadratureSettings | None = None
-) -> float:
+def phi_hat(spec: ManifoldSpec, r: float) -> float:
     """phi_hat(r) = integral of (V - V(s))/v(s) over [r, D], by quadrature."""
     D = diameter(spec)
     if r <= 0.0:
@@ -294,14 +281,14 @@ def phi_hat(
         raise DomainError(f"phi_hat needs r <= D={D}, got r={r}")
     if r >= D:
         return 0.0
-    if settings is None:
-        settings = _BUILD_SETTINGS
     psi = _radial_ratios(spec).psi
     knee = D / 8.0
     if r >= knee:
-        return integrate(psi, r, D, settings)
-    upper = integrate(psi, knee, D, settings)
-    return upper + _segment_integral(psi, r, knee, settings)
+        return integrate(psi, r, D, _BUILD_SETTINGS)
+    upper = integrate(psi, knee, D, _BUILD_SETTINGS)
+    return upper + float(
+        _log_interval_integrals(psi, np.array([knee]), np.array([math.log(knee / r)]))[0]
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,25 +355,6 @@ class RadialGreenProfile:
         return zip(nodes.tolist(), ph.tolist(), phi.tolist())
 
 
-def _log_interval_integrals(psi, lo, hi, settings):
-    """Integrals of psi over every [lo_i, hi_i], 0 < lo_i < hi_i, from one G7/K15 call.
-
-    Each interval takes the log substitution of `_segment_integral` and
-    the acceptance test of `integrate`'s first panel; one that fails it,
-    or whose value is not finite, goes through `_segment_integral` itself.
-    """
-    def integrand(w: np.ndarray) -> np.ndarray:
-        s = np.repeat(hi, w.size // hi.size) * np.exp(-w)  # w holds each interval's nodes in turn
-        return psi(s) * s
-
-    width = np.log(hi / lo)
-    values, errors, _ = gauss_kronrod_panels(integrand, np.zeros_like(width), width)
-    tol = np.maximum(settings.rel_tol * np.abs(values), settings.abs_tol)
-    for i in np.nonzero(~(np.isfinite(values) & (errors <= tol)))[0]:
-        values[i] = _segment_integral(psi, float(lo[i]), float(hi[i]), settings)
-    return values
-
-
 def _tail(values: np.ndarray) -> np.ndarray:
     """Largest of the two highest Chebyshev coefficients of each row of Lobatto values."""
     m = values.shape[1]
@@ -419,7 +387,7 @@ def _fit_cells(main: ChebyshevInterpolant, c_m: float, d: int, log_coeff: float)
         cells *= 2
 
 
-def _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings):
+def _build_phi_hat_tables(spec, c_m, r_cut, r_min):
     """The main table of phi_hat on [r_cut, D], split into panels until each resolves it,
     its cell table, and the head.
 
@@ -450,7 +418,7 @@ def _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings):
         lo_r, hi_r = nodes[new, :-1].ravel(), nodes[new, 1:].ravel()
         if round_ == 0:  # the head's intervals ride along in the first call
             lo_r, hi_r = np.append(lo_r, head_r[1:]), np.append(hi_r, head_r[:-1])
-        ints = _log_interval_integrals(psi, lo_r, hi_r, settings)
+        ints = _log_interval_integrals(psi, hi_r, np.log(hi_r / lo_r))
         fresh = ints[: new.sum() * (m - 1)].reshape(-1, m - 1)
         integrals.update(zip([key for key, n in zip(keys, new) if n], fresh))
         if round_ == 0:
@@ -481,16 +449,10 @@ def _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings):
     return main, _fit_cells(main, c_m, d, log_coeff), head
 
 
-def build_profile(
-    spec: ManifoldSpec,
-    r_cut: float | None = None,
-    settings: QuadratureSettings | None = None,
-) -> RadialGreenProfile:
+def build_profile(spec: ManifoldSpec, r_cut: float | None = None) -> RadialGreenProfile:
     """Construct the radial Green profile for a manifold."""
     D = diameter(spec)
     d = dimension(spec)
-    if settings is None:
-        settings = _BUILD_SETTINGS
     if r_cut is None:
         r_cut = D / 100.0
     if not 0.0 < r_cut < D:
@@ -499,8 +461,8 @@ def build_profile(
     r_min = min(max(1e-9 * D, _phi_hat_floor(spec)), 0.5 * r_cut)
 
     # mean-zero constant: Theta(M, D) = 0 gives C = -(1/V) int_0^D V(s) psi(s) ds
-    c_m = -integrate(_radial_ratios(spec).moment, 0.0, D, settings) / volume(spec)
-    main, cells, head = _build_phi_hat_tables(spec, c_m, r_cut, r_min, settings)
+    c_m = -integrate(_radial_ratios(spec).moment, 0.0, D, _BUILD_SETTINGS) / volume(spec)
+    main, cells, head = _build_phi_hat_tables(spec, c_m, r_cut, r_min)
     return RadialGreenProfile(
         spec=spec,
         c_m=c_m,
@@ -527,25 +489,3 @@ def get_profile(spec: ManifoldSpec) -> RadialGreenProfile:
             _PROFILE_CACHE.setdefault(spec, prof)
             prof = _PROFILE_CACHE[spec]
     return prof
-
-
-def green_constant(spec: ManifoldSpec) -> float:
-    """The mean-zero normalizing constant of the profile."""
-    return get_profile(spec).c_m
-
-
-def green_eval(profile: RadialGreenProfile, r: float) -> float:
-    """phi(r) for 0 < r <= D."""
-    if r <= 0.0:
-        raise SingularityError("the Green function diverges at coincident points")
-    return profile.phi(r)
-
-
-def green_pair(profile: RadialGreenProfile, p: Point, q: Point) -> float:
-    """G(p, q) through the profile; symmetric in its arguments."""
-    if p.spec != profile.spec or q.spec != profile.spec:
-        raise DomainError("points do not live on the profile's manifold")
-    r = distance(p, q)
-    if r <= 0.0:
-        raise SingularityError("coincident points have infinite Green interaction")
-    return profile.phi(r)

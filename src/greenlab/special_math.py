@@ -9,6 +9,12 @@ integrands: f receives a 1-D numpy array of abscissae (the 15 Kronrod
 nodes of each panel, panel by panel) and must return an array of the same
 shape, so a batch of panels costs one call of f. There is no scalar path;
 write integrands with numpy ufuncs, not `math`.
+
+`integrate_intervals` integrates a batch of intervals by `integrate`'s
+rule, and `integrate` is its one-interval case. Its integrand is
+f(x, rows): x holds Kronrod nodes as above, and rows[j] is the index of
+the interval whose panel holds x[j], so a per-interval constant c enters
+as c[rows].
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ __all__ = [
     "reg_incomplete_beta",
     "harmonic_number",
     "integrate",
+    "integrate_intervals",
     "gauss_kronrod_panel",
     "gauss_kronrod_panels",
 ]
@@ -226,15 +233,50 @@ def integrate(
     should split or transform first. A panel whose values are not finite
     raises QuadratureError. Deterministic for fixed inputs.
     """
-    if settings is None:
-        settings = DEFAULT_SETTINGS
     if lo > hi:
         raise DomainError(f"integrate requires lo <= hi, got [{lo}, {hi}]")
     if lo == hi:
         return 0.0
+    values = integrate_intervals(
+        lambda x, rows: f(x), np.array([lo]), np.array([hi]), settings or DEFAULT_SETTINGS
+    )
+    return float(values[0])
 
-    value, err, _ = gauss_kronrod_panel(f, lo, hi)
-    return _refine(f, lo, hi, value, err, settings)
+
+def integrate_intervals(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    settings: QuadratureSettings,
+) -> np.ndarray:
+    """`integrate` on every interval [lo_i, hi_i] of two 1-D float arrays.
+
+    f(x, rows) is the module docstring's batch integrand. One
+    `gauss_kronrod_panels` call takes the first panel of every interval; an
+    interval whose panel misses the tolerance, or is not finite, is bisected
+    from that panel by `_refine`. Every sum runs along its own interval, so
+    each value has the bits of `integrate` on that interval alone.
+    """
+    if not lo.size:
+        return np.zeros(0)
+    rows = np.repeat(np.arange(lo.size), _GK15_NODES.size)
+    values, errors, _ = gauss_kronrod_panels(lambda x: f(x, rows), lo, hi)
+    missed = ~(np.isfinite(values) & (errors <= _tolerance(values, settings)))
+    for i in np.flatnonzero(missed).tolist():
+        values[i] = _refine(
+            lambda x: f(x, np.full(x.size, i)),
+            float(lo[i]),
+            float(hi[i]),
+            float(values[i]),
+            float(errors[i]),
+            settings,
+        )
+    return values
+
+
+def _tolerance(value, settings: QuadratureSettings):
+    """The error an estimate may carry: max(rel_tol * |value|, abs_tol), a nan value giving nan."""
+    return np.maximum(settings.rel_tol * np.abs(value), settings.abs_tol)
 
 
 def _refine(
@@ -246,14 +288,13 @@ def _refine(
     settings: QuadratureSettings,
 ) -> float:
     """`integrate` from its first panel on: value and err are the G7/K15
-    panel on [lo, hi], as `gauss_kronrod_panels` gives them, so a batch of
-    first panels can go on interval by interval to the same bits."""
+    panel on [lo, hi], as `gauss_kronrod_panels` gives them."""
     # heap entries: (-error, insertion_counter, lo, hi, value, error)
     heap = [(-err, 0, lo, hi, value, err)]
     total = value
     total_err = err
     counter = 1
-    while total_err > max(settings.rel_tol * abs(total), settings.abs_tol):
+    while total_err > _tolerance(total, settings):
         if len(heap) >= settings.max_subdivisions:
             raise QuadratureError(
                 f"quadrature failed to converge within {settings.max_subdivisions} "

@@ -13,6 +13,7 @@ import pytest
 
 import greenlab
 from greenlab import ball_stats as bs
+from greenlab import special_math
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.green import get_profile
 from greenlab.manifold import (
@@ -375,13 +376,13 @@ class TestArrayKernels:
         # 31 random radii, one that takes the adaptive fallback, and D itself
         radii = np.append(np.random.default_rng(33).uniform(0.005 * D, D, 31), [0.9 * D, D])
         refined = []
-        inner = bs._refine
+        inner = special_math._refine
 
         def spy(f, lo, hi, value, err, settings):
             refined.append(hi)
             return inner(f, lo, hi, value, err, settings)
 
-        monkeypatch.setattr(bs, "_refine", spy)
+        monkeypatch.setattr(special_math, "_refine", spy)
         k, theta = bs.k_values(spec, radii), bs.theta_values(spec, radii)
         assert k.tolist() == [bs.k_value(spec, a) for a in radii.tolist()]
         assert theta.tolist() == [bs.theta_value(spec, a) for a in radii.tolist()]
@@ -393,6 +394,30 @@ class TestArrayKernels:
         else:
             assert k.tolist() == [bs.k_closed(spec, a) for a in radii.tolist()]
             assert theta.tolist() == [bs.theta_closed(spec, a) for a in radii.tolist()]
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.7, 1.0])
+    def test_lone_radius_makes_one_integrate_intervals_call(self, fraction, monkeypatch):
+        # one radius in each K branch of S^3: V(a) <= V/2, a < D past that, and a = D
+        calls, sizes = [], []
+        batched = bs.integrate_intervals
+
+        def spy(f, lo, hi, settings):
+            calls.append(hi.size)
+            return batched(f, lo, hi, settings)
+
+        def watched(fn):
+            def call(s):
+                sizes.append(np.size(s))
+                return fn(s)
+
+            return call
+
+        ratios = bs._radial_ratios(S3)
+        monkeypatch.setattr(bs, "integrate_intervals", spy)
+        monkeypatch.setattr(bs, "_radial_ratios", lambda spec: type(ratios)(*map(watched, ratios)))
+        bs.k_values(S3, [fraction * diameter(S3)])
+        assert calls == [1]
+        assert sizes and min(sizes) > 0
 
     @pytest.mark.parametrize("radii", [[0.5, 0.0], [0.5, 3.2], [[0.5]], [0.5, float("nan")]])
     def test_radii_outside_the_domain_rejected(self, radii):

@@ -343,3 +343,51 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "energy", "--config", str(missing))
         assert code == 1
         assert "error:" in err
+
+
+class TestOptionsPerSubcommand:
+    """Each subcommand takes only the options it reads, and its manifest lists exactly those."""
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "--family", "s", "--n", "2", "--points", "10"], ["profile", "--family", "s", "--n", "2"]],
+        ids=["bound", "profile"],
+    )
+    def test_unread_option_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 4" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--out", "x.csv"], ["--format", "json"]])
+    def test_verify_takes_no_output_options(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--quick", *argv])
+        assert exc.value.code == 2
+
+    def test_manifest_parameters_are_the_options_read(self, capsys, tmp_path):
+        points = str(tmp_path / "points.txt")
+        runs = {
+            "profile": (["--family", "s", "--n", "2"], {"family", "n", "out", "format", "r_cut"}),
+            "ball": (
+                ["--family", "s", "--n", "2", "--radius", "0.5"],
+                {"family", "n", "out", "format", "grid_size", "radius"},
+            ),
+            "bound": (["--family", "s", "--n", "2", "--points", "10"], {"family", "n", "out", "format", "points"}),
+            "compare": (["--family", "op2"], {"family", "out", "format", "n_min", "n_max"}),
+            "optimize": (
+                ["--family", "s", "--n", "2", "--points", "4", "--iters", "1"],
+                {"family", "n", "out", "points", "iters", "seed"},
+            ),
+            "energy": (["--config", points], {"out", "config", "seed", "threads"}),
+        }
+        for sub, (argv, expected) in runs.items():
+            out = points if sub == "optimize" else str(tmp_path / f"{sub}.out")
+            code, _, err = run_cli(capsys, sub, *argv, "--out", out)
+            assert code == 0, err
+            with open(out + ".manifest.json") as fh:
+                manifest = json.load(fh)
+            assert manifest["subcommand"] == sub
+            assert set(manifest["parameters"]) == expected, sub

@@ -23,9 +23,6 @@ from greenlab.green import (
     _radial_ratios,
     build_profile,
     get_profile,
-    green_constant,
-    green_eval,
-    green_pair,
     phi_hat,
     phi_hat_prime,
 )
@@ -35,7 +32,6 @@ from greenlab.manifold import (
     bm_constant,
     diameter,
     dimension,
-    sample_uniform,
     sphere_area,
     volume,
 )
@@ -182,11 +178,11 @@ class TestPhiHat:
 
 class TestProfileConstants:
     def test_frozen_constants(self):
-        assert green_constant(S2) == pytest.approx(-1.0, rel=1e-11)
-        assert green_constant(S3) == pytest.approx(-0.75, rel=1e-11)
-        assert green_constant(RP2) == pytest.approx(math.log(2.0) - 1.0, rel=1e-11)
-        assert green_constant(CP1) == pytest.approx(-0.25, rel=1e-11)
-        assert green_constant(CP2) == pytest.approx(-3.0 / 16.0, rel=1e-11)
+        assert get_profile(S2).c_m == pytest.approx(-1.0, rel=1e-11)
+        assert get_profile(S3).c_m == pytest.approx(-0.75, rel=1e-11)
+        assert get_profile(RP2).c_m == pytest.approx(math.log(2.0) - 1.0, rel=1e-11)
+        assert get_profile(CP1).c_m == pytest.approx(-0.25, rel=1e-11)
+        assert get_profile(CP2).c_m == pytest.approx(-3.0 / 16.0, rel=1e-11)
 
     def test_constant_is_full_ball_kernel(self):
         # C = -V K(M, D): partial integration of the defining moment
@@ -194,7 +190,7 @@ class TestProfileConstants:
 
         for spec in (CP1, CP2, HP1, OP2):
             expected = -volume(spec) * k_closed(spec, diameter(spec))
-            assert green_constant(spec) == pytest.approx(expected, rel=1e-11)
+            assert get_profile(spec).c_m == pytest.approx(expected, rel=1e-11)
 
     @pytest.mark.parametrize("spec", CORE)
     def test_mean_zero(self, spec):
@@ -214,13 +210,13 @@ class TestGreenEval:
 
     def test_antipodal_value(self):
         prof = get_profile(S2)
-        assert green_eval(prof, math.pi) == pytest.approx(-1 / (4 * math.pi), rel=1e-10)
+        assert prof.phi(math.pi) == pytest.approx(-1 / (4 * math.pi), rel=1e-10)
 
     def test_unit_chord_value(self):
         # chordal distance 1 sits at r = pi/3; value log2/(2pi) - 1/(4pi)
         prof = get_profile(S2)
         expected = math.log(2.0) / (2 * math.pi) - 1 / (4 * math.pi)
-        assert green_eval(prof, math.pi / 3) == pytest.approx(expected, rel=1e-10)
+        assert prof.phi(math.pi / 3) == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("spec", [S3, RP3, CP2, HP1, OP2])
     def test_near_diagonal_head(self, spec):
@@ -274,9 +270,9 @@ class TestGreenEval:
     def test_singularity_error(self):
         prof = get_profile(S2)
         with pytest.raises(SingularityError):
-            green_eval(prof, 0.0)
+            prof.phi(0.0)
         with pytest.raises(SingularityError):
-            green_eval(prof, -0.5)
+            prof.phi(-0.5)
 
     def test_deep_head_fallback(self):
         # below the head table evaluation falls back to direct quadrature
@@ -402,37 +398,6 @@ class TestCrossFamilyIdentities:
         rr = np.linspace(0.05, math.pi / 2, 30)
         expected = (-np.log(np.sin(rr)) + math.log(2.0) - 1.0) / (2 * math.pi)
         assert np.max(np.abs(prof.phi(rr) - expected)) < 1e-10
-
-
-class TestGreenPair:
-    def test_symmetry_exact(self):
-        rng = np.random.default_rng(0)
-        prof = get_profile(CP2)
-        p, q = sample_uniform(CP2, rng), sample_uniform(CP2, rng)
-        assert green_pair(prof, p, q) == green_pair(prof, q, p)
-
-    def test_orthogonal_two_sphere_points(self):
-        from greenlab.manifold import Point
-
-        prof = get_profile(S2)
-        p = Point(S2, np.array([1.0, 0.0, 0.0]))
-        q = Point(S2, np.array([0.0, 1.0, 0.0]))
-        expected = math.log(2.0) / (4 * math.pi) - 1 / (4 * math.pi)
-        assert green_pair(prof, p, q) == pytest.approx(expected, rel=1e-10)
-
-    def test_coincident_points_raise(self):
-        from greenlab.manifold import Point
-
-        prof = get_profile(S2)
-        p = Point(S2, np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(SingularityError):
-            green_pair(prof, p, p)
-
-    def test_wrong_manifold(self):
-        rng = np.random.default_rng(0)
-        prof = get_profile(S2)
-        with pytest.raises(DomainError):
-            green_pair(prof, sample_uniform(S3, rng), sample_uniform(S3, rng))
 
 
 class TestBuildProfile:

@@ -21,6 +21,7 @@ from greenlab.special_math import (
     gauss_kronrod_panels,
     harmonic_number,
     integrate,
+    integrate_intervals,
     log_gamma,
     reg_incomplete_beta,
     vol_unit_sphere,
@@ -259,6 +260,49 @@ class TestPanels:
             )
         assert values == pytest.approx([3.0, 12.0], rel=1e-15)
         assert errors == pytest.approx(50.0 * 2.0**-52 * resabs, rel=1e-14)
+
+
+class TestIntegrateIntervals:
+    SETTINGS = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-300)
+
+    def test_each_interval_gets_the_bits_of_integrate_alone(self, monkeypatch):
+        # a Runge bump of width w[i] on each interval; only the narrow one on
+        # [-1, 1] misses its first panel and is bisected
+        lo = np.array([0.0, -1.0, 2.0, 0.5])
+        hi = np.array([1.0, 1.0, 3.0, 0.6])
+        width = np.array([10.0, 1e-3, 20.0, 5.0])
+        refined = []
+        inner = special_math._refine
+
+        def spy(f, a, b, value, err, settings):
+            refined.append((a, b))
+            return inner(f, a, b, value, err, settings)
+
+        monkeypatch.setattr(special_math, "_refine", spy)
+        batch = integrate_intervals(
+            lambda x, rows: 1.0 / (width[rows] ** 2 + x * x), lo, hi, self.SETTINGS
+        )
+        assert refined == [(-1.0, 1.0)]
+        lone = [
+            integrate(lambda x, w=w: 1.0 / (w * w + x * x), a, b, self.SETTINGS)
+            for a, b, w in zip(lo.tolist(), hi.tolist(), width.tolist())
+        ]
+        assert batch.tolist() == lone
+        assert batch[1] == pytest.approx(2e3 * math.atan(1e3), rel=1e-12)
+
+    def test_empty_batch(self):
+        def f(x, rows):
+            raise AssertionError("an empty batch calls no integrand")
+
+        assert integrate_intervals(f, np.zeros(0), np.zeros(0), self.SETTINGS).shape == (0,)
+
+    def test_non_finite_interval_raises(self):
+        def f(x, rows):
+            return np.where(rows == 1, np.inf, x)
+
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(QuadratureError, match=r"not finite on \[1.0, 2.0\]"):
+                integrate_intervals(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]), self.SETTINGS)
 
 
 class TestBetaContinuedFraction:
