@@ -184,11 +184,13 @@ class CellTable:
         coeffs[0] = f(centres)
         return cls(lo, hi, centres, np.ascontiguousarray(coeffs))
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        """Values at x; with `out`, a flat array of x's size, written there in place."""
         x_arr = np.asarray(x, dtype=float)
         xf = x_arr.ravel()
         n = xf.size
-        out = np.empty(n)
+        if out is None:
+            out = np.empty(n)
         m = min(n, _CELL_CHUNK)
         s, tmp, j = np.empty(m), np.empty(m), np.empty(m, dtype=np.intp)
         for lo in range(0, n, _CELL_CHUNK):

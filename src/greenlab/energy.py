@@ -8,7 +8,8 @@ lo, so the sweep forms cosines, arccos values and profile values for
 about N^2/2 pairs, not N^2. The whole evaluation is O(N^2) dense linear
 algebra plus one vectorized profile sweep, the same for every family. The
 optimizer's gradient is formed the same way, from the same products, with
-one array evaluation of phi' per block of pairs.
+one array evaluation of phi' per block of pairs, read from the profile's
+slope table (`RadialGreenProfile.phi_hat_prime_values`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .bounds import BoundReport, best_finite_bound
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
-from .green import RadialGreenProfile, get_profile, phi_hat_prime
+from .green import RadialGreenProfile, get_profile
 from .manifold import (
     _CHORD_COSINE,
     _CONJ_SIGN,
@@ -208,7 +209,7 @@ def _descent_rows(
         inside = (np.arange(n)[None, :] > np.arange(lo, hi)[:, None]) & (d > 0.0) & (d < D)
         w = np.zeros_like(d)
         sin_d = np.sqrt(np.maximum(1.0 - c[inside] ** 2, 1e-30))
-        w[inside] = phi_hat_prime(spec, d[inside]) / (V * sin_d)
+        w[inside] = profile.phi_hat_prime_values(d[inside]) / (V * sin_d)
         if spec.family is Family.SPHERE:
             a = w[:, None, :]
         else:  # w times the components of conj(u_ij) = <x_i, x_j> / |<x_i, x_j>|

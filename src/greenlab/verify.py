@@ -153,29 +153,48 @@ def _check_sphere_profile_closed_form():
     return worst < 1e-8, f"max pointwise defect {worst:.2e}"
 
 
+# the profile tables against their direct forms, where high dimensions make
+# the stored phi_hat r^(d-2) and psi r^(d-1) span many decades
+_TABLE_SPECS = [
+    ManifoldSpec(Family.SPHERE, 2),
+    ManifoldSpec(Family.SPHERE, 16),
+    ManifoldSpec(Family.SPHERE, 40),
+    ManifoldSpec(Family.SPHERE, 60),
+    ManifoldSpec(Family.REAL_PROJ, 40),
+    ManifoldSpec(Family.COMPLEX_PROJ, 20),
+    ManifoldSpec(Family.QUAT_PROJ, 10),
+    ManifoldSpec(Family.CAYLEY_PLANE, 2),
+]
+
+
+def _table_radii(prof) -> np.ndarray:
+    """18 radii in [r_cut, D), geometric over the whole range and uniform over its upper half."""
+    D = prof.diameter
+    frac = np.linspace(0.0, 1.0, 14)[1:-1] + 0.013
+    return np.concatenate([prof.r_cut * (D / prof.r_cut) ** frac, D * (0.5 + 0.5 * frac[::2])])
+
+
 def _check_profile_table():
-    # the table against direct quadrature, where high dimensions make the
-    # stored phi_hat r^(d-2) span many decades
-    specs = [
-        ManifoldSpec(Family.SPHERE, 2),
-        ManifoldSpec(Family.SPHERE, 16),
-        ManifoldSpec(Family.SPHERE, 40),
-        ManifoldSpec(Family.SPHERE, 60),
-        ManifoldSpec(Family.REAL_PROJ, 40),
-        ManifoldSpec(Family.COMPLEX_PROJ, 20),
-        ManifoldSpec(Family.QUAT_PROJ, 10),
-        ManifoldSpec(Family.CAYLEY_PLANE, 2),
-    ]
     worst = 0.0
-    for spec in specs:
+    for spec in _TABLE_SPECS:
         prof = get_profile(spec)
-        D = diameter(spec)
-        frac = np.linspace(0.0, 1.0, 14)[1:-1] + 0.013
-        radii = np.concatenate([prof.r_cut * (D / prof.r_cut) ** frac, D * (0.5 + 0.5 * frac[::2])])
+        radii = _table_radii(prof)
         table = prof.phi_hat_values(radii)
         direct = np.array([phi_hat(spec, float(r)) for r in radii])
         worst = max(worst, float(np.max(np.abs(table - direct) / (np.abs(direct) + abs(prof.c_m)))))
     return worst < 1e-13, f"max table defect {worst:.2e} of |phi_hat| + |c_m|"
+
+
+def _check_slope_table():
+    worst = 0.0
+    for spec in _TABLE_SPECS:
+        prof = get_profile(spec)
+        radii = _table_radii(prof)
+        weight = radii ** (dimension(spec) - 1)
+        direct = phi_hat_prime(spec, radii) * weight
+        defect = np.abs(prof.phi_hat_prime_values(radii) * weight - direct)
+        worst = max(worst, float(np.max(defect) / np.max(np.abs(direct))))
+    return worst < 1e-13, f"max slope defect {worst:.2e} of max |psi r^(d-1)|"
 
 
 def _check_bm_heads():
@@ -392,6 +411,7 @@ QUICK_CHECKS = [
     ("green mean zero", _check_green_mean_zero),
     ("sphere profile closed form", _check_sphere_profile_closed_form),
     ("profile table vs quadrature", _check_profile_table),
+    ("slope table vs direct psi", _check_slope_table),
     ("near-diagonal heads", _check_bm_heads),
     ("profile derivative", _check_profile_derivative),
     ("kernel closed vs quadrature", lambda: _check_kernel_cross_validation(True)),

@@ -11,15 +11,19 @@ slope (V - V(s))/v(s) and of the mean-zero constant):
 """
 
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
 
+from greenlab import cli, green
 from greenlab.chebyshev import _CELL_CHUNK, _CHUNK
 from greenlab.errors import DomainError, GreenLabError, SingularityError
 from greenlab.green import (
+    _phi_hat_floor,
     _radial_ratios,
     build_profile,
     get_profile,
@@ -32,10 +36,12 @@ from greenlab.manifold import (
     bm_constant,
     diameter,
     dimension,
+    sample_uniform,
+    save_configuration,
     sphere_area,
     volume,
 )
-from greenlab.special_math import QuadratureSettings, integrate
+from greenlab.special_math import QuadratureSettings, integrate, vol_unit_sphere
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
 S3 = ManifoldSpec(Family.SPHERE, 3)
@@ -136,6 +142,18 @@ class TestRadialRatios:
         assert np.all(np.isfinite(psi(np.array([0.5 * D, D * (1 + 1e-13)]))))
         with pytest.raises(DomainError, match="psi needs s <= D"):
             psi(np.array([0.5 * D, 1.6]))
+
+    def test_cayley_complement_against_mpmath(self):
+        # (V - V(s))/omega = mass (1 - (1 + 8x + 36x^2 + 120x^3)(1 - x)^8) in
+        # x = cos^2 s; the series and the direct form meet where both are exact
+        mass = volume(OP2) / vol_unit_sphere(dimension(OP2))
+        s = np.linspace(0.0, diameter(OP2), 202)[1:-1]
+        got = _radial_ratios(OP2).complement(s)
+        with mpmath.workdps(40):
+            for si, value in zip(s, got):
+                x = mpmath.cos(mpmath.mpf(si)) ** 2
+                exact = mass * (1 - (1 + x * (8 + x * (36 + 120 * x))) * (1 - x) ** 8)
+                assert value == pytest.approx(float(exact), rel=4e-15, abs=0.0)
 
     def test_sphere_psi_past_half_the_diameter_is_the_mirrored_ratio(self):
         ratios = _radial_ratios(S3)
@@ -337,6 +355,22 @@ class TestChunkedEvaluation:
         single = np.array([prof.phi(float(x)) for x in r])
         assert np.array_equal(vec, single)
 
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2])
+    def test_sweep_chunks_match_whole_array_passes(self, spec):
+        # phi checks and transforms its radii chunk by chunk, in place; the
+        # bits are those of the cells followed by whole-array passes, and a
+        # batch split anywhere, with a few radii below r_cut, gives the same
+        prof = get_profile(spec)
+        d = dimension(spec)
+        rng = np.random.default_rng(9)
+        r = rng.uniform(prof.r_cut, diameter(spec), 2 * green._SWEEP_CHUNK + 123)
+        whole = prof._cells(r)
+        whole = whole * r ** (2 - d) if d > 2 else whole - prof._log_coeff * np.log(r)
+        assert np.array_equal(prof.phi(r), (whole + prof.c_m) / volume(spec))
+        r[rng.integers(r.size, size=40)] = rng.uniform(prof.r_min, prof.r_cut, 40)
+        parts = np.array_split(r, [1, 777, green._SWEEP_CHUNK + 5, r.size - 3])
+        assert np.array_equal(prof.phi(r), np.concatenate([prof.phi(part) for part in parts]))
+
     @pytest.mark.parametrize("spec", [S2, S40, S60, S100, RP40, CP20, HP10, OP2], ids=str)
     def test_cells_match_the_panels(self, spec):
         # the cell table serves every radius in [r_cut, D] within 1e-14 of the
@@ -426,3 +460,97 @@ class TestBuildProfile:
         assert rs[-1] == pytest.approx(diameter(CP2))
         phis = [phi for _, _, phi in rows]
         assert all(b < a for a, b in zip(phis, phis[1:]))
+
+
+def spy_on_slope_builds(monkeypatch) -> list:
+    """Record every slope-table build from now on."""
+    builds = []
+    real = green._fit_slope_cells
+
+    def spy(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(green, "_fit_slope_cells", spy)
+    return builds
+
+
+class TestSlopeTable:
+    @pytest.mark.parametrize("spec", CORE + [S40, RP40, CP20, HP10], ids=str)
+    def test_matches_the_direct_slope(self, spec):
+        # every radius in [r_cut, D) within 1e-14 of the largest psi r^(d-1)
+        prof = get_profile(spec)
+        s = np.random.default_rng(17).uniform(prof.r_cut, diameter(spec), 10_000)
+        weight = s ** (dimension(spec) - 1)
+        direct = phi_hat_prime(spec, s) * weight
+        defect = np.abs(prof.phi_hat_prime_values(s) * weight - direct)
+        assert defect.max() < 1e-14 * np.abs(direct).max()
+        # the fewest cells: samples clamped at D instead of mirrored past it,
+        # or the OP^2 complement's old switch at cos^2 s = 0.05, double them to 65536
+        assert prof._slope.centres.size - 1 == green._MIN_CELLS
+
+    @pytest.mark.parametrize("spec", [S2, S40, RP3, CP2, OP2], ids=str)
+    def test_lone_radius_matches_batch_bit_for_bit(self, spec):
+        # a batch that straddles r_cut: cells above it, the direct psi below
+        prof = get_profile(spec)
+        D = diameter(spec)
+        rng = np.random.default_rng(23)
+        below = np.exp(rng.uniform(math.log(_phi_hat_floor(spec)), math.log(prof.r_cut), 100))
+        edges = [prof.r_cut, np.nextafter(prof.r_cut, 0.0), np.nextafter(D, 0.0)]
+        s = np.concatenate([rng.uniform(prof.r_cut, D, 300), below, edges])
+        rng.shuffle(s)
+        batch = prof.phi_hat_prime_values(s)
+        lone = np.array([prof.phi_hat_prime_values(float(x)) for x in s])
+        assert np.array_equal(batch, lone)
+        cells = s >= prof.r_cut
+        assert np.array_equal(prof.phi_hat_prime_values(s[cells]), lone[cells])
+        assert np.array_equal(batch[~cells], phi_hat_prime(spec, s[~cells]))
+
+    @pytest.mark.parametrize("spec", [S2, S40, RP40], ids=str)
+    def test_errors_match_phi_hat_prime(self, spec):
+        prof = get_profile(spec)
+        D = diameter(spec)
+        unrepresentable = 0.5 * _phi_hat_floor(spec)
+        for bad, error in (
+            (0.0, DomainError),
+            (-1.0, DomainError),
+            (D, DomainError),
+            (np.array([0.5 * D, D]), DomainError),
+            (unrepresentable, SingularityError),
+            (np.array([0.5 * D, unrepresentable]), SingularityError),
+        ):
+            with pytest.raises(error) as direct:
+                phi_hat_prime(spec, bad)
+            with pytest.raises(error) as table:
+                prof.phi_hat_prime_values(bad)
+            assert str(table.value) == str(direct.value)
+
+    def test_bound_and_energy_never_build_it(self, monkeypatch, tmp_path, capsys):
+        # bound and energy never evaluate phi', so they must not pay for its table
+        builds = spy_on_slope_builds(monkeypatch)
+        monkeypatch.setattr(green, "_PROFILE_CACHE", {})
+        config = tmp_path / "points.txt"
+        with open(config, "w") as fh:
+            save_configuration(sample_uniform(CP2, np.random.default_rng(3), 20), fh)
+        assert cli.main(["bound", "--family", "cp", "--n", "2", "--points", "37"]) == 0
+        assert cli.main(["energy", "--config", str(config)]) == 0
+        assert builds == []
+        argv = ["optimize", "--family", "cp", "--n", "2", "--points", "6", "--iters", "1", "--seed", "1"]
+        assert cli.main(argv) == 0
+        assert len(builds) == 1
+        capsys.readouterr()
+
+    def test_threads_share_one_build(self, monkeypatch):
+        builds = spy_on_slope_builds(monkeypatch)
+        prof = build_profile(S3)
+        s = np.linspace(1e-3, 0.999, 5000) * diameter(S3)
+        start = threading.Barrier(8)
+
+        def slopes(_):
+            start.wait(timeout=60)
+            return prof.phi_hat_prime_values(s)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(slopes, range(8)))
+        assert len(builds) == 1
+        assert all(np.array_equal(r, results[0]) for r in results)

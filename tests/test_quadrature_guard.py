@@ -4,6 +4,9 @@
 panels in a batch and bisects the intervals that miss; `integrate` is its
 one-interval case. Another module that reached for the panel or the
 bisection loop directly would write the rule a second time.
+
+Likewise the optimizer reads phi' from the profile's slope table: an
+`energy` that named the direct slope would put it back on the hot path.
 """
 
 import ast
@@ -52,3 +55,7 @@ def test_rule_is_written_once(path):
 )
 def test_no_settings_parameter(fn):
     assert "settings" not in inspect.signature(fn).parameters
+
+
+def test_optimizer_reads_the_slope_table():
+    assert not names_used(SRC / "energy.py") & {"phi_hat_prime", "_radial_ratios"}
