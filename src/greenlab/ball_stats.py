@@ -16,14 +16,16 @@ v(u) psi(u) - (V - V(a)), with V - V(a) = v(a) psi(a): the direct
 difference loses its digits near a = D, the rewritten one at small a.
 
 `k_values` and `theta_values` evaluate a vector of radii, and `k_value`
-and `theta_value` are their one-radius case. On spheres and real
-projective spaces `special_math.integrate_intervals` integrates every
-[0, a_i] of one K branch, or of Theta, from one G7/K15 call, and bisects
-only the intervals whose first panel misses `integrate`'s tolerance. Every
-sum runs along its own interval, so a radius gets the same bits alone as in
-any batch, and the same as `k_quadrature` and `theta_quadrature`. Nothing
-is memoised: a value depends only on its radius. A non-finite K or Theta
-raises SingularityError naming the radius.
+and `theta_value` are their one-radius case; the bound's `finite_bounds`
+asks for both at once. On spheres and real projective spaces one
+`special_math.integrate_intervals` call integrates every [0, a_i] of the
+pass, the K rows of all branches and the Theta rows alike, through one
+integrand that dispatches on the row: one G7/K15 call takes every first
+panel, and the intervals that miss `integrate`'s tolerance are bisected
+together. Every sum runs along its own interval, so a radius gets the same
+bits alone as in any batch, and the same as `k_quadrature` and
+`theta_quadrature`. Nothing is memoised: a value depends only on its
+radius. A non-finite K or Theta raises SingularityError naming the radius.
 
 The exact closed formulas (complex/quaternionic projective spaces and the
 Cayley plane) are the preferred route where they exist, and the
@@ -59,7 +61,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, UnsupportedManifoldError
+from .errors import DomainError, QuadratureError, SingularityError, UnsupportedManifoldError
 from .green import RadialGreenProfile, _radial_ratios, get_profile
 from .manifold import (
     Family,
@@ -132,58 +134,120 @@ def _require_finite(values: np.ndarray, radii: np.ndarray, name: str, spec: Mani
     return values
 
 
-def _k_quadratures(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray) -> np.ndarray:
-    """K at checked radii with ball volumes va = V(a), one `integrate_intervals`
-    call per branch.
+# the integrand of each quadrature row, in the order the rows take: K below
+# V/2, K past it, K past it where v(a) is below the normal range, and the
+# plain moment (K at D, and Theta)
+_NEAR, _FAR, _FAR_TINY, _MOMENT = range(4)
 
-    As in the module docstring: V(a) - V(u) directly while V(a) <= V/2
-    (near), v(u) psi(u) - (V - V(a)) past that (far), with V - V(a) =
-    v(a) psi(a) free of the direct difference's cancellation, and the plain
-    moment at a = D (full). A branch with no radius makes no call: on the
-    sphere the far branch runs the continued fraction, which a near radius
-    need not pay for.
+
+def _k_rows(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray, psi):
+    """The K rows of `_quadratures`, sorted by kind: for each row its radius's
+    index, its interval [lo, hi], its constant and its kind."""
+    V, D = volume(spec), diameter(spec)
+    kind = np.where(va <= 0.5 * V, _NEAR, np.where(radii == D, _MOMENT, _FAR))
+    c = va.copy()
+    far = np.flatnonzero(kind == _FAR)
+    if far.size:
+        area, psi_a = sphere_area(spec, radii[far]), psi(radii[far])
+        tiny = area < np.finfo(float).tiny
+        c[far] = np.where(tiny, psi_a, area * psi_a)
+        kind[far[tiny]] = _FAR_TINY
+    index = np.argsort(kind, kind="stable")
+    lo, hi = np.zeros(index.size), radii[index]
+    j, m = np.searchsorted(kind[index], [_FAR_TINY, _MOMENT]).tolist()
+    if m > j:
+        # v(a) psi(a) rho(u) falls from the size of the moment to nothing within
+        # about (D - a) / n of a, too close for the first panels to see. A second
+        # row per radius takes the last 40 (D - a) / (n - 1), where it is more
+        # than e^-35 of the moment
+        a = radii[index[j:m]]
+        split = a - np.minimum(0.5 * a, 40.0 * (D - a) / (spec.n - 1))
+        hi[j:m] = split
+        index = np.insert(index, m, index[j:m])
+        lo, hi = np.insert(lo, m, split), np.insert(hi, m, a)
+    return index, lo, hi, c[index], kind[index]
+
+
+def _quadratures(
+    spec: ManifoldSpec,
+    radii: np.ndarray,
+    va: np.ndarray,
+    k: bool = True,
+    theta: bool = True,
+    profile: RadialGreenProfile | None = None,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(K, Theta) at checked radii with ball volumes va = V(a), from one
+    `integrate_intervals` call; None for a kernel not asked for.
+
+    The call holds the K rows of the radii, sorted by kind, then a Theta row
+    per radius. As in the module docstring, K takes V(a) - V(u) directly
+    while V(a) <= V/2 (near), v(u) psi(u) - (V - V(a)) past that (far), and
+    the plain moment at a = D, as Theta does. Where v(a) is below the
+    normal range, v(a) psi(a) loses its digits or vanishes while rho(u)
+    overflows near D, so those rows form v(a) psi(a) rho(u) as
+    psi(a) exp(log V(u) + log (v(a) / v(u))), over two rows (`_k_rows`).
+    The integrand's rows are non-decreasing, so each kind is one run of
+    nodes. Theta takes the profile's phi, by default the shared one.
+
+    Errors come in the order of a call per kernel: K's quadrature error or
+    non-finite value first, then the profile's failure to build, then
+    Theta's quadrature error.
     """
     V = volume(spec)
     ratios = _radial_ratios(spec)
-    near = va <= 0.5 * V
-    full = radii == diameter(spec)
-    far = ~(near | full)
-    integrals = np.empty(radii.size)
-    if near.any():
-        a, c = radii[near], va[near]
-        integrals[near] = integrate_intervals(
-            lambda u, rows: ratios.rho(u) * (c[rows] - V * ball_volume_fraction(spec, u)),
-            np.zeros(a.size), a, _SETTINGS,
-        )
-    if far.any():
-        a = radii[far]
-        c = sphere_area(spec, a) * ratios.psi(a)
-        integrals[far] = integrate_intervals(
-            lambda u, rows: ratios.moment(u) - c[rows] * ratios.rho(u),
-            np.zeros(a.size), a, _SETTINGS,
-        )
-    if full.any():
-        a = radii[full]
-        integrals[full] = integrate_intervals(
-            lambda u, rows: ratios.moment(u), np.zeros(a.size), a, _SETTINGS
-        )
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = integrals / (V * va)
-    return _require_finite(k, radii, "K", spec)
+    size = radii.size
+    if k:
+        index, lo, hi, consts, kinds = _k_rows(spec, radii, va, ratios.psi)
+    else:
+        index = kinds = np.zeros(0, dtype=int)
+        lo = hi = consts = np.zeros(0)
+    # the first row of each kind past _NEAR; the Theta rows, all _MOMENT, come last
+    starts = np.cumsum(np.bincount(kinds, minlength=4))[:3]
+    log_sin = np.log(np.sin(radii[index])) if starts[2] > starts[1] else None
+    if theta:
+        lo, hi = np.append(lo, np.zeros(size)), np.append(hi, radii)
 
+    def integrand(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        i, j, m = np.searchsorted(rows, starts).tolist()
+        out = np.empty(u.size)
+        if i:
+            out[:i] = ratios.rho(u[:i]) * (consts[rows[:i]] - V * ball_volume_fraction(spec, u[:i]))
+        if i < u.size:
+            out[i:] = ratios.moment(u[i:])
+        if j > i:
+            out[i:j] -= consts[rows[i:j]] * ratios.rho(u[i:j])
+        if m > j:
+            s = u[j:m]
+            with np.errstate(divide="ignore"):
+                log_ratio = (spec.n - 1) * (log_sin[rows[j:m]] - np.log(np.sin(s)))
+                scaled_rho = np.exp(np.log(V * ball_volume_fraction(spec, s)) + log_ratio)
+            out[j:m] -= consts[rows[j:m]] * scaled_rho
+        return out
 
-def _theta_quadratures(
-    profile: RadialGreenProfile, radii: np.ndarray, va: np.ndarray
-) -> np.ndarray:
-    """Theta at checked radii with ball volumes va = V(a), from one `integrate_intervals` call."""
-    spec = profile.spec
-    moment = _radial_ratios(spec).moment
-    integrals = integrate_intervals(
-        lambda u, rows: moment(u), np.zeros(radii.size), radii, _SETTINGS
-    )
+    try:
+        integrals = integrate_intervals(integrand, lo, hi, _SETTINGS)
+    except QuadratureError:
+        if k and theta:
+            _quadratures(spec, radii, va, theta=False)
+        if theta and profile is None:
+            get_profile(spec)
+        raise
+    k_out = theta_out = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta = profile.phi(radii) + integrals / (volume(spec) * va)
-    return _require_finite(theta, radii, "Theta", spec)
+        if k:
+            # each radius's integral over [0, a], summed over its rows
+            k_out = np.bincount(index, integrals[: index.size], size) / (V * va)
+        if theta:
+            theta_out = integrals[index.size :] / (V * va)
+    if k:
+        _require_finite(k_out, radii, "K", spec)
+    if not theta:
+        return k_out, None
+    if profile is None:
+        profile = get_profile(spec)
+    with np.errstate(invalid="ignore", over="ignore"):
+        theta_out = profile.phi(radii) + theta_out
+    return k_out, _require_finite(theta_out, radii, "Theta", spec)
 
 
 def _ball_volumes(spec: ManifoldSpec, radii: np.ndarray) -> np.ndarray:
@@ -194,13 +258,14 @@ def _ball_volumes(spec: ManifoldSpec, radii: np.ndarray) -> np.ndarray:
 def k_quadrature(spec: ManifoldSpec, a: float) -> float:
     """K(M, a) by adaptive quadrature of its single-integral form."""
     radii = _kernel_radii(spec, [a], "K")
-    return float(_k_quadratures(spec, radii, _ball_volumes(spec, radii))[0])
+    return float(_quadratures(spec, radii, _ball_volumes(spec, radii), theta=False)[0][0])
 
 
 def theta_quadrature(profile: RadialGreenProfile, a: float) -> float:
     """Theta(M, a): mean of the Green function over a ball about its pole."""
     radii = _kernel_radii(profile.spec, [a], "Theta")
-    return float(_theta_quadratures(profile, radii, _ball_volumes(profile.spec, radii))[0])
+    va = _ball_volumes(profile.spec, radii)
+    return float(_quadratures(profile.spec, radii, va, k=False, profile=profile)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -432,36 +497,36 @@ def _closed_values(spec: ManifoldSpec, kernel: str, radii: np.ndarray) -> np.nda
     return np.array([_closed_eval(form, a) for a in radii.tolist()])
 
 
-def _k_values(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray) -> np.ndarray:
-    """K at checked radii with ball volumes va = V(a): closed form else quadrature."""
-    if spec.family in _HAS_CLOSED:
-        return _closed_values(spec, "k", radii)
-    return _k_quadratures(spec, radii, va)
-
-
-def _theta_values(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray) -> np.ndarray:
-    """Theta at checked radii with ball volumes va = V(a): closed form else quadrature."""
-    if spec.family in _HAS_CLOSED:
-        return _closed_values(spec, "theta", radii)
-    return _theta_quadratures(get_profile(spec), radii, va)
+def _kernels(
+    spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray, k: bool = True, theta: bool = True
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(K, Theta) at checked radii with ball volumes va = V(a): closed forms
+    else one quadrature pass; None for a kernel not asked for."""
+    if spec.family not in _HAS_CLOSED:
+        return _quadratures(spec, radii, va, k, theta)
+    return (
+        _closed_values(spec, "k", radii) if k else None,
+        _closed_values(spec, "theta", radii) if theta else None,
+    )
 
 
 def k_values(spec: ManifoldSpec, radii) -> np.ndarray:
     """K(M, a) at every radius of a 1-D array: closed form else quadrature.
 
-    The quadrature route integrates every [0, a_i] by `integrate_intervals`;
-    each value has the bits of `k_quadrature` at its radius, alone or in any
-    batch. A non-finite value raises SingularityError naming the radius.
+    The quadrature route integrates every [0, a_i] in one
+    `integrate_intervals` call; each value has the bits of `k_quadrature` at
+    its radius, alone or in any batch. A non-finite value raises
+    SingularityError naming the radius.
     """
     radii = _kernel_radii(spec, radii, "K")
-    return _k_values(spec, radii, _ball_volumes(spec, radii))
+    return _kernels(spec, radii, _ball_volumes(spec, radii), theta=False)[0]
 
 
 def theta_values(spec: ManifoldSpec, radii) -> np.ndarray:
     """Theta(M, a) at every radius of a 1-D array: closed form else quadrature,
     as `k_values`; the same bits as `theta_quadrature` at each radius."""
     radii = _kernel_radii(spec, radii, "Theta")
-    return _theta_values(spec, radii, _ball_volumes(spec, radii))
+    return _kernels(spec, radii, _ball_volumes(spec, radii), k=False)[1]
 
 
 def k_value(spec: ManifoldSpec, a: float) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ball_stats import _k_values, _kernel_radii, _require_finite, _theta_values
+from .ball_stats import _kernel_radii, _kernels, _require_finite
 from .errors import DomainError, UnsupportedManifoldError
 from .manifold import (
     Family,
@@ -113,7 +113,8 @@ def finite_bounds(spec: ManifoldSpec, N: int, radii) -> np.ndarray:
     """The certified lower bound at every probe radius of a 1-D array.
 
     The radii are checked and V(a) computed once, and K and Theta come from
-    one pass each of the routes behind `k_values` and `theta_values`, so a
+    one pass of the route behind `k_values` and `theta_values` (on S^n and
+    RP^n, one quadrature call for both kernels at every radius), so a
     radius gets the same bits alone as in any batch. A non-finite bound, as
     where V(a) underflows, raises SingularityError naming the radius.
     """
@@ -122,8 +123,7 @@ def finite_bounds(spec: ManifoldSpec, N: int, radii) -> np.ndarray:
     radii = _kernel_radii(spec, radii, "the bound")
     V = volume(spec)
     va = V * ball_volume_fraction(spec, radii)
-    k = _k_values(spec, radii, va)
-    theta = _theta_values(spec, radii, va)
+    k, theta = _kernels(spec, radii, va)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound = N * (1.0 - 2.0 * N + V / va) * k - N * theta
     return _require_finite(bound, radii, "the bound", spec)

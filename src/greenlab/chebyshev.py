@@ -179,7 +179,12 @@ class CellTable:
         centres[0], centres[-1] = lo, hi
         x = centres[:, None] + h * _CELL_NODES
         y = f(x.ravel()).reshape(x.shape)
-        y -= ((x - centres[:, None]) / h - _CELL_NODES) * (y @ _CELL_SLOPE.T)
+        # y -= ((x - centre) / h - node) * slope, with x as the scratch array
+        x -= centres[:, None]
+        x /= h
+        x -= _CELL_NODES
+        x *= y @ _CELL_SLOPE.T
+        y -= x
         coeffs = (y @ _CELL_FIT.T).T
         coeffs[0] = f(centres)
         return cls(lo, hi, centres, np.ascontiguousarray(coeffs))

@@ -104,6 +104,9 @@ _HEAD_NODES = 160
 _MIN_CELLS = 2048
 _MAX_CELLS = 1 << 16
 _CELL_CHECKS = np.array([-0.499, 0.499])
+# radii per psi call while the slope table is fitted, which bounds psi's
+# temporaries (16 KB an array) whatever the number of cells
+_SLOPE_SLICE = 2048
 _PROFILE_ROWS = 200  # radii listed by `grid_rows`
 # radii per chunk of `phi` and `phi_hat_values`: one energy block of pairs,
 # 512 KB an array, which stays in a 2 MB L2 cache. Against whole-array
@@ -488,14 +491,20 @@ def _fit_slope_cells(spec: ManifoldSpec, r_cut: float) -> CellTable:
     `CellTable.fit` samples half a cell past D, where psi is undefined. There
     psi takes its analytic continuation, the odd mirror psi(D + e) = -psi(D - e):
     psi is proportional to D - s near the antipode of S^n, and to cos s in
-    the other families.
+    the other families. psi runs on _SLOPE_SLICE radii at a time, so its
+    temporaries do not grow with the number of cells.
     """
     D = diameter(spec)
     d = dimension(spec)
     psi = _radial_ratios(spec).psi
 
     def stored(x):
-        return np.where(x > D, -1.0, 1.0) * psi(np.minimum(x, 2.0 * D - x)) * x ** (d - 1)
+        out = np.empty(x.size)
+        for start in range(0, x.size, _SLOPE_SLICE):
+            s = x[start : start + _SLOPE_SLICE]
+            mirrored = psi(np.minimum(s, 2.0 * D - s))
+            out[start : start + s.size] = np.where(s > D, -1.0, 1.0) * mirrored * s ** (d - 1)
+        return out
 
     def close(x, y):
         exact = stored(x)

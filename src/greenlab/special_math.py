@@ -14,7 +14,8 @@ write integrands with numpy ufuncs, not `math`.
 rule, and `integrate` is its one-interval case. Its integrand is
 f(x, rows): x holds Kronrod nodes as above, and rows[j] is the index of
 the interval whose panel holds x[j], so a per-interval constant c enters
-as c[rows].
+as c[rows]. Panels come in interval order, so rows is non-decreasing in
+every call.
 """
 
 from __future__ import annotations
@@ -252,24 +253,20 @@ def integrate_intervals(
     """`integrate` on every interval [lo_i, hi_i] of two 1-D float arrays.
 
     f(x, rows) is the module docstring's batch integrand. One
-    `gauss_kronrod_panels` call takes the first panel of every interval; an
-    interval whose panel misses the tolerance, or is not finite, is bisected
-    from that panel by `_refine`. Every sum runs along its own interval, so
-    each value has the bits of `integrate` on that interval alone.
+    `gauss_kronrod_panels` call takes the first panel of every interval;
+    the intervals whose panel misses the tolerance, or is not finite, are
+    bisected from that panel by `_refine`, all of them together. Every sum
+    runs along its own interval, so each value has the bits of `integrate`
+    on that interval alone.
     """
     if not lo.size:
         return np.zeros(0)
     rows = np.repeat(np.arange(lo.size), _GK15_NODES.size)
     values, errors, _ = gauss_kronrod_panels(lambda x: f(x, rows), lo, hi)
-    missed = ~(np.isfinite(values) & (errors <= _tolerance(values, settings)))
-    for i in np.flatnonzero(missed).tolist():
-        values[i] = _refine(
-            lambda x: f(x, np.full(x.size, i)),
-            float(lo[i]),
-            float(hi[i]),
-            float(values[i]),
-            float(errors[i]),
-            settings,
+    missed = np.flatnonzero(~(np.isfinite(values) & (errors <= _tolerance(values, settings))))
+    if missed.size:
+        values[missed] = _refine(
+            f, missed, lo[missed], hi[missed], values[missed], errors[missed], settings
         )
     return values
 
@@ -280,46 +277,82 @@ def _tolerance(value, settings: QuadratureSettings):
 
 
 def _refine(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    value: float,
-    err: float,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    index: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    value: np.ndarray,
+    err: np.ndarray,
     settings: QuadratureSettings,
-) -> float:
-    """`integrate` from its first panel on: value and err are the G7/K15
-    panel on [lo, hi], as `gauss_kronrod_panels` gives them."""
+) -> np.ndarray:
+    """`integrate` from its first panel on, for every interval [lo_i, hi_i] at once.
+
+    value and err are each interval's G7/K15 panel, as `gauss_kronrod_panels`
+    gives them, and index[i] is the row that f(x, rows) knows interval i by.
+    The intervals advance in lockstep: each round pops the worst
+    sub-interval of every interval still short of its tolerance and bisects
+    them all with one call of f. Each interval keeps its own heap, counter
+    and totals, so its value has the bits of refining it alone. Of the
+    intervals that fail, the lowest-indexed one's error is raised; once one
+    has failed, those after it stop.
+    """
+    lo, hi = lo.tolist(), hi.tolist()
     # heap entries: (-error, insertion_counter, lo, hi, value, error)
-    heap = [(-err, 0, lo, hi, value, err)]
-    total = value
-    total_err = err
-    counter = 1
-    while total_err > _tolerance(total, settings):
-        if len(heap) >= settings.max_subdivisions:
-            raise QuadratureError(
-                f"quadrature failed to converge within {settings.max_subdivisions} "
-                "subdivisions",
-                estimate=total,
-                error_bound=total_err,
-            )
-        _, _, a, b, v, e = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            # interval at floating point resolution; keep its estimate as is
-            heapq.heappush(heap, (0.0, counter, a, b, v, 0.0))
-            counter += 1
-            total_err -= e
-            continue
-        values, errors, _ = gauss_kronrod_panels(f, np.array([a, m]), np.array([m, b]))
-        (v1, v2), (e1, e2) = values.tolist(), errors.tolist()
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, counter, a, m, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, m, b, v2, e2))
-        counter += 2
-    # a nan or inf value makes the loop test false, so it ends up here
-    if not math.isfinite(total):
-        raise QuadratureError(
-            f"integrand is not finite on [{lo}, {hi}]", estimate=total, error_bound=total_err
-        )
-    return total
+    heaps = [[(-e, 0, a, b, v, e)] for a, b, v, e in zip(lo, hi, value.tolist(), err.tolist())]
+    totals, total_errs = value.tolist(), err.tolist()
+    counters = [1] * len(lo)
+    active = list(range(len(lo)))
+    failed = None  # (i, error) of the lowest-indexed interval that failed so far
+    while True:
+        bisect = []  # (i, a, m, b, v, e) of the sub-interval each active interval splits
+        for i in active:
+            if failed is not None and i > failed[0]:
+                break
+            heap = heaps[i]
+            while total_errs[i] > _tolerance(totals[i], settings):
+                if len(heap) >= settings.max_subdivisions:
+                    failed = i, QuadratureError(
+                        f"quadrature failed to converge within {settings.max_subdivisions} "
+                        "subdivisions",
+                        estimate=totals[i],
+                        error_bound=total_errs[i],
+                    )
+                    break
+                _, _, a, b, v, e = heapq.heappop(heap)
+                m = 0.5 * (a + b)
+                if m <= a or m >= b:
+                    # interval at floating point resolution; keep its estimate as is
+                    heapq.heappush(heap, (0.0, counters[i], a, b, v, 0.0))
+                    counters[i] += 1
+                    total_errs[i] -= e
+                    continue
+                bisect.append((i, a, m, b, v, e))
+                break
+            else:
+                # a nan or inf value makes the loop test false, so it ends up here
+                if not math.isfinite(totals[i]):
+                    failed = i, QuadratureError(
+                        f"integrand is not finite on [{lo[i]}, {hi[i]}]",
+                        estimate=totals[i],
+                        error_bound=total_errs[i],
+                    )
+        if not bisect:
+            break
+        which, a, m, b, v, e = zip(*bisect)
+        # the two halves of each split sub-interval, side by side
+        halves_lo = np.column_stack([a, m]).ravel()
+        halves_hi = np.column_stack([m, b]).ravel()
+        rows = np.repeat(index[np.repeat(which, 2)], _GK15_NODES.size)
+        values, errors, _ = gauss_kronrod_panels(lambda x: f(x, rows), halves_lo, halves_hi)
+        values, errors = values.tolist(), errors.tolist()
+        for k, (i, a, m, b, v, e) in enumerate(bisect):
+            v1, v2, e1, e2 = values[2 * k], values[2 * k + 1], errors[2 * k], errors[2 * k + 1]
+            totals[i] += (v1 + v2) - v
+            total_errs[i] += (e1 + e2) - e
+            heapq.heappush(heaps[i], (-e1, counters[i], a, m, v1, e1))
+            heapq.heappush(heaps[i], (-e2, counters[i] + 1, m, b, v2, e2))
+            counters[i] += 2
+        active = list(which)
+    if failed is not None:
+        raise failed[1]
+    return np.array(totals)

@@ -8,6 +8,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,6 +48,36 @@ CLOSED_SPECS = (
 CROSS_GRID = [(spec, a) for spec in CLOSED_SPECS for a in (0.2, 0.6, 1.0, 1.4)] + [
     (spec, diameter(spec) - eps) for spec in CLOSED_SPECS for eps in (1e-3, 1e-6)
 ]
+
+
+def _sphere_k_mpmath(n: int, a: float) -> float:
+    """K(S^n, a) = int_0^a V(u) (V(a) - V(u)) / v(u) du / (V V(a)) by mpmath at 40 digits.
+
+    V(u) and V - V(u) each come from the incomplete beta function at the pole
+    nearer to u, so no difference cancels. The integrand is scaled to K's
+    size, as mp.quad's tolerance is absolute.
+    """
+    with mpmath.workdps(40):
+        h = mpmath.mpf(n) / 2
+        V = 2 * mpmath.pi ** (h + 0.5) / mpmath.gamma(h + 0.5)
+        omega = 2 * mpmath.pi**h / mpmath.gamma(h)
+
+        def volumes(u):  # (V(u), V - V(u))
+            if u < mpmath.pi / 2:
+                inner = V * mpmath.betainc(h, h, 0, mpmath.sin(u / 2) ** 2, regularized=True)
+                return inner, V - inner
+            outer = V * mpmath.betainc(h, h, 0, mpmath.cos(u / 2) ** 2, regularized=True)
+            return V - outer, outer
+
+        a = mpmath.mpf(a)
+        va, rest_a = volumes(a)
+
+        def integrand(u):
+            vu, rest_u = volumes(u)
+            return vu * (rest_u - rest_a) / (omega * mpmath.sin(u) ** (n - 1) * V * va)
+
+        breaks = [b for b in (0, 1.3, mpmath.pi / 2, 1.85, 2.6) if b < a] + [a]
+        return float(mpmath.quad(integrand, breaks))
 
 
 class TestKQuadrature:
@@ -103,6 +134,14 @@ class TestKQuadrature:
         assert math.isfinite(k) and k > 0.0
         assert math.isfinite(theta) and theta > 0.0
         assert k == pytest.approx(bs.k_asymptotic(spec, a), rel=1e-6)
+
+    @pytest.mark.parametrize("fraction", [0.995, 0.999])
+    def test_s150_near_the_diameter_against_mpmath(self, fraction):
+        # v(a) underflows to 0 there while rho(u) overflows near D, and the
+        # far integrand falls to zero within (D - a) / 150 of a
+        spec = ManifoldSpec(Family.SPHERE, 150)
+        a = fraction * diameter(spec)
+        assert bs.k_quadrature(spec, a) == pytest.approx(_sphere_k_mpmath(150, a), rel=1e-10)
 
     def test_independent_of_earlier_calls(self):
         code = (
@@ -378,9 +417,9 @@ class TestArrayKernels:
         refined = []
         inner = special_math._refine
 
-        def spy(f, lo, hi, value, err, settings):
-            refined.append(hi)
-            return inner(f, lo, hi, value, err, settings)
+        def spy(f, index, lo, hi, value, err, settings):
+            refined.extend(hi.tolist())
+            return inner(f, index, lo, hi, value, err, settings)
 
         monkeypatch.setattr(special_math, "_refine", spy)
         k, theta = bs.k_values(spec, radii), bs.theta_values(spec, radii)

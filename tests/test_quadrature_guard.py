@@ -5,6 +5,10 @@ panels in a batch and bisects the intervals that miss; `integrate` is its
 one-interval case. Another module that reached for the panel or the
 bisection loop directly would write the rule a second time.
 
+In `ball_stats`, one routine integrates every K and Theta row of a pass in
+one `integrate_intervals` call; a second caller would bring back a
+per-branch or per-kernel call beside it.
+
 Likewise the optimizer reads phi' from the profile's slope table: an
 `energy` that named the direct slope would put it back on the hot path.
 """
@@ -55,6 +59,22 @@ def test_rule_is_written_once(path):
 )
 def test_no_settings_parameter(fn):
     assert "settings" not in inspect.signature(fn).parameters
+
+
+def callers(path: Path, name: str) -> set:
+    """The top-level functions of a module whose bodies call `name`."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called == name:
+                    found.add(getattr(top, "name", None))
+    return found
+
+
+def test_kernels_integrate_from_one_routine():
+    assert callers(SRC / "ball_stats.py", "integrate_intervals") == {"_quadratures"}
 
 
 def test_optimizer_reads_the_slope_table():

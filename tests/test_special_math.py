@@ -274,9 +274,9 @@ class TestIntegrateIntervals:
         refined = []
         inner = special_math._refine
 
-        def spy(f, a, b, value, err, settings):
-            refined.append((a, b))
-            return inner(f, a, b, value, err, settings)
+        def spy(f, index, a, b, value, err, settings):
+            refined.extend(zip(a.tolist(), b.tolist()))
+            return inner(f, index, a, b, value, err, settings)
 
         monkeypatch.setattr(special_math, "_refine", spy)
         batch = integrate_intervals(
@@ -289,6 +289,55 @@ class TestIntegrateIntervals:
         ]
         assert batch.tolist() == lone
         assert batch[1] == pytest.approx(2e3 * math.atan(1e3), rel=1e-12)
+
+    def test_missed_intervals_are_bisected_together(self):
+        # narrow Runge bumps that each need several bisections, and a wide one
+        # that needs none: one integrand call per round of bisections, not one
+        # per bisection
+        lo = np.array([-1.0, 0.0, -2.0, -0.5, 3.0])
+        hi = np.array([1.0, 2.0, 1.0, 0.5, 4.0])
+        width = np.array([1e-2, 3e-3, 1e-3, 3e-2, 2.0])
+        calls = []
+
+        def bump(x, w):
+            calls.append(x.size)
+            return 1.0 / (w * w + x * x)
+
+        batch = integrate_intervals(lambda x, rows: bump(x, width[rows]), lo, hi, self.SETTINGS)
+        rounds = len(calls) - 1
+        lone, bisections = [], []
+        for a, b, w in zip(lo.tolist(), hi.tolist(), width.tolist()):
+            calls.clear()
+            lone.append(integrate(lambda x, w=w: bump(x, w), a, b, self.SETTINGS))
+            bisections.append(len(calls) - 1)
+        assert batch.tolist() == lone
+        assert min(bisections[:4]) >= 3 and bisections[4] == 0
+        assert rounds == max(bisections) < sum(bisections)
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            # the narrow bump runs out of subdivisions after the later interval
+            # is found not finite: the earlier interval's error
+            (["wide", "narrow", "inf"], "within 4 subdivisions"),
+            # the earlier interval is not finite from its first panel, and the
+            # later one would run out of subdivisions after it
+            (["inf", "narrow", "wide"], r"not finite on \[0.0, 1.0\]"),
+        ],
+    )
+    def test_lowest_failing_interval_raises(self, kinds, message):
+        # as if the intervals ran one after another
+        settings = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=4)
+        width = np.array([{"wide": 1.0, "narrow": 1e-4, "inf": 1.0}[kind] for kind in kinds])
+        infinite = np.array([kind == "inf" for kind in kinds])
+
+        def f(x, rows):
+            return np.where(infinite[rows], np.inf, 1.0 / (width[rows] ** 2 + x * x))
+
+        lo = np.array([-1.0 if kind == "narrow" else 0.0 for kind in kinds])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(QuadratureError, match=message):
+                integrate_intervals(f, lo, np.ones(len(kinds)), settings)
 
     def test_empty_batch(self):
         def f(x, rows):
