@@ -179,10 +179,10 @@ def _cmd_energy(args) -> str:
 def _cmd_optimize(args) -> str:
     spec = _spec_from_args(args)
     rng = np.random.default_rng(args.seed)
-    cfg = en.optimize(spec, args.points, args.iters, rng)
+    # the energy of the last accepted step, not a second sweep over the pairs
+    cfg, e = en._optimized(spec, args.points, args.iters, rng)
     buf = io.StringIO()
     save_configuration(cfg, buf)
-    e = en.energy(cfg)
     sys.stderr.write(f"final energy {_FMT.format(e)}\n")
     return buf.getvalue()
 

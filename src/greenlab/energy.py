@@ -4,9 +4,13 @@ The energy of a configuration is the sum of the radial Green profile over
 all ordered distinct pairs, twice the sum over the upper triangle i < j.
 Pair distances are formed from Gram products of the points' real frames
 (see `manifold`): a block of rows lo..hi-1 meets only the points after
-lo, so the sweep forms cosines, arccos values and profile values for
-about N^2/2 pairs, not N^2. The whole evaluation is O(N^2) dense linear
-algebra plus one vectorized profile sweep, the same for every family. The
+lo, and gathers its own pairs' cosines, row by row, into one flat vector,
+on which clip, arccos and the profile run; arccos and the profile see
+each of the N(N-1)/2 pairs once. Close pairs (cosine above
+`_CHORD_COSINE`) get chord distances and the separation floor is checked,
+each fix-up locating its pairs from the flat index only when there are
+any. The whole evaluation is O(N^2) dense linear algebra plus one
+vectorized profile sweep, the same for every family. The
 optimizer's gradient is formed the same way, from the same products, with
 one array evaluation of phi' per block of pairs, read from the profile's
 slope table (`RadialGreenProfile.phi_hat_prime_values`).
@@ -84,6 +88,15 @@ def _row_blocks(n: int, pairs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
+def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of positions in a row-major upper triangle of `width`
+    columns, in which row r holds its columns r..width-1."""
+    rows = np.arange(width)
+    starts = rows * width - rows * (rows - 1) // 2
+    r = np.searchsorted(starts, flat, side="right") - 1
+    return r, flat - starts[r] + r
+
+
 def _energy_rows(
     spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray, threads: int = 1
 ) -> float:
@@ -94,24 +107,28 @@ def _energy_rows(
     floor = _MIN_SEPARATION_FACTOR * diameter(spec)
 
     def block_sum(lo: int, hi: int) -> float:
-        # rows lo..hi-1 against the points after lo: column c is point lo + 1 + c
+        # rows lo..hi-1 against the points after lo: column c is point lo + 1 + c,
+        # and row r's pairs are its columns c >= r
         later = coords[lo + 1 :]
-        gram = _cosines(spec, coords[lo:hi], later)
-        upper = np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
-        rows, cols = np.nonzero(upper & (gram > _CHORD_COSINE))
-        np.clip(gram, -1.0, 1.0, out=gram)
-        dist = np.arccos(gram)
-        # close pairs: arccos of a cosine near 1 keeps only half the digits
-        dist[rows, cols] = _chord_distances(spec, coords[lo + rows], later[cols])
-        pair_d = dist[upper]
-        if np.any(pair_d < floor):
-            rows, cols = np.nonzero(upper & (dist < floor))
-            i, j = lo + int(rows[0]), lo + 1 + int(cols[0])
+        width = n - lo - 1
+        upper = np.arange(width)[None, :] >= np.arange(hi - lo)[:, None]
+        # the block's pairs, row by row, as one vector of cosines, then distances
+        d = _cosines(spec, coords[lo:hi], later)[upper]
+        close = np.flatnonzero(d > _CHORD_COSINE)
+        np.clip(d, -1.0, 1.0, out=d)
+        np.arccos(d, out=d)
+        if close.size:
+            # arccos of a cosine near 1 keeps only half the digits
+            rows, cols = _pair_rows_cols(close, width)
+            d[close] = _chord_distances(spec, coords[lo + rows], later[cols])
+        if d.min() < floor:
+            at = np.flatnonzero(d < floor)[:1]
+            rows, cols = _pair_rows_cols(at, width)
             raise SingularityError(
-                f"points {i} and {j} are closer than {floor:g} "
-                f"(distance {dist[rows[0], cols[0]]:g})"
+                f"points {lo + int(rows[0])} and {lo + 1 + int(cols[0])} are closer "
+                f"than {floor:g} (distance {d[at[0]]:g})"
             )
-        return float(np.sum(profile.phi(pair_d)))
+        return float(np.sum(profile.phi(d)))
 
     # the last point has no later partner: a block of it alone is left out
     blocks = [(lo, hi) for lo, hi in _row_blocks(n, _BLOCK_PAIRS) if lo < n - 1]
@@ -249,6 +266,8 @@ def _descent_steps(
     Each step tries twice the previous step's t first. The generator stops
     early when a step finds no decrease.
     """
+    if not steps:
+        return
     D = diameter(spec)
     e = _energy_rows(spec, profile, coords)
     t = None
@@ -291,6 +310,18 @@ def optimize(
     deterministic for a fixed seed. It ends early when a step finds no
     decrease.
     """
+    return _optimized(spec, N, iterations, rng, profile)[0]
+
+
+def _optimized(
+    spec: ManifoldSpec,
+    N: int,
+    iterations: int,
+    rng,
+    profile: RadialGreenProfile | None = None,
+) -> tuple[Configuration, float]:
+    """`optimize`'s configuration and its energy, the one the last accepted
+    step computed (the same bits as `energy` of the configuration)."""
     if spec.family is Family.CAYLEY_PLANE:
         raise UnsupportedManifoldError("no point model on the Cayley plane")
     if N < 2:
@@ -304,9 +335,12 @@ def optimize(
     # rescaled once more as real frames, as the output of earlier versions
     # was: a seeded run with no sweeps keeps its bits
     coords = coords / np.sqrt([x.dot(x) for x in coords])[:, None]
-    for coords, _ in _descent_steps(spec, profile, coords, _STEPS_PER_SWEEP * iterations):
+    e = None
+    for coords, e in _descent_steps(spec, profile, coords, _STEPS_PER_SWEEP * iterations):
         pass
-    return Configuration.from_array(spec, coords)
+    if e is None:
+        e = _energy_rows(spec, profile, coords)
+    return Configuration.from_array(spec, coords), e
 
 
 def mc_energy_moment(

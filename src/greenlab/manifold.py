@@ -653,24 +653,29 @@ def load_configuration(fh: TextIO) -> Configuration:
     spec = ManifoldSpec.from_token(fields["manifold"], n)
     width = _row_width(spec)
     # the body in one pass: blank and comment lines dropped, the rest parsed
-    # by one array conversion, which fails on a bad token or a ragged row
-    lines = [line.split() for line in fh]
-    rows = [tokens for tokens in lines if tokens and not tokens[0].startswith("#")]
+    # by numpy's C reader, which fails on a bad token or a ragged row
+    lines = fh.read().split("\n")
+    rows = [line for line in lines if line.strip()[:1] not in ("", "#")]
     if not rows:
         raise DomainError("configuration file contains no points")
     try:
-        values = np.array(rows, dtype=float)
+        values = np.loadtxt(rows, comments=None, ndmin=2)
     except ValueError:
-        values = None
+        # it takes fewer spellings than float(), such as '1_0'
+        try:
+            values = np.array([row.split() for row in rows], dtype=float)
+        except ValueError:
+            values = None
     if values is None or values.shape[1] != width:
         _raise_bad_line(lines, width, spec)
     return Configuration.from_array(spec, _unit_rows(spec, values))
 
 
-def _raise_bad_line(lines: list[list[str]], width: int, spec: ManifoldSpec) -> None:
+def _raise_bad_line(lines: list[str], width: int, spec: ManifoldSpec) -> None:
     """Raise the `DomainError` naming the first body line (numbered from the
     header's 1) with a bad coordinate or the wrong number of them."""
-    for line_no, tokens in enumerate(lines, start=2):
+    for line_no, line in enumerate(lines, start=2):
+        tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
         try:

@@ -143,6 +143,16 @@ class TestKQuadrature:
         a = fraction * diameter(spec)
         assert bs.k_quadrature(spec, a) == pytest.approx(_sphere_k_mpmath(150, a), rel=1e-10)
 
+    @pytest.mark.parametrize("fraction", [0.999, 0.9999])
+    @pytest.mark.parametrize("n", [30, 60, 100])
+    def test_high_dimensional_sphere_near_the_diameter_against_mpmath(self, n, fraction):
+        # v(a) is in the normal range, but the far integrand still falls to
+        # zero within (D - a) / n of a: one row over [0, a] was 9e-10 to
+        # 2e-8 off here, the layer lying between the first panel's last node and a
+        spec = ManifoldSpec(Family.SPHERE, n)
+        a = fraction * diameter(spec)
+        assert bs.k_quadrature(spec, a) == pytest.approx(_sphere_k_mpmath(n, a), rel=1e-13)
+
     def test_independent_of_earlier_calls(self):
         code = (
             "import sys\n"

@@ -7,9 +7,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import greenlab
+from greenlab import energy as en
 from greenlab import verify
 from greenlab.cli import main
 from greenlab.manifold import Family, ManifoldSpec, volume
@@ -220,6 +222,20 @@ class TestEnergyAndOptimize:
             )
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("iters", [0, 1, 3])
+    @pytest.mark.parametrize("family, n", [("s", 2), ("cp", 2), ("hp", 1)])
+    def test_optimize_reports_the_energy_of_its_output(self, capsys, family, n, iters):
+        # the reported energy is the last accepted step's, with the bits that
+        # `energy` gives the returned configuration
+        code, _, err = run_cli(
+            capsys, "optimize", "--family", family, "--n", str(n), "--points", "12",
+            "--iters", str(iters), "--seed", "5",
+        )
+        assert code == 0
+        spec = ManifoldSpec.from_token(family, n)
+        cfg = en.optimize(spec, 12, iters, np.random.default_rng(5))
+        assert f"final energy {en.energy(cfg):.17g}\n" in err
 
     @pytest.mark.parametrize("t", [4e-9, 6.28e-9])
     def test_unrepresentable_pair_distance_is_error(self, capsys, tmp_path, t):

@@ -11,10 +11,13 @@ from greenlab import energy as en
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.green import get_profile
 from greenlab.manifold import (
+    _CHORD_COSINE,
     _FIELD_RANK,
     Family,
     ManifoldSpec,
     Point,
+    _chord_distances,
+    _cosines,
     _frames,
     diameter,
     distance,
@@ -145,6 +148,14 @@ class TestEnergy:
         with pytest.raises(SingularityError, match="points 250 and 280 "):
             en.energy(cfg)
 
+    @pytest.mark.parametrize("spec", [S2, HP1])
+    def test_duplicate_guard_names_the_first_pair_in_row_order(self, spec):
+        rows = sample_uniform(spec, np.random.default_rng(3), 50).coords_array().copy()
+        rows[40], rows[12] = rows[10], rows[11]
+        cfg = en.Configuration.from_array(spec, rows)
+        with pytest.raises(SingularityError, match="points 10 and 40 "):
+            en.energy(cfg)
+
     def test_profile_spec_mismatch(self):
         cfg = random_config(S2, 3, 2)
         with pytest.raises(DomainError):
@@ -205,6 +216,103 @@ def reference_distances(spec, rows):
             ni, nj = (mpmath.sqrt(mpmath.fdot(rows[a].tolist(), rows[a].tolist())) for a in (i, j))
             dist[p] = mpmath.acos(c / (ni * nj))
     return dist.astype(float)
+
+
+def rectangle_energy(spec, profile, coords):
+    """The energy sweep over each block's whole Gram rectangle, as it was
+    written before the flat pair sweep: the oracle for its bits."""
+    n = len(coords)
+    floor = en._MIN_SEPARATION_FACTOR * diameter(spec)
+
+    def block_sum(lo, hi):
+        later = coords[lo + 1 :]
+        gram = _cosines(spec, coords[lo:hi], later)
+        upper = np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
+        rows, cols = np.nonzero(upper & (gram > _CHORD_COSINE))
+        np.clip(gram, -1.0, 1.0, out=gram)
+        dist = np.arccos(gram)
+        dist[rows, cols] = _chord_distances(spec, coords[lo + rows], later[cols])
+        pair_d = dist[upper]
+        assert not np.any(pair_d < floor)
+        return float(np.sum(profile.phi(pair_d)))
+
+    blocks = [(lo, hi) for lo, hi in en._row_blocks(n, en._BLOCK_PAIRS) if lo < n - 1]
+    return 2.0 * float(np.sum(np.asarray([block_sum(lo, hi) for lo, hi in blocks])))
+
+
+def plant_close(rows, pairs, rng, scale=0.02):
+    """rows with row j of each (i, j) in pairs moved next to row i, at cosine above 0.99."""
+    rows = rows.copy()
+    for i, j in pairs:
+        near = rows[i] + scale * rng.standard_normal(rows.shape[1])
+        rows[j] = near / np.linalg.norm(near)
+    return rows
+
+
+class TestFlatSweep:
+    """The flat pair sweep against the rectangle sweep, bit for bit."""
+
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    @pytest.mark.parametrize(
+        "n, block_pairs",
+        [
+            (2, 1 << 16),  # one pair
+            (3, 1 << 16),
+            (300, 1 << 16),  # two blocks, the second of 82 rows
+            (25, 25),  # one row per block
+            (25, 75),  # three rows per block; the last block, point 24 alone, is left out
+            (26, 78),  # the last block holds points 24 and 25: one pair
+        ],
+    )
+    def test_matches_the_rectangle_sweep(self, spec, n, block_pairs, monkeypatch):
+        monkeypatch.setattr(en, "_BLOCK_PAIRS", block_pairs)
+        rows = sample_uniform(spec, np.random.default_rng(n), n).coords_array()
+        profile = get_profile(spec)
+        cfg = en.Configuration.from_array(spec, rows)
+        expected = rectangle_energy(spec, profile, rows)
+        assert en.energy(cfg) == expected
+        assert en.energy(cfg, threads=4) == expected
+
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    def test_close_pairs_on_both_sides_of_a_block_boundary(self, spec, monkeypatch):
+        # three rows per block: rows 0-2 form block 0 and rows 3-5 block 1
+        monkeypatch.setattr(en, "_BLOCK_PAIRS", 3 * 20)
+        assert en._row_blocks(20, en._BLOCK_PAIRS)[:2] == [(0, 3), (3, 6)]
+        rng = np.random.default_rng(7)
+        rows = sample_uniform(spec, rng, 20).coords_array()
+        close = [(2, 3), (2, 17), (3, 4), (5, 19), (0, 1), (17, 18)]
+        rows = plant_close(rows, close, rng)
+        cos = _cosines(spec, rows, rows)
+        assert all(cos[i, j] > _CHORD_COSINE for i, j in close)
+        cfg = en.Configuration.from_array(spec, rows)
+        expected = rectangle_energy(spec, get_profile(spec), rows)
+        assert en.energy(cfg) == expected
+        assert en.energy(cfg, threads=4) == expected
+
+    @pytest.mark.parametrize("spec", [S2, HP1])
+    def test_chord_distances_only_for_close_pairs(self, spec, monkeypatch):
+        calls = []
+        chord = en._chord_distances
+
+        def spy(spec, left, right):
+            calls.append(len(left))
+            return chord(spec, left, right)
+
+        monkeypatch.setattr(en, "_chord_distances", spy)
+        rng = np.random.default_rng(5)
+        rows = sample_uniform(spec, rng, 40).coords_array()
+        # no pair of the points kept is close
+        cos = _cosines(spec, rows, rows)
+        kept = []
+        for i in range(40):
+            if all(cos[i, j] <= _CHORD_COSINE for j in kept):
+                kept.append(i)
+        rows = rows[kept]
+        assert len(kept) > 20
+        en.energy(en.Configuration.from_array(spec, rows))
+        assert calls == []
+        en.energy(en.Configuration.from_array(spec, plant_close(rows, [(1, 15)], rng)))
+        assert calls == [1]
 
 
 class TestClosePairs:

@@ -480,3 +480,29 @@ class TestConfigurationFiles:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             load_configuration(io.StringIO("# manifold=s n=2\n"))
+
+    def test_blank_and_comment_lines_skipped(self):
+        text = "# manifold=s n=2\n\n  # a comment\n0 0 2\n\t\n 0 3 0 \n"
+        loaded = load_configuration(io.StringIO(text))
+        assert np.array_equal(loaded.coords_array(), [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+    def test_float_spellings_accepted(self):
+        # float() reads these; numpy's text reader takes neither
+        text = "# manifold=s n=2\n1_0 0 0\n0 \uff11 0\n"
+        loaded = load_configuration(io.StringIO(text))
+        assert np.array_equal(loaded.coords_array(), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1 0 0\n# note\n\n0 1 # 0\n", "bad coordinate on line 5"),
+            ("1 0 0 # trailing note\n", "bad coordinate on line 2"),
+            ("1 0 0\n0 1 0\n0 1\n", "got 2 on line 4"),
+            ("1 0\n0 1 0 0\n", "got 2 on line 2"),
+            ("1 0 0 0\n0 1 0 0\n", "got 4 on line 2"),
+            ("1 0 0\n0 1 zero\n", "bad coordinate on line 3"),
+        ],
+    )
+    def test_bad_line_named(self, body, message):
+        with pytest.raises(DomainError, match=message):
+            load_configuration(io.StringIO("# manifold=s n=2\n" + body))

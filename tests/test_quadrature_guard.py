@@ -11,6 +11,8 @@ per-branch or per-kernel call beside it.
 
 Likewise the optimizer reads phi' from the profile's slope table: an
 `energy` that named the direct slope would put it back on the hot path.
+And `greenlab optimize` reports the energy its last accepted step computed:
+an `energy` call in the command would sweep every pair once more.
 """
 
 import ast
@@ -79,3 +81,7 @@ def test_kernels_integrate_from_one_routine():
 
 def test_optimizer_reads_the_slope_table():
     assert not names_used(SRC / "energy.py") & {"phi_hat_prime", "_radial_ratios"}
+
+
+def test_optimize_command_does_not_sweep_the_energy_again():
+    assert "_cmd_optimize" not in callers(SRC / "cli.py", "energy")
