@@ -27,21 +27,29 @@ bits alone as in any batch, and the same as `k_quadrature` and
 `theta_quadrature`. Nothing is memoised: a value depends only on its
 radius. A non-finite K or Theta raises SingularityError naming the radius.
 
-The exact closed formulas (complex/quaternionic projective spaces and the
-Cayley plane) are the preferred route where they exist, and the
-quadrature is their independent cross-check. Multiplied out, each reads
+The exact closed formulas are the preferred route where the ball volume
+is a polynomial, mu(x) = V(a)/V = x^m D(y) with x = sin^2 a, y = cos^2 a
+and mu' = c' x^(m-1) (1 - x)^(k-1) (`manifold._ball_polynomial`: CP^n,
+HP^n, OP^2), and the quadrature is their independent cross-check. There
+
+    V mu_a K = int_0^(x_a) (mu_a - mu) D(1 - x) / (4 c' (1 - x)^k) dx
+    V (mu_a / x_a) Theta = (mu_a phi_hat(x_a) - mu_a int_0^1 mu h + int_0^(x_a) mu h) / x_a
+
+with h = (1 - mu) / (4 x (1 - x) mu') a Laurent polynomial, phi_hat =
+int_x^1 h and int_0^1 mu h = -c_m. `_kernel_parts` takes these integrals
+once per manifold in rational arithmetic and asserts that every negative
+power cancels; multiplied out, each reads
 
     c V x^e D(y) kernel = R(x) + P(x) log(1 - t)
 
-with x = sin^2 a, y = cos^2 a, polynomials R, P and D (D with positive
-coefficients in y) and t the variable in which the numerator vanishes:
+with e = m (K) or m - 1 (Theta), c the least common denominator of P's
+coefficients and t the variable in which the numerator vanishes:
 t = x for K, to order e + 1 at the pole, and t = y for Theta, which is
 zero at a = D. The direct formula cancels as t -> 0, so up to a switch
 point the kernel is the Taylor series of the numerator in t, whose
 vanishing coefficients are dropped exactly and nothing cancels; past it,
 the direct formula with R and P re-centred in u = 1 - t and log u taken as
-2 log cos a (K) or 2 log sin a (Theta). Both are derived once per
-manifold in rational arithmetic and evaluated in double precision.
+2 log cos a (K) or 2 log sin a (Theta), evaluated in double precision.
 
 The switch is the first t at which the direct formula's rounding-error
 amplification, sum |coefficient * term| / |value|, is no larger than the
@@ -66,6 +74,8 @@ from .green import RadialGreenProfile, _radial_ratios, get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
+    _ball_complement,
+    _ball_polynomial,
     ball_volume,
     ball_volume_fraction,
     bm_constant,
@@ -284,62 +294,8 @@ def theta_quadrature(profile: RadialGreenProfile, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms (complex/quaternionic projective spaces, Cayley plane)
+# Closed forms (the families with a ball polynomial)
 # ---------------------------------------------------------------------------
-
-
-# Each function gives one formula's parts (R, P, e, D, c), as in the module
-# docstring, with exact rational coefficients in ascending powers of x (D in y).
-
-
-def _harmonic(k: int) -> Fraction:
-    return sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
-
-
-# the Cayley plane's 165 - 440x + 396x^2 - 120x^3 at x = 1 - y
-_OP2_D = (1, 8, 36, 120)
-
-
-def _k_parts(spec: ManifoldSpec):
-    n = spec.n
-    if spec.family is Family.COMPLEX_PROJ:
-        # 4n V x^n K = sum_{k<=n} x^k / k + (1 - x^n) log(1 - x)
-        r = [Fraction(0)] + [Fraction(1, k) for k in range(1, n + 1)]
-        p = [Fraction(1)] + [Fraction(0)] * (n - 1) + [Fraction(-1)]
-        return r, p, n, (1,), 4 * n
-    if spec.family is Family.QUAT_PROJ:
-        # 4(m+1) V x^m w K = sum_{k<=m+1} x^k / k + (1 - w x^m) log(1 - x), w = 1 + m y
-        m = 2 * n
-        r = [Fraction(0)] + [Fraction(1, k) for k in range(1, m + 2)]
-        p = [Fraction(1)] + [Fraction(0)] * (m - 1) + [Fraction(-(m + 1)), Fraction(m)]
-        return r, p, m, (1, m), 4 * (m + 1)
-    # 1219680 V x^8 D K = x poly(x) + 27720 (1 - 165x^8 + 440x^9 - 396x^10 + 120x^11) log(1 - x)
-    poly = (27720, 13860, 9240, 6930, 5544, 4620, 3960, 3465, 1019480, -1826748, 815640)
-    r = [Fraction(0)] + [Fraction(v) for v in poly]
-    p = [Fraction(27720 * v) for v in (1, 0, 0, 0, 0, 0, 0, 0, -165, 440, -396, 120)]
-    return r, p, 8, _OP2_D, 1219680
-
-
-def _theta_parts(spec: ManifoldSpec):
-    n = spec.n
-    if spec.family is Family.COMPLEX_PROJ:
-        # 2n V x^(n-1) Theta = (n/2) sum_{k<n} x^(n-1-k) / (k (n-k)) - (H_{n-1} + log(x) / 2) x^(n-1)
-        r = [Fraction(n, 2 * k * (n - k)) for k in range(n - 1, 0, -1)] + [-_harmonic(n - 1)]
-        p = [Fraction(0)] * (n - 1) + [Fraction(-1, 2)]
-        return r, p, n - 1, (1,), 2 * n
-    if spec.family is Family.QUAT_PROJ:
-        # 4(m+1) V x^(m-1) w Theta = 2n(m+1) sum_{k<m} x^(m-1-k) / (k (k+1) (m-k))
-        #     - (2 H_{m-1} w + 1 + 2(n-1) x + w log x) x^(m-1), w = m + 1 - m x
-        m = 2 * n
-        h = _harmonic(m - 1)
-        r = [Fraction(2 * n * (m + 1), k * (k + 1) * (m - k)) for k in range(m - 1, 0, -1)]
-        r += [-2 * h * (m + 1) - 1, 2 * h * m - 2 * (n - 1)]
-        p = [Fraction(0)] * (m - 1) + [Fraction(-(m + 1)), Fraction(m)]
-        return r, p, m - 1, (1, m), 4 * (m + 1)
-    # 9240 V x^7 D Theta = poly(x) - 210 x^7 D log x, D = 165 - 440x + 396x^2 - 120x^3
-    poly = (330, 275, 330, 495, 924, 2310, 9900, -190150, 427500, -353334, 101420)
-    p = [Fraction(0)] * 7 + [Fraction(-210 * v) for v in (165, -440, 396, -120)]
-    return [Fraction(v) for v in poly], p, 7, _OP2_D, 9240
 
 
 def _recentre(coeffs: list[Fraction]) -> list[Fraction]:
@@ -350,6 +306,71 @@ def _recentre(coeffs: list[Fraction]) -> list[Fraction]:
             for k in range(i + 1):
                 out[k] += ci * math.comb(i, k) * (-1) ** k
     return out
+
+
+def _mul(a: list, b: list) -> list[Fraction]:
+    """The product of two coefficient lists of one length, cut to that length."""
+    out = [Fraction(0)] * len(a)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b[: len(a) - i] if ai else ()):
+            out[i + j] += ai * bj
+    return out
+
+
+def _antiderivative(coeffs: list, j: int) -> tuple[list, Fraction]:
+    """(G, b) such that G(s) / s^(j-1) + b log s is an antiderivative of c(s) / s^j."""
+    return [0 if i == j - 1 else v / (i - j + 1) for i, v in enumerate(coeffs)], coeffs[j - 1]
+
+
+@functools.cache
+def _kernel_parts(spec: ManifoldSpec) -> dict[str, tuple]:
+    """Each kernel's parts (R, P, e, c) as in the module docstring, with R and P
+    exact in ascending powers of u = y (K) or u = x (Theta). The integrals run
+    in y for K and in x for Theta, where 1 - mu = y^k q(y) makes h = q / (4 c' x^m)."""
+    if _ball_polynomial(spec) is None:
+        raise UnsupportedManifoldError(
+            "no closed ball kernel exists for spheres or real projective spaces"
+        )
+    m, k, d = _ball_polynomial(spec)
+    size = m + 2 * k  # longer than every polynomial below
+
+    def padded(coeffs, shift=0):
+        """coeffs times s^shift as Fractions, padded or cut to size."""
+        return ([Fraction(0)] * shift + [Fraction(v) for v in coeffs] + [Fraction(0)] * size)[:size]
+
+    q, d_y = padded(_ball_complement(m, k, d)), padded(d)
+    mu = [(i == 0) - v for i, v in enumerate(padded(q, k))]
+    quarter = Fraction(1, 4 * m * sum(d))  # 1 / (4 c') with c' = m D(1)
+    # K: 4 c' V mu_a K = mu_a (F1(1) - F1(y_a)) + F2(y_a) - F2(1), where
+    # F1 = G1 / y^(k-1) + b1 log y integrates D / y^k and F2 integrates mu D / y^k.
+    # G has no y^(k-1) term, which holds -G(1) in G - G(1) y^(k-1)
+    g1, b1 = _antiderivative(d_y, k)
+    g2, b2 = _antiderivative(_mul(mu, d_y), k)
+    g1[k - 1], g2[k - 1] = -sum(g1), -sum(g2)
+    k_r = [v - a for a, v in zip(_mul(mu, g1), g2)]
+    k_p = [b2 * (i == 0) - b1 * v for i, v in enumerate(mu)]
+    # Theta: with Q(x) = q(y), phi_hat = G(1) - G / x^(m-1) - b log x and
+    # int_0^x mu h = I(x) / (4 c'), I the integral of D Q from 0. The part without
+    # logs is (D ((G(1) - I(1)) x^(m-1) - G) + I / x) / (4 c'), and G has no
+    # x^(m-1) term, which holds -(G(1) - I(1))
+    big_q, d_x = _recentre(q), _recentre(d_y)
+    g, b = _antiderivative(big_q, m)
+    moment = padded([0] + [v / (i + 1) for i, v in enumerate(_mul(d_x, big_q))])
+    g[m - 1] = sum(moment) - sum(g)
+    theta_r = [v - a for a, v in zip(_mul(d_x, g), padded(moment[1:]))]
+    theta_p = padded([-b * v for v in d_x], m - 1)
+    parts = {}
+    # K's part without logs is over y^(k-1), Theta's over 1
+    for kernel, r, p, e, low in (("k", k_r, k_p, m, k - 1), ("theta", theta_r, theta_p, m - 1, 0)):
+        if any(r[:low]):
+            raise AssertionError(f"the closed {kernel} on {spec} keeps a negative power")
+        c = math.lcm(*((v * quarter).denominator for v in p))
+        r, p = [v * quarter * c for v in r[low:]], [v * quarter * c for v in p]
+        for coeffs in (r, p):  # without trailing zeros, but never empty
+            while len(coeffs) > 1 and not coeffs[-1]:
+                coeffs.pop()
+        parts[kernel] = (r, p, e, c)
+    return parts
 
 
 @dataclass(frozen=True)
@@ -388,9 +409,8 @@ def _abs_poly(coeffs: list[Fraction], s: np.ndarray) -> np.ndarray:
 def _closed_form(spec: ManifoldSpec, kernel: str) -> _ClosedForm:
     """Derive one formula's series and re-centred polynomials exactly."""
     t_is_x = kernel == "k"
-    r, p, e, d, c = (_k_parts if t_is_x else _theta_parts)(spec)
-    r_t, p_t = (r, p) if t_is_x else (_recentre(r), _recentre(p))
-    r_u, p_u = (_recentre(r), _recentre(p)) if t_is_x else (r, p)
+    r_u, p_u, e, c = _kernel_parts(spec)[kernel]
+    r_t, p_t = _recentre(r_u), _recentre(p_u)
     # the numerator vanishes to order e + 1 in x (K) or 1 in y (Theta)
     order = e + 1 if t_is_x else 1
     # log(1 - t) = -sum t^k / k, so R + P log(1 - t) = sum_j (R_j - sum_i P_i / (j - i)) t^j
@@ -442,7 +462,7 @@ def _closed_form(spec: ManifoldSpec, kernel: str) -> _ClosedForm:
         r=tuple(float(v) for v in r_u),
         p=tuple(float(v) for v in p_u),
         e=e,
-        d=tuple(float(v) for v in d),
+        d=tuple(float(v) for v in _ball_polynomial(spec)[2]),
         scale=c * volume(spec),
         switch=switch,
         tail=tail,
@@ -465,47 +485,36 @@ def _closed_eval(form: _ClosedForm, a: float) -> float:
     return value
 
 
-def _check_closed(spec: ManifoldSpec, a: float, name: str) -> float:
-    if spec.family in (Family.SPHERE, Family.REAL_PROJ):
-        raise UnsupportedManifoldError(
-            "no closed ball kernel exists for spheres or real projective spaces"
-        )
-    D = diameter(spec)
-    if not 0.0 < a <= D * (1.0 + 1e-12):
-        raise DomainError(f"{name} needs a in (0, D], got {a}")
-    return min(a, D)
-
-
 def k_closed(spec: ManifoldSpec, a: float) -> float:
     """The exact K(M, a) formula in double precision.
 
-    c V x^e D(y) K = R(x) + P(x) log y vanishes to order e + 1 at x = 0.
-    Below the switch, K is the Taylor series of that numerator over x^e
-    (CP^n: sum_j x^j / (4 V j (j + n)); HP^n with m = 2n:
-    ((m+1) x - m(m+1) sum_{j>=2} x^j / (j (j-1) (j+m))) / (4 (m+1) (1 + m y) V)),
-    which leaves out less than 2^-56 of the value; above it, the direct
-    formula in powers of y with log y = 2 log cos a.
+    V mu_a K = int_0^(x_a) (mu_a - mu) D(1 - x) / (4 c' (1 - x)^k) dx, with
+    mu = V(a)/V = x^m D(y), integrated exactly: c V x^m D(y) K = R(y) + P(y) log y
+    vanishes to order m + 1 at x = 0. Below the switch, K is the Taylor
+    series of that numerator over x^m, which leaves out less than 2^-56 of
+    the value; above it, the direct formula in powers of y with
+    log y = 2 log cos a.
     """
-    return _closed_eval(_closed_form(spec, "k"), _check_closed(spec, a, "K"))
+    return _closed_eval(_closed_form(spec, "k"), float(_kernel_radii(spec, [a], "K")[0]))
 
 
 def theta_closed(spec: ManifoldSpec, a: float) -> float:
     """The exact Theta(M, a) formula in double precision.
 
-    c V x^e D(y) Theta = R(x) + P(x) log x vanishes at y = 0, where
+    V (mu_a / x_a) Theta = (mu_a phi_hat(x_a) - mu_a int_0^1 mu h + int_0^(x_a) mu h) / x_a,
+    with h = (1 - mu) / (4 x (1 - x) mu') a Laurent polynomial in x,
+    phi_hat = int_x^1 h and int_0^1 mu h = -c_m, integrated exactly:
+    c V x^(m-1) D(y) Theta = R(x) + P(x) log x vanishes at y = 0, where
     Theta(M, D) = 0. Below the switch in y, Theta is the Taylor series of
     that numerator in y, which leaves out less than 2^-56 of the value;
     above it, the direct formula in powers of x with log x = 2 log sin a.
     """
-    return _closed_eval(_closed_form(spec, "theta"), _check_closed(spec, a, "Theta"))
+    return _closed_eval(_closed_form(spec, "theta"), float(_kernel_radii(spec, [a], "Theta")[0]))
 
 
 # ---------------------------------------------------------------------------
 # Route selection, asymptotics
 # ---------------------------------------------------------------------------
-
-_HAS_CLOSED = (Family.COMPLEX_PROJ, Family.QUAT_PROJ, Family.CAYLEY_PLANE)
-
 
 def _closed_values(spec: ManifoldSpec, kernel: str, radii: np.ndarray) -> np.ndarray:
     form = _closed_form(spec, kernel)
@@ -517,7 +526,7 @@ def _kernels(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(K, Theta) at checked radii with ball volumes va = V(a): closed forms
     else one quadrature pass; None for a kernel not asked for."""
-    if spec.family not in _HAS_CLOSED:
+    if _ball_polynomial(spec) is None:
         return _quadratures(spec, radii, va, k, theta)
     return (
         _closed_values(spec, "k", radii) if k else None,

@@ -29,6 +29,7 @@ from .green import build_profile, get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
+    _ball_polynomial,
     diameter,
     load_configuration,
     save_configuration,
@@ -109,7 +110,7 @@ def _cmd_ball(args) -> str:
     else:
         radii = [D * (k + 1) / (args.grid_size + 1) for k in range(args.grid_size)]
     prof = get_profile(spec)
-    closed = spec.family in (Family.COMPLEX_PROJ, Family.QUAT_PROJ, Family.CAYLEY_PLANE)
+    closed = _ball_polynomial(spec) is not None
     rows = []
     for a in radii:
         k_quad = bs.k_quadrature(spec, a)

@@ -64,6 +64,8 @@ from .errors import DomainError, SingularityError
 from .manifold import (
     Family,
     ManifoldSpec,
+    _ball_complement,
+    _ball_polynomial,
     _density,
     diameter,
     dimension,
@@ -116,10 +118,6 @@ _PROFILE_ROWS = 200  # radii listed by `grid_rows`
 _SWEEP_CHUNK = 1 << 16
 
 
-# 1 - (1 + 8x + 36x^2 + 120x^3)(1-x)^8 expanded exactly; lower orders cancel
-_CAYLEY_TAIL_COEFFS = (330.0, -1848.0, 4620.0, -6600.0, 5775.0, -3080.0, 924.0, -120.0)
-
-
 class _Ratios(NamedTuple):
     rho: Callable[[np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], np.ndarray]
@@ -135,8 +133,11 @@ def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
     psi is the profile slope magnitude, moment the integrand of Theta and of
     the mean-zero constant. No underflowed number is a divisor, and no
     complement V - V(s) cancels:
-    - CP^n, HP^n and OP^2 cancel the powers of sin s between V(s) and v(s)
-      exactly, and expand V - V(s) in x = cos^2 s, whose low orders cancel;
+    - CP^n, HP^n and OP^2 read both from V(s)/V = x^m D(y), x = sin^2 s and
+      y = cos^2 s (`manifold._ball_polynomial`): rho = mass D(y) sin s /
+      cos^(2k-1) s cancels the powers of sin s exactly, and near D the
+      complement is 1 - x^m D(y) expanded exactly in y, whose orders below k
+      vanish;
     - S^n and RP^n take the mass from betainc or, where it leaves the normal
       range, W(u)/sin^(n-1) u = sin(u) 2F1(n, 1; n/2 + 1; sin^2(u/2)) / n from
       a continued fraction, which also gives the sphere's psi past pi/2.
@@ -176,43 +177,26 @@ def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
             def complement(s):  # (V/2) (1 - 2 I_x(a, a)) = (V/2) I_{cos^2 s}(1/2, a)
                 return mass * betainc(0.5, a, np.cos(s) ** 2)
 
-    elif spec.family is Family.COMPLEX_PROJ:
-
-        def rho(s):
-            return mass * np.tan(s)
-
-        def complement(s):
-            return -mass * np.expm1(n * log_sin_sq(s))
-
-    elif spec.family is Family.QUAT_PROJ:
-        # exact coefficients of 1 - (1+2nx)(1-x)^(2n), highest first; orders 0 and 1 vanish
-        coeffs = [float((-1) ** (j - 1) * (math.comb(2 * n, j) - 2 * n * math.comb(2 * n, j - 1)))
-                  for j in range(2 * n + 1, 1, -1)]
-
-        def rho(s):
-            return mass * (1.0 + 2 * n * np.cos(s) ** 2) * np.sin(s) / np.cos(s) ** 3
-
-        def complement(s):
-            x = np.cos(s) ** 2
-            series = np.polyval(coeffs, x) * x * x
-            direct = 1.0 - (1.0 + 2 * n * x) * np.exp(2 * n * log_sin_sq(s))
-            return mass * np.where(x < 1.0 / (4.0 * n), series, direct)
-
     else:
+        m, k, d = _ball_polynomial(spec)
+        # y = cos^2 s below which the complement is its series, 1 - V(s)/V = y^k q(y),
+        # as the direct form cancels in its exponent. Against mpmath both are within
+        # 1.4e-15 for y in [0.24, 0.30] on OP^2 (below, the direct form loses up to
+        # 2.4e-11; above, the series up to 7e-13), and the direct form is within 1.6e-15
+        # from y = 1/(4n) up on HP^n (n from 1 to 60); CP^n (k = 1) cancels nothing
+        switch = {Family.QUAT_PROJ: 0.25 / n, Family.CAYLEY_PLANE: 0.25}.get(spec.family)
+        series = None if switch is None else np.array(_ball_complement(m, k, d)[::-1], float)
 
         def rho(s):
-            x = np.cos(s) ** 2
-            return mass * (1.0 + x * (8.0 + x * (36.0 + 120.0 * x))) * np.sin(s) / np.cos(s) ** 7
+            y = np.cos(s) ** 2
+            return mass * np.polyval(d[::-1], y) * np.sin(s) / np.cos(s) ** (2 * k - 1)
 
         def complement(s):
-            x = np.cos(s) ** 2
-            series = np.polyval(_CAYLEY_TAIL_COEFFS[::-1], x) * x**4
-            poly = 1.0 + x * (8.0 + x * (36.0 + 120.0 * x))
-            direct = -np.expm1(8.0 * log_sin_sq(s) + np.log(poly))
-            # against 40-digit values both forms are within 1.4e-15 for x in
-            # [0.24, 0.30]; below, the direct form loses up to 2.4e-11 to the
-            # cancellation in its exponent, and above, the series up to 7e-13
-            return mass * np.where(x < 0.25, series, direct)
+            y = np.cos(s) ** 2
+            direct = -np.expm1(m * log_sin_sq(s) + np.log(np.polyval(d[::-1], y)))
+            if switch is None:
+                return mass * direct
+            return mass * np.where(y < switch, np.polyval(series, y) * y**k, direct)
 
     limit = diameter(spec) * (1.0 + 1e-12)
 

@@ -133,14 +133,9 @@ class ManifoldSpec:
 
 
 def dimension(spec: ManifoldSpec) -> int:
-    """Real dimension d."""
-    if spec.family in (Family.SPHERE, Family.REAL_PROJ):
-        return spec.n
-    if spec.family is Family.COMPLEX_PROJ:
-        return 2 * spec.n
-    if spec.family is Family.QUAT_PROJ:
-        return 4 * spec.n
-    return 16
+    """Real dimension d: n on S^n and RP^n, 2m where V(a)/V = x^m D(y)."""
+    poly = _ball_polynomial(spec)
+    return spec.n if poly is None else 2 * poly[0]
 
 
 def diameter(spec: ManifoldSpec) -> float:
@@ -195,15 +190,33 @@ def _like(r: np.ndarray, values: np.ndarray):
     return float(values[0]) if r.ndim == 0 else values
 
 
+def _ball_polynomial(spec: ManifoldSpec) -> tuple[int, int, tuple[int, ...]] | None:
+    """(m, k, D) with V(a)/V = x^m D(y), x = sin^2 a, y = cos^2 a and D's integer
+    coefficients ascending in y, where the ball volume is that polynomial; then
+    d/dx (V(a)/V) = c' x^(m-1) (1-x)^(k-1). None on spheres and real projective spaces."""
+    return {
+        Family.COMPLEX_PROJ: (spec.n, 1, (1,)),
+        Family.QUAT_PROJ: (2 * spec.n, 2, (1, 2 * spec.n)),
+        Family.CAYLEY_PLANE: (8, 4, (1, 8, 36, 120)),
+    }.get(spec.family)
+
+
+def _ball_complement(m: int, k: int, d: tuple[int, ...]) -> list[int]:
+    """q with 1 - x^m D(y) = y^k q(y), x = 1 - y: ascending integer coefficients in y."""
+    rest = [1] + [0] * (m + len(d) - 1)
+    for i in range(m + 1):
+        for j, dj in enumerate(d):
+            rest[i + j] -= (-1) ** i * math.comb(m, i) * dj
+    if any(rest[:k]):
+        raise AssertionError(f"1 - x^{m} D(y) does not vanish to order {k} at y = 0")
+    return rest[k:]
+
+
 def _density(spec: ManifoldSpec, r: np.ndarray) -> np.ndarray:
-    n = spec.n
-    if spec.family in (Family.SPHERE, Family.REAL_PROJ):
-        return np.sin(r) ** (n - 1)
-    if spec.family is Family.COMPLEX_PROJ:
-        return np.sin(r) ** (2 * n - 1) * np.cos(r)
-    if spec.family is Family.QUAT_PROJ:
-        return np.sin(r) ** (4 * n - 1) * np.cos(r) ** 3
-    return np.sin(r) ** 15 * np.cos(r) ** 7
+    poly = _ball_polynomial(spec)
+    if poly is None:
+        return np.sin(r) ** (spec.n - 1)
+    return np.sin(r) ** (2 * poly[0] - 1) * np.cos(r) ** (2 * poly[1] - 1)
 
 
 def radial_density(spec: ManifoldSpec, r):
@@ -215,11 +228,6 @@ def radial_density(spec: ManifoldSpec, r):
 def sphere_area(spec: ManifoldSpec, a):
     """(d-1)-volume v(a) of the geodesic sphere of radius a (array-valued like a)."""
     return vol_unit_sphere(dimension(spec)) * radial_density(spec, a)
-
-
-def _cayley_poly(sin_sq):
-    """165 - 440 S^2 + 396 S^4 - 120 S^6 with S^2 = sin_sq."""
-    return 165.0 + sin_sq * (-440.0 + sin_sq * (396.0 - 120.0 * sin_sq))
 
 
 def ball_volume(spec: ManifoldSpec, a):
@@ -237,11 +245,8 @@ def ball_volume_fraction(spec: ManifoldSpec, a: np.ndarray) -> np.ndarray:
     if spec.family is Family.REAL_PROJ:
         s = np.minimum(np.sin(0.5 * a) ** 2, 0.5)
         return 2.0 * _betainc_vec(0.5 * n, 0.5 * n, s)
-    if spec.family is Family.COMPLEX_PROJ:
-        return np.sin(a) ** (2 * n)
-    if spec.family is Family.QUAT_PROJ:
-        return (1.0 + 2 * n * np.cos(a) ** 2) * np.sin(a) ** (4 * n)
-    return _cayley_poly(np.sin(a) ** 2) * np.sin(a) ** 16
+    m, _, d = _ball_polynomial(spec)
+    return np.polyval(d[::-1], np.cos(a) ** 2) * np.sin(a) ** (2 * m)
 
 
 # ---------------------------------------------------------------------------

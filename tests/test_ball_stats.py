@@ -20,13 +20,15 @@ from greenlab.green import get_profile
 from greenlab.manifold import (
     Family,
     ManifoldSpec,
+    _ball_polynomial,
     ball_volume,
+    bm_constant,
     diameter,
     dimension,
     sphere_area,
     volume,
 )
-from greenlab.special_math import harmonic_number
+from greenlab.special_math import harmonic_number, vol_unit_sphere
 
 from closed_form_oracle import k_oracle, theta_oracle
 
@@ -279,6 +281,50 @@ class TestClosedFormsAgainstMpmath:
             series = bs._closed_eval(dataclasses.replace(form, switch=2.0), a)
             direct = bs._closed_eval(dataclasses.replace(form, switch=-1.0), a)
             assert direct == pytest.approx(series, rel=1e-14)
+
+
+class TestDerivedKernelParts:
+    """Exact identities of the closed kernels' parts derived from V(a)/V = x^m D(y)."""
+
+    SPECS = (
+        [ManifoldSpec(Family.COMPLEX_PROJ, n) for n in range(1, 41)]
+        + [ManifoldSpec(Family.QUAT_PROJ, n) for n in range(1, 21)]
+        + [OP2]
+    )
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_k_numerator_starts_with_the_small_radius_law(self, spec):
+        # c V x^m D(y) K = R(y) + P(y) log(1 - x) = sum_j s_j x^j vanishes to
+        # order m + 1, and K -> s_(m+1) x / (c V D(1)) = a^2 / (2 (d + 2) V)
+        m, _, d = _ball_polynomial(spec)
+        r, p, e, c = bs._kernel_parts(spec)["k"]
+        r_x, p_x = bs._recentre(r), bs._recentre(p)
+        series = [
+            (r_x[j] if j < len(r_x) else 0) - sum(pi / (j - i) for i, pi in enumerate(p_x[:j]))
+            for j in range(m + 2)
+        ]
+        assert e == m and not any(series[: m + 1])
+        assert series[m + 1] / (c * sum(d)) == Fraction(1, 2 * (dimension(spec) + 2))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_theta_numerator_vanishes_at_the_diameter(self, spec):
+        # Theta(M, D) = 0: R(x) + P(x) log x is R(1) at x = 1
+        r, _, e, _ = bs._kernel_parts(spec)["theta"]
+        assert e == _ball_polynomial(spec)[0] - 1 and sum(r) == 0
+
+    @pytest.mark.parametrize("spec", [s for s in SPECS if dimension(s) > 2], ids=str)
+    def test_theta_head_is_the_small_radius_law(self, spec):
+        # Theta -> R(0) / (c V x^(m-1) D(1)) = d B_M a^(2-d) / (2 V)
+        r, _, _, c = bs._kernel_parts(spec)["theta"]
+        head = r[0] / (c * sum(_ball_polynomial(spec)[2]))
+        assert float(head) == pytest.approx(dimension(spec) * bm_constant(spec) / 2, rel=1e-15)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_volume_is_the_sphere_area_over_twice_the_slope_constant(self, spec):
+        # v(a) = V mu'(x) dx/da with mu' = c' x^(m-1) y^(k-1) and c' = m D(1)
+        m, _, d = _ball_polynomial(spec)
+        omega = vol_unit_sphere(dimension(spec))
+        assert volume(spec) == pytest.approx(omega / (2 * m * sum(d)), rel=1e-14)
 
 
 class TestThetaQuadrature:

@@ -3,6 +3,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -143,6 +144,17 @@ class TestBallVolume:
     def test_cayley_polynomial_normalizes(self):
         # 165 - 440 + 396 - 120 = 1 makes the full ball close exactly
         assert ball_volume(OP2, math.pi / 2) == pytest.approx(volume(OP2), rel=1e-14)
+
+    def test_cayley_fraction_near_the_diameter_against_mpmath(self):
+        # x^8 D(y) with D = 1 + 8y + 36y^2 + 120y^3 has no cancellation; the
+        # same polynomial in x, 165 - 440x + 396x^2 - 120x^3, cancels near D
+        a = np.linspace(0.5, diameter(OP2), 401)[:-1]
+        got = ball_volume_fraction(OP2, a)
+        with mpmath.workdps(50):
+            for ai, value in zip(a.tolist(), got.tolist()):
+                y = mpmath.cos(mpmath.mpf(ai)) ** 2
+                exact = (1 - y) ** 8 * (1 + y * (8 + y * (36 + 120 * y)))
+                assert value == pytest.approx(float(exact), rel=1e-14, abs=0.0), ai
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_matches_density_quadrature(self, spec):
