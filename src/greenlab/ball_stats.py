@@ -76,6 +76,7 @@ from .manifold import (
     ManifoldSpec,
     _ball_complement,
     _ball_polynomial,
+    _radius_limit,
     ball_volume,
     ball_volume_fraction,
     bm_constant,
@@ -123,8 +124,7 @@ def _kernel_radii(spec: ManifoldSpec, radii, name: str) -> np.ndarray:
     a = np.asarray(radii, dtype=float)
     if a.ndim != 1:
         raise DomainError(f"{name} needs a 1-D array of radii, got shape {a.shape}")
-    D = diameter(spec)
-    limit = D * (1.0 + 1e-12)
+    D, limit = diameter(spec), _radius_limit(spec)
     beyond = False
     for x in a.tolist():
         if not 0.0 < x <= limit:

@@ -31,8 +31,8 @@ from .errors import DomainError, UnsupportedManifoldError
 from .manifold import (
     Family,
     ManifoldSpec,
+    _volume_ratio,
     ball_volume_fraction,
-    bm_constant,
     diameter,
     dimension,
     volume,
@@ -63,12 +63,6 @@ class BoundCoefficients:
     c_opt: float
     leading: float
     exponent: float
-
-    def __post_init__(self):
-        if not self.c_opt > 0:
-            raise DomainError(
-                f"optimal-radius constant must be positive, got {self.c_opt} for {self.spec}"
-            )
 
 
 @dataclass
@@ -134,20 +128,21 @@ def finite_bound(spec: ManifoldSpec, N: int, a: float) -> float:
     return float(finite_bounds(spec, N, [a])[0])
 
 
-def optimal_radius_constant(spec: ManifoldSpec) -> BoundCoefficients:
-    """Closed optimal-radius constant and N^(2-2/d) coefficient for d > 2."""
+def _c_opt(spec: ManifoldSpec) -> float:
+    """c_opt = (d (d^2 - 4) margin / 4)^(2/d) = (d V/omega)^(2/d), taken in logs (d > 2):
+    the margin B_M - V / ((d + 2) omega) is 4 (V/omega) / (d^2 - 4) > 0."""
     d = dimension(spec)
     if d <= 2:
         raise UnsupportedManifoldError(
             "the closed optimal radius needs d > 2; use best_finite_bound for d = 2"
         )
-    margin = bm_constant(spec) - volume(spec) / ((d + 2) * vol_unit_sphere(d))
-    if margin <= 0.0:
-        raise DomainError(
-            f"near-diagonal coefficient margin is {margin} for {spec}; the "
-            "optimal-radius constant is only defined for a positive margin"
-        )
-    c_opt = (0.25 * d * (d - 2) * (d + 2) * margin) ** (2.0 / d)
+    return math.exp(2.0 / d * math.log(d * _volume_ratio(spec)))
+
+
+def optimal_radius_constant(spec: ManifoldSpec) -> BoundCoefficients:
+    """Closed optimal-radius constant and N^(2-2/d) coefficient for d > 2."""
+    d = dimension(spec)
+    c_opt = _c_opt(spec)
     leading = d * c_opt / ((d * d - 4) * volume(spec))
     return BoundCoefficients(spec=spec, c_opt=c_opt, leading=leading, exponent=2.0 - 2.0 / d)
 
@@ -169,10 +164,8 @@ def matzke_coefficient(spec: ManifoldSpec) -> float:
     if spec.family is Family.REAL_PROJ:
         if n < 3:
             raise DomainError("prior real projective coefficient needs n >= 3")
-        return (
-            n
-            / (4.0 * (n - 2))
-            * (math.sqrt(math.pi) / math.gamma(0.5 * (n + 1))) ** (2.0 / n)
+        return n / (4.0 * (n - 2)) * math.exp(
+            (math.log(math.pi) - 2.0 * log_gamma(0.5 * (n + 1))) / n
         )
     if spec.family is Family.COMPLEX_PROJ:
         if n < 2:
@@ -186,9 +179,9 @@ def matzke_coefficient(spec: ManifoldSpec) -> float:
 
 
 def our_coefficient(spec: ManifoldSpec) -> float:
-    """Our leading coefficient without the 1/V factor (figure normalization)."""
-    coeff = optimal_radius_constant(spec)
-    return coeff.leading * volume(spec)
+    """Our leading coefficient without the 1/V factor (figure normalization): d c_opt / (d^2 - 4)."""
+    d = dimension(spec)
+    return d * _c_opt(spec) / (d * d - 4)
 
 
 def legacy_2d_constants() -> dict[str, float]:

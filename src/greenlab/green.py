@@ -57,16 +57,17 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import betainc
 
 from .chebyshev import CellTable, ChebyshevInterpolant, lobatto_nodes
 from .errors import DomainError, SingularityError
 from .manifold import (
-    Family,
     ManifoldSpec,
-    _ball_complement,
-    _ball_polynomial,
     _density,
+    _radius_limit,
+    _record,
+    _regularized_beta,
+    _sin_cos_squares,
+    _volume_ratio,
     diameter,
     dimension,
     volume,
@@ -76,7 +77,6 @@ from .special_math import (
     _beta_continued_fraction,
     integrate,
     integrate_intervals,
-    vol_unit_sphere,
 )
 
 __all__ = [
@@ -116,114 +116,66 @@ _PROFILE_ROWS = 200  # radii listed by `grid_rows`
 # in dimensions 3 and 4 (a dozen numpy calls a chunk); chunks of 65536 cost
 # 0 to 5 % less there and 12 to 22 % less at 10^6 radii
 _SWEEP_CHUNK = 1 << 16
+# betainc's relative error below half the mean grows with p + q (5.8e-16 at
+# p = q = 4, 1.1e-15 at 12, 1.9e-15 at 20 against mpmath); through psi it takes
+# the slope table on S^40 to S^80 from 2048-8192 cells to 65536
+_CF_ORDER = 24
 
 
 class _Ratios(NamedTuple):
     rho: Callable[[np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], np.ndarray]
     moment: Callable[[np.ndarray], np.ndarray]
-    complement: Callable[[np.ndarray], np.ndarray]
 
 
 @lru_cache(maxsize=None)
 def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
-    """Array functions rho(s) = V(s)/v(s), psi(s) = (V - V(s))/v(s), moment(s) = V(s) psi(s)
-    and complement(s) = (V - V(s))/omega, omega the area of the unit (d-1)-sphere.
+    """Array functions rho(s) = V(s)/v(s), psi(s) = (V - V(s))/v(s) and moment(s) = V(s) psi(s).
 
     psi is the profile slope magnitude, moment the integrand of Theta and of
-    the mean-zero constant. No underflowed number is a divisor, and no
-    complement V - V(s) cancels:
-    - CP^n, HP^n and OP^2 read both from V(s)/V = x^m D(y), x = sin^2 s and
-      y = cos^2 s (`manifold._ball_polynomial`): rho = mass D(y) sin s /
-      cos^(2k-1) s cancels the powers of sin s exactly, and near D the
-      complement is 1 - x^m D(y) expanded exactly in y, whose orders below k
-      vanish;
-    - S^n and RP^n take the mass from betainc or, where it leaves the normal
-      range, W(u)/sin^(n-1) u = sin(u) 2F1(n, 1; n/2 + 1; sin^2(u/2)) / n from
-      a continued fraction, which also gives the sphere's psi past pi/2.
+    the mean-zero constant. With the record (m, k, s) of `manifold`, rho is
+    (V/omega) I_x(m, k) / (v/omega), x = sin^2(s r), and psi the same ratio on
+    the mirrored record (k, m, y), y = cos^2(s r): no V - V(s) is a difference
+    and omega divides nothing. Where I_t(p, q) leaves the normal range, or lies
+    below half its mean with p + q >= _CF_ORDER, the ratio is
+    sqrt(t (1 - t)) 2F1(p + q, 1; p + 1; t) / (2 s p) from a continued fraction.
+    The moment is the smaller fraction's ratio times the larger fraction.
     """
-    n = spec.n
-    omega = vol_unit_sphere(dimension(spec))
-    mass = volume(spec) / omega
+    m, k, step = _record(spec)
+    mass = _volume_ratio(spec)
+    limit = _radius_limit(spec)
 
-    def log_sin_sq(s):
-        # log(1 - cos^2 s) without the cancellation at either end (the
-        # minimum only keeps the unused branch finite)
-        direct = np.log1p(-np.minimum(np.cos(s) ** 2, 0.5))
-        return np.where(s <= 0.25 * np.pi, 2.0 * np.log(np.sin(s)), direct)
-
-    if spec.family in (Family.SPHERE, Family.REAL_PROJ):
-        a = 0.5 * n
-        # V(s)/omega = sphere_mass I_x(a, a), x = sin^2(s/2), on both families
-        sphere_mass = mass if spec.family is Family.SPHERE else 2.0 * mass
-
-        def rho(s):
-            x = np.sin(0.5 * s) ** 2
-            frac = betainc(a, a, x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = sphere_mass * frac / np.sin(s) ** (n - 1)
-            low = frac < 1e-280  # the mass leaves the normal range
-            if low.any():
-                out[low] = np.sin(s[low]) * _beta_continued_fraction(a, a, x[low]) / n
-            return out
-
-        if spec.family is Family.SPHERE:
-
-            def complement(s):  # the ball about the antipode
-                return mass * betainc(a, a, np.sin(0.5 * (np.pi - s)) ** 2)
-
-        else:
-
-            def complement(s):  # (V/2) (1 - 2 I_x(a, a)) = (V/2) I_{cos^2 s}(1/2, a)
-                return mass * betainc(0.5, a, np.cos(s) ** 2)
-
-    else:
-        m, k, d = _ball_polynomial(spec)
-        # y = cos^2 s below which the complement is its series, 1 - V(s)/V = y^k q(y),
-        # as the direct form cancels in its exponent. Against mpmath both are within
-        # 1.4e-15 for y in [0.24, 0.30] on OP^2 (below, the direct form loses up to
-        # 2.4e-11; above, the series up to 7e-13), and the direct form is within 1.6e-15
-        # from y = 1/(4n) up on HP^n (n from 1 to 60); CP^n (k = 1) cancels nothing
-        switch = {Family.QUAT_PROJ: 0.25 / n, Family.CAYLEY_PLANE: 0.25}.get(spec.family)
-        series = None if switch is None else np.array(_ball_complement(m, k, d)[::-1], float)
-
-        def rho(s):
-            y = np.cos(s) ** 2
-            return mass * np.polyval(d[::-1], y) * np.sin(s) / np.cos(s) ** (2 * k - 1)
-
-        def complement(s):
-            y = np.cos(s) ** 2
-            direct = -np.expm1(m * log_sin_sq(s) + np.log(np.polyval(d[::-1], y)))
-            if switch is None:
-                return mass * direct
-            return mass * np.where(y < switch, np.polyval(series, y) * y**k, direct)
-
-    limit = diameter(spec) * (1.0 + 1e-12)
-
-    def psi(s):
-        if (s > limit).any():
-            raise DomainError(f"psi needs s <= D = {diameter(spec)} on {spec}, got {float(s.max())!r}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = complement(s) / _density(spec, s)
-        if spec.family is Family.SPHERE:
-            far = s > 0.5 * np.pi  # rho at pi - s, by the continued fraction
-            if far.any():
-                y = np.sin(0.5 * (np.pi - s[far])) ** 2
-                out[far] = np.sin(s[far]) * _beta_continued_fraction(a, a, y) / n
+    def ratio(frac, p, q, t, u, density):
+        """(V/omega) I_t(p, q) / (v/omega) from frac = I_t(p, q)."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = mass * frac / density
+        low = frac < 1e-280
+        if p + q >= _CF_ORDER:
+            low |= t < 0.5 * p / (p + q)
+        if low.any():
+            cf = _beta_continued_fraction(p, q, t[low])
+            out[low] = np.sqrt(t[low] * u[low]) * cf / (2.0 * step * p)
         return out
 
-    def moment(s):
-        c = complement(s)
-        if spec.family is not Family.SPHERE:
-            return omega * rho(s) * c
-        near = s <= 0.5 * np.pi
-        if near.all():
-            return omega * (rho(s) * c)
-        # past pi/2, rho overflows where c underflows; V(s) psi(s) stays tame
-        with np.errstate(invalid="ignore", over="ignore"):
-            return omega * np.where(near, rho(s) * c, (mass - c) * psi(s))
+    def rho(r):
+        x, y = _sin_cos_squares(spec, r)
+        return ratio(_regularized_beta(m, k, x, y)[0], m, k, x, y, _density(spec, x, y))
 
-    return _Ratios(rho, psi, moment, complement)
+    def psi(r):
+        if (r > limit).any():
+            raise DomainError(f"psi needs s <= D = {diameter(spec)} on {spec}, got {float(r.max())!r}")
+        x, y = _sin_cos_squares(spec, r)
+        return ratio(_regularized_beta(m, k, x, y)[1], k, m, y, x, _density(spec, x, y))
+
+    def moment(r):
+        x, y = _sin_cos_squares(spec, r)
+        mu, rest = _regularized_beta(m, k, x, y)
+        density = _density(spec, x, y)
+        lower, upper = ratio(mu, m, k, x, y, density), ratio(rest, k, m, y, x, density)
+        with np.errstate(invalid="ignore", over="ignore"):  # in the branch not taken
+            return volume(spec) * np.where(mu <= rest, lower * rest, mu * upper)
+
+    return _Ratios(rho, psi, moment)
 
 
 def phi_hat_prime(spec: ManifoldSpec, s):
@@ -293,7 +245,7 @@ def phi_hat(spec: ManifoldSpec, r: float) -> float:
         raise DomainError(f"phi_hat needs r > 0, got r={r}")
     if r < _phi_hat_floor(spec):
         raise _unrepresentable(spec, r, "phi_hat")
-    if r > D * (1.0 + 1e-12):
+    if r > _radius_limit(spec):
         raise DomainError(f"phi_hat needs r <= D={D}, got r={r}")
     if r >= D:
         return 0.0
@@ -353,7 +305,7 @@ class RadialGreenProfile:
         bit, and a radius has the same bits alone and in any batch.
         """
         d = dimension(self.spec)
-        D = self.diameter
+        D, limit = self.diameter, _radius_limit(self.spec)
         V = volume(self.spec) if phi else 1.0
         flat = r.ravel()
         out = np.empty_like(flat)
@@ -362,7 +314,7 @@ class RadialGreenProfile:
             least, most = x.min(), x.max()
             if least <= 0.0:
                 raise SingularityError("phi_hat diverges at r = 0")
-            if most > D * (1.0 + 1e-12):
+            if most > limit:
                 raise DomainError("radius beyond the manifold diameter")
             clamped = np.maximum(x, self.r_cut) if least < self.r_cut else x
             if most > D:
@@ -509,7 +461,7 @@ def _build_phi_hat_tables(spec, c_m, r_cut, r_min):
     d = dimension(spec)
     psi = _radial_ratios(spec).psi
     m = _PANEL_NODES
-    log_coeff = volume(spec) / vol_unit_sphere(d)
+    log_coeff = _volume_ratio(spec)
 
     knee = 0.5 * D if r_cut < 0.5 * D else r_cut
     breaks = np.concatenate([
@@ -562,7 +514,6 @@ def _build_phi_hat_tables(spec, c_m, r_cut, r_min):
 def build_profile(spec: ManifoldSpec, r_cut: float | None = None) -> RadialGreenProfile:
     """Construct the radial Green profile for a manifold."""
     D = diameter(spec)
-    d = dimension(spec)
     if r_cut is None:
         r_cut = D / 100.0
     if not 0.0 < r_cut < D:
@@ -581,7 +532,7 @@ def build_profile(spec: ManifoldSpec, r_cut: float | None = None) -> RadialGreen
         _main=main,
         _cells=cells,
         _head=head,
-        _log_coeff=volume(spec) / vol_unit_sphere(d),
+        _log_coeff=_volume_ratio(spec),
     )
 
 

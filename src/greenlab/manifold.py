@@ -5,6 +5,19 @@ diameters, volumes, radial volume densities, ball volumes, point models
 with geodesic distance, uniform sampling, geodesic stepping and radial
 distance sampling.
 
+Jacobi records
+--------------
+Each family's radial geometry is one record (m, k, s): S^n (n/2, n/2, 1/2),
+RP^n (n/2, 1/2, 1), CP^n (n, 1, 1), HP^n (2n, 2, 1) and OP^2 (8, 4, 1), with
+v(r)/omega = s^(1-d) sin^(2m-1)(s r) cos^(2k-1)(s r), omega the area of the
+unit (d-1)-sphere. Everything else derives from it: d = 2m, D = pi/(2s),
+V/omega = B(m, k)/(2 s^d), V = pi^m Gamma(k)/(s^d Gamma(m+k)),
+B_M = (V/omega)/(d-2), c_opt = (d V/omega)^(2/d), and V(a)/V = I_x(m, k),
+x = sin^2(s a), or 1 - I_y(k, m), y = cos^2(s a), past the mean x = m/(m+k).
+For s = 1 and integer k that is x^m D(y), D(y) = sum_(j<k) C(m+j-1, j) y^j.
+V/omega and V are rationals times powers of pi, each rounded once; V raises
+SingularityError where it is not a normal double.
+
 Point model
 -----------
 A point of S^n or RP^n is a unit vector in R^(n+1), of CP^n a unit vector
@@ -36,15 +49,17 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, TextIO
 
 import numpy as np
-from scipy.special import betainc as _betainc_vec
+from scipy.special import betainc, betaincinv
 
-from .errors import DomainError, UnsupportedManifoldError
-from .special_math import log_gamma, vol_unit_sphere
+from .errors import DomainError, SingularityError, UnsupportedManifoldError
+from .special_math import vol_unit_sphere
 
 __all__ = [
     "Family",
@@ -132,54 +147,82 @@ class ManifoldSpec:
         return f"{self.token}{'' if self.family is Family.CAYLEY_PLANE else self.n}"
 
 
+# (m, k, s) of each family: v(r)/omega = s^(1-d) sin^(2m-1)(s r) cos^(2k-1)(s r)
+_RECORDS = {
+    Family.SPHERE: lambda n: (n / 2, n / 2, 0.5),
+    Family.REAL_PROJ: lambda n: (n / 2, 0.5, 1.0),
+    Family.COMPLEX_PROJ: lambda n: (n, 1, 1.0),
+    Family.QUAT_PROJ: lambda n: (2 * n, 2, 1.0),
+    Family.CAYLEY_PLANE: lambda n: (8, 4, 1.0),
+}
+
+
+def _record(spec: ManifoldSpec) -> tuple[float, float, float]:
+    """The Jacobi record (m, k, s) of the module docstring."""
+    return _RECORDS[spec.family](spec.n)
+
+
 def dimension(spec: ManifoldSpec) -> int:
-    """Real dimension d: n on S^n and RP^n, 2m where V(a)/V = x^m D(y)."""
-    poly = _ball_polynomial(spec)
-    return spec.n if poly is None else 2 * poly[0]
+    """Real dimension d = 2m."""
+    return round(2 * _record(spec)[0])
 
 
 def diameter(spec: ManifoldSpec) -> float:
-    """Maximal geodesic distance D."""
-    return math.pi if spec.family is Family.SPHERE else math.pi / 2.0
+    """Maximal geodesic distance D = pi / (2s)."""
+    return math.pi / (2.0 * _record(spec)[2])
 
 
+def _radius_limit(spec: ManifoldSpec) -> float:
+    """The largest radius taken as lying in [0, D]: D with a relative slack for rounding."""
+    return diameter(spec) * (1.0 + 1e-12)
+
+
+def _pi_rational(pi_power, up, down, scale) -> float:
+    """scale pi^pi_power prod Gamma(up) / prod Gamma(down), all in N/2, rounded once:
+    a rational times pi^p, p an integer, with fl(pi)^p exact as a fraction and
+    pi - fl(pi) = sin(fl(pi)) to within 1e-48."""
+    q, half_powers = Fraction(scale), round(2 * pi_power)
+    for sign, args in ((1, up), (-1, down)):
+        for j, half in (divmod(round(2 * x), 2) for x in args):
+            # Gamma(j) = (j-1)! and Gamma(j + 1/2) = sqrt(pi) (2j-1)!! / 2^j
+            r = Fraction(math.prod(range(1, 2 * j, 2)), 2**j) if half else math.factorial(j - 1)
+            q, half_powers = q * Fraction(r) ** sign, half_powers + sign * half
+    p = half_powers // 2
+    return float(q * Fraction(math.pi) ** p) * (1.0 + p * math.sin(math.pi) / math.pi)
+
+
+@functools.lru_cache(maxsize=None)
+def _volume_ratio(spec: ManifoldSpec) -> float:
+    """V / omega = B(m, k) / (2 s^d), omega the area of the unit (d-1)-sphere."""
+    m, k, s = _record(spec)
+    return _pi_rational(0, (m, k), (m + k,), 1 / (2 * Fraction(s) ** dimension(spec)))
+
+
+@functools.lru_cache(maxsize=None)
 def volume(spec: ManifoldSpec) -> float:
-    """Riemannian volume of the manifold."""
-    n = spec.n
-    if spec.family is Family.SPHERE:
-        return 2.0 * math.exp(0.5 * (n + 1) * math.log(math.pi) - log_gamma(0.5 * (n + 1)))
-    if spec.family is Family.REAL_PROJ:
-        return math.exp(0.5 * (n + 1) * math.log(math.pi) - log_gamma(0.5 * (n + 1)))
-    if spec.family is Family.COMPLEX_PROJ:
-        return math.exp(n * math.log(math.pi) - log_gamma(n + 1))
-    if spec.family is Family.QUAT_PROJ:
-        return math.exp(2 * n * math.log(math.pi) - log_gamma(2 * n + 2))
-    return math.pi**8 / (1320.0 * math.factorial(7))
+    """Riemannian volume V = pi^m Gamma(k) / (s^d Gamma(m + k)); SingularityError
+    where V is not a normal double (d of about 430 and up)."""
+    m, k, s = _record(spec)
+    V = _pi_rational(m, (k,), (m + k,), 1 / Fraction(s) ** dimension(spec))
+    if not V >= sys.float_info.min:
+        raise SingularityError(f"the volume of {spec} is {V:.3g}, below the normal range of a double")
+    return V
 
 
 def bm_constant(spec: ManifoldSpec) -> float:
-    """Coefficient of the d_R^(2-d) singularity of V*G near the diagonal (d > 2 only)."""
+    """Coefficient (V/omega) / (d - 2) of the d_R^(2-d) singularity of V*G near the diagonal (d > 2 only)."""
     d = dimension(spec)
     if d <= 2:
         raise UnsupportedManifoldError(
             f"the near-diagonal power coefficient needs d > 2, got d={d} for {spec}"
         )
-    n = spec.n
-    if spec.family is Family.SPHERE:
-        return math.sqrt(math.pi) * math.gamma(0.5 * n) / ((n - 2) * math.gamma(0.5 * (n + 1)))
-    if spec.family is Family.REAL_PROJ:
-        return math.sqrt(math.pi) * math.gamma(0.5 * n - 1.0) / (4.0 * math.gamma(0.5 * (n + 1)))
-    if spec.family is Family.COMPLEX_PROJ:
-        return 1.0 / (4.0 * n * (n - 1))
-    if spec.family is Family.QUAT_PROJ:
-        return 1.0 / (8.0 * n * (4 * n * n - 1))
-    return 1.0 / 36960.0
+    return _volume_ratio(spec) / (d - 2)
 
 
 def _radii(spec: ManifoldSpec, r, what: str = "r") -> np.ndarray:
     """r as a float array, checked to lie in [0, D]."""
     r = np.asarray(r, dtype=float)
-    if (r < 0.0).any() or (r > diameter(spec) * (1.0 + 1e-12)).any():
+    if (r < 0.0).any() or (r > _radius_limit(spec)).any():
         raise DomainError(f"{what}={r} outside [0, {diameter(spec)}] for {spec}")
     return r
 
@@ -191,14 +234,12 @@ def _like(r: np.ndarray, values: np.ndarray):
 
 
 def _ball_polynomial(spec: ManifoldSpec) -> tuple[int, int, tuple[int, ...]] | None:
-    """(m, k, D) with V(a)/V = x^m D(y), x = sin^2 a, y = cos^2 a and D's integer
-    coefficients ascending in y, where the ball volume is that polynomial; then
-    d/dx (V(a)/V) = c' x^(m-1) (1-x)^(k-1). None on spheres and real projective spaces."""
-    return {
-        Family.COMPLEX_PROJ: (spec.n, 1, (1,)),
-        Family.QUAT_PROJ: (2 * spec.n, 2, (1, 2 * spec.n)),
-        Family.CAYLEY_PLANE: (8, 4, (1, 8, 36, 120)),
-    }.get(spec.family)
+    """(m, k, D) with V(a)/V = x^m D(y), x = sin^2 a, y = cos^2 a, D's coefficients ascending,
+    where s = 1 and k is an integer (CP^n, HP^n, OP^2); d/dx (V(a)/V) = c' x^(m-1) (1-x)^(k-1)."""
+    m, k, s = _record(spec)
+    if s != 1.0 or k != int(k):
+        return None
+    return m, k, tuple(math.comb(m + j - 1, j) for j in range(k))
 
 
 def _ball_complement(m: int, k: int, d: tuple[int, ...]) -> list[int]:
@@ -212,17 +253,32 @@ def _ball_complement(m: int, k: int, d: tuple[int, ...]) -> list[int]:
     return rest[k:]
 
 
-def _density(spec: ManifoldSpec, r: np.ndarray) -> np.ndarray:
-    poly = _ball_polynomial(spec)
-    if poly is None:
-        return np.sin(r) ** (spec.n - 1)
-    return np.sin(r) ** (2 * poly[0] - 1) * np.cos(r) ** (2 * poly[1] - 1)
+def _sin_cos_squares(spec: ManifoldSpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) = (sin^2(s r), cos^2(s r)), each to full relative precision."""
+    s = _record(spec)[2]
+    return np.sin(s * r) ** 2, np.cos(s * r) ** 2
+
+
+def _regularized_beta(p: float, q: float, t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(I_t(p, q), I_u(q, p)) for t + u = 1: betainc in t up to the mean t = p / (p + q) and
+    in u above it (at 0 it is free), so neither argument is taken as 1 minus the other."""
+    above = t > p / (p + q)
+    lower = betainc(p, q, np.where(above, 0.0, t))
+    upper = betainc(q, p, np.where(above, u, 0.0))
+    return np.where(above, 1.0 - upper, lower), np.where(above, upper, 1.0 - lower)
+
+
+def _density(spec: ManifoldSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """v/omega = s^(1-d) x^(m-1/2) y^(k-1/2) from x = sin^2(s r), y = cos^2(s r), as
+    (x/s^2)^(m-k) (4xy)^(k-1/2) (2s)^(1-2k) (m >= k): 4xy = sin^2(2sr) underflows only with v."""
+    m, k, s = _record(spec)
+    return (x / (s * s)) ** (m - k) * (4.0 * x * y) ** (k - 0.5) * (2.0 * s) ** (1 - 2 * k)
 
 
 def radial_density(spec: ManifoldSpec, r):
     """Radial integration weight r^(d-1) * Omega(r), for a radius or an array of them."""
     r = _radii(spec, r)
-    return _like(r, _density(spec, np.atleast_1d(r)))
+    return _like(r, _density(spec, *_sin_cos_squares(spec, np.atleast_1d(r))))
 
 
 def sphere_area(spec: ManifoldSpec, a):
@@ -237,16 +293,9 @@ def ball_volume(spec: ManifoldSpec, a):
 
 
 def ball_volume_fraction(spec: ManifoldSpec, a: np.ndarray) -> np.ndarray:
-    """V(a)/V for an array of radii (vectorized closed forms)."""
-    a = np.asarray(a, dtype=float)
-    n = spec.n
-    if spec.family is Family.SPHERE:
-        return _betainc_vec(0.5 * n, 0.5 * n, np.sin(0.5 * a) ** 2)
-    if spec.family is Family.REAL_PROJ:
-        s = np.minimum(np.sin(0.5 * a) ** 2, 0.5)
-        return 2.0 * _betainc_vec(0.5 * n, 0.5 * n, s)
-    m, _, d = _ball_polynomial(spec)
-    return np.polyval(d[::-1], np.cos(a) ** 2) * np.sin(a) ** (2 * m)
+    """V(a)/V = I_x(m, k), x = sin^2(s a), for an array of radii."""
+    m, k, _ = _record(spec)
+    return _regularized_beta(m, k, *_sin_cos_squares(spec, np.asarray(a, dtype=float)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +623,7 @@ def geodesic_step(p: Point, tangent_direction: np.ndarray, t: float) -> Point:
     so slightly non-horizontal inputs are accepted.
     """
     spec = p.spec
-    if abs(t) > diameter(spec) * (1.0 + 1e-12):
+    if abs(t) > _radius_limit(spec):
         raise DomainError(f"|t|={abs(t)} exceeds the diameter {diameter(spec)}")
     v = np.asarray(tangent_direction)
     if v.shape != p.coords.shape:
@@ -587,22 +636,17 @@ def geodesic_step(p: Point, tangent_direction: np.ndarray, t: float) -> Point:
 
 
 def random_distance(spec: ManifoldSpec, rng, size: int | None = None):
-    """Distance of a uniform point from a fixed pole: density v(r)/V on [0, D].
+    """Distance of a uniform point from a fixed pole: density v(r)/V on [0, D], every family.
 
-    Inverse-CDF sampling via monotone bisection on V(a)/V; works for every
-    family including the Cayley plane.
-    """
+    u = V(r)/V = I_x(m, k) is inverted by betaincinv in x = sin^2(s r), or where
+    x > 1/2 in y = cos^2(s r) on the mirrored record, I_y(k, m) = 1 - u."""
     gen = _as_generator(rng)
-    m = 1 if size is None else int(size)
-    u = gen.random(m)
-    lo = np.zeros(m)
-    hi = np.full(m, diameter(spec))
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = ball_volume_fraction(spec, mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
+    u = gen.random(1 if size is None else int(size))
+    m, k, s = _record(spec)
+    out = np.arcsin(np.sqrt(betaincinv(m, k, u)))
+    far = out > 0.25 * np.pi
+    out[far] = np.arccos(np.sqrt(betaincinv(k, m, 1.0 - u[far])))
+    out /= s
     return float(out[0]) if size is None else out
 
 

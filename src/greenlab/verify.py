@@ -333,16 +333,26 @@ def _check_coefficient_closure():
     return worst < 1e-12, f"max closure defect {worst:.2e}"
 
 
+_COMPARE_RANGES = ((Family.REAL_PROJ, 3, 60), (Family.COMPLEX_PROJ, 2, 60), (Family.QUAT_PROJ, 1, 30))
+
+
 def _check_comparisons_sharper():
-    for fam, lo, hi in (
-        (Family.REAL_PROJ, 3, 60),
-        (Family.COMPLEX_PROJ, 2, 60),
-        (Family.QUAT_PROJ, 1, 30),
-    ):
+    for fam, lo, hi in _COMPARE_RANGES:
         for _, ours, prior, _ in bd.compare_table(fam, lo, hi):
             if not abs(ours) < abs(prior):
                 return False, f"row not sharper in {fam.value}"
     return True, "all rows sharper"
+
+
+def _check_comparison_gamma_identity():
+    # ours / prior = 2 Gamma(d/2 + 1)^(2/d) / (d/2 + 1) on every family
+    worst = 0.0
+    for fam, lo, hi in _COMPARE_RANGES:
+        for n, _, _, ratio in bd.compare_table(fam, lo, hi):
+            half = 0.5 * dimension(ManifoldSpec(fam, n))
+            exact = 2.0 * math.exp(math.lgamma(half + 1.0) / half) / (half + 1.0)
+            worst = max(worst, abs(ratio - exact) / exact)
+    return worst < 1e-13, f"max ratio defect {worst:.2e}"
 
 
 def _check_single_point_bound():
@@ -421,6 +431,7 @@ QUICK_CHECKS = [
     ("conditional positivity", _check_conditional_positivity),
     ("coefficient closure", _check_coefficient_closure),
     ("comparisons sharper", _check_comparisons_sharper),
+    ("comparison Gamma identity", _check_comparison_gamma_identity),
     ("single-point bound nonpositive", _check_single_point_bound),
     ("energy certificates", _check_certificates),
     ("complex line isometry", _check_cp1_isometry),

@@ -3,6 +3,7 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -279,6 +280,24 @@ class TestCompareTable:
         for n, ours, prior, ratio in rows:
             assert 0 < abs(ours) < abs(prior)
             assert ratio == pytest.approx(ours / prior, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        ("family", "lo", "hi"),
+        [
+            (Family.REAL_PROJ, 3, 1000),
+            (Family.COMPLEX_PROJ, 2, 500),
+            (Family.QUAT_PROJ, 1, 250),
+        ],
+    )
+    def test_ratio_is_the_gamma_identity_in_any_dimension(self, family, lo, hi):
+        # ours / prior = 2 Gamma(d/2 + 1)^(2/d) / (d/2 + 1) on every family, also
+        # where V and the unit-sphere area leave the range of a double
+        for n, ours, prior, ratio in bd.compare_table(family, lo, hi):
+            assert math.isfinite(ours) and math.isfinite(prior)
+            half = mpmath.mpf(dimension(ManifoldSpec(family, n))) / 2
+            with mpmath.workdps(30):
+                exact = 2 * mpmath.gamma(half + 1) ** (1 / half) / (half + 1)
+            assert abs(ratio - exact) <= 1e-13 * exact, n
 
     def test_cayley_plane_single_row(self):
         rows = bd.compare_table(Family.CAYLEY_PLANE, 2, 2)

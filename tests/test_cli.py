@@ -124,6 +124,27 @@ class TestBound:
         assert proc.returncode == 0 or (proc.returncode == 1 and "error:" in proc.stderr)
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--family", "s", "--n", "400", "--points", "10"],
+            ["profile", "--family", "hp", "--n", "300"],
+            ["ball", "--family", "cp", "--n", "600", "--grid-size", "1"],
+            ["bound", "--family", "cp", "--n", "1000", "--points", "10"],
+        ],
+        ids=" ".join,
+    )
+    def test_any_dimension_is_a_result_or_an_error_line(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "greenlab.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0 or (proc.returncode == 1 and "error:" in proc.stderr)
+
     @pytest.mark.parametrize("family", ["s", "rp"])
     def test_underflowing_ball_volume_is_an_error_naming_the_radius(self, capsys, family):
         code, out, err = run_cli(capsys, "bound", "--family", family, "--n", "200", "--points", "1000")

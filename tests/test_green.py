@@ -33,6 +33,10 @@ from greenlab.green import (
 from greenlab.manifold import (
     Family,
     ManifoldSpec,
+    _record,
+    _regularized_beta,
+    _sin_cos_squares,
+    _volume_ratio,
     bm_constant,
     diameter,
     dimension,
@@ -42,6 +46,8 @@ from greenlab.manifold import (
     volume,
 )
 from greenlab.special_math import QuadratureSettings, integrate, vol_unit_sphere
+
+import half_angle_oracle
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
 S3 = ManifoldSpec(Family.SPHERE, 3)
@@ -145,15 +151,27 @@ class TestRadialRatios:
 
     def test_cayley_complement_against_mpmath(self):
         # (V - V(s))/omega = mass (1 - (1 + 8x + 36x^2 + 120x^3)(1 - x)^8) in
-        # x = cos^2 s; the series and the direct form meet where both are exact
+        # x = cos^2 s: the mirrored fraction I_x(4, 8) that psi divides by v/omega
         mass = volume(OP2) / vol_unit_sphere(dimension(OP2))
         s = np.linspace(0.0, diameter(OP2), 202)[1:-1]
-        got = _radial_ratios(OP2).complement(s)
+        m, k, _ = _record(OP2)
+        got = _volume_ratio(OP2) * _regularized_beta(m, k, *_sin_cos_squares(OP2, s))[1]
         with mpmath.workdps(40):
             for si, value in zip(s, got):
                 x = mpmath.cos(mpmath.mpf(si)) ** 2
                 exact = mass * (1 - (1 + x * (8 + x * (36 + 120 * x))) * (1 - x) ** 8)
                 assert value == pytest.approx(float(exact), rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("spec", half_angle_oracle.SPECS, ids=str)
+    def test_rho_and_psi_against_mpmath(self, spec):
+        # psi is rho on the mirrored record; values beyond a double are skipped
+        radii = half_angle_oracle.radii(spec)
+        ratios = _radial_ratios(spec)
+        rho, psi = ratios.rho(radii), ratios.psi(radii)
+        for r, got in zip(radii.tolist(), zip(rho.tolist(), psi.tolist())):
+            for value, exact in zip(got, half_angle_oracle.ratios(spec, r)):
+                if 1e-300 < exact < 1e300:
+                    assert abs(value - exact) <= half_angle_oracle.tolerance(spec, 3) * exact, r
 
     def test_sphere_psi_past_half_the_diameter_is_the_mirrored_ratio(self):
         ratios = _radial_ratios(S3)

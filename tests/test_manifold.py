@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from greenlab.errors import DomainError, UnsupportedManifoldError
+from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.manifold import (
     Configuration,
     Family,
@@ -34,6 +34,8 @@ from greenlab.manifold import (
     volume,
 )
 from greenlab.special_math import integrate, vol_unit_sphere
+
+import half_angle_oracle
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
 S3 = ManifoldSpec(Family.SPHERE, 3)
@@ -100,6 +102,76 @@ class TestTableConstants:
     def test_bm_needs_dimension_above_two(self, spec):
         with pytest.raises(UnsupportedManifoldError):
             bm_constant(spec)
+
+
+class TestJacobiRecord:
+    """Volumes, constants and ball fractions derived from (m, k, s), against mpmath."""
+
+    SPECS = (
+        [ManifoldSpec(f, n) for f in (Family.SPHERE, Family.REAL_PROJ) for n in (2, 3, 4, 7, 40, 101)]
+        + [ManifoldSpec(Family.COMPLEX_PROJ, n) for n in (1, 2, 10, 60)]
+        + [ManifoldSpec(Family.QUAT_PROJ, n) for n in (1, 5, 30)]
+        + [OP2]
+    )
+
+    @staticmethod
+    def exact_volume(spec):
+        n, pi = spec.n, mpmath.pi
+        if spec.family is Family.SPHERE:
+            return 2 * pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+        if spec.family is Family.REAL_PROJ:
+            return pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+        if spec.family is Family.COMPLEX_PROJ:
+            return pi**n / mpmath.factorial(n)
+        if spec.family is Family.QUAT_PROJ:
+            return pi ** (2 * n) / mpmath.factorial(2 * n + 1)
+        return pi**8 / (1320 * mpmath.factorial(7))
+
+    @staticmethod
+    def exact_bm(spec):
+        n = mpmath.mpf(spec.n)
+        if spec.family is Family.SPHERE:
+            return mpmath.sqrt(mpmath.pi) * mpmath.gamma(n / 2) / ((n - 2) * mpmath.gamma((n + 1) / 2))
+        if spec.family is Family.REAL_PROJ:
+            return mpmath.sqrt(mpmath.pi) * mpmath.gamma(n / 2 - 1) / (4 * mpmath.gamma((n + 1) / 2))
+        if spec.family is Family.COMPLEX_PROJ:
+            return 1 / (4 * n * (n - 1))
+        if spec.family is Family.QUAT_PROJ:
+            return 1 / (8 * n * (4 * n * n - 1))
+        return mpmath.mpf(1) / 36960
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_volume_against_mpmath(self, spec):
+        with mpmath.workdps(50):
+            exact = self.exact_volume(spec)
+            assert abs(volume(spec) - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("spec", [s for s in SPECS if dimension(s) > 2], ids=str)
+    def test_bm_constant_against_mpmath(self, spec):
+        with mpmath.workdps(50):
+            exact = self.exact_bm(spec)
+            assert abs(bm_constant(spec) - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ManifoldSpec(Family.SPHERE, 1000), ManifoldSpec(Family.COMPLEX_PROJ, 300), ManifoldSpec(Family.QUAT_PROJ, 113)],
+        ids=str,
+    )
+    def test_volume_below_the_normal_range_is_an_error_naming_the_spec(self, spec):
+        with pytest.raises(SingularityError, match=f"volume of {spec} "):
+            volume(spec)
+        assert 0.0 < bm_constant(spec) < 1.0
+
+    @pytest.mark.parametrize("spec", half_angle_oracle.SPECS, ids=str)
+    def test_ball_fraction_against_mpmath(self, spec):
+        # past the mean x = m / (m + k) the fraction is 1 - I_y(k, m) in
+        # y = cos^2(s a); on RP^n, taking I_x there (x near 1) is 5e-13 to 4e-12 off
+        radii = half_angle_oracle.radii(spec)
+        got = ball_volume_fraction(spec, radii)
+        for r, value in zip(radii.tolist(), got.tolist()):
+            exact = half_angle_oracle.fraction(spec, r)
+            if exact > 1e-300:
+                assert abs(value - exact) <= half_angle_oracle.tolerance(spec, 2) * exact, r
 
 
 class TestRadialDensity:
