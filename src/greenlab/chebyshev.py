@@ -8,7 +8,10 @@ barycentric formula of its panel (Berrut & Trefethen, SIAM Review 2004),
 gathered row by row. Every sum runs along one row, so a value has the same
 bits whatever batch it is evaluated in. Evaluation sweeps its points in
 chunks of `_CHUNK` rows, so one call holds two `_CHUNK` x m work matrices
-(m = 17: 140 KB each) whatever the number of points.
+(m = 17: 140 KB each) whatever the number of points. In `green` a panel
+table (`ChebyshevInterpolant`) only builds the cells: it is the source
+that the profile's cell table is fitted to and checked against, and no
+radius of a profile is evaluated from it.
 
 A cell table is fitted once to a function such as a panel table. It
 covers [lo, hi] with S + 1 cells of width h = (hi - lo) / S, each a

@@ -25,7 +25,7 @@ from . import ball_stats as bs
 from . import bounds as bd
 from . import energy as en
 from .errors import GreenLabError
-from .green import build_profile, get_profile
+from .green import get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
@@ -84,10 +84,7 @@ def _json_payload(obj) -> str:
 
 def _cmd_profile(args) -> str:
     spec = _spec_from_args(args)
-    if args.r_cut is not None:
-        prof = build_profile(spec, r_cut=args.r_cut)
-    else:
-        prof = get_profile(spec)
+    prof = get_profile(spec)
     rows = [[r, ph, phi] for r, ph, phi in prof.grid_rows()]
     if args.format == "json":
         return _json_payload(
@@ -214,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="dump the radial Green profile grid")
     family(p)
     output(p, "csv")
-    p.add_argument("--r-cut", type=float, default=None)
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("ball", help="ball kernels by quadrature and closed form")

@@ -12,29 +12,29 @@ here runs on smooth integrands: the r^(2-d) blow-up toward r = 0 is
 tamed by integrating in the variable w = log(r_cut / r), where the
 integrand grows like a smooth exponential.
 
-A built profile tabulates phi_hat twice. The main table covers
-[r_cut, D] with panels of 17 Chebyshev-Lobatto nodes (see `chebyshev`),
-storing phi_hat r^(d-2), or phi_hat with the log term removed when d = 2,
-so the stored function is tame on each panel. Its breakpoints start
-geometric on [r_cut, D/2] and uniform on [D/2, D], and a panel is halved
-while its highest Chebyshev coefficients exceed 1e-14 of the local error
-scale (|phi_hat| + |c_m|) r^(d-2): on high-dimensional spheres, where
-phi_hat r^(d-2) spans many decades, one polynomial over [r_cut, D] would
-be off by more than phi_hat itself. The head table, one 160-node panel in
-the log variable, covers the singular head below r_cut. Both are filled
-from the integrals of psi between neighbouring nodes, which one
-`special_math.integrate_intervals` call computes for all new intervals at
-once: one batched G7/K15 panel each, and bisection only for an interval
-whose panel misses `integrate`'s tolerance.
+A built profile tabulates phi_hat on [r_cut, D] with panels of 17
+Chebyshev-Lobatto nodes (see `chebyshev`), storing phi_hat r^(d-2), or
+phi_hat with the log term removed when d = 2, so the stored function is
+tame on each panel. Its breakpoints start geometric on [r_cut, D/2] and
+uniform on [D/2, D], and a panel is halved while its highest Chebyshev
+coefficients exceed 1e-14 of the local error scale (|phi_hat| + |c_m|)
+r^(d-2): on high-dimensional spheres, where phi_hat r^(d-2) spans many
+decades, one polynomial over [r_cut, D] would be off by more than phi_hat
+itself. The node values are filled from the integrals of psi between
+neighbouring nodes, which one `special_math.integrate_intervals` call
+computes for all new intervals at once: one batched G7/K15 panel each, and
+bisection only for an interval whose panel misses `integrate`'s tolerance.
+r_cut is D/100, or twice the radius below which phi_hat is not
+representable in floating point where that is larger (d of 120 and up).
 
-The main table's panels are only the build source. Radii in [r_cut, D]
-are evaluated from a cell table fitted to them (`chebyshev.CellTable`):
-S uniform cells of degree-5 polynomials, found by arithmetic instead of
-a search, with S doubled from 2048 until the cells match the panels
-within 1e-14 of the same error scale at off-grid check points. Below the
-head table, evaluation falls back to direct quadrature, down to the
-radius where phi_hat stops being representable in floating point; below
-that it raises SingularityError.
+The panels are only the build source. Radii in [r_cut, D] are evaluated
+from a cell table fitted to them (`chebyshev.CellTable`): S uniform cells
+of degree-5 polynomials, found by arithmetic instead of a search, with S
+doubled from 2048 until the cells match the panels within 1e-14 of the
+same error scale at off-grid check points. A radius r below r_cut takes
+phi_hat(r_cut) from the cells plus the integral of psi over [r, r_cut],
+all such radii of a call in one batched quadrature; below the
+representable floor it raises SingularityError.
 
 The slope phi_hat' = -psi has a cell table of its own, which
 `RadialGreenProfile.phi_hat_prime_values` builds on its first call, so
@@ -98,7 +98,6 @@ _GEOMETRIC_PANELS = 8
 _UNIFORM_PANELS = 4
 _TAIL_TOL = 1e-14
 _MAX_SPLIT_ROUNDS = 8
-_HEAD_NODES = 160
 # the cell table evaluated in place of the main table: _MIN_CELLS cells,
 # doubled up to _MAX_CELLS until they match the main table within _TAIL_TOL
 # of the same error scale at the _CELL_CHECKS offsets (in cell widths) from
@@ -231,10 +230,22 @@ def _phi_hat_floor(spec: ManifoldSpec) -> float:
     return floor
 
 
+def _cut_radius(spec: ManifoldSpec) -> float:
+    """r_cut: D/100, or twice `_phi_hat_floor` where that is larger (d of 120 and up)."""
+    return max(diameter(spec) / 100.0, 2.0 * _phi_hat_floor(spec))
+
+
 def _unrepresentable(spec: ManifoldSpec, r: float, what: str) -> SingularityError:
     return SingularityError(
         f"{what} at r={r:g} on {spec} is not representable: radii below "
         f"{_phi_hat_floor(spec):g} underflow or overflow in floating point"
+    )
+
+
+def _overflow(spec: ManifoldSpec, r: float) -> SingularityError:
+    return SingularityError(
+        f"phi at r={r:g} on {spec} overflows a double: (phi_hat + c_m) / V "
+        f"with V = {volume(spec):g}"
     )
 
 
@@ -271,10 +282,8 @@ class RadialGreenProfile:
     spec: ManifoldSpec
     c_m: float
     r_cut: float
-    r_min: float
     _main: ChebyshevInterpolant  # phi_hat * r^(d-2) on [r_cut, D] in panels (d=2: +log term removed)
     _cells: CellTable  # the same function, fitted to _main in uniform cells; evaluated in its place
-    _head: ChebyshevInterpolant  # log(phi_hat) against w = log(r_cut / r)
     _log_coeff: float  # V / vol(S^(d-1)); the d=2 log-head slope
     # psi r^(d-1) on [r_cut, D] in uniform cells, built on first use
     _slope: CellTable | None = field(default=None, init=False, repr=False)
@@ -299,10 +308,10 @@ class RadialGreenProfile:
 
         Each chunk is checked, read from the cells and transformed in place
         while it is in cache, so no pass runs over the whole array. Radii
-        below r_cut are read at r_cut first and then overwritten from the
-        head table, so a chunk never splits into gathered parts. Every step
-        is elementwise, so phi(r) is (phi_hat_values(r) + c_m) / V bit for
-        bit, and a radius has the same bits alone and in any batch.
+        below r_cut are read at r_cut first and then gain the integral of
+        psi up to r_cut, so a chunk never splits into gathered parts. Every
+        step is elementwise, so phi(r) is (phi_hat_values(r) + c_m) / V bit
+        for bit, and a radius has the same bits alone and in any batch.
         """
         d = dimension(self.spec)
         D, limit = self.diameter, _radius_limit(self.spec)
@@ -322,20 +331,23 @@ class RadialGreenProfile:
             self._cells(clamped, out=acc)
             _phi_hat_from_stored(acc, clamped, d, self._log_coeff)
             if least < self.r_cut:
-                head = np.flatnonzero(x < self.r_cut)
-                acc[head] = self._head_values(x[head])
+                below = np.flatnonzero(x < self.r_cut)
+                acc[below] += self._integrals_to_cut(x[below])
+                # phi_hat decreases, so the largest phi below r_cut is at the largest phi_hat
+                if phi and not math.isfinite((float(acc[below].max()) + self.c_m) / V):
+                    raise _overflow(self.spec, float(x[below].min()))
             if phi:
                 acc += self.c_m
                 acc /= V
         return out.reshape(r.shape)
 
-    def _head_values(self, r: np.ndarray) -> np.ndarray:
-        """phi_hat below r_cut: the head table, and direct quadrature below r_min."""
-        w = np.log(self.r_cut / np.maximum(r, self.r_min))
-        vals = np.atleast_1d(np.exp(self._head(w)))
-        for idx in np.flatnonzero(r < self.r_min):
-            vals[idx] = phi_hat(self.spec, float(r[idx]))
-        return vals
+    def _integrals_to_cut(self, r: np.ndarray) -> np.ndarray:
+        """The integrals of psi over every [r_i, r_cut], by one batched quadrature."""
+        least = float(r.min())
+        if least < _phi_hat_floor(self.spec):
+            raise _unrepresentable(self.spec, least, "phi_hat")
+        hi = np.full_like(r, self.r_cut)
+        return _log_interval_integrals(_radial_ratios(self.spec).psi, hi, np.log(hi / r))
 
     def phi_hat_prime_values(self, s):
         """`phi_hat_prime` read from the slope table; array-valued like s.
@@ -449,9 +461,9 @@ def _fit_slope_cells(spec: ManifoldSpec, r_cut: float) -> CellTable:
     return _fit_cells(stored, r_cut, D, close)
 
 
-def _build_phi_hat_tables(spec, c_m, r_cut, r_min):
+def _build_phi_hat_tables(spec, c_m, r_cut):
     """The main table of phi_hat on [r_cut, D], split into panels until each resolves it,
-    its cell table, and the head.
+    and its cell table.
 
     Node values come from the integrals of psi between neighbouring nodes,
     summed from D down: over whole panels first, then within each panel,
@@ -470,21 +482,14 @@ def _build_phi_hat_tables(spec, c_m, r_cut, r_min):
     ])
     breaks[0], breaks[-1] = r_cut, D
 
-    w_nodes = lobatto_nodes(_HEAD_NODES, 0.0, math.log(r_cut / r_min))
-    head_r = r_cut * np.exp(-w_nodes)
     integrals = {}  # (lo, hi) of a panel -> its m-1 node-interval integrals
     for round_ in range(_MAX_SPLIT_ROUNDS):
         keys = list(zip(breaks[:-1], breaks[1:]))
         nodes = np.array([lobatto_nodes(m, lo, hi) for lo, hi in keys])
         new = np.array([key not in integrals for key in keys])
         lo_r, hi_r = nodes[new, :-1].ravel(), nodes[new, 1:].ravel()
-        if round_ == 0:  # the head's intervals ride along in the first call
-            lo_r, hi_r = np.append(lo_r, head_r[1:]), np.append(hi_r, head_r[:-1])
-        ints = _log_interval_integrals(psi, hi_r, np.log(hi_r / lo_r))
-        fresh = ints[: new.sum() * (m - 1)].reshape(-1, m - 1)
+        fresh = _log_interval_integrals(psi, hi_r, np.log(hi_r / lo_r)).reshape(-1, m - 1)
         integrals.update(zip([key for key, n in zip(keys, new) if n], fresh))
-        if round_ == 0:
-            head_ints = ints[fresh.size :]
 
         panels = np.array([integrals[key] for key in keys])
         # value at each node minus the value at its panel's right end
@@ -506,34 +511,27 @@ def _build_phi_hat_tables(spec, c_m, r_cut, r_min):
 
     flat = np.append(stored[:, :-1].ravel(), stored[-1, -1])
     main = ChebyshevInterpolant(np.append(nodes[:, :-1].ravel(), D), flat, m)
-    head_vals = np.cumsum(np.append(vals[0, 0], head_ints))
-    head = ChebyshevInterpolant(w_nodes, np.log(head_vals))
-    return main, _fit_phi_hat_cells(main, c_m, d, log_coeff), head
+    return main, _fit_phi_hat_cells(main, c_m, d, log_coeff)
 
 
-def build_profile(spec: ManifoldSpec, r_cut: float | None = None) -> RadialGreenProfile:
-    """Construct the radial Green profile for a manifold."""
-    D = diameter(spec)
-    if r_cut is None:
-        r_cut = D / 100.0
-    if not 0.0 < r_cut < D:
-        raise DomainError(f"r_cut must lie in (0, D), got {r_cut}")
+def build_profile(spec: ManifoldSpec) -> RadialGreenProfile:
+    """Construct the radial Green profile for a manifold.
 
-    r_min = min(max(1e-9 * D, _phi_hat_floor(spec)), 0.5 * r_cut)
-
+    Raises SingularityError where phi leaves double range on [r_cut, D]:
+    phi decreases, so its values at r_cut and D bound it there.
+    """
+    D, V = diameter(spec), volume(spec)
+    r_cut = _cut_radius(spec)
     # mean-zero constant: Theta(M, D) = 0 gives C = -(1/V) int_0^D V(s) psi(s) ds
-    c_m = -integrate(_radial_ratios(spec).moment, 0.0, D, _BUILD_SETTINGS) / volume(spec)
-    main, cells, head = _build_phi_hat_tables(spec, c_m, r_cut, r_min)
-    return RadialGreenProfile(
-        spec=spec,
-        c_m=c_m,
-        r_cut=r_cut,
-        r_min=r_min,
-        _main=main,
-        _cells=cells,
-        _head=head,
-        _log_coeff=_volume_ratio(spec),
+    c_m = -integrate(_radial_ratios(spec).moment, 0.0, D, _BUILD_SETTINGS) / V
+    main, cells = _build_phi_hat_tables(spec, c_m, r_cut)
+    prof = RadialGreenProfile(
+        spec=spec, c_m=c_m, r_cut=r_cut, _main=main, _cells=cells, _log_coeff=_volume_ratio(spec)
     )
+    for r, value in ((r_cut, float(prof.phi_hat_values(r_cut)[0])), (D, 0.0)):
+        if not math.isfinite((value + c_m) / V):
+            raise _overflow(spec, r)
+    return prof
 
 
 _PROFILE_CACHE: dict[ManifoldSpec, RadialGreenProfile] = {}

@@ -35,7 +35,6 @@ __all__ = [
     "log_gamma",
     "vol_unit_sphere",
     "reg_incomplete_beta",
-    "harmonic_number",
     "integrate",
     "integrate_intervals",
     "gauss_kronrod_panel",
@@ -124,13 +123,6 @@ def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
             settled_count = count
     nan = float("nan")
     raise QuadratureError(f"beta continued fraction did not converge for a={a}, b={b}", nan, nan)
-
-
-def harmonic_number(k: int) -> float:
-    """H_k = sum_{j=1..k} 1/j, with H_0 = 0."""
-    if k < 0:
-        raise DomainError(f"harmonic_number requires k >= 0, got {k}")
-    return math.fsum(1.0 / j for j in range(1, k + 1))
 
 
 # 7-point Gauss / 15-point Kronrod node-weight table on [-1, 1].

@@ -14,7 +14,7 @@ import numpy as np
 from . import ball_stats as bs
 from . import bounds as bd
 from . import energy as en
-from .green import get_profile, phi_hat, phi_hat_prime
+from .green import _phi_hat_floor, get_profile, phi_hat, phi_hat_prime
 from .manifold import (
     Family,
     ManifoldSpec,
@@ -178,7 +178,9 @@ def _check_profile_table():
     worst = 0.0
     for spec in _TABLE_SPECS:
         prof = get_profile(spec)
-        radii = _table_radii(prof)
+        # and 4 radii below r_cut, where the cells' phi_hat(r_cut) gains the integral of psi
+        below = np.geomspace(max(1e-6 * prof.diameter, _phi_hat_floor(spec)), prof.r_cut, 5)[:-1]
+        radii = np.concatenate([below, _table_radii(prof)])
         table = prof.phi_hat_values(radii)
         direct = np.array([phi_hat(spec, float(r)) for r in radii])
         worst = max(worst, float(np.max(np.abs(table - direct) / (np.abs(direct) + abs(prof.c_m)))))

@@ -164,6 +164,35 @@ class TestProfile:
         assert float(phi_hat) == pytest.approx(float(phi) * volume(ManifoldSpec(Family.SPHERE, 2)) + 1.0, rel=1e-12)
 
 
+def run_profile_strictly(family: str, n: int) -> subprocess.CompletedProcess:
+    """`greenlab profile` in a child that turns numpy's RuntimeWarnings into errors."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "greenlab.cli", "profile",
+         "--family", family, "--n", str(n)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+class TestProfileInHighDimensions:
+    @pytest.mark.parametrize("family, n", [("s", 200), ("s", 400), ("rp", 200), ("cp", 100), ("hp", 50)])
+    def test_rows_are_finite_and_stderr_is_the_manifest(self, family, n):
+        proc = run_profile_strictly(family, n)
+        assert proc.returncode == 0, proc.stderr
+        rows = np.array([line.split(",") for line in proc.stdout.splitlines()[1:]], dtype=float)
+        assert rows.shape == (200, 3) and np.isfinite(rows).all()
+        assert json.loads(proc.stderr)["subcommand"] == "profile"
+
+    @pytest.mark.parametrize("family, n", [("rp", 300), ("cp", 150), ("hp", 75)])
+    def test_phi_beyond_double_range_is_one_error_line(self, family, n):
+        # phi = (phi_hat + c_m) / V overflows, because V < 1e-186
+        proc = run_profile_strictly(family, n)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert re.fullmatch(rf"error: phi at r=\S+ on {family}{n} overflows a double: .*\n", proc.stderr)
+
+
 class TestBall:
     def test_csv_columns(self, capsys):
         code, out, _ = run_cli(
@@ -407,7 +436,7 @@ class TestOptionsPerSubcommand:
     def test_manifest_parameters_are_the_options_read(self, capsys, tmp_path):
         points = str(tmp_path / "points.txt")
         runs = {
-            "profile": (["--family", "s", "--n", "2"], {"family", "n", "out", "format", "r_cut"}),
+            "profile": (["--family", "s", "--n", "2"], {"family", "n", "out", "format"}),
             "ball": (
                 ["--family", "s", "--n", "2", "--radius", "0.5"],
                 {"family", "n", "out", "format", "grid_size", "radius"},

@@ -23,6 +23,7 @@ from greenlab import cli, green
 from greenlab.chebyshev import _CELL_CHUNK, _CHUNK
 from greenlab.errors import DomainError, GreenLabError, SingularityError
 from greenlab.green import (
+    _cut_radius,
     _phi_hat_floor,
     _radial_ratios,
     build_profile,
@@ -61,6 +62,8 @@ OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
 S40 = ManifoldSpec(Family.SPHERE, 40)
 S60 = ManifoldSpec(Family.SPHERE, 60)
 S100 = ManifoldSpec(Family.SPHERE, 100)
+S200 = ManifoldSpec(Family.SPHERE, 200)
+CP100 = ManifoldSpec(Family.COMPLEX_PROJ, 100)
 RP40 = ManifoldSpec(Family.REAL_PROJ, 40)
 CP20 = ManifoldSpec(Family.COMPLEX_PROJ, 20)
 HP10 = ManifoldSpec(Family.QUAT_PROJ, 10)
@@ -310,12 +313,30 @@ class TestGreenEval:
         with pytest.raises(SingularityError):
             prof.phi(-0.5)
 
-    def test_deep_head_fallback(self):
-        # below the head table evaluation falls back to direct quadrature
+    def test_below_cut_is_the_direct_quadrature(self):
         prof = get_profile(S2)
-        r = prof.r_min / 10.0
+        r = 1e-10 * diameter(S2)
         direct = (phi_hat(S2, r) + prof.c_m) / volume(S2)
-        assert prof.phi(r) == pytest.approx(direct, rel=1e-9)
+        assert prof.phi(r) == pytest.approx(direct, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "spec, tol",
+        [(S2, 1e-14), (S3, 1e-14), (RP3, 1e-14), (CP2, 1e-14), (HP1, 1e-14),
+         (OP2, 1e-13), (S200, 1e-13), (CP100, 1e-13)],
+        ids=str,
+    )
+    def test_below_cut_matches_phi_hat(self, spec, tol):
+        # the cells' value at r_cut plus the integral of psi up to it, against
+        # the oracle's integral from D down, to the floor on S^200 and CP^100,
+        # which cut at twice it. On OP^2, S^200 and CP^100 phi_hat itself is
+        # 2.4e-14 to 4.7e-14 off a 40-digit mpmath quadrature at the worst
+        # radius, where the value below r_cut is 0.7e-14 to 1.3e-14 off
+        prof = get_profile(spec)
+        lo = max(1e-6 * diameter(spec), _phi_hat_floor(spec))
+        r = np.geomspace(lo, prof.r_cut, 51)[:-1]
+        direct = np.array([phi_hat(spec, float(x)) for x in r])
+        defect = np.abs(prof.phi_hat_values(r) - direct) / (np.abs(direct) + abs(prof.c_m))
+        assert defect.max() < tol
 
     @pytest.mark.parametrize(
         "spec, scale",
@@ -351,20 +372,19 @@ class TestChunkedEvaluation:
     def test_vector_matches_scalar_bit_for_bit(self, spec):
         # Every sum runs along one row of the barycentric formula, and the
         # cells are evaluated elementwise, so a radius has the same bits
-        # alone as inside any batch: random radii between the nodes of both
-        # tables, the nodes themselves, the cell centres, r_cut, D and a
-        # radius below the head table, shuffled across the chunk boundaries
-        # of both evaluators.
+        # alone as inside any batch: random radii between the table's nodes,
+        # the nodes themselves, the cell centres, r_cut, D and radii below
+        # r_cut, shuffled across the chunk boundaries of both evaluators.
         prof = get_profile(spec)
         D = diameter(spec)
+        lo = max(1e-9 * D, 2.0 * _phi_hat_floor(spec))
         rng = np.random.default_rng(5)
         one = np.concatenate([
             rng.uniform(prof.r_cut, D, 400),
-            np.exp(rng.uniform(math.log(prof.r_min), math.log(prof.r_cut), 200)),
+            np.exp(rng.uniform(math.log(lo), math.log(prof.r_cut), 200)),
             prof._main.nodes,
             prof._cells.centres,
-            prof.r_cut * np.exp(-prof._head.nodes),
-            [prof.r_cut, D, 0.5 * prof.r_min],
+            [prof.r_cut, D, lo],
         ])
         r = np.tile(one, max(3 * _CHUNK, 2 * _CELL_CHUNK) // one.size + 1)
         rng.shuffle(r)
@@ -385,7 +405,8 @@ class TestChunkedEvaluation:
         whole = prof._cells(r)
         whole = whole * r ** (2 - d) if d > 2 else whole - prof._log_coeff * np.log(r)
         assert np.array_equal(prof.phi(r), (whole + prof.c_m) / volume(spec))
-        r[rng.integers(r.size, size=40)] = rng.uniform(prof.r_min, prof.r_cut, 40)
+        lo = max(1e-9 * diameter(spec), 2.0 * _phi_hat_floor(spec))
+        r[rng.integers(r.size, size=40)] = rng.uniform(lo, prof.r_cut, 40)
         parts = np.array_split(r, [1, 777, green._SWEEP_CHUNK + 5, r.size - 3])
         assert np.array_equal(prof.phi(r), np.concatenate([prof.phi(part) for part in parts]))
 
@@ -453,18 +474,23 @@ class TestCrossFamilyIdentities:
 
 
 class TestBuildProfile:
-    def test_custom_cut(self):
-        prof = build_profile(S2, r_cut=0.05)
-        assert prof.r_cut == 0.05
-        assert prof.phi(1.0) == pytest.approx(get_profile(S2).phi(1.0), rel=1e-10)
-
-    def test_bad_cut(self):
-        with pytest.raises(DomainError):
-            build_profile(S2, r_cut=4.0)
+    def test_cut_is_a_hundredth_of_the_diameter_above_twice_the_floor(self):
+        # S^n and RP^n to n = 1000, CP^n to 500, HP^n to 250 and OP^2
+        ranges = {Family.SPHERE: (2, 1000), Family.REAL_PROJ: (2, 1000),
+                  Family.COMPLEX_PROJ: (1, 500), Family.QUAT_PROJ: (1, 250),
+                  Family.CAYLEY_PLANE: (2, 2)}
+        for family, (lo, hi) in ranges.items():
+            for n in range(lo, hi + 1):
+                spec = ManifoldSpec(family, n)
+                r_cut = _cut_radius(spec)
+                assert r_cut >= 2.0 * _phi_hat_floor(spec)
+                if dimension(spec) < 119:
+                    assert r_cut == diameter(spec) / 100.0
+        assert get_profile(S200).r_cut == _cut_radius(S200) > diameter(S200) / 100.0
 
     def test_first_grid_row_is_the_stored_cut_value(self):
         # the first main-table node is r_cut itself, so it is served by the
-        # main table's stored value, not by the head table
+        # main table's stored value, with no integral below r_cut
         prof = get_profile(CP2)
         r, ph, _ = next(iter(prof.grid_rows()))
         assert r == prof.r_cut

@@ -19,7 +19,6 @@ from greenlab.special_math import (
     _beta_continued_fraction,
     gauss_kronrod_panel,
     gauss_kronrod_panels,
-    harmonic_number,
     integrate,
     integrate_intervals,
     log_gamma,
@@ -123,17 +122,6 @@ class TestRegIncompleteBeta:
     def test_domain_ab(self):
         with pytest.raises(DomainError):
             reg_incomplete_beta(0.5, -1.0, 1.0)
-
-
-class TestHarmonicNumber:
-    def test_values(self):
-        assert harmonic_number(0) == 0.0
-        assert harmonic_number(1) == 1.0
-        assert harmonic_number(4) == pytest.approx(25.0 / 12.0, rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            harmonic_number(-1)
 
 
 class TestIntegrate:
