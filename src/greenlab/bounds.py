@@ -12,9 +12,10 @@ together with the prior coefficients they are compared against.
 
 `best_finite_bound` maximises the finite-N bound over a: a 32-point log
 grid from a small radius to exactly D, with the asymptotic radius when
-d > 2, is one `finite_bounds` pass (K and Theta over all radii at once),
-and Brent's search between the grid argmax's neighbours adds about ten
-single-radius evaluations. Each (spec, N) is searched once per process;
+d > 2, is one `finite_bounds` pass (K and Theta over all radii at once).
+A Chebyshev proxy in log a on the grid argmax's neighbours takes a second
+pass over its 22 interior nodes, and the proxy's maximiser a third (Boyd,
+SIAM Review 55, 2013). Each (spec, N) is searched once per process;
 later calls get copies of the stored report.
 """
 
@@ -27,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ball_stats import _kernel_radii, _kernels, _require_finite
+from .chebyshev import lobatto_nodes
 from .errors import DomainError, UnsupportedManifoldError
 from .manifold import (
     Family,
@@ -217,47 +219,67 @@ def _log_grid(spec: ManifoldSpec, N: int, count: int = GRID_POINTS) -> np.ndarra
     return np.array([lo, *inner, D])
 
 
-def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Maximize f on [lo, hi]: Brent's bounded search, the fmin of Forsythe, Malcolm & Moler.
+_NODES = 24  # Chebyshev-Lobatto nodes of a proxy, both bracket ends included
+_TAIL = 1e-13  # a proxy is resolved when its last two coefficients are within _TAIL max|bound|
+_ROUNDS = 4  # proxies built at most, each on the last one's best node and its neighbours
+_LOBATTO = lobatto_nodes(_NODES, -1.0, 1.0)
+_K = np.arange(_NODES)
+_ENDS = np.r_[0.5, np.ones(_NODES - 2), 0.5]
+# node values -> Chebyshev coefficients (the DCT-I), and coefficients -> the derivative's
+_DCT = np.outer(_ENDS, _ENDS) * np.cos(np.pi * np.outer(_K, _K[::-1]) / _K[-1]) * 2.0 / _K[-1]
+_DIFF = np.array(
+    [[2.0 * j if j > k and (j - k) % 2 else 0.0 for j in range(_NODES)] for k in range(_NODES)]
+)
+_DIFF[0] *= 0.5
 
-    Parabolic steps through the three best points, guarded by golden-section
-    steps; stops once the bracket is within tol1 of the best point x.
+
+def _proxy_argmax(c: np.ndarray, j: int) -> float | None:
+    """The maximiser of the Chebyshev series c next to its best Lobatto node j, or None
+    where j is an end of [-1, 1] that the series rises towards: Newton's iteration on the
+    derivative from node j, bisecting j's neighbours where a step leaves them or the
+    series is not concave there.
     """
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    v = w = x = lo + golden * (hi - lo)
-    fv = fw = fx = f(x)
-    d = e = 0.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        tol1 = 1.4901161193847656e-08 * abs(x) + 1e-12  # sqrt(eps) |x| + 1e-12
-        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (hi - lo):
-            return x, fx
-        p = q = r = 0.0
-        if abs(e) > tol1:  # the vertex step p / q is the same for f and -f
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p, q) if q > 0.0 else (p, -q)
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (lo - x) < p < q * (hi - x):
-            d = p / q
-            if min(x + d - lo, hi - x - d) < 2.0 * tol1:  # keep off the ends
-                d = tol1 if x < mid else -tol1
-        else:
-            e = (hi - x) if x < mid else (lo - x)
-            d = golden * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        if fu >= fx:
-            lo, hi = (lo, x) if u < x else (x, hi)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            lo, hi = (u, hi) if u < x else (lo, u)
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
+    derivatives = np.stack([_DIFF @ c, _DIFF @ _DIFF @ c])
+    slopes = lambda x: (derivatives @ np.cos(_K * math.acos(x))).tolist()  # p'(x), p''(x)
+    x = float(_LOBATTO[j])
+    if (j == 0 and slopes(x)[0] <= 0.0) or (j == _NODES - 1 and slopes(x)[0] >= 0.0):
+        return None
+    lo, hi = float(_LOBATTO[max(j - 1, 0)]), float(_LOBATTO[min(j + 1, _NODES - 1)])
+    for _ in range(64):
+        slope, curve = slopes(x)
+        lo, hi = (x, hi) if slope > 0.0 else (lo, x)
+        step = x - slope / curve if curve < 0.0 else math.nan
+        x, last = (step if lo < step < hi else 0.5 * (lo + hi)), x
+        if abs(x - last) <= 1e-15:
+            break
+    return x
+
+
+def _proxy_search(spec: ManifoldSpec, N: int, ends) -> dict[float, float]:
+    """Maximize the bound over the bracket ends = ((lo, bound), (hi, bound)) by proxies in log a.
+
+    A round is one `finite_bounds` pass over the bracket's interior Lobatto
+    nodes; an unresolved proxy (where the bound is not analytic at an end,
+    as Theta at D) is rebuilt on its best node's neighbours. The proxy's
+    maximiser takes one `finite_bound`. Returns every radius evaluated.
+    """
+    evaluations = {}
+    for rounds in range(_ROUNDS):
+        (lo, f_lo), (hi, f_hi) = ends
+        t_mid, t_half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
+        radii = [lo, *np.exp(t_mid + t_half * _LOBATTO[1:-1]).tolist(), hi]
+        values = [f_lo, *finite_bounds(spec, N, radii[1:-1]).tolist(), f_hi]
+        evaluations.update(zip(radii, values))
+        c = _DCT @ values
+        j = max(range(_NODES), key=values.__getitem__)
+        if np.abs(c[-2:]).max() <= _TAIL * max(map(abs, values)) or rounds == _ROUNDS - 1:
+            break
+        ends = [(radii[i], values[i]) for i in (max(j - 1, 0), min(j + 1, _NODES - 1))]
+    x = _proxy_argmax(c, j)
+    if x is not None:
+        a = min(max(math.exp(t_mid + t_half * x), lo), hi)
+        evaluations[a] = finite_bound(spec, N, a)
+    return evaluations
 
 
 _REPORTS: dict[tuple[ManifoldSpec, int], BoundReport] = {}
@@ -305,11 +327,9 @@ def _search_radius(spec: ManifoldSpec, N: int) -> BoundReport:
     if d > 2:
         report.asymptotic_bound = evaluations[report.asymptotic_a] = values[-1]
     # the bound is flat near its maximum; bracket it by the grid argmax's neighbours
-    best_idx = max(range(len(grid)), key=lambda i: grid[i][1])
-    lo = grid[max(best_idx - 1, 0)][0]
-    hi = grid[min(best_idx + 1, len(grid) - 1)][0]
-    a_star, f_star = _brent_max(lambda a: finite_bound(spec, N, a), lo, hi)
-    evaluations[a_star] = f_star
+    b = max(range(len(grid)), key=lambda i: grid[i][1])
+    ends = grid[max(b - 1, 0)], grid[min(b + 1, len(grid) - 1)]
+    evaluations.update(_proxy_search(spec, N, ends))
     report.best_a, report.best_bound = max(evaluations.items(), key=lambda kv: kv[1])
     report.__post_init__()
     return report

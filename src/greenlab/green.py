@@ -219,12 +219,12 @@ def _log_interval_integrals(psi, hi: np.ndarray, width: np.ndarray) -> np.ndarra
 def _phi_hat_floor(spec: ManifoldSpec) -> float:
     """Smallest radius at which phi_hat can be represented in floating point.
 
-    Below it the sin(s)^(d-1) in the slope psi underflows, or, for d > 2,
-    phi_hat ~ r^(2-d) comes within ten decades of overflow.
+    Below it x = sin^2(s r) is not normal, sin(s)^(d-1) in the slope psi
+    underflows, or, for d > 2, phi_hat ~ r^(2-d) nears overflow (10 decades).
     """
     D = diameter(spec)
     d = dimension(spec)
-    floor = D * 10.0 ** (-300.0 / (d - 1))
+    floor = max(D * 10.0 ** (-300.0 / (d - 1)), 1e-150 / _record(spec)[2])
     if d > 2:
         floor = max(floor, D * 10.0 ** (-270.0 / (d - 2)))
     return floor

@@ -263,6 +263,10 @@ def _regularized_beta(p: float, q: float, t: np.ndarray, u: np.ndarray) -> tuple
     """(I_t(p, q), I_u(q, p)) for t + u = 1: betainc in t up to the mean t = p / (p + q) and
     in u above it (at 0 it is free), so neither argument is taken as 1 minus the other."""
     above = t > p / (p + q)
+    if not above.any():  # every t on one side: one call, the same bits
+        return (lower := betainc(p, q, t)), 1.0 - lower
+    if above.all():
+        return 1.0 - (upper := betainc(q, p, u)), upper
     lower = betainc(p, q, np.where(above, 0.0, t))
     upper = betainc(q, p, np.where(above, u, 0.0))
     return np.where(above, 1.0 - upper, lower), np.where(above, upper, 1.0 - lower)

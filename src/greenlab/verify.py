@@ -357,6 +357,22 @@ def _check_comparison_gamma_identity():
     return worst < 1e-13, f"max ratio defect {worst:.2e}"
 
 
+def _check_radius_search():
+    # best_bound against an 80-step golden-section search on the grid argmax's neighbours
+    worst, inv = 0.0, (math.sqrt(5.0) - 1.0) / 2.0
+    for spec in (CORE_SPECS[1], CORE_SPECS[2], CORE_SPECS[3], CORE_SPECS[5]):
+        rep = bd.best_finite_bound(spec, 1000)
+        grid, found = rep.radius_grid, [b for _, b in rep.radius_grid]
+        best = found.index(max(found))
+        lo, hi = grid[max(best - 1, 0)][0], grid[min(best + 1, len(grid) - 1)][0]
+        for _ in range(80):
+            x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
+            found += [bd.finite_bound(spec, 1000, x1), bd.finite_bound(spec, 1000, x2)]
+            lo, hi = (x1, hi) if found[-2] < found[-1] else (lo, x2)
+        worst = max(worst, abs(rep.best_bound / max(found) - 1.0))
+    return worst < 1e-14, f"max best_bound defect {worst:.2e}"
+
+
 def _check_single_point_bound():
     worst = 0.0
     for spec in CORE_SPECS:
@@ -443,6 +459,7 @@ FULL_CHECKS = QUICK_CHECKS + [
     ("kernel cross validation (wide)", lambda: _check_kernel_cross_validation(False)),
     ("energy mean zero", _check_energy_mean_zero),
     ("optimizer tetrahedron", _check_optimizer_tetrahedron),
+    ("radius search vs golden section", _check_radius_search),
     ("radial sampling statistics", _check_sampling_statistics),
 ]
 

@@ -25,6 +25,9 @@ CP1 = ManifoldSpec(Family.COMPLEX_PROJ, 1)
 CP2 = ManifoldSpec(Family.COMPLEX_PROJ, 2)
 HP1 = ManifoldSpec(Family.QUAT_PROJ, 1)
 OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
+S40 = ManifoldSpec(Family.SPHERE, 40)
+CP30 = ManifoldSpec(Family.COMPLEX_PROJ, 30)
+HP15 = ManifoldSpec(Family.QUAT_PROJ, 15)
 
 
 class TestFiniteBound:
@@ -195,7 +198,7 @@ def _golden_reference(spec, N, rep):
     grid = rep.radius_grid
     if rep.asymptotic_a is not None:
         lo = max(1e-6, 0.1 * rep.asymptotic_a)
-        hi = min(0.9 * diameter(spec), 10.0 * rep.asymptotic_a)
+        hi = min(diameter(spec), 10.0 * rep.asymptotic_a)
     else:
         best = max(range(len(grid)), key=lambda i: grid[i][1])
         lo, hi = grid[max(best - 1, 0)][0], grid[min(best + 1, len(grid) - 1)][0]
@@ -232,15 +235,20 @@ class TestRadiusSearch:
         monkeypatch.setattr(bd, "finite_bounds", counted)
         monkeypatch.setattr(bd, "_REPORTS", {})
         bd.best_finite_bound(spec, 1000)
-        # one pass over the 32 grid points and the asymptotic radius, then the Brent steps
-        assert calls[0] == bd.GRID_POINTS + (dimension(spec) > 2)
-        assert calls[1:] == [1] * (len(calls) - 1)
-        assert sum(calls) <= 60
+        # the 32 grid points and the asymptotic radius, the proxy's interior
+        # nodes, then its maximiser: the first proxy is resolved
+        assert calls == [bd.GRID_POINTS + (dimension(spec) > 2), bd._NODES - 2, 1]
 
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_matches_golden_section_reference(self, spec):
-        rep = bd.best_finite_bound(spec, 1000)
-        reference = _golden_reference(spec, 1000, rep)
+    @pytest.mark.parametrize(
+        ("spec", "N"),
+        [(s, 1000) for s in SPECS] + [(s, N) for s in (S40, CP30, HP15) for N in (2, 3, 10**6)],
+        ids=str,
+    )
+    def test_matches_golden_section_reference(self, spec, N):
+        # at N = 2 and 3 the CP^30 bracket ends at D, where Theta's log cos^2 a
+        # leaves the first proxy unresolved and the search shrinks it
+        rep = bd.best_finite_bound(spec, N)
+        reference = _golden_reference(spec, N, rep)
         assert rep.best_bound == pytest.approx(reference, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("spec", SPECS)
@@ -248,21 +256,42 @@ class TestRadiusSearch:
         rep = bd.best_finite_bound(spec, 1000)
         assert all(rep.best_bound >= val for _, val in rep.radius_grid)
 
-    def test_brent_finds_interior_maximum(self):
-        evaluations = []
+    @staticmethod
+    def analytic_search(monkeypatch, f, lo, hi):
+        """`_proxy_search` on [lo, hi] with f in place of the bound, and its pass sizes."""
+        passes = []
 
-        def f(x):
-            evaluations.append(x)
-            return -((x - 0.3) ** 2) + 0.01 * (x - 0.3) ** 3
+        def bounds(spec, N, radii):
+            passes.append(len(radii))
+            return f(np.asarray(radii, dtype=float))
 
-        x, fx = bd._brent_max(f, 0.0, 1.0)
-        assert x == pytest.approx(0.3, abs=1e-8)
-        assert fx == f(x) and fx == pytest.approx(0.0, abs=1e-15)
-        assert len(evaluations) < 30
+        monkeypatch.setattr(bd, "finite_bounds", bounds)
+        return bd._proxy_search(S3, 10, ((lo, f(lo)), (hi, f(hi)))), passes
 
-    def test_brent_stays_in_bracket_at_a_boundary_maximum(self):
-        x, _ = bd._brent_max(lambda t: t, 0.2, 0.7)
-        assert 0.2 < x < 0.7 and x == pytest.approx(0.7, abs=1e-7)
+    def test_proxy_finds_an_interior_maximum(self, monkeypatch):
+        # a exp(-a / 0.7) peaks at exactly a = 0.7
+        f = lambda a: a * np.exp(-a / 0.7)
+        evaluations, passes = self.analytic_search(monkeypatch, f, 0.4, 1.2)
+        best = max(evaluations, key=evaluations.get)
+        assert passes == [bd._NODES - 2, 1]
+        assert best == pytest.approx(0.7, rel=0.0, abs=1e-12)
+        assert evaluations[best] == pytest.approx(0.7 * math.exp(-1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_monotone_bracket_adds_no_radius(self, monkeypatch, sign):
+        f = lambda a: sign * np.log1p(a)
+        evaluations, passes = self.analytic_search(monkeypatch, f, 0.2, 0.7)
+        assert passes == [bd._NODES - 2]
+        assert max(evaluations, key=evaluations.get) == (0.7 if sign > 0 else 0.2)
+
+    def test_unresolved_proxy_shrinks_the_bracket(self, monkeypatch):
+        # |a - 0.61|^3 is not analytic, so no proxy is resolved: every round
+        # runs, each on the last one's best node and its neighbours
+        f = lambda a: -np.abs(a - 0.61) ** 3
+        evaluations, passes = self.analytic_search(monkeypatch, f, 0.2, 1.0)
+        assert passes == [bd._NODES - 2] * bd._ROUNDS + [1]
+        best = max(evaluations, key=evaluations.get)
+        assert best == pytest.approx(0.61, abs=1e-4) and evaluations[best] > -1e-15
 
 
 class TestCompareTable:
@@ -325,8 +354,8 @@ class TestBoundArrays:
 
     @pytest.mark.parametrize("spec", [S3, RP3])
     def test_one_quadrature_call_per_pass(self, spec, monkeypatch):
-        # the search's 33-radius pass and each single radius of Brent's search:
-        # every K and Theta row of a pass shares one integrate_intervals call
+        # the search's 33-radius pass and its one-radius pass at the proxy's
+        # maximiser: every K and Theta row of a pass shares one integrate_intervals call
         calls = []
         batched = bs.integrate_intervals
 

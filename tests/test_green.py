@@ -13,6 +13,7 @@ slope (V - V(s))/v(s) and of the mean-zero constant):
 import math
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -365,6 +366,21 @@ class TestGreenEval:
         r = 1e-9 * diameter(spec)
         with pytest.raises(SingularityError, match=rf"phi_hat_prime at r={r:g} .* below \d"):
             phi_hat_prime(spec, r)
+
+
+    @pytest.mark.parametrize("spec", [S2, RP2, CP1], ids=str)
+    def test_two_dimensional_floor_keeps_sin_squared_normal(self, spec):
+        # sin^2(s r) goes subnormal near r = 1e-154 long before sin(s r) underflows
+        # in psi; below that the quadrature failed or numpy warned instead of this
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in (1e-160, 1e-200, 1e-290):
+                with pytest.raises(SingularityError, match="not representable"):
+                    phi_hat(spec, r)
+                with pytest.raises(SingularityError, match="not representable"):
+                    get_profile(spec).phi(r)
+                with pytest.raises(SingularityError, match="not representable"):
+                    phi_hat_prime(spec, r)
 
 
 class TestChunkedEvaluation:

@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.manifold import (
@@ -22,6 +23,8 @@ from greenlab.manifold import (
     distance,
     _geodesic_rows,
     _project_horizontal,
+    _record,
+    _regularized_beta,
     _row_width,
     _unflatten_coords,
     geodesic_step,
@@ -33,6 +36,7 @@ from greenlab.manifold import (
     sphere_area,
     volume,
 )
+from greenlab import manifold as mf
 from greenlab.special_math import integrate, vol_unit_sphere
 
 import half_angle_oracle
@@ -252,6 +256,31 @@ class TestBallVolume:
         vec = ball_volume_fraction(spec, grid)
         scalar = np.array([ball_volume(spec, a) / volume(spec) for a in grid])
         assert np.allclose(vec, scalar, rtol=1e-11, atol=1e-14)
+
+
+class TestRegularizedBeta:
+    @staticmethod
+    def two_calls(p, q, t, u):
+        above = t > p / (p + q)
+        lower = betainc(p, q, np.where(above, 0.0, t))
+        upper = betainc(q, p, np.where(above, u, 0.0))
+        return np.where(above, 1.0 - upper, lower), np.where(above, upper, 1.0 - lower)
+
+    @pytest.mark.parametrize("spec", [S3, RP3, ManifoldSpec(Family.SPHERE, 5)], ids=str)
+    @pytest.mark.parametrize("side", ["below", "above", "mixed"])
+    def test_one_sided_radii_take_one_call_with_the_same_bits(self, spec, side, monkeypatch):
+        m, k, s = _record(spec)
+        mean = math.asin(math.sqrt(m / (m + k))) / s  # the radius where x = m / (m + k)
+        below = np.linspace(0.001, 0.999, 15) * mean
+        above = mean + np.linspace(0.001, 1.0, 15) * (diameter(spec) - mean)
+        a = {"below": below, "above": above, "mixed": np.concatenate([above, below])}[side]
+        x, y = np.sin(s * a) ** 2, np.cos(s * a) ** 2
+        calls = []
+        monkeypatch.setattr(mf, "betainc", lambda *args: calls.append(1) or betainc(*args))
+        got = _regularized_beta(m, k, x, y)
+        assert len(calls) == (2 if side == "mixed" else 1)
+        for g, w in zip(got, self.two_calls(m, k, x, y)):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestArrayRadii:
