@@ -70,7 +70,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, QuadratureError, SingularityError, UnsupportedManifoldError
-from .green import RadialGreenProfile, _radial_ratios, get_profile
+from .green import _radial_ratios, get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
@@ -85,7 +85,7 @@ from .manifold import (
     sphere_area,
     volume,
 )
-from .special_math import QuadratureSettings, integrate, integrate_intervals
+from .special_math import integrate, integrate_intervals
 
 __all__ = [
     "k_quadrature",
@@ -103,10 +103,6 @@ __all__ = [
     "cum_volume_over_area",
 ]
 
-# at rel_tol 1e-10 the K integral can stop early near the diameter (3e-7 off
-# on OP^2 at D - 1e-3); 1e-12 settles it to the closed forms' last digits
-_SETTINGS = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=3000)
-
 
 def cum_volume_over_area(spec: ManifoldSpec, r: float) -> float:
     """H(r) = int_0^r V(u)/v(u) du for 0 <= r < D.
@@ -116,7 +112,7 @@ def cum_volume_over_area(spec: ManifoldSpec, r: float) -> float:
     """
     if r < 0.0 or r >= diameter(spec):
         raise DomainError(f"cumulative volume ratio needs 0 <= r < D, got {r}")
-    return integrate(_radial_ratios(spec).rho, 0.0, r, _SETTINGS)
+    return integrate(_radial_ratios(spec).rho, 0.0, r)
 
 
 def _kernel_radii(spec: ManifoldSpec, radii, name: str) -> np.ndarray:
@@ -197,7 +193,6 @@ def _quadratures(
     va: np.ndarray,
     k: bool = True,
     theta: bool = True,
-    profile: RadialGreenProfile | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(K, Theta) at checked radii with ball volumes va = V(a), from one
     `integrate_intervals` call; None for a kernel not asked for.
@@ -212,7 +207,7 @@ def _quadratures(
     On S^n, a far radius whose boundary layer next to a is thin also takes
     two rows.
     The integrand's rows are non-decreasing, so each kind is one run of
-    nodes. Theta takes the profile's phi, by default the shared one.
+    nodes. Theta takes phi from the shared profile, `get_profile(spec)`.
 
     Errors come in the order of a call per kernel: K's quadrature error or
     non-finite value first, then the profile's failure to build, then
@@ -250,11 +245,11 @@ def _quadratures(
         return out
 
     try:
-        integrals = integrate_intervals(integrand, lo, hi, _SETTINGS)
+        integrals = integrate_intervals(integrand, lo, hi)
     except QuadratureError:
         if k and theta:
             _quadratures(spec, radii, va, theta=False)
-        if theta and profile is None:
+        if theta:
             get_profile(spec)
         raise
     k_out = theta_out = None
@@ -268,10 +263,8 @@ def _quadratures(
         _require_finite(k_out, radii, "K", spec)
     if not theta:
         return k_out, None
-    if profile is None:
-        profile = get_profile(spec)
     with np.errstate(invalid="ignore", over="ignore"):
-        theta_out = profile.phi(radii) + theta_out
+        theta_out = get_profile(spec).phi(radii) + theta_out
     return k_out, _require_finite(theta_out, radii, "Theta", spec)
 
 
@@ -286,11 +279,10 @@ def k_quadrature(spec: ManifoldSpec, a: float) -> float:
     return float(_quadratures(spec, radii, _ball_volumes(spec, radii), theta=False)[0][0])
 
 
-def theta_quadrature(profile: RadialGreenProfile, a: float) -> float:
+def theta_quadrature(spec: ManifoldSpec, a: float) -> float:
     """Theta(M, a): mean of the Green function over a ball about its pole."""
-    radii = _kernel_radii(profile.spec, [a], "Theta")
-    va = _ball_volumes(profile.spec, radii)
-    return float(_quadratures(profile.spec, radii, va, k=False, profile=profile)[1][0])
+    radii = _kernel_radii(spec, [a], "Theta")
+    return float(_quadratures(spec, radii, _ball_volumes(spec, radii), k=False)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +571,7 @@ def theta_asymptotic(spec: ManifoldSpec, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ball_average_green(
-    profile: RadialGreenProfile, t: float, a: float
-) -> float:
+def ball_average_green(spec: ManifoldSpec, t: float, a: float) -> float:
     """Mean of G(p, .) over the ball B(p0, a) with t = d_R(p0, p).
 
     Equals phi(t) + K(M, a) for t >= a; for t < a the overlap correction
@@ -589,7 +579,6 @@ def ball_average_green(
     swapping the integration order. t = 0 is rejected: phi diverges there
     while the true ball mean is the finite Theta(M, a).
     """
-    spec = profile.spec
     D = diameter(spec)
     if t == 0.0:
         raise SingularityError(
@@ -599,7 +588,7 @@ def ball_average_green(
         raise DomainError(f"need 0 < t <= D, got t={t}")
     if not 0.0 < a < D:
         raise DomainError(f"need 0 < a < D, got a={a}")
-    base = profile.phi(t) + k_value(spec, a)
+    base = get_profile(spec).phi(t) + k_value(spec, a)
     if t >= a:
         return base
     va = ball_volume(spec, a)
@@ -608,17 +597,15 @@ def ball_average_green(
         return (va - ball_volume(spec, u)) / sphere_area(spec, u)
 
     # only the base's absolute accuracy is needed: near t = a, va - V(u) is rounding noise
-    settings = QuadratureSettings(rel_tol=1e-12, abs_tol=max(1e-15 * va * abs(base), 1e-300))
-    correction = integrate(overlap, t, a, settings) / va
+    correction = integrate(overlap, t, a, max(1e-15 * va * abs(base), 1e-300)) / va
     return base - correction
 
 
-def spherical_mean(profile: RadialGreenProfile, t: float, a: float) -> float:
+def spherical_mean(spec: ManifoldSpec, t: float, a: float) -> float:
     """Mean of G(p, .) over the geodesic sphere S(p0, a), for a < t = d_R(p, p0).
 
     Closed identity: phi(t) + (1/V) int_0^a V(u)/v(u) du.
     """
-    spec = profile.spec
     D = diameter(spec)
     if not 0.0 < t <= D:
         raise DomainError(f"need 0 < t <= D, got t={t}")
@@ -626,4 +613,4 @@ def spherical_mean(profile: RadialGreenProfile, t: float, a: float) -> float:
         raise DomainError(
             f"the sphere-mean identity holds for a < t only, got a={a}, t={t}"
         )
-    return profile.phi(t) + cum_volume_over_area(spec, a) / volume(spec)
+    return get_profile(spec).phi(t) + cum_volume_over_area(spec, a) / volume(spec)

@@ -348,6 +348,8 @@ def compare_table(family: Family, n_min: int, n_max: int) -> list[tuple[int, flo
     if family not in _COMPARE_RANGES:
         raise UnsupportedManifoldError(f"no comparison data for family {family}")
     lo, hi = _COMPARE_RANGES[family]
+    if n_min > n_max:
+        raise DomainError(f"need n_min <= n_max, got [{n_min}, {n_max}]")
     if n_min < lo or (hi is not None and n_max > hi):
         raise DomainError(
             f"family {family.value} supports n in [{lo}, {hi or 'inf'}], "

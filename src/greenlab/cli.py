@@ -18,13 +18,11 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import __version__
 from . import ball_stats as bs
 from . import bounds as bd
 from . import energy as en
-from .errors import GreenLabError
+from .errors import DomainError, GreenLabError
 from .green import get_profile
 from .manifold import (
     Family,
@@ -102,16 +100,17 @@ def _cmd_profile(args) -> str:
 def _cmd_ball(args) -> str:
     spec = _spec_from_args(args)
     D = diameter(spec)
+    if args.grid_size < 1:
+        raise DomainError(f"need --grid-size >= 1, got {args.grid_size}")
     if args.radius:
         radii = list(args.radius)
     else:
         radii = [D * (k + 1) / (args.grid_size + 1) for k in range(args.grid_size)]
-    prof = get_profile(spec)
     closed = _ball_polynomial(spec) is not None
     rows = []
     for a in radii:
         k_quad = bs.k_quadrature(spec, a)
-        theta_quad = bs.theta_quadrature(prof, a)
+        theta_quad = bs.theta_quadrature(spec, a)
         if closed:
             k_cl = bs.k_closed(spec, a)
             theta_cl = bs.theta_closed(spec, a)
@@ -167,18 +166,14 @@ def _cmd_compare(args) -> str:
 def _cmd_energy(args) -> str:
     with open(args.config) as fh:
         cfg = load_configuration(fh)
-    profile = get_profile(cfg.spec)
-    report = en.EnergyReport.from_configuration(
-        cfg, profile, seed=args.seed, threads=args.threads
-    )
+    report = en.EnergyReport.from_configuration(cfg, seed=args.seed)
     return _json_payload(report.to_dict())
 
 
 def _cmd_optimize(args) -> str:
     spec = _spec_from_args(args)
-    rng = np.random.default_rng(args.seed)
     # the energy of the last accepted step, not a second sweep over the pairs
-    cfg, e = en._optimized(spec, args.points, args.iters, rng)
+    cfg, e = en._optimized(spec, args.points, args.iters, args.seed)
     buf = io.StringIO()
     save_configuration(cfg, buf)
     sys.stderr.write(f"final energy {_FMT.format(e)}\n")
@@ -237,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     output(p)
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=0, help="recorded in the report")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_energy)
 
     p = sub.add_parser("optimize", help="Riemannian gradient descent from a random start")

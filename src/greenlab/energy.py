@@ -63,23 +63,15 @@ _MIN_SEPARATION_FACTOR = 1e-9
 _BLOCK_PAIRS = 1 << 16
 
 
-def energy(
-    config: Configuration,
-    profile: RadialGreenProfile | None = None,
-    threads: int = 1,
-) -> float:
+def energy(config: Configuration) -> float:
     """Sum of the Green profile over ordered distinct pairs.
 
     The upper triangle is swept in row blocks of about `_BLOCK_PAIRS`
-    pairs, whose partial sums are reduced in block order, so the result is
-    bit-identical for any thread count and peak memory does not grow with
-    N; numpy's pairwise summation compensates within blocks.
+    pairs, so peak memory does not grow with N. The blocks' partial sums
+    are reduced in block order, and numpy's pairwise summation compensates
+    within blocks.
     """
-    if profile is None:
-        profile = get_profile(config.spec)
-    if profile.spec != config.spec:
-        raise DomainError("profile and configuration disagree on the manifold")
-    return _energy_rows(config.spec, profile, config.coords_array(), threads)
+    return _energy_rows(config.spec, get_profile(config.spec), config.coords_array())
 
 
 def _row_blocks(n: int, pairs: int) -> list[tuple[int, int]]:
@@ -97,9 +89,7 @@ def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
     return r, flat - starts[r] + r
 
 
-def _energy_rows(
-    spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray, threads: int = 1
-) -> float:
+def _energy_rows(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray) -> float:
     """`energy` of the unit rows of coords."""
     n = len(coords)
     if n == 1:
@@ -131,14 +121,7 @@ def _energy_rows(
         return float(np.sum(profile.phi(d)))
 
     # the last point has no later partner: a block of it alone is left out
-    blocks = [(lo, hi) for lo, hi in _row_blocks(n, _BLOCK_PAIRS) if lo < n - 1]
-    if threads <= 1 or len(blocks) == 1:
-        partials = [block_sum(lo, hi) for lo, hi in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda b: block_sum(*b), blocks))
+    partials = [block_sum(lo, hi) for lo, hi in _row_blocks(n, _BLOCK_PAIRS) if lo < n - 1]
     return 2.0 * float(np.sum(np.asarray(partials)))
 
 
@@ -166,14 +149,8 @@ class EnergyReport:
                 )
 
     @classmethod
-    def from_configuration(
-        cls,
-        config: Configuration,
-        profile: RadialGreenProfile | None = None,
-        seed: int | None = None,
-        threads: int = 1,
-    ) -> "EnergyReport":
-        e = energy(config, profile, threads=threads)
+    def from_configuration(cls, config: Configuration, seed: int | None = None) -> "EnergyReport":
+        e = energy(config)
         rep = best_finite_bound(config.spec, len(config))
         return cls(
             spec=config.spec,
@@ -293,13 +270,7 @@ def _descent_steps(
         yield coords, e
 
 
-def optimize(
-    spec: ManifoldSpec,
-    N: int,
-    iterations: int,
-    rng,
-    profile: RadialGreenProfile | None = None,
-) -> Configuration:
+def optimize(spec: ManifoldSpec, N: int, iterations: int, rng) -> Configuration:
     """Riemannian gradient descent from a uniform random start.
 
     The start is `sample_uniform(spec, rng, N)`. Each of the `iterations`
@@ -310,16 +281,10 @@ def optimize(
     deterministic for a fixed seed. It ends early when a step finds no
     decrease.
     """
-    return _optimized(spec, N, iterations, rng, profile)[0]
+    return _optimized(spec, N, iterations, rng)[0]
 
 
-def _optimized(
-    spec: ManifoldSpec,
-    N: int,
-    iterations: int,
-    rng,
-    profile: RadialGreenProfile | None = None,
-) -> tuple[Configuration, float]:
+def _optimized(spec: ManifoldSpec, N: int, iterations: int, rng) -> tuple[Configuration, float]:
     """`optimize`'s configuration and its energy, the one the last accepted
     step computed (the same bits as `energy` of the configuration)."""
     if spec.family is Family.CAYLEY_PLANE:
@@ -329,8 +294,7 @@ def _optimized(
     if iterations < 0:
         raise DomainError(f"need iterations >= 0, got {iterations}")
     gen = _as_generator(rng)
-    if profile is None:
-        profile = get_profile(spec)
+    profile = get_profile(spec)
     coords = sample_uniform(spec, gen, N).coords_array()
     # rescaled once more as real frames, as the output of earlier versions
     # was: a seeded run with no sweeps keeps its bits
@@ -357,15 +321,14 @@ def mc_energy_moment(
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     gen = _as_generator(rng)
-    profile = get_profile(spec)
     values = np.empty(samples)
     if spec.family is Family.CAYLEY_PLANE:
         pairs = N * (N - 1)
         draws = random_distance(spec, gen, size=samples * pairs)
-        values = profile.phi(draws).reshape(samples, pairs).sum(axis=1)
+        values = get_profile(spec).phi(draws).reshape(samples, pairs).sum(axis=1)
     else:
         for s in range(samples):
-            values[s] = energy(sample_uniform(spec, gen, N), profile)
+            values[s] = energy(sample_uniform(spec, gen, N))
     mean = float(np.mean(values))
     std_err = float(np.std(values, ddof=1) / math.sqrt(samples))
     return mean, std_err

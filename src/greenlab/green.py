@@ -72,12 +72,7 @@ from .manifold import (
     dimension,
     volume,
 )
-from .special_math import (
-    QuadratureSettings,
-    _beta_continued_fraction,
-    integrate,
-    integrate_intervals,
-)
+from .special_math import _beta_continued_fraction, integrate, integrate_intervals
 
 __all__ = [
     "RadialGreenProfile",
@@ -86,8 +81,6 @@ __all__ = [
     "build_profile",
     "get_profile",
 ]
-
-_BUILD_SETTINGS = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-290, max_subdivisions=4000)
 
 # main table: panels of _PANEL_NODES Lobatto nodes, first laid out geometrically
 # on [r_cut, D/2] and uniformly on [D/2, D], then halved (geometrically below
@@ -212,7 +205,7 @@ def _log_interval_integrals(psi, hi: np.ndarray, width: np.ndarray) -> np.ndarra
         s = hi[rows] * np.exp(-w)
         return psi(s) * s
 
-    return integrate_intervals(integrand, np.zeros_like(width), width, _BUILD_SETTINGS)
+    return integrate_intervals(integrand, np.zeros_like(width), width)
 
 
 @lru_cache(maxsize=None)
@@ -263,8 +256,8 @@ def phi_hat(spec: ManifoldSpec, r: float) -> float:
     psi = _radial_ratios(spec).psi
     knee = D / 8.0
     if r >= knee:
-        return integrate(psi, r, D, _BUILD_SETTINGS)
-    upper = integrate(psi, knee, D, _BUILD_SETTINGS)
+        return integrate(psi, r, D)
+    upper = integrate(psi, knee, D)
     return upper + float(
         _log_interval_integrals(psi, np.array([knee]), np.array([math.log(knee / r)]))[0]
     )
@@ -275,15 +268,16 @@ class RadialGreenProfile:
     """Evaluable radial Green function phi(r) = (phi_hat(r) + c_m) / V.
 
     Immutable once built, apart from the slope table, which the first call
-    of `phi_hat_prime_values` builds under a lock; safe to share across
-    threads.
+    of `phi_hat_prime_values` builds under a lock, so one profile serves
+    concurrent callers.
     """
 
     spec: ManifoldSpec
     c_m: float
     r_cut: float
-    _main: ChebyshevInterpolant  # phi_hat * r^(d-2) on [r_cut, D] in panels (d=2: +log term removed)
-    _cells: CellTable  # the same function, fitted to _main in uniform cells; evaluated in its place
+    # phi_hat r^(d-2) on [r_cut, D] (d = 2: phi_hat + log term), in uniform cells
+    # fitted to the panels of `_build_phi_hat_tables`
+    _cells: CellTable
     _log_coeff: float  # V / vol(S^(d-1)); the d=2 log-head slope
     # psi r^(d-1) on [r_cut, D] in uniform cells, built on first use
     _slope: CellTable | None = field(default=None, init=False, repr=False)
@@ -401,7 +395,7 @@ def _tail(values: np.ndarray) -> np.ndarray:
 
 
 def _phi_hat_from_stored(stored: np.ndarray, x: np.ndarray, d: int, log_coeff: float) -> np.ndarray:
-    """phi_hat at x from the main table's stored function, phi_hat r^(d-2), or
+    """phi_hat at x from the tables' stored function, phi_hat r^(d-2), or
     phi_hat + log_coeff log r when d = 2; computed in place in stored, which is returned."""
     if d > 2:
         stored *= x ** (2 - d)
@@ -523,10 +517,10 @@ def build_profile(spec: ManifoldSpec) -> RadialGreenProfile:
     D, V = diameter(spec), volume(spec)
     r_cut = _cut_radius(spec)
     # mean-zero constant: Theta(M, D) = 0 gives C = -(1/V) int_0^D V(s) psi(s) ds
-    c_m = -integrate(_radial_ratios(spec).moment, 0.0, D, _BUILD_SETTINGS) / V
-    main, cells = _build_phi_hat_tables(spec, c_m, r_cut)
+    c_m = -integrate(_radial_ratios(spec).moment, 0.0, D) / V
+    cells = _build_phi_hat_tables(spec, c_m, r_cut)[1]
     prof = RadialGreenProfile(
-        spec=spec, c_m=c_m, r_cut=r_cut, _main=main, _cells=cells, _log_coeff=_volume_ratio(spec)
+        spec=spec, c_m=c_m, r_cut=r_cut, _cells=cells, _log_coeff=_volume_ratio(spec)
     )
     for r, value in ((r_cut, float(prof.phi_hat_values(r_cut)[0])), (D, 0.0)):
         if not math.isfinite((value + c_m) / V):

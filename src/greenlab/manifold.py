@@ -590,6 +590,8 @@ def _as_generator(rng) -> np.random.Generator:
         return rng
     if isinstance(rng, RngSeed):
         return rng.generator()
+    if isinstance(rng, (int, np.integer)) and rng < 0:
+        raise DomainError(f"a seed must be a non-negative integer, got {rng}")
     return np.random.default_rng(rng)
 
 

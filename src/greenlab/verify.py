@@ -18,7 +18,6 @@ from .green import _phi_hat_floor, get_profile, phi_hat, phi_hat_prime
 from .manifold import (
     Family,
     ManifoldSpec,
-    Point,
     ball_volume,
     ball_volume_fraction,
     bm_constant,
@@ -31,13 +30,7 @@ from .manifold import (
     sphere_area,
     volume,
 )
-from .special_math import (
-    QuadratureSettings,
-    gauss_kronrod_panel,
-    integrate,
-    reg_incomplete_beta,
-    vol_unit_sphere,
-)
+from .special_math import gauss_kronrod_panel, integrate, reg_incomplete_beta, vol_unit_sphere
 
 CORE_SPECS = [
     ManifoldSpec(Family.SPHERE, 2),
@@ -137,8 +130,7 @@ def _check_green_mean_zero():
     worst = 0.0
     for spec in CORE_SPECS:
         prof = get_profile(spec)
-        st = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-10, max_subdivisions=4000)
-        mz = integrate(lambda r: prof.phi(r) * sphere_area(spec, r), 0.0, diameter(spec), st)
+        mz = integrate(lambda r: prof.phi(r) * sphere_area(spec, r), 0.0, diameter(spec), 1e-10)
         worst = max(worst, abs(mz))
     return worst < 1e-8, f"max mean defect {worst:.2e}"
 
@@ -233,7 +225,6 @@ def _check_kernel_cross_validation(quick: bool):
     worst = 0.0
     for fam, n in grid:
         spec = ManifoldSpec(fam, n)
-        prof = get_profile(spec)
         # D - 1e-3 guards K near the diameter; Theta is left out there because
         # it crosses zero at D, so its relative defect would measure that
         # cancellation (OP^2: Theta ~ 1e-20 against terms ~ 48), not the quadrature
@@ -246,7 +237,7 @@ def _check_kernel_cross_validation(quick: bool):
         for a in (0.3, 0.9, 1.4):
             worst = max(
                 worst,
-                abs(bs.theta_quadrature(prof, a) - bs.theta_closed(spec, a))
+                abs(bs.theta_quadrature(spec, a) - bs.theta_closed(spec, a))
                 / max(abs(bs.theta_closed(spec, a)), 1e-12),
             )
     return worst < 1e-6, f"max closed-vs-quadrature defect {worst:.2e}"
@@ -260,10 +251,9 @@ def _check_small_radius_asymptotics():
         a = 1e-2 * D
         worst_k = max(worst_k, abs(bs.k_value(spec, a) / bs.k_asymptotic(spec, a) - 1))
         if dimension(spec) > 2:
-            prof = get_profile(spec)
             worst_theta = max(
                 worst_theta,
-                abs(bs.theta_quadrature(prof, a) / bs.theta_asymptotic(spec, a) - 1),
+                abs(bs.theta_quadrature(spec, a) / bs.theta_asymptotic(spec, a) - 1),
             )
     ok = worst_k < 0.01 and worst_theta < 0.02
     return ok, f"K ratio defect {worst_k:.2%}, Theta ratio defect {worst_theta:.2%}"
@@ -273,12 +263,12 @@ def _check_ball_average_identity():
     spec = ManifoldSpec(Family.SPHERE, 2)
     prof = get_profile(spec)
     k03 = bs.k_value(spec, 0.3)
-    exact_branch = bs.ball_average_green(prof, 1.0, 0.3) - (prof.phi(1.0) + k03)
-    continuity = bs.ball_average_green(prof, 0.3 - 1e-12, 0.3) - bs.ball_average_green(
-        prof, 0.3, 0.3
+    exact_branch = bs.ball_average_green(spec, 1.0, 0.3) - (prof.phi(1.0) + k03)
+    continuity = bs.ball_average_green(spec, 0.3 - 1e-12, 0.3) - bs.ball_average_green(
+        spec, 0.3, 0.3
     )
     bound_ok = all(
-        bs.ball_average_green(prof, t, 0.8) <= prof.phi(t) + bs.k_value(spec, 0.8) + 1e-12
+        bs.ball_average_green(spec, t, 0.8) <= prof.phi(t) + bs.k_value(spec, 0.8) + 1e-12
         for t in (0.1, 0.4, 0.79, 1.2)
     )
     ok = exact_branch == 0.0 and abs(continuity) < 1e-9 and bound_ok
@@ -287,10 +277,9 @@ def _check_ball_average_identity():
 
 def _check_spherical_mean_derivative():
     spec = ManifoldSpec(Family.SPHERE, 3)
-    prof = get_profile(spec)
     h = 1e-5
     t, a = 1.2, 0.6
-    num = (bs.spherical_mean(prof, t, a + h) - bs.spherical_mean(prof, t, a - h)) / (2 * h)
+    num = (bs.spherical_mean(spec, t, a + h) - bs.spherical_mean(spec, t, a - h)) / (2 * h)
     exact = ball_volume(spec, a) / (volume(spec) * sphere_area(spec, a))
     dev = abs(num - exact) / exact
     return dev < 1e-6, f"derivative defect {dev:.2e}"
@@ -385,10 +374,9 @@ def _check_single_point_bound():
 def _check_certificates():
     rng = np.random.default_rng(7)
     for spec in (ManifoldSpec(Family.SPHERE, 2), ManifoldSpec(Family.COMPLEX_PROJ, 2)):
-        prof = get_profile(spec)
         for _ in range(3):
             cfg = en.Configuration(spec, [sample_uniform(spec, rng) for _ in range(12)])
-            en.EnergyReport.from_configuration(cfg, prof)
+            en.EnergyReport.from_configuration(cfg)
     return True, "no certificate violations"
 
 
@@ -413,7 +401,7 @@ def _check_optimizer_tetrahedron():
     prof = get_profile(spec)
     cfg = en.optimize(spec, 4, 300, np.random.default_rng(7))
     target = 12 * prof.phi(math.acos(-1.0 / 3.0))
-    dev = abs(en.energy(cfg, prof) - target)
+    dev = abs(en.energy(cfg) - target)
     return dev < 1e-6, f"tetrahedron defect {dev:.2e}"
 
 

@@ -110,7 +110,7 @@ def test_criterion_3_closed_form_cross_validation():
     for spec, a in combos:
         prof = get_profile(spec)
         kc, kq = bs.k_closed(spec, a), bs.k_quadrature(spec, a)
-        tc, tq = bs.theta_closed(spec, a), bs.theta_quadrature(prof, a)
+        tc, tq = bs.theta_closed(spec, a), bs.theta_quadrature(spec, a)
         assert abs(kq - kc) / abs(kc) <= 1e-6
         # Theta crosses zero at the diameter; there the agreement is held
         # absolutely, at 1e-6 of the profile scale |c_m|/V
@@ -125,14 +125,13 @@ def test_criterion_3_closed_form_cross_validation():
 
 def test_criterion_4_green_defining_properties():
     """Mean zero, the log-formula profile on the 2-sphere, near-diagonal heads."""
-    from greenlab.special_math import QuadratureSettings, integrate
+    from greenlab.special_math import integrate
 
     worst_mean = 0.0
     for spec in MINIMUM_SET:
         prof = get_profile(spec)
-        st = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-10, max_subdivisions=4000)
         moment = integrate(
-            lambda r: prof.phi(r) * sphere_area(spec, r), 0.0, diameter(spec), st
+            lambda r: prof.phi(r) * sphere_area(spec, r), 0.0, diameter(spec), 1e-10
         )
         worst_mean = max(worst_mean, abs(moment))
         assert abs(moment) <= 1e-8
@@ -176,7 +175,6 @@ def test_criterion_5_small_radius_asymptotics():
         D = diameter(spec)
         d = dimension(spec)
         area = vol_unit_sphere(d)
-        prof = get_profile(spec)
 
         def laws(a):
             v_dev = abs(ball_volume(spec, a) / (area * a**d / d) - 1.0)
@@ -185,7 +183,7 @@ def test_criterion_5_small_radius_asymptotics():
             )
             k_dev = abs(bs.k_value(spec, a) / bs.k_asymptotic(spec, a) - 1.0)
             t_dev = abs(
-                bs.theta_quadrature(prof, a) / bs.theta_asymptotic(spec, a) - 1.0
+                bs.theta_quadrature(spec, a) / bs.theta_asymptotic(spec, a) - 1.0
             )
             return v_dev, s_dev, k_dev, t_dev
 
@@ -207,7 +205,7 @@ def test_criterion_6_ball_average_identity():
     t, a = 1.0, 0.3
 
     # (i) the t >= a branch is the identity by construction
-    assert bs.ball_average_green(prof, t, a) == prof.phi(t) + bs.k_value(S2, a)
+    assert bs.ball_average_green(S2, t, a) == prof.phi(t) + bs.k_value(S2, a)
 
     # (ii) Monte Carlo over 1e6 in-ball rejection samples
     rng = np.random.default_rng(424242)
@@ -225,14 +223,14 @@ def test_criterion_6_ball_average_identity():
     vals = prof.phi(np.arccos(np.clip(pts @ pole, -1.0, 1.0)))
     mc = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(want))
-    exact = bs.ball_average_green(prof, t, a)
+    exact = bs.ball_average_green(S2, t, a)
     assert abs(mc - exact) <= 3 * se
 
     # (iii) derivative of the sphere mean in its radius
     h = 1e-5
     t2, a2 = 1.2, 0.5
     numeric = (
-        bs.spherical_mean(prof, t2, a2 + h) - bs.spherical_mean(prof, t2, a2 - h)
+        bs.spherical_mean(S2, t2, a2 + h) - bs.spherical_mean(S2, t2, a2 - h)
     ) / (2 * h)
     exact_deriv = ball_volume(S2, a2) / (volume(S2) * sphere_area(S2, a2))
     assert numeric == pytest.approx(exact_deriv, rel=1e-6)

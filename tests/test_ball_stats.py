@@ -132,7 +132,7 @@ class TestKQuadrature:
         # v(u) ~ u^59 underflows at the first panel's nodes near u = 1e-6
         a = 1e-4 * diameter(spec)
         k = bs.k_quadrature(spec, a)
-        theta = bs.theta_quadrature(get_profile(spec), a)
+        theta = bs.theta_quadrature(spec, a)
         assert math.isfinite(k) and k > 0.0
         assert math.isfinite(theta) and theta > 0.0
         assert k == pytest.approx(bs.k_asymptotic(spec, a), rel=1e-6)
@@ -188,9 +188,8 @@ class TestClosedForms:
 
     @pytest.mark.parametrize(("spec", "a"), CROSS_GRID)
     def test_theta_cross_validation(self, spec, a):
-        prof = get_profile(spec)
         closed = bs.theta_closed(spec, a)
-        quad = bs.theta_quadrature(prof, a)
+        quad = bs.theta_quadrature(spec, a)
         assert quad == pytest.approx(closed, rel=1e-6, abs=1e-10)
 
     def test_no_closed_form_for_spheres(self):
@@ -205,7 +204,7 @@ class TestClosedForms:
         assert abs(bs.theta_closed(spec, diameter(spec))) < 1e-12
         prof = get_profile(spec)
         scale = abs(prof.c_m) / volume(spec)
-        assert abs(bs.theta_quadrature(prof, diameter(spec))) < 1e-8 * max(scale, 1.0)
+        assert abs(bs.theta_quadrature(spec, diameter(spec))) < 1e-8 * max(scale, 1.0)
 
     def test_complex_theta_cancellation_identity(self):
         # (n/2) sum 1/(k(n-k)) telescopes to H_{n-1}: exact zero at S = 1
@@ -330,30 +329,27 @@ class TestDerivedKernelParts:
 class TestThetaQuadrature:
     @pytest.mark.parametrize("spec", [S3, RP3, CP2, HP1, OP2])
     def test_small_radius_law(self, spec):
-        prof = get_profile(spec)
         D = diameter(spec)
-        dev2 = abs(bs.theta_quadrature(prof, 1e-2 * D) / bs.theta_asymptotic(spec, 1e-2 * D) - 1)
-        dev3 = abs(bs.theta_quadrature(prof, 1e-3 * D) / bs.theta_asymptotic(spec, 1e-3 * D) - 1)
+        dev2 = abs(bs.theta_quadrature(spec, 1e-2 * D) / bs.theta_asymptotic(spec, 1e-2 * D) - 1)
+        dev3 = abs(bs.theta_quadrature(spec, 1e-3 * D) / bs.theta_asymptotic(spec, 1e-3 * D) - 1)
         assert dev2 < 0.02
         assert dev3 < dev2
 
     @pytest.mark.parametrize("spec", [S2, S3, CP2, OP2])
     def test_positive_near_pole(self, spec):
-        prof = get_profile(spec)
-        assert bs.theta_quadrature(prof, 0.05 * diameter(spec)) > 0.0
+        assert bs.theta_quadrature(spec, 0.05 * diameter(spec)) > 0.0
 
 
 class TestBallAverage:
     def test_outside_branch_is_exact(self):
         prof = get_profile(S2)
         k = bs.k_value(S2, 0.3)
-        assert bs.ball_average_green(prof, 1.0, 0.3) == prof.phi(1.0) + k
+        assert bs.ball_average_green(S2, 1.0, 0.3) == prof.phi(1.0) + k
 
     def test_branches_agree_at_boundary(self):
-        prof = get_profile(S2)
         t = 0.4
-        outside = bs.ball_average_green(prof, t, t)
-        inside = bs.ball_average_green(prof, t - 1e-12, t)
+        outside = bs.ball_average_green(S2, t, t)
+        inside = bs.ball_average_green(S2, t - 1e-12, t)
         assert inside == pytest.approx(outside, abs=1e-9)
 
     @pytest.mark.parametrize("spec", [S2, CP2])
@@ -362,7 +358,7 @@ class TestBallAverage:
         a = 0.4 * diameter(spec)
         bound = bs.k_value(spec, a)
         for t in (0.1 * a, 0.5 * a, 0.99 * a, 1.5 * a):
-            avg = bs.ball_average_green(prof, t, a)
+            avg = bs.ball_average_green(spec, t, a)
             assert avg <= prof.phi(t) + bound + 1e-12
 
     def test_monte_carlo_oracle(self):
@@ -383,54 +379,49 @@ class TestBallAverage:
         vals = prof.phi(dists)
         mc = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(want))
-        assert abs(mc - bs.ball_average_green(prof, t, a)) < 3 * se
+        assert abs(mc - bs.ball_average_green(S2, t, a)) < 3 * se
 
     def test_pole_rejected(self):
-        prof = get_profile(S2)
         with pytest.raises(SingularityError):
-            bs.ball_average_green(prof, 0.0, 0.3)
+            bs.ball_average_green(S2, 0.0, 0.3)
 
     def test_domain(self):
-        prof = get_profile(S2)
         with pytest.raises(DomainError):
-            bs.ball_average_green(prof, 0.5, diameter(S2))
+            bs.ball_average_green(S2, 0.5, diameter(S2))
 
 
 class TestSphericalMean:
     def test_shrinking_sphere_limit(self):
         prof = get_profile(S3)
         t = 1.0
-        assert bs.spherical_mean(prof, t, 1e-8) == pytest.approx(prof.phi(t), rel=1e-12)
+        assert bs.spherical_mean(S3, t, 1e-8) == pytest.approx(prof.phi(t), rel=1e-12)
 
     @pytest.mark.parametrize("spec", [S2, S3, CP2])
     def test_radial_derivative(self, spec):
-        prof = get_profile(spec)
         D = diameter(spec)
         t, a = 0.8 * D, 0.4 * D
         h = 1e-5 * D
         numeric = (
-            bs.spherical_mean(prof, t, a + h) - bs.spherical_mean(prof, t, a - h)
+            bs.spherical_mean(spec, t, a + h) - bs.spherical_mean(spec, t, a - h)
         ) / (2 * h)
         exact = ball_volume(spec, a) / (volume(spec) * sphere_area(spec, a))
         assert numeric == pytest.approx(exact, rel=1e-6)
 
     def test_consistency_with_ball_average(self):
         # d/da [V(a) * ball_average] = v(a) * spherical_mean for a < t
-        prof = get_profile(S2)
         t, a = 1.2, 0.5
         h = 5e-4
 
         def g(x):
-            return ball_volume(S2, x) * bs.ball_average_green(prof, t, x)
+            return ball_volume(S2, x) * bs.ball_average_green(S2, t, x)
 
         numeric = (g(a + h) - g(a - h)) / (2 * h)
-        exact = sphere_area(S2, a) * bs.spherical_mean(prof, t, a)
+        exact = sphere_area(S2, a) * bs.spherical_mean(S2, t, a)
         assert numeric == pytest.approx(exact, rel=1e-6)
 
     def test_requires_a_below_t(self):
-        prof = get_profile(S2)
         with pytest.raises(DomainError):
-            bs.spherical_mean(prof, 0.5, 0.5)
+            bs.spherical_mean(S2, 0.5, 0.5)
 
 
 class TestConditionalPositivity:
@@ -473,9 +464,9 @@ class TestArrayKernels:
         refined = []
         inner = special_math._refine
 
-        def spy(f, index, lo, hi, value, err, settings):
+        def spy(f, index, lo, hi, value, err, abs_tol):
             refined.extend(hi.tolist())
-            return inner(f, index, lo, hi, value, err, settings)
+            return inner(f, index, lo, hi, value, err, abs_tol)
 
         monkeypatch.setattr(special_math, "_refine", spy)
         k, theta = bs.k_values(spec, radii), bs.theta_values(spec, radii)
@@ -483,9 +474,8 @@ class TestArrayKernels:
         assert theta.tolist() == [bs.theta_value(spec, a) for a in radii.tolist()]
         if spec.family in (Family.SPHERE, Family.REAL_PROJ):
             assert 0.9 * D in refined
-            prof = get_profile(spec)
             assert k.tolist() == [bs.k_quadrature(spec, a) for a in radii.tolist()]
-            assert theta.tolist() == [bs.theta_quadrature(prof, a) for a in radii.tolist()]
+            assert theta.tolist() == [bs.theta_quadrature(spec, a) for a in radii.tolist()]
         else:
             assert k.tolist() == [bs.k_closed(spec, a) for a in radii.tolist()]
             assert theta.tolist() == [bs.theta_closed(spec, a) for a in radii.tolist()]
@@ -496,9 +486,9 @@ class TestArrayKernels:
         calls, sizes = [], []
         batched = bs.integrate_intervals
 
-        def spy(f, lo, hi, settings):
+        def spy(f, lo, hi):
             calls.append(hi.size)
-            return batched(f, lo, hi, settings)
+            return batched(f, lo, hi)
 
         def watched(fn):
             def call(s):

@@ -359,9 +359,9 @@ class TestBoundArrays:
         calls = []
         batched = bs.integrate_intervals
 
-        def spy(f, lo, hi, settings):
+        def spy(f, lo, hi):
             calls.append(hi.size)
-            return batched(f, lo, hi, settings)
+            return batched(f, lo, hi)
 
         monkeypatch.setattr(bs, "integrate_intervals", spy)
         radii = np.append(bd._log_grid(spec, 1000), 0.3 * diameter(spec))

@@ -341,6 +341,32 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "iterations" in err
 
+    def test_negative_seed_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize", "--family", "s", "--n", "2", "--points", "3", "--iters", "0",
+            "--seed", "-1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+    def test_a_seed_gives_the_stream_of_its_generator(self):
+        spec = ManifoldSpec.from_token("s", 2)
+        for seed in (0, 5, 2**64 - 1):
+            by_seed = en.optimize(spec, 5, 0, seed)
+            by_rng = en.optimize(spec, 5, 0, np.random.default_rng(seed))
+            assert np.array_equal(by_seed.coords_array(), by_rng.coords_array())
+
+    def test_empty_compare_range_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--family", "cp", "--n-min", "5", "--n-max", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "n_min <= n_max" in err
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_grid_size_below_one_is_an_error(self, capsys, size):
+        code, out, err = run_cli(capsys, "ball", "--family", "s", "--n", "2", "--grid-size", size)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--grid-size" in err
+
 
 class TestParserReuse:
     def test_one_process_matches_separate_runs(self, capsys, tmp_path):
@@ -447,7 +473,7 @@ class TestOptionsPerSubcommand:
                 ["--family", "s", "--n", "2", "--points", "4", "--iters", "1"],
                 {"family", "n", "out", "points", "iters", "seed"},
             ),
-            "energy": (["--config", points], {"out", "config", "seed", "threads"}),
+            "energy": (["--config", points], {"out", "config", "seed"}),
         }
         for sub, (argv, expected) in runs.items():
             out = points if sub == "optimize" else str(tmp_path / f"{sub}.out")
@@ -457,3 +483,54 @@ class TestOptionsPerSubcommand:
                 manifest = json.load(fh)
             assert manifest["subcommand"] == sub
             assert set(manifest["parameters"]) == expected, sub
+
+    # a base invocation of each subcommand, and another value for each option
+    # its manifest reports but --out, which names a path
+    VARIED = {
+        "profile": (["--family", "s", "--n", "2"], {"--family": "rp", "--n": "3", "--format": "json"}),
+        "ball": (
+            ["--family", "s", "--n", "2", "--grid-size", "2"],
+            {"--family": "rp", "--n": "3", "--format": "json", "--grid-size": "3", "--radius": "0.5"},
+        ),
+        "bound": (
+            ["--family", "s", "--n", "2", "--points", "10"],
+            {"--family": "rp", "--n": "3", "--format": "csv", "--points": "11"},
+        ),
+        "compare": (
+            ["--family", "cp", "--n-min", "2", "--n-max", "3"],
+            {"--family": "hp", "--format": "json", "--n-min": "3", "--n-max": "4"},
+        ),
+        "optimize": (
+            ["--family", "s", "--n", "2", "--points", "4", "--iters", "1"],
+            {"--family": "rp", "--n": "3", "--points": "5", "--iters": "2", "--seed": "1"},
+        ),
+        "energy": (["--config", "{square}"], {"--config": "{line}", "--seed": "1"}),
+    }
+
+    @pytest.mark.parametrize("sub", sorted(VARIED))
+    def test_every_reported_option_changes_the_payload(self, capsys, tmp_path, sub):
+        configs = {"square": "1 0 0\n0 1 0\n0 0 1\n", "line": "1 0 0\n0 1 0\n-1 0 0\n"}
+        for name, rows in configs.items():
+            (tmp_path / f"{name}.txt").write_text("# manifold=s n=2\n" + rows)
+        paths = {name: str(tmp_path / f"{name}.txt") for name in configs}
+        base, varied = self.VARIED[sub]
+        base = [arg.format(**paths) for arg in base]
+
+        def payload(argv):
+            out = str(tmp_path / "payload.out")
+            code, _, err = run_cli(capsys, sub, *argv, "--out", out)
+            assert code == 0, (argv, err)
+            with open(out, "rb") as fh:
+                return fh.read()
+
+        reference = payload(base)
+        with open(str(tmp_path / "payload.out") + ".manifest.json") as fh:
+            reported = set(json.load(fh)["parameters"]) - {"out"}
+        assert reported == {flag[2:].replace("-", "_") for flag in varied}
+        for flag, value in varied.items():
+            argv = list(base)
+            if flag in argv:
+                argv[argv.index(flag) + 1] = value.format(**paths)
+            else:
+                argv += [flag, value.format(**paths)]
+            assert payload(argv) != reference, flag

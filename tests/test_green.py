@@ -47,7 +47,7 @@ from greenlab.manifold import (
     sphere_area,
     volume,
 )
-from greenlab.special_math import QuadratureSettings, integrate, vol_unit_sphere
+from greenlab.special_math import integrate, vol_unit_sphere
 
 import half_angle_oracle
 
@@ -87,6 +87,11 @@ def eq1_profile(r):
         - 1 / (4 * math.pi)
         + math.log(2.0) / (2 * math.pi)
     )
+
+
+def panel_table(prof):
+    """The panel table the profile's cells were fitted to, built again: a profile keeps only its cells."""
+    return green._build_phi_hat_tables(prof.spec, prof.c_m, prof.r_cut)[0]
 
 
 class TestPhiHatPrime:
@@ -235,9 +240,8 @@ class TestProfileConstants:
     @pytest.mark.parametrize("spec", CORE)
     def test_mean_zero(self, spec):
         prof = get_profile(spec)
-        st = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-10, max_subdivisions=4000)
         moment = integrate(
-            lambda r: prof.phi(r) * sphere_area(spec, r), 0.0, diameter(spec), st
+            lambda r: prof.phi(r) * sphere_area(spec, r), 0.0, diameter(spec), 1e-10
         )
         assert abs(moment) <= 1e-8 * volume(spec) * max(abs(prof.c_m), 1.0)
 
@@ -398,7 +402,7 @@ class TestChunkedEvaluation:
         one = np.concatenate([
             rng.uniform(prof.r_cut, D, 400),
             np.exp(rng.uniform(math.log(lo), math.log(prof.r_cut), 200)),
-            prof._main.nodes,
+            panel_table(prof).nodes,
             prof._cells.centres,
             [prof.r_cut, D, lo],
         ])
@@ -434,7 +438,7 @@ class TestChunkedEvaluation:
         prof = get_profile(spec)
         d = dimension(spec)
         r = np.random.default_rng(11).uniform(prof.r_cut, diameter(spec), 10_000)
-        stored = prof._main(r)
+        stored = panel_table(prof)(r)
         panels = stored * r ** (2 - d) if d > 2 else stored - prof._log_coeff * np.log(r)
         defect = np.abs(prof.phi_hat_values(r) - panels) / (np.abs(panels) + abs(prof.c_m))
         assert defect.max() < 1e-14
@@ -510,7 +514,7 @@ class TestBuildProfile:
         prof = get_profile(CP2)
         r, ph, _ = next(iter(prof.grid_rows()))
         assert r == prof.r_cut
-        assert ph == prof._main.values[0] * r ** (2 - dimension(CP2))
+        assert ph == panel_table(prof).values[0] * r ** (2 - dimension(CP2))
 
     def test_grid_rows_cover_cut_to_diameter(self):
         prof = get_profile(CP2)

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import greenlab
-from greenlab import ball_stats, green
+from greenlab import ball_stats, energy, green, special_math
 
 SRC = Path(greenlab.__file__).resolve().parent
 PRIVATE_RULE = {"_refine", "gauss_kronrod_panels"}
@@ -56,11 +56,32 @@ def test_rule_is_written_once(path):
         ball_stats.cum_volume_over_area,
         green.phi_hat,
         green.build_profile,
+        special_math.integrate,
+        special_math.integrate_intervals,
     ],
     ids=lambda fn: fn.__name__,
 )
 def test_no_settings_parameter(fn):
     assert "settings" not in inspect.signature(fn).parameters
+
+
+def public_callables(module):
+    """The functions and classes a module exports, and the public methods of those classes."""
+    for name in module.__all__:
+        obj = getattr(module, name)
+        yield obj
+        if inspect.isclass(obj):
+            yield from (m for k, m in vars(obj).items() if not k.startswith("_") and callable(m))
+            yield from (m.__func__ for m in vars(obj).values() if isinstance(m, classmethod))
+
+
+def test_energy_takes_no_profile_or_thread_count():
+    # the energies depend only on the points: the profile is the one
+    # `get_profile` gives their manifold, and the sweep runs in one thread
+    found = list(public_callables(energy))
+    assert energy.EnergyReport.from_configuration.__func__ in found
+    for fn in found:
+        assert not {"profile", "threads"} & set(inspect.signature(fn).parameters), fn
 
 
 def callers(path: Path, name: str) -> set:

@@ -15,7 +15,6 @@ from greenlab.errors import DomainError, QuadratureError
 from greenlab.special_math import (
     _GK15_NODES,
     _GK15_WEIGHTS,
-    QuadratureSettings,
     _beta_continued_fraction,
     gauss_kronrod_panel,
     gauss_kronrod_panels,
@@ -147,15 +146,18 @@ class TestIntegrate:
     @given(split=st.floats(0.05, 1.95))
     @settings(max_examples=50, deadline=None)
     def test_additivity(self, split):
+        # a part can be small against the integral of |f|, below the 1e-12
+        # relative test's reach (the panels' rounding floor, 50 eps int |f|),
+        # so the parts, compared absolutely, are integrated to an absolute floor
         f = lambda x: np.exp(-x) * np.cos(4.0 * x)
-        whole = integrate(f, 0.0, 2.0)
-        parts = integrate(f, 0.0, split) + integrate(f, split, 2.0)
+        whole = integrate(f, 0.0, 2.0, 1e-14)
+        parts = integrate(f, 0.0, split, 1e-14) + integrate(f, split, 2.0, 1e-14)
         assert parts == pytest.approx(whole, abs=5e-12)
 
-    def test_failure_carries_partial_result(self):
-        settings_small = QuadratureSettings(max_subdivisions=3)
+    def test_failure_carries_partial_result(self, monkeypatch):
+        monkeypatch.setattr(special_math, "_MAX_SUBDIVISIONS", 3)
         with pytest.raises(QuadratureError) as err:
-            integrate(lambda t: abs(t - 1 / math.pi) ** -0.5, 0.0, 1.0, settings_small)
+            integrate(lambda t: abs(t - 1 / math.pi) ** -0.5, 0.0, 1.0)
         assert math.isfinite(err.value.estimate)
         assert err.value.error_bound > 0.0
 
@@ -180,8 +182,7 @@ class TestIntegrate:
     def test_small_integral_converges_to_its_own_scale(self):
         # a bump of height 1e-30: the error estimate follows the integrand's
         # variation, not its absolute size, so rel_tol governs the result
-        tight = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-300)
-        val = integrate(lambda t: 1e-30 * np.exp(-40.0 * (t - 0.3) ** 2), 0.0, 1.0, tight)
+        val = integrate(lambda t: 1e-30 * np.exp(-40.0 * (t - 0.3) ** 2), 0.0, 1.0)
         exact = 1e-30 * float(
             mpmath.sqrt(mpmath.pi / 40) / 2 * (mpmath.erf(mpmath.sqrt(40) * 0.7) + mpmath.erf(mpmath.sqrt(40) * 0.3))
         )
@@ -251,8 +252,6 @@ class TestPanels:
 
 
 class TestIntegrateIntervals:
-    SETTINGS = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-300)
-
     def test_each_interval_gets_the_bits_of_integrate_alone(self, monkeypatch):
         # a Runge bump of width w[i] on each interval; only the narrow one on
         # [-1, 1] misses its first panel and is bisected
@@ -262,17 +261,15 @@ class TestIntegrateIntervals:
         refined = []
         inner = special_math._refine
 
-        def spy(f, index, a, b, value, err, settings):
+        def spy(f, index, a, b, value, err, abs_tol):
             refined.extend(zip(a.tolist(), b.tolist()))
-            return inner(f, index, a, b, value, err, settings)
+            return inner(f, index, a, b, value, err, abs_tol)
 
         monkeypatch.setattr(special_math, "_refine", spy)
-        batch = integrate_intervals(
-            lambda x, rows: 1.0 / (width[rows] ** 2 + x * x), lo, hi, self.SETTINGS
-        )
+        batch = integrate_intervals(lambda x, rows: 1.0 / (width[rows] ** 2 + x * x), lo, hi)
         assert refined == [(-1.0, 1.0)]
         lone = [
-            integrate(lambda x, w=w: 1.0 / (w * w + x * x), a, b, self.SETTINGS)
+            integrate(lambda x, w=w: 1.0 / (w * w + x * x), a, b)
             for a, b, w in zip(lo.tolist(), hi.tolist(), width.tolist())
         ]
         assert batch.tolist() == lone
@@ -291,12 +288,12 @@ class TestIntegrateIntervals:
             calls.append(x.size)
             return 1.0 / (w * w + x * x)
 
-        batch = integrate_intervals(lambda x, rows: bump(x, width[rows]), lo, hi, self.SETTINGS)
+        batch = integrate_intervals(lambda x, rows: bump(x, width[rows]), lo, hi)
         rounds = len(calls) - 1
         lone, bisections = [], []
         for a, b, w in zip(lo.tolist(), hi.tolist(), width.tolist()):
             calls.clear()
-            lone.append(integrate(lambda x, w=w: bump(x, w), a, b, self.SETTINGS))
+            lone.append(integrate(lambda x, w=w: bump(x, w), a, b))
             bisections.append(len(calls) - 1)
         assert batch.tolist() == lone
         assert min(bisections[:4]) >= 3 and bisections[4] == 0
@@ -313,9 +310,9 @@ class TestIntegrateIntervals:
             (["inf", "narrow", "wide"], r"not finite on \[0.0, 1.0\]"),
         ],
     )
-    def test_lowest_failing_interval_raises(self, kinds, message):
+    def test_lowest_failing_interval_raises(self, kinds, message, monkeypatch):
         # as if the intervals ran one after another
-        settings = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=4)
+        monkeypatch.setattr(special_math, "_MAX_SUBDIVISIONS", 4)
         width = np.array([{"wide": 1.0, "narrow": 1e-4, "inf": 1.0}[kind] for kind in kinds])
         infinite = np.array([kind == "inf" for kind in kinds])
 
@@ -325,13 +322,13 @@ class TestIntegrateIntervals:
         lo = np.array([-1.0 if kind == "narrow" else 0.0 for kind in kinds])
         with np.errstate(invalid="ignore"):
             with pytest.raises(QuadratureError, match=message):
-                integrate_intervals(f, lo, np.ones(len(kinds)), settings)
+                integrate_intervals(f, lo, np.ones(len(kinds)))
 
     def test_empty_batch(self):
         def f(x, rows):
             raise AssertionError("an empty batch calls no integrand")
 
-        assert integrate_intervals(f, np.zeros(0), np.zeros(0), self.SETTINGS).shape == (0,)
+        assert integrate_intervals(f, np.zeros(0), np.zeros(0)).shape == (0,)
 
     def test_non_finite_interval_raises(self):
         def f(x, rows):
@@ -339,7 +336,7 @@ class TestIntegrateIntervals:
 
         with np.errstate(invalid="ignore"):
             with pytest.raises(QuadratureError, match=r"not finite on \[1.0, 2.0\]"):
-                integrate_intervals(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]), self.SETTINGS)
+                integrate_intervals(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
 
 
 class TestBetaContinuedFraction:
@@ -358,17 +355,3 @@ class TestBetaContinuedFraction:
                 exact = float(mpmath.hyp2f1(n, 1, n / 2 + 1, xi))
                 assert gi == pytest.approx(exact, rel=3.6e-15, abs=0.0)
 
-
-class TestQuadratureSettings:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": 0.0},
-            {"rel_tol": -1e-3},
-            {"abs_tol": 0.0},
-            {"max_subdivisions": 0},
-        ],
-    )
-    def test_invariants(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureSettings(**kwargs)
