@@ -74,9 +74,12 @@ from .green import _radial_ratios, get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
+    _antiderivative,
     _ball_complement,
     _ball_polynomial,
+    _mul,
     _radius_limit,
+    _recentre,
     ball_volume,
     ball_volume_fraction,
     bm_constant,
@@ -288,30 +291,6 @@ def theta_quadrature(spec: ManifoldSpec, a: float) -> float:
 # ---------------------------------------------------------------------------
 # Closed forms (the families with a ball polynomial)
 # ---------------------------------------------------------------------------
-
-
-def _recentre(coeffs: list[Fraction]) -> list[Fraction]:
-    """The coefficients of c(1 - s) from those of c(s)."""
-    out = [Fraction(0)] * len(coeffs)
-    for i, ci in enumerate(coeffs):
-        if ci:
-            for k in range(i + 1):
-                out[k] += ci * math.comb(i, k) * (-1) ** k
-    return out
-
-
-def _mul(a: list, b: list) -> list[Fraction]:
-    """The product of two coefficient lists of one length, cut to that length."""
-    out = [Fraction(0)] * len(a)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b[: len(a) - i] if ai else ()):
-            out[i + j] += ai * bj
-    return out
-
-
-def _antiderivative(coeffs: list, j: int) -> tuple[list, Fraction]:
-    """(G, b) such that G(s) / s^(j-1) + b log s is an antiderivative of c(s) / s^j."""
-    return [0 if i == j - 1 else v / (i - j + 1) for i, v in enumerate(coeffs)], coeffs[j - 1]
 
 
 @functools.cache

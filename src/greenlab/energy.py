@@ -2,18 +2,30 @@
 
 The energy of a configuration is the sum of the radial Green profile over
 all ordered distinct pairs, twice the sum over the upper triangle i < j.
-Pair distances are formed from Gram products of the points' real frames
-(see `manifold`): a block of rows lo..hi-1 meets only the points after
-lo, and gathers its own pairs' cosines, row by row, into one flat vector,
-on which clip, arccos and the profile run; arccos and the profile see
-each of the N(N-1)/2 pairs once. Close pairs (cosine above
-`_CHORD_COSINE`) get chord distances and the separation floor is checked,
-each fix-up locating its pairs from the flat index only when there are
-any. The whole evaluation is O(N^2) dense linear algebra plus one
-vectorized profile sweep, the same for every family. The
-optimizer's gradient is formed the same way, from the same products, with
-one array evaluation of phi' per block of pairs, read from the profile's
-slope table (`RadialGreenProfile.phi_hat_prime_values`).
+Pairs are formed from Gram products of the points' real frames (see
+`manifold`): a block of rows lo..hi-1 meets only the points after lo, and
+gathers its own pairs, row by row, into one flat vector, on which the
+profile runs once per pair. The whole evaluation is O(N^2) dense linear
+algebra plus one vectorized profile sweep per block.
+
+On a profile with a closed form (`RadialGreenProfile.closed`: S^(2j),
+CP^n, HP^n, OP^2 up to m = 30) the sweep takes x = sin^2(s d) straight
+from the Gram entries, with no arccos, sqrt or cell table: x = (1 - t)/2
+from t = cos d on spheres, and x = 1 - sum_c h_c^2 from the components
+h_c of <p, q> on the projective families. Close pairs (x below its value
+at cosine `_CHORD_COSINE`) take x from the chord c = |p - q u| of the
+aligned representatives, c^2/4 on spheres and c^2 (1 - c^2/4) on the
+projective families, and the separation floor is the test x < sin^2(s
+floor). On the other profiles the vector holds cosines, on which clip,
+arccos and the cells run, and close pairs get chord distances. Each
+fix-up locates its pairs from the flat index only when there are any.
+
+The optimizer's gradient is formed the same way, from the same products,
+with one array evaluation of phi' per block of pairs: on the closed route
+its weight is -h(x)/(2V) on spheres and -2h(x)/V (over cos d) on the
+projective families, from phi'(d) = -2 s h(x) sqrt(x (1 - x)) / V; on the
+tabled route phi' is read from the profile's slope table
+(`RadialGreenProfile.phi_hat_prime_values`).
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ import numpy as np
 
 from .bounds import BoundReport, best_finite_bound
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
-from .green import RadialGreenProfile, get_profile
+from .green import RadialGreenProfile, _phi_hat_floor, _unrepresentable, get_profile
 from .manifold import (
     _CHORD_COSINE,
     _CONJ_SIGN,
@@ -35,6 +47,7 @@ from .manifold import (
     ManifoldSpec,
     _as_generator,
     _chord_distances,
+    _chord_squares,
     _cosines,
     _frames,
     _geodesic_rows,
@@ -89,12 +102,64 @@ def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
     return r, flat - starts[r] + r
 
 
+def _gram_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(A, B) x = sin^2(s d) of the distances between two stacks of real frames,
+    from the Gram entries: (1 - t) / 2 from t = cos d on spheres, 1 - sum_c h_c^2
+    from the components h_c of <x, y> on the projective families."""
+    h = _products(_FIELD_RANK[spec.family], left, right)
+    if spec.family is Family.SPHERE:
+        x = h[:, 0]
+        x *= -0.5
+        x += 0.5
+        return x
+    h *= h
+    x = h.sum(axis=1)
+    np.subtract(1.0, x, out=x)
+    return x
+
+
+def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """x = sin^2(s d) of the paired rows from their chords c = 2 sin(d/2):
+    c^2 / 4 on spheres, c^2 (1 - c^2 / 4) on the projective families."""
+    c2 = _chord_squares(spec, left, right)
+    if spec.family is Family.SPHERE:
+        return 0.25 * c2
+    return c2 * (1.0 - 0.25 * c2)
+
+
 def _energy_rows(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray) -> float:
     """`energy` of the unit rows of coords."""
     n = len(coords)
     if n == 1:
         return 0.0
     floor = _MIN_SEPARATION_FACTOR * diameter(spec)
+    closed = profile.closed
+
+    def closed_block_sum(lo: int, hi: int) -> float:
+        # as block_sum below, in x = sin^2(s d) from the Gram entries and the
+        # chords, with no arccos and no sqrt
+        later = coords[lo + 1 :]
+        width = n - lo - 1
+        upper = np.arange(width)[None, :] >= np.arange(hi - lo)[:, None]
+        x = _gram_sin_squares(spec, coords[lo:hi], later)[upper]
+        least = float(x.min())
+        if least < x_close:
+            close = np.flatnonzero(x < x_close)
+            rows, cols = _pair_rows_cols(close, width)
+            x[close] = _chord_sin_squares(spec, coords[lo + rows], later[cols])
+            least = float(x.min())
+        if least < x_floor:
+            at = np.flatnonzero(x < x_floor)[:1]
+            rows, cols = _pair_rows_cols(at, width)
+            raise SingularityError(
+                f"points {lo + int(rows[0])} and {lo + 1 + int(cols[0])} are closer "
+                f"than {floor:g} (distance {math.asin(math.sqrt(x[at[0]])) / closed.s:g})"
+            )
+        if least < x_unrepresentable:
+            raise _unrepresentable(spec, math.asin(math.sqrt(least)) / closed.s, "phi_hat")
+        closed.phi_hat(x, out=x)
+        x += profile.c_m
+        return float(np.sum(x)) / V
 
     def block_sum(lo: int, hi: int) -> float:
         # rows lo..hi-1 against the points after lo: column c is point lo + 1 + c,
@@ -120,6 +185,14 @@ def _energy_rows(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.nda
             )
         return float(np.sum(profile.phi(d)))
 
+    if closed is not None:
+        V = volume(spec)
+        # sin^2(s d) at the separation floor, the representable floor and the
+        # cosine of the chord route
+        x_floor = math.sin(closed.s * floor) ** 2
+        x_unrepresentable = math.sin(closed.s * _phi_hat_floor(spec)) ** 2
+        x_close = math.sin(closed.s * math.acos(_CHORD_COSINE)) ** 2
+        block_sum = closed_block_sum
     # the last point has no later partner: a block of it alone is left out
     partials = [block_sum(lo, hi) for lo, hi in _row_blocks(n, _BLOCK_PAIRS) if lo < n - 1]
     return 2.0 * float(np.sum(np.asarray(partials)))
@@ -185,10 +258,18 @@ def _descent_rows(
     through k matrix products with the right multiples x e_c, so no
     temporary holds more than a block's products. The total energy's
     gradient at row i is -2 times row i.
+
+    On the closed route the weights come from x = sin^2(s d) of the Gram
+    entries, with no arccos or sqrt: phi'(d) = -2 s h(x) sqrt(x (1 - x)) / V
+    makes w = phi'(d) / sin d = -h / (2 V) on spheres (s = 1/2), and w / cos d
+    = -2 h / V on the projective families (s = 1), where w cos d is that
+    times cos^2 d = 1 - x. A pair with x <= 0 coincides and adds nothing.
+    The tabled route reads phi' at d = arccos(cos d).
     """
     n, width = coords.shape
     k = _FIELD_RANK[spec.family]
     D, V = diameter(spec), volume(spec)
+    closed = profile.closed
     frames = _frames(k, coords)
     # row c n + j holds x_j conj(e_c) = conj-sign c times x_j e_c
     conj_frames = (frames * _CONJ_SIGN[:k, None]).transpose(1, 0, 2).reshape(k * n, width)
@@ -197,19 +278,33 @@ def _descent_rows(
     # keeps more temporaries per pair than phi
     for lo, hi in _row_blocks(n, _BLOCK_PAIRS // k):
         h = _products(k, coords[lo:hi], coords)
-        cos = h[:, 0] if spec.family is Family.SPHERE else _modulus(h)
-        c = np.clip(cos, -1.0, 1.0)
-        d = np.arccos(c)
-        inside = (np.arange(n)[None, :] > np.arange(lo, hi)[:, None]) & (d > 0.0) & (d < D)
-        w = np.zeros_like(d)
-        sin_d = np.sqrt(np.maximum(1.0 - c[inside] ** 2, 1e-30))
-        w[inside] = profile.phi_hat_prime_values(d[inside]) / (V * sin_d)
+        later = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
+        # the weight of each pair's products: w on spheres and w / cos d on
+        # the projective families, where conj(u_ij) = <x_i, x_j> / cos d
+        if closed is not None:
+            # c = cos d on spheres and cos^2 d elsewhere, so that wc = w cos d
+            c = h[:, 0] if spec.family is Family.SPHERE else np.sum(h * h, axis=1)
+            x = 0.5 - 0.5 * c if spec.family is Family.SPHERE else 1.0 - c
+            inside = later & (x > 0.0)
+            weight = np.zeros_like(x)
+            factor = -0.5 / V if spec.family is Family.SPHERE else -2.0 / V
+            weight[inside] = closed.h(x[inside]) * factor
+            wc = weight * c
+        else:
+            cos = h[:, 0] if spec.family is Family.SPHERE else _modulus(h)
+            c = np.clip(cos, -1.0, 1.0)
+            d = np.arccos(c)
+            inside = later & (d > 0.0) & (d < D)
+            w = np.zeros_like(d)
+            sin_d = np.sqrt(np.maximum(1.0 - c[inside] ** 2, 1e-30))
+            w[inside] = profile.phi_hat_prime_values(d[inside]) / (V * sin_d)
+            weight = w if spec.family is Family.SPHERE else w / np.where(cos > 0.0, cos, 1.0)
+            wc = w * c
         if spec.family is Family.SPHERE:
-            a = w[:, None, :]
-        else:  # w times the components of conj(u_ij) = <x_i, x_j> / |<x_i, x_j>|
-            h *= (w / np.where(cos > 0.0, cos, 1.0))[:, None, :]
+            a = weight[:, None, :]
+        else:
+            h *= weight[:, None, :]
             a = h
-        wc = w * c
         descent[lo:hi] += a.reshape(hi - lo, k * n) @ conj_frames
         descent[lo:hi] -= wc.sum(axis=1)[:, None] * coords[lo:hi]
         descent += a.reshape(-1, n).T @ frames[lo:hi].reshape(-1, width)

@@ -7,10 +7,28 @@ and phi is recovered from the volume data alone:
     phi_hat(r) = integral over [r, D] of (V - V(s)) / v(s) ds,
 
 where the integrand is the negative of the radial derivative of the
-profile and C is fixed by the mean-zero property of G. All quadrature
-here runs on smooth integrands: the r^(2-d) blow-up toward r = 0 is
-tamed by integrating in the variable w = log(r_cut / r), where the
-integrand grows like a smooth exponential.
+profile and C is fixed by the mean-zero property of G.
+
+Closed route. Where the record (m, k, s) of `manifold` has integer m
+and k (S^(2j), CP^n, HP^n, OP^2), phi_hat is elementary in x = sin^2(s r):
+with mu = x^m D(y) the ball fraction, h = (1 - mu) / (4 s^2 x (1 - x) mu')
+is a Laurent polynomial, so
+
+    phi_hat = sum_j c_j v^j - b log x,   v = 1/x - 1 = cot^2(s r),
+    psi     = 2 s h(x) sqrt(x (1 - x)),  c_m = -int_0^1 mu h dx,
+
+with positive coefficients derived once per manifold in exact rational
+arithmetic (`_closed_profile`): -log x on S^2, (1/x - 1 - log x)/8 on CP^2
+and (1/x - 1 - 2 log x)/24 on HP^1. Such a profile builds no table, and
+evaluates every radius down to the representable floor elementwise in x.
+Its rounding error grows with m, because x^(1-m) amplifies the rounding
+of x; a record whose estimate (`_rounding_estimate`) exceeds 1e-14 of
+|phi_hat| + |c_m|, m > 30 (S^n past n = 60, CP^n past 30, HP^n past 15),
+keeps the tables below, as do odd S^n and every RP^n.
+
+Tabled route. All quadrature here runs on smooth integrands: the
+r^(2-d) blow-up toward r = 0 is tamed by integrating in the variable
+w = log(r_cut / r), where the integrand grows like a smooth exponential.
 
 A built profile tabulates phi_hat on [r_cut, D] with panels of 17
 Chebyshev-Lobatto nodes (see `chebyshev`), storing phi_hat r^(d-2), or
@@ -36,12 +54,12 @@ phi_hat(r_cut) from the cells plus the integral of psi over [r, r_cut],
 all such radii of a call in one batched quadrature; below the
 representable floor it raises SingularityError.
 
-The slope phi_hat' = -psi has a cell table of its own, which
-`RadialGreenProfile.phi_hat_prime_values` builds on its first call, so
-work that never evaluates phi' never pays for it. It stores psi r^(d-1)
+The slope phi_hat' = -psi of a tabled profile has a cell table of its
+own, which `RadialGreenProfile.phi_hat_prime_values` builds on its first
+call, so work that never evaluates phi' never pays for it. It stores psi r^(d-1)
 on [r_cut, D], fitted to the direct psi by the same doubling rule, within
-1e-14 of its largest magnitude (2048 cells on S^2 to OP^2 and S^40, 4096
-on S^60). The fit samples half a cell past D, where psi takes its odd
+1e-14 of its largest magnitude (2048 cells on S^3, RP^2 to RP^40 and S^41,
+4096 on S^61). The fit samples half a cell past D, where psi takes its odd
 mirror psi(D + e) = -psi(D - e), its analytic continuation in every
 family. Radii below r_cut take the direct psi. The optimizer reads phi'
 from this table; `phi_hat_prime` is the direct form and the table's
@@ -53,6 +71,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -62,8 +81,13 @@ from .chebyshev import CellTable, ChebyshevInterpolant, lobatto_nodes
 from .errors import DomainError, SingularityError
 from .manifold import (
     ManifoldSpec,
+    _antiderivative,
+    _ball_complement,
     _density,
+    _integer_record,
+    _mul,
     _radius_limit,
+    _recentre,
     _record,
     _regularized_beta,
     _sin_cos_squares,
@@ -112,6 +136,11 @@ _SWEEP_CHUNK = 1 << 16
 # p = q = 4, 1.1e-15 at 12, 1.9e-15 at 20 against mpmath); through psi it takes
 # the slope table on S^40 to S^80 from 2048-8192 cells to 65536
 _CF_ORDER = 24
+# a record with integer m and k takes the closed route where the closed
+# phi_hat's rounding-error estimate (`_rounding_estimate`) is at most this
+# share of |phi_hat| + |c_m|
+_CLOSED_TOL = 1e-14
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class _Ratios(NamedTuple):
@@ -263,12 +292,126 @@ def phi_hat(spec: ManifoldSpec, r: float) -> float:
     )
 
 
+@dataclass(frozen=True)
+class _ClosedProfile:
+    """phi_hat and its slope as functions of x = sin^2(s r), on a record with integer m and k.
+
+    With w = 1/x and v = w - 1 = cot^2(s r), phi_hat = sum_j c_j v^j - b log x
+    over j = 1..m-1, and h = -d phi_hat / dx = w (b + sum_j j a_j w^j), where
+    sum_j c_j v^j = sum_j a_j (w^j - 1); the slope is psi = 2 s h sqrt(x (1 - x)).
+    Every coefficient is positive, so no two terms cancel, and phi_hat(D)
+    is 0. Each coefficient is an exact rational rounded once, and each
+    evaluation is elementwise.
+    """
+
+    poly: tuple[float, ...]  # c_1, ..., c_(m-1)
+    slope: tuple[float, ...]  # b, 1 a_1, ..., (m-1) a_(m-1)
+    c_m: float
+    s: float
+
+    def phi_hat(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """phi_hat at the flat array x, written to out (which may be x) and returned."""
+        v = None
+        if self.poly:
+            v = np.divide(1.0, x)
+            v -= 1.0
+        np.log(x, out=out)
+        out *= -self.slope[0]
+        if v is not None:
+            out += _horner(self.poly, v)
+        return out
+
+    def h(self, x: np.ndarray) -> np.ndarray:
+        """h = -d phi_hat / dx at the flat array x."""
+        w = np.divide(1.0, x)
+        return _horner(self.slope, w)
+
+    def psi(self, r: np.ndarray) -> np.ndarray:
+        """psi = 2 s h(x) sqrt(x y) at radii r, x = sin^2(s r) and y = cos^2(s r), as
+        2 s (h / w) cot(s r): h / w grows like x^(1-m), as phi_hat does, so no
+        factor overflows where psi is a double."""
+        sin, cos = np.sin(self.s * r), np.cos(self.s * r)
+        w = 1.0 / (sin * sin)
+        over_w = _horner(self.slope[1:], w) + self.slope[0] if len(self.slope) > 1 else self.slope[0]
+        return 2.0 * self.s * over_w * (cos / sin)
+
+
+def _horner(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] t^(j+1), by Horner's rule in place; with one coefficient
+    its product overwrites t."""
+    acc = np.multiply(t, coeffs[-1], out=None if len(coeffs) > 1 else t)
+    for c in coeffs[-2::-1]:
+        acc += c
+        acc *= t
+    return acc
+
+
+def _rounding_estimate(m: int, b: float, c_m: float) -> float:
+    """A bound on the closed phi_hat's rounding error over x in (0, 1], relative to |phi_hat| + |c_m|.
+
+    As `ball_stats._closed_form` rates a route: the sum of |coefficient *
+    term| over |value|, in units of 2^-53, here with each term c_j v^j
+    counted 3j + 1 times: x = sin^2(s r) takes two roundings and
+    v = 1/x - 1 a third, and v^j multiplies v's relative error by j. log x
+    is off by an ulp of 1 near x = 1, so b log x counts |log x| + 1 times.
+    Every term is positive, so the ratio is at most the largest of the
+    terms' own, 3 (m - 1) + 1 and b (|log x| + 1) / (b |log x| + |c_m|); the
+    first is reached toward x = 0, where the leading term takes over.
+    """
+    return max(3.0 * m - 2.0, b / abs(c_m), 1.0) * _UNIT_ROUNDOFF
+
+
+@lru_cache(maxsize=None)
+def _closed_profile(spec: ManifoldSpec) -> _ClosedProfile | None:
+    """The closed phi_hat, slope and c_m of a record with integer m and k, derived exactly;
+    None for a half-integer record or where `_rounding_estimate` exceeds _CLOSED_TOL.
+
+    In x = sin^2(s r), phi_hat = int_x^1 h with h = (1 - mu) / (4 s^2 x (1 - x) mu'),
+    mu = x^m D(y) the ball fraction and mu' = c' x^(m-1) (1 - x)^(k-1), c' = m D(1).
+    1 - mu = y^k q(y) (`manifold._ball_complement`) makes h = Q(x) / (4 s^2 c' x^m)
+    with Q(x) = q(1 - x), so phi_hat = (G(1) - G(x) / x^(m-1) - b log x) / (4 s^2 c'),
+    G and b from `manifold._antiderivative`, and -G(x) / x^(m-1) = sum_j a_j w^j
+    re-expands in v = w - 1. The mean-zero constant is
+    c_m = -int_0^1 mu h dx = -int_0^1 D(1 - x) Q(x) dx / (4 s^2 c').
+    """
+    record = _integer_record(spec)
+    if record is None:
+        return None
+    m, k, d = record
+    s = _record(spec)[2]
+    scale = 1 / (4 * Fraction(s) ** 2 * m * sum(d))
+    size = m + k - 1  # D(1 - x) Q(x) has degree m + k - 2
+
+    def padded(coeffs):
+        return ([Fraction(v) for v in coeffs] + [Fraction(0)] * size)[:size]
+
+    big_q = _recentre([Fraction(v) for v in _ball_complement(m, k, d)])
+    g, b = _antiderivative(big_q, m)
+    # a_j for j = 0..m-1, a_0 = 0: G has no x^(m-1) term
+    a = [-g[m - 1 - j] * scale for j in range(m)]
+    # sum_j a_j ((1 + v)^j - 1) = sum_i c_i v^i, i >= 1
+    poly = [sum(a[j] * math.comb(j, i) for j in range(i, m)) for i in range(1, m)]
+    moment = _mul(_recentre(padded(d)), padded(big_q))
+    c_m = float(-scale * sum(v / (i + 1) for i, v in enumerate(moment)))
+    b_scaled = float(b * scale)
+    if _rounding_estimate(m, b_scaled, c_m) > _CLOSED_TOL:
+        return None
+    return _ClosedProfile(
+        poly=tuple(float(v) for v in poly),
+        slope=(b_scaled, *(float(j * v) for j, v in enumerate(a) if j)),
+        c_m=c_m,
+        s=s,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGreenProfile:
     """Evaluable radial Green function phi(r) = (phi_hat(r) + c_m) / V.
 
-    Immutable once built, apart from the slope table, which the first call
-    of `phi_hat_prime_values` builds under a lock, so one profile serves
+    A record with integer m and k evaluates the closed form `closed` in
+    x = sin^2(s r); the others read the cells. Immutable once built, apart
+    from the slope table of a tabled profile, which the first call of
+    `phi_hat_prime_values` builds under a lock, so one profile serves
     concurrent callers.
     """
 
@@ -276,9 +419,10 @@ class RadialGreenProfile:
     c_m: float
     r_cut: float
     # phi_hat r^(d-2) on [r_cut, D] (d = 2: phi_hat + log term), in uniform cells
-    # fitted to the panels of `_build_phi_hat_tables`
-    _cells: CellTable
+    # fitted to the panels of `_build_phi_hat_tables`; None on the closed route
+    _cells: CellTable | None
     _log_coeff: float  # V / vol(S^(d-1)); the d=2 log-head slope
+    closed: _ClosedProfile | None = None
     # psi r^(d-1) on [r_cut, D] in uniform cells, built on first use
     _slope: CellTable | None = field(default=None, init=False, repr=False)
     _slope_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
@@ -300,12 +444,14 @@ class RadialGreenProfile:
     def _values(self, r: np.ndarray, phi: bool) -> np.ndarray:
         """phi_hat at r, or phi = (phi_hat + c_m) / V when `phi`, in chunks of `_SWEEP_CHUNK` radii.
 
-        Each chunk is checked, read from the cells and transformed in place
-        while it is in cache, so no pass runs over the whole array. Radii
-        below r_cut are read at r_cut first and then gain the integral of
-        psi up to r_cut, so a chunk never splits into gathered parts. Every
-        step is elementwise, so phi(r) is (phi_hat_values(r) + c_m) / V bit
-        for bit, and a radius has the same bits alone and in any batch.
+        Each chunk is checked, evaluated and transformed in place while it
+        is in cache, so no pass runs over the whole array. The closed route
+        evaluates phi_hat at x = sin^2(s r) for every radius down to the
+        representable floor. The cells read radii below r_cut at r_cut
+        first, and those then gain the integral of psi up to r_cut, so a
+        chunk never splits into gathered parts. Every step is elementwise,
+        so phi(r) is (phi_hat_values(r) + c_m) / V bit for bit, and a radius
+        has the same bits alone and in any batch.
         """
         d = dimension(self.spec)
         D, limit = self.diameter, _radius_limit(self.spec)
@@ -319,17 +465,28 @@ class RadialGreenProfile:
                 raise SingularityError("phi_hat diverges at r = 0")
             if most > limit:
                 raise DomainError("radius beyond the manifold diameter")
-            clamped = np.maximum(x, self.r_cut) if least < self.r_cut else x
-            if most > D:
-                clamped = np.minimum(clamped, D)
-            self._cells(clamped, out=acc)
-            _phi_hat_from_stored(acc, clamped, d, self._log_coeff)
-            if least < self.r_cut:
-                below = np.flatnonzero(x < self.r_cut)
-                acc[below] += self._integrals_to_cut(x[below])
-                # phi_hat decreases, so the largest phi below r_cut is at the largest phi_hat
-                if phi and not math.isfinite((float(acc[below].max()) + self.c_m) / V):
-                    raise _overflow(self.spec, float(x[below].min()))
+            if self.closed is not None:
+                if least < _phi_hat_floor(self.spec):
+                    raise _unrepresentable(self.spec, float(least), "phi_hat")
+                np.multiply(np.minimum(x, D) if most > D else x, self.closed.s, out=acc)
+                np.sin(acc, out=acc)
+                np.square(acc, out=acc)
+                self.closed.phi_hat(acc, out=acc)
+                # phi_hat decreases, so the largest phi is at the smallest radius
+                if phi and least < self.r_cut and not math.isfinite((float(acc.max()) + self.c_m) / V):
+                    raise _overflow(self.spec, float(least))
+            else:
+                clamped = np.maximum(x, self.r_cut) if least < self.r_cut else x
+                if most > D:
+                    clamped = np.minimum(clamped, D)
+                self._cells(clamped, out=acc)
+                _phi_hat_from_stored(acc, clamped, d, self._log_coeff)
+                if least < self.r_cut:
+                    below = np.flatnonzero(x < self.r_cut)
+                    acc[below] += self._integrals_to_cut(x[below])
+                    # phi_hat decreases, so the largest phi below r_cut is at the largest phi_hat
+                    if phi and not math.isfinite((float(acc[below].max()) + self.c_m) / V):
+                        raise _overflow(self.spec, float(x[below].min()))
             if phi:
                 acc += self.c_m
                 acc /= V
@@ -344,16 +501,20 @@ class RadialGreenProfile:
         return _log_interval_integrals(_radial_ratios(self.spec).psi, hi, np.log(hi / r))
 
     def phi_hat_prime_values(self, s):
-        """`phi_hat_prime` read from the slope table; array-valued like s.
+        """`phi_hat_prime` from the closed form or the slope table; array-valued like s.
 
-        It raises the same domain and floor errors. Radii in [r_cut, D) read
-        the slope cells, built on the first call; radii below r_cut take the
-        direct psi. Both are elementwise, so a radius has the same bits alone
-        and in any batch.
+        It raises the same domain and floor errors. The closed route takes
+        -psi = -2 s h(x) sqrt(x y) at every radius. Otherwise radii in
+        [r_cut, D) read the slope cells, built on the first call, and radii
+        below r_cut take the direct psi. All are elementwise, so a radius has
+        the same bits alone and in any batch.
         """
         s_arr = np.asarray(s, dtype=float)
         _check_slope_radii(self.spec, s_arr)
         flat = np.atleast_1d(s_arr).ravel()
+        if self.closed is not None:
+            out = -self.closed.psi(flat)
+            return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
         d = dimension(self.spec)
 
         def from_cells(x):
@@ -509,18 +670,23 @@ def _build_phi_hat_tables(spec, c_m, r_cut):
 
 
 def build_profile(spec: ManifoldSpec) -> RadialGreenProfile:
-    """Construct the radial Green profile for a manifold.
+    """Construct the radial Green profile for a manifold: the closed form
+    where `_closed_profile` gives one, else the cell table.
 
     Raises SingularityError where phi leaves double range on [r_cut, D]:
     phi decreases, so its values at r_cut and D bound it there.
     """
     D, V = diameter(spec), volume(spec)
     r_cut = _cut_radius(spec)
-    # mean-zero constant: Theta(M, D) = 0 gives C = -(1/V) int_0^D V(s) psi(s) ds
-    c_m = -integrate(_radial_ratios(spec).moment, 0.0, D) / V
-    cells = _build_phi_hat_tables(spec, c_m, r_cut)[1]
+    closed = _closed_profile(spec)
+    if closed is not None:
+        c_m, cells = closed.c_m, None
+    else:
+        # mean-zero constant: Theta(M, D) = 0 gives C = -(1/V) int_0^D V(s) psi(s) ds
+        c_m = -integrate(_radial_ratios(spec).moment, 0.0, D) / V
+        cells = _build_phi_hat_tables(spec, c_m, r_cut)[1]
     prof = RadialGreenProfile(
-        spec=spec, c_m=c_m, r_cut=r_cut, _cells=cells, _log_coeff=_volume_ratio(spec)
+        spec=spec, c_m=c_m, r_cut=r_cut, _cells=cells, _log_coeff=_volume_ratio(spec), closed=closed
     )
     for r, value in ((r_cut, float(prof.phi_hat_values(r_cut)[0])), (D, 0.0)):
         if not math.isfinite((value + c_m) / V):

@@ -233,13 +233,20 @@ def _like(r: np.ndarray, values: np.ndarray):
     return float(values[0]) if r.ndim == 0 else values
 
 
-def _ball_polynomial(spec: ManifoldSpec) -> tuple[int, int, tuple[int, ...]] | None:
-    """(m, k, D) with V(a)/V = x^m D(y), x = sin^2 a, y = cos^2 a, D's coefficients ascending,
-    where s = 1 and k is an integer (CP^n, HP^n, OP^2); d/dx (V(a)/V) = c' x^(m-1) (1-x)^(k-1)."""
-    m, k, s = _record(spec)
-    if s != 1.0 or k != int(k):
+def _integer_record(spec: ManifoldSpec) -> tuple[int, int, tuple[int, ...]] | None:
+    """(m, k, D) with V(a)/V = x^m D(y), x = sin^2(s a), y = cos^2(s a), D's coefficients
+    ascending, where m and k are integers (S^(2j), CP^n, HP^n, OP^2), else None;
+    d/dx (V(a)/V) = c' x^(m-1) (1-x)^(k-1) with c' = m D(1)."""
+    m, k, _ = _record(spec)
+    if m != int(m) or k != int(k):
         return None
+    m, k = int(m), int(k)
     return m, k, tuple(math.comb(m + j - 1, j) for j in range(k))
+
+
+def _ball_polynomial(spec: ManifoldSpec) -> tuple[int, int, tuple[int, ...]] | None:
+    """`_integer_record` where s = 1 (CP^n, HP^n, OP^2), so that x = sin^2 a."""
+    return _integer_record(spec) if _record(spec)[2] == 1.0 else None
 
 
 def _ball_complement(m: int, k: int, d: tuple[int, ...]) -> list[int]:
@@ -251,6 +258,30 @@ def _ball_complement(m: int, k: int, d: tuple[int, ...]) -> list[int]:
     if any(rest[:k]):
         raise AssertionError(f"1 - x^{m} D(y) does not vanish to order {k} at y = 0")
     return rest[k:]
+
+
+def _recentre(coeffs: list[Fraction]) -> list[Fraction]:
+    """The coefficients of c(1 - s) from those of c(s)."""
+    out = [Fraction(0)] * len(coeffs)
+    for i, ci in enumerate(coeffs):
+        if ci:
+            for k in range(i + 1):
+                out[k] += ci * math.comb(i, k) * (-1) ** k
+    return out
+
+
+def _mul(a: list, b: list) -> list[Fraction]:
+    """The product of two coefficient lists of one length, cut to that length."""
+    out = [Fraction(0)] * len(a)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b[: len(a) - i] if ai else ()):
+            out[i + j] += ai * bj
+    return out
+
+
+def _antiderivative(coeffs: list, j: int) -> tuple[list, Fraction]:
+    """(G, b) such that G(s) / s^(j-1) + b log s is an antiderivative of c(s) / s^j."""
+    return [0 if i == j - 1 else v / (i - j + 1) for i, v in enumerate(coeffs)], coeffs[j - 1]
 
 
 def _sin_cos_squares(spec: ManifoldSpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,12 +421,12 @@ def _aligned(spec: ManifoldSpec, x: np.ndarray, others: np.ndarray) -> np.ndarra
     return np.einsum("cb,bcd->bd", u, _frames(k, others))
 
 
-def _chord_distances(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Distances between the paired rows of left and right, 2 asin(|x - y u| / 2).
+def _chord_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """|x - y u|^2 for the paired rows x of left and y of right.
 
     y u is y's representative aligned to x (see `_aligned`), formed pair
     by pair from the products of `_frames`. Near coincidence this keeps
-    the digits that arccos of the cosine loses; <x, y> must not be 0.
+    the digits that the cosine loses; <x, y> must not be 0.
     """
     if spec.family is Family.SPHERE:
         chord = left - right
@@ -404,7 +435,13 @@ def _chord_distances(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) ->
         h = np.einsum("acd,ad->ac", _frames(k, left), right)
         u = h * _CONJ_SIGN[:k] / _modulus(h[..., None])
         chord = left - np.einsum("ac,acd->ad", u, _frames(k, right))
-    half = 0.5 * np.sqrt(np.einsum("ad,ad->a", chord, chord))
+    return np.einsum("ad,ad->a", chord, chord)
+
+
+def _chord_distances(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Distances between the paired rows of left and right, 2 asin(|x - y u| / 2)
+    from `_chord_squares`."""
+    half = 0.5 * np.sqrt(_chord_squares(spec, left, right))
     return 2.0 * np.arcsin(np.minimum(half, 1.0))
 
 

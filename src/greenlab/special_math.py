@@ -176,6 +176,11 @@ def gauss_kronrod_panels(
     matrix product, whose summation order depends on the row's place in the
     batch), so an interval gets the same bits alone as in any batch.
     """
+    return _panels(f, lo, hi)[:3]
+
+
+def _panels(f, lo: np.ndarray, hi: np.ndarray):
+    """`gauss_kronrod_panels` and, fourth, each panel's error floor 50 eps resabs."""
     half = (0.5 * (hi - lo))[:, None]
     x = half * _GK15_NODES + (0.5 * (hi + lo))[:, None]
     # the integrand scaled by the half width, so that the weighted sums are integrals
@@ -190,7 +195,7 @@ def gauss_kronrod_panels(
     # panel and |K - G| is rounding: the divisor 5e-324 gives err 0, so the
     # floor stands in, with no division by zero
     capped = np.minimum(resasc, np.abs(diff)) / np.fmax(resasc, 5e-324)
-    return kronrod, np.fmax(resasc * capped**1.5, floor), resabs
+    return kronrod, np.fmax(resasc * capped**1.5, floor), resabs, floor
 
 
 def gauss_kronrod_panel(
@@ -277,12 +282,19 @@ def _refine(
     and totals, so its value has the bits of refining it alone. Of the
     intervals that fail, the lowest-indexed one's error is raised; once one
     has failed, those after it stop.
+
+    An interval also fails once every sub-interval's error estimate sits at
+    its floor, 50 eps times its integral of |f|, while their sum misses the
+    tolerance: the halves' floors sum to their parent's, so bisection cannot
+    lower it (QUADPACK's roundoff detection). A first panel counts as above
+    its floor.
     """
     lo, hi = lo.tolist(), hi.tolist()
-    # heap entries: (-error, insertion_counter, lo, hi, value, error)
-    heaps = [[(-e, 0, a, b, v, e)] for a, b, v, e in zip(lo, hi, value.tolist(), err.tolist())]
+    # heap entries: (-error, insertion_counter, lo, hi, value, error, above its floor)
+    heaps = [[(-e, 0, a, b, v, e, True)] for a, b, v, e in zip(lo, hi, value.tolist(), err.tolist())]
     totals, total_errs = value.tolist(), err.tolist()
     counters = [1] * len(lo)
+    above = [1] * len(lo)  # sub-intervals above their error floor, per interval
     active = list(range(len(lo)))
     failed = None  # (i, error) of the lowest-indexed interval that failed so far
     while True:
@@ -300,11 +312,20 @@ def _refine(
                         error_bound=total_errs[i],
                     )
                     break
-                _, _, a, b, v, e = heapq.heappop(heap)
+                if not above[i]:
+                    failed = i, QuadratureError(
+                        "quadrature cannot reach its tolerance: every subinterval's error "
+                        "estimate sits at its rounding floor, 50 eps times its integral of |f|",
+                        estimate=totals[i],
+                        error_bound=total_errs[i],
+                    )
+                    break
+                _, _, a, b, v, e, was_above = heapq.heappop(heap)
+                above[i] -= was_above
                 m = 0.5 * (a + b)
                 if m <= a or m >= b:
                     # interval at floating point resolution; keep its estimate as is
-                    heapq.heappush(heap, (0.0, counters[i], a, b, v, 0.0))
+                    heapq.heappush(heap, (0.0, counters[i], a, b, v, 0.0, False))
                     counters[i] += 1
                     total_errs[i] -= e
                     continue
@@ -325,14 +346,16 @@ def _refine(
         halves_lo = np.column_stack([a, m]).ravel()
         halves_hi = np.column_stack([m, b]).ravel()
         rows = np.repeat(index[np.repeat(which, 2)], _GK15_NODES.size)
-        values, errors, _ = gauss_kronrod_panels(lambda x: f(x, rows), halves_lo, halves_hi)
+        values, errors, _, floors = _panels(lambda x: f(x, rows), halves_lo, halves_hi)
         values, errors = values.tolist(), errors.tolist()
+        over = (np.asarray(errors) > floors).tolist()
         for k, (i, a, m, b, v, e) in enumerate(bisect):
             v1, v2, e1, e2 = values[2 * k], values[2 * k + 1], errors[2 * k], errors[2 * k + 1]
             totals[i] += (v1 + v2) - v
             total_errs[i] += (e1 + e2) - e
-            heapq.heappush(heaps[i], (-e1, counters[i], a, m, v1, e1))
-            heapq.heappush(heaps[i], (-e2, counters[i] + 1, m, b, v2, e2))
+            heapq.heappush(heaps[i], (-e1, counters[i], a, m, v1, e1, over[2 * k]))
+            heapq.heappush(heaps[i], (-e2, counters[i] + 1, m, b, v2, e2, over[2 * k + 1]))
+            above[i] += over[2 * k] + over[2 * k + 1]
             counters[i] += 2
         active = list(which)
     if failed is not None:

@@ -145,8 +145,9 @@ def _check_sphere_profile_closed_form():
     return worst < 1e-8, f"max pointwise defect {worst:.2e}"
 
 
-# the profile tables against their direct forms, where high dimensions make
-# the stored phi_hat r^(d-2) and psi r^(d-1) span many decades
+# the evaluated profile against its direct forms: the tables (RP^40), where
+# high dimensions make the stored phi_hat r^(d-2) and psi r^(d-1) span many
+# decades, and the closed forms (the rest), where x^(1-m) amplifies rounding
 _TABLE_SPECS = [
     ManifoldSpec(Family.SPHERE, 2),
     ManifoldSpec(Family.SPHERE, 16),
@@ -170,7 +171,8 @@ def _check_profile_table():
     worst = 0.0
     for spec in _TABLE_SPECS:
         prof = get_profile(spec)
-        # and 4 radii below r_cut, where the cells' phi_hat(r_cut) gains the integral of psi
+        # and 4 radii below r_cut, where the cells' phi_hat(r_cut) gains the
+        # integral of psi (the closed forms treat them as any other radius)
         below = np.geomspace(max(1e-6 * prof.diameter, _phi_hat_floor(spec)), prof.r_cut, 5)[:-1]
         radii = np.concatenate([below, _table_radii(prof)])
         table = prof.phi_hat_values(radii)

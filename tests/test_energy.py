@@ -23,6 +23,7 @@ from greenlab.manifold import (
     distance,
     geodesic_step,
     sample_uniform,
+    volume,
 )
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
@@ -209,11 +210,28 @@ def reference_distances(spec, rows):
 
 def rectangle_energy(spec, profile, coords):
     """The energy sweep over each block's whole Gram rectangle, as it was
-    written before the flat pair sweep: the oracle for its bits."""
+    written before the flat pair sweep: the oracle for its bits. On the
+    closed route it forms x = sin^2(s d) on the rectangle, by the flat
+    sweep's elementwise helpers, where the tabled route takes arccos."""
     n = len(coords)
     floor = en._MIN_SEPARATION_FACTOR * diameter(spec)
+    closed = profile.closed
+
+    def closed_block_sum(lo, hi):
+        later = coords[lo + 1 :]
+        x = en._gram_sin_squares(spec, coords[lo:hi], later)
+        upper = np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
+        x_close = math.sin(closed.s * math.acos(_CHORD_COSINE)) ** 2
+        rows, cols = np.nonzero(upper & (x < x_close))
+        x[rows, cols] = en._chord_sin_squares(spec, coords[lo + rows], later[cols])
+        pair_x = x[upper]
+        assert not np.any(pair_x < math.sin(closed.s * floor) ** 2)
+        values = closed.phi_hat(pair_x, out=np.empty_like(pair_x)) + profile.c_m
+        return float(np.sum(values)) / volume(spec)
 
     def block_sum(lo, hi):
+        if closed is not None:
+            return closed_block_sum(lo, hi)
         later = coords[lo + 1 :]
         gram = _cosines(spec, coords[lo:hi], later)
         upper = np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
@@ -276,16 +294,22 @@ class TestFlatSweep:
         expected = rectangle_energy(spec, get_profile(spec), rows)
         assert en.energy(cfg) == expected
 
-    @pytest.mark.parametrize("spec", [S2, HP1])
+    @pytest.mark.parametrize("spec", [S2, RP3, HP1])
     def test_chord_distances_only_for_close_pairs(self, spec, monkeypatch):
+        # the tabled route takes chord distances, the closed route x from the chord
         calls = []
-        chord = en._chord_distances
 
-        def spy(spec, left, right):
-            calls.append(len(left))
-            return chord(spec, left, right)
+        def spy_on(name):
+            chord = getattr(en, name)
 
-        monkeypatch.setattr(en, "_chord_distances", spy)
+            def spy(spec, left, right):
+                calls.append(len(left))
+                return chord(spec, left, right)
+
+            monkeypatch.setattr(en, name, spy)
+
+        spy_on("_chord_distances")
+        spy_on("_chord_sin_squares")
         rng = np.random.default_rng(5)
         rows = sample_uniform(spec, rng, 40).coords_array()
         # no pair of the points kept is close
@@ -515,3 +539,66 @@ class TestMonteCarloMoments:
     def test_validation(self):
         with pytest.raises(DomainError):
             en.mc_energy_moment(S2, 1, 100, np.random.default_rng(0))
+
+
+class TestClosedRoute:
+    """Energies and gradients on the records with integer m and k read x = sin^2(s d)
+    from the Gram entries: no arccos and no cell table."""
+
+    @pytest.mark.parametrize("spec, closed", [(S2, True), (CP2, True), (HP1, True), (RP3, False)])
+    def test_no_arccos_or_cells(self, spec, closed, monkeypatch):
+        from greenlab.chebyshev import CellTable
+
+        coords = random_config(spec, 40, 3).coords_array()
+        profile = get_profile(spec)
+        en._descent_rows(spec, profile, coords)  # a tabled profile builds its slope cells here
+        calls = []
+        cells, arccos = CellTable.__call__, np.arccos
+
+        def cells_spy(self, *args, **kwargs):
+            calls.append("cells")
+            return cells(self, *args, **kwargs)
+
+        def arccos_spy(*args, **kwargs):
+            calls.append("arccos")
+            return arccos(*args, **kwargs)
+
+        monkeypatch.setattr(CellTable, "__call__", cells_spy)
+        monkeypatch.setattr(np, "arccos", arccos_spy)
+        en.energy(en.Configuration.from_array(spec, coords))
+        en._descent_rows(spec, profile, coords)
+        if closed:
+            assert calls == []
+        else:
+            assert "cells" in calls and "arccos" in calls
+
+    @pytest.mark.parametrize("spec", [S2, CP2, HP1])
+    def test_energy_matches_mpmath(self, spec):
+        # 40-digit energy of seeded points from the hand-derived profiles
+        # phi_hat = -log x (S^2), (1/x - 1 - log x)/8 (CP^2) and
+        # (1/x - 1 - 2 log x)/24 (HP^1), x = sin^2(s d) of the normalised rows
+        rows = sample_uniform(spec, np.random.default_rng(41), 100).coords_array()
+        k = _FIELD_RANK[spec.family]
+        frames = _frames(k, rows)
+        with mpmath.workdps(40):
+            pi = mpmath.pi
+            if spec is S2:
+                volume_, c_m = 4 * pi, mpmath.mpf(-1)
+                form = lambda x: -mpmath.log(x)
+            elif spec is CP2:
+                volume_, c_m = pi**2 / 2, mpmath.mpf(-3) / 16
+                form = lambda x: (1 / x - 1 - mpmath.log(x)) / 8
+            else:
+                volume_, c_m = pi**2 / 6, mpmath.mpf(-11) / 72
+                form = lambda x: (1 / x - 1 - 2 * mpmath.log(x)) / 24
+            norms = [mpmath.sqrt(mpmath.fdot(r.tolist(), r.tolist())) for r in rows]
+            total = mpmath.mpf(0)
+            for i in range(len(rows)):
+                for j in range(i + 1, len(rows)):
+                    h = [mpmath.fdot(frames[i, c].tolist(), rows[j].tolist()) / (norms[i] * norms[j])
+                         for c in range(k)]
+                    x = (1 - h[0]) / 2 if spec is S2 else 1 - mpmath.fdot(h, h)
+                    total += (form(x) + c_m) / volume_
+            exact = 2 * total
+        got = en.energy(en.Configuration.from_array(spec, rows))
+        assert abs(got - exact) <= 5e-14 * abs(exact)

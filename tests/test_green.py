@@ -60,16 +60,27 @@ CP1 = ManifoldSpec(Family.COMPLEX_PROJ, 1)
 CP2 = ManifoldSpec(Family.COMPLEX_PROJ, 2)
 HP1 = ManifoldSpec(Family.QUAT_PROJ, 1)
 OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
+S5 = ManifoldSpec(Family.SPHERE, 5)
+S17 = ManifoldSpec(Family.SPHERE, 17)
+S39 = ManifoldSpec(Family.SPHERE, 39)
 S40 = ManifoldSpec(Family.SPHERE, 40)
+S41 = ManifoldSpec(Family.SPHERE, 41)
+S61 = ManifoldSpec(Family.SPHERE, 61)
 S60 = ManifoldSpec(Family.SPHERE, 60)
 S100 = ManifoldSpec(Family.SPHERE, 100)
 S200 = ManifoldSpec(Family.SPHERE, 200)
 CP100 = ManifoldSpec(Family.COMPLEX_PROJ, 100)
+RP4 = ManifoldSpec(Family.REAL_PROJ, 4)
+RP16 = ManifoldSpec(Family.REAL_PROJ, 16)
 RP40 = ManifoldSpec(Family.REAL_PROJ, 40)
+RP41 = ManifoldSpec(Family.REAL_PROJ, 41)
 CP20 = ManifoldSpec(Family.COMPLEX_PROJ, 20)
 HP10 = ManifoldSpec(Family.QUAT_PROJ, 10)
 
 CORE = [S2, S3, RP2, RP3, CP1, CP2, HP1, OP2]
+# tabled specs of about the dimensions of the closed ones in CORE and of S^40,
+# CP^20 and HP^10: the tests of table internals run on these
+TABLED = [S3, RP2, RP3, RP4, S5, RP16, S17, S39, RP40, S41, RP41]
 
 
 def phi_hat_s2(r):
@@ -388,7 +399,7 @@ class TestGreenEval:
 
 
 class TestChunkedEvaluation:
-    @pytest.mark.parametrize("spec", [S2, CP2])
+    @pytest.mark.parametrize("spec", [RP2, RP4])
     def test_vector_matches_scalar_bit_for_bit(self, spec):
         # Every sum runs along one row of the barycentric formula, and the
         # cells are evaluated elementwise, so a radius has the same bits
@@ -413,7 +424,7 @@ class TestChunkedEvaluation:
         single = np.array([prof.phi(float(x)) for x in r])
         assert np.array_equal(vec, single)
 
-    @pytest.mark.parametrize("spec", [S2, RP3, CP2])
+    @pytest.mark.parametrize("spec", [RP2, RP3, RP4])
     def test_sweep_chunks_match_whole_array_passes(self, spec):
         # phi checks and transforms its radii chunk by chunk, in place; the
         # bits are those of the cells followed by whole-array passes, and a
@@ -430,7 +441,7 @@ class TestChunkedEvaluation:
         parts = np.array_split(r, [1, 777, green._SWEEP_CHUNK + 5, r.size - 3])
         assert np.array_equal(prof.phi(r), np.concatenate([prof.phi(part) for part in parts]))
 
-    @pytest.mark.parametrize("spec", [S2, S40, S60, S100, RP40, CP20, HP10, OP2], ids=str)
+    @pytest.mark.parametrize("spec", [RP2, S41, S61, S100, RP40, S39, RP41, S17], ids=str)
     def test_cells_match_the_panels(self, spec):
         # the cell table serves every radius in [r_cut, D] within 1e-14 of the
         # error scale |phi_hat| + |c_m| of the panels it was fitted to; a fixed
@@ -511,10 +522,10 @@ class TestBuildProfile:
     def test_first_grid_row_is_the_stored_cut_value(self):
         # the first main-table node is r_cut itself, so it is served by the
         # main table's stored value, with no integral below r_cut
-        prof = get_profile(CP2)
+        prof = get_profile(RP4)
         r, ph, _ = next(iter(prof.grid_rows()))
         assert r == prof.r_cut
-        assert ph == panel_table(prof).values[0] * r ** (2 - dimension(CP2))
+        assert ph == panel_table(prof).values[0] * r ** (2 - dimension(RP4))
 
     def test_grid_rows_cover_cut_to_diameter(self):
         prof = get_profile(CP2)
@@ -540,7 +551,7 @@ def spy_on_slope_builds(monkeypatch) -> list:
 
 
 class TestSlopeTable:
-    @pytest.mark.parametrize("spec", CORE + [S40, RP40, CP20, HP10], ids=str)
+    @pytest.mark.parametrize("spec", TABLED, ids=str)
     def test_matches_the_direct_slope(self, spec):
         # every radius in [r_cut, D) within 1e-14 of the largest psi r^(d-1)
         prof = get_profile(spec)
@@ -553,7 +564,7 @@ class TestSlopeTable:
         # or the OP^2 complement's old switch at cos^2 s = 0.05, double them to 65536
         assert prof._slope.centres.size - 1 == green._MIN_CELLS
 
-    @pytest.mark.parametrize("spec", [S2, S40, RP3, CP2, OP2], ids=str)
+    @pytest.mark.parametrize("spec", [RP2, S41, RP3, RP4, S17], ids=str)
     def test_lone_radius_matches_batch_bit_for_bit(self, spec):
         # a batch that straddles r_cut: cells above it, the direct psi below
         prof = get_profile(spec)
@@ -595,11 +606,11 @@ class TestSlopeTable:
         monkeypatch.setattr(green, "_PROFILE_CACHE", {})
         config = tmp_path / "points.txt"
         with open(config, "w") as fh:
-            save_configuration(sample_uniform(CP2, np.random.default_rng(3), 20), fh)
-        assert cli.main(["bound", "--family", "cp", "--n", "2", "--points", "37"]) == 0
+            save_configuration(sample_uniform(RP3, np.random.default_rng(3), 20), fh)
+        assert cli.main(["bound", "--family", "rp", "--n", "3", "--points", "37"]) == 0
         assert cli.main(["energy", "--config", str(config)]) == 0
         assert builds == []
-        argv = ["optimize", "--family", "cp", "--n", "2", "--points", "6", "--iters", "1", "--seed", "1"]
+        argv = ["optimize", "--family", "rp", "--n", "3", "--points", "6", "--iters", "1", "--seed", "1"]
         assert cli.main(argv) == 0
         assert len(builds) == 1
         capsys.readouterr()
@@ -618,3 +629,134 @@ class TestSlopeTable:
             results = list(pool.map(slopes, range(8)))
         assert len(builds) == 1
         assert all(np.array_equal(r, results[0]) for r in results)
+
+
+S10, S62 = (ManifoldSpec(Family.SPHERE, n) for n in (10, 62))
+CP10, CP30, CP31 = (ManifoldSpec(Family.COMPLEX_PROJ, n) for n in (10, 30, 31))
+HP5, HP15, HP16 = (ManifoldSpec(Family.QUAT_PROJ, n) for n in (5, 15, 16))
+CLOSED = [S2, S4, S10, CP2, CP10, CP30, HP1, HP5, OP2]
+
+
+class TestClosedProfile:
+    """The closed route of the records with integer m and k."""
+
+    @pytest.mark.parametrize(
+        "spec, closed",
+        [(S2, True), (S4, True), (S60, True), (CP1, True), (CP30, True), (HP1, True),
+         (HP15, True), (OP2, True), (S3, False), (S62, False), (S100, False), (RP2, False),
+         (RP4, False), (CP31, False), (HP16, False)],
+        ids=str,
+    )
+    def test_route_follows_the_record(self, spec, closed, monkeypatch):
+        # integer m and k with a rounding estimate within 1e-14: m <= 30
+        builds = []
+        real = green._build_phi_hat_tables
+        monkeypatch.setattr(
+            green, "_build_phi_hat_tables", lambda *args: builds.append(args) or real(*args)
+        )
+        prof = build_profile(spec)
+        assert (green._closed_profile(spec) is not None) is closed
+        assert (prof.closed is not None) is closed
+        assert (prof._cells is None) is closed
+        assert len(builds) == (0 if closed else 1)
+
+    @pytest.mark.parametrize(
+        "spec, a, b, c_m",
+        [(S2, [], 1, -1), (CP2, [1 / 8], 1 / 8, -3 / 16), (HP1, [1 / 24], 2 / 24, -11 / 72)],
+        ids=str,
+    )
+    def test_hand_derived_coefficients(self, spec, a, b, c_m):
+        # phi_hat = -log x on S^2, (1/x - 1 - log x)/8 on CP^2 and
+        # (1/x - 1 - 2 log x)/24 on HP^1; c_m = -int_0^1 mu h dx
+        # in v = 1/x - 1 the polynomial part is a v on CP^2 and HP^1
+        closed = green._closed_profile(spec)
+        assert list(closed.poly) == a
+        assert closed.slope == (b, *a)
+        assert closed.c_m == c_m == get_profile(spec).c_m
+
+    @pytest.mark.parametrize("spec", CLOSED, ids=str)
+    def test_matches_the_quadrature(self, spec):
+        # the derivation: over [r_cut, D], within 1e-13 of |phi_hat| + |c_m|
+        # of the oracle phi_hat
+        prof = get_profile(spec)
+        D = diameter(spec)
+        r = np.concatenate([np.geomspace(prof.r_cut, D, 30), np.linspace(0.5, 1.0, 11) * D])
+        direct = np.array([phi_hat(spec, float(x)) for x in r])
+        defect = np.abs(prof.phi_hat_values(r) - direct) / (np.abs(direct) + abs(prof.c_m))
+        assert defect.max() < 1e-13
+
+    @pytest.mark.parametrize("spec", CLOSED, ids=str)
+    def test_evaluation_rounding(self, spec):
+        # the float evaluation at radii over [floor, D], within 1e-14 of
+        # |phi_hat| + |c_m| of its own coefficients summed at 40 digits
+        # (below r_cut the oracle phi_hat is itself up to 1e-13 off)
+        prof = get_profile(spec)
+        closed = prof.closed
+        r = np.geomspace(_phi_hat_floor(spec), diameter(spec), 60)
+        got = prof.phi_hat_values(r)
+        with mpmath.workdps(40):
+            for x, value in zip(r.tolist(), got.tolist()):
+                sin2 = mpmath.sin(mpmath.mpf(closed.s) * x) ** 2
+                v = 1 / sin2 - 1
+                exact = sum(c * v ** j for j, c in enumerate(closed.poly, start=1))
+                exact -= closed.slope[0] * mpmath.log(sin2)
+                assert abs(value - exact) <= 1e-14 * (abs(exact) + abs(prof.c_m)), x
+
+    @pytest.mark.parametrize("spec", CLOSED, ids=str)
+    def test_c_m_matches_the_moment_quadrature(self, spec):
+        moment = integrate(_radial_ratios(spec).moment, 0.0, diameter(spec)) / volume(spec)
+        assert get_profile(spec).c_m == pytest.approx(-moment, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("spec", [S2, S4, CP2, HP1, OP2], ids=str)
+    def test_slope_near_the_diameter(self, spec):
+        # the slope table was up to 1.3e-12 relative off here
+        D = diameter(spec)
+        s = np.random.default_rng(31).uniform(0.99 * D, D, 2000)
+        s = s[s < D]
+        direct = phi_hat_prime(spec, s)
+        got = get_profile(spec).phi_hat_prime_values(s)
+        assert np.max(np.abs(got - direct) / np.abs(direct)) < 1e-14
+
+    @pytest.mark.parametrize("spec", [S2, CP2, OP2], ids=str)
+    def test_slope_matches_the_direct_slope(self, spec):
+        prof = get_profile(spec)
+        s = np.random.default_rng(17).uniform(_phi_hat_floor(spec), diameter(spec), 10_000)
+        direct = phi_hat_prime(spec, s)
+        assert np.max(np.abs(prof.phi_hat_prime_values(s) - direct) / np.abs(direct)) < 1e-14
+
+    @pytest.mark.parametrize("spec", [S2, CP2, HP10], ids=str)
+    def test_lone_radius_matches_batch_bit_for_bit(self, spec):
+        # elementwise in x = sin^2(s r): radii above and below r_cut, r_cut,
+        # D and the floor, across the chunk boundaries of phi
+        prof = get_profile(spec)
+        D = diameter(spec)
+        rng = np.random.default_rng(5)
+        lo = _phi_hat_floor(spec)
+        one = np.concatenate([
+            rng.uniform(prof.r_cut, D, 400),
+            np.exp(rng.uniform(math.log(lo), math.log(prof.r_cut), 200)),
+            [prof.r_cut, np.nextafter(D, 0.0), lo],
+        ])
+        r = np.tile(one, green._SWEEP_CHUNK // one.size + 2)
+        rng.shuffle(r)
+        assert r.size > green._SWEEP_CHUNK
+        assert np.array_equal(prof.phi(r), np.array([prof.phi(float(x)) for x in r[:700]] + list(prof.phi(r[700:]))))
+        assert np.array_equal(prof.phi(r), (prof.phi_hat_values(r) + prof.c_m) / volume(spec))
+        slopes = prof.phi_hat_prime_values(one)
+        assert np.array_equal(slopes, [prof.phi_hat_prime_values(float(x)) for x in one])
+        assert prof.phi(D) == prof.c_m / volume(spec)
+
+    @pytest.mark.parametrize("spec", [S2, CP2], ids=str)
+    def test_below_the_floor_raises(self, spec):
+        prof = get_profile(spec)
+        r = 0.5 * _phi_hat_floor(spec)
+        with pytest.raises(SingularityError, match="not representable"):
+            prof.phi(np.array([1.0, r]))
+        with pytest.raises(SingularityError, match="not representable"):
+            prof.phi_hat_prime_values(r)
+
+    def test_slope_needs_no_table(self, monkeypatch):
+        builds = spy_on_slope_builds(monkeypatch)
+        prof = build_profile(HP1)
+        prof.phi_hat_prime_values(np.linspace(0.01, 0.99, 50) * diameter(HP1))
+        assert builds == [] and prof._slope is None

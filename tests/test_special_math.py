@@ -1,6 +1,7 @@
 """Special functions and the adaptive integrator."""
 
 import math
+import time
 import warnings
 
 import mpmath
@@ -160,6 +161,22 @@ class TestIntegrate:
             integrate(lambda t: abs(t - 1 / math.pi) ** -0.5, 0.0, 1.0)
         assert math.isfinite(err.value.estimate)
         assert err.value.error_bound > 0.0
+
+    @pytest.mark.parametrize("upper", [1.06, 1.31])
+    def test_tolerance_below_the_rounding_floor_raises_at_once(self, upper):
+        # int_0^s e^-x cos 4x dx is -0.0045 or -0.0040 here, against 0.3 for
+        # the integral of |f|, so 1e-12 of it lies below the panels' summed
+        # floors 50 eps int |f|. Bisection cannot lower them, and the call
+        # ran to all 4000 subintervals before it raised (about 0.2 s)
+        f = lambda x: np.exp(-x) * np.cos(4.0 * x)
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="rounding floor") as err:
+            integrate(f, 0.0, upper)
+        assert time.perf_counter() - start < 0.1
+        exact = (math.exp(-upper) * (4.0 * math.sin(4.0 * upper) - math.cos(4.0 * upper)) + 1.0) / 17.0
+        assert err.value.estimate == pytest.approx(exact, abs=1e-14)
+        # with an absolute floor within reach it converges
+        assert integrate(f, 0.0, upper, 1e-14) == pytest.approx(exact, abs=1e-14)
 
     def test_non_finite_integrand_raises(self):
         with np.errstate(invalid="ignore", divide="ignore"):
