@@ -8,24 +8,21 @@ gathers its own pairs, row by row, into one flat vector, on which the
 profile runs once per pair. The whole evaluation is O(N^2) dense linear
 algebra plus one vectorized profile sweep per block.
 
-On a profile with a closed form (`RadialGreenProfile.closed`: S^(2j),
-CP^n, HP^n, OP^2 up to m = 30) the sweep takes x = sin^2(s d) straight
-from the Gram entries, with no arccos, sqrt or cell table: x = (1 - t)/2
-from t = cos d on spheres, and x = 1 - sum_c h_c^2 from the components
+Every profile is closed in (x, y) = (sin^2(s d), cos^2(s d))
+(`RadialGreenProfile.closed`), so the sweep takes both straight from the
+Gram entries, with no arccos: x = (1 - t)/2 and y = (1 + t)/2 from
+t = cos d on spheres, and y = sum_c h_c^2, x = 1 - y from the components
 h_c of <p, q> on the projective families. Close pairs (x below its value
 at cosine `_CHORD_COSINE`) take x from the chord c = |p - q u| of the
 aligned representatives, c^2/4 on spheres and c^2 (1 - c^2/4) on the
-projective families, and the separation floor is the test x < sin^2(s
-floor). On the other profiles the vector holds cosines, on which clip,
-arccos and the cells run, and close pairs get chord distances. Each
-fix-up locates its pairs from the flat index only when there are any.
+projective families, and y = 1 - x; the separation floor is the test
+x < sin^2(s floor). Each fix-up locates its pairs from the flat index
+only when there are any.
 
 The optimizer's gradient is formed the same way, from the same products,
-with one array evaluation of phi' per block of pairs: on the closed route
-its weight is -h(x)/(2V) on spheres and -2h(x)/V (over cos d) on the
-projective families, from phi'(d) = -2 s h(x) sqrt(x (1 - x)) / V; on the
-tabled route phi' is read from the profile's slope table
-(`RadialGreenProfile.phi_hat_prime_values`).
+with one array evaluation of h per block of pairs: its weight is
+-h(x, y)/(2V) on spheres and -2h(x, y)/V (over cos d) on the projective
+families, from phi'(d) = -2 s h sqrt(x y) / V.
 """
 
 from __future__ import annotations
@@ -46,12 +43,9 @@ from .manifold import (
     Family,
     ManifoldSpec,
     _as_generator,
-    _chord_distances,
     _chord_squares,
-    _cosines,
     _frames,
     _geodesic_rows,
-    _modulus,
     _products,
     _project_horizontal,
     diameter,
@@ -102,20 +96,24 @@ def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
     return r, flat - starts[r] + r
 
 
-def _gram_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(A, B) x = sin^2(s d) of the distances between two stacks of real frames,
-    from the Gram entries: (1 - t) / 2 from t = cos d on spheres, 1 - sum_c h_c^2
-    from the components h_c of <x, y> on the projective families."""
+def _gram_sin_cos_squares(
+    spec: ManifoldSpec, left: np.ndarray, right: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (x, y) = (sin^2(s d), cos^2(s d)) of the distances between two stacks
+    of real frames at the (A, B) mask pairs, from the Gram entries: (1 -+ t) / 2
+    from t = cos d on spheres, x = 1 - y with y = sum_c h_c^2 from the
+    components h_c of <x, y> on the projective families."""
     h = _products(_FIELD_RANK[spec.family], left, right)
     if spec.family is Family.SPHERE:
-        x = h[:, 0]
-        x *= -0.5
+        t = h[:, 0][pairs]
+        x = t * -0.5
         x += 0.5
-        return x
+        t *= 0.5
+        t += 0.5
+        return x, t
     h *= h
-    x = h.sum(axis=1)
-    np.subtract(1.0, x, out=x)
-    return x
+    y = h.sum(axis=1)[pairs]
+    return np.subtract(1.0, y), y
 
 
 def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -134,19 +132,27 @@ def _energy_rows(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.nda
         return 0.0
     floor = _MIN_SEPARATION_FACTOR * diameter(spec)
     closed = profile.closed
+    V = volume(spec)
+    # sin^2(s d) at the separation floor, the representable floor and the
+    # cosine of the chord route
+    x_floor = math.sin(closed.s * floor) ** 2
+    x_unrepresentable = math.sin(closed.s * _phi_hat_floor(spec)) ** 2
+    x_close = math.sin(closed.s * math.acos(_CHORD_COSINE)) ** 2
 
-    def closed_block_sum(lo: int, hi: int) -> float:
-        # as block_sum below, in x = sin^2(s d) from the Gram entries and the
-        # chords, with no arccos and no sqrt
+    def block_sum(lo: int, hi: int) -> float:
+        # rows lo..hi-1 against the points after lo: column c is point lo + 1 + c,
+        # and row r's pairs are its columns c >= r, gathered row by row
         later = coords[lo + 1 :]
         width = n - lo - 1
         upper = np.arange(width)[None, :] >= np.arange(hi - lo)[:, None]
-        x = _gram_sin_squares(spec, coords[lo:hi], later)[upper]
+        x, y = _gram_sin_cos_squares(spec, coords[lo:hi], later, upper)
         least = float(x.min())
         if least < x_close:
+            # 1 - t of a cosine t near 1 keeps only half the digits
             close = np.flatnonzero(x < x_close)
             rows, cols = _pair_rows_cols(close, width)
             x[close] = _chord_sin_squares(spec, coords[lo + rows], later[cols])
+            y[close] = 1.0 - x[close]
             least = float(x.min())
         if least < x_floor:
             at = np.flatnonzero(x < x_floor)[:1]
@@ -157,42 +163,10 @@ def _energy_rows(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.nda
             )
         if least < x_unrepresentable:
             raise _unrepresentable(spec, math.asin(math.sqrt(least)) / closed.s, "phi_hat")
-        closed.phi_hat(x, out=x)
+        closed.phi_hat(x, y, out=x)
         x += profile.c_m
         return float(np.sum(x)) / V
 
-    def block_sum(lo: int, hi: int) -> float:
-        # rows lo..hi-1 against the points after lo: column c is point lo + 1 + c,
-        # and row r's pairs are its columns c >= r
-        later = coords[lo + 1 :]
-        width = n - lo - 1
-        upper = np.arange(width)[None, :] >= np.arange(hi - lo)[:, None]
-        # the block's pairs, row by row, as one vector of cosines, then distances
-        d = _cosines(spec, coords[lo:hi], later)[upper]
-        close = np.flatnonzero(d > _CHORD_COSINE)
-        np.clip(d, -1.0, 1.0, out=d)
-        np.arccos(d, out=d)
-        if close.size:
-            # arccos of a cosine near 1 keeps only half the digits
-            rows, cols = _pair_rows_cols(close, width)
-            d[close] = _chord_distances(spec, coords[lo + rows], later[cols])
-        if d.min() < floor:
-            at = np.flatnonzero(d < floor)[:1]
-            rows, cols = _pair_rows_cols(at, width)
-            raise SingularityError(
-                f"points {lo + int(rows[0])} and {lo + 1 + int(cols[0])} are closer "
-                f"than {floor:g} (distance {d[at[0]]:g})"
-            )
-        return float(np.sum(profile.phi(d)))
-
-    if closed is not None:
-        V = volume(spec)
-        # sin^2(s d) at the separation floor, the representable floor and the
-        # cosine of the chord route
-        x_floor = math.sin(closed.s * floor) ** 2
-        x_unrepresentable = math.sin(closed.s * _phi_hat_floor(spec)) ** 2
-        x_close = math.sin(closed.s * math.acos(_CHORD_COSINE)) ** 2
-        block_sum = closed_block_sum
     # the last point has no later partner: a block of it alone is left out
     partials = [block_sum(lo, hi) for lo, hi in _row_blocks(n, _BLOCK_PAIRS) if lo < n - 1]
     return 2.0 * float(np.sum(np.asarray(partials)))
@@ -259,16 +233,15 @@ def _descent_rows(
     temporary holds more than a block's products. The total energy's
     gradient at row i is -2 times row i.
 
-    On the closed route the weights come from x = sin^2(s d) of the Gram
-    entries, with no arccos or sqrt: phi'(d) = -2 s h(x) sqrt(x (1 - x)) / V
-    makes w = phi'(d) / sin d = -h / (2 V) on spheres (s = 1/2), and w / cos d
+    The weights come from (x, y) = (sin^2, cos^2)(s d) of the Gram entries,
+    with no arccos or sqrt: phi'(d) = -2 s h(x, y) sqrt(x y) / V makes
+    w = phi'(d) / sin d = -h / (2 V) on spheres (s = 1/2), and w / cos d
     = -2 h / V on the projective families (s = 1), where w cos d is that
-    times cos^2 d = 1 - x. A pair with x <= 0 coincides and adds nothing.
-    The tabled route reads phi' at d = arccos(cos d).
+    times cos^2 d = y. A pair with x <= 0 coincides and adds nothing.
     """
     n, width = coords.shape
     k = _FIELD_RANK[spec.family]
-    D, V = diameter(spec), volume(spec)
+    V = volume(spec)
     closed = profile.closed
     frames = _frames(k, coords)
     # row c n + j holds x_j conj(e_c) = conj-sign c times x_j e_c
@@ -280,26 +253,16 @@ def _descent_rows(
         h = _products(k, coords[lo:hi], coords)
         later = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
         # the weight of each pair's products: w on spheres and w / cos d on
-        # the projective families, where conj(u_ij) = <x_i, x_j> / cos d
-        if closed is not None:
-            # c = cos d on spheres and cos^2 d elsewhere, so that wc = w cos d
-            c = h[:, 0] if spec.family is Family.SPHERE else np.sum(h * h, axis=1)
-            x = 0.5 - 0.5 * c if spec.family is Family.SPHERE else 1.0 - c
-            inside = later & (x > 0.0)
-            weight = np.zeros_like(x)
-            factor = -0.5 / V if spec.family is Family.SPHERE else -2.0 / V
-            weight[inside] = closed.h(x[inside]) * factor
-            wc = weight * c
-        else:
-            cos = h[:, 0] if spec.family is Family.SPHERE else _modulus(h)
-            c = np.clip(cos, -1.0, 1.0)
-            d = np.arccos(c)
-            inside = later & (d > 0.0) & (d < D)
-            w = np.zeros_like(d)
-            sin_d = np.sqrt(np.maximum(1.0 - c[inside] ** 2, 1e-30))
-            w[inside] = profile.phi_hat_prime_values(d[inside]) / (V * sin_d)
-            weight = w if spec.family is Family.SPHERE else w / np.where(cos > 0.0, cos, 1.0)
-            wc = w * c
+        # the projective families, where conj(u_ij) = <x_i, x_j> / cos d;
+        # c = cos d on spheres and cos^2 d elsewhere, so that wc = w cos d
+        c = h[:, 0] if spec.family is Family.SPHERE else np.sum(h * h, axis=1)
+        x = 0.5 - 0.5 * c if spec.family is Family.SPHERE else 1.0 - c
+        inside = later & (x > 0.0)
+        weight = np.zeros_like(x)
+        factor = -0.5 / V if spec.family is Family.SPHERE else -2.0 / V
+        y = 0.5 + 0.5 * c[inside] if spec.family is Family.SPHERE else c[inside]
+        weight[inside] = closed.h(x[inside], y) * factor
+        wc = weight * c
         if spec.family is Family.SPHERE:
             a = weight[:, None, :]
         else:

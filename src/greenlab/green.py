@@ -9,80 +9,60 @@ and phi is recovered from the volume data alone:
 where the integrand is the negative of the radial derivative of the
 profile and C is fixed by the mean-zero property of G.
 
-Closed route. Where the record (m, k, s) of `manifold` has integer m
-and k (S^(2j), CP^n, HP^n, OP^2), phi_hat is elementary in x = sin^2(s r):
-with mu = x^m D(y) the ball fraction, h = (1 - mu) / (4 s^2 x (1 - x) mu')
-is a Laurent polynomial, so
+Every profile is evaluated in closed form at (x, y) = (sin^2(s r),
+cos^2(s r)) of the record (m, k, s) of `manifold`: phi_hat and
+h = -d phi_hat / dx, and the slope psi = 2 s h sqrt(x y). Its exact
+coefficients are derived once per manifold in rational arithmetic, and
+each radius is evaluated elementwise down to the representable floor, with
+no table and no quadrature. Two forms cover the five families.
+
+Laurent form (integer m: S^(2j), RP^(2j), CP^n, HP^n, OP^2). With the
+ball fraction mu = I_x(m, k), h = (1 - mu) / (4 s^2 x y mu') equals
+2F1(k, 1 - m; k + 1; y) / (4 s^2 k x^m), a polynomial in y over x^m, so
 
     phi_hat = sum_j c_j v^j - b log x,   v = 1/x - 1 = cot^2(s r),
-    psi     = 2 s h(x) sqrt(x (1 - x)),  c_m = -int_0^1 mu h dx,
 
-with positive coefficients derived once per manifold in exact rational
-arithmetic (`_closed_profile`): -log x on S^2, (1/x - 1 - log x)/8 on CP^2
-and (1/x - 1 - 2 log x)/24 on HP^1. Such a profile builds no table, and
-evaluates every radius down to the representable floor elementwise in x.
-Its rounding error grows with m, because x^(1-m) amplifies the rounding
-of x; a record whose estimate (`_rounding_estimate`) exceeds 1e-14 of
-|phi_hat| + |c_m|, m > 30 (S^n past n = 60, CP^n past 30, HP^n past 15),
-keeps the tables below, as do odd S^n and every RP^n.
+with positive coefficients (`_laurent_profile`): -log x on S^2,
+-(1/2) log x on RP^2, (1/x - 1 - log x)/8 on CP^2 and (1/x - 1 - 2 log x)/24
+on HP^1. Its rounding error grows like m, because x^(1-m) amplifies the
+rounding of x: 2.8e-16 m of |phi_hat| + |c_m| against a 40-digit sum.
 
-Tabled route. All quadrature here runs on smooth integrands: the
-r^(2-d) blow-up toward r = 0 is tamed by integrating in the variable
-w = log(r_cut / r), where the integrand grows like a smooth exponential.
+Odd form (odd n: S^n and RP^n, n = 2k + 1). On S^n the reduction formula
+for int sin^(2k) gives, with c = cot r and u = 1 + c^2 = 1 / sin^2 r,
 
-A built profile tabulates phi_hat on [r_cut, D] with panels of 17
-Chebyshev-Lobatto nodes (see `chebyshev`), storing phi_hat r^(d-2), or
-phi_hat with the log term removed when d = 2, so the stored function is
-tame on each panel. Its breakpoints start geometric on [r_cut, D/2] and
-uniform on [D/2, D], and a panel is halved while its highest Chebyshev
-coefficients exceed 1e-14 of the local error scale (|phi_hat| + |c_m|)
-r^(d-2): on high-dimensional spheres, where phi_hat r^(d-2) spans many
-decades, one polynomial over [r_cut, D] would be off by more than phi_hat
-itself. The node values are filled from the integrals of psi between
-neighbouring nodes, which one `special_math.integrate_intervals` call
-computes for all new intervals at once: one batched G7/K15 panel each, and
-bisection only for an interval whose panel misses `integrate`'s tolerance.
-r_cut is D/100, or twice the radius below which phi_hat is not
-representable in floating point where that is larger (d of 120 and up).
+    psi     = A (pi - r) u^k + c P(u),   A = (2k - 1)!! / (2k)!!,
+    phi_hat = F(pi) + A (pi - r) c g(c^2) - R(c^2),
 
-The panels are only the build source. Radii in [r_cut, D] are evaluated
-from a cell table fitted to them (`chebyshev.CellTable`): S uniform cells
-of degree-5 polynomials, found by arithmetic instead of a search, with S
-doubled from 2048 until the cells match the panels within 1e-14 of the
-same error scale at off-grid check points. A radius r below r_cut takes
-phi_hat(r_cut) from the cells plus the integral of psi over [r, r_cut],
-all such radii of a call in one batched quadrature; below the
-representable floor it raises SingularityError.
+S^3's (1 + (pi - r) cot r)/2 the smallest case (`_odd_profile`). RP^n is
+the double cover, phi_RP(r) = phi_S(r) + phi_S(pi - r); applied to these
+exact forms it leaves the same polynomials with pi/2 - r in place of
+pi - r and no constant, so every term is positive for r in (0, pi/2]. On
+S^n past r = pi/2 the two terms cancel toward the antipode, and the series
+h = (2/n) 2F1(1, n; n/2 + 1; y) of positive terms in y = sin^2((pi - r)/2),
+even in pi - r, takes over there, phi_hat its integral in y.
 
-The slope phi_hat' = -psi of a tabled profile has a cell table of its
-own, which `RadialGreenProfile.phi_hat_prime_values` builds on its first
-call, so work that never evaluates phi' never pays for it. It stores psi r^(d-1)
-on [r_cut, D], fitted to the direct psi by the same doubling rule, within
-1e-14 of its largest magnitude (2048 cells on S^3, RP^2 to RP^40 and S^41,
-4096 on S^61). The fit samples half a cell past D, where psi takes its odd
-mirror psi(D + e) = -psi(D - e), its analytic continuation in every
-family. Radii below r_cut take the direct psi. The optimizer reads phi'
-from this table; `phi_hat_prime` is the direct form and the table's
-oracle.
+r_cut = max(D/100, 2 x the representable floor) only sets where `grid_rows`
+starts. The quadrature `phi_hat` and `phi_hat_prime` are the oracles the
+tests and `verify` check the profile against.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chebyshev import CellTable, ChebyshevInterpolant, lobatto_nodes
+from .chebyshev import lobatto_nodes
 from .errors import DomainError, SingularityError
 from .manifold import (
+    Family,
     ManifoldSpec,
     _antiderivative,
-    _ball_complement,
     _density,
     _integer_record,
     _mul,
@@ -106,25 +86,6 @@ __all__ = [
     "get_profile",
 ]
 
-# main table: panels of _PANEL_NODES Lobatto nodes, first laid out geometrically
-# on [r_cut, D/2] and uniformly on [D/2, D], then halved (geometrically below
-# D/2) while the two highest Chebyshev coefficients of the stored function
-# exceed _TAIL_TOL of the error scale (|phi_hat| + |c_m|) r^(d-2)
-_PANEL_NODES = 17
-_GEOMETRIC_PANELS = 8
-_UNIFORM_PANELS = 4
-_TAIL_TOL = 1e-14
-_MAX_SPLIT_ROUNDS = 8
-# the cell table evaluated in place of the main table: _MIN_CELLS cells,
-# doubled up to _MAX_CELLS until they match the main table within _TAIL_TOL
-# of the same error scale at the _CELL_CHECKS offsets (in cell widths) from
-# every centre: both ends of each cell, where the interpolation error peaks
-_MIN_CELLS = 2048
-_MAX_CELLS = 1 << 16
-_CELL_CHECKS = np.array([-0.499, 0.499])
-# radii per psi call while the slope table is fitted, which bounds psi's
-# temporaries (16 KB an array) whatever the number of cells
-_SLOPE_SLICE = 2048
 _PROFILE_ROWS = 200  # radii listed by `grid_rows`
 # radii per chunk of `phi` and `phi_hat_values`: one energy block of pairs,
 # 512 KB an array, which stays in a 2 MB L2 cache. Against whole-array
@@ -133,14 +94,9 @@ _PROFILE_ROWS = 200  # radii listed by `grid_rows`
 # 0 to 5 % less there and 12 to 22 % less at 10^6 radii
 _SWEEP_CHUNK = 1 << 16
 # betainc's relative error below half the mean grows with p + q (5.8e-16 at
-# p = q = 4, 1.1e-15 at 12, 1.9e-15 at 20 against mpmath); through psi it takes
-# the slope table on S^40 to S^80 from 2048-8192 cells to 65536
+# p = q = 4, 1.1e-15 at 12, 1.9e-15 at 20 against mpmath), so the oracle psi
+# takes the continued fraction there from this p + q on
 _CF_ORDER = 24
-# a record with integer m and k takes the closed route where the closed
-# phi_hat's rounding-error estimate (`_rounding_estimate`) is at most this
-# share of |phi_hat| + |c_m|
-_CLOSED_TOL = 1e-14
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 class _Ratios(NamedTuple):
@@ -161,6 +117,8 @@ def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
     below half its mean with p + q >= _CF_ORDER, the ratio is
     sqrt(t (1 - t)) 2F1(p + q, 1; p + 1; t) / (2 s p) from a continued fraction.
     The moment is the smaller fraction's ratio times the larger fraction.
+    These are the oracles of the closed profiles, and the integrands of the
+    K and Theta quadrature on S^n and RP^n.
     """
     m, k, step = _record(spec)
     mass = _volume_ratio(spec)
@@ -203,8 +161,8 @@ def phi_hat_prime(spec: ManifoldSpec, s):
     """Radial derivative of phi_hat: -(V - V(s)) / v(s), negative on (0, D).
 
     Array-valued like s; like phi_hat, raises `SingularityError` below
-    `_phi_hat_floor`. This is the direct form, the oracle of the slope table
-    that `RadialGreenProfile.phi_hat_prime_values` reads.
+    `_phi_hat_floor`. This is the direct form by the incomplete beta, the
+    oracle of `RadialGreenProfile.phi_hat_prime_values`.
     """
     s_arr = np.asarray(s, dtype=float)
     _check_slope_radii(spec, s_arr)
@@ -226,9 +184,7 @@ def _log_interval_integrals(psi, hi: np.ndarray, width: np.ndarray) -> np.ndarra
 
     Substituting s = hi exp(-w) keeps the integrand a smooth exponential
     even when psi carries the s^(1-d) blow-up, so plain adaptive panels
-    converge quickly however small the lower end is. A caller passes
-    width = log(hi / lo) as it computes it: `math.log` and `np.log` can
-    differ in the last bit.
+    converge quickly however small the lower end is.
     """
     def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
         s = hi[rows] * np.exp(-w)
@@ -272,7 +228,11 @@ def _overflow(spec: ManifoldSpec, r: float) -> SingularityError:
 
 
 def phi_hat(spec: ManifoldSpec, r: float) -> float:
-    """phi_hat(r) = integral of (V - V(s))/v(s) over [r, D], by quadrature."""
+    """phi_hat(r) = integral of (V - V(s))/v(s) over [r, D], by quadrature.
+
+    The closed profiles never call it: it stays as their oracle, which the
+    tests and `verify` compare them against.
+    """
     D = diameter(spec)
     if r <= 0.0:
         raise DomainError(f"phi_hat needs r > 0, got r={r}")
@@ -292,24 +252,41 @@ def phi_hat(spec: ManifoldSpec, r: float) -> float:
     )
 
 
+def _horner(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] t^(j+1), by Horner's rule in place; with one coefficient
+    its product overwrites t."""
+    acc = np.multiply(t, coeffs[-1], out=None if len(coeffs) > 1 else t)
+    for c in coeffs[-2::-1]:
+        acc += c
+        acc *= t
+    return acc
+
+
+def _polyval(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] t^j as a new array."""
+    if len(coeffs) == 1:
+        return np.full_like(t, coeffs[0])
+    return _horner(coeffs[1:], t.copy()) + coeffs[0]
+
+
 @dataclass(frozen=True)
-class _ClosedProfile:
-    """phi_hat and its slope as functions of x = sin^2(s r), on a record with integer m and k.
+class _LaurentProfile:
+    """phi_hat and its slope as functions of x = sin^2(s r), on a record with integer m.
 
     With w = 1/x and v = w - 1 = cot^2(s r), phi_hat = sum_j c_j v^j - b log x
     over j = 1..m-1, and h = -d phi_hat / dx = w (b + sum_j j a_j w^j), where
-    sum_j c_j v^j = sum_j a_j (w^j - 1); the slope is psi = 2 s h sqrt(x (1 - x)).
-    Every coefficient is positive, so no two terms cancel, and phi_hat(D)
-    is 0. Each coefficient is an exact rational rounded once, and each
-    evaluation is elementwise.
+    sum_j c_j v^j = sum_j a_j (w^j - 1). Every coefficient is positive, so no
+    two terms cancel, and phi_hat(D) is 0. Each coefficient is an exact
+    rational rounded once; y is not read.
     """
 
+    reads_y = False
     poly: tuple[float, ...]  # c_1, ..., c_(m-1)
     slope: tuple[float, ...]  # b, 1 a_1, ..., (m-1) a_(m-1)
     c_m: float
     s: float
 
-    def phi_hat(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def phi_hat(self, x: np.ndarray, y: np.ndarray | None, out: np.ndarray) -> np.ndarray:
         """phi_hat at the flat array x, written to out (which may be x) and returned."""
         v = None
         if self.poly:
@@ -321,111 +298,302 @@ class _ClosedProfile:
             out += _horner(self.poly, v)
         return out
 
-    def h(self, x: np.ndarray) -> np.ndarray:
-        """h = -d phi_hat / dx at the flat array x."""
-        w = np.divide(1.0, x)
-        return _horner(self.slope, w)
+    def h(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """h = -d phi_hat / dx at the flat arrays (x, y)."""
+        return _horner(self.slope, np.divide(1.0, x))
 
-    def psi(self, r: np.ndarray) -> np.ndarray:
-        """psi = 2 s h(x) sqrt(x y) at radii r, x = sin^2(s r) and y = cos^2(s r), as
-        2 s (h / w) cot(s r): h / w grows like x^(1-m), as phi_hat does, so no
-        factor overflows where psi is a double."""
-        sin, cos = np.sin(self.s * r), np.cos(self.s * r)
-        w = 1.0 / (sin * sin)
+    def psi(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """psi = 2 s h sqrt(x y), as 2 s (h / w) sqrt(y / x): h / w grows like
+        x^(1-m), as phi_hat does, so no factor overflows where psi is a double."""
+        w = 1.0 / x
         over_w = _horner(self.slope[1:], w) + self.slope[0] if len(self.slope) > 1 else self.slope[0]
-        return 2.0 * self.s * over_w * (cos / sin)
+        return 2.0 * self.s * over_w * (np.sqrt(y) / np.sqrt(x))
 
 
-def _horner(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] t^(j+1), by Horner's rule in place; with one coefficient
-    its product overwrites t."""
-    acc = np.multiply(t, coeffs[-1], out=None if len(coeffs) > 1 else t)
-    for c in coeffs[-2::-1]:
-        acc += c
-        acc *= t
-    return acc
+@dataclass(frozen=True)
+class _OddProfile:
+    """phi_hat, h and psi of S^n or RP^n with odd n = 2k + 1, from (x, y).
 
+    With c = cot r, v = c^2 and u = 1 + v = 1 / sin^2 r of the distance r,
+    and t = pi - r on S^n (x = sin^2(r/2)) or pi/2 - r on RP^n (x = sin^2 r):
 
-def _rounding_estimate(m: int, b: float, c_m: float) -> float:
-    """A bound on the closed phi_hat's rounding error over x in (0, 1], relative to |phi_hat| + |c_m|.
+        phi_hat = const + A t c g(v) - R(v),   psi = A t u^k + c P(u),
 
-    As `ball_stats._closed_form` rates a route: the sum of |coefficient *
-    term| over |value|, in units of 2^-53, here with each term c_j v^j
-    counted 3j + 1 times: x = sin^2(s r) takes two roundings and
-    v = 1/x - 1 a third, and v^j multiplies v's relative error by j. log x
-    is off by an ulp of 1 near x = 1, so b log x counts |log x| + 1 times.
-    Every term is positive, so the ratio is at most the largest of the
-    terms' own, 3 (m - 1) + 1 and b (|log x| + 1) / (b |log x| + |c_m|); the
-    first is reached toward x = 0, where the leading term takes over.
+    where g and P have positive coefficients and R negative ones, so on RP^n
+    and on S^n up to r = pi/2 no two terms cancel. const is F(pi) on S^n and
+    0 on RP^n. t comes from atan2 of sqrt(y) and sqrt(x). On S^n below y = 1/2
+    (r past pi/2) the positive series h = sum_j e_j y^j, phi_hat =
+    sum_j e_j y^(j+1) / (j+1) serves instead.
     """
-    return max(3.0 * m - 2.0, b / abs(c_m), 1.0) * _UNIT_ROUNDOFF
+
+    reads_y = True
+    sphere: bool
+    k: int
+    A: float
+    const: float
+    g: tuple[float, ...]  # g_0 = 1, ..., g_(k-1)
+    R: tuple[float, ...]  # R_1, ..., R_(k-1): R(v) = sum_j R_j v^j
+    P: tuple[float, ...]  # P_0, ..., P_(k-1) in u
+    series: tuple[float, ...]  # e_0, e_1, ... of h (S^n only)
+    series_phi: tuple[float, ...]  # e_j / (j + 1), of y^(j+1) in phi_hat
+    c_m: float
+    s: float
+
+    def _angles(self, x, y):
+        """(t, c, v, sin^2 r) of the direct form."""
+        t = np.arctan2(np.sqrt(y), np.sqrt(x))
+        if self.sphere:
+            t *= 2.0
+            sin2 = 4.0 * x * y
+            v = np.square(y - x)
+            v /= sin2
+        else:
+            sin2 = x
+            v = y / x
+        return t, np.sqrt(v), v, sin2
+
+    def _parts(self, x, y, direct, near):
+        """direct(x, y), and on S^n near(x, y) below y = 1/2 instead, elementwise.
+
+        The two sets are gathered by index, which costs a fraction of a
+        boolean mask's gather on pairs in random order.
+        """
+        series = np.flatnonzero(y < 0.5) if self.sphere else ()
+        if not len(series):
+            return direct(x, y)
+        if len(series) == y.size:
+            return near(x, y)
+        rest = np.flatnonzero(y >= 0.5)
+        out = np.empty_like(x)
+        out.put(rest, direct(x.take(rest), y.take(rest)))
+        out.put(series, near(x.take(series), y.take(series)))
+        return out
+
+    def _phi_direct(self, x, y):
+        t, c, v, _ = self._angles(x, y)
+        out = _polyval(self.g, v)
+        out *= c
+        out *= t
+        out *= self.A
+        if self.R:
+            out -= _horner(self.R, v)
+        out += self.const
+        return out
+
+    def _psi_direct(self, x, y):
+        t, c, _, sin2 = self._angles(x, y)
+        u = np.divide(1.0, sin2)
+        out = np.power(u, self.k)
+        out *= t
+        out *= self.A
+        out += c * _polyval(self.P, u)
+        return out
+
+    def phi_hat(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """phi_hat at the flat arrays (x, y), written to out (which may be x) and returned."""
+        out[...] = self._parts(x, y, self._phi_direct, lambda x, y: _horner(self.series_phi, y.copy()))
+        return out
+
+    def psi(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """psi = 2 s h sqrt(x y) at the flat arrays (x, y)."""
+        return self._parts(x, y, self._psi_direct, lambda x, y: _polyval(self.series, y) * np.sqrt(x * y))
+
+    def h(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """h = -d phi_hat / dx at the flat arrays (x, y)."""
+        if self.sphere:  # 2 s sqrt(x y) = sqrt(x y)
+            return self._parts(
+                x, y, lambda x, y: self._psi_direct(x, y) / np.sqrt(x * y),
+                lambda x, y: _polyval(self.series, y),
+            )
+        # psi / (2 sqrt(x y)) = (A (t / sqrt(y)) x^(-k-1/2) + P(1/x) / x) / 2,
+        # where t / sqrt(y) -> 1 at y = 0 (r = D)
+        root_y = np.sqrt(y)
+        t = np.arctan2(root_y, np.sqrt(x))
+        ratio = np.divide(t, root_y, out=np.ones_like(t), where=root_y > 0.0)
+        u = np.divide(1.0, x)
+        out = np.power(u, self.k)
+        out *= ratio
+        out *= self.A / np.sqrt(x)
+        out += _polyval(self.P, u) * u
+        out *= 0.5
+        return out
+
+
+def _flip(coeffs: list) -> list:
+    """The coefficients of c(-s) from those of c(s)."""
+    return [v if i % 2 == 0 else -v for i, v in enumerate(coeffs)]
+
+
+def _laurent_numerator(spec: ManifoldSpec) -> list[Fraction]:
+    """Q(x) with h = Q(x) / x^m on a record with integer m, exactly:
+    h = 2F1(k, 1 - m; k + 1; y) / (4 s^2 k x^m) makes Q(1 - y) =
+    sum_j C(m-1, j) (-y)^j / (k + j) / (4 s^2)."""
+    m, k, s = _record(spec)
+    m, k = int(m), Fraction(k)
+    scale = 1 / (4 * Fraction(s) ** 2)
+    return _recentre([scale * math.comb(m - 1, j) * (-1) ** j / (k + j) for j in range(m)])
 
 
 @lru_cache(maxsize=None)
-def _closed_profile(spec: ManifoldSpec) -> _ClosedProfile | None:
-    """The closed phi_hat, slope and c_m of a record with integer m and k, derived exactly;
-    None for a half-integer record or where `_rounding_estimate` exceeds _CLOSED_TOL.
+def _laurent_parts(spec: ManifoldSpec) -> tuple[list[Fraction], list[Fraction], Fraction]:
+    """(c, a, b): phi_hat = sum_j c_j v^j - b log x = sum_j a_j (w^j - 1) - b log x,
+    exactly, j = 1..m-1 (c and a from index 1), for a record with integer m.
 
-    In x = sin^2(s r), phi_hat = int_x^1 h with h = (1 - mu) / (4 s^2 x (1 - x) mu'),
-    mu = x^m D(y) the ball fraction and mu' = c' x^(m-1) (1 - x)^(k-1), c' = m D(1).
-    1 - mu = y^k q(y) (`manifold._ball_complement`) makes h = Q(x) / (4 s^2 c' x^m)
-    with Q(x) = q(1 - x), so phi_hat = (G(1) - G(x) / x^(m-1) - b log x) / (4 s^2 c'),
-    G and b from `manifold._antiderivative`, and -G(x) / x^(m-1) = sum_j a_j w^j
-    re-expands in v = w - 1. The mean-zero constant is
-    c_m = -int_0^1 mu h dx = -int_0^1 D(1 - x) Q(x) dx / (4 s^2 c').
+    phi_hat = int_x^1 Q / x^m = G(1) - G(x) / x^(m-1) - b log x, G and b from
+    `manifold._antiderivative`, and -G(x) / x^(m-1) = sum_j a_j w^j
+    re-expands in v = w - 1.
     """
-    record = _integer_record(spec)
-    if record is None:
-        return None
-    m, k, d = record
-    s = _record(spec)[2]
-    scale = 1 / (4 * Fraction(s) ** 2 * m * sum(d))
+    m = int(_record(spec)[0])
+    g, b = _antiderivative(_laurent_numerator(spec), m)
+    # a_j for j = 0..m-1, a_0 = 0: G has no x^(m-1) term
+    a = [-g[m - 1 - j] for j in range(m)]
+    # sum_j a_j ((1 + v)^j - 1) = sum_i c_i v^i, i >= 1: a(1 + v) is the
+    # recentred a at s = -v, less its constant a(1)
+    c = _flip(_recentre(a))
+    c[0] = Fraction(0)
+    return c, a, b
+
+
+def _laurent_moment(spec: ManifoldSpec) -> Fraction:
+    """c_m = -int_0^1 mu h dx = -int_0^1 D(1 - x) Q(x) dx of a record with
+    integer m and k, where mu = x^m D(y)."""
+    m, k, d = _integer_record(spec)
     size = m + k - 1  # D(1 - x) Q(x) has degree m + k - 2
 
     def padded(coeffs):
         return ([Fraction(v) for v in coeffs] + [Fraction(0)] * size)[:size]
 
-    big_q = _recentre([Fraction(v) for v in _ball_complement(m, k, d)])
-    g, b = _antiderivative(big_q, m)
-    # a_j for j = 0..m-1, a_0 = 0: G has no x^(m-1) term
-    a = [-g[m - 1 - j] * scale for j in range(m)]
-    # sum_j a_j ((1 + v)^j - 1) = sum_i c_i v^i, i >= 1
-    poly = [sum(a[j] * math.comb(j, i) for j in range(i, m)) for i in range(1, m)]
-    moment = _mul(_recentre(padded(d)), padded(big_q))
-    c_m = float(-scale * sum(v / (i + 1) for i, v in enumerate(moment)))
-    b_scaled = float(b * scale)
-    if _rounding_estimate(m, b_scaled, c_m) > _CLOSED_TOL:
-        return None
-    return _ClosedProfile(
-        poly=tuple(float(v) for v in poly),
-        slope=(b_scaled, *(float(j * v) for j, v in enumerate(a) if j)),
+    moment = _mul(_recentre(padded(d)), padded(_laurent_numerator(spec)))
+    return -sum(v / (i + 1) for i, v in enumerate(moment))
+
+
+def _laurent_profile(spec: ManifoldSpec) -> _LaurentProfile:
+    """The Laurent form of a record with integer m, with its mean-zero constant.
+
+    RP^(2j) (k = 1/2, no polynomial mu) takes the double cover of S^(2j):
+    phi_hat_RP + c_RP = (phi_hat_S(r) + phi_hat_S(pi - r)) / 2 + c_S and
+    phi_hat_RP(pi/2) = 0 give c_RP = c_S + phi_hat_S(pi/2), where x_S = 1/2:
+    c_S + sum_j c_j + b log 2.
+    """
+    c, a, b = _laurent_parts(spec)
+    if spec.family is Family.REAL_PROJ:
+        cover = ManifoldSpec(Family.SPHERE, spec.n)
+        c_s, _, b_s = _laurent_parts(cover)
+        c_m = float(_laurent_moment(cover) + sum(c_s)) + float(b_s) * math.log(2.0)
+    else:
+        c_m = float(_laurent_moment(spec))
+    return _LaurentProfile(
+        poly=tuple(float(v) for v in c[1:]),
+        slope=(float(b), *(float(j * v) for j, v in enumerate(a) if j)),
         c_m=c_m,
-        s=s,
+        s=_record(spec)[2],
     )
+
+
+@lru_cache(maxsize=None)
+def _odd_parts(k: int) -> tuple:
+    """(A, g, R, P, F, c_RP) of S^(2k+1) and RP^(2k+1), exactly; see `_OddProfile`.
+
+    int_r^pi sin^(2k) = A (pi - r) + cos r sum_j beta_j sin^(2j+1) r, so psi =
+    that over sin^(2k) r is A (pi - r) u^k + c P(u) with P(u) = sum_j beta_j
+    u^(k-1-j). With G(c) = int_0^c (1 + t^2)^(k-1) dt = c g(c^2), integrating
+    psi by parts in c leaves phi_hat = F(pi) + A (pi - r) G(c) - R(c^2) with
+    dR/dc = c (A g(v) - P(u)) / u: in u = 1 + v, `manifold._antiderivative`
+    integrates N(u) / u, N = A g(u - 1) - P(u), and asserts that its log term,
+    the one that would not vanish at the antipode, is 0. R(0) = G(0) = 0, so
+    F(pi) = phi_hat(pi/2) = int_0^(pi/2) cos^(2k) t G(tan t) dt
+    = sum_(i<k) 1 / (2k (2i + 1)). RP^n's mean-zero constant
+    c_RP = -(1/V) int phi_hat v reduces to Wallis integrals, which sum to
+    -H_k / (4k), H_k the harmonic number.
+    """
+    A = Fraction(math.comb(2 * k, k), 4**k)
+    beta: list[Fraction] = []
+    for i in range(k):
+        beta = [v * Fraction(2 * i + 1, 2 * i + 2) for v in beta] + [Fraction(1, 2 * i + 2)]
+    g = [Fraction(math.comb(k - 1, i), 2 * i + 1) for i in range(k)]
+    P = beta[::-1]
+    # N(u) = A g(u - 1) - P(u): g(u - 1) is the recentred g(-s) at s = u
+    N = [A * gu - p for gu, p in zip(_recentre(_flip(g)), P)]
+    H, log_term = _antiderivative(N, 1)
+    if log_term:
+        raise AssertionError(f"the odd profile of S^{2 * k + 1} keeps a log term")
+    # R(v) = (H(1 + v) - H(1)) / 2, H(1 + v) the recentred H at s = -v
+    R = [v / 2 for v in _flip(_recentre(H))]
+    R[0] = Fraction(0)
+    F = sum(Fraction(1, 2 * i + 1) for i in range(k)) / (2 * k)
+    return A, g, R, P, F, -sum(Fraction(1, i) for i in range(1, k + 1)) / (4 * k)
+
+
+def _antipodal_series(n: int) -> tuple[float, ...]:
+    """e_j of h = sum_j e_j y^j = (2/n) 2F1(1, n; n/2 + 1; y) on S^n, as many as
+    y = 1/2 needs.
+
+    h = 2F1(1, m + k; k + 1; y) / (4 s^2 k) on every record; on S^n the terms
+    are positive and their ratio e_(j+1) y / e_j = (n + j) y / (n/2 + 1 + j)
+    falls with j, so the terms after e_J y^J sum to at most that term times
+    rho / (1 - rho) with rho its ratio. The series stops once that is below
+    2^-56 of its value at y = 1/2, and phi_hat's series, whose terms carry
+    1 / (j + 1) more, below that too.
+    """
+    terms = [Fraction(2, n)]
+    half = Fraction(1, 2)
+    total, total_phi = terms[0], terms[0] * half
+    while True:
+        j = len(terms) - 1
+        rho = (n + j) * half / (Fraction(n, 2) + 1 + j)
+        tail = terms[-1] * half**j * rho / (1 - rho)
+        if tail <= Fraction(1, 2**56) * total and tail * half / (j + 2) <= Fraction(1, 2**56) * total_phi:
+            return tuple(float(v) for v in terms)
+        terms.append(terms[-1] * (n + j) / (Fraction(n, 2) + 1 + j))
+        total += terms[-1] * half ** (j + 1)
+        total_phi += terms[-1] * half ** (j + 2) / (j + 2)
+
+
+def _odd_profile(spec: ManifoldSpec) -> _OddProfile:
+    """The odd form of S^n or RP^n, n = 2k + 1.
+
+    By the double cover c_RP = c_S + phi_hat_S(pi/2) = c_S + F(pi) (see
+    `_laurent_profile`).
+    """
+    k = (spec.n - 1) // 2
+    A, g, R, P, F, c_rp = _odd_parts(k)
+    sphere = spec.family is Family.SPHERE
+    series = _antipodal_series(spec.n) if sphere else ()
+    return _OddProfile(
+        sphere=sphere,
+        k=k,
+        A=float(A),
+        const=float(F) if sphere else 0.0,
+        g=tuple(float(v) for v in g),
+        R=tuple(float(v) for v in R[1:]),
+        P=tuple(float(v) for v in P),
+        series=series,
+        series_phi=tuple(e / (j + 1) for j, e in enumerate(series)),
+        c_m=float(c_rp - F if sphere else c_rp),
+        s=_record(spec)[2],
+    )
+
+
+@lru_cache(maxsize=None)
+def _closed_profile(spec: ManifoldSpec) -> _LaurentProfile | _OddProfile:
+    """The closed form of phi_hat, its slope and c_m: Laurent for integer m, else odd."""
+    if _record(spec)[0] == int(_record(spec)[0]):
+        return _laurent_profile(spec)
+    return _odd_profile(spec)
 
 
 @dataclass(frozen=True, eq=False)
 class RadialGreenProfile:
     """Evaluable radial Green function phi(r) = (phi_hat(r) + c_m) / V.
 
-    A record with integer m and k evaluates the closed form `closed` in
-    x = sin^2(s r); the others read the cells. Immutable once built, apart
-    from the slope table of a tabled profile, which the first call of
-    `phi_hat_prime_values` builds under a lock, so one profile serves
-    concurrent callers.
+    `closed` is the manifold's closed form in x = sin^2(s r) and y = cos^2(s r).
+    Immutable, so one profile serves concurrent callers.
     """
 
     spec: ManifoldSpec
     c_m: float
     r_cut: float
-    # phi_hat r^(d-2) on [r_cut, D] (d = 2: phi_hat + log term), in uniform cells
-    # fitted to the panels of `_build_phi_hat_tables`; None on the closed route
-    _cells: CellTable | None
-    _log_coeff: float  # V / vol(S^(d-1)); the d=2 log-head slope
-    closed: _ClosedProfile | None = None
-    # psi r^(d-1) on [r_cut, D] in uniform cells, built on first use
-    _slope: CellTable | None = field(default=None, init=False, repr=False)
-    _slope_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+    closed: _LaurentProfile | _OddProfile
 
     @property
     def diameter(self) -> float:
@@ -445,16 +613,12 @@ class RadialGreenProfile:
         """phi_hat at r, or phi = (phi_hat + c_m) / V when `phi`, in chunks of `_SWEEP_CHUNK` radii.
 
         Each chunk is checked, evaluated and transformed in place while it
-        is in cache, so no pass runs over the whole array. The closed route
-        evaluates phi_hat at x = sin^2(s r) for every radius down to the
-        representable floor. The cells read radii below r_cut at r_cut
-        first, and those then gain the integral of psi up to r_cut, so a
-        chunk never splits into gathered parts. Every step is elementwise,
-        so phi(r) is (phi_hat_values(r) + c_m) / V bit for bit, and a radius
-        has the same bits alone and in any batch.
+        is in cache, so no pass runs over the whole array. Every step is
+        elementwise, so phi(r) is (phi_hat_values(r) + c_m) / V bit for bit,
+        and a radius has the same bits alone and in any batch.
         """
-        d = dimension(self.spec)
         D, limit = self.diameter, _radius_limit(self.spec)
+        s = self.closed.s
         V = volume(self.spec) if phi else 1.0
         flat = r.ravel()
         out = np.empty_like(flat)
@@ -465,76 +629,35 @@ class RadialGreenProfile:
                 raise SingularityError("phi_hat diverges at r = 0")
             if most > limit:
                 raise DomainError("radius beyond the manifold diameter")
-            if self.closed is not None:
-                if least < _phi_hat_floor(self.spec):
-                    raise _unrepresentable(self.spec, float(least), "phi_hat")
-                np.multiply(np.minimum(x, D) if most > D else x, self.closed.s, out=acc)
-                np.sin(acc, out=acc)
-                np.square(acc, out=acc)
-                self.closed.phi_hat(acc, out=acc)
-                # phi_hat decreases, so the largest phi is at the smallest radius
-                if phi and least < self.r_cut and not math.isfinite((float(acc.max()) + self.c_m) / V):
-                    raise _overflow(self.spec, float(least))
-            else:
-                clamped = np.maximum(x, self.r_cut) if least < self.r_cut else x
-                if most > D:
-                    clamped = np.minimum(clamped, D)
-                self._cells(clamped, out=acc)
-                _phi_hat_from_stored(acc, clamped, d, self._log_coeff)
-                if least < self.r_cut:
-                    below = np.flatnonzero(x < self.r_cut)
-                    acc[below] += self._integrals_to_cut(x[below])
-                    # phi_hat decreases, so the largest phi below r_cut is at the largest phi_hat
-                    if phi and not math.isfinite((float(acc[below].max()) + self.c_m) / V):
-                        raise _overflow(self.spec, float(x[below].min()))
+            if least < _phi_hat_floor(self.spec):
+                raise _unrepresentable(self.spec, float(least), "phi_hat")
+            np.multiply(np.minimum(x, D) if most > D else x, s, out=acc)
+            y = None
+            if self.closed.reads_y:
+                y = np.cos(acc)
+                y *= y
+            np.sin(acc, out=acc)
+            np.square(acc, out=acc)
+            self.closed.phi_hat(acc, y, out=acc)
+            # phi_hat decreases, so the largest phi is at the smallest radius
+            if phi and least < self.r_cut and not math.isfinite((float(acc.max()) + self.c_m) / V):
+                raise _overflow(self.spec, float(least))
             if phi:
                 acc += self.c_m
                 acc /= V
         return out.reshape(r.shape)
 
-    def _integrals_to_cut(self, r: np.ndarray) -> np.ndarray:
-        """The integrals of psi over every [r_i, r_cut], by one batched quadrature."""
-        least = float(r.min())
-        if least < _phi_hat_floor(self.spec):
-            raise _unrepresentable(self.spec, least, "phi_hat")
-        hi = np.full_like(r, self.r_cut)
-        return _log_interval_integrals(_radial_ratios(self.spec).psi, hi, np.log(hi / r))
-
     def phi_hat_prime_values(self, s):
-        """`phi_hat_prime` from the closed form or the slope table; array-valued like s.
+        """-psi = -2 s h(x, y) sqrt(x y) from the closed form; array-valued like s.
 
-        It raises the same domain and floor errors. The closed route takes
-        -psi = -2 s h(x) sqrt(x y) at every radius. Otherwise radii in
-        [r_cut, D) read the slope cells, built on the first call, and radii
-        below r_cut take the direct psi. All are elementwise, so a radius has
-        the same bits alone and in any batch.
+        It raises the same domain and floor errors as `phi_hat_prime`, and is
+        elementwise, so a radius has the same bits alone and in any batch.
         """
         s_arr = np.asarray(s, dtype=float)
         _check_slope_radii(self.spec, s_arr)
-        flat = np.atleast_1d(s_arr).ravel()
-        if self.closed is not None:
-            out = -self.closed.psi(flat)
-            return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
-        d = dimension(self.spec)
-
-        def from_cells(x):
-            return self._slope_cells()(x) * -(x ** (1 - d))
-
-        below = flat < self.r_cut
-        if not below.any():
-            out = from_cells(flat)
-        else:
-            out = np.empty_like(flat)
-            out[~below] = from_cells(flat[~below])
-            out[below] = -_radial_ratios(self.spec).psi(flat[below])
+        x, y = _sin_cos_squares(self.spec, np.atleast_1d(s_arr).ravel())
+        out = -self.closed.psi(x, y)
         return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
-
-    def _slope_cells(self) -> CellTable:
-        if self._slope is None:
-            with self._slope_lock:
-                if self._slope is None:
-                    object.__setattr__(self, "_slope", _fit_slope_cells(self.spec, self.r_cut))
-        return self._slope
 
     def grid_rows(self):
         """(r, phi_hat, phi) rows at 200 Chebyshev-Lobatto radii from r_cut to D."""
@@ -544,134 +667,8 @@ class RadialGreenProfile:
         return zip(nodes.tolist(), ph.tolist(), phi.tolist())
 
 
-def _tail(values: np.ndarray) -> np.ndarray:
-    """Largest of the two highest Chebyshev coefficients of each row of Lobatto values."""
-    m = values.shape[1]
-    theta = np.pi * np.arange(m - 1, -1, -1) / (m - 1)  # ascending nodes: x_j = cos(theta_j)
-    weights = np.full(m, 2.0 / (m - 1))
-    weights[[0, -1]] *= 0.5
-    basis = np.cos(np.outer([m - 2, m - 1], theta)) * weights
-    basis[1] *= 0.5
-    return np.max(np.abs(values @ basis.T), axis=1)
-
-
-def _phi_hat_from_stored(stored: np.ndarray, x: np.ndarray, d: int, log_coeff: float) -> np.ndarray:
-    """phi_hat at x from the tables' stored function, phi_hat r^(d-2), or
-    phi_hat + log_coeff log r when d = 2; computed in place in stored, which is returned."""
-    if d > 2:
-        stored *= x ** (2 - d)
-    else:
-        stored -= log_coeff * np.log(x)
-    return stored
-
-
-def _fit_cells(f, lo: float, hi: float, close: Callable[[np.ndarray, np.ndarray], bool]) -> CellTable:
-    """The fewest cells of f on [lo, hi], doubling from _MIN_CELLS up to _MAX_CELLS,
-    whose values y at the check points x pass close(x, y)."""
-    cells = _MIN_CELLS
-    while True:
-        table = CellTable.fit(f, lo, hi, cells)
-        x = np.clip((table.centres[:, None] + table.h * _CELL_CHECKS).ravel(), lo, hi)
-        if cells >= _MAX_CELLS or close(x, table(x)):
-            return table
-        cells *= 2
-
-
-def _fit_phi_hat_cells(main: ChebyshevInterpolant, c_m: float, d: int, log_coeff: float) -> CellTable:
-    """Cells fitted to the main table, within _TAIL_TOL of |phi_hat| + |c_m|."""
-
-    def close(x, y):
-        exact = _phi_hat_from_stored(main(x), x, d, log_coeff)
-        defect = np.abs(_phi_hat_from_stored(y, x, d, log_coeff) - exact)
-        return np.all(defect <= _TAIL_TOL * (np.abs(exact) + abs(c_m)))
-
-    return _fit_cells(main, main.nodes[0], main.nodes[-1], close)
-
-
-def _fit_slope_cells(spec: ManifoldSpec, r_cut: float) -> CellTable:
-    """Cells of psi(r) r^(d-1) on [r_cut, D], within _TAIL_TOL of its largest magnitude.
-
-    `CellTable.fit` samples half a cell past D, where psi is undefined. There
-    psi takes its analytic continuation, the odd mirror psi(D + e) = -psi(D - e):
-    psi is proportional to D - s near the antipode of S^n, and to cos s in
-    the other families. psi runs on _SLOPE_SLICE radii at a time, so its
-    temporaries do not grow with the number of cells.
-    """
-    D = diameter(spec)
-    d = dimension(spec)
-    psi = _radial_ratios(spec).psi
-
-    def stored(x):
-        out = np.empty(x.size)
-        for start in range(0, x.size, _SLOPE_SLICE):
-            s = x[start : start + _SLOPE_SLICE]
-            mirrored = psi(np.minimum(s, 2.0 * D - s))
-            out[start : start + s.size] = np.where(s > D, -1.0, 1.0) * mirrored * s ** (d - 1)
-        return out
-
-    def close(x, y):
-        exact = stored(x)
-        return np.all(np.abs(y - exact) <= _TAIL_TOL * np.abs(exact).max())
-
-    return _fit_cells(stored, r_cut, D, close)
-
-
-def _build_phi_hat_tables(spec, c_m, r_cut):
-    """The main table of phi_hat on [r_cut, D], split into panels until each resolves it,
-    and its cell table.
-
-    Node values come from the integrals of psi between neighbouring nodes,
-    summed from D down: over whole panels first, then within each panel,
-    so no sum runs over more than a few dozen terms.
-    """
-    D = diameter(spec)
-    d = dimension(spec)
-    psi = _radial_ratios(spec).psi
-    m = _PANEL_NODES
-    log_coeff = _volume_ratio(spec)
-
-    knee = 0.5 * D if r_cut < 0.5 * D else r_cut
-    breaks = np.concatenate([
-        np.geomspace(r_cut, knee, _GEOMETRIC_PANELS + 1)[:-1] if knee > r_cut else [],
-        np.linspace(knee, D, _UNIFORM_PANELS + 1),
-    ])
-    breaks[0], breaks[-1] = r_cut, D
-
-    integrals = {}  # (lo, hi) of a panel -> its m-1 node-interval integrals
-    for round_ in range(_MAX_SPLIT_ROUNDS):
-        keys = list(zip(breaks[:-1], breaks[1:]))
-        nodes = np.array([lobatto_nodes(m, lo, hi) for lo, hi in keys])
-        new = np.array([key not in integrals for key in keys])
-        lo_r, hi_r = nodes[new, :-1].ravel(), nodes[new, 1:].ravel()
-        fresh = _log_interval_integrals(psi, hi_r, np.log(hi_r / lo_r)).reshape(-1, m - 1)
-        integrals.update(zip([key for key, n in zip(keys, new) if n], fresh))
-
-        panels = np.array([integrals[key] for key in keys])
-        # value at each node minus the value at its panel's right end
-        within = np.cumsum(panels[:, ::-1], axis=1)[:, ::-1]
-        right = np.append(np.cumsum(within[:0:-1, 0])[::-1], 0.0)
-        vals = np.column_stack([within, np.zeros(len(keys))]) + right[:, None]
-        if d > 2:
-            stored = vals * nodes ** (d - 2)
-            scale = (vals + abs(c_m)) * nodes ** (d - 2)
-        else:
-            stored = vals + log_coeff * np.log(nodes)
-            scale = vals + abs(c_m)
-        coarse = _tail(stored) > _TAIL_TOL * scale.min(axis=1)
-        if not coarse.any() or round_ == _MAX_SPLIT_ROUNDS - 1:
-            break
-        lo, hi = breaks[:-1][coarse], breaks[1:][coarse]
-        mids = np.where(hi <= knee, np.sqrt(lo * hi), 0.5 * (lo + hi))
-        breaks = np.sort(np.concatenate([breaks, mids]))
-
-    flat = np.append(stored[:, :-1].ravel(), stored[-1, -1])
-    main = ChebyshevInterpolant(np.append(nodes[:, :-1].ravel(), D), flat, m)
-    return main, _fit_phi_hat_cells(main, c_m, d, log_coeff)
-
-
 def build_profile(spec: ManifoldSpec) -> RadialGreenProfile:
-    """Construct the radial Green profile for a manifold: the closed form
-    where `_closed_profile` gives one, else the cell table.
+    """Construct the radial Green profile for a manifold from `_closed_profile`.
 
     Raises SingularityError where phi leaves double range on [r_cut, D]:
     phi decreases, so its values at r_cut and D bound it there.
@@ -679,17 +676,9 @@ def build_profile(spec: ManifoldSpec) -> RadialGreenProfile:
     D, V = diameter(spec), volume(spec)
     r_cut = _cut_radius(spec)
     closed = _closed_profile(spec)
-    if closed is not None:
-        c_m, cells = closed.c_m, None
-    else:
-        # mean-zero constant: Theta(M, D) = 0 gives C = -(1/V) int_0^D V(s) psi(s) ds
-        c_m = -integrate(_radial_ratios(spec).moment, 0.0, D) / V
-        cells = _build_phi_hat_tables(spec, c_m, r_cut)[1]
-    prof = RadialGreenProfile(
-        spec=spec, c_m=c_m, r_cut=r_cut, _cells=cells, _log_coeff=_volume_ratio(spec), closed=closed
-    )
+    prof = RadialGreenProfile(spec=spec, c_m=closed.c_m, r_cut=r_cut, closed=closed)
     for r, value in ((r_cut, float(prof.phi_hat_values(r_cut)[0])), (D, 0.0)):
-        if not math.isfinite((value + c_m) / V):
+        if not math.isfinite((value + closed.c_m) / V):
             raise _overflow(spec, r)
     return prof
 

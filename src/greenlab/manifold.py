@@ -261,22 +261,27 @@ def _ball_complement(m: int, k: int, d: tuple[int, ...]) -> list[int]:
 
 
 def _recentre(coeffs: list[Fraction]) -> list[Fraction]:
-    """The coefficients of c(1 - s) from those of c(s)."""
-    out = [Fraction(0)] * len(coeffs)
-    for i, ci in enumerate(coeffs):
+    """The coefficients of c(1 - s) from those of c(s), exactly: in integers
+    over the coefficients' common denominator."""
+    den = math.lcm(*(Fraction(v).denominator for v in coeffs))
+    out = [0] * len(coeffs)
+    for i, ci in enumerate(int(v * den) for v in coeffs):
         if ci:
             for k in range(i + 1):
                 out[k] += ci * math.comb(i, k) * (-1) ** k
-    return out
+    return [Fraction(v, den) for v in out]
 
 
 def _mul(a: list, b: list) -> list[Fraction]:
-    """The product of two coefficient lists of one length, cut to that length."""
-    out = [Fraction(0)] * len(a)
+    """The product of two coefficient lists of one length, cut to that length,
+    exactly: in integers over the coefficients' common denominators."""
+    dens = [math.lcm(*(Fraction(v).denominator for v in c)) for c in (a, b)]
+    a, b = ([int(v * den) for v in c] for c, den in zip((a, b), dens))
+    out = [0] * len(a)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b[: len(a) - i] if ai else ()):
             out[i + j] += ai * bj
-    return out
+    return [Fraction(v, dens[0] * dens[1]) for v in out]
 
 
 def _antiderivative(coeffs: list, j: int) -> tuple[list, Fraction]:

@@ -145,14 +145,20 @@ def _check_sphere_profile_closed_form():
     return worst < 1e-8, f"max pointwise defect {worst:.2e}"
 
 
-# the evaluated profile against its direct forms: the tables (RP^40), where
-# high dimensions make the stored phi_hat r^(d-2) and psi r^(d-1) span many
-# decades, and the closed forms (the rest), where x^(1-m) amplifies rounding
+# the closed profiles against their direct forms, the quadrature phi_hat and
+# phi_hat_prime: the Laurent form (S^2 to S^60, RP^2, RP^40, CP^20, HP^10,
+# OP^2), where x^(1-m) amplifies rounding, and the odd form (S^3, S^5, RP^3).
+# Higher odd n are left to the tests, against 40-digit references: near the
+# floor the oracle phi_hat is itself about 1e-13 off there
 _TABLE_SPECS = [
     ManifoldSpec(Family.SPHERE, 2),
+    ManifoldSpec(Family.SPHERE, 3),
+    ManifoldSpec(Family.SPHERE, 5),
     ManifoldSpec(Family.SPHERE, 16),
     ManifoldSpec(Family.SPHERE, 40),
     ManifoldSpec(Family.SPHERE, 60),
+    ManifoldSpec(Family.REAL_PROJ, 2),
+    ManifoldSpec(Family.REAL_PROJ, 3),
     ManifoldSpec(Family.REAL_PROJ, 40),
     ManifoldSpec(Family.COMPLEX_PROJ, 20),
     ManifoldSpec(Family.QUAT_PROJ, 10),
@@ -171,8 +177,8 @@ def _check_profile_table():
     worst = 0.0
     for spec in _TABLE_SPECS:
         prof = get_profile(spec)
-        # and 4 radii below r_cut, where the cells' phi_hat(r_cut) gains the
-        # integral of psi (the closed forms treat them as any other radius)
+        # and 4 radii below r_cut, down to 1e-6 D, which the closed form
+        # treats as any other radius
         below = np.geomspace(max(1e-6 * prof.diameter, _phi_hat_floor(spec)), prof.r_cut, 5)[:-1]
         radii = np.concatenate([below, _table_radii(prof)])
         table = prof.phi_hat_values(radii)

@@ -16,7 +16,6 @@ from greenlab.manifold import (
     Family,
     ManifoldSpec,
     Point,
-    _chord_distances,
     _cosines,
     _frames,
     diameter,
@@ -210,38 +209,26 @@ def reference_distances(spec, rows):
 
 def rectangle_energy(spec, profile, coords):
     """The energy sweep over each block's whole Gram rectangle, as it was
-    written before the flat pair sweep: the oracle for its bits. On the
-    closed route it forms x = sin^2(s d) on the rectangle, by the flat
-    sweep's elementwise helpers, where the tabled route takes arccos."""
+    written before the flat pair sweep: the oracle for its bits. It forms
+    (x, y) = (sin^2, cos^2)(s d) on the rectangle by the flat sweep's
+    elementwise helpers."""
     n = len(coords)
     floor = en._MIN_SEPARATION_FACTOR * diameter(spec)
     closed = profile.closed
 
-    def closed_block_sum(lo, hi):
+    def block_sum(lo, hi):
         later = coords[lo + 1 :]
-        x = en._gram_sin_squares(spec, coords[lo:hi], later)
+        whole = np.ones((hi - lo, n - lo - 1), dtype=bool)
+        x, y = (v.reshape(whole.shape) for v in en._gram_sin_cos_squares(spec, coords[lo:hi], later, whole))
         upper = np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
         x_close = math.sin(closed.s * math.acos(_CHORD_COSINE)) ** 2
         rows, cols = np.nonzero(upper & (x < x_close))
         x[rows, cols] = en._chord_sin_squares(spec, coords[lo + rows], later[cols])
-        pair_x = x[upper]
+        y[rows, cols] = 1.0 - x[rows, cols]
+        pair_x, pair_y = x[upper], y[upper]
         assert not np.any(pair_x < math.sin(closed.s * floor) ** 2)
-        values = closed.phi_hat(pair_x, out=np.empty_like(pair_x)) + profile.c_m
+        values = closed.phi_hat(pair_x, pair_y, out=np.empty_like(pair_x)) + profile.c_m
         return float(np.sum(values)) / volume(spec)
-
-    def block_sum(lo, hi):
-        if closed is not None:
-            return closed_block_sum(lo, hi)
-        later = coords[lo + 1 :]
-        gram = _cosines(spec, coords[lo:hi], later)
-        upper = np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
-        rows, cols = np.nonzero(upper & (gram > _CHORD_COSINE))
-        np.clip(gram, -1.0, 1.0, out=gram)
-        dist = np.arccos(gram)
-        dist[rows, cols] = _chord_distances(spec, coords[lo + rows], later[cols])
-        pair_d = dist[upper]
-        assert not np.any(pair_d < floor)
-        return float(np.sum(profile.phi(pair_d)))
 
     blocks = [(lo, hi) for lo, hi in en._row_blocks(n, en._BLOCK_PAIRS) if lo < n - 1]
     return 2.0 * float(np.sum(np.asarray([block_sum(lo, hi) for lo, hi in blocks])))
@@ -259,7 +246,7 @@ def plant_close(rows, pairs, rng, scale=0.02):
 class TestFlatSweep:
     """The flat pair sweep against the rectangle sweep, bit for bit."""
 
-    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1])
     @pytest.mark.parametrize(
         "n, block_pairs",
         [
@@ -279,7 +266,7 @@ class TestFlatSweep:
         expected = rectangle_energy(spec, profile, rows)
         assert en.energy(cfg) == expected
 
-    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1])
     def test_close_pairs_on_both_sides_of_a_block_boundary(self, spec, monkeypatch):
         # three rows per block: rows 0-2 form block 0 and rows 3-5 block 1
         monkeypatch.setattr(en, "_BLOCK_PAIRS", 3 * 20)
@@ -294,22 +281,17 @@ class TestFlatSweep:
         expected = rectangle_energy(spec, get_profile(spec), rows)
         assert en.energy(cfg) == expected
 
-    @pytest.mark.parametrize("spec", [S2, RP3, HP1])
+    @pytest.mark.parametrize("spec", [S2, S3, RP3, HP1])
     def test_chord_distances_only_for_close_pairs(self, spec, monkeypatch):
-        # the tabled route takes chord distances, the closed route x from the chord
+        # close pairs take x from the chord, and only they
         calls = []
+        chord = en._chord_sin_squares
 
-        def spy_on(name):
-            chord = getattr(en, name)
+        def spy(spec, left, right):
+            calls.append(len(left))
+            return chord(spec, left, right)
 
-            def spy(spec, left, right):
-                calls.append(len(left))
-                return chord(spec, left, right)
-
-            monkeypatch.setattr(en, name, spy)
-
-        spy_on("_chord_distances")
-        spy_on("_chord_sin_squares")
+        monkeypatch.setattr(en, "_chord_sin_squares", spy)
         rng = np.random.default_rng(5)
         rows = sample_uniform(spec, rng, 40).coords_array()
         # no pair of the points kept is close
@@ -541,63 +523,100 @@ class TestMonteCarloMoments:
             en.mc_energy_moment(S2, 1, 100, np.random.default_rng(0))
 
 
+RP5 = ManifoldSpec(Family.REAL_PROJ, 5)
+S5 = ManifoldSpec(Family.SPHERE, 5)
+CP31 = ManifoldSpec(Family.COMPLEX_PROJ, 31)
+
+
+def cp_profile(n):
+    """(phi_hat(x), c_m, V) of CP^n at the working precision, from
+    h = Q(x) / x^n, Q(x) = (1/4) sum_j C(n-1, j) (x - 1)^j / (1 + j), integrated
+    term by term: phi_hat = int_x^1 h = sum_(j>=1) q_(n-1-j) (w^j - 1) / j
+    - q_(n-1) log x with w = 1/x, and c_m = -int_0^1 x^n h dx."""
+    q = [mpmath.mpf(0)] * n  # Q(x) = sum_i q_i x^i
+    for j in range(n):
+        for i in range(j + 1):
+            q[i] += mpmath.binomial(n - 1, j) * mpmath.binomial(j, i) * (-1) ** (j - i) / (4 * (1 + j))
+    w_coeffs = [q[n - 1 - j] / j for j in range(n - 1, 0, -1)] + [0]  # highest power first
+
+    def phi_hat(x):
+        return mpmath.polyval(w_coeffs, 1 / x) - sum(w_coeffs) - q[n - 1] * mpmath.log(x)
+
+    return phi_hat, -sum(qi / (i + 1) for i, qi in enumerate(q)), mpmath.pi**n / mpmath.factorial(n)
+
+
 class TestClosedRoute:
-    """Energies and gradients on the records with integer m and k read x = sin^2(s d)
-    from the Gram entries: no arccos and no cell table."""
+    """Energies and gradients read (x, y) = (sin^2, cos^2)(s d) from the Gram
+    entries on every family: no arccos."""
 
-    @pytest.mark.parametrize("spec, closed", [(S2, True), (CP2, True), (HP1, True), (RP3, False)])
-    def test_no_arccos_or_cells(self, spec, closed, monkeypatch):
-        from greenlab.chebyshev import CellTable
-
+    @pytest.mark.parametrize("spec", [S2, S3, S5, RP2, RP3, RP5, CP2, HP1, CP31], ids=str)
+    def test_no_arccos(self, spec, monkeypatch):
         coords = random_config(spec, 40, 3).coords_array()
         profile = get_profile(spec)
-        en._descent_rows(spec, profile, coords)  # a tabled profile builds its slope cells here
         calls = []
-        cells, arccos = CellTable.__call__, np.arccos
-
-        def cells_spy(self, *args, **kwargs):
-            calls.append("cells")
-            return cells(self, *args, **kwargs)
+        arccos = np.arccos
 
         def arccos_spy(*args, **kwargs):
             calls.append("arccos")
             return arccos(*args, **kwargs)
 
-        monkeypatch.setattr(CellTable, "__call__", cells_spy)
         monkeypatch.setattr(np, "arccos", arccos_spy)
         en.energy(en.Configuration.from_array(spec, coords))
         en._descent_rows(spec, profile, coords)
-        if closed:
-            assert calls == []
-        else:
-            assert "cells" in calls and "arccos" in calls
+        assert calls == []
 
-    @pytest.mark.parametrize("spec", [S2, CP2, HP1])
+    @pytest.mark.parametrize("spec", [S2, CP2, HP1, RP2, RP3, S3, S5, CP31], ids=str)
     def test_energy_matches_mpmath(self, spec):
-        # 40-digit energy of seeded points from the hand-derived profiles
-        # phi_hat = -log x (S^2), (1/x - 1 - log x)/8 (CP^2) and
-        # (1/x - 1 - 2 log x)/24 (HP^1), x = sin^2(s d) of the normalised rows
+        # 40-digit energy of seeded points from hand-derived profiles,
+        # x = sin^2(s d) of the normalised rows: phi_hat = -log x (S^2),
+        # (1/x - 1 - log x)/8 (CP^2), (1/x - 1 - 2 log x)/24 (HP^1), -log sin d
+        # (RP^2), (pi/2 - d) cot d / 2 (RP^3), (1 + (pi - d) cot d)/2 (S^3),
+        # 1/3 + (3/8)(pi - d) c (1 + c^2/3) + c^2/8 with c = cot d (S^5), and
+        # CP^31's from its h term by term (`cp_profile`)
         rows = sample_uniform(spec, np.random.default_rng(41), 100).coords_array()
         k = _FIELD_RANK[spec.family]
         frames = _frames(k, rows)
-        with mpmath.workdps(40):
+        with mpmath.workdps(40 if spec is not CP31 else 50):
             pi = mpmath.pi
+
+            def angle(x):
+                # d from x = sin^2(s d): s = 1/2 on spheres
+                a = mpmath.asin(mpmath.sqrt(x))
+                return 2 * a if spec.family is Family.SPHERE else a
+
             if spec is S2:
                 volume_, c_m = 4 * pi, mpmath.mpf(-1)
                 form = lambda x: -mpmath.log(x)
             elif spec is CP2:
                 volume_, c_m = pi**2 / 2, mpmath.mpf(-3) / 16
                 form = lambda x: (1 / x - 1 - mpmath.log(x)) / 8
-            else:
+            elif spec is HP1:
                 volume_, c_m = pi**2 / 6, mpmath.mpf(-11) / 72
                 form = lambda x: (1 / x - 1 - 2 * mpmath.log(x)) / 24
+            elif spec is RP2:
+                volume_, c_m = 2 * pi, mpmath.log(2) - 1
+                form = lambda x: -mpmath.log(x) / 2
+            elif spec is RP3:
+                volume_, c_m = pi**2, mpmath.mpf(-1) / 4
+                form = lambda x: (pi / 2 - angle(x)) * mpmath.cot(angle(x)) / 2
+            elif spec is S3:
+                volume_, c_m = 2 * pi**2, mpmath.mpf(-3) / 4
+                form = lambda x: (1 + (pi - angle(x)) * mpmath.cot(angle(x))) / 2
+            elif spec is S5:
+                volume_, c_m = pi**3, mpmath.mpf(-25) / 48
+                def form(x):
+                    d = angle(x)
+                    c = mpmath.cot(d)
+                    return mpmath.mpf(1) / 3 + 3 * (pi - d) * c * (1 + c * c / 3) / 8 + c * c / 8
+            else:
+                form, c_m, volume_ = cp_profile(31)
             norms = [mpmath.sqrt(mpmath.fdot(r.tolist(), r.tolist())) for r in rows]
             total = mpmath.mpf(0)
             for i in range(len(rows)):
                 for j in range(i + 1, len(rows)):
                     h = [mpmath.fdot(frames[i, c].tolist(), rows[j].tolist()) / (norms[i] * norms[j])
                          for c in range(k)]
-                    x = (1 - h[0]) / 2 if spec is S2 else 1 - mpmath.fdot(h, h)
+                    x = (1 - h[0]) / 2 if spec.family is Family.SPHERE else 1 - mpmath.fdot(h, h)
                     total += (form(x) + c_m) / volume_
             exact = 2 * total
         got = en.energy(en.Configuration.from_array(spec, rows))

@@ -9,7 +9,7 @@ In `ball_stats`, one routine integrates every K and Theta row of a pass in
 one `integrate_intervals` call; a second caller would bring back a
 per-branch or per-kernel call beside it.
 
-Likewise the optimizer reads phi' from the profile's slope table: an
+Likewise the optimizer reads phi' from the profile's closed form: an
 `energy` that named the direct slope would put it back on the hot path.
 And `greenlab optimize` reports the energy its last accepted step computed:
 an `energy` call in the command would sweep every pair once more.
