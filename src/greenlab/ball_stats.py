@@ -29,16 +29,18 @@ radius. A non-finite K or Theta raises SingularityError naming the radius.
 
 The exact closed formulas are the preferred route where the ball volume
 is a polynomial, mu(x) = V(a)/V = x^m D(y) with x = sin^2 a, y = cos^2 a
-and mu' = c' x^(m-1) (1 - x)^(k-1) (`manifold._ball_polynomial`: CP^n,
-HP^n, OP^2), and the quadrature is their independent cross-check. There
+and mu' = c' x^(m-1) (1 - x)^(k-1): the records with integer m and k and
+s = 1 (`_has_closed_kernels`: CP^n, HP^n, OP^2). The quadrature is their
+independent cross-check. There
 
     V mu_a K = int_0^(x_a) (mu_a - mu) D(1 - x) / (4 c' (1 - x)^k) dx
     V (mu_a / x_a) Theta = (mu_a phi_hat(x_a) - mu_a int_0^1 mu h + int_0^(x_a) mu h) / x_a
 
-with h = (1 - mu) / (4 x (1 - x) mu') a Laurent polynomial, phi_hat =
-int_x^1 h and int_0^1 mu h = -c_m. `_kernel_parts` takes these integrals
-once per manifold in rational arithmetic and asserts that every negative
-power cancels; multiplied out, each reads
+with h = (1 - mu) / (4 x (1 - x) mu') = Q(x) / x^m the profile's Laurent
+form, phi_hat = int_x^1 h and int_0^1 mu h = -c_m. `_kernel_parts` takes Q
+and int_0^x mu h from `green`, takes the integrals once per manifold in
+rational arithmetic and asserts that every negative power cancels;
+multiplied out, each reads
 
     c V x^e D(y) kernel = R(x) + P(x) log(1 - t)
 
@@ -70,16 +72,16 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, QuadratureError, SingularityError, UnsupportedManifoldError
-from .green import _radial_ratios, get_profile
+from .green import _laurent_moment, _laurent_numerator, _radial_ratios, get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
     _antiderivative,
-    _ball_complement,
-    _ball_polynomial,
+    _integer_record,
     _mul,
     _radius_limit,
     _recentre,
+    _record,
     ball_volume,
     ball_volume_fraction,
     bm_constant,
@@ -293,40 +295,48 @@ def theta_quadrature(spec: ManifoldSpec, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _has_closed_kernels(spec: ManifoldSpec) -> bool:
+    """Whether K and Theta have closed forms: a record with integer m and k
+    and s = 1 (CP^n, HP^n, OP^2), so that x = sin^2 a."""
+    return _integer_record(spec) is not None and _record(spec)[2] == 1.0
+
+
 @functools.cache
 def _kernel_parts(spec: ManifoldSpec) -> dict[str, tuple]:
     """Each kernel's parts (R, P, e, c) as in the module docstring, with R and P
     exact in ascending powers of u = y (K) or u = x (Theta). The integrals run
-    in y for K and in x for Theta, where 1 - mu = y^k q(y) makes h = q / (4 c' x^m)."""
-    if _ball_polynomial(spec) is None:
+    in y for K and in x for Theta, on the profile's h = Q(x) / x^m
+    (`green._laurent_numerator`), where 1 - mu = 4 c' y^k Q(1 - y)."""
+    if not _has_closed_kernels(spec):
         raise UnsupportedManifoldError(
             "no closed ball kernel exists for spheres or real projective spaces"
         )
-    m, k, d = _ball_polynomial(spec)
+    m, k, d = _integer_record(spec)
     size = m + 2 * k  # longer than every polynomial below
 
     def padded(coeffs, shift=0):
         """coeffs times s^shift as Fractions, padded or cut to size."""
         return ([Fraction(0)] * shift + [Fraction(v) for v in coeffs] + [Fraction(0)] * size)[:size]
 
-    q, d_y = padded(_ball_complement(m, k, d)), padded(d)
-    mu = [(i == 0) - v for i, v in enumerate(padded(q, k))]
+    big_q, d_y = padded(_laurent_numerator(spec)), padded(d)
     quarter = Fraction(1, 4 * m * sum(d))  # 1 / (4 c') with c' = m D(1)
-    # K: 4 c' V mu_a K = mu_a (F1(1) - F1(y_a)) + F2(y_a) - F2(1), where
-    # F1 = G1 / y^(k-1) + b1 log y integrates D / y^k and F2 integrates mu D / y^k.
-    # G has no y^(k-1) term, which holds -G(1) in G - G(1) y^(k-1)
-    g1, b1 = _antiderivative(d_y, k)
-    g2, b2 = _antiderivative(_mul(mu, d_y), k)
+    mu = [(i == 0) - v / quarter for i, v in enumerate(padded(_recentre(big_q), k))]
+    # K: V mu_a K = mu_a (F1(1) - F1(y_a)) + F2(y_a) - F2(1), where
+    # F1 = G1 / y^(k-1) + b1 log y integrates D / (4 c' y^k) and F2 integrates
+    # mu D / (4 c' y^k). G has no y^(k-1) term, which holds -G(1) in G - G(1) y^(k-1)
+    d_q = [v * quarter for v in d_y]
+    g1, b1 = _antiderivative(d_q, k)
+    g2, b2 = _antiderivative(_mul(mu, d_q), k)
     g1[k - 1], g2[k - 1] = -sum(g1), -sum(g2)
     k_r = [v - a for a, v in zip(_mul(mu, g1), g2)]
     k_p = [b2 * (i == 0) - b1 * v for i, v in enumerate(mu)]
-    # Theta: with Q(x) = q(y), phi_hat = G(1) - G / x^(m-1) - b log x and
-    # int_0^x mu h = I(x) / (4 c'), I the integral of D Q from 0. The part without
-    # logs is (D ((G(1) - I(1)) x^(m-1) - G) + I / x) / (4 c'), and G has no
-    # x^(m-1) term, which holds -(G(1) - I(1))
-    big_q, d_x = _recentre(q), _recentre(d_y)
+    # Theta: phi_hat = G(1) - G / x^(m-1) - b log x and int_0^x mu h = I(x)
+    # (`green._laurent_moment`). The part without logs is
+    # D ((G(1) - I(1)) x^(m-1) - G) + I / x, and G has no x^(m-1) term,
+    # which holds -(G(1) - I(1))
+    d_x = _recentre(d_y)
     g, b = _antiderivative(big_q, m)
-    moment = padded([0] + [v / (i + 1) for i, v in enumerate(_mul(d_x, big_q))])
+    moment = padded(_laurent_moment(spec))
     g[m - 1] = sum(moment) - sum(g)
     theta_r = [v - a for a, v in zip(_mul(d_x, g), padded(moment[1:]))]
     theta_p = padded([-b * v for v in d_x], m - 1)
@@ -335,8 +345,8 @@ def _kernel_parts(spec: ManifoldSpec) -> dict[str, tuple]:
     for kernel, r, p, e, low in (("k", k_r, k_p, m, k - 1), ("theta", theta_r, theta_p, m - 1, 0)):
         if any(r[:low]):
             raise AssertionError(f"the closed {kernel} on {spec} keeps a negative power")
-        c = math.lcm(*((v * quarter).denominator for v in p))
-        r, p = [v * quarter * c for v in r[low:]], [v * quarter * c for v in p]
+        c = math.lcm(*(v.denominator for v in p))
+        r, p = [v * c for v in r[low:]], [v * c for v in p]
         for coeffs in (r, p):  # without trailing zeros, but never empty
             while len(coeffs) > 1 and not coeffs[-1]:
                 coeffs.pop()
@@ -433,7 +443,7 @@ def _closed_form(spec: ManifoldSpec, kernel: str) -> _ClosedForm:
         r=tuple(float(v) for v in r_u),
         p=tuple(float(v) for v in p_u),
         e=e,
-        d=tuple(float(v) for v in _ball_polynomial(spec)[2]),
+        d=tuple(float(v) for v in _integer_record(spec)[2]),
         scale=c * volume(spec),
         switch=switch,
         tail=tail,
@@ -497,7 +507,7 @@ def _kernels(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(K, Theta) at checked radii with ball volumes va = V(a): closed forms
     else one quadrature pass; None for a kernel not asked for."""
-    if _ball_polynomial(spec) is None:
+    if not _has_closed_kernels(spec):
         return _quadratures(spec, radii, va, k, theta)
     return (
         _closed_values(spec, "k", radii) if k else None,

@@ -346,7 +346,7 @@ _COMPARE_RANGES = {
 def compare_table(family: Family, n_min: int, n_max: int) -> list[tuple[int, float, float, float]]:
     """(n, ours, prior, ratio) rows, both coefficients without the 1/V factor."""
     if family not in _COMPARE_RANGES:
-        raise UnsupportedManifoldError(f"no comparison data for family {family}")
+        raise UnsupportedManifoldError(f"no comparison data for family {family.value}")
     lo, hi = _COMPARE_RANGES[family]
     if n_min > n_max:
         raise DomainError(f"need n_min <= n_max, got [{n_min}, {n_max}]")

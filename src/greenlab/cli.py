@@ -27,7 +27,6 @@ from .green import get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
-    _ball_polynomial,
     diameter,
     load_configuration,
     save_configuration,
@@ -106,7 +105,7 @@ def _cmd_ball(args) -> str:
         radii = list(args.radius)
     else:
         radii = [D * (k + 1) / (args.grid_size + 1) for k in range(args.grid_size)]
-    closed = _ball_polynomial(spec) is not None
+    closed = bs._has_closed_kernels(spec)
     rows = []
     for a in radii:
         k_quad = bs.k_quadrature(spec, a)

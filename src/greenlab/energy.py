@@ -8,8 +8,8 @@ gathers its own pairs, row by row, into one flat vector, on which the
 profile runs once per pair. The whole evaluation is O(N^2) dense linear
 algebra plus one vectorized profile sweep per block.
 
-Every profile is closed in (x, y) = (sin^2(s d), cos^2(s d))
-(`RadialGreenProfile.closed`), so the sweep takes both straight from the
+Every profile is its closed form in (x, y) = (sin^2(s d), cos^2(s d))
+(`RadialGreenProfile.phi_hat`), so the sweep takes both straight from the
 Gram entries, with no arccos: x = (1 - t)/2 and y = (1 + t)/2 from
 t = cos d on spheres, and y = sum_c h_c^2, x = 1 - y from the components
 h_c of <p, q> on the projective families. Close pairs (x below its value
@@ -97,13 +97,12 @@ def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _gram_sin_cos_squares(
-    spec: ManifoldSpec, left: np.ndarray, right: np.ndarray, pairs: np.ndarray
+    spec: ManifoldSpec, h: np.ndarray, pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (x, y) = (sin^2(s d), cos^2(s d)) of the distances between two stacks
-    of real frames at the (A, B) mask pairs, from the Gram entries: (1 -+ t) / 2
+    """Flat (x, y) = (sin^2(s d), cos^2(s d)) at the (A, B) mask pairs, from the
+    products h of `manifold._products`, which are left as they are: (1 -+ t) / 2
     from t = cos d on spheres, x = 1 - y with y = sum_c h_c^2 from the
     components h_c of <x, y> on the projective families."""
-    h = _products(_FIELD_RANK[spec.family], left, right)
     if spec.family is Family.SPHERE:
         t = h[:, 0][pairs]
         x = t * -0.5
@@ -111,8 +110,10 @@ def _gram_sin_cos_squares(
         t *= 0.5
         t += 0.5
         return x, t
-    h *= h
-    y = h.sum(axis=1)[pairs]
+    y = np.square(h[:, 0])
+    for c in range(1, h.shape[1]):
+        y += np.square(h[:, c])
+    y = y[pairs]
     return np.subtract(1.0, y), y
 
 
@@ -131,13 +132,12 @@ def _energy_rows(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.nda
     if n == 1:
         return 0.0
     floor = _MIN_SEPARATION_FACTOR * diameter(spec)
-    closed = profile.closed
-    V = volume(spec)
+    s, k, V = profile.s, _FIELD_RANK[spec.family], volume(spec)
     # sin^2(s d) at the separation floor, the representable floor and the
     # cosine of the chord route
-    x_floor = math.sin(closed.s * floor) ** 2
-    x_unrepresentable = math.sin(closed.s * _phi_hat_floor(spec)) ** 2
-    x_close = math.sin(closed.s * math.acos(_CHORD_COSINE)) ** 2
+    x_floor = math.sin(s * floor) ** 2
+    x_unrepresentable = math.sin(s * _phi_hat_floor(spec)) ** 2
+    x_close = math.sin(s * math.acos(_CHORD_COSINE)) ** 2
 
     def block_sum(lo: int, hi: int) -> float:
         # rows lo..hi-1 against the points after lo: column c is point lo + 1 + c,
@@ -145,7 +145,7 @@ def _energy_rows(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.nda
         later = coords[lo + 1 :]
         width = n - lo - 1
         upper = np.arange(width)[None, :] >= np.arange(hi - lo)[:, None]
-        x, y = _gram_sin_cos_squares(spec, coords[lo:hi], later, upper)
+        x, y = _gram_sin_cos_squares(spec, _products(k, coords[lo:hi], later), upper)
         least = float(x.min())
         if least < x_close:
             # 1 - t of a cosine t near 1 keeps only half the digits
@@ -159,11 +159,11 @@ def _energy_rows(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.nda
             rows, cols = _pair_rows_cols(at, width)
             raise SingularityError(
                 f"points {lo + int(rows[0])} and {lo + 1 + int(cols[0])} are closer "
-                f"than {floor:g} (distance {math.asin(math.sqrt(x[at[0]])) / closed.s:g})"
+                f"than {floor:g} (distance {math.asin(math.sqrt(x[at[0]])) / s:g})"
             )
         if least < x_unrepresentable:
-            raise _unrepresentable(spec, math.asin(math.sqrt(least)) / closed.s, "phi_hat")
-        closed.phi_hat(x, y, out=x)
+            raise _unrepresentable(spec, math.asin(math.sqrt(least)) / s, "phi_hat")
+        profile.phi_hat(x, y, out=x)
         x += profile.c_m
         return float(np.sum(x)) / V
 
@@ -242,7 +242,9 @@ def _descent_rows(
     n, width = coords.shape
     k = _FIELD_RANK[spec.family]
     V = volume(spec)
-    closed = profile.closed
+    sphere = spec.family is Family.SPHERE
+    # phi'(d) / sin d on spheres and phi'(d) / (sin d cos d) elsewhere, over h
+    factor = -0.5 / V if sphere else -2.0 / V
     frames = _frames(k, coords)
     # row c n + j holds x_j conj(e_c) = conj-sign c times x_j e_c
     conj_frames = (frames * _CONJ_SIGN[:k, None]).transpose(1, 0, 2).reshape(k * n, width)
@@ -251,21 +253,23 @@ def _descent_rows(
     # keeps more temporaries per pair than phi
     for lo, hi in _row_blocks(n, _BLOCK_PAIRS // k):
         h = _products(k, coords[lo:hi], coords)
-        later = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
+        # the pairs j > i that do not coincide (x > 0)
+        inside = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
+        x, y = _gram_sin_cos_squares(spec, h, inside)
+        apart = x > 0.0
+        inside[inside] = apart
         # the weight of each pair's products: w on spheres and w / cos d on
         # the projective families, where conj(u_ij) = <x_i, x_j> / cos d;
-        # c = cos d on spheres and cos^2 d elsewhere, so that wc = w cos d
-        c = h[:, 0] if spec.family is Family.SPHERE else np.sum(h * h, axis=1)
-        x = 0.5 - 0.5 * c if spec.family is Family.SPHERE else 1.0 - c
-        inside = later & (x > 0.0)
-        weight = np.zeros_like(x)
-        factor = -0.5 / V if spec.family is Family.SPHERE else -2.0 / V
-        y = 0.5 + 0.5 * c[inside] if spec.family is Family.SPHERE else c[inside]
-        weight[inside] = closed.h(x[inside], y) * factor
-        wc = weight * c
-        if spec.family is Family.SPHERE:
+        # wc = w cos d, which is w t on spheres and w / cos d times y elsewhere
+        weight = np.zeros(inside.shape)
+        w = profile.h(x[apart], y[apart]) * factor
+        weight[inside] = w
+        if sphere:
+            wc = weight * h[:, 0]
             a = weight[:, None, :]
         else:
+            wc = np.zeros(inside.shape)
+            wc[inside] = w * y[apart]
             h *= weight[:, None, :]
             a = h
         descent[lo:hi] += a.reshape(hi - lo, k * n) @ conj_frames

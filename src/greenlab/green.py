@@ -87,11 +87,11 @@ __all__ = [
 ]
 
 _PROFILE_ROWS = 200  # radii listed by `grid_rows`
-# radii per chunk of `phi` and `phi_hat_values`: one energy block of pairs,
-# 512 KB an array, which stays in a 2 MB L2 cache. Against whole-array
-# passes, chunks of 8192 radii cost 4 to 8 % more at 20 000 to 55 000 radii
-# in dimensions 3 and 4 (a dozen numpy calls a chunk); chunks of 65536 cost
-# 0 to 5 % less there and 12 to 22 % less at 10^6 radii
+# radii per chunk of `phi` and `phi_hat_values`, 512 KB an array, each chunk
+# checked and evaluated in place while it is in cache. One phi call on 10^6
+# radii, best of 15 on a 2-core Intel Xeon: 61 to 63 ms in chunks against 123
+# to 131 ms in one pass on S^3, 40 to 42 against 52 to 64 ms on RP^3; CP^2,
+# S^2 and HP^1 take 20 to 26 ms either way
 _SWEEP_CHUNK = 1 << 16
 # betainc's relative error below half the mean grows with p + q (5.8e-16 at
 # p = q = 4, 1.1e-15 at 12, 1.9e-15 at 20 against mpmath), so the oracle psi
@@ -269,8 +269,103 @@ def _polyval(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
     return _horner(coeffs[1:], t.copy()) + coeffs[0]
 
 
-@dataclass(frozen=True)
-class _LaurentProfile:
+@dataclass(frozen=True, eq=False)
+class RadialGreenProfile:
+    """Evaluable radial Green function phi(r) = (phi_hat(r) + c_m) / V.
+
+    Each manifold's profile is its closed form, `_LaurentProfile` or
+    `_OddProfile`: the form gives phi_hat(x, y, out), h(x, y) and psi(x, y)
+    at x = sin^2(s r), y = cos^2(s r), and `reads_y` says whether phi_hat
+    reads y; this class takes radii. Immutable, so one profile serves
+    concurrent callers.
+    """
+
+    spec: ManifoldSpec
+    c_m: float
+
+    @property
+    def diameter(self) -> float:
+        return diameter(self.spec)
+
+    @property
+    def s(self) -> float:
+        """The s of the record (m, k, s): x = sin^2(s r)."""
+        return _record(self.spec)[2]
+
+    @property
+    def r_cut(self) -> float:
+        return _cut_radius(self.spec)
+
+    def phi_hat_values(self, r) -> np.ndarray:
+        """Vectorized phi_hat over radii in (0, D]."""
+        return self._values(np.atleast_1d(np.asarray(r, dtype=float)), phi=False)
+
+    def phi(self, r):
+        """Green profile value(s) phi(r); scalar in, scalar out."""
+        r_arr = np.asarray(r, dtype=float)
+        vals = self._values(np.atleast_1d(r_arr), phi=True)
+        return float(vals[0]) if r_arr.ndim == 0 else vals.reshape(r_arr.shape)
+
+    def _values(self, r: np.ndarray, phi: bool) -> np.ndarray:
+        """phi_hat at r, or phi = (phi_hat + c_m) / V when `phi`, in chunks of `_SWEEP_CHUNK` radii.
+
+        Each chunk is checked, evaluated and transformed in place while it
+        is in cache, so no pass runs over the whole array. Every step is
+        elementwise, so phi(r) is (phi_hat_values(r) + c_m) / V bit for bit,
+        and a radius has the same bits alone and in any batch.
+        """
+        D, limit = self.diameter, _radius_limit(self.spec)
+        s = self.s
+        V = volume(self.spec) if phi else 1.0
+        flat = r.ravel()
+        out = np.empty_like(flat)
+        for lo in range(0, flat.size, _SWEEP_CHUNK):
+            x, acc = flat[lo : lo + _SWEEP_CHUNK], out[lo : lo + _SWEEP_CHUNK]
+            least, most = x.min(), x.max()
+            if least <= 0.0:
+                raise SingularityError("phi_hat diverges at r = 0")
+            if most > limit:
+                raise DomainError("radius beyond the manifold diameter")
+            if least < _phi_hat_floor(self.spec):
+                raise _unrepresentable(self.spec, float(least), "phi_hat")
+            np.multiply(np.minimum(x, D) if most > D else x, s, out=acc)
+            y = None
+            if self.reads_y:
+                y = np.cos(acc)
+                y *= y
+            np.sin(acc, out=acc)
+            np.square(acc, out=acc)
+            self.phi_hat(acc, y, out=acc)
+            # phi_hat decreases, so the largest phi is at the smallest radius
+            if phi and least < self.r_cut and not math.isfinite((float(acc.max()) + self.c_m) / V):
+                raise _overflow(self.spec, float(least))
+            if phi:
+                acc += self.c_m
+                acc /= V
+        return out.reshape(r.shape)
+
+    def phi_hat_prime_values(self, s):
+        """-psi = -2 s h(x, y) sqrt(x y) from the closed form; array-valued like s.
+
+        It raises the same domain and floor errors as `phi_hat_prime`, and is
+        elementwise, so a radius has the same bits alone and in any batch.
+        """
+        s_arr = np.asarray(s, dtype=float)
+        _check_slope_radii(self.spec, s_arr)
+        x, y = _sin_cos_squares(self.spec, np.atleast_1d(s_arr).ravel())
+        out = -self.psi(x, y)
+        return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+
+    def grid_rows(self):
+        """(r, phi_hat, phi) rows at 200 Chebyshev-Lobatto radii from r_cut to D."""
+        nodes = lobatto_nodes(_PROFILE_ROWS, self.r_cut, self.diameter)
+        ph = self.phi_hat_values(nodes)
+        phi = (ph + self.c_m) / volume(self.spec)
+        return zip(nodes.tolist(), ph.tolist(), phi.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class _LaurentProfile(RadialGreenProfile):
     """phi_hat and its slope as functions of x = sin^2(s r), on a record with integer m.
 
     With w = 1/x and v = w - 1 = cot^2(s r), phi_hat = sum_j c_j v^j - b log x
@@ -283,8 +378,6 @@ class _LaurentProfile:
     reads_y = False
     poly: tuple[float, ...]  # c_1, ..., c_(m-1)
     slope: tuple[float, ...]  # b, 1 a_1, ..., (m-1) a_(m-1)
-    c_m: float
-    s: float
 
     def phi_hat(self, x: np.ndarray, y: np.ndarray | None, out: np.ndarray) -> np.ndarray:
         """phi_hat at the flat array x, written to out (which may be x) and returned."""
@@ -310,8 +403,8 @@ class _LaurentProfile:
         return 2.0 * self.s * over_w * (np.sqrt(y) / np.sqrt(x))
 
 
-@dataclass(frozen=True)
-class _OddProfile:
+@dataclass(frozen=True, eq=False)
+class _OddProfile(RadialGreenProfile):
     """phi_hat, h and psi of S^n or RP^n with odd n = 2k + 1, from (x, y).
 
     With c = cot r, v = c^2 and u = 1 + v = 1 / sin^2 r of the distance r,
@@ -336,8 +429,6 @@ class _OddProfile:
     P: tuple[float, ...]  # P_0, ..., P_(k-1) in u
     series: tuple[float, ...]  # e_0, e_1, ... of h (S^n only)
     series_phi: tuple[float, ...]  # e_j / (j + 1), of y^(j+1) in phi_hat
-    c_m: float
-    s: float
 
     def _angles(self, x, y):
         """(t, c, v, sin^2 r) of the direct form."""
@@ -454,17 +545,18 @@ def _laurent_parts(spec: ManifoldSpec) -> tuple[list[Fraction], list[Fraction], 
     return c, a, b
 
 
-def _laurent_moment(spec: ManifoldSpec) -> Fraction:
-    """c_m = -int_0^1 mu h dx = -int_0^1 D(1 - x) Q(x) dx of a record with
-    integer m and k, where mu = x^m D(y)."""
+def _laurent_moment(spec: ManifoldSpec) -> list[Fraction]:
+    """I(x) = int_0^x mu h dt = int_0^x D(1 - t) Q(t) dt of a record with
+    integer m and k, where mu = x^m D(y), in ascending powers of x from x^0;
+    c_m = -I(1)."""
     m, k, d = _integer_record(spec)
     size = m + k - 1  # D(1 - x) Q(x) has degree m + k - 2
 
     def padded(coeffs):
         return ([Fraction(v) for v in coeffs] + [Fraction(0)] * size)[:size]
 
-    moment = _mul(_recentre(padded(d)), padded(_laurent_numerator(spec)))
-    return -sum(v / (i + 1) for i, v in enumerate(moment))
+    product = _mul(_recentre(padded(d)), padded(_laurent_numerator(spec)))
+    return [Fraction(0)] + [v / (i + 1) for i, v in enumerate(product)]
 
 
 def _laurent_profile(spec: ManifoldSpec) -> _LaurentProfile:
@@ -479,14 +571,14 @@ def _laurent_profile(spec: ManifoldSpec) -> _LaurentProfile:
     if spec.family is Family.REAL_PROJ:
         cover = ManifoldSpec(Family.SPHERE, spec.n)
         c_s, _, b_s = _laurent_parts(cover)
-        c_m = float(_laurent_moment(cover) + sum(c_s)) + float(b_s) * math.log(2.0)
+        c_m = float(sum(c_s) - sum(_laurent_moment(cover))) + float(b_s) * math.log(2.0)
     else:
-        c_m = float(_laurent_moment(spec))
+        c_m = float(-sum(_laurent_moment(spec)))
     return _LaurentProfile(
+        spec=spec,
         poly=tuple(float(v) for v in c[1:]),
         slope=(float(b), *(float(j * v) for j, v in enumerate(a) if j)),
         c_m=c_m,
-        s=_record(spec)[2],
     )
 
 
@@ -560,6 +652,7 @@ def _odd_profile(spec: ManifoldSpec) -> _OddProfile:
     sphere = spec.family is Family.SPHERE
     series = _antipodal_series(spec.n) if sphere else ()
     return _OddProfile(
+        spec=spec,
         sphere=sphere,
         k=k,
         A=float(A),
@@ -570,115 +663,21 @@ def _odd_profile(spec: ManifoldSpec) -> _OddProfile:
         series=series,
         series_phi=tuple(e / (j + 1) for j, e in enumerate(series)),
         c_m=float(c_rp - F if sphere else c_rp),
-        s=_record(spec)[2],
     )
 
 
-@lru_cache(maxsize=None)
-def _closed_profile(spec: ManifoldSpec) -> _LaurentProfile | _OddProfile:
-    """The closed form of phi_hat, its slope and c_m: Laurent for integer m, else odd."""
-    if _record(spec)[0] == int(_record(spec)[0]):
-        return _laurent_profile(spec)
-    return _odd_profile(spec)
-
-
-@dataclass(frozen=True, eq=False)
-class RadialGreenProfile:
-    """Evaluable radial Green function phi(r) = (phi_hat(r) + c_m) / V.
-
-    `closed` is the manifold's closed form in x = sin^2(s r) and y = cos^2(s r).
-    Immutable, so one profile serves concurrent callers.
-    """
-
-    spec: ManifoldSpec
-    c_m: float
-    r_cut: float
-    closed: _LaurentProfile | _OddProfile
-
-    @property
-    def diameter(self) -> float:
-        return diameter(self.spec)
-
-    def phi_hat_values(self, r) -> np.ndarray:
-        """Vectorized phi_hat over radii in (0, D]."""
-        return self._values(np.atleast_1d(np.asarray(r, dtype=float)), phi=False)
-
-    def phi(self, r):
-        """Green profile value(s) phi(r); scalar in, scalar out."""
-        r_arr = np.asarray(r, dtype=float)
-        vals = self._values(np.atleast_1d(r_arr), phi=True)
-        return float(vals[0]) if r_arr.ndim == 0 else vals.reshape(r_arr.shape)
-
-    def _values(self, r: np.ndarray, phi: bool) -> np.ndarray:
-        """phi_hat at r, or phi = (phi_hat + c_m) / V when `phi`, in chunks of `_SWEEP_CHUNK` radii.
-
-        Each chunk is checked, evaluated and transformed in place while it
-        is in cache, so no pass runs over the whole array. Every step is
-        elementwise, so phi(r) is (phi_hat_values(r) + c_m) / V bit for bit,
-        and a radius has the same bits alone and in any batch.
-        """
-        D, limit = self.diameter, _radius_limit(self.spec)
-        s = self.closed.s
-        V = volume(self.spec) if phi else 1.0
-        flat = r.ravel()
-        out = np.empty_like(flat)
-        for lo in range(0, flat.size, _SWEEP_CHUNK):
-            x, acc = flat[lo : lo + _SWEEP_CHUNK], out[lo : lo + _SWEEP_CHUNK]
-            least, most = x.min(), x.max()
-            if least <= 0.0:
-                raise SingularityError("phi_hat diverges at r = 0")
-            if most > limit:
-                raise DomainError("radius beyond the manifold diameter")
-            if least < _phi_hat_floor(self.spec):
-                raise _unrepresentable(self.spec, float(least), "phi_hat")
-            np.multiply(np.minimum(x, D) if most > D else x, s, out=acc)
-            y = None
-            if self.closed.reads_y:
-                y = np.cos(acc)
-                y *= y
-            np.sin(acc, out=acc)
-            np.square(acc, out=acc)
-            self.closed.phi_hat(acc, y, out=acc)
-            # phi_hat decreases, so the largest phi is at the smallest radius
-            if phi and least < self.r_cut and not math.isfinite((float(acc.max()) + self.c_m) / V):
-                raise _overflow(self.spec, float(least))
-            if phi:
-                acc += self.c_m
-                acc /= V
-        return out.reshape(r.shape)
-
-    def phi_hat_prime_values(self, s):
-        """-psi = -2 s h(x, y) sqrt(x y) from the closed form; array-valued like s.
-
-        It raises the same domain and floor errors as `phi_hat_prime`, and is
-        elementwise, so a radius has the same bits alone and in any batch.
-        """
-        s_arr = np.asarray(s, dtype=float)
-        _check_slope_radii(self.spec, s_arr)
-        x, y = _sin_cos_squares(self.spec, np.atleast_1d(s_arr).ravel())
-        out = -self.closed.psi(x, y)
-        return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
-
-    def grid_rows(self):
-        """(r, phi_hat, phi) rows at 200 Chebyshev-Lobatto radii from r_cut to D."""
-        nodes = lobatto_nodes(_PROFILE_ROWS, self.r_cut, self.diameter)
-        ph = self.phi_hat_values(nodes)
-        phi = (ph + self.c_m) / volume(self.spec)
-        return zip(nodes.tolist(), ph.tolist(), phi.tolist())
-
-
 def build_profile(spec: ManifoldSpec) -> RadialGreenProfile:
-    """Construct the radial Green profile for a manifold from `_closed_profile`.
+    """The closed form of a manifold's profile, with its mean-zero constant
+    c_m: the Laurent form for integer m, else the odd form.
 
     Raises SingularityError where phi leaves double range on [r_cut, D]:
     phi decreases, so its values at r_cut and D bound it there.
     """
-    D, V = diameter(spec), volume(spec)
-    r_cut = _cut_radius(spec)
-    closed = _closed_profile(spec)
-    prof = RadialGreenProfile(spec=spec, c_m=closed.c_m, r_cut=r_cut, closed=closed)
-    for r, value in ((r_cut, float(prof.phi_hat_values(r_cut)[0])), (D, 0.0)):
-        if not math.isfinite((value + closed.c_m) / V):
+    m = _record(spec)[0]
+    prof = _laurent_profile(spec) if m == int(m) else _odd_profile(spec)
+    V = volume(spec)
+    for r, value in ((prof.r_cut, float(prof.phi_hat_values(prof.r_cut)[0])), (prof.diameter, 0.0)):
+        if not math.isfinite((value + prof.c_m) / V):
             raise _overflow(spec, r)
     return prof
 
@@ -688,7 +687,7 @@ _CACHE_LOCK = threading.Lock()
 
 
 def get_profile(spec: ManifoldSpec) -> RadialGreenProfile:
-    """Default-parameter profile, built once per spec and shared."""
+    """The profile of a manifold, built once per spec and shared."""
     with _CACHE_LOCK:
         prof = _PROFILE_CACHE.get(spec)
     if prof is None:

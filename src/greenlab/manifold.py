@@ -244,22 +244,6 @@ def _integer_record(spec: ManifoldSpec) -> tuple[int, int, tuple[int, ...]] | No
     return m, k, tuple(math.comb(m + j - 1, j) for j in range(k))
 
 
-def _ball_polynomial(spec: ManifoldSpec) -> tuple[int, int, tuple[int, ...]] | None:
-    """`_integer_record` where s = 1 (CP^n, HP^n, OP^2), so that x = sin^2 a."""
-    return _integer_record(spec) if _record(spec)[2] == 1.0 else None
-
-
-def _ball_complement(m: int, k: int, d: tuple[int, ...]) -> list[int]:
-    """q with 1 - x^m D(y) = y^k q(y), x = 1 - y: ascending integer coefficients in y."""
-    rest = [1] + [0] * (m + len(d) - 1)
-    for i in range(m + 1):
-        for j, dj in enumerate(d):
-            rest[i + j] -= (-1) ** i * math.comb(m, i) * dj
-    if any(rest[:k]):
-        raise AssertionError(f"1 - x^{m} D(y) does not vanish to order {k} at y = 0")
-    return rest[k:]
-
-
 def _recentre(coeffs: list[Fraction]) -> list[Fraction]:
     """The coefficients of c(1 - s) from those of c(s), exactly: in integers
     over the coefficients' common denominator."""

@@ -20,7 +20,7 @@ from greenlab.green import get_profile
 from greenlab.manifold import (
     Family,
     ManifoldSpec,
-    _ball_polynomial,
+    _integer_record,
     ball_volume,
     bm_constant,
     diameter,
@@ -295,7 +295,7 @@ class TestDerivedKernelParts:
     def test_k_numerator_starts_with_the_small_radius_law(self, spec):
         # c V x^m D(y) K = R(y) + P(y) log(1 - x) = sum_j s_j x^j vanishes to
         # order m + 1, and K -> s_(m+1) x / (c V D(1)) = a^2 / (2 (d + 2) V)
-        m, _, d = _ball_polynomial(spec)
+        m, _, d = _integer_record(spec)
         r, p, e, c = bs._kernel_parts(spec)["k"]
         r_x, p_x = bs._recentre(r), bs._recentre(p)
         series = [
@@ -309,19 +309,19 @@ class TestDerivedKernelParts:
     def test_theta_numerator_vanishes_at_the_diameter(self, spec):
         # Theta(M, D) = 0: R(x) + P(x) log x is R(1) at x = 1
         r, _, e, _ = bs._kernel_parts(spec)["theta"]
-        assert e == _ball_polynomial(spec)[0] - 1 and sum(r) == 0
+        assert e == _integer_record(spec)[0] - 1 and sum(r) == 0
 
     @pytest.mark.parametrize("spec", [s for s in SPECS if dimension(s) > 2], ids=str)
     def test_theta_head_is_the_small_radius_law(self, spec):
         # Theta -> R(0) / (c V x^(m-1) D(1)) = d B_M a^(2-d) / (2 V)
         r, _, _, c = bs._kernel_parts(spec)["theta"]
-        head = r[0] / (c * sum(_ball_polynomial(spec)[2]))
+        head = r[0] / (c * sum(_integer_record(spec)[2]))
         assert float(head) == pytest.approx(dimension(spec) * bm_constant(spec) / 2, rel=1e-15)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_volume_is_the_sphere_area_over_twice_the_slope_constant(self, spec):
         # v(a) = V mu'(x) dx/da with mu' = c' x^(m-1) y^(k-1) and c' = m D(1)
-        m, _, d = _ball_polynomial(spec)
+        m, _, d = _integer_record(spec)
         omega = vol_unit_sphere(dimension(spec))
         assert volume(spec) == pytest.approx(omega / (2 * m * sum(d)), rel=1e-14)
 
@@ -338,6 +338,28 @@ class TestThetaQuadrature:
     @pytest.mark.parametrize("spec", [S2, S3, CP2, OP2])
     def test_positive_near_pole(self, spec):
         assert bs.theta_quadrature(spec, 0.05 * diameter(spec)) > 0.0
+
+
+class TestRealProjectiveDoubleCover:
+    """RP^n has no closed kernel; its quadrature is checked against S^n's.
+
+    On the double cover the balls of radius a <= pi/2 coincide and V_RP = V_S / 2,
+    so K(RP^n, a) = 2 K(S^n, a). With H(a) = int_0^a V(u)/v(u) du = phi_hat_S(pi - a)
+    on S^n, Theta(RP^n, a) = Theta(S^n, a) + K(S^n, a) + phi_S(pi).
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 21, 40])
+    def test_kernels_match_the_sphere(self, n):
+        sphere, rp = ManifoldSpec(Family.SPHERE, n), ManifoldSpec(Family.REAL_PROJ, n)
+        a = np.geomspace(1e-3, 1.0, 27) * diameter(rp)
+        # the batched routes, with the bits of k_quadrature and theta_quadrature
+        k_s, theta_s = bs.k_values(sphere, a), bs.theta_values(sphere, a)
+        k_rp, theta_rp = bs.k_values(rp, a), bs.theta_values(rp, a)
+        antipode = get_profile(sphere).phi(math.pi)
+        assert np.all(np.abs(k_rp - 2.0 * k_s) <= 1e-14 * np.abs(k_rp))
+        # Theta on RP^n cancels to 0 at D, so it is measured against its terms
+        scale = np.abs(theta_s) + np.abs(k_s) + abs(antipode)
+        assert np.all(np.abs(theta_rp - (theta_s + k_s + antipode)) <= 1e-14 * scale)
 
 
 class TestBallAverage:

@@ -361,6 +361,10 @@ class TestRejectedInputs:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "n_min <= n_max" in err
 
+    def test_compare_without_data_names_the_family_by_its_value(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--family", "s", "--n-min", "3", "--n-max", "4")
+        assert (code, out, err) == (1, "", "error: no comparison data for family sphere\n")
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_grid_size_below_one_is_an_error(self, capsys, size):
         code, out, err = run_cli(capsys, "ball", "--family", "s", "--n", "2", "--grid-size", size)

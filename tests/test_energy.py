@@ -214,20 +214,21 @@ def rectangle_energy(spec, profile, coords):
     elementwise helpers."""
     n = len(coords)
     floor = en._MIN_SEPARATION_FACTOR * diameter(spec)
-    closed = profile.closed
+    k = en._FIELD_RANK[spec.family]
 
     def block_sum(lo, hi):
         later = coords[lo + 1 :]
         whole = np.ones((hi - lo, n - lo - 1), dtype=bool)
-        x, y = (v.reshape(whole.shape) for v in en._gram_sin_cos_squares(spec, coords[lo:hi], later, whole))
+        products = en._products(k, coords[lo:hi], later)
+        x, y = (v.reshape(whole.shape) for v in en._gram_sin_cos_squares(spec, products, whole))
         upper = np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
-        x_close = math.sin(closed.s * math.acos(_CHORD_COSINE)) ** 2
+        x_close = math.sin(profile.s * math.acos(_CHORD_COSINE)) ** 2
         rows, cols = np.nonzero(upper & (x < x_close))
         x[rows, cols] = en._chord_sin_squares(spec, coords[lo + rows], later[cols])
         y[rows, cols] = 1.0 - x[rows, cols]
         pair_x, pair_y = x[upper], y[upper]
-        assert not np.any(pair_x < math.sin(closed.s * floor) ** 2)
-        values = closed.phi_hat(pair_x, pair_y, out=np.empty_like(pair_x)) + profile.c_m
+        assert not np.any(pair_x < math.sin(profile.s * floor) ** 2)
+        values = profile.phi_hat(pair_x, pair_y, out=np.empty_like(pair_x)) + profile.c_m
         return float(np.sum(values)) / volume(spec)
 
     blocks = [(lo, hi) for lo, hi in en._row_blocks(n, en._BLOCK_PAIRS) if lo < n - 1]

@@ -421,7 +421,7 @@ class TestChunkedEvaluation:
         r = rng.uniform(prof.r_cut, diameter(spec), 2 * green._SWEEP_CHUNK + 123)
         r[rng.integers(r.size, size=40)] = np.exp(rng.uniform(math.log(lo), math.log(prof.r_cut), 40))
         x, y = _sin_cos_squares(spec, r)
-        whole = prof.closed.phi_hat(x, y, out=np.empty_like(x))
+        whole = prof.phi_hat(x, y, out=np.empty_like(x))
         assert np.array_equal(prof.phi(r), (whole + prof.c_m) / volume(spec))
         parts = np.array_split(r, [1, 777, green._SWEEP_CHUNK + 5, r.size - 3])
         assert np.array_equal(prof.phi(r), np.concatenate([prof.phi(part) for part in parts]))
@@ -580,10 +580,11 @@ class TestClosedProfile:
     )
     def test_form_follows_the_record(self, spec, odd):
         # the Laurent form for integer m, the odd form for odd S^n and RP^n;
-        # no record is left without a closed form
+        # no record is left without a closed form, and the profile is that form
         prof = build_profile(spec)
-        assert isinstance(prof.closed, green._OddProfile if odd else green._LaurentProfile)
-        assert prof.c_m == prof.closed.c_m
+        assert isinstance(prof, green._OddProfile if odd else green._LaurentProfile)
+        assert isinstance(get_profile(spec), type(prof)) and isinstance(prof, green.RadialGreenProfile)
+        assert prof.c_m == get_profile(spec).c_m
 
     @pytest.mark.parametrize(
         "spec, a, b, c_m",
@@ -596,7 +597,7 @@ class TestClosedProfile:
         # (1/x - 1 - log x)/8 on CP^2 and (1/x - 1 - 2 log x)/24 on HP^1;
         # c_m = -int_0^1 mu h dx, and on RP^2 c_S2 + phi_hat_S2(pi/2) = log 2 - 1.
         # In v = 1/x - 1 the polynomial part is a v on CP^2 and HP^1
-        closed = green._closed_profile(spec)
+        closed = build_profile(spec)
         assert list(closed.poly) == a
         assert closed.slope == (b, *a)
         assert closed.c_m == c_m == get_profile(spec).c_m
@@ -614,7 +615,7 @@ class TestClosedProfile:
         # + 3 sin r/8), so psi = (3/8)(pi - r) u^2 + c (1/4 + 3u/8) and phi_hat =
         # 1/3 + (3/8)(pi - r) c (1 + c^2/3) + c^2/8. RP^3 is S^3's cover:
         # (pi/2 - r) cot r / 2 and c_m = -3/4 + 1/2
-        closed = green._closed_profile(spec)
+        closed = build_profile(spec)
         assert (closed.A, closed.g, closed.R, closed.P, closed.const) == (A, g, R, P, const)
         assert closed.c_m == c_m == get_profile(spec).c_m
 
@@ -727,7 +728,7 @@ class TestClosedProfile:
         assert np.array_equal(prof.phi(r), (prof.phi_hat_values(r) + prof.c_m) / volume(spec))
         slopes = prof.phi_hat_prime_values(one)
         assert np.array_equal(slopes, [prof.phi_hat_prime_values(float(x)) for x in one])
-        if isinstance(prof.closed, green._LaurentProfile):
+        if isinstance(prof, green._LaurentProfile):
             assert prof.phi(D) == prof.c_m / volume(spec)
 
     @pytest.mark.parametrize("spec", [S2, S40, RP40, S3, RP3], ids=str)
