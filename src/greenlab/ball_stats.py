@@ -1,37 +1,54 @@
 """Ball-average kernels of the Green function.
 
 Two radial kernels drive the finite-N energy bound. Integrating their
-defining double integrals by parts leaves one smooth single integral each:
+defining double integrals by parts leaves one single integral each:
 
     K(M, a)     = (1/(V V(a))) int_0^a V(u) (V(a) - V(u)) / v(u) du
     Theta(M, a) = phi(a) + (1/(V V(a))) int_0^a V(r) psi(r) dr
 
 where psi(r) = (V - V(r)) / v(r) is the slope magnitude of the Green
-profile, evaluated without cancellation by green._radial_ratios. Both
-integrands vanish like u at the pole and stay bounded up to the diameter,
-so plain adaptive quadrature converges for every family and radius.
+profile. With H(a) = int_0^a V/v and J(a) = int_0^a V^2/v they are
 
-While V(a) <= V/2, K takes V(a) - V(u) directly. Past that it uses
-v(u) psi(u) - (V - V(a)), with V - V(a) = v(a) psi(a): the direct
-difference loses its digits near a = D, the rewritten one at small a.
+    K     = (V(a) H - J) / (V V(a))
+    Theta = phi(a) + K + (1/V(a) - 1/V) H.
 
-`k_values` and `theta_values` evaluate a vector of radii, and `k_value`
-and `theta_value` are their one-radius case; the bound's `finite_bounds`
-asks for both at once. On spheres and real projective spaces one
-`special_math.integrate_intervals` call integrates every [0, a_i] of the
-pass, the K rows of all branches and the Theta rows alike, through one
-integrand that dispatches on the row: one G7/K15 call takes every first
-panel, and the intervals that miss `integrate`'s tolerance are bisected
-together. Every sum runs along its own interval, so a radius gets the same
-bits alone as in any batch, and the same as `k_quadrature` and
-`theta_quadrature`. Nothing is memoised: a value depends only on its
-radius. A non-finite K or Theta raises SingularityError naming the radius.
+Every family evaluates both in closed form, from exact coefficients derived
+once per manifold in rational arithmetic, through one numpy evaluator over
+the radius array (`_closed_kernels`). Every step is elementwise, so a
+radius gets the same bits alone and in any batch: `k_values`,
+`theta_values` and the bound's `finite_bounds` call it, and `k_closed`,
+`theta_closed`, `k_value` and `theta_value` are its one-radius case.
+Nothing is memoised but the coefficients. A non-finite K or Theta raises
+SingularityError naming the radius.
 
-The exact closed formulas are the preferred route where the ball volume
-is a polynomial, mu(x) = V(a)/V = x^m D(y) with x = sin^2 a, y = cos^2 a
-and mu' = c' x^(m-1) (1 - x)^(k-1): the records with integer m and k and
-s = 1 (`_has_closed_kernels`: CP^n, HP^n, OP^2). The quadrature is their
-independent cross-check. There
+S^n, every n. In x = sin^2(a/2) and y = cos^2(a/2), with m = n/2, the ball
+fraction is mu = I_x(m, m) = x^m y^m F(x) / (m B(m, m)) with
+F = 2F1(n, 1; m + 1; x), so
+
+    H = (1/m) int_0^x F,    J / V(a) = q = r / F,
+
+where r solves t (1 - t) r' + m (1 - 2t) r = t (1 - t) F^2 / m
+(`_sphere_series`). F, H and r have positive rational coefficients and are
+summed at t = min(x, y) <= 1/2. Up to a = pi/2 that gives V K = H - q and
+V Theta = (phi_hat + c_m) + V K + H (1 - mu) / mu, with phi_hat from the
+profile's direct form. Past pi/2, H and J diverge toward D while K and
+Theta stay finite, and the mirror t = y serves: phi_hat(a) is H's series at
+y (the profile's antipodal series), H(a) = phi_hat(pi - a) is the profile's
+direct form at (y, x), and J(pi - a) = q(y) (V - V(a)). As
+c_m = -(1/V) int_0^D V(u) psi(u) du, V H - J = V (-c_m - phi_hat(a)) + J(pi - a), so
+
+    V K     = ((q(y) - H(a)) (1 - mu) - c_m - phi_hat(a)) / mu
+    V Theta = (1 - mu) (q(y) - phi_hat(a) - c_m) / mu,
+
+and Theta vanishes at D.
+
+RP^n is the double cover of S^n: for a <= pi/2 = D its balls and spheres
+are the sphere's, and V_RP = V_S / 2, so K_RP = 2 K_S and
+Theta_RP = Theta_S + K_S + c_S / V_S.
+
+CP^n, HP^n and OP^2 have a ball polynomial, mu(x) = V(a)/V = x^m D(y) with
+x = sin^2 a, y = cos^2 a and mu' = c' x^(m-1) (1 - x)^(k-1): the records
+with integer m and k and s = 1. There
 
     V mu_a K = int_0^(x_a) (mu_a - mu) D(1 - x) / (4 c' (1 - x)^k) dx
     V (mu_a / x_a) Theta = (mu_a phi_hat(x_a) - mu_a int_0^1 mu h + int_0^(x_a) mu h) / x_a
@@ -60,6 +77,18 @@ route loses more than a few bits. Past the polynomials the series
 coefficients are bounded by |P|_1 / (j - deg P); the series stops once the
 terms it drops, at most |P|_1 t^J / ((J - deg P)(1 - t)), are below 2^-56
 of its value at the switch, and they shrink like t^J below it.
+
+Quadrature. `k_quadrature`, `theta_quadrature` and `cum_volume_over_area`
+integrate the single-integral forms adaptively: they are the oracle that
+`verify`, the tests and `greenlab ball` check the closed forms against,
+and no bound or energy calls them. psi comes from green._radial_ratios
+without cancellation; both integrands vanish like u at the pole and stay
+bounded up to the diameter. While V(a) <= V/2, K takes V(a) - V(u)
+directly; past that it uses v(u) psi(u) - (V - V(a)), with
+V - V(a) = v(a) psi(a): the direct difference loses its digits near a = D,
+the rewritten one at small a. One `special_math.integrate_intervals` call
+integrates every [0, a_i] of a batch of radii (`_quadratures`), so each
+value has the same bits alone and in any batch.
 """
 
 from __future__ import annotations
@@ -71,7 +100,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, SingularityError, UnsupportedManifoldError
+from .errors import DomainError, QuadratureError, SingularityError
 from .green import _laurent_moment, _laurent_numerator, _radial_ratios, get_profile
 from .manifold import (
     Family,
@@ -81,7 +110,8 @@ from .manifold import (
     _mul,
     _radius_limit,
     _recentre,
-    _record,
+    _regularized_beta,
+    _sin_cos_squares,
     ball_volume,
     ball_volume_fraction,
     bm_constant,
@@ -126,23 +156,21 @@ def _kernel_radii(spec: ManifoldSpec, radii, name: str) -> np.ndarray:
     if a.ndim != 1:
         raise DomainError(f"{name} needs a 1-D array of radii, got shape {a.shape}")
     D, limit = diameter(spec), _radius_limit(spec)
-    beyond = False
-    for x in a.tolist():
-        if not 0.0 < x <= limit:
-            raise DomainError(f"{name} needs a in (0, D], got {x!r}")
-        beyond = beyond or x > D
-    return np.minimum(a, D) if beyond else a
+    inside = (a > 0.0) & (a <= limit)
+    if not inside.all():
+        raise DomainError(f"{name} needs a in (0, D], got {a[~inside].tolist()[0]!r}")
+    return np.minimum(a, D) if (a > D).any() else a
 
 
 def _require_finite(values: np.ndarray, radii: np.ndarray, name: str, spec: ManifoldSpec):
     """values, or a SingularityError naming the first radius where one is not finite."""
-    for value, a in zip(values.tolist(), radii.tolist()):
-        if not math.isfinite(value):
-            raise SingularityError(
-                f"{name} is {value!r} at a = {a!r} on {spec}: "
-                "a ball volume or kernel leaves the range of a double there"
-            )
-    return values
+    if np.isfinite(values).all():
+        return values
+    value, a = next((v, a) for v, a in zip(values.tolist(), radii.tolist()) if not math.isfinite(v))
+    raise SingularityError(
+        f"{name} is {value!r} at a = {a!r} on {spec}: "
+        "a ball volume or kernel leaves the range of a double there"
+    )
 
 
 # the integrand of each quadrature row, in the order the rows take: K below
@@ -291,26 +319,16 @@ def theta_quadrature(spec: ManifoldSpec, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms (the families with a ball polynomial)
+# Closed forms
 # ---------------------------------------------------------------------------
-
-
-def _has_closed_kernels(spec: ManifoldSpec) -> bool:
-    """Whether K and Theta have closed forms: a record with integer m and k
-    and s = 1 (CP^n, HP^n, OP^2), so that x = sin^2 a."""
-    return _integer_record(spec) is not None and _record(spec)[2] == 1.0
 
 
 @functools.cache
 def _kernel_parts(spec: ManifoldSpec) -> dict[str, tuple]:
     """Each kernel's parts (R, P, e, c) as in the module docstring, with R and P
-    exact in ascending powers of u = y (K) or u = x (Theta). The integrals run
-    in y for K and in x for Theta, on the profile's h = Q(x) / x^m
-    (`green._laurent_numerator`), where 1 - mu = 4 c' y^k Q(1 - y)."""
-    if not _has_closed_kernels(spec):
-        raise UnsupportedManifoldError(
-            "no closed ball kernel exists for spheres or real projective spaces"
-        )
+    exact in ascending powers of u = y (K) or u = x (Theta), on CP^n, HP^n or
+    OP^2. The integrals run in y for K and in x for Theta, on the profile's
+    h = Q(x) / x^m (`green._laurent_numerator`), where 1 - mu = 4 c' y^k Q(1 - y)."""
     m, k, d = _integer_record(spec)
     size = m + 2 * k  # longer than every polynomial below
 
@@ -394,10 +412,16 @@ def _closed_form(spec: ManifoldSpec, kernel: str) -> _ClosedForm:
     r_t, p_t = _recentre(r_u), _recentre(p_u)
     # the numerator vanishes to order e + 1 in x (K) or 1 in y (Theta)
     order = e + 1 if t_is_x else 1
-    # log(1 - t) = -sum t^k / k, so R + P log(1 - t) = sum_j (R_j - sum_i P_i / (j - i)) t^j
-    nonzero = [(i, pi) for i, pi in enumerate(p_t) if pi]
+    # log(1 - t) = -sum t^k / k, so R + P log(1 - t) = sum_j (R_j - sum_i P_i / (j - i)) t^j;
+    # P's coefficients are integers (c clears their denominators), so each sum
+    # is one integer over the lcm of its j - i
+    nonzero = [(i, int(pi)) for i, pi in enumerate(p_t) if pi]
     p_norm = float(sum(abs(pi) for _, pi in nonzero))
     coeffs: list[Fraction] = []
+
+    def log_sum(j: int) -> Fraction:
+        lcm = math.lcm(*(j - i for i, _ in nonzero if i < j))
+        return Fraction(sum(pi * (lcm // (j - i)) for i, pi in nonzero if i < j), lcm)
 
     def series(switch: float) -> tuple[tuple[float, ...], float]:
         """Coefficients from t^order on for t < switch, and the relative size of the rest.
@@ -409,7 +433,7 @@ def _closed_form(spec: ManifoldSpec, kernel: str) -> _ClosedForm:
         while True:
             for j in range(len(coeffs), count):
                 rj = r_t[j] if j < len(r_t) else Fraction(0)
-                coeffs.append(rj - sum((pi / (j - i) for i, pi in nonzero if i < j), Fraction(0)))
+                coeffs.append(rj - log_sum(j))
             kept = tuple(float(v) for v in coeffs[order:count])
             value = abs(switch**order * _poly(kept, switch))
             dropped = p_norm * switch**count / ((count - len(p_t) + 1) * (1.0 - switch))
@@ -450,88 +474,211 @@ def _closed_form(spec: ManifoldSpec, kernel: str) -> _ClosedForm:
     )
 
 
-def _closed_eval(form: _ClosedForm, a: float) -> float:
-    sin_a, cos_a = math.sin(a), math.cos(a)
-    x, y = sin_a * sin_a, cos_a * cos_a
-    t, u = (x, y) if form.t_is_x else (y, x)
-    if t < form.switch:
-        num, e = t * _poly(form.series, t), 0 if form.t_is_x else form.e
-    else:
-        log_u = 2.0 * math.log(cos_a if form.t_is_x else sin_a)
-        num, e = _poly(form.r, u) + _poly(form.p, u) * log_u, form.e
-    den = form.scale * sin_a ** (2 * e) * _poly(form.d, y)
-    value = num / den if den else math.inf
-    if not math.isfinite(value):
-        raise SingularityError(f"the closed kernel formula overflows a double at a = {a!r}")
-    return value
+# radii per block of `_power_sums`: 4096 radii by 62 powers is 2 MB a series
+_SERIES_BLOCK = 4096
+
+
+@functools.cache
+def _series_table(coeffs: tuple[tuple[float, ...], ...]) -> np.ndarray:
+    """The coefficient lists as the columns of one read-only array, padded with zeros."""
+    width = max(map(len, coeffs))
+    table = np.array([c + (0.0,) * (width - len(c)) for c in coeffs]).T[:, :, None]
+    table.flags.writeable = False
+    return table
+
+
+def _power_sums(coeffs: tuple[tuple[float, ...], ...], t: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[i][j] t[i]^j for every row i of t, as a table of powers
+    times the coefficients, summed term by term from j = 0: t^(k+j) =
+    t^k t^j fills the table in log2 of its length numpy calls, where Horner's
+    rule takes two per coefficient.
+    Every element is summed on its own in the same order, so a radius has
+    the same bits alone and in any batch."""
+    table = _series_table(coeffs)
+    out = np.empty(t.shape)
+    for lo in range(0, t.shape[1], _SERIES_BLOCK):
+        block = t[:, lo : lo + _SERIES_BLOCK]
+        powers = np.empty((table.shape[0], *block.shape))
+        powers[0], powers[1], square, k = 1.0, block, block, 2
+        while k < len(powers):  # t^(k + j) = t^k t^j for j < k, square = t^k
+            square = square * square
+            top = powers[k : 2 * k]
+            np.multiply(powers[: len(top)], square, out=top)
+            k *= 2
+        powers *= table
+        out[:, lo : lo + _SERIES_BLOCK] = powers.sum(axis=0)
+    return out
+
+
+# the row of (x, y) at which `_form_kernels` evaluates each polynomial of
+# `_form_arrays`: K's series in x and Theta's in y, their R and their P in
+# u = y (K) and u = x (Theta), and D in y
+_FORM_ROWS = [0, 1, 1, 0, 1, 0, 1]
+
+
+@functools.cache
+def _form_arrays(forms: tuple[_ClosedForm, _ClosedForm]) -> tuple:
+    """The K and Theta forms laid out for `_form_kernels`: their polynomials
+    in the order of `_FORM_ROWS`, and the read-only columns switch, e, scale
+    and t_is_x."""
+    k, theta = forms
+    polys = (k.series, theta.series, k.r, theta.r, k.p, theta.p, k.d)
+    names = ("switch", "e", "scale", "t_is_x")
+    columns = [np.array([[getattr(k, name)], [getattr(theta, name)]]) for name in names]
+    for column in columns:
+        column.flags.writeable = False
+    return polys, *columns
+
+
+def _form_kernels(forms: tuple[_ClosedForm, _ClosedForm], a: np.ndarray) -> np.ndarray:
+    """[K, Theta] at every radius from the forms of CP^n, HP^n or OP^2,
+    elementwise: each kernel's series below its switch, its direct formula
+    from there on. Row 0 is K, in t = x = sin^2 a and u = y = cos^2 a; row 1
+    Theta, in t = y and u = x."""
+    polys, switch, e, scale, t_is_x = _form_arrays(forms)
+    roots = np.stack([np.sin(a), np.cos(a)])
+    t = roots * roots
+    values = _power_sums(polys, t[_FORM_ROWS])
+    series = t * values[:2]
+    # log u = 2 log cos a (K) or 2 log sin a (Theta)
+    direct = values[2:4] + values[4:6] * (2.0 * np.log(roots[::-1]))
+    low = t < switch
+    # K's series is already divided by x^e
+    power = np.where(low & t_is_x, 0, e)
+    return np.where(low, series, direct) / (scale * roots[0] ** (2 * power) * values[6])
+
+
+@functools.cache
+def _sphere_series(n: int) -> tuple[tuple[float, ...], ...]:
+    """(F, H, r) of S^n in ascending powers of t <= 1/2, each coefficient an
+    exact rational rounded once: F = 2F1(n, 1; n/2 + 1; t), H = int_0^t F / m
+    and r = q F, m = n/2 (module docstring).
+
+    With f_i, E_i, h_i and r_i the coefficients of F, F^2, H and r, the
+    first-order equations t (1 - t) F' = m - m (1 - 2t) F and
+    t (1 - t) r' + m (1 - 2t) r = t (1 - t) F^2 / m give, all positive,
+
+        f_i = f_(i-1) (n + i - 1) / (m + i),       h_i = f_(i-1) / (m i),
+        (i + 2m) E_i = (i - 1 + 4m) E_(i-1) + 2m f_i,
+        (i + m) r_i = (i - 1 + 2m) r_(i-1) + (E_(i-1) - E_(i-2)) / m.
+
+    They run on integers: f_i = a_i / A_i, E_i = b_i / (A_i B_i) and
+    r_i = c_i / (n A_(i-1) A_i B_(i-1)), with A_i and B_i the products of
+    n + 2j and n + j over j = 1..i, and each coefficient is one integer
+    quotient, rounded once.
+
+    Each series stops once its last term at t = 1/2, times rho / (1 - rho)
+    with rho the ratio of its last two terms, is below 2^-56 of its sum: the
+    ratios fall past that point (f's provably, as in
+    `green._antipodal_series`), so that bounds the terms dropped.
+    """
+    a, b, c, big_a, big_b = 1, 1, 0, 1, 1  # at i = 0
+    delta = 1  # E_(i-1) - E_(i-2) = delta / (A_(i-1) B_(i-1))
+    coeffs: list[list[float]] = [[1.0], [0.0], [0.0]]  # f, h, r
+    sums = [1.0, 0.0, 0.0]  # of f, h and r at t = 1/2 so far
+    i = 0
+    while True:
+        i += 1
+        h = 2 * a / (n * i * big_a)
+        c = 2 * (n + i - 1) ** 2 * (n + 2 * i - 2) * c + 4 * delta * big_a
+        a, last_a, big_a = 2 * (n + i - 1) * a, big_a, (n + 2 * i) * big_a
+        r = c / (n * last_a * big_a * big_b)
+        b_next = (i - 1 + 2 * n) * (n + 2 * i) * b + n * a * big_b
+        delta = b_next - b * (n + 2 * i) * (n + i)
+        b, big_b = b_next, (n + i) * big_b
+        settled = i > 1
+        for j, value in enumerate((a / big_a, h, r)):
+            last, before = value / 2**i, coeffs[j][-1] / 2 ** (i - 1)
+            coeffs[j].append(value)
+            sums[j] += last
+            if settled:
+                rho = last / before
+                settled = rho < 1.0 and last * rho / (1.0 - rho) <= 2.0**-56 * sums[j]
+        if settled:
+            return tuple(map(tuple, coeffs))
+
+
+def _sphere_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V K and V Theta on S^n at every radius, from the profile and `_sphere_series`.
+
+    With t = min(x, y) and u = max(x, y), x = sin^2(a/2): the profile's
+    direct form at (t, u) is phi_hat(a) up to a = pi/2 and H(a) = phi_hat(pi - a)
+    past it, and the series at t give H(a) and q(x) up to pi/2, phi_hat(a)
+    and q(y) past it.
+    """
+    prof = get_profile(spec)
+    c = prof.c_m
+    x, y = _sin_cos_squares(spec, a)
+    mu, rest = _regularized_beta(spec.n / 2, spec.n / 2, x, y)
+    near = x <= y
+    t, u = np.where(near, x, y), np.where(near, y, x)
+    f_t, h_t, r_t = _power_sums(_sphere_series(spec.n), np.broadcast_to(t, (3, t.size)))
+    direct = prof.phi_hat(t, u, np.empty_like(t))
+    q = r_t / f_t
+    # past pi/2, (1 - mu) H(a) -> 0 at D, where 1 - mu is 0 and H may overflow
+    far = np.where(rest > 0.0, (q - direct) * rest, 0.0)
+    k = np.where(near, h_t - q, (far - c - h_t) / mu)
+    theta = np.where(near, direct + c + k + h_t * rest / mu, rest * (q - h_t - c) / mu)
+    return k, theta
+
+
+def _closed_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, Theta) at checked radii, elementwise from the closed forms: a
+    radius gets the same bits alone and in any batch. Values that leave the
+    range of a double come back as inf or nan.
+
+    RP^n is S^n's double cover (module docstring): K_RP = 2 K_S and
+    Theta_RP = Theta_S + K_S + c_S / V_S, at a <= pi/2.
+    """
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        if spec.family is Family.REAL_PROJ:
+            sphere = ManifoldSpec(Family.SPHERE, spec.n)
+            k, theta = _closed_kernels(sphere, a)
+            return 2.0 * k, theta + k + get_profile(sphere).c_m / volume(sphere)
+        if spec.family is not Family.SPHERE:
+            return _form_kernels((_closed_form(spec, "k"), _closed_form(spec, "theta")), a)
+        V = volume(spec)
+        k, theta = _sphere_kernels(spec, a)
+        return k / V, theta / V
 
 
 def k_closed(spec: ManifoldSpec, a: float) -> float:
-    """The exact K(M, a) formula in double precision.
-
-    V mu_a K = int_0^(x_a) (mu_a - mu) D(1 - x) / (4 c' (1 - x)^k) dx, with
-    mu = V(a)/V = x^m D(y), integrated exactly: c V x^m D(y) K = R(y) + P(y) log y
-    vanishes to order m + 1 at x = 0. Below the switch, K is the Taylor
-    series of that numerator over x^m, which leaves out less than 2^-56 of
-    the value; above it, the direct formula in powers of y with
-    log y = 2 log cos a.
-    """
-    return _closed_eval(_closed_form(spec, "k"), float(_kernel_radii(spec, [a], "K")[0]))
+    """K(M, a) from the closed forms in double precision: the one-radius case of `k_values`."""
+    return float(k_values(spec, [a])[0])
 
 
 def theta_closed(spec: ManifoldSpec, a: float) -> float:
-    """The exact Theta(M, a) formula in double precision.
-
-    V (mu_a / x_a) Theta = (mu_a phi_hat(x_a) - mu_a int_0^1 mu h + int_0^(x_a) mu h) / x_a,
-    with h = (1 - mu) / (4 x (1 - x) mu') a Laurent polynomial in x,
-    phi_hat = int_x^1 h and int_0^1 mu h = -c_m, integrated exactly:
-    c V x^(m-1) D(y) Theta = R(x) + P(x) log x vanishes at y = 0, where
-    Theta(M, D) = 0. Below the switch in y, Theta is the Taylor series of
-    that numerator in y, which leaves out less than 2^-56 of the value;
-    above it, the direct formula in powers of x with log x = 2 log sin a.
-    """
-    return _closed_eval(_closed_form(spec, "theta"), float(_kernel_radii(spec, [a], "Theta")[0]))
+    """Theta(M, a) from the closed forms in double precision: the one-radius case of `theta_values`."""
+    return float(theta_values(spec, [a])[0])
 
 
 # ---------------------------------------------------------------------------
-# Route selection, asymptotics
+# Array kernels, asymptotics
 # ---------------------------------------------------------------------------
 
-def _closed_values(spec: ManifoldSpec, kernel: str, radii: np.ndarray) -> np.ndarray:
-    form = _closed_form(spec, kernel)
-    return np.array([_closed_eval(form, a) for a in radii.tolist()])
 
-
-def _kernels(
-    spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray, k: bool = True, theta: bool = True
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(K, Theta) at checked radii with ball volumes va = V(a): closed forms
-    else one quadrature pass; None for a kernel not asked for."""
-    if not _has_closed_kernels(spec):
-        return _quadratures(spec, radii, va, k, theta)
-    return (
-        _closed_values(spec, "k", radii) if k else None,
-        _closed_values(spec, "theta", radii) if theta else None,
-    )
+def _kernels(spec: ManifoldSpec, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, Theta) at checked radii from `_closed_kernels`; a non-finite value
+    raises SingularityError naming its radius, K's first."""
+    k, theta = _closed_kernels(spec, radii)
+    return _require_finite(k, radii, "K", spec), _require_finite(theta, radii, "Theta", spec)
 
 
 def k_values(spec: ManifoldSpec, radii) -> np.ndarray:
-    """K(M, a) at every radius of a 1-D array: closed form else quadrature.
+    """K(M, a) at every radius of a 1-D array, from the closed forms.
 
-    The quadrature route integrates every [0, a_i] in one
-    `integrate_intervals` call; each value has the bits of `k_quadrature` at
-    its radius, alone or in any batch. A non-finite value raises
-    SingularityError naming the radius.
+    Each value is computed elementwise, so it has the same bits alone and
+    in any batch. A non-finite value raises SingularityError naming the
+    radius.
     """
     radii = _kernel_radii(spec, radii, "K")
-    return _kernels(spec, radii, _ball_volumes(spec, radii), theta=False)[0]
+    return _require_finite(_closed_kernels(spec, radii)[0], radii, "K", spec)
 
 
 def theta_values(spec: ManifoldSpec, radii) -> np.ndarray:
-    """Theta(M, a) at every radius of a 1-D array: closed form else quadrature,
-    as `k_values`; the same bits as `theta_quadrature` at each radius."""
+    """Theta(M, a) at every radius of a 1-D array, from the closed forms, as `k_values`."""
     radii = _kernel_radii(spec, radii, "Theta")
-    return _kernels(spec, radii, _ball_volumes(spec, radii), k=False)[1]
+    return _require_finite(_closed_kernels(spec, radii)[1], radii, "Theta", spec)
 
 
 def k_value(spec: ManifoldSpec, a: float) -> float:

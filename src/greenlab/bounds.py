@@ -109,17 +109,17 @@ def finite_bounds(spec: ManifoldSpec, N: int, radii) -> np.ndarray:
     """The certified lower bound at every probe radius of a 1-D array.
 
     The radii are checked and V(a) computed once, and K and Theta come from
-    one pass of the route behind `k_values` and `theta_values` (on S^n and
-    RP^n, one quadrature call for both kernels at every radius), so a
-    radius gets the same bits alone as in any batch. A non-finite bound, as
-    where V(a) underflows, raises SingularityError naming the radius.
+    one pass of the closed forms behind `k_values` and `theta_values`, with
+    no quadrature, so a radius gets the same bits alone as in any batch. A
+    non-finite bound, as where V(a) underflows, raises SingularityError
+    naming the radius.
     """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
     radii = _kernel_radii(spec, radii, "the bound")
     V = volume(spec)
     va = V * ball_volume_fraction(spec, radii)
-    k, theta = _kernels(spec, radii, va)
+    k, theta = _kernels(spec, radii)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound = N * (1.0 - 2.0 * N + V / va) * k - N * theta
     return _require_finite(bound, radii, "the bound", spec)

@@ -105,18 +105,14 @@ def _cmd_ball(args) -> str:
         radii = list(args.radius)
     else:
         radii = [D * (k + 1) / (args.grid_size + 1) for k in range(args.grid_size)]
-    closed = bs._has_closed_kernels(spec)
     rows = []
     for a in radii:
         k_quad = bs.k_quadrature(spec, a)
         theta_quad = bs.theta_quadrature(spec, a)
-        if closed:
-            k_cl = bs.k_closed(spec, a)
-            theta_cl = bs.theta_closed(spec, a)
-            rel_k = abs(k_quad - k_cl) / abs(k_cl)
-            rel_t = abs(theta_quad - theta_cl) / max(abs(theta_cl), 1e-300)
-        else:
-            k_cl = theta_cl = rel_k = rel_t = None
+        k_cl = bs.k_closed(spec, a)
+        theta_cl = bs.theta_closed(spec, a)
+        rel_k = abs(k_quad - k_cl) / abs(k_cl)
+        rel_t = abs(theta_quad - theta_cl) / max(abs(theta_cl), 1e-300)
         rows.append([spec.token, spec.n, a, k_quad, k_cl, theta_quad, theta_cl, rel_k, rel_t])
     header = [
         "family",

@@ -118,7 +118,7 @@ def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
     sqrt(t (1 - t)) 2F1(p + q, 1; p + 1; t) / (2 s p) from a continued fraction.
     The moment is the smaller fraction's ratio times the larger fraction.
     These are the oracles of the closed profiles, and the integrands of the
-    K and Theta quadrature on S^n and RP^n.
+    K and Theta quadrature, the oracle of the closed kernels.
     """
     m, k, step = _record(spec)
     mass = _volume_ratio(spec)

@@ -2,8 +2,7 @@
 
 Covers the geometric inventory every other module consumes: dimensions,
 diameters, volumes, radial volume densities, ball volumes, point models
-with geodesic distance, uniform sampling, geodesic stepping and radial
-distance sampling.
+with geodesic distance, uniform sampling and radial distance sampling.
 
 Jacobi records
 --------------
@@ -77,7 +76,6 @@ __all__ = [
     "sphere_area",
     "distance",
     "sample_uniform",
-    "geodesic_step",
     "random_distance",
     "quat_hermitian_inner",
     "save_configuration",
@@ -645,26 +643,6 @@ def sample_uniform(spec: ManifoldSpec, rng, size: int | None = None):
     if size is None:
         return Point(spec, _unflatten_coords(spec, rows[0]))
     return Configuration.from_array(spec, rows)
-
-
-def geodesic_step(p: Point, tangent_direction: np.ndarray, t: float) -> Point:
-    """Point at arclength t along the geodesic from p in the given direction.
-
-    The direction is projected onto the horizontal space at p (orthogonal
-    to the full base-field line through p) and normalized before stepping,
-    so slightly non-horizontal inputs are accepted.
-    """
-    spec = p.spec
-    if abs(t) > _radius_limit(spec):
-        raise DomainError(f"|t|={abs(t)} exceeds the diameter {diameter(spec)}")
-    v = np.asarray(tangent_direction)
-    if v.shape != p.coords.shape:
-        raise DomainError("tangent direction has wrong shape")
-    x = _flatten_coords(spec, p.coords)[None]
-    u = _project_horizontal(spec, x, _flatten_coords(spec, v)[None])
-    if float(np.linalg.norm(u)) < 1e-14:
-        raise DomainError("tangent direction is degenerate after horizontal projection")
-    return Point(spec, _unflatten_coords(spec, _geodesic_rows(x, u, np.array([t]))[0]))
 
 
 def random_distance(spec: ManifoldSpec, rng, size: int | None = None):

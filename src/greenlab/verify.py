@@ -227,9 +227,16 @@ def _check_profile_derivative():
 
 
 def _check_kernel_cross_validation(quick: bool):
-    grid = [(Family.COMPLEX_PROJ, 2), (Family.QUAT_PROJ, 1), (Family.CAYLEY_PLANE, 2)]
+    grid = [
+        (Family.COMPLEX_PROJ, 2),
+        (Family.QUAT_PROJ, 1),
+        (Family.CAYLEY_PLANE, 2),
+        (Family.SPHERE, 3),
+        (Family.REAL_PROJ, 3),
+    ]
     if not quick:
         grid += [(Family.COMPLEX_PROJ, 5), (Family.QUAT_PROJ, 3)]
+        grid += [(Family.SPHERE, n) for n in (2, 10, 21)] + [(Family.REAL_PROJ, n) for n in (4, 21)]
     worst = 0.0
     for fam, n in grid:
         spec = ManifoldSpec(fam, n)

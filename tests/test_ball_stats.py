@@ -14,8 +14,8 @@ import pytest
 
 import greenlab
 from greenlab import ball_stats as bs
-from greenlab import special_math
-from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
+from greenlab import bounds, special_math
+from greenlab.errors import DomainError, QuadratureError, SingularityError
 from greenlab.green import get_profile
 from greenlab.manifold import (
     Family,
@@ -30,10 +30,12 @@ from greenlab.manifold import (
 )
 from greenlab.special_math import vol_unit_sphere
 
+import single_integral_oracle
 from closed_form_oracle import k_oracle, theta_oracle
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
 S3 = ManifoldSpec(Family.SPHERE, 3)
+RP2 = ManifoldSpec(Family.REAL_PROJ, 2)
 RP3 = ManifoldSpec(Family.REAL_PROJ, 3)
 CP2 = ManifoldSpec(Family.COMPLEX_PROJ, 2)
 HP1 = ManifoldSpec(Family.QUAT_PROJ, 1)
@@ -192,11 +194,15 @@ class TestClosedForms:
         quad = bs.theta_quadrature(spec, a)
         assert quad == pytest.approx(closed, rel=1e-6, abs=1e-10)
 
-    def test_no_closed_form_for_spheres(self):
-        with pytest.raises(UnsupportedManifoldError):
-            bs.k_closed(S3, 0.5)
-        with pytest.raises(UnsupportedManifoldError):
-            bs.theta_closed(RP3, 0.5)
+    @pytest.mark.parametrize(
+        "spec", [S2, S3, ManifoldSpec(Family.SPHERE, 10), RP2, RP3, ManifoldSpec(Family.REAL_PROJ, 4)], ids=str
+    )
+    def test_spheres_and_real_projective_spaces_match_the_quadrature(self, spec):
+        # Theta below 1.4, where the quadrature's Theta does not cancel
+        for a in (0.2, 0.6, 1.0, 1.4, diameter(spec) - 1e-3):
+            assert bs.k_quadrature(spec, a) == pytest.approx(bs.k_closed(spec, a), rel=1e-10)
+            if a <= 1.4:
+                assert bs.theta_quadrature(spec, a) == pytest.approx(bs.theta_closed(spec, a), rel=1e-10)
 
     @pytest.mark.parametrize("spec", [CP2, HP1, OP2])
     def test_theta_mean_zero_at_diameter(self, spec):
@@ -273,13 +279,59 @@ class TestClosedFormsAgainstMpmath:
 
     @pytest.mark.parametrize("spec", [CP2, HP1, OP2], ids=str)
     def test_branches_meet_at_the_switch(self, spec):
-        for kernel in ("k", "theta"):
-            form = bs._closed_form(spec, kernel)
+        forms = [bs._closed_form(spec, kernel) for kernel in ("k", "theta")]
+        for row, form in enumerate(forms):
             # the radius whose sin^2 (K) or cos^2 (Theta) is the switch
-            a = math.asin(math.sqrt(form.switch if form.t_is_x else 1.0 - form.switch))
-            series = bs._closed_eval(dataclasses.replace(form, switch=2.0), a)
-            direct = bs._closed_eval(dataclasses.replace(form, switch=-1.0), a)
+            a = np.array([math.asin(math.sqrt(form.switch if form.t_is_x else 1.0 - form.switch))])
+            series, direct = (
+                bs._form_kernels(tuple(dataclasses.replace(f, switch=switch) for f in forms), a)[row, 0]
+                for switch in (2.0, -1.0)
+            )
             assert direct == pytest.approx(series, rel=1e-14)
+
+
+class TestSphereKernelsAgainstMpmath:
+    """The closed K and Theta of S^n and RP^n against their single-integral
+    forms in mpmath (`single_integral_oracle`), at 50 geometric radii from
+    1e-4 D to D. Theta vanishes at D, so its floor is absolute, at the scale
+    max(1, |c_m|) / V of the profile."""
+
+    SPECS = [ManifoldSpec(Family.SPHERE, n) for n in (2, 3, 4, 5, 10, 21, 41)] + [
+        ManifoldSpec(Family.REAL_PROJ, n) for n in (2, 3, 4, 5, 21)
+    ]
+
+    @staticmethod
+    def values(spec):
+        radii = tuple(np.geomspace(1e-4, 1.0, 50) * diameter(spec))
+        return np.array(radii), *map(np.array, single_integral_oracle.kernels(spec, radii))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_k(self, spec):
+        radii, k, _ = self.values(spec)
+        assert np.all(np.abs(bs.k_values(spec, radii) - k) <= 1e-13 * k)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_theta(self, spec):
+        radii, _, theta = self.values(spec)
+        floor = 1e-14 * max(1.0, abs(get_profile(spec).c_m)) / volume(spec)
+        assert np.all(np.abs(bs.theta_values(spec, radii) - theta) <= 1e-13 * np.abs(theta) + floor)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 21, 61, 199])
+    def test_series_truncation_bound(self, n):
+        # the terms each series drops at t = 1/2 sum to less than 2^-56 of
+        # it, against the recurrences of `_sphere_series` run to twice the length
+        kept = bs._sphere_series(n)
+        m = Fraction(n, 2)
+        f, e, r = [Fraction(1)], [Fraction(1)], [Fraction(0)]
+        for i in range(1, 2 * max(map(len, kept))):
+            f.append(f[-1] * (n + i - 1) / (m + i))
+            e.append(((i - 1 + 4 * m) * e[-1] + 2 * m * f[i]) / (i + 2 * m))
+            r.append(((i - 1 + 2 * m) * r[-1] + (e[i - 1] - (e[i - 2] if i > 1 else 0)) / m) / (i + m))
+        h = [Fraction(0)] + [v / (m * (j + 1)) for j, v in enumerate(f)]
+        for full, rounded in zip((f, h, r), kept):
+            assert rounded == tuple(float(v) for v in full[: len(rounded)])
+            terms = [float(v) / 2**j for j, v in enumerate(full)]
+            assert math.fsum(terms[len(rounded) :]) <= 2.0**-56 * math.fsum(terms)
 
 
 class TestDerivedKernelParts:
@@ -341,7 +393,8 @@ class TestThetaQuadrature:
 
 
 class TestRealProjectiveDoubleCover:
-    """RP^n has no closed kernel; its quadrature is checked against S^n's.
+    """RP^n's kernel quadrature is checked against S^n's (the closed kernels
+    of RP^n are built from this identity, so they would check nothing).
 
     On the double cover the balls of radius a <= pi/2 coincide and V_RP = V_S / 2,
     so K(RP^n, a) = 2 K(S^n, a). With H(a) = int_0^a V(u)/v(u) du = phi_hat_S(pi - a)
@@ -352,9 +405,9 @@ class TestRealProjectiveDoubleCover:
     def test_kernels_match_the_sphere(self, n):
         sphere, rp = ManifoldSpec(Family.SPHERE, n), ManifoldSpec(Family.REAL_PROJ, n)
         a = np.geomspace(1e-3, 1.0, 27) * diameter(rp)
-        # the batched routes, with the bits of k_quadrature and theta_quadrature
-        k_s, theta_s = bs.k_values(sphere, a), bs.theta_values(sphere, a)
-        k_rp, theta_rp = bs.k_values(rp, a), bs.theta_values(rp, a)
+        # the batched quadrature, with the bits of k_quadrature and theta_quadrature
+        k_s, theta_s = bs._quadratures(sphere, a, bs._ball_volumes(sphere, a))
+        k_rp, theta_rp = bs._quadratures(rp, a, bs._ball_volumes(rp, a))
         antipode = get_profile(sphere).phi(math.pi)
         assert np.all(np.abs(k_rp - 2.0 * k_s) <= 1e-14 * np.abs(k_rp))
         # Theta on RP^n cancels to 0 at D, so it is measured against its terms
@@ -479,7 +532,17 @@ class TestMemoization:
 
 class TestArrayKernels:
     @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2])
-    def test_lone_radius_matches_batch_bit_for_bit(self, spec, monkeypatch):
+    def test_lone_radius_matches_batch_bit_for_bit(self, spec):
+        D = diameter(spec)
+        radii = np.append(np.random.default_rng(33).uniform(0.005 * D, D, 31), [0.9 * D, D])
+        k, theta = bs.k_values(spec, radii), bs.theta_values(spec, radii)
+        assert k.tolist() == [bs.k_value(spec, a) for a in radii.tolist()]
+        assert theta.tolist() == [bs.theta_value(spec, a) for a in radii.tolist()]
+        assert k.tolist() == [bs.k_closed(spec, a) for a in radii.tolist()]
+        assert theta.tolist() == [bs.theta_closed(spec, a) for a in radii.tolist()]
+
+    @pytest.mark.parametrize("spec", [S2, S3, RP3])
+    def test_quadrature_radius_matches_batch_bit_for_bit(self, spec, monkeypatch):
         D = diameter(spec)
         # 31 random radii, one that takes the adaptive fallback, and D itself
         radii = np.append(np.random.default_rng(33).uniform(0.005 * D, D, 31), [0.9 * D, D])
@@ -491,16 +554,10 @@ class TestArrayKernels:
             return inner(f, index, lo, hi, value, err, abs_tol)
 
         monkeypatch.setattr(special_math, "_refine", spy)
-        k, theta = bs.k_values(spec, radii), bs.theta_values(spec, radii)
-        assert k.tolist() == [bs.k_value(spec, a) for a in radii.tolist()]
-        assert theta.tolist() == [bs.theta_value(spec, a) for a in radii.tolist()]
-        if spec.family in (Family.SPHERE, Family.REAL_PROJ):
-            assert 0.9 * D in refined
-            assert k.tolist() == [bs.k_quadrature(spec, a) for a in radii.tolist()]
-            assert theta.tolist() == [bs.theta_quadrature(spec, a) for a in radii.tolist()]
-        else:
-            assert k.tolist() == [bs.k_closed(spec, a) for a in radii.tolist()]
-            assert theta.tolist() == [bs.theta_closed(spec, a) for a in radii.tolist()]
+        k, theta = bs._quadratures(spec, radii, bs._ball_volumes(spec, radii))
+        assert 0.9 * D in refined
+        assert k.tolist() == [bs.k_quadrature(spec, a) for a in radii.tolist()]
+        assert theta.tolist() == [bs.theta_quadrature(spec, a) for a in radii.tolist()]
 
     @pytest.mark.parametrize("fraction", [0.1, 0.7, 1.0])
     def test_lone_radius_makes_one_integrate_intervals_call(self, fraction, monkeypatch):
@@ -522,9 +579,48 @@ class TestArrayKernels:
         ratios = bs._radial_ratios(S3)
         monkeypatch.setattr(bs, "integrate_intervals", spy)
         monkeypatch.setattr(bs, "_radial_ratios", lambda spec: type(ratios)(*map(watched, ratios)))
-        bs.k_values(S3, [fraction * diameter(S3)])
+        bs.k_quadrature(S3, fraction * diameter(S3))
         assert calls == [1]
         assert sizes and min(sizes) > 0
+
+    @pytest.mark.parametrize("spec", [S3, RP3])
+    def test_one_quadrature_call_per_pass(self, spec, monkeypatch):
+        # a bound search's 33-radius pass and a one-radius pass: every K and
+        # Theta row of a pass shares one integrate_intervals call
+        calls = []
+        batched = bs.integrate_intervals
+
+        def spy(f, lo, hi):
+            calls.append(hi.size)
+            return batched(f, lo, hi)
+
+        monkeypatch.setattr(bs, "integrate_intervals", spy)
+        passes = ((np.append(bounds._log_grid(spec, 1000), 0.3 * diameter(spec)), 2 * 33), ([0.8 * diameter(spec)], 2))
+        for radii, rows in passes:
+            radii = bs._kernel_radii(spec, radii, "K")
+            calls.clear()
+            bs._quadratures(spec, radii, bs._ball_volumes(spec, radii))
+            assert calls == [rows]
+
+    def test_k_error_comes_before_a_theta_quadrature_error(self, monkeypatch):
+        # V V(a) underflows at a = 0.05 on S^200, so the quadrature's K is not
+        # finite there; a Theta row that cannot be integrated shares the call
+        # but must not hide that
+        spec = ManifoldSpec(Family.SPHERE, 200)
+        ratios = bs._radial_ratios(spec)
+        broken = ratios._replace(moment=lambda s: np.full(s.size, np.nan))
+        monkeypatch.setattr(bs, "_radial_ratios", lambda spec: broken)
+        radii = np.array([1.0, 0.05])
+        with pytest.raises(SingularityError, match=r"K is (inf|nan) at a = 0\.05 on s200"):
+            bs._quadratures(spec, radii, bs._ball_volumes(spec, radii))
+
+    def test_theta_quadrature_error_raised_once_k_is_finite(self, monkeypatch):
+        ratios = bs._radial_ratios(S3)
+        broken = ratios._replace(moment=lambda s: np.full(s.size, np.nan))
+        monkeypatch.setattr(bs, "_radial_ratios", lambda spec: broken)
+        radii = np.array([0.3])
+        with pytest.raises(QuadratureError, match=r"not finite on \[0\.0, 0\.3\]"):
+            bs._quadratures(S3, radii, bs._ball_volumes(S3, radii))
 
     @pytest.mark.parametrize("radii", [[0.5, 0.0], [0.5, 3.2], [[0.5]], [0.5, float("nan")]])
     def test_radii_outside_the_domain_rejected(self, radii):
@@ -544,6 +640,6 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("family", [Family.SPHERE, Family.REAL_PROJ])
     def test_underflowed_ball_volume_names_the_radius(self, family):
-        # V V(a) underflows at small radii in 200 dimensions
-        with pytest.raises(SingularityError, match=r"K is (inf|nan) at a = 0\.05 on"):
-            bs.k_values(ManifoldSpec(family, 200), [1.0, 0.05])
+        # V(a) underflows at small radii in 200 dimensions, and Theta divides by it
+        with pytest.raises(SingularityError, match=r"Theta is (inf|nan) at a = 0\.05 on"):
+            bs.theta_values(ManifoldSpec(family, 200), [1.0, 0.05])

@@ -9,12 +9,7 @@ import pytest
 
 from greenlab import ball_stats as bs
 from greenlab import bounds as bd
-from greenlab.errors import (
-    DomainError,
-    QuadratureError,
-    SingularityError,
-    UnsupportedManifoldError,
-)
+from greenlab.errors import DomainError, UnsupportedManifoldError
 from greenlab.manifold import Family, ManifoldSpec, diameter, dimension, volume
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
@@ -351,42 +346,6 @@ class TestBoundArrays:
     def test_radius_past_the_diameter_rejected(self):
         with pytest.raises(DomainError):
             bd.finite_bounds(S2, 10, [0.5, 3.2])
-
-    @pytest.mark.parametrize("spec", [S3, RP3])
-    def test_one_quadrature_call_per_pass(self, spec, monkeypatch):
-        # the search's 33-radius pass and its one-radius pass at the proxy's
-        # maximiser: every K and Theta row of a pass shares one integrate_intervals call
-        calls = []
-        batched = bs.integrate_intervals
-
-        def spy(f, lo, hi):
-            calls.append(hi.size)
-            return batched(f, lo, hi)
-
-        monkeypatch.setattr(bs, "integrate_intervals", spy)
-        radii = np.append(bd._log_grid(spec, 1000), 0.3 * diameter(spec))
-        bd.finite_bounds(spec, 1000, radii)
-        assert calls == [2 * 33]
-        calls.clear()
-        bd.finite_bound(spec, 1000, 0.8 * diameter(spec))
-        assert calls == [2]
-
-    def test_k_error_comes_before_a_theta_quadrature_error(self, monkeypatch):
-        # V V(a) underflows at a = 0.05 on S^200, so K is not finite there; a
-        # Theta row that cannot be integrated shares the call but must not
-        # hide that
-        ratios = bs._radial_ratios(ManifoldSpec(Family.SPHERE, 200))
-        broken = ratios._replace(moment=lambda s: np.full(s.size, np.nan))
-        monkeypatch.setattr(bs, "_radial_ratios", lambda spec: broken)
-        with pytest.raises(SingularityError, match=r"K is (inf|nan) at a = 0\.05 on s200"):
-            bd.finite_bounds(ManifoldSpec(Family.SPHERE, 200), 1000, [1.0, 0.05])
-
-    def test_theta_quadrature_error_raised_once_k_is_finite(self, monkeypatch):
-        ratios = bs._radial_ratios(S3)
-        broken = ratios._replace(moment=lambda s: np.full(s.size, np.nan))
-        monkeypatch.setattr(bs, "_radial_ratios", lambda spec: broken)
-        with pytest.raises(QuadratureError, match=r"not finite on \[0\.0, 0\.3\]"):
-            bd.finite_bounds(S3, 1000, [0.3])
 
     @pytest.mark.parametrize("spec", [S2, S3, RP2, RP3, CP1, CP2, HP1, OP2])
     @pytest.mark.parametrize("N", [10, 100, 400, 1000, 2400, 10_000, 1_000_000])

@@ -147,9 +147,10 @@ class TestBound:
 
     @pytest.mark.parametrize("family", ["s", "rp"])
     def test_underflowing_ball_volume_is_an_error_naming_the_radius(self, capsys, family):
-        code, out, err = run_cli(capsys, "bound", "--family", family, "--n", "200", "--points", "1000")
+        # V(a) underflows at the smallest grid radius, and Theta divides by it
+        code, out, err = run_cli(capsys, "bound", "--family", family, "--n", "250", "--points", "1000")
         assert code == 1 and out == ""
-        assert re.match(r"error: K is (inf|nan) at a = [0-9.e-]+ on " + family + "200", err)
+        assert re.match(r"error: Theta is (inf|nan) at a = [0-9.e-]+ on " + family + "250", err)
 
 
 class TestProfile:
@@ -208,14 +209,16 @@ class TestBall:
         assert row[0] == "cp" and row[1] == "2"
         assert float(row[7]) < 1e-7 and float(row[8]) < 1e-6
 
-    def test_sphere_without_closed_forms(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "ball", "--family", "s", "--n", "3", "--radius", "1.0"
-        )
+    @pytest.mark.parametrize(("family", "n"), [("s", "3"), ("rp", "4")])
+    def test_spheres_and_real_projective_spaces_have_closed_columns(self, capsys, family, n):
+        code, out, _ = run_cli(capsys, "ball", "--family", family, "--n", n)
         assert code == 0
-        row = out.strip().splitlines()[1].split(",")
-        assert row[4] == "nan" and row[6] == "nan"
-        assert row[3] != "nan" and row[5] != "nan"
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert rows and all(row[:2] == [family, n] for row in rows)
+        for row in rows:
+            cells = [float(v) for v in row[2:]]
+            assert all(math.isfinite(v) for v in cells)
+            assert cells[-2] < 1e-7 and cells[-1] < 1e-7
 
 
 class TestEnergyAndOptimize:

@@ -17,10 +17,13 @@ from greenlab.manifold import (
     ManifoldSpec,
     Point,
     _cosines,
+    _flatten_coords,
     _frames,
+    _geodesic_rows,
+    _project_horizontal,
+    _unflatten_coords,
     diameter,
     distance,
-    geodesic_step,
     sample_uniform,
     volume,
 )
@@ -33,6 +36,13 @@ CP1 = ManifoldSpec(Family.COMPLEX_PROJ, 1)
 CP2 = ManifoldSpec(Family.COMPLEX_PROJ, 2)
 HP1 = ManifoldSpec(Family.QUAT_PROJ, 1)
 OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
+
+
+def geodesic_step(p: Point, direction: np.ndarray, t: float) -> Point:
+    """The point at arclength t from p along the horizontal part of a direction."""
+    x = _flatten_coords(p.spec, p.coords)[None]
+    u = _project_horizontal(p.spec, x, _flatten_coords(p.spec, np.asarray(direction))[None])
+    return Point(p.spec, _unflatten_coords(p.spec, _geodesic_rows(x, u, np.array([t]))[0]))
 
 
 def random_config(spec, n, seed):

@@ -26,8 +26,8 @@ from greenlab.manifold import (
     _record,
     _regularized_beta,
     _row_width,
+    _flatten_coords,
     _unflatten_coords,
-    geodesic_step,
     load_configuration,
     radial_density,
     random_distance,
@@ -414,33 +414,24 @@ class TestBatchedSampling:
         assert np.array_equal(batch.coords_array(), single.coords_array())
 
 
-class TestGeodesicStep:
-    @pytest.mark.parametrize("spec", POINT_SPECS)
-    def test_rows_move_as_single_steps(self, spec):
-        rng = np.random.default_rng(14)
-        config = sample_uniform(spec, rng, 6)
-        tangents = rng.standard_normal(config.coords_array().shape)
-        angles = np.linspace(-0.3, 0.9, 6) * diameter(spec)
-        steps = [
-            geodesic_step(p, _unflatten_coords(spec, v), t)
-            for p, v, t in zip(config, tangents, angles)
-        ]
-        rows = config.coords_array()
-        moved = _geodesic_rows(rows, _project_horizontal(spec, rows, tangents), angles)
-        expected = Configuration(spec, steps).coords_array()
-        np.testing.assert_allclose(moved, expected, rtol=0, atol=1e-15)
+def step(p: Point, direction: np.ndarray, t: float) -> Point:
+    """The point at arclength t from p along the horizontal part of a direction, by `_geodesic_rows`."""
+    x = _flatten_coords(p.spec, p.coords)[None]
+    u = _project_horizontal(p.spec, x, _flatten_coords(p.spec, np.asarray(direction))[None])
+    return Point(p.spec, _unflatten_coords(p.spec, _geodesic_rows(x, u, np.array([t]))[0]))
 
-class TestGeodesicStep:
+
+class TestGeodesicRows:
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(2)
         p = sample_uniform(S3, rng)
         u = rng.standard_normal(4)
-        q = geodesic_step(p, u, 0.0)
+        q = step(p, u, 0.0)
         assert distance(p, q) < 1e-12
 
     def test_great_circle_formula(self):
         p = Point(S2, np.array([0.0, 0.0, 1.0]))
-        q = geodesic_step(p, np.array([1.0, 0.0, 0.0]), 0.7)
+        q = step(p, np.array([1.0, 0.0, 0.0]), 0.7)
         expected = np.array([math.sin(0.7), 0.0, math.cos(0.7)])
         assert np.allclose(q.coords, expected, atol=1e-15)
 
@@ -449,7 +440,7 @@ class TestGeodesicStep:
         rng = np.random.default_rng(9)
         p = sample_uniform(cp1, rng)
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        q = geodesic_step(p, u, math.pi / 2)
+        q = step(p, u, math.pi / 2)
         assert distance(p, q) == pytest.approx(math.pi / 2, abs=1e-12)
 
     @pytest.mark.parametrize("spec", POINT_SPECS)
@@ -462,7 +453,7 @@ class TestGeodesicStep:
             else rng.standard_normal(p.coords.shape) + 1j * rng.standard_normal(p.coords.shape)
         )
         for t in (0.1, 0.4 * diameter(spec), 0.9 * diameter(spec)):
-            q = geodesic_step(p, u, t)
+            q = step(p, u, t)
             assert distance(p, q) == pytest.approx(t, abs=1e-10)
 
     def test_non_horizontal_direction_projected(self):
@@ -470,14 +461,26 @@ class TestGeodesicStep:
         p = sample_uniform(S2, rng)
         u = rng.standard_normal(3)
         skewed = u + 3.7 * p.coords
-        q1 = geodesic_step(p, u, 0.5)
-        q2 = geodesic_step(p, skewed, 0.5)
+        q1 = step(p, u, 0.5)
+        q2 = step(p, skewed, 0.5)
         assert distance(q1, q2) < 1e-12
 
-    def test_degenerate_direction(self):
+    def test_zero_direction_stays(self):
         p = Point(S2, np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(DomainError):
-            geodesic_step(p, p.coords.copy(), 0.3)
+        rows = _flatten_coords(S2, p.coords)[None]
+        moved = _geodesic_rows(rows, _project_horizontal(S2, rows, rows.copy()), np.array([0.3]))
+        assert np.array_equal(moved, rows)
+
+    @pytest.mark.parametrize("spec", POINT_SPECS)
+    def test_rows_move_as_single_steps(self, spec):
+        rng = np.random.default_rng(14)
+        config = sample_uniform(spec, rng, 6)
+        tangents = rng.standard_normal(config.coords_array().shape)
+        angles = np.linspace(-0.3, 0.9, 6) * diameter(spec)
+        rows = config.coords_array()
+        moved = _geodesic_rows(rows, _project_horizontal(spec, rows, tangents), angles)
+        singles = [step(p, _unflatten_coords(spec, v), t) for p, v, t in zip(config, tangents, angles)]
+        np.testing.assert_allclose(moved, Configuration(spec, singles).coords_array(), rtol=0, atol=1e-15)
 
 
 class TestRandomDistance:

@@ -9,6 +9,10 @@ In `ball_stats`, one routine integrates every K and Theta row of a pass in
 one `integrate_intervals` call; a second caller would bring back a
 per-branch or per-kernel call beside it.
 
+The bound and the energy report take K and Theta from the closed forms on
+every family: a spy on both integration routines, under every name a
+module imports them by, sees no call.
+
 Likewise the optimizer reads phi' from the profile's closed form: an
 `energy` that named the direct slope would put it back on the hot path.
 And `greenlab optimize` reports the energy its last accepted step computed:
@@ -17,12 +21,15 @@ an `energy` call in the command would sweep every pair once more.
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import greenlab
-from greenlab import ball_stats, energy, green, special_math
+from greenlab import ball_stats, bounds, energy, green, special_math
+from greenlab.manifold import Family, ManifoldSpec, sample_uniform
 
 SRC = Path(greenlab.__file__).resolve().parent
 PRIVATE_RULE = {"_refine", "gauss_kronrod_panels"}
@@ -106,3 +113,43 @@ def test_optimizer_reads_the_slope_table():
 
 def test_optimize_command_does_not_sweep_the_energy_again():
     assert "_cmd_optimize" not in callers(SRC / "cli.py", "energy")
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """The names of the integration routines called while a test runs, through
+    any greenlab module's name for them; no bound or profile comes from a cache."""
+    calls = []
+    modules = [m for key, m in sys.modules.items() if key == "greenlab" or key.startswith("greenlab.")]
+    for name in ("integrate", "integrate_intervals"):
+        original = getattr(special_math, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(bounds, "_REPORTS", {})
+    monkeypatch.setattr(green, "_PROFILE_CACHE", {})
+    return calls
+
+
+def test_the_spy_sees_the_quadrature(quadrature_calls):
+    ball_stats.k_quadrature(ManifoldSpec(Family.SPHERE, 3), 0.5)
+    assert quadrature_calls == ["integrate_intervals"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ManifoldSpec(Family.SPHERE, n) for n in (2, 3, 10)]
+    + [ManifoldSpec(Family.REAL_PROJ, n) for n in (2, 3, 21)]
+    + [ManifoldSpec.from_token(token, n) for token, n in (("cp", 2), ("hp", 1), ("op2", 2))],
+    ids=str,
+)
+def test_bound_and_energy_report_run_no_quadrature(spec, quadrature_calls):
+    bounds.best_finite_bound(spec, 1234)
+    if spec.family is not Family.CAYLEY_PLANE:  # no point model
+        energy.EnergyReport.from_configuration(sample_uniform(spec, np.random.default_rng(1), size=40))
+    assert quadrature_calls == []
