@@ -86,9 +86,10 @@ without cancellation; both integrands vanish like u at the pole and stay
 bounded up to the diameter. While V(a) <= V/2, K takes V(a) - V(u)
 directly; past that it uses v(u) psi(u) - (V - V(a)), with
 V - V(a) = v(a) psi(a): the direct difference loses its digits near a = D,
-the rewritten one at small a. One `special_math.integrate_intervals` call
-integrates every [0, a_i] of a batch of radii (`_quadratures`), so each
-value has the same bits alone and in any batch.
+the rewritten one at small a. Each call integrates one radius with
+`special_math.integrate`: Theta over [0, a], K over [0, a] or, where the
+integrand falls off in a thin layer next to a, over two pieces
+(`_k_integrand`).
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ from .manifold import (
     sphere_area,
     volume,
 )
-from .special_math import integrate, integrate_intervals
+from .special_math import integrate
 
 __all__ = [
     "k_quadrature",
@@ -173,132 +174,57 @@ def _require_finite(values: np.ndarray, radii: np.ndarray, name: str, spec: Mani
     )
 
 
-# the integrand of each quadrature row, in the order the rows take: K below
-# V/2, K past it, K past it where v(a) is below the normal range, and the
-# plain moment (K at D, and Theta)
-_NEAR, _FAR, _FAR_TINY, _MOMENT = range(4)
 # a radius past V/2 on S^n whose boundary layer next to a, 40 (D - a) / (n - 1)
-# wide, is narrower than this share of a is integrated over two rows
-# (`_k_rows`). Measured on S^4 to S^200: one row is up to 9e-7 off below a
-# share of 2.5e-3 and up to 2e-12 below 1e-2; above 0.05 one and two rows
-# agree to 1e-15
+# wide, is narrower than this share of a is integrated in two pieces
+# (`_k_integrand`). Measured on S^4 to S^200: one piece is up to 9e-7 off
+# below a share of 2.5e-3 and up to 2e-12 below 1e-2; above 0.05 one and two
+# pieces agree to 1e-15
 _LAYER_SHARE = 0.05
 
 
-def _k_rows(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray, psi):
-    """The K rows of `_quadratures`, sorted by kind: for each row its radius's
-    index, its interval [lo, hi], its constant and its kind."""
+def _k_integrand(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray):
+    """K's integrand at the one checked radius a = radii[0], with va = V(a),
+    and the points 0 < ... < a that cut [0, a] into the pieces it is
+    integrated over.
+
+    As in the module docstring, K takes V(a) - V(u) directly while
+    V(a) <= V/2, v(u) psi(u) - v(a) psi(a) past that, and the plain moment at
+    a = D. Where v(a) is below the normal range, v(a) psi(a) loses its digits
+    or vanishes while rho(u) overflows near D, so v(a) psi(a) rho(u) is formed
+    as psi(a) exp(log V(u) + log (v(a) / v(u))).
+    """
     V, D = volume(spec), diameter(spec)
-    kind = np.where(va <= 0.5 * V, _NEAR, np.where(radii == D, _MOMENT, _FAR))
-    c = va.copy()
-    far = np.flatnonzero(kind == _FAR)
-    if far.size:
-        area, psi_a = sphere_area(spec, radii[far]), psi(radii[far])
-        tiny = area < np.finfo(float).tiny
-        c[far] = np.where(tiny, psi_a, area * psi_a)
-        kind[far[tiny]] = _FAR_TINY
-    index = np.argsort(kind, kind="stable")
-    lo, hi = np.zeros(index.size), radii[index]
+    ratios = _radial_ratios(spec)
+    a, ball = radii[0], va[0]
+    if ball <= 0.5 * V:
+        return lambda u: ratios.rho(u) * (ball - V * ball_volume_fraction(spec, u)), [0.0, a]
+    if a == D:
+        return ratios.moment, [0.0, a]
+    area, psi_a = sphere_area(spec, radii)[0], ratios.psi(radii)[0]
+    tiny = area < np.finfo(float).tiny
+    if tiny:
+        log_sin = np.log(np.sin(radii))[0]
+
+        def integrand(u: np.ndarray) -> np.ndarray:
+            with np.errstate(divide="ignore"):
+                log_ratio = (spec.n - 1) * (log_sin - np.log(np.sin(u)))
+                scaled_rho = np.exp(np.log(V * ball_volume_fraction(spec, u)) + log_ratio)
+            return ratios.moment(u) - psi_a * scaled_rho
+
+    else:
+        far = area * psi_a
+
+        def integrand(u: np.ndarray) -> np.ndarray:
+            return ratios.moment(u) - far * ratios.rho(u)
+
     # v(a) psi(a) rho(u) falls from the size of the moment to nothing within
     # about (D - a) / n of a, too close for the first panels to see where v(a)
     # is tiny, and on S^n wherever that is a small share of a. Such a radius
-    # gets a second row, over the last 40 (D - a) / (n - 1), where the fall is
-    # more than e^-35 of the moment
-    kinds = kind[index]
-    j, m = np.searchsorted(kinds, [_FAR, _MOMENT]).tolist()
-    if m > j:
-        two = kinds[j:m] == _FAR_TINY
-        if spec.family is Family.SPHERE:
-            two |= 40.0 * (D - hi[j:m]) < _LAYER_SHARE * (spec.n - 1) * hi[j:m]
-        split_rows = j + np.flatnonzero(two)
-        a = hi[split_rows]
-        split = a - np.minimum(0.5 * a, 40.0 * (D - a) / (spec.n - 1))
-        hi[split_rows] = split
-        after = split_rows + 1
-        index = np.insert(index, after, index[split_rows])
-        lo, hi = np.insert(lo, after, split), np.insert(hi, after, a)
-    return index, lo, hi, c[index], kind[index]
-
-
-def _quadratures(
-    spec: ManifoldSpec,
-    radii: np.ndarray,
-    va: np.ndarray,
-    k: bool = True,
-    theta: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(K, Theta) at checked radii with ball volumes va = V(a), from one
-    `integrate_intervals` call; None for a kernel not asked for.
-
-    The call holds the K rows of the radii, sorted by kind, then a Theta row
-    per radius. As in the module docstring, K takes V(a) - V(u) directly
-    while V(a) <= V/2 (near), v(u) psi(u) - (V - V(a)) past that (far), and
-    the plain moment at a = D, as Theta does. Where v(a) is below the
-    normal range, v(a) psi(a) loses its digits or vanishes while rho(u)
-    overflows near D, so those rows form v(a) psi(a) rho(u) as
-    psi(a) exp(log V(u) + log (v(a) / v(u))), over two rows (`_k_rows`).
-    On S^n, a far radius whose boundary layer next to a is thin also takes
-    two rows.
-    The integrand's rows are non-decreasing, so each kind is one run of
-    nodes. Theta takes phi from the shared profile, `get_profile(spec)`.
-
-    Errors come in the order of a call per kernel: K's quadrature error or
-    non-finite value first, then the profile's failure to build, then
-    Theta's quadrature error.
-    """
-    V = volume(spec)
-    ratios = _radial_ratios(spec)
-    size = radii.size
-    if k:
-        index, lo, hi, consts, kinds = _k_rows(spec, radii, va, ratios.psi)
-    else:
-        index = kinds = np.zeros(0, dtype=int)
-        lo = hi = consts = np.zeros(0)
-    # the first row of each kind past _NEAR; the Theta rows, all _MOMENT, come last
-    starts = np.cumsum(np.bincount(kinds, minlength=4))[:3]
-    log_sin = np.log(np.sin(radii[index])) if starts[2] > starts[1] else None
-    if theta:
-        lo, hi = np.append(lo, np.zeros(size)), np.append(hi, radii)
-
-    def integrand(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        i, j, m = np.searchsorted(rows, starts).tolist()
-        out = np.empty(u.size)
-        if i:
-            out[:i] = ratios.rho(u[:i]) * (consts[rows[:i]] - V * ball_volume_fraction(spec, u[:i]))
-        if i < u.size:
-            out[i:] = ratios.moment(u[i:])
-        if j > i:
-            out[i:j] -= consts[rows[i:j]] * ratios.rho(u[i:j])
-        if m > j:
-            s = u[j:m]
-            with np.errstate(divide="ignore"):
-                log_ratio = (spec.n - 1) * (log_sin[rows[j:m]] - np.log(np.sin(s)))
-                scaled_rho = np.exp(np.log(V * ball_volume_fraction(spec, s)) + log_ratio)
-            out[j:m] -= consts[rows[j:m]] * scaled_rho
-        return out
-
-    try:
-        integrals = integrate_intervals(integrand, lo, hi)
-    except QuadratureError:
-        if k and theta:
-            _quadratures(spec, radii, va, theta=False)
-        if theta:
-            get_profile(spec)
-        raise
-    k_out = theta_out = None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if k:
-            # each radius's integral over [0, a], summed over its rows
-            k_out = np.bincount(index, integrals[: index.size], size) / (V * va)
-        if theta:
-            theta_out = integrals[index.size :] / (V * va)
-    if k:
-        _require_finite(k_out, radii, "K", spec)
-    if not theta:
-        return k_out, None
-    with np.errstate(invalid="ignore", over="ignore"):
-        theta_out = get_profile(spec).phi(radii) + theta_out
-    return k_out, _require_finite(theta_out, radii, "Theta", spec)
+    # gets a second piece, over the last 40 (D - a) / (n - 1), where the fall
+    # is more than e^-35 of the moment
+    if tiny or (spec.family is Family.SPHERE and 40.0 * (D - a) < _LAYER_SHARE * (spec.n - 1) * a):
+        return integrand, [0.0, a - min(0.5 * a, 40.0 * (D - a) / (spec.n - 1)), a]
+    return integrand, [0.0, a]
 
 
 def _ball_volumes(spec: ManifoldSpec, radii: np.ndarray) -> np.ndarray:
@@ -307,15 +233,32 @@ def _ball_volumes(spec: ManifoldSpec, radii: np.ndarray) -> np.ndarray:
 
 
 def k_quadrature(spec: ManifoldSpec, a: float) -> float:
-    """K(M, a) by adaptive quadrature of its single-integral form."""
+    """K(M, a) by adaptive quadrature of its single-integral form, one
+    `integrate` call per piece of `_k_integrand`."""
     radii = _kernel_radii(spec, [a], "K")
-    return float(_quadratures(spec, radii, _ball_volumes(spec, radii), theta=False)[0][0])
+    va = _ball_volumes(spec, radii)
+    integrand, cuts = _k_integrand(spec, radii, va)
+    total = sum(integrate(integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = total / (volume(spec) * va)
+    return float(_require_finite(k, radii, "K", spec)[0])
 
 
 def theta_quadrature(spec: ManifoldSpec, a: float) -> float:
-    """Theta(M, a): mean of the Green function over a ball about its pole."""
+    """Theta(M, a): mean of the Green function over a ball about its pole, as
+    phi(a) plus the moment's integral over [0, a] divided by V V(a), with phi
+    from the shared profile `get_profile(spec)`. A profile that fails to
+    build raises before the moment's quadrature error."""
     radii = _kernel_radii(spec, [a], "Theta")
-    return float(_quadratures(spec, radii, _ball_volumes(spec, radii), k=False)[1][0])
+    va = _ball_volumes(spec, radii)
+    try:
+        moment = integrate(_radial_ratios(spec).moment, 0.0, radii[0])
+    except QuadratureError:
+        get_profile(spec)
+        raise
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta = get_profile(spec).phi(radii) + moment / (volume(spec) * va)
+    return float(_require_finite(theta, radii, "Theta", spec)[0])
 
 
 # ---------------------------------------------------------------------------

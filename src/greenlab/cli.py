@@ -112,7 +112,10 @@ def _cmd_ball(args) -> str:
         k_cl = bs.k_closed(spec, a)
         theta_cl = bs.theta_closed(spec, a)
         rel_k = abs(k_quad - k_cl) / abs(k_cl)
-        rel_t = abs(theta_quad - theta_cl) / max(abs(theta_cl), 1e-300)
+        # Theta = phi(a) + a mean that cancels it toward D, where Theta is 0:
+        # there the error is relative to phi(a), the size of the terms
+        scale = max(abs(theta_cl), abs(get_profile(spec).phi(a)), 1e-300)
+        rel_t = abs(theta_quad - theta_cl) / scale
         rows.append([spec.token, spec.n, a, k_quad, k_cl, theta_quad, theta_cl, rel_k, rel_t])
     header = [
         "family",

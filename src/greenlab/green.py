@@ -76,7 +76,7 @@ from .manifold import (
     dimension,
     volume,
 )
-from .special_math import _beta_continued_fraction, integrate, integrate_intervals
+from .special_math import _beta_continued_fraction, integrate
 
 __all__ = [
     "RadialGreenProfile",
@@ -179,20 +179,6 @@ def _check_slope_radii(spec: ManifoldSpec, s: np.ndarray) -> None:
         raise _unrepresentable(spec, float(np.min(s)), "phi_hat_prime")
 
 
-def _log_interval_integrals(psi, hi: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Integrals of psi over every [hi_i exp(-width_i), hi_i], by `integrate_intervals`.
-
-    Substituting s = hi exp(-w) keeps the integrand a smooth exponential
-    even when psi carries the s^(1-d) blow-up, so plain adaptive panels
-    converge quickly however small the lower end is.
-    """
-    def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        s = hi[rows] * np.exp(-w)
-        return psi(s) * s
-
-    return integrate_intervals(integrand, np.zeros_like(width), width)
-
-
 @lru_cache(maxsize=None)
 def _phi_hat_floor(spec: ManifoldSpec) -> float:
     """Smallest radius at which phi_hat can be represented in floating point.
@@ -247,9 +233,15 @@ def phi_hat(spec: ManifoldSpec, r: float) -> float:
     if r >= knee:
         return integrate(psi, r, D)
     upper = integrate(psi, knee, D)
-    return upper + float(
-        _log_interval_integrals(psi, np.array([knee]), np.array([math.log(knee / r)]))[0]
-    )
+
+    def log_integrand(w: np.ndarray) -> np.ndarray:
+        # s = knee exp(-w) keeps the integrand a smooth exponential even where
+        # psi carries the s^(1-d) blow-up, so plain adaptive panels converge
+        # quickly however small r is
+        s = knee * np.exp(-w)
+        return psi(s) * s
+
+    return upper + integrate(log_integrand, 0.0, math.log(knee / r))
 
 
 def _horner(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:

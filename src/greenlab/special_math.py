@@ -10,17 +10,10 @@ nodes of each panel, panel by panel) and must return an array of the same
 shape, so a batch of panels costs one call of f. There is no scalar path;
 write integrands with numpy ufuncs, not `math`.
 
-`integrate_intervals` integrates a batch of intervals by `integrate`'s
-rule, and `integrate` is its one-interval case. Its integrand is
-f(x, rows): x holds Kronrod nodes as above, and rows[j] is the index of
-the interval whose panel holds x[j], so a per-interval constant c enters
-as c[rows]. Panels come in interval order, so rows is non-decreasing in
-every call.
-
-Both run at one tolerance: an interval is done once its summed error
-estimate is below max(1e-12 |value|, abs_tol), the QUADPACK test
-(Piessens et al., 1983), within 4000 subintervals. At rel_tol 1e-10 the
-ball kernel K stopped early near the diameter (3e-7 off on OP^2 at
+`integrate` is the one adaptive routine. An integral is done once its
+summed error estimate is below max(1e-12 |value|, abs_tol), the QUADPACK
+test (Piessens et al., 1983), within 4000 subintervals. At rel_tol 1e-10
+the ball kernel K stopped early near the diameter (3e-7 off on OP^2 at
 D - 1e-3); 1e-12 settles it to the closed forms' last digits. abs_tol
 defaults to 1e-300, so the relative test governs. A caller passes a
 larger one only for an integral whose value is about 0 against the
@@ -45,7 +38,6 @@ __all__ = [
     "vol_unit_sphere",
     "reg_incomplete_beta",
     "integrate",
-    "integrate_intervals",
     "gauss_kronrod_panel",
     "gauss_kronrod_panels",
 ]
@@ -214,150 +206,67 @@ def integrate(
 ) -> float:
     """Adaptive Gauss-Kronrod integration of f over [lo, hi].
 
-    Bisects the interval with the largest error estimate until the summed
-    error drops below the module docstring's tolerance. f is an array
-    integrand, called once for the first panel and once for the two halves
-    of each bisection (see the module docstring). Endpoints
-    are never evaluated (the K15 rule is open), so integrable endpoint
-    singularities are tolerated, though callers with strong singularities
-    should split or transform first. A panel whose values are not finite
-    raises QuadratureError. Deterministic for fixed inputs.
+    Takes one G7/K15 panel over [lo, hi], then bisects the subinterval with
+    the largest error estimate, one at a time, until the summed error drops
+    below the module docstring's tolerance. f is an array integrand, called
+    once for the first panel and once for the two halves of each bisection.
+    Endpoints are never evaluated (the K15 rule is open), so integrable
+    endpoint singularities are tolerated, though callers with strong
+    singularities should split or transform first.
+
+    Raises QuadratureError when the estimate is not finite, after 4000
+    subintervals, or once every subinterval's error estimate sits at its
+    floor, 50 eps times its integral of |f|, while their sum misses the
+    tolerance: the halves' floors sum to their parent's, so bisection cannot
+    lower it (QUADPACK's roundoff detection). The first panel counts as
+    above its floor.
     """
     if lo > hi:
         raise DomainError(f"integrate requires lo <= hi, got [{lo}, {hi}]")
     if lo == hi:
         return 0.0
-    values = integrate_intervals(lambda x, rows: f(x), np.array([lo]), np.array([hi]), abs_tol)
-    return float(values[0])
-
-
-def integrate_intervals(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    abs_tol: float = 1e-300,
-) -> np.ndarray:
-    """`integrate` on every interval [lo_i, hi_i] of two 1-D float arrays.
-
-    f(x, rows) is the module docstring's batch integrand. One
-    `gauss_kronrod_panels` call takes the first panel of every interval;
-    the intervals whose panel misses the tolerance, or is not finite, are
-    bisected from that panel by `_refine`, all of them together. Every sum
-    runs along its own interval, so each value has the bits of `integrate`
-    on that interval alone.
-    """
-    if not lo.size:
-        return np.zeros(0)
-    rows = np.repeat(np.arange(lo.size), _GK15_NODES.size)
-    values, errors, _ = gauss_kronrod_panels(lambda x: f(x, rows), lo, hi)
-    missed = np.flatnonzero(~(np.isfinite(values) & (errors <= _tolerance(values, abs_tol))))
-    if missed.size:
-        values[missed] = _refine(
-            f, missed, lo[missed], hi[missed], values[missed], errors[missed], abs_tol
+    value, err, _, _ = _panels(f, np.array([lo]), np.array([hi]))
+    total, total_err = float(value[0]), float(err[0])
+    # heap entries: (-error, insertion counter, lo, hi, value, error, above its floor)
+    heap = [(-total_err, 0, lo, hi, total, total_err, True)]
+    counter = 1
+    above = 1  # subintervals above their error floor
+    # a nan or inf estimate makes the loop test false
+    while total_err > max(_REL_TOL * abs(total), abs_tol):
+        if len(heap) >= _MAX_SUBDIVISIONS:
+            raise QuadratureError(
+                f"quadrature failed to converge within {_MAX_SUBDIVISIONS} subdivisions",
+                estimate=total,
+                error_bound=total_err,
+            )
+        if not above:
+            raise QuadratureError(
+                "quadrature cannot reach its tolerance: every subinterval's error "
+                "estimate sits at its rounding floor, 50 eps times its integral of |f|",
+                estimate=total,
+                error_bound=total_err,
+            )
+        _, _, a, b, v, e, was_above = heapq.heappop(heap)
+        above -= was_above
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            # interval at floating point resolution; keep its estimate as is
+            heapq.heappush(heap, (0.0, counter, a, b, v, 0.0, False))
+            counter += 1
+            total_err -= e
+            continue
+        values, errors, _, floors = _panels(f, np.array([a, m]), np.array([m, b]))
+        (v1, v2), (e1, e2) = values.tolist(), errors.tolist()
+        over1, over2 = (errors > floors).tolist()
+        total += (v1 + v2) - v
+        total_err += (e1 + e2) - e
+        heapq.heappush(heap, (-e1, counter, a, m, v1, e1, over1))
+        heapq.heappush(heap, (-e2, counter + 1, m, b, v2, e2, over2))
+        above += over1 + over2
+        counter += 2
+    if not math.isfinite(total):
+        raise QuadratureError(
+            f"integrand is not finite on [{lo}, {hi}]", estimate=total, error_bound=total_err
         )
-    return values
+    return total
 
-
-def _tolerance(value, abs_tol: float):
-    """The error an estimate may carry: max(_REL_TOL |value|, abs_tol), a nan value giving nan."""
-    return np.maximum(_REL_TOL * np.abs(value), abs_tol)
-
-
-def _refine(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    index: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    value: np.ndarray,
-    err: np.ndarray,
-    abs_tol: float,
-) -> np.ndarray:
-    """`integrate` from its first panel on, for every interval [lo_i, hi_i] at once.
-
-    value and err are each interval's G7/K15 panel, as `gauss_kronrod_panels`
-    gives them, and index[i] is the row that f(x, rows) knows interval i by.
-    The intervals advance in lockstep: each round pops the worst
-    sub-interval of every interval still short of its tolerance and bisects
-    them all with one call of f. Each interval keeps its own heap, counter
-    and totals, so its value has the bits of refining it alone. Of the
-    intervals that fail, the lowest-indexed one's error is raised; once one
-    has failed, those after it stop.
-
-    An interval also fails once every sub-interval's error estimate sits at
-    its floor, 50 eps times its integral of |f|, while their sum misses the
-    tolerance: the halves' floors sum to their parent's, so bisection cannot
-    lower it (QUADPACK's roundoff detection). A first panel counts as above
-    its floor.
-    """
-    lo, hi = lo.tolist(), hi.tolist()
-    # heap entries: (-error, insertion_counter, lo, hi, value, error, above its floor)
-    heaps = [[(-e, 0, a, b, v, e, True)] for a, b, v, e in zip(lo, hi, value.tolist(), err.tolist())]
-    totals, total_errs = value.tolist(), err.tolist()
-    counters = [1] * len(lo)
-    above = [1] * len(lo)  # sub-intervals above their error floor, per interval
-    active = list(range(len(lo)))
-    failed = None  # (i, error) of the lowest-indexed interval that failed so far
-    while True:
-        bisect = []  # (i, a, m, b, v, e) of the sub-interval each active interval splits
-        for i in active:
-            if failed is not None and i > failed[0]:
-                break
-            heap = heaps[i]
-            while total_errs[i] > _tolerance(totals[i], abs_tol):
-                if len(heap) >= _MAX_SUBDIVISIONS:
-                    failed = i, QuadratureError(
-                        f"quadrature failed to converge within {_MAX_SUBDIVISIONS} "
-                        "subdivisions",
-                        estimate=totals[i],
-                        error_bound=total_errs[i],
-                    )
-                    break
-                if not above[i]:
-                    failed = i, QuadratureError(
-                        "quadrature cannot reach its tolerance: every subinterval's error "
-                        "estimate sits at its rounding floor, 50 eps times its integral of |f|",
-                        estimate=totals[i],
-                        error_bound=total_errs[i],
-                    )
-                    break
-                _, _, a, b, v, e, was_above = heapq.heappop(heap)
-                above[i] -= was_above
-                m = 0.5 * (a + b)
-                if m <= a or m >= b:
-                    # interval at floating point resolution; keep its estimate as is
-                    heapq.heappush(heap, (0.0, counters[i], a, b, v, 0.0, False))
-                    counters[i] += 1
-                    total_errs[i] -= e
-                    continue
-                bisect.append((i, a, m, b, v, e))
-                break
-            else:
-                # a nan or inf value makes the loop test false, so it ends up here
-                if not math.isfinite(totals[i]):
-                    failed = i, QuadratureError(
-                        f"integrand is not finite on [{lo[i]}, {hi[i]}]",
-                        estimate=totals[i],
-                        error_bound=total_errs[i],
-                    )
-        if not bisect:
-            break
-        which, a, m, b, v, e = zip(*bisect)
-        # the two halves of each split sub-interval, side by side
-        halves_lo = np.column_stack([a, m]).ravel()
-        halves_hi = np.column_stack([m, b]).ravel()
-        rows = np.repeat(index[np.repeat(which, 2)], _GK15_NODES.size)
-        values, errors, _, floors = _panels(lambda x: f(x, rows), halves_lo, halves_hi)
-        values, errors = values.tolist(), errors.tolist()
-        over = (np.asarray(errors) > floors).tolist()
-        for k, (i, a, m, b, v, e) in enumerate(bisect):
-            v1, v2, e1, e2 = values[2 * k], values[2 * k + 1], errors[2 * k], errors[2 * k + 1]
-            totals[i] += (v1 + v2) - v
-            total_errs[i] += (e1 + e2) - e
-            heapq.heappush(heaps[i], (-e1, counters[i], a, m, v1, e1, over[2 * k]))
-            heapq.heappush(heaps[i], (-e2, counters[i] + 1, m, b, v2, e2, over[2 * k + 1]))
-            above[i] += over[2 * k] + over[2 * k + 1]
-            counters[i] += 2
-        active = list(which)
-    if failed is not None:
-        raise failed[1]
-    return np.array(totals)

@@ -14,7 +14,7 @@ import pytest
 
 import greenlab
 from greenlab import ball_stats as bs
-from greenlab import bounds, special_math
+from greenlab import special_math
 from greenlab.errors import DomainError, QuadratureError, SingularityError
 from greenlab.green import get_profile
 from greenlab.manifold import (
@@ -405,9 +405,11 @@ class TestRealProjectiveDoubleCover:
     def test_kernels_match_the_sphere(self, n):
         sphere, rp = ManifoldSpec(Family.SPHERE, n), ManifoldSpec(Family.REAL_PROJ, n)
         a = np.geomspace(1e-3, 1.0, 27) * diameter(rp)
-        # the batched quadrature, with the bits of k_quadrature and theta_quadrature
-        k_s, theta_s = bs._quadratures(sphere, a, bs._ball_volumes(sphere, a))
-        k_rp, theta_rp = bs._quadratures(rp, a, bs._ball_volumes(rp, a))
+        k_s, theta_s, k_rp, theta_rp = (
+            np.array([kernel(spec, r) for r in a.tolist()])
+            for spec in (sphere, rp)
+            for kernel in (bs.k_quadrature, bs.theta_quadrature)
+        )
         antipode = get_profile(sphere).phi(math.pi)
         assert np.all(np.abs(k_rp - 2.0 * k_s) <= 1e-14 * np.abs(k_rp))
         # Theta on RP^n cancels to 0 at D, so it is measured against its terms
@@ -530,6 +532,65 @@ class TestMemoization:
         assert len(set(vals)) == 1
 
 
+class TestQuadratureRoutes:
+    """`k_quadrature` and `theta_quadrature` integrate one radius at a time,
+    over one piece of [0, a] or, near D on S^n, two."""
+
+    @pytest.mark.parametrize(
+        "spec, fraction, pieces",
+        [
+            (S3, 0.1, 1),  # V(a) <= V/2
+            (S3, 0.7, 1),  # past V/2
+            (S3, 1.0, 1),  # a = D, the plain moment
+            (ManifoldSpec(Family.SPHERE, 60), 0.999, 2),  # S^n's thin boundary layer
+            (ManifoldSpec(Family.SPHERE, 150), 0.999, 2),  # v(a) below the normal range
+        ],
+    )
+    def test_k_sums_its_pieces(self, spec, fraction, pieces, monkeypatch):
+        a = fraction * diameter(spec)
+        calls = []
+
+        def spy(f, lo, hi):
+            value = special_math.integrate(f, lo, hi)
+            calls.append((lo, hi, value))
+            return value
+
+        monkeypatch.setattr(bs, "integrate", spy)
+        k = bs.k_quadrature(spec, a)
+        assert len(calls) == pieces
+        cuts = [lo for lo, _, _ in calls] + [calls[-1][1]]
+        assert cuts[0] == 0.0 and cuts[-1] == a
+        assert all(hi == lo for (_, hi, _), (lo, _, _) in zip(calls, calls[1:]))
+        total = sum(value for _, _, value in calls)
+        assert k == total / (volume(spec) * bs._ball_volumes(spec, np.array([a]))[0])
+        if fraction == 0.999:
+            tiny = sphere_area(spec, a) < np.finfo(float).tiny
+            assert tiny == (spec.n == 150)
+
+    def test_theta_integrates_the_moment_once(self, monkeypatch):
+        calls = []
+
+        def spy(f, lo, hi):
+            calls.append((lo, hi))
+            return special_math.integrate(f, lo, hi)
+
+        monkeypatch.setattr(bs, "integrate", spy)
+        bs.theta_quadrature(S3, 0.7)
+        assert calls == [(0.0, 0.7)]
+
+    def test_k_quadrature_error_names_the_radius(self):
+        # V V(a) underflows at a = 0.05 on S^200, so K is not finite there
+        with pytest.raises(SingularityError, match=r"K is (inf|nan) at a = 0\.05 on s200"):
+            bs.k_quadrature(ManifoldSpec(Family.SPHERE, 200), 0.05)
+
+    def test_theta_quadrature_error_names_the_interval(self, monkeypatch):
+        ratios = bs._radial_ratios(S3)
+        broken = ratios._replace(moment=lambda s: np.full(s.size, np.nan))
+        monkeypatch.setattr(bs, "_radial_ratios", lambda spec: broken)
+        with pytest.raises(QuadratureError, match=r"not finite on \[0\.0, 0\.3\]"):
+            bs.theta_quadrature(S3, 0.3)
+
+
 class TestArrayKernels:
     @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2])
     def test_lone_radius_matches_batch_bit_for_bit(self, spec):
@@ -540,87 +601,6 @@ class TestArrayKernels:
         assert theta.tolist() == [bs.theta_value(spec, a) for a in radii.tolist()]
         assert k.tolist() == [bs.k_closed(spec, a) for a in radii.tolist()]
         assert theta.tolist() == [bs.theta_closed(spec, a) for a in radii.tolist()]
-
-    @pytest.mark.parametrize("spec", [S2, S3, RP3])
-    def test_quadrature_radius_matches_batch_bit_for_bit(self, spec, monkeypatch):
-        D = diameter(spec)
-        # 31 random radii, one that takes the adaptive fallback, and D itself
-        radii = np.append(np.random.default_rng(33).uniform(0.005 * D, D, 31), [0.9 * D, D])
-        refined = []
-        inner = special_math._refine
-
-        def spy(f, index, lo, hi, value, err, abs_tol):
-            refined.extend(hi.tolist())
-            return inner(f, index, lo, hi, value, err, abs_tol)
-
-        monkeypatch.setattr(special_math, "_refine", spy)
-        k, theta = bs._quadratures(spec, radii, bs._ball_volumes(spec, radii))
-        assert 0.9 * D in refined
-        assert k.tolist() == [bs.k_quadrature(spec, a) for a in radii.tolist()]
-        assert theta.tolist() == [bs.theta_quadrature(spec, a) for a in radii.tolist()]
-
-    @pytest.mark.parametrize("fraction", [0.1, 0.7, 1.0])
-    def test_lone_radius_makes_one_integrate_intervals_call(self, fraction, monkeypatch):
-        # one radius in each K branch of S^3: V(a) <= V/2, a < D past that, and a = D
-        calls, sizes = [], []
-        batched = bs.integrate_intervals
-
-        def spy(f, lo, hi):
-            calls.append(hi.size)
-            return batched(f, lo, hi)
-
-        def watched(fn):
-            def call(s):
-                sizes.append(np.size(s))
-                return fn(s)
-
-            return call
-
-        ratios = bs._radial_ratios(S3)
-        monkeypatch.setattr(bs, "integrate_intervals", spy)
-        monkeypatch.setattr(bs, "_radial_ratios", lambda spec: type(ratios)(*map(watched, ratios)))
-        bs.k_quadrature(S3, fraction * diameter(S3))
-        assert calls == [1]
-        assert sizes and min(sizes) > 0
-
-    @pytest.mark.parametrize("spec", [S3, RP3])
-    def test_one_quadrature_call_per_pass(self, spec, monkeypatch):
-        # a bound search's 33-radius pass and a one-radius pass: every K and
-        # Theta row of a pass shares one integrate_intervals call
-        calls = []
-        batched = bs.integrate_intervals
-
-        def spy(f, lo, hi):
-            calls.append(hi.size)
-            return batched(f, lo, hi)
-
-        monkeypatch.setattr(bs, "integrate_intervals", spy)
-        passes = ((np.append(bounds._log_grid(spec, 1000), 0.3 * diameter(spec)), 2 * 33), ([0.8 * diameter(spec)], 2))
-        for radii, rows in passes:
-            radii = bs._kernel_radii(spec, radii, "K")
-            calls.clear()
-            bs._quadratures(spec, radii, bs._ball_volumes(spec, radii))
-            assert calls == [rows]
-
-    def test_k_error_comes_before_a_theta_quadrature_error(self, monkeypatch):
-        # V V(a) underflows at a = 0.05 on S^200, so the quadrature's K is not
-        # finite there; a Theta row that cannot be integrated shares the call
-        # but must not hide that
-        spec = ManifoldSpec(Family.SPHERE, 200)
-        ratios = bs._radial_ratios(spec)
-        broken = ratios._replace(moment=lambda s: np.full(s.size, np.nan))
-        monkeypatch.setattr(bs, "_radial_ratios", lambda spec: broken)
-        radii = np.array([1.0, 0.05])
-        with pytest.raises(SingularityError, match=r"K is (inf|nan) at a = 0\.05 on s200"):
-            bs._quadratures(spec, radii, bs._ball_volumes(spec, radii))
-
-    def test_theta_quadrature_error_raised_once_k_is_finite(self, monkeypatch):
-        ratios = bs._radial_ratios(S3)
-        broken = ratios._replace(moment=lambda s: np.full(s.size, np.nan))
-        monkeypatch.setattr(bs, "_radial_ratios", lambda spec: broken)
-        radii = np.array([0.3])
-        with pytest.raises(QuadratureError, match=r"not finite on \[0\.0, 0\.3\]"):
-            bs._quadratures(S3, radii, bs._ball_volumes(S3, radii))
 
     @pytest.mark.parametrize("radii", [[0.5, 0.0], [0.5, 3.2], [[0.5]], [0.5, float("nan")]])
     def test_radii_outside_the_domain_rejected(self, radii):

@@ -14,7 +14,7 @@ import greenlab
 from greenlab import energy as en
 from greenlab import verify
 from greenlab.cli import main
-from greenlab.manifold import Family, ManifoldSpec, volume
+from greenlab.manifold import Family, ManifoldSpec, diameter, volume
 
 SRC = os.path.dirname(os.path.dirname(greenlab.__file__))
 
@@ -219,6 +219,14 @@ class TestBall:
             cells = [float(v) for v in row[2:]]
             assert all(math.isfinite(v) for v in cells)
             assert cells[-2] < 1e-7 and cells[-1] < 1e-7
+
+    @pytest.mark.parametrize(("family", "n"), [("s", 3), ("rp", 3), ("cp", 2), ("hp", 1), ("op2", 2)])
+    def test_theta_error_at_the_diameter_is_relative_to_phi(self, capsys, family, n):
+        # Theta is 0 at D up to rounding, so its error is measured against phi(D)
+        radius = repr(diameter(ManifoldSpec.from_token(family, n)))
+        code, out, _ = run_cli(capsys, "ball", "--family", family, "--n", str(n), "--radius", radius)
+        assert code == 0
+        assert float(out.strip().splitlines()[1].split(",")[-1]) <= 1e-12
 
 
 class TestEnergyAndOptimize:

@@ -1,17 +1,17 @@
 """The integration rule lives in `special_math` alone, and has no unused knobs.
 
-`special_math.integrate_intervals` is the one routine that takes first
-panels in a batch and bisects the intervals that miss; `integrate` is its
-one-interval case. Another module that reached for the panel or the
-bisection loop directly would write the rule a second time.
+`special_math.integrate` is the one adaptive routine: it takes a first
+panel and bisects one subinterval at a time. Another module that reached
+for the panels or the bisection loop directly would write the rule a
+second time.
 
-In `ball_stats`, one routine integrates every K and Theta row of a pass in
-one `integrate_intervals` call; a second caller would bring back a
-per-branch or per-kernel call beside it.
+In `ball_stats`, `k_quadrature` and `theta_quadrature` integrate one
+radius each; a routine beside them that integrated a kernel would bring
+back a second path to the same oracle.
 
 The bound and the energy report take K and Theta from the closed forms on
-every family: a spy on both integration routines, under every name a
-module imports them by, sees no call.
+every family: a spy on the integration routine, under every name a
+module imports it by, sees no call.
 
 Likewise the optimizer reads phi' from the profile's closed form: an
 `energy` that named the direct slope would put it back on the hot path.
@@ -32,7 +32,7 @@ from greenlab import ball_stats, bounds, energy, green, special_math
 from greenlab.manifold import Family, ManifoldSpec, sample_uniform
 
 SRC = Path(greenlab.__file__).resolve().parent
-PRIVATE_RULE = {"_refine", "gauss_kronrod_panels"}
+PRIVATE_RULE = {"_panels", "gauss_kronrod_panels"}
 
 
 def names_used(path: Path) -> set:
@@ -64,7 +64,6 @@ def test_rule_is_written_once(path):
         green.phi_hat,
         green.build_profile,
         special_math.integrate,
-        special_math.integrate_intervals,
     ],
     ids=lambda fn: fn.__name__,
 )
@@ -104,7 +103,12 @@ def callers(path: Path, name: str) -> set:
 
 
 def test_kernels_integrate_from_one_routine():
-    assert callers(SRC / "ball_stats.py", "integrate_intervals") == {"_quadratures"}
+    assert callers(SRC / "ball_stats.py", "integrate") == {
+        "cum_volume_over_area",
+        "k_quadrature",
+        "theta_quadrature",
+        "ball_average_green",
+    }
 
 
 def test_optimizer_reads_the_slope_table():
@@ -117,20 +121,19 @@ def test_optimize_command_does_not_sweep_the_energy_again():
 
 @pytest.fixture
 def quadrature_calls(monkeypatch):
-    """The names of the integration routines called while a test runs, through
-    any greenlab module's name for them; no bound or profile comes from a cache."""
+    """The integration routine's name once per call while a test runs, through
+    any greenlab module's name for it; no bound or profile comes from a cache."""
     calls = []
     modules = [m for key, m in sys.modules.items() if key == "greenlab" or key.startswith("greenlab.")]
-    for name in ("integrate", "integrate_intervals"):
-        original = getattr(special_math, name)
+    original = special_math.integrate
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append("integrate")
+        return original(*args, **kwargs)
 
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, spy)
+    for module in modules:
+        if getattr(module, "integrate", None) is original:
+            monkeypatch.setattr(module, "integrate", spy)
     monkeypatch.setattr(bounds, "_REPORTS", {})
     monkeypatch.setattr(green, "_PROFILE_CACHE", {})
     return calls
@@ -138,7 +141,7 @@ def quadrature_calls(monkeypatch):
 
 def test_the_spy_sees_the_quadrature(quadrature_calls):
     ball_stats.k_quadrature(ManifoldSpec(Family.SPHERE, 3), 0.5)
-    assert quadrature_calls == ["integrate_intervals"]
+    assert quadrature_calls == ["integrate"]
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from greenlab.special_math import (
     gauss_kronrod_panel,
     gauss_kronrod_panels,
     integrate,
-    integrate_intervals,
     log_gamma,
     reg_incomplete_beta,
     vol_unit_sphere,
@@ -185,6 +184,12 @@ class TestIntegrate:
             with pytest.raises(QuadratureError, match="not finite"):
                 integrate(lambda t: 1.0 / (t - t), 0.0, 1.0)
 
+    def test_non_finite_interval_raises(self):
+        # the message names the interval
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(QuadratureError, match=r"not finite on \[1.0, 2.0\]"):
+                integrate(lambda x: np.full_like(x, np.inf), 1.0, 2.0)
+
     def test_integrand_called_once_per_panel(self):
         calls = []
 
@@ -266,94 +271,6 @@ class TestPanels:
             )
         assert values == pytest.approx([3.0, 12.0], rel=1e-15)
         assert errors == pytest.approx(50.0 * 2.0**-52 * resabs, rel=1e-14)
-
-
-class TestIntegrateIntervals:
-    def test_each_interval_gets_the_bits_of_integrate_alone(self, monkeypatch):
-        # a Runge bump of width w[i] on each interval; only the narrow one on
-        # [-1, 1] misses its first panel and is bisected
-        lo = np.array([0.0, -1.0, 2.0, 0.5])
-        hi = np.array([1.0, 1.0, 3.0, 0.6])
-        width = np.array([10.0, 1e-3, 20.0, 5.0])
-        refined = []
-        inner = special_math._refine
-
-        def spy(f, index, a, b, value, err, abs_tol):
-            refined.extend(zip(a.tolist(), b.tolist()))
-            return inner(f, index, a, b, value, err, abs_tol)
-
-        monkeypatch.setattr(special_math, "_refine", spy)
-        batch = integrate_intervals(lambda x, rows: 1.0 / (width[rows] ** 2 + x * x), lo, hi)
-        assert refined == [(-1.0, 1.0)]
-        lone = [
-            integrate(lambda x, w=w: 1.0 / (w * w + x * x), a, b)
-            for a, b, w in zip(lo.tolist(), hi.tolist(), width.tolist())
-        ]
-        assert batch.tolist() == lone
-        assert batch[1] == pytest.approx(2e3 * math.atan(1e3), rel=1e-12)
-
-    def test_missed_intervals_are_bisected_together(self):
-        # narrow Runge bumps that each need several bisections, and a wide one
-        # that needs none: one integrand call per round of bisections, not one
-        # per bisection
-        lo = np.array([-1.0, 0.0, -2.0, -0.5, 3.0])
-        hi = np.array([1.0, 2.0, 1.0, 0.5, 4.0])
-        width = np.array([1e-2, 3e-3, 1e-3, 3e-2, 2.0])
-        calls = []
-
-        def bump(x, w):
-            calls.append(x.size)
-            return 1.0 / (w * w + x * x)
-
-        batch = integrate_intervals(lambda x, rows: bump(x, width[rows]), lo, hi)
-        rounds = len(calls) - 1
-        lone, bisections = [], []
-        for a, b, w in zip(lo.tolist(), hi.tolist(), width.tolist()):
-            calls.clear()
-            lone.append(integrate(lambda x, w=w: bump(x, w), a, b))
-            bisections.append(len(calls) - 1)
-        assert batch.tolist() == lone
-        assert min(bisections[:4]) >= 3 and bisections[4] == 0
-        assert rounds == max(bisections) < sum(bisections)
-
-    @pytest.mark.parametrize(
-        "kinds, message",
-        [
-            # the narrow bump runs out of subdivisions after the later interval
-            # is found not finite: the earlier interval's error
-            (["wide", "narrow", "inf"], "within 4 subdivisions"),
-            # the earlier interval is not finite from its first panel, and the
-            # later one would run out of subdivisions after it
-            (["inf", "narrow", "wide"], r"not finite on \[0.0, 1.0\]"),
-        ],
-    )
-    def test_lowest_failing_interval_raises(self, kinds, message, monkeypatch):
-        # as if the intervals ran one after another
-        monkeypatch.setattr(special_math, "_MAX_SUBDIVISIONS", 4)
-        width = np.array([{"wide": 1.0, "narrow": 1e-4, "inf": 1.0}[kind] for kind in kinds])
-        infinite = np.array([kind == "inf" for kind in kinds])
-
-        def f(x, rows):
-            return np.where(infinite[rows], np.inf, 1.0 / (width[rows] ** 2 + x * x))
-
-        lo = np.array([-1.0 if kind == "narrow" else 0.0 for kind in kinds])
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(QuadratureError, match=message):
-                integrate_intervals(f, lo, np.ones(len(kinds)))
-
-    def test_empty_batch(self):
-        def f(x, rows):
-            raise AssertionError("an empty batch calls no integrand")
-
-        assert integrate_intervals(f, np.zeros(0), np.zeros(0)).shape == (0,)
-
-    def test_non_finite_interval_raises(self):
-        def f(x, rows):
-            return np.where(rows == 1, np.inf, x)
-
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(QuadratureError, match=r"not finite on \[1.0, 2.0\]"):
-                integrate_intervals(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
 
 
 class TestBetaContinuedFraction:
