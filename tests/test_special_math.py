@@ -190,6 +190,73 @@ class TestIntegrate:
             with pytest.raises(QuadratureError, match=r"not finite on \[1.0, 2.0\]"):
                 integrate(lambda x: np.full_like(x, np.inf), 1.0, 2.0)
 
+    def test_converged_first_panel_is_the_only_call(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return np.cos(t)
+
+        assert integrate(f, 0.0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-15)
+        assert calls == [(15,)]
+
+    def test_each_bisection_evaluates_both_halves_in_one_call(self):
+        # a narrow Runge bump misses its first panel and is bisected many times
+        w = 1e-3
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return 1.0 / (w * w + t * t)
+
+        val = integrate(f, -1.0, 1.0)
+        assert val == pytest.approx(2.0 / w * math.atan(1.0 / w), rel=1e-12)
+        assert len(calls) > 3
+        assert calls == [(15,)] + [(30,)] * (len(calls) - 1)
+
+    def test_bisects_the_largest_error_first(self, monkeypatch):
+        # replay the subintervals: each bisected one has the largest error
+        # estimate of those not yet bisected
+        leaves = {}
+        inner = special_math._panels
+
+        def spy(f, lo, hi):
+            out = inner(f, lo, hi)
+            if leaves:
+                parent = (float(lo[0]), float(hi[-1]))
+                assert leaves[parent] == max(leaves.values())
+                del leaves[parent]
+            leaves.update(zip(zip(lo.tolist(), hi.tolist()), out[1].tolist()))
+            return out
+
+        monkeypatch.setattr(special_math, "_panels", spy)
+        w = np.array([1e-3, 3e-2])
+        val = integrate(lambda t: (1.0 / (w[:, None] ** 2 + (t - 0.5) ** 2)).sum(axis=0), 0.0, 1.0)
+        assert val == pytest.approx(float((2.0 / w * np.arctan(0.5 / w)).sum()), rel=1e-12)
+        assert len(leaves) > 4
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            # the narrow bump runs out of subdivisions
+            ("narrow", "within 4 subdivisions"),
+            # a first panel that is not finite raises before any bisection
+            ("inf", r"not finite on \[0.0, 1.0\]"),
+        ],
+    )
+    def test_error_under_a_subdivision_cap(self, kind, message, monkeypatch):
+        monkeypatch.setattr(special_math, "_MAX_SUBDIVISIONS", 4)
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return np.full_like(t, np.inf) if kind == "inf" else 1.0 / (1e-8 + t * t)
+
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(QuadratureError, match=message):
+                integrate(f, -1.0 if kind == "narrow" else 0.0, 1.0)
+        assert len(calls) == (4 if kind == "narrow" else 1)
+
     def test_integrand_called_once_per_panel(self):
         calls = []
 
