@@ -14,12 +14,16 @@ profile. With H(a) = int_0^a V/v and J(a) = int_0^a V^2/v they are
 
 Every family evaluates both in closed form, from exact coefficients derived
 once per manifold in rational arithmetic, through one numpy evaluator over
-the radius array (`_closed_kernels`). Every step is elementwise, so a
-radius gets the same bits alone and in any batch: `k_values`,
-`theta_values` and the bound's `finite_bounds` call it, and `k_closed`,
-`theta_closed`, `k_value` and `theta_value` are its one-radius case.
-Nothing is memoised but the coefficients. A non-finite K or Theta raises
-SingularityError naming the radius.
+the radius array (`_closed_kernels`). The same pass returns the ball
+fraction mu = V(a)/V from values it already holds: x^m D(y) on CP^n, HP^n
+and OP^2, and on S^n and RP^n the one `_regularized_beta` call that the
+sphere's kernels make, which on RP^n also takes RP^n's own fraction.
+Every step is elementwise, so a radius gets the same bits alone and in
+any batch: `k_values`, `theta_values` and the bound's `finite_bounds` and
+radius lattice call it, and `k_closed`, `theta_closed`, `k_value` and
+`theta_value` are its one-radius case. Nothing is memoised here but the
+coefficients. A non-finite K or Theta raises SingularityError naming the
+radius.
 
 S^n, every n. In x = sin^2(a/2) and y = cos^2(a/2), with m = n/2, the ball
 fraction is mu = I_x(m, m) = x^m y^m F(x) / (m B(m, m)) with
@@ -473,11 +477,14 @@ def _form_arrays(forms: tuple[_ClosedForm, _ClosedForm]) -> tuple:
     return polys, *columns
 
 
-def _form_kernels(forms: tuple[_ClosedForm, _ClosedForm], a: np.ndarray) -> np.ndarray:
-    """[K, Theta] at every radius from the forms of CP^n, HP^n or OP^2,
+def _form_kernels(
+    forms: tuple[_ClosedForm, _ClosedForm], a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """([K, Theta], mu) at every radius from the forms of CP^n, HP^n or OP^2,
     elementwise: each kernel's series below its switch, its direct formula
     from there on. Row 0 is K, in t = x = sin^2 a and u = y = cos^2 a; row 1
-    Theta, in t = y and u = x."""
+    Theta, in t = y and u = x. mu = V(a)/V = x^m D(y) takes D(y) from the
+    same pass (m is K's e)."""
     polys, switch, e, scale, t_is_x = _form_arrays(forms)
     roots = np.stack([np.sin(a), np.cos(a)])
     t = roots * roots
@@ -488,7 +495,8 @@ def _form_kernels(forms: tuple[_ClosedForm, _ClosedForm], a: np.ndarray) -> np.n
     low = t < switch
     # K's series is already divided by x^e
     power = np.where(low & t_is_x, 0, e)
-    return np.where(low, series, direct) / (scale * roots[0] ** (2 * power) * values[6])
+    kernels = np.where(low, series, direct) / (scale * roots[0] ** (2 * power) * values[6])
+    return kernels, t[0] ** forms[0].e * values[6]
 
 
 @functools.cache
@@ -541,18 +549,28 @@ def _sphere_series(n: int) -> tuple[tuple[float, ...], ...]:
             return tuple(map(tuple, coeffs))
 
 
-def _sphere_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V K and V Theta on S^n at every radius, from the profile and `_sphere_series`.
+def _sphere_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V_S K and V_S Theta of S^n, n = spec.n, at every radius, from the
+    profile and `_sphere_series`, and mu = V(a)/V of spec, S^n or RP^n. One
+    `_regularized_beta` call gives the sphere's mu and, on RP^n, its own
+    I_(sin^2 a)(n/2, 1/2).
 
     With t = min(x, y) and u = max(x, y), x = sin^2(a/2): the profile's
     direct form at (t, u) is phi_hat(a) up to a = pi/2 and H(a) = phi_hat(pi - a)
     past it, and the series at t give H(a) and q(x) up to pi/2, phi_hat(a)
     and q(y) past it.
     """
-    prof = get_profile(spec)
+    sphere = ManifoldSpec(Family.SPHERE, spec.n)
+    prof = get_profile(sphere)
     c = prof.c_m
-    x, y = _sin_cos_squares(spec, a)
-    mu, rest = _regularized_beta(spec.n / 2, spec.n / 2, x, y)
+    x, y = _sin_cos_squares(sphere, a)
+    m = spec.n / 2
+    if spec.family is Family.SPHERE:
+        mu, rest = _regularized_beta(m, m, x, y)
+        fraction = mu
+    else:  # a row for the sphere and one for RP^n, each with its own parameters
+        rows = [np.stack(pair) for pair in zip((x, y), _sin_cos_squares(spec, a))]
+        (mu, fraction), (rest, _) = _regularized_beta(np.array([[m], [m]]), np.array([[m], [0.5]]), *rows)
     near = x <= y
     t, u = np.where(near, x, y), np.where(near, y, x)
     f_t, h_t, r_t = _power_sums(_sphere_series(spec.n), np.broadcast_to(t, (3, t.size)))
@@ -562,27 +580,28 @@ def _sphere_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.n
     far = np.where(rest > 0.0, (q - direct) * rest, 0.0)
     k = np.where(near, h_t - q, (far - c - h_t) / mu)
     theta = np.where(near, direct + c + k + h_t * rest / mu, rest * (q - h_t - c) / mu)
-    return k, theta
+    return k, theta, fraction
 
 
-def _closed_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, Theta) at checked radii, elementwise from the closed forms: a
-    radius gets the same bits alone and in any batch. Values that leave the
-    range of a double come back as inf or nan.
+def _closed_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, Theta, mu) at checked radii, mu = V(a)/V, elementwise from the
+    closed forms in one pass: a radius gets the same bits alone and in any
+    batch. Values that leave the range of a double come back as inf or nan.
 
     RP^n is S^n's double cover (module docstring): K_RP = 2 K_S and
     Theta_RP = Theta_S + K_S + c_S / V_S, at a <= pi/2.
     """
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        if spec.family is Family.REAL_PROJ:
-            sphere = ManifoldSpec(Family.SPHERE, spec.n)
-            k, theta = _closed_kernels(sphere, a)
-            return 2.0 * k, theta + k + get_profile(sphere).c_m / volume(sphere)
-        if spec.family is not Family.SPHERE:
-            return _form_kernels((_closed_form(spec, "k"), _closed_form(spec, "theta")), a)
-        V = volume(spec)
-        k, theta = _sphere_kernels(spec, a)
-        return k / V, theta / V
+        if spec.family not in (Family.SPHERE, Family.REAL_PROJ):
+            (k, theta), mu = _form_kernels((_closed_form(spec, "k"), _closed_form(spec, "theta")), a)
+            return k, theta, mu
+        sphere = ManifoldSpec(Family.SPHERE, spec.n)
+        V = volume(sphere)
+        k, theta, mu = _sphere_kernels(spec, a)
+        k, theta = k / V, theta / V
+        if spec.family is Family.SPHERE:
+            return k, theta, mu
+        return 2.0 * k, theta + k + get_profile(sphere).c_m / V, mu
 
 
 def k_closed(spec: ManifoldSpec, a: float) -> float:
@@ -600,11 +619,11 @@ def theta_closed(spec: ManifoldSpec, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernels(spec: ManifoldSpec, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, Theta) at checked radii from `_closed_kernels`; a non-finite value
-    raises SingularityError naming its radius, K's first."""
-    k, theta = _closed_kernels(spec, radii)
-    return _require_finite(k, radii, "K", spec), _require_finite(theta, radii, "Theta", spec)
+def _kernels(spec: ManifoldSpec, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, Theta, mu) at checked radii from `_closed_kernels`; a non-finite K
+    or Theta raises SingularityError naming its radius, K's first."""
+    k, theta, mu = _closed_kernels(spec, radii)
+    return _require_finite(k, radii, "K", spec), _require_finite(theta, radii, "Theta", spec), mu
 
 
 def k_values(spec: ManifoldSpec, radii) -> np.ndarray:

@@ -10,31 +10,39 @@ asymptotic coefficient of N^(2-2/d), which this module reproduces both
 through the general pipeline and through the per-family closed formulas,
 together with the prior coefficients they are compared against.
 
-`best_finite_bound` maximises the finite-N bound over a: a 32-point log
-grid from a small radius to exactly D, with the asymptotic radius when
-d > 2, is one `finite_bounds` pass (K and Theta over all radii at once).
-A Chebyshev proxy in log a on the grid argmax's neighbours takes a second
-pass over its 22 interior nodes, and the proxy's maximiser a third (Boyd,
-SIAM Review 55, 2013). Each (spec, N) is searched once per process;
-later calls get copies of the stored report.
+K, Theta and mu = V(a)/V do not depend on N, so `best_finite_bound`
+searches a on a log lattice that each manifold computes once: from
+1e-4 D to exactly D, spaced no wider than the 32-point report grid at
+N = 1000. K, Theta and mu at the lattice radii, and at the 24
+Chebyshev-Lobatto nodes in log a of each lattice bracket
+[L(i-1), L(i+1)] the first time it is used, are kept as read-only arrays
+(non-finite values included). Per N the search is then arithmetic on
+them: the lattice argmax over the finite values picks the bracket, whose
+cached nodes are round 0 of a Chebyshev proxy of the bound (Boyd, SIAM
+Review 55, 2013); an unresolved proxy, as where the bracket ends at D, is
+rebuilt on its best node's neighbours by one `finite_bounds` pass a
+round. One `finite_bounds` pass then evaluates the report's grid (32
+log-spaced radii from a small radius to exactly D), the asymptotic radius
+when d > 2 and the proxy's maximiser together. Each (spec, N) is searched
+once per process; later calls get copies of the stored report.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ball_stats import _kernel_radii, _kernels, _require_finite
+from .ball_stats import _closed_kernels, _kernel_radii, _kernels, _require_finite
 from .chebyshev import lobatto_nodes
 from .errors import DomainError, UnsupportedManifoldError
 from .manifold import (
     Family,
     ManifoldSpec,
     _volume_ratio,
-    ball_volume_fraction,
     diameter,
     dimension,
     volume,
@@ -105,24 +113,27 @@ class BoundReport:
         }
 
 
+def _bounds(V: float, N: int, k: np.ndarray, theta: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The bound from K, Theta and mu = V(a)/V at each radius, elementwise;
+    non-finite where they or V(a) = V mu leave the range of a double."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return N * (1.0 - 2.0 * N + V / (V * mu)) * k - N * theta
+
+
 def finite_bounds(spec: ManifoldSpec, N: int, radii) -> np.ndarray:
     """The certified lower bound at every probe radius of a 1-D array.
 
-    The radii are checked and V(a) computed once, and K and Theta come from
-    one pass of the closed forms behind `k_values` and `theta_values`, with
-    no quadrature, so a radius gets the same bits alone as in any batch. A
-    non-finite bound, as where V(a) underflows, raises SingularityError
-    naming the radius.
+    The radii are checked, and K, Theta and mu = V(a)/V come from one pass
+    of the closed forms behind `k_values` and `theta_values`, with no
+    quadrature, so a radius gets the same bits alone as in any batch. A
+    non-finite K, Theta or bound, as where V(a) underflows, raises
+    SingularityError naming the radius.
     """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
     radii = _kernel_radii(spec, radii, "the bound")
     V = volume(spec)
-    va = V * ball_volume_fraction(spec, radii)
-    k, theta = _kernels(spec, radii)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = N * (1.0 - 2.0 * N + V / va) * k - N * theta
-    return _require_finite(bound, radii, "the bound", spec)
+    return _require_finite(_bounds(V, N, *_kernels(spec, radii)), radii, "the bound", spec)
 
 
 def finite_bound(spec: ManifoldSpec, N: int, a: float) -> float:
@@ -210,13 +221,21 @@ def legacy_2d_constants() -> dict[str, float]:
     }
 
 
-def _log_grid(spec: ManifoldSpec, N: int, count: int = GRID_POINTS) -> np.ndarray:
-    """count log-spaced radii from lo to exactly D."""
-    D = diameter(spec)
-    lo = max(1e-4 * D, 0.05 * D * float(N) ** (-2.0 / dimension(spec)))
-    step = (math.log(D) - math.log(lo)) / (count - 1)
+_FLOOR = 1e-4  # the smallest radius searched, as a share of D
+
+
+def _log_radii(lo: float, hi: float, count: int) -> np.ndarray:
+    """count log-spaced radii from exactly lo to exactly hi."""
+    step = (math.log(hi) - math.log(lo)) / (count - 1)
     inner = [math.exp(math.log(lo) + k * step) for k in range(1, count - 1)]
-    return np.array([lo, *inner, D])
+    return np.array([lo, *inner, hi])
+
+
+def _log_grid(spec: ManifoldSpec, N: int) -> np.ndarray:
+    """The report's GRID_POINTS radii, log-spaced from lo to exactly D."""
+    D = diameter(spec)
+    lo = max(_FLOOR * D, 0.05 * D * float(N) ** (-2.0 / dimension(spec)))
+    return _log_radii(lo, D, GRID_POINTS)
 
 
 _NODES = 24  # Chebyshev-Lobatto nodes of a proxy, both bracket ends included
@@ -255,20 +274,28 @@ def _proxy_argmax(c: np.ndarray, j: int) -> float | None:
     return x
 
 
-def _proxy_search(spec: ManifoldSpec, N: int, ends) -> dict[float, float]:
-    """Maximize the bound over the bracket ends = ((lo, bound), (hi, bound)) by proxies in log a.
+def _lobatto_radii(lo: float, hi: float) -> list[float]:
+    """The _NODES Chebyshev-Lobatto nodes of [lo, hi] in log a, ends exact."""
+    t_mid, t_half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
+    return [lo, *np.exp(t_mid + t_half * _LOBATTO[1:-1]).tolist(), hi]
 
-    A round is one `finite_bounds` pass over the bracket's interior Lobatto
-    nodes; an unresolved proxy (where the bound is not analytic at an end,
-    as Theta at D) is rebuilt on its best node's neighbours. The proxy's
-    maximiser takes one `finite_bound`. Returns every radius evaluated.
+
+def _proxy_search(spec: ManifoldSpec, N: int, radii: list[float], values: list[float]):
+    """Maximize the bound by proxies in log a, from its values at the
+    `_lobatto_radii` of a bracket (round 0).
+
+    An unresolved proxy (where the bound is not analytic at an end, as
+    Theta at D) is rebuilt on its best node's neighbours, one
+    `finite_bounds` pass over the interior nodes a round. Returns every
+    radius evaluated, and the last proxy's maximiser, or None where the
+    proxy rises towards an end of its bracket; the caller evaluates it.
     """
     evaluations = {}
     for rounds in range(_ROUNDS):
-        (lo, f_lo), (hi, f_hi) = ends
-        t_mid, t_half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
-        radii = [lo, *np.exp(t_mid + t_half * _LOBATTO[1:-1]).tolist(), hi]
-        values = [f_lo, *finite_bounds(spec, N, radii[1:-1]).tolist(), f_hi]
+        if rounds:
+            (lo, f_lo), (hi, f_hi) = ends
+            radii = _lobatto_radii(lo, hi)
+            values = [f_lo, *finite_bounds(spec, N, radii[1:-1]).tolist(), f_hi]
         evaluations.update(zip(radii, values))
         c = _DCT @ values
         j = max(range(_NODES), key=values.__getitem__)
@@ -276,10 +303,56 @@ def _proxy_search(spec: ManifoldSpec, N: int, ends) -> dict[float, float]:
             break
         ends = [(radii[i], values[i]) for i in (max(j - 1, 0), min(j + 1, _NODES - 1))]
     x = _proxy_argmax(c, j)
-    if x is not None:
-        a = min(max(math.exp(t_mid + t_half * x), lo), hi)
-        evaluations[a] = finite_bound(spec, N, a)
-    return evaluations
+    if x is None:
+        return evaluations, None
+    lo, hi = radii[0], radii[-1]
+    t_mid, t_half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
+    return evaluations, min(max(math.exp(t_mid + t_half * x), lo), hi)
+
+
+@dataclass(frozen=True)
+class _KernelTable:
+    """K, Theta and mu = V(a)/V, the rows of values, at radii: read-only,
+    non-finite values kept."""
+
+    radii: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.radii.flags.writeable = False
+        self.values.flags.writeable = False
+
+    def bounds(self, spec: ManifoldSpec, N: int) -> np.ndarray:
+        """The bound at every radius, with the bits `finite_bounds` gives it."""
+        return _bounds(volume(spec), N, *self.values)
+
+
+def _kernel_rows(spec: ManifoldSpec, radii: np.ndarray) -> np.ndarray:
+    """[K, Theta, mu] at radii in (0, D] from one `_closed_kernels` pass."""
+    return np.array(_closed_kernels(spec, radii))
+
+
+@functools.cache
+def _lattice(spec: ManifoldSpec) -> _KernelTable:
+    """The search lattice: log-spaced from _FLOOR D to exactly D, at most as
+    far apart as the report grid's radii at N = 1000."""
+    grid = _log_grid(spec, 1000)
+    # where that grid starts at the floor (d = 2), the lattice is that grid
+    count = math.ceil(math.log(1.0 / _FLOOR) / math.log(grid[1] / grid[0]) - 1e-9) + 1
+    radii = _log_radii(_FLOOR * grid[-1], grid[-1], count)
+    return _KernelTable(radii, _kernel_rows(spec, radii))
+
+
+@functools.cache
+def _bracket(spec: ManifoldSpec, i: int) -> _KernelTable:
+    """The `_lobatto_radii` of the lattice bracket [L(i-1), L(i+1)]: the ends
+    from the lattice, the interior nodes from one pass."""
+    lattice = _lattice(spec)
+    ends = [max(i - 1, 0), min(i + 1, len(lattice.radii) - 1)]
+    radii = _lobatto_radii(*lattice.radii[ends].tolist())
+    inner = _kernel_rows(spec, np.array(radii[1:-1]))
+    lo, hi = lattice.values[:, ends].T
+    return _KernelTable(np.array(radii), np.column_stack([lo, inner, hi]))
 
 
 _REPORTS: dict[tuple[ManifoldSpec, int], BoundReport] = {}
@@ -321,15 +394,32 @@ def _search_radius(spec: ManifoldSpec, N: int) -> BoundReport:
             report.matzke_coefficient = None
         radii = np.append(grid_radii, report.asymptotic_a)
 
+    # the bound is flat near its maximum; bracket it by the lattice argmax's neighbours
+    evaluations, best = {}, None
+    lattice = _lattice(spec)
+    values = lattice.bounds(spec, N)
+    finite = np.isfinite(values)
+    if finite.any():
+        i = int(np.argmax(np.where(finite, values, -np.inf)))
+        evaluations[lattice.radii[i].item()] = values[i].item()
+        bracket = _bracket(spec, i)
+        nodes = bracket.bounds(spec, N)
+        if not np.isfinite(nodes).all():
+            # raise as a search by `finite_bounds` alone would: the grid's error first
+            finite_bounds(spec, N, radii)
+            nodes = finite_bounds(spec, N, bracket.radii)
+        found, best = _proxy_search(spec, N, bracket.radii.tolist(), nodes.tolist())
+        evaluations.update(found)
+    if best is not None:
+        radii = np.append(radii, best)
+
     values = finite_bounds(spec, N, radii).tolist()
     grid = report.radius_grid = list(zip(grid_radii.tolist(), values))
-    evaluations = dict(grid)
+    evaluations.update(grid)
     if d > 2:
-        report.asymptotic_bound = evaluations[report.asymptotic_a] = values[-1]
-    # the bound is flat near its maximum; bracket it by the grid argmax's neighbours
-    b = max(range(len(grid)), key=lambda i: grid[i][1])
-    ends = grid[max(b - 1, 0)], grid[min(b + 1, len(grid) - 1)]
-    evaluations.update(_proxy_search(spec, N, ends))
+        report.asymptotic_bound = evaluations[report.asymptotic_a] = values[GRID_POINTS]
+    if best is not None:
+        evaluations[best] = values[-1]
     report.best_a, report.best_bound = max(evaluations.items(), key=lambda kv: kv[1])
     report.__post_init__()
     return report

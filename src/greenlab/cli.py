@@ -16,7 +16,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import __version__
 from . import ball_stats as bs
@@ -58,7 +58,8 @@ def _format_cell(x) -> str:
 
 
 def _emit(args, payload: str, manifest: RunManifest) -> None:
-    manifest_json = json.dumps(asdict(manifest), indent=2, default=str)
+    # the fields as they are: asdict would deep-copy the parameters first
+    manifest_json = json.dumps(vars(manifest), indent=2, default=str)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)

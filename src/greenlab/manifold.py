@@ -277,17 +277,14 @@ def _sin_cos_squares(spec: ManifoldSpec, r: np.ndarray) -> tuple[np.ndarray, np.
     return np.sin(s * r) ** 2, np.cos(s * r) ** 2
 
 
-def _regularized_beta(p: float, q: float, t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _regularized_beta(p, q, t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(I_t(p, q), I_u(q, p)) for t + u = 1: betainc in t up to the mean t = p / (p + q) and
-    in u above it (at 0 it is free), so neither argument is taken as 1 minus the other."""
+    in u above it, so neither argument is taken as 1 minus the other; one betainc call.
+    p and q are floats or arrays that broadcast against t."""
     above = t > p / (p + q)
-    if not above.any():  # every t on one side: one call, the same bits
-        return (lower := betainc(p, q, t)), 1.0 - lower
-    if above.all():
-        return 1.0 - (upper := betainc(q, p, u)), upper
-    lower = betainc(p, q, np.where(above, 0.0, t))
-    upper = betainc(q, p, np.where(above, u, 0.0))
-    return np.where(above, 1.0 - upper, lower), np.where(above, upper, 1.0 - lower)
+    # each element with its own side's parameters
+    near = betainc(np.where(above, q, p), np.where(above, p, q), np.where(above, u, t))
+    return np.where(above, 1.0 - near, near), np.where(above, near, 1.0 - near)
 
 
 def _density(spec: ManifoldSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from greenlab.manifold import (
     ManifoldSpec,
     _integer_record,
     ball_volume,
+    ball_volume_fraction,
     bm_constant,
     diameter,
     dimension,
@@ -284,7 +285,7 @@ class TestClosedFormsAgainstMpmath:
             # the radius whose sin^2 (K) or cos^2 (Theta) is the switch
             a = np.array([math.asin(math.sqrt(form.switch if form.t_is_x else 1.0 - form.switch))])
             series, direct = (
-                bs._form_kernels(tuple(dataclasses.replace(f, switch=switch) for f in forms), a)[row, 0]
+                bs._form_kernels(tuple(dataclasses.replace(f, switch=switch) for f in forms), a)[0][row, 0]
                 for switch in (2.0, -1.0)
             )
             assert direct == pytest.approx(series, rel=1e-14)
@@ -415,6 +416,27 @@ class TestRealProjectiveDoubleCover:
         # Theta on RP^n cancels to 0 at D, so it is measured against its terms
         scale = np.abs(theta_s) + np.abs(k_s) + abs(antipode)
         assert np.all(np.abs(theta_rp - (theta_s + k_s + antipode)) <= 1e-14 * scale)
+
+
+class TestKernelPassFraction:
+    """The closed kernel pass returns mu = V(a)/V with K and Theta: on S^n and
+    RP^n from the sphere's betainc call, with the bits of `ball_volume_fraction`,
+    and on CP^n, HP^n and OP^2 as x^m D(y), within a few ulps per power of x."""
+
+    @pytest.mark.parametrize(
+        "spec", [S2, S3, ManifoldSpec(Family.SPHERE, 61), RP2, RP3, ManifoldSpec(Family.REAL_PROJ, 21)], ids=str
+    )
+    def test_sphere_and_real_projective_fraction_is_betainc(self, spec):
+        radii = np.geomspace(1e-4, 1.0, 60) * diameter(spec)
+        assert bs._closed_kernels(spec, radii)[2].tolist() == ball_volume_fraction(spec, radii).tolist()
+
+    @pytest.mark.parametrize(
+        "spec", [CP2, HP1, OP2, ManifoldSpec(Family.COMPLEX_PROJ, 30), ManifoldSpec(Family.QUAT_PROJ, 15)], ids=str
+    )
+    def test_polynomial_fraction(self, spec):
+        radii = np.geomspace(1e-2, 1.0, 60) * diameter(spec)
+        mu, reference = bs._closed_kernels(spec, radii)[2], ball_volume_fraction(spec, radii)
+        assert np.all(np.abs(mu - reference) <= 4e-16 * dimension(spec) * reference)
 
 
 class TestBallAverage:

@@ -9,7 +9,7 @@ import pytest
 
 from greenlab import ball_stats as bs
 from greenlab import bounds as bd
-from greenlab.errors import DomainError, UnsupportedManifoldError
+from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.manifold import Family, ManifoldSpec, diameter, dimension, volume
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
@@ -215,24 +215,54 @@ def _golden_reference(spec, N, rep):
     return max(found)
 
 
+def clear_search_caches(monkeypatch):
+    """No report, lattice or bracket comes from an earlier search."""
+    monkeypatch.setattr(bd, "_REPORTS", {})
+    bd._lattice.cache_clear()
+    bd._bracket.cache_clear()
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The sizes of the `finite_bounds` passes and the number of kernel passes
+    (`_closed_kernels` calls, under either module's name) while a test runs."""
+    found = {"finite_bounds": [], "kernels": 0}
+    bounds, kernels = bd.finite_bounds, bs._closed_kernels
+
+    def counted_bounds(spec, N, radii):
+        found["finite_bounds"].append(len(radii))
+        return bounds(spec, N, radii)
+
+    def counted_kernels(spec, a):
+        found["kernels"] += 1
+        return kernels(spec, a)
+
+    monkeypatch.setattr(bd, "finite_bounds", counted_bounds)
+    monkeypatch.setattr(bd, "_closed_kernels", counted_kernels)
+    monkeypatch.setattr(bs, "_closed_kernels", counted_kernels)
+    return found
+
+
 class TestRadiusSearch:
     SPECS = [S2, S3, RP3, CP2, HP1, OP2]
 
     @pytest.mark.parametrize("spec", SPECS)
-    def test_few_evaluations(self, spec, monkeypatch):
-        calls = []
-        inner = bd.finite_bounds
-
-        def counted(spec, N, radii):
-            calls.append(len(radii))
-            return inner(spec, N, radii)
-
-        monkeypatch.setattr(bd, "finite_bounds", counted)
-        monkeypatch.setattr(bd, "_REPORTS", {})
+    def test_cold_search_fills_the_lattice_and_one_bracket(self, spec, monkeypatch, passes):
+        clear_search_caches(monkeypatch)
         bd.best_finite_bound(spec, 1000)
-        # the 32 grid points and the asymptotic radius, the proxy's interior
-        # nodes, then its maximiser: the first proxy is resolved
-        assert calls == [bd.GRID_POINTS + (dimension(spec) > 2), bd._NODES - 2, 1]
+        # the lattice, the bracket's interior nodes, then one final pass over the
+        # 32 grid points, the asymptotic radius and the proxy's maximiser: the
+        # first proxy is resolved
+        assert passes == {"finite_bounds": [bd.GRID_POINTS + (dimension(spec) > 2) + 1], "kernels": 3}
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_warm_search_makes_one_pass(self, spec, monkeypatch, passes):
+        clear_search_caches(monkeypatch)
+        bd.best_finite_bound(spec, 1000)
+        monkeypatch.setattr(bd, "_REPORTS", {})
+        passes.update(finite_bounds=[], kernels=0)
+        bd.best_finite_bound(spec, 1000)
+        assert passes == {"finite_bounds": [bd.GRID_POINTS + (dimension(spec) > 2) + 1], "kernels": 1}
 
     @pytest.mark.parametrize(
         ("spec", "N"),
@@ -253,7 +283,8 @@ class TestRadiusSearch:
 
     @staticmethod
     def analytic_search(monkeypatch, f, lo, hi):
-        """`_proxy_search` on [lo, hi] with f in place of the bound, and its pass sizes."""
+        """`_proxy_search` on [lo, hi] with f in place of the bound, and its pass
+        sizes: round 0's interior nodes, the later rounds' and the maximiser's."""
         passes = []
 
         def bounds(spec, N, radii):
@@ -261,7 +292,12 @@ class TestRadiusSearch:
             return f(np.asarray(radii, dtype=float))
 
         monkeypatch.setattr(bd, "finite_bounds", bounds)
-        return bd._proxy_search(S3, 10, ((lo, f(lo)), (hi, f(hi)))), passes
+        radii = bd._lobatto_radii(lo, hi)
+        values = [f(lo), *bounds(S3, 10, radii[1:-1]).tolist(), f(hi)]
+        evaluations, best = bd._proxy_search(S3, 10, radii, values)
+        if best is not None:
+            evaluations[best] = float(bounds(S3, 10, [best])[0])
+        return evaluations, passes
 
     def test_proxy_finds_an_interior_maximum(self, monkeypatch):
         # a exp(-a / 0.7) peaks at exactly a = 0.7
@@ -355,6 +391,60 @@ class TestBoundArrays:
         assert all(a <= diameter(spec) for a in radii)
         assert radii[-1] == diameter(spec)
         assert radii == sorted(radii)
+
+
+class TestSearchCaches:
+    """The lattice and its brackets hold N-independent K, Theta and mu, so a
+    report has the same bits whatever other N filled them."""
+
+    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2, CP30], ids=str)
+    def test_report_does_not_depend_on_the_caches(self, spec, monkeypatch):
+        sizes = [2, 3, 401, 2400, 10**6]
+        cold = {}
+        for N in sizes:
+            clear_search_caches(monkeypatch)
+            cold[N] = bd.best_finite_bound(spec, N).to_dict()
+        for N in sizes:
+            clear_search_caches(monkeypatch)
+            for other in sizes[::-1]:
+                if other != N:
+                    bd.best_finite_bound(spec, other)
+            monkeypatch.setattr(bd, "_REPORTS", {})
+            assert repr(bd.best_finite_bound(spec, N).to_dict()) == repr(cold[N]), N
+
+    def test_non_finite_bracket_raises_the_grid_error_first(self):
+        # on S^429 at N = 5000 the lattice bracket holds a non-finite node, and
+        # the grid's smallest radius, where Theta overflows, is named as before
+        spec, N = ManifoldSpec(Family.SPHERE, 429), 5000
+        lattice = bd._lattice(spec)
+        values = lattice.bounds(spec, N)
+        finite = np.isfinite(values)
+        i = int(np.argmax(np.where(finite, values, -np.inf)))
+        assert not np.isfinite(bd._bracket(spec, i).bounds(spec, N)).all()
+        lo = float(bd._log_grid(spec, N)[0])
+        with pytest.raises(SingularityError, match=f"Theta is inf at a = {lo!r} on s429"):
+            bd.best_finite_bound(spec, N)
+
+    @pytest.mark.parametrize("spec", [S3, RP3, CP2], ids=str)
+    def test_cached_arrays_reject_writes(self, spec):
+        rep = bd.best_finite_bound(spec, 1000)
+        lattice = bd._lattice(spec)
+        assert lattice.radii[0] == pytest.approx(1e-4 * diameter(spec), rel=1e-15)
+        assert lattice.radii[-1] == diameter(spec)
+        assert lattice.values.shape == (3, len(lattice.radii))
+        bracket = bd._bracket(spec, int(np.argmax(lattice.bounds(spec, 1000))))
+        assert bracket.values.shape == (3, bd._NODES)
+        assert bracket.radii[0] < rep.best_a < bracket.radii[-1]
+        for table in (lattice, bracket):
+            for array in (table.radii, table.values):
+                with pytest.raises(ValueError):
+                    array[..., 0] = 0.0
+
+    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2], ids=str)
+    def test_lattice_bounds_are_finite_bounds(self, spec):
+        # the cached route gives each radius the bits of `finite_bounds`
+        for table in (bd._lattice(spec), bd._bracket(spec, 5)):
+            assert table.bounds(spec, 777).tolist() == bd.finite_bounds(spec, 777, table.radii).tolist()
 
 
 class TestReportCache:

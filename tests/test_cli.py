@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import greenlab
 from greenlab import energy as en
 from greenlab import verify
-from greenlab.cli import main
+from greenlab.cli import RunManifest, main
 from greenlab.manifold import Family, ManifoldSpec, diameter, volume
 
 SRC = os.path.dirname(os.path.dirname(greenlab.__file__))
@@ -495,9 +496,12 @@ class TestOptionsPerSubcommand:
             code, _, err = run_cli(capsys, sub, *argv, "--out", out)
             assert code == 0, err
             with open(out + ".manifest.json") as fh:
-                manifest = json.load(fh)
+                text = fh.read()
+            manifest = json.loads(text)
             assert manifest["subcommand"] == sub
             assert set(manifest["parameters"]) == expected, sub
+            # the bytes `dataclasses.asdict` gives the same manifest
+            assert text == json.dumps(asdict(RunManifest(**manifest)), indent=2, default=str) + "\n", sub
 
     # a base invocation of each subcommand, and another value for each option
     # its manifest reports but --out, which names a path

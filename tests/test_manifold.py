@@ -268,7 +268,8 @@ class TestRegularizedBeta:
 
     @pytest.mark.parametrize("spec", [S3, RP3, ManifoldSpec(Family.SPHERE, 5)], ids=str)
     @pytest.mark.parametrize("side", ["below", "above", "mixed"])
-    def test_one_sided_radii_take_one_call_with_the_same_bits(self, spec, side, monkeypatch):
+    def test_each_side_takes_one_call_with_the_same_bits(self, spec, side, monkeypatch):
+        # mixed radii take both sides' parameters in one call
         m, k, s = _record(spec)
         mean = math.asin(math.sqrt(m / (m + k))) / s  # the radius where x = m / (m + k)
         below = np.linspace(0.001, 0.999, 15) * mean
@@ -278,7 +279,7 @@ class TestRegularizedBeta:
         calls = []
         monkeypatch.setattr(mf, "betainc", lambda *args: calls.append(1) or betainc(*args))
         got = _regularized_beta(m, k, x, y)
-        assert len(calls) == (2 if side == "mixed" else 1)
+        assert len(calls) == 1
         for g, w in zip(got, self.two_calls(m, k, x, y)):
             assert g.tobytes() == w.tobytes()
 

@@ -13,6 +13,10 @@ The bound and the energy report take K and Theta from the closed forms on
 every family: a spy on the integration routine, under every name a
 module imports it by, sees no call.
 
+Nor does the bound call scipy's incomplete beta more than it must: the
+kernel pass returns mu = V(a)/V with K and Theta, so CP^n, HP^n and OP^2
+make no betainc call, and S^n and RP^n one per kernel pass.
+
 Likewise the optimizer reads phi' from the profile's closed form: an
 `energy` that named the direct slope would put it back on the hot path.
 And `greenlab optimize` reports the energy its last accepted step computed:
@@ -28,7 +32,8 @@ import numpy as np
 import pytest
 
 import greenlab
-from greenlab import ball_stats, bounds, energy, green, special_math
+from greenlab import ball_stats, bounds, energy, green, manifold, special_math
+from greenlab.cli import main
 from greenlab.manifold import Family, ManifoldSpec, sample_uniform
 
 SRC = Path(greenlab.__file__).resolve().parent
@@ -135,6 +140,8 @@ def quadrature_calls(monkeypatch):
         if getattr(module, "integrate", None) is original:
             monkeypatch.setattr(module, "integrate", spy)
     monkeypatch.setattr(bounds, "_REPORTS", {})
+    bounds._lattice.cache_clear()
+    bounds._bracket.cache_clear()
     monkeypatch.setattr(green, "_PROFILE_CACHE", {})
     return calls
 
@@ -156,3 +163,37 @@ def test_bound_and_energy_report_run_no_quadrature(spec, quadrature_calls):
     if spec.family is not Family.CAYLEY_PLANE:  # no point model
         energy.EnergyReport.from_configuration(sample_uniform(spec, np.random.default_rng(1), size=40))
     assert quadrature_calls == []
+
+
+@pytest.mark.parametrize(
+    ("family", "n", "per_pass"),
+    [("cp", 2, 0), ("hp", 1, 0), ("op2", 2, 0), ("s", 3, 1), ("rp", 3, 1)],
+)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_bound_calls_betainc_at_most_once_per_kernel_pass(monkeypatch, capsys, family, n, per_pass, warm):
+    spec = ManifoldSpec.from_token(family, n)
+    green.get_profile(spec)  # built beforehand: the profile is not a kernel pass
+    monkeypatch.setattr(bounds, "_REPORTS", {})
+    bounds._lattice.cache_clear()
+    bounds._bracket.cache_clear()
+    if warm:
+        bounds.best_finite_bound(spec, 1234)
+        monkeypatch.setattr(bounds, "_REPORTS", {})
+    calls = {"betainc": 0, "kernels": 0}
+    betainc, kernels = manifold.betainc, ball_stats._closed_kernels
+
+    def betainc_spy(*args):
+        calls["betainc"] += 1
+        return betainc(*args)
+
+    def kernels_spy(*args):
+        calls["kernels"] += 1
+        return kernels(*args)
+
+    monkeypatch.setattr(manifold, "betainc", betainc_spy)
+    monkeypatch.setattr(ball_stats, "_closed_kernels", kernels_spy)
+    monkeypatch.setattr(bounds, "_closed_kernels", kernels_spy)
+    argv = ["bound", "--family", family, "--points", "1234"] + ([] if family == "op2" else ["--n", str(n)])
+    assert main(argv) == 0, capsys.readouterr().err
+    assert calls["kernels"] == (1 if warm else 3)
+    assert calls["betainc"] == per_pass * calls["kernels"]
