@@ -12,75 +12,48 @@ profile. With H(a) = int_0^a V/v and J(a) = int_0^a V^2/v they are
     K     = (V(a) H - J) / (V V(a))
     Theta = phi(a) + K + (1/V(a) - 1/V) H.
 
-Every family evaluates both in closed form, from exact coefficients derived
-once per manifold in rational arithmetic, through one numpy evaluator over
+Every family evaluates both in closed form, from series and profile
+coefficients derived once per manifold, through one numpy evaluator over
 the radius array (`_closed_kernels`). The same pass returns the ball
-fraction mu = V(a)/V from values it already holds: x^m D(y) on CP^n, HP^n
-and OP^2, and on S^n and RP^n the one `_regularized_beta` call that the
-sphere's kernels make, which on RP^n also takes RP^n's own fraction.
-Every step is elementwise, so a radius gets the same bits alone and in
-any batch: `k_values`, `theta_values` and the bound's `finite_bounds` and
-radius lattice call it, and `k_closed`, `theta_closed`, `k_value` and
+fraction mu = V(a)/V, and calls no scipy function. Every step is
+elementwise, so a radius gets the same bits alone and in any batch:
+`k_values`, `theta_values` and the bound's `finite_bounds` and radius
+lattice call it, and `k_closed`, `theta_closed`, `k_value` and
 `theta_value` are its one-radius case. Nothing is memoised here but the
 coefficients. A non-finite K or Theta raises SingularityError naming the
 radius.
 
-S^n, every n. In x = sin^2(a/2) and y = cos^2(a/2), with m = n/2, the ball
-fraction is mu = I_x(m, m) = x^m y^m F(x) / (m B(m, m)) with
-F = 2F1(n, 1; m + 1; x), so
+Records and mirrors. Each manifold's radial geometry is its Jacobi record
+(m, k, s) (`manifold`): S^n (n/2, n/2, 1/2), CP^n (n, 1, 1), HP^n (2n, 2, 1)
+and OP^2 (8, 4, 1). In x = sin^2(s a) and y = 1 - x the ball fraction is
+mu = I_x(m, k) = x^m y^k F(x) / (m B(m, k)) with F = 2F1(m + k, 1; m + 1; x),
+so
 
-    H = (1/m) int_0^x F,    J / V(a) = q = r / F,
+    H = int_0^x F / (4 s^2 m),    J / V(a) = q = r / F,
 
-where r solves t (1 - t) r' + m (1 - 2t) r = t (1 - t) F^2 / m
-(`_sphere_series`). F, H and r have positive rational coefficients and are
-summed at t = min(x, y) <= 1/2. Up to a = pi/2 that gives V K = H - q and
+where r solves x y r' + (m y - k x) r = x y F^2 / (4 s^2 m). F, H and r are
+series of positive terms (`_record_series`), summed up to the mean
+x = m / (m + k), where V K = H - q and
 V Theta = (phi_hat + c_m) + V K + H (1 - mu) / mu, with phi_hat from the
-profile's direct form. Past pi/2, H and J diverge toward D while K and
-Theta stay finite, and the mirror t = y serves: phi_hat(a) is H's series at
-y (the profile's antipodal series), H(a) = phi_hat(pi - a) is the profile's
-direct form at (y, x), and J(pi - a) = q(y) (V - V(a)). As
-c_m = -(1/V) int_0^D V(u) psi(u) du, V H - J = V (-c_m - phi_hat(a)) + J(pi - a), so
+profile. Past the mean H and J diverge toward D while K and Theta stay
+finite, and the mirror record (k, m, s), the same geometry seen from the
+far end of the diameter, serves at y: 1 - mu = y^k x^m F~(y) / (k B(m, k)),
+phi_hat(a) is the mirror's H, H(a) is the mirror's phi_hat and
+J~(D - a) = q~(y) (V - V(a)) (S^n is its own mirror). As
+c_m = -(1/V) int_0^D V(u) psi(u) du, V H - J = V (-c_m - phi_hat(a)) + J~, so
 
-    V K     = ((q(y) - H(a)) (1 - mu) - c_m - phi_hat(a)) / mu
-    V Theta = (1 - mu) (q(y) - phi_hat(a) - c_m) / mu,
+    V K     = ((q~ - H(a)) (1 - mu) - c_m - phi_hat(a)) / mu
+    V Theta = (1 - mu) (q~ - phi_hat(a) - c_m) / mu,
 
-and Theta vanishes at D.
+and Theta vanishes at D. H(a) itself overflows near D on high spheres,
+where 1 - mu underflows; their product stays small, and is formed as
+(1 - mu) / (4 x y)^(k-1) times Phi = (4 x y)^(k-1) H, which the mirror's
+profile gives with no factor out of range (`_record_route`): its Laurent
+form where k is an integer, S^n's odd form on odd n.
 
 RP^n is the double cover of S^n: for a <= pi/2 = D its balls and spheres
-are the sphere's, and V_RP = V_S / 2, so K_RP = 2 K_S and
-Theta_RP = Theta_S + K_S + c_S / V_S.
-
-CP^n, HP^n and OP^2 have a ball polynomial, mu(x) = V(a)/V = x^m D(y) with
-x = sin^2 a, y = cos^2 a and mu' = c' x^(m-1) (1 - x)^(k-1): the records
-with integer m and k and s = 1. There
-
-    V mu_a K = int_0^(x_a) (mu_a - mu) D(1 - x) / (4 c' (1 - x)^k) dx
-    V (mu_a / x_a) Theta = (mu_a phi_hat(x_a) - mu_a int_0^1 mu h + int_0^(x_a) mu h) / x_a
-
-with h = (1 - mu) / (4 x (1 - x) mu') = Q(x) / x^m the profile's Laurent
-form, phi_hat = int_x^1 h and int_0^1 mu h = -c_m. `_kernel_parts` takes Q
-and int_0^x mu h from `green`, takes the integrals once per manifold in
-rational arithmetic and asserts that every negative power cancels;
-multiplied out, each reads
-
-    c V x^e D(y) kernel = R(x) + P(x) log(1 - t)
-
-with e = m (K) or m - 1 (Theta), c the least common denominator of P's
-coefficients and t the variable in which the numerator vanishes:
-t = x for K, to order e + 1 at the pole, and t = y for Theta, which is
-zero at a = D. The direct formula cancels as t -> 0, so up to a switch
-point the kernel is the Taylor series of the numerator in t, whose
-vanishing coefficients are dropped exactly and nothing cancels; past it,
-the direct formula with R and P re-centred in u = 1 - t and log u taken as
-2 log cos a (K) or 2 log sin a (Theta), evaluated in double precision.
-
-The switch is the first t at which the direct formula's rounding-error
-amplification, sum |coefficient * term| / |value|, is no larger than the
-series', and at most t = 1/2 (x^e = 1/4 for K when e > 2), so neither
-route loses more than a few bits. Past the polynomials the series
-coefficients are bounded by |P|_1 / (j - deg P); the series stops once the
-terms it drops, at most |P|_1 t^J / ((J - deg P)(1 - t)), are below 2^-56
-of its value at the switch, and they shrink like t^J below it.
+are the sphere's, and V_RP = V_S / 2, so K_RP = 2 K_S,
+Theta_RP = Theta_S + K_S + c_S / V_S and mu_RP = 2 mu_S.
 
 Quadrature. `k_quadrature`, `theta_quadrature` and `cum_volume_over_area`
 integrate the single-integral forms adaptively: they are the oracle that
@@ -90,32 +63,30 @@ without cancellation; both integrands vanish like u at the pole and stay
 bounded up to the diameter. While V(a) <= V/2, K takes V(a) - V(u)
 directly; past that it uses v(u) psi(u) - (V - V(a)), with
 V - V(a) = v(a) psi(a): the direct difference loses its digits near a = D,
-the rewritten one at small a. Each call integrates one radius with
-`special_math.integrate`: Theta over [0, a], K over [0, a] or, where the
-integrand falls off in a thin layer next to a, over two pieces
-(`_k_integrand`).
+the rewritten one at small a. Theta switches at the same point to
+-(1/V(a)) int_a^D phi v, as G has mean zero. Each call integrates one
+radius with `special_math.integrate`: Theta over [0, a] or [a, D], K over
+[0, a] or, where the integrand falls off in a thin layer next to a, over
+two pieces (`_k_integrand`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError, SingularityError
-from .green import _laurent_moment, _laurent_numerator, _radial_ratios, get_profile
+from .green import _laurent_parts, _odd_parts, _radial_ratios, get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
-    _antiderivative,
-    _integer_record,
-    _mul,
+    _pi_rational,
     _radius_limit,
-    _recentre,
-    _regularized_beta,
+    _record,
     _sin_cos_squares,
     ball_volume,
     ball_volume_fraction,
@@ -249,12 +220,22 @@ def k_quadrature(spec: ManifoldSpec, a: float) -> float:
 
 
 def theta_quadrature(spec: ManifoldSpec, a: float) -> float:
-    """Theta(M, a): mean of the Green function over a ball about its pole, as
-    phi(a) plus the moment's integral over [0, a] divided by V V(a), with phi
-    from the shared profile `get_profile(spec)`. A profile that fails to
-    build raises before the moment's quadrature error."""
+    """Theta(M, a): mean of the Green function over a ball about its pole.
+
+    While V(a) <= V/2 it is phi(a) plus the moment's integral over [0, a]
+    divided by V V(a); past that, as G has mean zero, it is
+    -(1/V(a)) int_a^D phi v dr, which integrates the small tail instead of
+    cancelling two large terms near D. phi comes from the shared profile
+    `get_profile(spec)`; a profile that fails to build raises before the
+    moment's quadrature error."""
     radii = _kernel_radii(spec, [a], "Theta")
     va = _ball_volumes(spec, radii)
+    if va[0] > 0.5 * volume(spec):
+        prof = get_profile(spec)
+        tail = integrate(lambda r: prof.phi(r) * sphere_area(spec, r), radii[0], diameter(spec))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            theta = 0.0 - tail / va  # +0 at D
+        return float(_require_finite(theta, radii, "Theta", spec)[0])
     try:
         moment = integrate(_radial_ratios(spec).moment, 0.0, radii[0])
     except QuadratureError:
@@ -271,180 +252,71 @@ def theta_quadrature(spec: ManifoldSpec, a: float) -> float:
 
 
 @functools.cache
-def _kernel_parts(spec: ManifoldSpec) -> dict[str, tuple]:
-    """Each kernel's parts (R, P, e, c) as in the module docstring, with R and P
-    exact in ascending powers of u = y (K) or u = x (Theta), on CP^n, HP^n or
-    OP^2. The integrals run in y for K and in x for Theta, on the profile's
-    h = Q(x) / x^m (`green._laurent_numerator`), where 1 - mu = 4 c' y^k Q(1 - y)."""
-    m, k, d = _integer_record(spec)
-    size = m + 2 * k  # longer than every polynomial below
+def _record_series(m: float, k: float, s: float) -> tuple[tuple[float, ...], ...]:
+    """(F, H, r) of the record (m, k, s), k >= 1, in ascending powers of t,
+    as many terms as its mean t = m / (m + k) needs: F = 2F1(m + k, 1; m + 1; t),
+    H = int_0^t F / (4 s^2 m) and r = q F (module docstring).
 
-    def padded(coeffs, shift=0):
-        """coeffs times s^shift as Fractions, padded or cut to size."""
-        return ([Fraction(0)] * shift + [Fraction(v) for v in coeffs] + [Fraction(0)] * size)[:size]
+    With f_i, h_i, r_i and p_i the coefficients of F, H, r and (1 - t) F^2,
+    the first-order equations t (1 - t) F' = m - (m (1 - t) - k t) F and
+    t (1 - t) r' + (m (1 - t) - k t) r = t (1 - t) F^2 / (4 s^2 m) give
 
-    big_q, d_y = padded(_laurent_numerator(spec)), padded(d)
-    quarter = Fraction(1, 4 * m * sum(d))  # 1 / (4 c') with c' = m D(1)
-    mu = [(i == 0) - v / quarter for i, v in enumerate(padded(_recentre(big_q), k))]
-    # K: V mu_a K = mu_a (F1(1) - F1(y_a)) + F2(y_a) - F2(1), where
-    # F1 = G1 / y^(k-1) + b1 log y integrates D / (4 c' y^k) and F2 integrates
-    # mu D / (4 c' y^k). G has no y^(k-1) term, which holds -G(1) in G - G(1) y^(k-1)
-    d_q = [v * quarter for v in d_y]
-    g1, b1 = _antiderivative(d_q, k)
-    g2, b2 = _antiderivative(_mul(mu, d_q), k)
-    g1[k - 1], g2[k - 1] = -sum(g1), -sum(g2)
-    k_r = [v - a for a, v in zip(_mul(mu, g1), g2)]
-    k_p = [b2 * (i == 0) - b1 * v for i, v in enumerate(mu)]
-    # Theta: phi_hat = G(1) - G / x^(m-1) - b log x and int_0^x mu h = I(x)
-    # (`green._laurent_moment`). The part without logs is
-    # D ((G(1) - I(1)) x^(m-1) - G) + I / x, and G has no x^(m-1) term,
-    # which holds -(G(1) - I(1))
-    d_x = _recentre(d_y)
-    g, b = _antiderivative(big_q, m)
-    moment = padded(_laurent_moment(spec))
-    g[m - 1] = sum(moment) - sum(g)
-    theta_r = [v - a for a, v in zip(_mul(d_x, g), padded(moment[1:]))]
-    theta_p = padded([-b * v for v in d_x], m - 1)
-    parts = {}
-    # K's part without logs is over y^(k-1), Theta's over 1
-    for kernel, r, p, e, low in (("k", k_r, k_p, m, k - 1), ("theta", theta_r, theta_p, m - 1, 0)):
-        if any(r[:low]):
-            raise AssertionError(f"the closed {kernel} on {spec} keeps a negative power")
-        c = math.lcm(*(v.denominator for v in p))
-        r, p = [v * c for v in r[low:]], [v * c for v in p]
-        for coeffs in (r, p):  # without trailing zeros, but never empty
-            while len(coeffs) > 1 and not coeffs[-1]:
-                coeffs.pop()
-        parts[kernel] = (r, p, e, c)
-    return parts
+        f_i = f_(i-1) (m + k + i - 1) / (m + i),    h_i = f_(i-1) / (4 s^2 m i),
+        (i + 2m) p_i = (i - 2 + 2m + 2k) p_(i-1) + 2m (k - 1) f_(i-1) / (m + i),
+        (i + m) r_i = (i - 1 + m + k) r_(i-1) + p_(i-1) / (4 s^2 m),
 
+    every term positive for k >= 1. They run in 40-digit decimals, so each
+    coefficient is its exact value, to some 35 digits, rounded once to a
+    double.
 
-@dataclass(frozen=True)
-class _ClosedForm:
-    """One kernel's closed formula on one manifold, tabulated in doubles.
-
-    Below t = switch the kernel is t * poly(series, t) / (scale D(y)) for K
-    (the series is already divided by x^e) and / (scale x^e D(y)) for Theta;
-    from there on (poly(r, u) + poly(p, u) log u) / (scale x^e D(y)), with
-    u = 1 - t. tail bounds the relative size of the series terms left out.
+    Each series stops once its last term at the mean, times rho / (1 - rho)
+    with rho the larger of the mean and the ratio of its last two terms, is
+    below 2^-56 of its sum: the ratios tend to the mean, so that bounds the
+    terms dropped.
     """
-
-    t_is_x: bool
-    series: tuple[float, ...]
-    r: tuple[float, ...]
-    p: tuple[float, ...]
-    e: int
-    d: tuple[float, ...]
-    scale: float
-    switch: float
-    tail: float
-
-
-def _poly(coeffs: tuple[float, ...], s: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
-
-
-def _abs_poly(coeffs: list[Fraction], s: np.ndarray) -> np.ndarray:
-    return s[:, None] ** np.arange(len(coeffs)) @ np.array([abs(float(v)) for v in coeffs])
-
-
-@functools.cache
-def _closed_form(spec: ManifoldSpec, kernel: str) -> _ClosedForm:
-    """Derive one formula's series and re-centred polynomials exactly."""
-    t_is_x = kernel == "k"
-    r_u, p_u, e, c = _kernel_parts(spec)[kernel]
-    r_t, p_t = _recentre(r_u), _recentre(p_u)
-    # the numerator vanishes to order e + 1 in x (K) or 1 in y (Theta)
-    order = e + 1 if t_is_x else 1
-    # log(1 - t) = -sum t^k / k, so R + P log(1 - t) = sum_j (R_j - sum_i P_i / (j - i)) t^j;
-    # P's coefficients are integers (c clears their denominators), so each sum
-    # is one integer over the lcm of its j - i
-    nonzero = [(i, int(pi)) for i, pi in enumerate(p_t) if pi]
-    p_norm = float(sum(abs(pi) for _, pi in nonzero))
-    coeffs: list[Fraction] = []
-
-    def log_sum(j: int) -> Fraction:
-        lcm = math.lcm(*(j - i for i, _ in nonzero if i < j))
-        return Fraction(sum(pi * (lcm // (j - i)) for i, pi in nonzero if i < j), lcm)
-
-    def series(switch: float) -> tuple[tuple[float, ...], float]:
-        """Coefficients from t^order on for t < switch, and the relative size of the rest.
-
-        Past the polynomials |coefficient j| <= |P|_1 / (j - deg P), so the
-        terms from t^count on sum to at most `dropped` at the switch.
-        """
-        count = max(order + math.ceil(38.0 / -math.log(switch)), len(r_t) + 1)
+    mean = m / (m + k)
+    with localcontext() as context:
+        context.prec = 40
+        m, k, four = Decimal(m), Decimal(k), 4 * Decimal(s) ** 2 * Decimal(m)
+        exact = [Decimal(1), Decimal(0), Decimal(0)]  # f, h and r
+        coeffs: list[list[float]] = [[1.0], [0.0], [0.0]]
+        sums = [1.0, 0.0, 0.0]  # of f, h and r at the mean so far
+        p, power, i = Decimal(1), 1.0, 0
         while True:
-            for j in range(len(coeffs), count):
-                rj = r_t[j] if j < len(r_t) else Fraction(0)
-                coeffs.append(rj - log_sum(j))
-            kept = tuple(float(v) for v in coeffs[order:count])
-            value = abs(switch**order * _poly(kept, switch))
-            dropped = p_norm * switch**count / ((count - len(p_t) + 1) * (1.0 - switch))
-            if dropped <= 2.0**-56 * value:
-                return kept, dropped / value
-            count += 4
-
-    # past t = 1/2, or x^e = 1/4 for K with e > 2, the series needs too many terms
-    cap = max(0.5, 4.0 ** (-1.0 / e)) if t_is_x else 0.5
-    kept, _ = series(cap)
-    if any(coeffs[:order]):
-        raise AssertionError(f"closed {kernel} numerator on {spec} does not vanish to order {order}")
-    # rounding-error amplification of both routes on a grid up to the cap; the
-    # series serves t until the direct formula's falls to its own. log u is off
-    # by an ulp of 1 near u = 1, hence the 1 added to |log u|
-    grid = cap * np.arange(1, 65) / 64
-    powers = grid[:, None] ** np.arange(len(kept))
-    values = np.abs(powers @ np.array(kept))
-    u = 1.0 - grid
-    with np.errstate(divide="ignore", under="ignore"):  # t^order underflows on a high-dimensional grid
-        amp_series = (powers @ np.abs(kept)) / values
-        amp_direct = (_abs_poly(r_u, u) + (np.abs(np.log(u)) + 1.0) * _abs_poly(p_u, u)) / (
-            grid**order * values
-        )
-    crossed = np.flatnonzero(amp_direct <= amp_series)
-    switch = float(grid[crossed[0]]) if crossed.size else cap
-    kept, tail = series(switch)
-    return _ClosedForm(
-        t_is_x=t_is_x,
-        series=kept,
-        r=tuple(float(v) for v in r_u),
-        p=tuple(float(v) for v in p_u),
-        e=e,
-        d=tuple(float(v) for v in _integer_record(spec)[2]),
-        scale=c * volume(spec),
-        switch=switch,
-        tail=tail,
-    )
+            i += 1
+            f, _, r = exact
+            exact = [f * (m + k + i - 1) / (m + i), f / (four * i), ((i - 1 + m + k) * r + p / four) / (i + m)]
+            p = ((i - 2 + 2 * m + 2 * k) * p + 2 * m * (k - 1) * f / (m + i)) / (i + 2 * m)
+            power *= mean
+            settled = i > 1
+            for j, value in enumerate(map(float, exact)):
+                last, before = value * power, coeffs[j][-1] * power / mean
+                coeffs[j].append(value)
+                sums[j] += last
+                if settled:
+                    rho = max(last / before, mean)
+                    settled = rho < 1.0 and last * rho / (1.0 - rho) <= 2.0**-56 * sums[j]
+            if settled:
+                return tuple(map(tuple, coeffs))
 
 
-# radii per block of `_power_sums`: 4096 radii by 62 powers is 2 MB a series
-_SERIES_BLOCK = 4096
+# the powers `_power_sums` holds at once, 2^18 doubles: 2 MB
+_SERIES_BLOCK = 1 << 18
 
 
-@functools.cache
-def _series_table(coeffs: tuple[tuple[float, ...], ...]) -> np.ndarray:
-    """The coefficient lists as the columns of one read-only array, padded with zeros."""
-    width = max(map(len, coeffs))
-    table = np.array([c + (0.0,) * (width - len(c)) for c in coeffs]).T[:, :, None]
-    table.flags.writeable = False
-    return table
-
-
-def _power_sums(coeffs: tuple[tuple[float, ...], ...], t: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[i][j] t[i]^j for every row i of t, as a table of powers
-    times the coefficients, summed term by term from j = 0: t^(k+j) =
-    t^k t^j fills the table in log2 of its length numpy calls, where Horner's
-    rule takes two per coefficient.
+def _power_sums(table: np.ndarray, t: list[np.ndarray]) -> np.ndarray:
+    """sum_j table[j, i] t[i]^j for every 1-D array t[i], with the coefficient
+    lists as the columns of table (shape (length, rows, 1), padded with
+    zeros), as a table of powers times the coefficients, summed term by term
+    from j = 0: t^(k+j) = t^k t^j fills the table in log2 of its length numpy
+    calls, where Horner's rule takes two per coefficient.
     Every element is summed on its own in the same order, so a radius has
-    the same bits alone and in any batch."""
-    table = _series_table(coeffs)
-    out = np.empty(t.shape)
-    for lo in range(0, t.shape[1], _SERIES_BLOCK):
-        block = t[:, lo : lo + _SERIES_BLOCK]
+    the same bits alone and in any batch, and in blocks of as many radii as
+    keep the table of powers within `_SERIES_BLOCK`."""
+    out = np.empty((len(t), t[0].size))
+    step = max(1, _SERIES_BLOCK // table.size)
+    for lo in range(0, out.shape[1], step):
+        block = np.stack([row[lo : lo + step] for row in t])
         powers = np.empty((table.shape[0], *block.shape))
         powers[0], powers[1], square, k = 1.0, block, block, 2
         while k < len(powers):  # t^(k + j) = t^k t^j for j < k, square = t^k
@@ -453,134 +325,86 @@ def _power_sums(coeffs: tuple[tuple[float, ...], ...], t: np.ndarray) -> np.ndar
             np.multiply(powers[: len(top)], square, out=top)
             k *= 2
         powers *= table
-        out[:, lo : lo + _SERIES_BLOCK] = powers.sum(axis=0)
+        out[:, lo : lo + step] = powers.sum(axis=0)
     return out
 
 
-# the row of (x, y) at which `_form_kernels` evaluates each polynomial of
-# `_form_arrays`: K's series in x and Theta's in y, their R and their P in
-# u = y (K) and u = x (Theta), and D in y
-_FORM_ROWS = [0, 1, 1, 0, 1, 0, 1]
-
-
 @functools.cache
-def _form_arrays(forms: tuple[_ClosedForm, _ClosedForm]) -> tuple:
-    """The K and Theta forms laid out for `_form_kernels`: their polynomials
-    in the order of `_FORM_ROWS`, and the read-only columns switch, e, scale
-    and t_is_x."""
-    k, theta = forms
-    polys = (k.series, theta.series, k.r, theta.r, k.p, theta.p, k.d)
-    names = ("switch", "e", "scale", "t_is_x")
-    columns = [np.array([[getattr(k, name)], [getattr(theta, name)]]) for name in names]
-    for column in columns:
-        column.flags.writeable = False
-    return polys, *columns
+def _record_route(spec: ManifoldSpec) -> tuple[np.ndarray, float, tuple[float, ...]]:
+    """What `_record_kernels` sums and scales by on S^n, CP^n, HP^n or OP^2:
+    the read-only `_power_sums` table of the record's (F, H, r), the mirror
+    record's (F, H, r) and the polynomials of Phi = (4 x y)^(k-1) H; then
+    1 / (4^k m B(m, k)), rounded once, and Phi's constants.
 
-
-def _form_kernels(
-    forms: tuple[_ClosedForm, _ClosedForm], a: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """([K, Theta], mu) at every radius from the forms of CP^n, HP^n or OP^2,
-    elementwise: each kernel's series below its switch, its direct formula
-    from there on. Row 0 is K, in t = x = sin^2 a and u = y = cos^2 a; row 1
-    Theta, in t = y and u = x. mu = V(a)/V = x^m D(y) takes D(y) from the
-    same pass (m is K's e)."""
-    polys, switch, e, scale, t_is_x = _form_arrays(forms)
-    roots = np.stack([np.sin(a), np.cos(a)])
-    t = roots * roots
-    values = _power_sums(polys, t[_FORM_ROWS])
-    series = t * values[:2]
-    # log u = 2 log cos a (K) or 2 log sin a (Theta)
-    direct = values[2:4] + values[4:6] * (2.0 * np.log(roots[::-1]))
-    low = t < switch
-    # K's series is already divided by x^e
-    power = np.where(low & t_is_x, 0, e)
-    kernels = np.where(low, series, direct) / (scale * roots[0] ** (2 * power) * values[6])
-    return kernels, t[0] ** forms[0].e * values[6]
-
-
-@functools.cache
-def _sphere_series(n: int) -> tuple[tuple[float, ...], ...]:
-    """(F, H, r) of S^n in ascending powers of t <= 1/2, each coefficient an
-    exact rational rounded once: F = 2F1(n, 1; n/2 + 1; t), H = int_0^t F / m
-    and r = q F, m = n/2 (module docstring).
-
-    With f_i, E_i, h_i and r_i the coefficients of F, F^2, H and r, the
-    first-order equations t (1 - t) F' = m - m (1 - 2t) F and
-    t (1 - t) r' + m (1 - 2t) r = t (1 - t) F^2 / m give, all positive,
-
-        f_i = f_(i-1) (n + i - 1) / (m + i),       h_i = f_(i-1) / (m i),
-        (i + 2m) E_i = (i - 1 + 4m) E_(i-1) + 2m f_i,
-        (i + m) r_i = (i - 1 + 2m) r_(i-1) + (E_(i-1) - E_(i-2)) / m.
-
-    They run on integers: f_i = a_i / A_i, E_i = b_i / (A_i B_i) and
-    r_i = c_i / (n A_(i-1) A_i B_(i-1)), with A_i and B_i the products of
-    n + 2j and n + j over j = 1..i, and each coefficient is one integer
-    quotient, rounded once.
-
-    Each series stops once its last term at t = 1/2, times rho / (1 - rho)
-    with rho the ratio of its last two terms, is below 2^-56 of its sum: the
-    ratios fall past that point (f's provably, as in
-    `green._antipodal_series`), so that bounds the terms dropped.
+    With integer k, H is the mirror's Laurent form c(v) - b log y, v = x / y
+    (`green._laurent_parts` of the record (k, m, s)), so Phi =
+    (4x)^(k-1) (x^(k-1) c~(w) - b y^(k-1) log y), c~ the reversed c and
+    w = y / x: the last row is c~ and the constants are (b,). On odd S^n,
+    n = 2j + 1, H is the profile's odd form at pi - a (`green._odd_parts`),
+    and Phi = F sin^(2j-1) a + A a |cos a| G + sin a R~, where G and R~ = -R
+    are homogeneous of degree j - 1 in (cos^2 a, sin^2 a): the last rows are
+    g and R~, each forwards and reversed, and the constants are (A, F).
     """
-    a, b, c, big_a, big_b = 1, 1, 0, 1, 1  # at i = 0
-    delta = 1  # E_(i-1) - E_(i-2) = delta / (A_(i-1) B_(i-1))
-    coeffs: list[list[float]] = [[1.0], [0.0], [0.0]]  # f, h, r
-    sums = [1.0, 0.0, 0.0]  # of f, h and r at t = 1/2 so far
-    i = 0
-    while True:
-        i += 1
-        h = 2 * a / (n * i * big_a)
-        c = 2 * (n + i - 1) ** 2 * (n + 2 * i - 2) * c + 4 * delta * big_a
-        a, last_a, big_a = 2 * (n + i - 1) * a, big_a, (n + 2 * i) * big_a
-        r = c / (n * last_a * big_a * big_b)
-        b_next = (i - 1 + 2 * n) * (n + 2 * i) * b + n * a * big_b
-        delta = b_next - b * (n + 2 * i) * (n + i)
-        b, big_b = b_next, (n + i) * big_b
-        settled = i > 1
-        for j, value in enumerate((a / big_a, h, r)):
-            last, before = value / 2**i, coeffs[j][-1] / 2 ** (i - 1)
-            coeffs[j].append(value)
-            sums[j] += last
-            if settled:
-                rho = last / before
-                settled = rho < 1.0 and last * rho / (1.0 - rho) <= 2.0**-56 * sums[j]
-        if settled:
-            return tuple(map(tuple, coeffs))
+    m, k, s = _record(spec)
+    if k == int(k):
+        c, _, b = _laurent_parts((k, m, s))
+        rows, constants = [tuple(float(v) for v in c[:0:-1]) or (0.0,)], (float(b),)
+    else:
+        A, g, R, _, F, _ = _odd_parts(round(k - 0.5))
+        g, R = tuple(map(float, g)), tuple(-float(v) for v in R)
+        rows, constants = [g, g[::-1], R, R[::-1]], (float(A), float(F))
+    rows = [*_record_series(m, k, s), *_record_series(k, m, s), *rows]
+    width = max(map(len, rows))
+    table = np.array([row + (0.0,) * (width - len(row)) for row in rows]).T[:, :, None]
+    table.flags.writeable = False
+    scale = _pi_rational(0, (m + k,), (m, k), 1 / (Fraction(m) * 2 ** round(2 * k)))
+    return table, scale, constants
 
 
-def _sphere_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V_S K and V_S Theta of S^n, n = spec.n, at every radius, from the
-    profile and `_sphere_series`, and mu = V(a)/V of spec, S^n or RP^n. One
-    `_regularized_beta` call gives the sphere's mu and, on RP^n, its own
-    I_(sin^2 a)(n/2, 1/2).
-
-    With t = min(x, y) and u = max(x, y), x = sin^2(a/2): the profile's
-    direct form at (t, u) is phi_hat(a) up to a = pi/2 and H(a) = phi_hat(pi - a)
-    past it, and the series at t give H(a) and q(x) up to pi/2, phi_hat(a)
-    and q(y) past it.
-    """
-    sphere = ManifoldSpec(Family.SPHERE, spec.n)
-    prof = get_profile(sphere)
-    c = prof.c_m
-    x, y = _sin_cos_squares(sphere, a)
-    m = spec.n / 2
-    if spec.family is Family.SPHERE:
-        mu, rest = _regularized_beta(m, m, x, y)
-        fraction = mu
-    else:  # a row for the sphere and one for RP^n, each with its own parameters
-        rows = [np.stack(pair) for pair in zip((x, y), _sin_cos_squares(spec, a))]
-        (mu, fraction), (rest, _) = _regularized_beta(np.array([[m], [m]]), np.array([[m], [0.5]]), *rows)
-    near = x <= y
-    t, u = np.where(near, x, y), np.where(near, y, x)
-    f_t, h_t, r_t = _power_sums(_sphere_series(spec.n), np.broadcast_to(t, (3, t.size)))
-    direct = prof.phi_hat(t, u, np.empty_like(t))
-    q = r_t / f_t
-    # past pi/2, (1 - mu) H(a) -> 0 at D, where 1 - mu is 0 and H may overflow
-    far = np.where(rest > 0.0, (q - direct) * rest, 0.0)
-    k = np.where(near, h_t - q, (far - c - h_t) / mu)
-    theta = np.where(near, direct + c + k + h_t * rest / mu, rest * (q - h_t - c) / mu)
-    return k, theta, fraction
+def _record_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V K, V Theta and mu = V(a)/V of S^n, CP^n, HP^n or OP^2 at every
+    radius, from one `_power_sums` pass: the record's series and its profile
+    at x up to the mean, the mirror's series and Phi past it (module
+    docstring). Each radius takes its side's values, so a side's values at
+    the other side's radii may overflow unseen."""
+    m, k, _ = _record(spec)
+    table, scale, constants = _record_route(spec)
+    prof = get_profile(spec)
+    x, y = _sin_cos_squares(spec, a)
+    sigma, lean = 4.0 * x * y, x ** (m - k)
+    power = lean * sigma**k  # 4^k x^m y^k
+    if k == int(k):  # Phi reads w = y / x
+        z = [y / x]
+    else:  # Phi reads the smaller of cos^2 a and sin^2 a over the larger
+        kappa = (x - y) ** 2
+        wide = sigma >= kappa
+        z = [np.where(wide, kappa / sigma, sigma / kappa)] * 4
+    f, h, r, f_m, phi, r_m, *sums = _power_sums(table, [x, x, x, y, y, y, *z])
+    near = x <= m / (m + k)
+    # up to the mean; the profile takes (y, x) past it, which keeps S^n's on its direct form
+    mu = power * f * scale
+    vk = h - r / f
+    phi_hat = prof.phi_hat(np.where(near, x, y), np.where(near, y, x), np.empty_like(x))
+    vtheta = phi_hat + prof.c_m + vk + h * (1.0 - mu) / mu
+    # past it, with Phi = (4 x y)^(k-1) H
+    if k == int(k):
+        e = k - 1
+        scaled = (4.0 * x) ** e * (x**e * sums[0] - constants[0] * y**e * np.log(y))
+    else:
+        A, F = constants
+        top, e = np.maximum(sigma, kappa), k - 1.5
+        g, r_tilde = (top**e * np.where(wide, sums[i], sums[i + 1]) for i in (0, 2))
+        root = np.sqrt(sigma)
+        scaled = F * sigma**e * root + A * a * (x - y) * g + root * r_tilde
+    rest_scale = scale * m / k
+    rest = rest_scale * f_m * power  # 1 - mu
+    # (1 - mu) H, finite where H alone overflows and 1 - mu underflows
+    held = rest_scale * f_m * lean * sigma * scaled
+    q = r_m / f_m
+    far_mu = 1.0 - rest
+    vk = np.where(near, vk, (q * rest - held - prof.c_m - phi) / far_mu)
+    vtheta = np.where(near, vtheta, rest * (q - phi - prof.c_m) / far_mu)
+    return vk, vtheta, np.where(near, mu, far_mu)
 
 
 def _closed_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -588,20 +412,17 @@ def _closed_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.n
     closed forms in one pass: a radius gets the same bits alone and in any
     batch. Values that leave the range of a double come back as inf or nan.
 
-    RP^n is S^n's double cover (module docstring): K_RP = 2 K_S and
-    Theta_RP = Theta_S + K_S + c_S / V_S, at a <= pi/2.
+    RP^n is S^n's double cover (module docstring): K_RP = 2 K_S,
+    Theta_RP = Theta_S + K_S + c_S / V_S and mu_RP = 2 mu_S, at a <= pi/2.
     """
+    cover = ManifoldSpec(Family.SPHERE, spec.n) if spec.family is Family.REAL_PROJ else spec
+    V = volume(cover)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        if spec.family not in (Family.SPHERE, Family.REAL_PROJ):
-            (k, theta), mu = _form_kernels((_closed_form(spec, "k"), _closed_form(spec, "theta")), a)
-            return k, theta, mu
-        sphere = ManifoldSpec(Family.SPHERE, spec.n)
-        V = volume(sphere)
-        k, theta, mu = _sphere_kernels(spec, a)
+        k, theta, mu = _record_kernels(cover, a)
         k, theta = k / V, theta / V
-        if spec.family is Family.SPHERE:
+        if cover is spec:
             return k, theta, mu
-        return 2.0 * k, theta + k + get_profile(sphere).c_m / V, mu
+        return 2.0 * k, theta + k + get_profile(cover).c_m / V, 2.0 * mu
 
 
 def k_closed(spec: ManifoldSpec, a: float) -> float:

@@ -507,27 +507,28 @@ def _flip(coeffs: list) -> list:
     return [v if i % 2 == 0 else -v for i, v in enumerate(coeffs)]
 
 
-def _laurent_numerator(spec: ManifoldSpec) -> list[Fraction]:
-    """Q(x) with h = Q(x) / x^m on a record with integer m, exactly:
+def _laurent_numerator(record: tuple[float, float, float]) -> list[Fraction]:
+    """Q(x) with h = Q(x) / x^m on a record (m, k, s) with integer m, exactly:
     h = 2F1(k, 1 - m; k + 1; y) / (4 s^2 k x^m) makes Q(1 - y) =
     sum_j C(m-1, j) (-y)^j / (k + j) / (4 s^2)."""
-    m, k, s = _record(spec)
+    m, k, s = record
     m, k = int(m), Fraction(k)
     scale = 1 / (4 * Fraction(s) ** 2)
     return _recentre([scale * math.comb(m - 1, j) * (-1) ** j / (k + j) for j in range(m)])
 
 
 @lru_cache(maxsize=None)
-def _laurent_parts(spec: ManifoldSpec) -> tuple[list[Fraction], list[Fraction], Fraction]:
+def _laurent_parts(record: tuple[float, float, float]) -> tuple[list[Fraction], list[Fraction], Fraction]:
     """(c, a, b): phi_hat = sum_j c_j v^j - b log x = sum_j a_j (w^j - 1) - b log x,
-    exactly, j = 1..m-1 (c and a from index 1), for a record with integer m.
+    exactly, j = 1..m-1 (c and a from index 1), for a record (m, k, s) with
+    integer m: a manifold's, or the mirror (k, m, s) of one with integer k.
 
     phi_hat = int_x^1 Q / x^m = G(1) - G(x) / x^(m-1) - b log x, G and b from
     `manifold._antiderivative`, and -G(x) / x^(m-1) = sum_j a_j w^j
     re-expands in v = w - 1.
     """
-    m = int(_record(spec)[0])
-    g, b = _antiderivative(_laurent_numerator(spec), m)
+    m = int(record[0])
+    g, b = _antiderivative(_laurent_numerator(record), m)
     # a_j for j = 0..m-1, a_0 = 0: G has no x^(m-1) term
     a = [-g[m - 1 - j] for j in range(m)]
     # sum_j a_j ((1 + v)^j - 1) = sum_i c_i v^i, i >= 1: a(1 + v) is the
@@ -537,18 +538,17 @@ def _laurent_parts(spec: ManifoldSpec) -> tuple[list[Fraction], list[Fraction], 
     return c, a, b
 
 
-def _laurent_moment(spec: ManifoldSpec) -> list[Fraction]:
-    """I(x) = int_0^x mu h dt = int_0^x D(1 - t) Q(t) dt of a record with
-    integer m and k, where mu = x^m D(y), in ascending powers of x from x^0;
-    c_m = -I(1)."""
+def _laurent_moment(spec: ManifoldSpec) -> Fraction:
+    """int_0^1 mu h dt = int_0^1 D(1 - t) Q(t) dt = -c_m of a record with
+    integer m and k, where mu = x^m D(y)."""
     m, k, d = _integer_record(spec)
     size = m + k - 1  # D(1 - x) Q(x) has degree m + k - 2
 
     def padded(coeffs):
         return ([Fraction(v) for v in coeffs] + [Fraction(0)] * size)[:size]
 
-    product = _mul(_recentre(padded(d)), padded(_laurent_numerator(spec)))
-    return [Fraction(0)] + [v / (i + 1) for i, v in enumerate(product)]
+    product = _mul(_recentre(padded(d)), padded(_laurent_numerator(_record(spec))))
+    return sum(v / (i + 1) for i, v in enumerate(product))
 
 
 def _laurent_profile(spec: ManifoldSpec) -> _LaurentProfile:
@@ -559,13 +559,13 @@ def _laurent_profile(spec: ManifoldSpec) -> _LaurentProfile:
     phi_hat_RP(pi/2) = 0 give c_RP = c_S + phi_hat_S(pi/2), where x_S = 1/2:
     c_S + sum_j c_j + b log 2.
     """
-    c, a, b = _laurent_parts(spec)
+    c, a, b = _laurent_parts(_record(spec))
     if spec.family is Family.REAL_PROJ:
         cover = ManifoldSpec(Family.SPHERE, spec.n)
-        c_s, _, b_s = _laurent_parts(cover)
-        c_m = float(sum(c_s) - sum(_laurent_moment(cover))) + float(b_s) * math.log(2.0)
+        c_s, _, b_s = _laurent_parts(_record(cover))
+        c_m = float(sum(c_s) - _laurent_moment(cover)) + float(b_s) * math.log(2.0)
     else:
-        c_m = float(-sum(_laurent_moment(spec)))
+        c_m = float(-_laurent_moment(spec))
     return _LaurentProfile(
         spec=spec,
         poly=tuple(float(v) for v in c[1:]),

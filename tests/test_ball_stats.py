@@ -1,10 +1,10 @@
 """Ball kernels: quadrature vs closed forms, asymptotics, average identities."""
 
-import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -21,9 +21,9 @@ from greenlab.manifold import (
     Family,
     ManifoldSpec,
     _integer_record,
+    _record,
     ball_volume,
     ball_volume_fraction,
-    bm_constant,
     diameter,
     dimension,
     sphere_area,
@@ -255,41 +255,6 @@ class TestClosedFormsAgainstMpmath:
             want = theta_oracle(spec, a)
             assert abs(bs.theta_closed(spec, a) - want) <= 1e-13 * abs(want) + floor, a
 
-    @pytest.mark.parametrize("spec", SPECS, ids=str)
-    def test_series_truncation_bound(self, spec):
-        for kernel in ("k", "theta"):
-            form = bs._closed_form(spec, kernel)
-            assert 0.0 < form.switch < 1.0
-            assert form.tail <= 2.0**-56
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 30])
-    def test_complex_k_series_coefficients(self, n):
-        # K = sum_j x^j / (4 V j (j + n)), x = sin^2 a
-        series = bs._closed_form(ManifoldSpec(Family.COMPLEX_PROJ, n), "k").series
-        assert series == tuple(float(Fraction(n, j * (j + n))) for j in range(1, len(series) + 1))
-
-    @pytest.mark.parametrize("n", [1, 3, 15])
-    def test_quaternionic_k_series_coefficients(self, n):
-        # numerator / x^m = (m+1) x - m(m+1) sum_{j>=2} x^j / (j (j-1) (j+m)), m = 2n
-        m = 2 * n
-        series = bs._closed_form(ManifoldSpec(Family.QUAT_PROJ, n), "k").series
-        want = [float(m + 1)] + [
-            float(Fraction(-m * (m + 1), j * (j - 1) * (j + m))) for j in range(2, len(series) + 1)
-        ]
-        assert series == tuple(want)
-
-    @pytest.mark.parametrize("spec", [CP2, HP1, OP2], ids=str)
-    def test_branches_meet_at_the_switch(self, spec):
-        forms = [bs._closed_form(spec, kernel) for kernel in ("k", "theta")]
-        for row, form in enumerate(forms):
-            # the radius whose sin^2 (K) or cos^2 (Theta) is the switch
-            a = np.array([math.asin(math.sqrt(form.switch if form.t_is_x else 1.0 - form.switch))])
-            series, direct = (
-                bs._form_kernels(tuple(dataclasses.replace(f, switch=switch) for f in forms), a)[0][row, 0]
-                for switch in (2.0, -1.0)
-            )
-            assert direct == pytest.approx(series, rel=1e-14)
-
 
 class TestSphereKernelsAgainstMpmath:
     """The closed K and Theta of S^n and RP^n against their single-integral
@@ -317,66 +282,150 @@ class TestSphereKernelsAgainstMpmath:
         floor = 1e-14 * max(1.0, abs(get_profile(spec).c_m)) / volume(spec)
         assert np.all(np.abs(bs.theta_values(spec, radii) - theta) <= 1e-13 * np.abs(theta) + floor)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 21, 61, 199])
-    def test_series_truncation_bound(self, n):
-        # the terms each series drops at t = 1/2 sum to less than 2^-56 of
-        # it, against the recurrences of `_sphere_series` run to twice the length
-        kept = bs._sphere_series(n)
-        m = Fraction(n, 2)
-        f, e, r = [Fraction(1)], [Fraction(1)], [Fraction(0)]
-        for i in range(1, 2 * max(map(len, kept))):
-            f.append(f[-1] * (n + i - 1) / (m + i))
-            e.append(((i - 1 + 4 * m) * e[-1] + 2 * m * f[i]) / (i + 2 * m))
-            r.append(((i - 1 + 2 * m) * r[-1] + (e[i - 1] - (e[i - 2] if i > 1 else 0)) / m) / (i + m))
-        h = [Fraction(0)] + [v / (m * (j + 1)) for j, v in enumerate(f)]
-        for full, rounded in zip((f, h, r), kept):
+
+def _exact_series(m, k, s, count):
+    """F, H and r of the record (m, k, s) to count terms, in Fractions:
+    f_i = (m + k)_i / (m + 1)_i, h_i = f_(i-1) / (4 s^2 m i), and r from its
+    equation x y r' + (m y - k x) r = x y F^2 / (4 s^2 m) coefficient by
+    coefficient, with F^2 by convolution."""
+    m, k, s = Fraction(m), Fraction(k), Fraction(s)
+    four = 4 * s * s * m
+    f = [Fraction(1)]
+    for i in range(1, count):
+        f.append(f[-1] * (m + k + i - 1) / (m + i))
+    h = [Fraction(0)] + [f[i - 1] / (four * i) for i in range(1, count)]
+    g = [sum(f[j] * f[i - j] for j in range(i + 1)) for i in range(count)]
+    r = [Fraction(0)]
+    for j in range(1, count):
+        r.append(((j - 1 + m + k) * r[-1] + (g[j - 1] - (g[j - 2] if j > 1 else 0)) / four) / (j + m))
+    return f, h, r
+
+
+# (m, k, s) of S^n, CP^n, HP^n and OP^2, and the mirrors (k, m, s) of the last three
+RECORDS = [(n / 2, n / 2, 0.5) for n in (2, 3, 4, 21, 61, 199)] + [
+    (1, 1, 1.0), (2, 1, 1.0), (1, 2, 1.0), (10, 1, 1.0), (1, 10, 1.0),
+    (2, 2, 1.0), (10, 2, 1.0), (2, 10, 1.0), (8, 4, 1.0), (4, 8, 1.0),
+]
+
+
+class TestRecordSeries:
+    """The series of `ball_stats._record_series` against the same series in
+    Fractions, and the closed K and Theta they give against identities of
+    their own: the small-radius laws, Theta(D) = 0, CP^n's K series, and the
+    two sides agreeing where they meet."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=str)
+    def test_coefficients_and_truncation(self, record):
+        # every coefficient its exact value rounded once, and the terms dropped
+        # at the mean below 2^-56 of the sum, against the exact series to twice the length
+        kept = bs._record_series(*record)
+        mean = record[0] / (record[0] + record[1])
+        for rounded, full in zip(kept, _exact_series(*record, 2 * len(kept[0]))):
             assert rounded == tuple(float(v) for v in full[: len(rounded)])
-            terms = [float(v) / 2**j for j, v in enumerate(full)]
+            terms = [float(v) * mean**j for j, v in enumerate(full)]
             assert math.fsum(terms[len(rounded) :]) <= 2.0**-56 * math.fsum(terms)
 
-
-class TestDerivedKernelParts:
-    """Exact identities of the closed kernels' parts derived from V(a)/V = x^m D(y)."""
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_complex_projective_k_is_its_series(self, n):
+        # K = sum_j x^j / (4 V j (j + n)), x = sin^2 a, up to the mean, and
+        # K(D) = H_n / (4 n V), H_n the harmonic number, on the mirror's side
+        spec = ManifoldSpec(Family.COMPLEX_PROJ, n)
+        V = volume(spec)
+        radii = np.linspace(0.05, 1.0, 20) * math.asin(math.sqrt(n / (n + 1)))
+        want = []
+        for x in (np.sin(radii) ** 2).tolist():
+            terms = [x / (4 * (1 + n))]
+            while terms[-1] > 1e-20 * terms[0]:
+                j = len(terms) + 1
+                terms.append(x**j / (4 * j * (j + n)))
+            want.append(math.fsum(terms) / V)
+        assert np.all(np.abs(bs.k_values(spec, radii) / want - 1.0) <= 5e-15)
+        full = math.fsum(1.0 / j for j in range(1, n + 1)) / (4 * n * V)
+        assert bs.k_value(spec, diameter(spec)) == pytest.approx(full, rel=5e-16)
 
     SPECS = (
-        [ManifoldSpec(Family.COMPLEX_PROJ, n) for n in range(1, 41)]
+        [ManifoldSpec(Family.SPHERE, n) for n in (2, 3, 10, 61)]
+        + [ManifoldSpec(Family.COMPLEX_PROJ, n) for n in range(1, 41)]
         + [ManifoldSpec(Family.QUAT_PROJ, n) for n in range(1, 21)]
         + [OP2]
     )
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
-    def test_k_numerator_starts_with_the_small_radius_law(self, spec):
-        # c V x^m D(y) K = R(y) + P(y) log(1 - x) = sum_j s_j x^j vanishes to
-        # order m + 1, and K -> s_(m+1) x / (c V D(1)) = a^2 / (2 (d + 2) V)
-        m, _, d = _integer_record(spec)
-        r, p, e, c = bs._kernel_parts(spec)["k"]
-        r_x, p_x = bs._recentre(r), bs._recentre(p)
-        series = [
-            (r_x[j] if j < len(r_x) else 0) - sum(pi / (j - i) for i, pi in enumerate(p_x[:j]))
-            for j in range(m + 2)
-        ]
-        assert e == m and not any(series[: m + 1])
-        assert series[m + 1] / (c * sum(d)) == Fraction(1, 2 * (dimension(spec) + 2))
+    def test_k_starts_with_the_small_radius_law(self, spec):
+        # V K = H - r / F = x / (4 s^2 (m + 1)) + O(x^2), x = s^2 a^2 + O(a^4):
+        # K -> a^2 / (2 (d + 2) V)
+        m, k, s = _record(spec)
+        _, h, r = bs._record_series(m, k, s)
+        assert h[1] - r[1] == pytest.approx(1.0 / (4 * s * s * (m + 1)), rel=1e-15)
+        a = 1e-6 * diameter(spec)
+        assert bs.k_value(spec, a) == pytest.approx(bs.k_asymptotic(spec, a), rel=1e-11)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
-    def test_theta_numerator_vanishes_at_the_diameter(self, spec):
-        # Theta(M, D) = 0: R(x) + P(x) log x is R(1) at x = 1
-        r, _, e, _ = bs._kernel_parts(spec)["theta"]
-        assert e == _integer_record(spec)[0] - 1 and sum(r) == 0
+    def test_theta_vanishes_at_the_diameter(self, spec):
+        # Theta(M, D) = 0: V Theta carries 1 - mu, which is 0 at D up to the rounding of cos^2(s D)
+        scale = max(1.0, abs(get_profile(spec).c_m)) / volume(spec)
+        assert abs(bs.theta_value(spec, diameter(spec))) <= 1e-30 * scale
 
-    @pytest.mark.parametrize("spec", [s for s in SPECS if dimension(s) > 2], ids=str)
+    @pytest.mark.parametrize("spec", [s for s in SPECS[4:] if dimension(s) > 2], ids=str)
     def test_theta_head_is_the_small_radius_law(self, spec):
-        # Theta -> R(0) / (c V x^(m-1) D(1)) = d B_M a^(2-d) / (2 V)
-        r, _, _, c = bs._kernel_parts(spec)["theta"]
-        head = r[0] / (c * sum(_integer_record(spec)[2]))
-        assert float(head) == pytest.approx(dimension(spec) * bm_constant(spec) / 2, rel=1e-15)
+        # Theta -> d B_M a^(2-d) / (2 V)
+        a = 1e-3 * diameter(spec)
+        assert bs.theta_value(spec, a) == pytest.approx(bs.theta_asymptotic(spec, a), rel=1e-4)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    @pytest.mark.parametrize("spec", SPECS[4:], ids=str)
     def test_volume_is_the_sphere_area_over_twice_the_slope_constant(self, spec):
         # v(a) = V mu'(x) dx/da with mu' = c' x^(m-1) y^(k-1) and c' = m D(1)
         m, _, d = _integer_record(spec)
         omega = vol_unit_sphere(dimension(spec))
         assert volume(spec) == pytest.approx(omega / (2 * m * sum(d)), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [S2, S3, ManifoldSpec(Family.SPHERE, 10), ManifoldSpec(Family.SPHERE, 61), CP2]
+        + [ManifoldSpec(Family.COMPLEX_PROJ, 30), HP1, ManifoldSpec(Family.QUAT_PROJ, 15), OP2],
+        ids=str,
+    )
+    def test_sides_meet_at_the_mean(self, spec):
+        # the record's series up to x = m / (m + k) and the mirror's past it
+        # agree on neighbouring radii across the switch
+        m, k, s = _record(spec)
+        mean = m / (m + k)
+        a = math.asin(math.sqrt(mean)) / s
+        while math.sin(s * a) ** 2 > mean:
+            a = math.nextafter(a, 0.0)
+        while math.sin(s * math.nextafter(a, 4.0)) ** 2 <= mean:
+            a = math.nextafter(a, 4.0)
+        radii = np.array([a, math.nextafter(a, 4.0)])
+        k_pair, theta_pair, mu_pair = bs._closed_kernels(spec, radii)
+        phi = abs(get_profile(spec).phi(a))
+        assert k_pair[1] == pytest.approx(k_pair[0], rel=1e-14)
+        assert abs(theta_pair[1] - theta_pair[0]) <= 2e-14 * max(abs(theta_pair[0]), phi)
+        assert mu_pair[1] == pytest.approx(mu_pair[0], rel=1e-14)
+
+
+class TestHighSphereFarSide:
+    """Past the mean of a high sphere, H(a) overflows near D while 1 - mu
+    underflows: their product (1 - mu) H is formed from the mirror's scaled
+    profile, so K and Theta stay finite and right up to D."""
+
+    @pytest.mark.parametrize("n", [100, 150, 199])
+    def test_finite_up_to_the_diameter(self, n):
+        spec = ManifoldSpec(Family.SPHERE, n)
+        radii = np.linspace(0.5, 1.0, 200_000) * diameter(spec)
+        assert np.isfinite(bs.k_values(spec, radii)).all()
+        assert np.isfinite(bs.theta_values(spec, radii)).all()
+
+    @pytest.mark.parametrize("n, fraction", [(100, 0.9998), (150, 0.9976), (199, 0.9919)])
+    def test_band_where_h_overflows_matches_the_oracle(self, n, fraction):
+        # the oracle integrates over pieces cut at its radii, which the steep
+        # H integrand near D needs
+        spec = ManifoldSpec(Family.SPHERE, n)
+        D = diameter(spec)
+        radii = (0.5 * D, 0.9 * D, 0.99 * D, fraction * D)
+        k, theta = (values[-1] for values in single_integral_oracle.kernels(spec, radii))
+        floor = 1e-14 * max(1.0, abs(get_profile(spec).c_m)) / volume(spec)
+        assert bs.k_value(spec, radii[-1]) == pytest.approx(k, rel=1e-13)
+        assert abs(bs.theta_value(spec, radii[-1]) - theta) <= 1e-13 * abs(theta) + floor
 
 
 class TestThetaQuadrature:
@@ -419,24 +468,35 @@ class TestRealProjectiveDoubleCover:
 
 
 class TestKernelPassFraction:
-    """The closed kernel pass returns mu = V(a)/V with K and Theta: on S^n and
-    RP^n from the sphere's betainc call, with the bits of `ball_volume_fraction`,
-    and on CP^n, HP^n and OP^2 as x^m D(y), within a few ulps per power of x."""
+    """The closed kernel pass returns mu = V(a)/V with K and Theta, from the
+    same series: within a few ulps per power of x of scipy's incomplete beta."""
 
     @pytest.mark.parametrize(
-        "spec", [S2, S3, ManifoldSpec(Family.SPHERE, 61), RP2, RP3, ManifoldSpec(Family.REAL_PROJ, 21)], ids=str
+        "spec",
+        [S2, S3, ManifoldSpec(Family.SPHERE, 61), RP2, RP3, ManifoldSpec(Family.REAL_PROJ, 21)]
+        + [CP2, HP1, OP2, ManifoldSpec(Family.COMPLEX_PROJ, 30), ManifoldSpec(Family.QUAT_PROJ, 15)],
+        ids=str,
     )
-    def test_sphere_and_real_projective_fraction_is_betainc(self, spec):
-        radii = np.geomspace(1e-4, 1.0, 60) * diameter(spec)
-        assert bs._closed_kernels(spec, radii)[2].tolist() == ball_volume_fraction(spec, radii).tolist()
-
-    @pytest.mark.parametrize(
-        "spec", [CP2, HP1, OP2, ManifoldSpec(Family.COMPLEX_PROJ, 30), ManifoldSpec(Family.QUAT_PROJ, 15)], ids=str
-    )
-    def test_polynomial_fraction(self, spec):
+    def test_fraction_is_the_incomplete_beta(self, spec):
         radii = np.geomspace(1e-2, 1.0, 60) * diameter(spec)
         mu, reference = bs._closed_kernels(spec, radii)[2], ball_volume_fraction(spec, radii)
-        assert np.all(np.abs(mu - reference) <= 4e-16 * dimension(spec) * reference)
+        assert np.all(np.abs(mu - reference) <= 6e-16 * dimension(spec) * reference)
+
+
+class TestPowerSums:
+    @pytest.mark.parametrize("spec", [ManifoldSpec(Family.COMPLEX_PROJ, 30), ManifoldSpec(Family.SPHERE, 199)], ids=str)
+    def test_memory_stays_bounded(self, spec):
+        # the table of powers is summed in blocks of at most 2 MB, however
+        # long the series (1241 terms on CP^30) and however many the radii
+        radii = np.geomspace(1e-4, 1.0, 100_000) * diameter(spec)
+        bs.k_values(spec, radii[:3])
+        tracemalloc.start()
+        try:
+            bs.k_values(spec, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestBallAverage:

@@ -533,7 +533,7 @@ def reference_phi_hat(spec, r):
     with mpmath.workdps(50):
         R = mpmath.mpf(r)
         if m == int(m):
-            c, _, b = green._laurent_parts(spec)
+            c, _, b = green._laurent_parts(_record(spec))
             x = mpmath.sin(mpmath.mpf(s) * R) ** 2
             v = 1 / x - 1
             value = sum(mp_fraction(cj) * v**j for j, cj in enumerate(c)) - mp_fraction(b) * mpmath.log(x)

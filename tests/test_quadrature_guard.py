@@ -13,9 +13,9 @@ The bound and the energy report take K and Theta from the closed forms on
 every family: a spy on the integration routine, under every name a
 module imports it by, sees no call.
 
-Nor does the bound call scipy's incomplete beta more than it must: the
-kernel pass returns mu = V(a)/V with K and Theta, so CP^n, HP^n and OP^2
-make no betainc call, and S^n and RP^n one per kernel pass.
+Nor does the bound call scipy's incomplete beta or its inverse: the
+kernel pass returns mu = V(a)/V with K and Theta, from the record's own
+series, on every family.
 
 Likewise the optimizer reads phi' from the profile's closed form: an
 `energy` that named the direct slope would put it back on the hot path.
@@ -165,12 +165,9 @@ def test_bound_and_energy_report_run_no_quadrature(spec, quadrature_calls):
     assert quadrature_calls == []
 
 
-@pytest.mark.parametrize(
-    ("family", "n", "per_pass"),
-    [("cp", 2, 0), ("hp", 1, 0), ("op2", 2, 0), ("s", 3, 1), ("rp", 3, 1)],
-)
+@pytest.mark.parametrize(("family", "n"), [("cp", 2), ("hp", 1), ("op2", 2), ("s", 3), ("rp", 3)])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_bound_calls_betainc_at_most_once_per_kernel_pass(monkeypatch, capsys, family, n, per_pass, warm):
+def test_bound_calls_no_incomplete_beta(monkeypatch, capsys, family, n, warm):
     spec = ManifoldSpec.from_token(family, n)
     green.get_profile(spec)  # built beforehand: the profile is not a kernel pass
     monkeypatch.setattr(bounds, "_REPORTS", {})
@@ -179,21 +176,22 @@ def test_bound_calls_betainc_at_most_once_per_kernel_pass(monkeypatch, capsys, f
     if warm:
         bounds.best_finite_bound(spec, 1234)
         monkeypatch.setattr(bounds, "_REPORTS", {})
-    calls = {"betainc": 0, "kernels": 0}
-    betainc, kernels = manifold.betainc, ball_stats._closed_kernels
+    calls = {"betainc": 0, "betaincinv": 0, "kernels": 0}
 
-    def betainc_spy(*args):
-        calls["betainc"] += 1
-        return betainc(*args)
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def kernels_spy(*args):
-        calls["kernels"] += 1
-        return kernels(*args)
+        return counted
 
-    monkeypatch.setattr(manifold, "betainc", betainc_spy)
-    monkeypatch.setattr(ball_stats, "_closed_kernels", kernels_spy)
-    monkeypatch.setattr(bounds, "_closed_kernels", kernels_spy)
+    for name in ("betainc", "betaincinv"):
+        monkeypatch.setattr(manifold, name, spy(name, getattr(manifold, name)))
+    kernels = spy("kernels", ball_stats._closed_kernels)
+    monkeypatch.setattr(ball_stats, "_closed_kernels", kernels)
+    monkeypatch.setattr(bounds, "_closed_kernels", kernels)
     argv = ["bound", "--family", family, "--points", "1234"] + ([] if family == "op2" else ["--n", str(n)])
     assert main(argv) == 0, capsys.readouterr().err
-    assert calls["kernels"] == (1 if warm else 3)
-    assert calls["betainc"] == per_pass * calls["kernels"]
+    assert calls == {"betainc": 0, "betaincinv": 0, "kernels": 1 if warm else 3}
+    manifold.ball_volume_fraction(spec, np.array([0.5]))  # the spy sees a call where there is one
+    assert calls["betainc"] == 1
