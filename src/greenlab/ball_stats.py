@@ -32,7 +32,7 @@ so
     H = int_0^x F / (4 s^2 m),    J / V(a) = q = r / F,
 
 where r solves x y r' + (m y - k x) r = x y F^2 / (4 s^2 m). F, H and r are
-series of positive terms (`_record_series`), summed up to the mean
+series of positive terms (`green._record_series`), summed up to the mean
 x = m / (m + k), where V K = H - q and
 V Theta = (phi_hat + c_m) + V K + H (1 - mu) / mu, with phi_hat from the
 profile. Past the mean H and J diverge toward D while K and Theta stay
@@ -74,13 +74,12 @@ from __future__ import annotations
 
 import functools
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError, SingularityError
-from .green import _laurent_parts, _odd_parts, _radial_ratios, get_profile
+from .green import _laurent_parts, _odd_parts, _radial_ratios, _record_series, get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
@@ -251,55 +250,6 @@ def theta_quadrature(spec: ManifoldSpec, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _record_series(m: float, k: float, s: float) -> tuple[tuple[float, ...], ...]:
-    """(F, H, r) of the record (m, k, s), k >= 1, in ascending powers of t,
-    as many terms as its mean t = m / (m + k) needs: F = 2F1(m + k, 1; m + 1; t),
-    H = int_0^t F / (4 s^2 m) and r = q F (module docstring).
-
-    With f_i, h_i, r_i and p_i the coefficients of F, H, r and (1 - t) F^2,
-    the first-order equations t (1 - t) F' = m - (m (1 - t) - k t) F and
-    t (1 - t) r' + (m (1 - t) - k t) r = t (1 - t) F^2 / (4 s^2 m) give
-
-        f_i = f_(i-1) (m + k + i - 1) / (m + i),    h_i = f_(i-1) / (4 s^2 m i),
-        (i + 2m) p_i = (i - 2 + 2m + 2k) p_(i-1) + 2m (k - 1) f_(i-1) / (m + i),
-        (i + m) r_i = (i - 1 + m + k) r_(i-1) + p_(i-1) / (4 s^2 m),
-
-    every term positive for k >= 1. They run in 40-digit decimals, so each
-    coefficient is its exact value, to some 35 digits, rounded once to a
-    double.
-
-    Each series stops once its last term at the mean, times rho / (1 - rho)
-    with rho the larger of the mean and the ratio of its last two terms, is
-    below 2^-56 of its sum: the ratios tend to the mean, so that bounds the
-    terms dropped.
-    """
-    mean = m / (m + k)
-    with localcontext() as context:
-        context.prec = 40
-        m, k, four = Decimal(m), Decimal(k), 4 * Decimal(s) ** 2 * Decimal(m)
-        exact = [Decimal(1), Decimal(0), Decimal(0)]  # f, h and r
-        coeffs: list[list[float]] = [[1.0], [0.0], [0.0]]
-        sums = [1.0, 0.0, 0.0]  # of f, h and r at the mean so far
-        p, power, i = Decimal(1), 1.0, 0
-        while True:
-            i += 1
-            f, _, r = exact
-            exact = [f * (m + k + i - 1) / (m + i), f / (four * i), ((i - 1 + m + k) * r + p / four) / (i + m)]
-            p = ((i - 2 + 2 * m + 2 * k) * p + 2 * m * (k - 1) * f / (m + i)) / (i + 2 * m)
-            power *= mean
-            settled = i > 1
-            for j, value in enumerate(map(float, exact)):
-                last, before = value * power, coeffs[j][-1] * power / mean
-                coeffs[j].append(value)
-                sums[j] += last
-                if settled:
-                    rho = max(last / before, mean)
-                    settled = rho < 1.0 and last * rho / (1.0 - rho) <= 2.0**-56 * sums[j]
-            if settled:
-                return tuple(map(tuple, coeffs))
-
-
 # the powers `_power_sums` holds at once, 2^18 doubles: 2 MB
 _SERIES_BLOCK = 1 << 18
 
@@ -362,12 +312,18 @@ def _record_route(spec: ManifoldSpec) -> tuple[np.ndarray, float, tuple[float, .
 
 
 def _record_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V K, V Theta and mu = V(a)/V of S^n, CP^n, HP^n or OP^2 at every
-    radius, from one `_power_sums` pass: the record's series and its profile
-    at x up to the mean, the mirror's series and Phi past it (module
-    docstring). Each radius takes its side's values, so a side's values at
-    the other side's radii may overflow unseen."""
+    """K, Theta and mu = V(a)/V of S^n, CP^n, HP^n or OP^2 at every radius,
+    from one `_power_sums` pass: the record's series and its profile at x up
+    to the mean, the mirror's series and Phi past it (module docstring).
+    Each radius takes its side's values, so a side's values at the other
+    side's radii may overflow unseen.
+
+    Past the mean Theta carries (4xy)^k, which leaves the normal range long
+    before Theta does on high spheres: below about 2^-600 it is formed as
+    (2^j 4xy)^k, j even, and Theta is scaled by 2^(-jk) last, so no factor
+    is subnormal where Theta is normal."""
     m, k, _ = _record(spec)
+    V = volume(spec)
     table, scale, constants = _record_route(spec)
     prof = get_profile(spec)
     x, y = _sin_cos_squares(spec, a)
@@ -403,8 +359,11 @@ def _record_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.n
     q = r_m / f_m
     far_mu = 1.0 - rest
     vk = np.where(near, vk, (q * rest - held - prof.c_m - phi) / far_mu)
-    vtheta = np.where(near, vtheta, rest * (q - phi - prof.c_m) / far_mu)
-    return vk, vtheta, np.where(near, mu, far_mu)
+    shift = np.maximum(0, -np.frexp(sigma)[1] - int(600 // k))
+    j = shift + shift % 2
+    scaled_rest = rest_scale * f_m * (lean * np.ldexp(sigma, j) ** k)  # 2^(jk) (1 - mu)
+    theta = np.ldexp(scaled_rest * (q - phi - prof.c_m) / far_mu / V, (-j * k).astype(int))
+    return vk / V, np.where(near, vtheta / V, theta), np.where(near, mu, far_mu)
 
 
 def _closed_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -416,13 +375,11 @@ def _closed_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.n
     Theta_RP = Theta_S + K_S + c_S / V_S and mu_RP = 2 mu_S, at a <= pi/2.
     """
     cover = ManifoldSpec(Family.SPHERE, spec.n) if spec.family is Family.REAL_PROJ else spec
-    V = volume(cover)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         k, theta, mu = _record_kernels(cover, a)
-        k, theta = k / V, theta / V
         if cover is spec:
             return k, theta, mu
-        return 2.0 * k, theta + k + get_profile(cover).c_m / V, 2.0 * mu
+        return 2.0 * k, theta + k + get_profile(cover).c_m / volume(cover), 2.0 * mu
 
 
 def k_closed(spec: ManifoldSpec, a: float) -> float:

@@ -2,27 +2,23 @@
 
 The energy of a configuration is the sum of the radial Green profile over
 all ordered distinct pairs, twice the sum over the upper triangle i < j.
-Pairs are formed from Gram products of the points' real frames (see
-`manifold`): a block of rows lo..hi-1 meets only the points after lo, and
-gathers its own pairs, row by row, into one flat vector, on which the
-profile runs once per pair. The whole evaluation is O(N^2) dense linear
-algebra plus one vectorized profile sweep per block.
+The triangle is swept in row blocks (`_pair_blocks`): a block of rows
+lo..hi-1 meets only the points after lo, and gathers its own pairs, row by
+row, into one flat vector, on which the profile runs once per pair. The
+whole evaluation is O(N^2) dense linear algebra plus one vectorized
+profile sweep per block.
 
 Every profile is its closed form in (x, y) = (sin^2(s d), cos^2(s d))
-(`RadialGreenProfile.phi_hat`), so the sweep takes both straight from the
-Gram entries, with no arccos: x = (1 - t)/2 and y = (1 + t)/2 from
-t = cos d on spheres, and y = sum_c h_c^2, x = 1 - y from the components
-h_c of <p, q> on the projective families. Close pairs (x below its value
-at cosine `_CHORD_COSINE`) take x from the chord c = |p - q u| of the
-aligned representatives, c^2/4 on spheres and c^2 (1 - c^2/4) on the
-projective families, and y = 1 - x; the separation floor is the test
-x < sin^2(s floor). Each fix-up locates its pairs from the flat index
-only when there are any.
+(`RadialGreenProfile.phi_hat`), and a block takes each pair's (x, y) from
+`manifold._pair_sin_cos_squares`, with no arccos: from the Gram entries,
+and from the chord of the aligned representatives for close pairs, where
+the cosine has lost digits. The separation floor is the test
+x < sin^2(s floor).
 
-The optimizer's gradient is formed the same way, from the same products,
-with one array evaluation of h per block of pairs: its weight is
--h(x, y)/(2V) on spheres and -2h(x, y)/V (over cos d) on the projective
-families, from phi'(d) = -2 s h sqrt(x y) / V.
+The optimizer's gradient shares that sweep, blocks, (x, y), chord and
+floor checks alike, with one array evaluation of h per block: its weight
+is -h(x, y)/(2V) on spheres and -2h(x, y)/V (over cos d) on the
+projective families, from phi'(d) = -2 s h sqrt(x y) / V.
 """
 
 from __future__ import annotations
@@ -36,17 +32,15 @@ from .bounds import BoundReport, best_finite_bound
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
 from .green import RadialGreenProfile, _phi_hat_floor, _unrepresentable, get_profile
 from .manifold import (
-    _CHORD_COSINE,
     _CONJ_SIGN,
     _FIELD_RANK,
     Configuration,
     Family,
     ManifoldSpec,
     _as_generator,
-    _chord_squares,
     _frames,
     _geodesic_rows,
-    _products,
+    _pair_sin_cos_squares,
     _project_horizontal,
     diameter,
     random_distance,
@@ -87,88 +81,49 @@ def _row_blocks(n: int, pairs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
-def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) of positions in a row-major upper triangle of `width`
-    columns, in which row r holds its columns r..width-1."""
-    rows = np.arange(width)
-    starts = rows * width - rows * (rows - 1) // 2
-    r = np.searchsorted(starts, flat, side="right") - 1
-    return r, flat - starts[r] + r
+def _pair_blocks(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray):
+    """The pairs i < j of the unit rows of coords, one row block at a time:
+    yields (lo, h, pairs, x, y) of `manifold._pair_sin_cos_squares` for rows
+    lo..hi-1 against the points after lo (column c is point lo + 1 + c), each
+    block once all its pairs clear the separation floor and the profile's
+    representable floor. Nothing here keeps a block once it is yielded, so a
+    caller that drops h frees it."""
+    n = len(coords)
+    floor = _MIN_SEPARATION_FACTOR * diameter(spec)
+    s = profile.s
+    # sin^2(s d) at the separation floor and the representable floor
+    x_floor = math.sin(s * floor) ** 2
+    x_unrepresentable = math.sin(s * _phi_hat_floor(spec)) ** 2
 
+    def checked(lo, h, pairs, x, y):
+        least = float(x.min())
+        if least < x_floor:
+            at = int(np.flatnonzero(x < x_floor)[0])
+            i, j = (int(v[at]) for v in np.nonzero(pairs))
+            raise SingularityError(
+                f"points {lo + i} and {lo + 1 + j} are closer "
+                f"than {floor:g} (distance {math.asin(math.sqrt(x[at])) / s:g})"
+            )
+        if least < x_unrepresentable:
+            raise _unrepresentable(spec, math.asin(math.sqrt(least)) / s, "phi_hat")
+        return lo, h, pairs, x, y
 
-def _gram_sin_cos_squares(
-    spec: ManifoldSpec, h: np.ndarray, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (x, y) = (sin^2(s d), cos^2(s d)) at the (A, B) mask pairs, from the
-    products h of `manifold._products`, which are left as they are: (1 -+ t) / 2
-    from t = cos d on spheres, x = 1 - y with y = sum_c h_c^2 from the
-    components h_c of <x, y> on the projective families."""
-    if spec.family is Family.SPHERE:
-        t = h[:, 0][pairs]
-        x = t * -0.5
-        x += 0.5
-        t *= 0.5
-        t += 0.5
-        return x, t
-    y = np.square(h[:, 0])
-    for c in range(1, h.shape[1]):
-        y += np.square(h[:, c])
-    y = y[pairs]
-    return np.subtract(1.0, y), y
-
-
-def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """x = sin^2(s d) of the paired rows from their chords c = 2 sin(d/2):
-    c^2 / 4 on spheres, c^2 (1 - c^2 / 4) on the projective families."""
-    c2 = _chord_squares(spec, left, right)
-    if spec.family is Family.SPHERE:
-        return 0.25 * c2
-    return c2 * (1.0 - 0.25 * c2)
+    # the last point has no later partner: a block of it alone is left out
+    for lo, hi in _row_blocks(n, _BLOCK_PAIRS):
+        if lo == n - 1:
+            break
+        yield checked(lo, *_pair_sin_cos_squares(spec, coords[lo:hi], coords[lo + 1 :]))
 
 
 def _energy_rows(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray) -> float:
     """`energy` of the unit rows of coords."""
-    n = len(coords)
-    if n == 1:
-        return 0.0
-    floor = _MIN_SEPARATION_FACTOR * diameter(spec)
-    s, k, V = profile.s, _FIELD_RANK[spec.family], volume(spec)
-    # sin^2(s d) at the separation floor, the representable floor and the
-    # cosine of the chord route
-    x_floor = math.sin(s * floor) ** 2
-    x_unrepresentable = math.sin(s * _phi_hat_floor(spec)) ** 2
-    x_close = math.sin(s * math.acos(_CHORD_COSINE)) ** 2
-
-    def block_sum(lo: int, hi: int) -> float:
-        # rows lo..hi-1 against the points after lo: column c is point lo + 1 + c,
-        # and row r's pairs are its columns c >= r, gathered row by row
-        later = coords[lo + 1 :]
-        width = n - lo - 1
-        upper = np.arange(width)[None, :] >= np.arange(hi - lo)[:, None]
-        x, y = _gram_sin_cos_squares(spec, _products(k, coords[lo:hi], later), upper)
-        least = float(x.min())
-        if least < x_close:
-            # 1 - t of a cosine t near 1 keeps only half the digits
-            close = np.flatnonzero(x < x_close)
-            rows, cols = _pair_rows_cols(close, width)
-            x[close] = _chord_sin_squares(spec, coords[lo + rows], later[cols])
-            y[close] = 1.0 - x[close]
-            least = float(x.min())
-        if least < x_floor:
-            at = np.flatnonzero(x < x_floor)[:1]
-            rows, cols = _pair_rows_cols(at, width)
-            raise SingularityError(
-                f"points {lo + int(rows[0])} and {lo + 1 + int(cols[0])} are closer "
-                f"than {floor:g} (distance {math.asin(math.sqrt(x[at[0]])) / s:g})"
-            )
-        if least < x_unrepresentable:
-            raise _unrepresentable(spec, math.asin(math.sqrt(least)) / s, "phi_hat")
+    V = volume(spec)
+    partials = []
+    for _, _, _, x, y in _pair_blocks(spec, profile, coords):
         profile.phi_hat(x, y, out=x)
         x += profile.c_m
-        return float(np.sum(x)) / V
-
-    # the last point has no later partner: a block of it alone is left out
-    partials = [block_sum(lo, hi) for lo, hi in _row_blocks(n, _BLOCK_PAIRS) if lo < n - 1]
+        partials.append(float(np.sum(x)) / V)
+        del x, y  # before the next block is formed
     return 2.0 * float(np.sum(np.asarray(partials)))
 
 
@@ -227,55 +182,37 @@ def _descent_rows(
 
     Row i is sum_j [phi'(d_ij) / sin d_ij] (x_j u_ij - cos(d_ij) x_i), with
     x_j u_ij the representative of x_j aligned to x_i (see
-    `manifold._aligned`). The upper triangle is swept in row blocks, phi' is
-    evaluated once per unordered pair, and each pair adds to both of its rows
-    through k matrix products with the right multiples x e_c, so no
-    temporary holds more than a block's products. The total energy's
-    gradient at row i is -2 times row i.
+    `manifold._aligned`). The pairs come from the energy's block sweep
+    (`_pair_blocks`), so phi' is evaluated once per unordered pair at the
+    energy's (x, y), chord and floor checks included, and each pair adds to
+    both of its rows through k matrix products with the right multiples
+    x e_c. The total energy's gradient at row i is -2 times row i.
 
-    The weights come from (x, y) = (sin^2, cos^2)(s d) of the Gram entries,
-    with no arccos or sqrt: phi'(d) = -2 s h(x, y) sqrt(x y) / V makes
-    w = phi'(d) / sin d = -h / (2 V) on spheres (s = 1/2), and w / cos d
-    = -2 h / V on the projective families (s = 1), where w cos d is that
-    times cos^2 d = y. A pair with x <= 0 coincides and adds nothing.
+    phi'(d) = -2 s h(x, y) sqrt(x y) / V makes w = phi'(d) / sin d
+    = -h / (2 V) on spheres (s = 1/2), and w / cos d = -2 h / V on the
+    projective families (s = 1), where conj(u_ij) = <x_i, x_j> / cos d. The
+    x_i term w cos d is w (y - x) on spheres and (w / cos d) y elsewhere.
     """
     n, width = coords.shape
     k = _FIELD_RANK[spec.family]
-    V = volume(spec)
     sphere = spec.family is Family.SPHERE
-    # phi'(d) / sin d on spheres and phi'(d) / (sin d cos d) elsewhere, over h
-    factor = -0.5 / V if sphere else -2.0 / V
+    factor = (-0.5 if sphere else -2.0) / volume(spec)
     frames = _frames(k, coords)
-    # row c n + j holds x_j conj(e_c) = conj-sign c times x_j e_c
-    conj_frames = (frames * _CONJ_SIGN[:k, None]).transpose(1, 0, 2).reshape(k * n, width)
+    # conj[c, j] = x_j conj(e_c), the conj-sign c times x_j e_c
+    conj = (frames * _CONJ_SIGN[:k, None]).transpose(1, 0, 2)
     descent = np.zeros_like(coords)
-    # a block's k products per pair fill about _BLOCK_PAIRS entries: phi'
-    # keeps more temporaries per pair than phi
-    for lo, hi in _row_blocks(n, _BLOCK_PAIRS // k):
-        h = _products(k, coords[lo:hi], coords)
-        # the pairs j > i that do not coincide (x > 0)
-        inside = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
-        x, y = _gram_sin_cos_squares(spec, h, inside)
-        apart = x > 0.0
-        inside[inside] = apart
-        # the weight of each pair's products: w on spheres and w / cos d on
-        # the projective families, where conj(u_ij) = <x_i, x_j> / cos d;
-        # wc = w cos d, which is w t on spheres and w / cos d times y elsewhere
-        weight = np.zeros(inside.shape)
-        w = profile.h(x[apart], y[apart]) * factor
-        weight[inside] = w
-        if sphere:
-            wc = weight * h[:, 0]
-            a = weight[:, None, :]
-        else:
-            wc = np.zeros(inside.shape)
-            wc[inside] = w * y[apart]
-            h *= weight[:, None, :]
-            a = h
-        descent[lo:hi] += a.reshape(hi - lo, k * n) @ conj_frames
+    for lo, h, pairs, x, y in _pair_blocks(spec, profile, coords):
+        rows, cols = pairs.shape
+        hi = lo + rows
+        w = profile.h(x, y) * factor
+        weight, wc = np.zeros(pairs.shape), np.zeros(pairs.shape)
+        weight[pairs] = w
+        wc[pairs] = w * (y - x if sphere else y)
+        a = weight[:, None, :] if sphere else h * weight[:, None, :]
+        descent[lo:hi] += a.reshape(rows, k * cols) @ conj[:, lo + 1 :].reshape(k * cols, width)
         descent[lo:hi] -= wc.sum(axis=1)[:, None] * coords[lo:hi]
-        descent += a.reshape(-1, n).T @ frames[lo:hi].reshape(-1, width)
-        descent -= wc.sum(axis=0)[:, None] * coords
+        descent[lo + 1 :] += a.reshape(rows * k, cols).T @ frames[lo:hi].reshape(rows * k, width)
+        descent[lo + 1 :] -= wc.sum(axis=0)[:, None] * coords[lo + 1 :]
     return _project_horizontal(spec, coords, descent)
 
 

@@ -39,7 +39,8 @@ exact forms it leaves the same polynomials with pi/2 - r in place of
 pi - r and no constant, so every term is positive for r in (0, pi/2]. On
 S^n past r = pi/2 the two terms cancel toward the antipode, and the series
 h = (2/n) 2F1(1, n; n/2 + 1; y) of positive terms in y = sin^2((pi - r)/2),
-even in pi - r, takes over there, phi_hat its integral in y.
+even in pi - r, takes over there, phi_hat its integral in y: the F and H
+of S^n's record, its own mirror (`_record_series`).
 
 r_cut = max(D/100, 2 x the representable floor) only sets where `grid_rows`
 starts. The quadrature `phi_hat` and `phi_hat_prime` are the oracles the
@@ -51,8 +52,9 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -64,8 +66,6 @@ from .manifold import (
     ManifoldSpec,
     _antiderivative,
     _density,
-    _integer_record,
-    _mul,
     _radius_limit,
     _recentre,
     _record,
@@ -408,7 +408,7 @@ class _OddProfile(RadialGreenProfile):
     and on S^n up to r = pi/2 no two terms cancel. const is F(pi) on S^n and
     0 on RP^n. t comes from atan2 of sqrt(y) and sqrt(x). On S^n below y = 1/2
     (r past pi/2) the positive series h = sum_j e_j y^j, phi_hat =
-    sum_j e_j y^(j+1) / (j+1) serves instead.
+    sum_j H_(j+1) y^(j+1) = int_0^y h serves instead.
     """
 
     reads_y = True
@@ -420,7 +420,7 @@ class _OddProfile(RadialGreenProfile):
     R: tuple[float, ...]  # R_1, ..., R_(k-1): R(v) = sum_j R_j v^j
     P: tuple[float, ...]  # P_0, ..., P_(k-1) in u
     series: tuple[float, ...]  # e_0, e_1, ... of h (S^n only)
-    series_phi: tuple[float, ...]  # e_j / (j + 1), of y^(j+1) in phi_hat
+    series_phi: tuple[float, ...]  # H_1, H_2, ..., of y^(j+1) in phi_hat
 
     def _angles(self, x, y):
         """(t, c, v, sin^2 r) of the direct form."""
@@ -508,13 +508,13 @@ def _flip(coeffs: list) -> list:
 
 
 def _laurent_numerator(record: tuple[float, float, float]) -> list[Fraction]:
-    """Q(x) with h = Q(x) / x^m on a record (m, k, s) with integer m, exactly:
-    h = 2F1(k, 1 - m; k + 1; y) / (4 s^2 k x^m) makes Q(1 - y) =
-    sum_j C(m-1, j) (-y)^j / (k + j) / (4 s^2)."""
+    """q_j of Q(1 - y) = sum_j q_j y^j, with h = Q(x) / x^m on a record
+    (m, k, s) with integer m, exactly: h = 2F1(k, 1 - m; k + 1; y) / (4 s^2 k x^m)
+    makes q_j = C(m-1, j) (-1)^j / ((k + j) 4 s^2)."""
     m, k, s = record
     m, k = int(m), Fraction(k)
     scale = 1 / (4 * Fraction(s) ** 2)
-    return _recentre([scale * math.comb(m - 1, j) * (-1) ** j / (k + j) for j in range(m)])
+    return [scale * math.comb(m - 1, j) * (-1) ** j / (k + j) for j in range(m)]
 
 
 @lru_cache(maxsize=None)
@@ -528,7 +528,7 @@ def _laurent_parts(record: tuple[float, float, float]) -> tuple[list[Fraction], 
     re-expands in v = w - 1.
     """
     m = int(record[0])
-    g, b = _antiderivative(_laurent_numerator(record), m)
+    g, b = _antiderivative(_recentre(_laurent_numerator(record)), m)
     # a_j for j = 0..m-1, a_0 = 0: G has no x^(m-1) term
     a = [-g[m - 1 - j] for j in range(m)]
     # sum_j a_j ((1 + v)^j - 1) = sum_i c_i v^i, i >= 1: a(1 + v) is the
@@ -539,16 +539,20 @@ def _laurent_parts(record: tuple[float, float, float]) -> tuple[list[Fraction], 
 
 
 def _laurent_moment(spec: ManifoldSpec) -> Fraction:
-    """int_0^1 mu h dt = int_0^1 D(1 - t) Q(t) dt = -c_m of a record with
-    integer m and k, where mu = x^m D(y)."""
-    m, k, d = _integer_record(spec)
-    size = m + k - 1  # D(1 - x) Q(x) has degree m + k - 2
-
-    def padded(coeffs):
-        return ([Fraction(v) for v in coeffs] + [Fraction(0)] * size)[:size]
-
-    product = _mul(_recentre(padded(d)), padded(_laurent_numerator(_record(spec))))
-    return sum(v / (i + 1) for i, v in enumerate(product))
+    """int_0^1 mu h dx = -c_m of a record with integer m and k, exactly: with
+    mu = x^m D(y), D(y) = sum_(i<k) C(m+i-1, i) y^i, and x^m h = Q(x), it is
+    int_0^1 D(y) Q(1 - y) dy = sum_(i,j) C(m+i-1, i) q_j / (i + j + 1), q_j
+    of `_laurent_numerator`: in integers over L^2, L = lcm(1, ..., m + k)."""
+    m, k, s = _record(spec)
+    m, k = int(m), int(k)
+    L = math.lcm(*range(1, m + k + 1))
+    over = [0] + [L // i for i in range(1, m + k + 1)]  # L / i
+    d = [math.comb(m + i - 1, i) for i in range(k)]
+    total = sum(
+        math.comb(m - 1, j) * (-1) ** j * over[k + j] * sum(di * over[i + j + 1] for i, di in enumerate(d))
+        for j in range(m)
+    )
+    return Fraction(total, L * L) / (4 * Fraction(s) ** 2)
 
 
 def _laurent_profile(spec: ManifoldSpec) -> _LaurentProfile:
@@ -608,29 +612,55 @@ def _odd_parts(k: int) -> tuple:
     return A, g, R, P, F, -sum(Fraction(1, i) for i in range(1, k + 1)) / (4 * k)
 
 
-def _antipodal_series(n: int) -> tuple[float, ...]:
-    """e_j of h = sum_j e_j y^j = (2/n) 2F1(1, n; n/2 + 1; y) on S^n, as many as
-    y = 1/2 needs.
+@cache
+def _record_series(m: float, k: float, s: float) -> tuple[tuple[float, ...], ...]:
+    """(F, H, r) of the record (m, k, s), k >= 1, in ascending powers of t,
+    as many terms as its mean t = m / (m + k) needs: F = 2F1(m + k, 1; m + 1; t),
+    H = int_0^t F / (4 s^2 m) and r = q F, with mu = t^m (1 - t)^k F / (m B(m, k))
+    and q = J / V(a) (`ball_stats` module docstring). The kernels read all
+    three, S^n's profile past pi/2 the first two.
 
-    h = 2F1(1, m + k; k + 1; y) / (4 s^2 k) on every record; on S^n the terms
-    are positive and their ratio e_(j+1) y / e_j = (n + j) y / (n/2 + 1 + j)
-    falls with j, so the terms after e_J y^J sum to at most that term times
-    rho / (1 - rho) with rho its ratio. The series stops once that is below
-    2^-56 of its value at y = 1/2, and phi_hat's series, whose terms carry
-    1 / (j + 1) more, below that too.
+    With f_i, h_i, r_i and p_i the coefficients of F, H, r and (1 - t) F^2,
+    the first-order equations t (1 - t) F' = m - (m (1 - t) - k t) F and
+    t (1 - t) r' + (m (1 - t) - k t) r = t (1 - t) F^2 / (4 s^2 m) give
+
+        f_i = f_(i-1) (m + k + i - 1) / (m + i),    h_i = f_(i-1) / (4 s^2 m i),
+        (i + 2m) p_i = (i - 2 + 2m + 2k) p_(i-1) + 2m (k - 1) f_(i-1) / (m + i),
+        (i + m) r_i = (i - 1 + m + k) r_(i-1) + p_(i-1) / (4 s^2 m),
+
+    every term positive for k >= 1. They run in 40-digit decimals, so each
+    coefficient is its exact value, to some 35 digits, rounded once to a
+    double.
+
+    Each series stops once its last term at the mean, times rho / (1 - rho)
+    with rho the larger of the mean and the ratio of its last two terms, is
+    below 2^-56 of its sum: the ratios tend to the mean, so that bounds the
+    terms dropped.
     """
-    terms = [Fraction(2, n)]
-    half = Fraction(1, 2)
-    total, total_phi = terms[0], terms[0] * half
-    while True:
-        j = len(terms) - 1
-        rho = (n + j) * half / (Fraction(n, 2) + 1 + j)
-        tail = terms[-1] * half**j * rho / (1 - rho)
-        if tail <= Fraction(1, 2**56) * total and tail * half / (j + 2) <= Fraction(1, 2**56) * total_phi:
-            return tuple(float(v) for v in terms)
-        terms.append(terms[-1] * (n + j) / (Fraction(n, 2) + 1 + j))
-        total += terms[-1] * half ** (j + 1)
-        total_phi += terms[-1] * half ** (j + 2) / (j + 2)
+    mean = m / (m + k)
+    with localcontext() as context:
+        context.prec = 40
+        m, k, four = Decimal(m), Decimal(k), 4 * Decimal(s) ** 2 * Decimal(m)
+        exact = [Decimal(1), Decimal(0), Decimal(0)]  # f, h and r
+        coeffs: list[list[float]] = [[1.0], [0.0], [0.0]]
+        sums = [1.0, 0.0, 0.0]  # of f, h and r at the mean so far
+        p, power, i = Decimal(1), 1.0, 0
+        while True:
+            i += 1
+            f, _, r = exact
+            exact = [f * (m + k + i - 1) / (m + i), f / (four * i), ((i - 1 + m + k) * r + p / four) / (i + m)]
+            p = ((i - 2 + 2 * m + 2 * k) * p + 2 * m * (k - 1) * f / (m + i)) / (i + 2 * m)
+            power *= mean
+            settled = i > 1
+            for j, value in enumerate(map(float, exact)):
+                last, before = value * power, coeffs[j][-1] * power / mean
+                coeffs[j].append(value)
+                sums[j] += last
+                if settled:
+                    rho = max(last / before, mean)
+                    settled = rho < 1.0 and last * rho / (1.0 - rho) <= 2.0**-56 * sums[j]
+            if settled:
+                return tuple(map(tuple, coeffs))
 
 
 def _odd_profile(spec: ManifoldSpec) -> _OddProfile:
@@ -642,7 +672,10 @@ def _odd_profile(spec: ManifoldSpec) -> _OddProfile:
     k = (spec.n - 1) // 2
     A, g, R, P, F, c_rp = _odd_parts(k)
     sphere = spec.family is Family.SPHERE
-    series = _antipodal_series(spec.n) if sphere else ()
+    # past pi/2 on S^n, h = F / m and phi_hat = H (4 s^2 = 1) of its record,
+    # which is its own mirror, at y
+    m = _record(spec)[0]
+    f, H, _ = _record_series(m, m, 0.5) if sphere else ((), (0.0,), ())
     return _OddProfile(
         spec=spec,
         sphere=sphere,
@@ -652,8 +685,8 @@ def _odd_profile(spec: ManifoldSpec) -> _OddProfile:
         g=tuple(float(v) for v in g),
         R=tuple(float(v) for v in R[1:]),
         P=tuple(float(v) for v in P),
-        series=series,
-        series_phi=tuple(e / (j + 1) for j, e in enumerate(series)),
+        series=tuple(v / m for v in f),
+        series_phi=H[1:],
         c_m=float(c_rp - F if sphere else c_rp),
     )
 

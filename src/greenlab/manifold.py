@@ -29,12 +29,16 @@ exactly one line of a configuration file. Right multiplication by
 e_c in {1, i, j, k} only permutes and negates the entries of x, so the k
 components h_c = (x_p e_c) . x_q of the Hermitian inner product
 <p, q> = sum conj(p_i) q_i come from one real matrix product for every
-family. Distance is arccos of h_0 on the sphere and of |<p, q>| = ||h||
-on the projective families, the normalization under which the radial
-densities below hold; phase alignment and the horizontal projection are
-built from the same products. A `Configuration` holds N points as the
-(N, D) array of their real frames. The Cayley plane has no point model
-here; all its radial quantities and radial sampling are fully supported.
+family. A pair's (x, y) = (sin^2(s d), cos^2(s d)) comes from them in one
+place (`_pair_sin_cos_squares`), which `distance`, the energy and its
+gradient share: cos d is h_0 on the sphere and |<p, q>| = ||h|| on the
+projective families, the normalization under which the radial densities
+below hold, and near coincidence x comes from the chord of the
+phase-aligned representatives instead. Phase alignment and the horizontal
+projection are built from the same products. A `Configuration` holds N
+points as the (N, D) array of their real frames. The Cayley plane has no
+point model here; all its radial quantities and radial sampling are fully
+supported.
 
 Configuration file format
 -------------------------
@@ -231,17 +235,6 @@ def _like(r: np.ndarray, values: np.ndarray):
     return float(values[0]) if r.ndim == 0 else values
 
 
-def _integer_record(spec: ManifoldSpec) -> tuple[int, int, tuple[int, ...]] | None:
-    """(m, k, D) with V(a)/V = x^m D(y), x = sin^2(s a), y = cos^2(s a), D's coefficients
-    ascending, where m and k are integers (S^(2j), CP^n, HP^n, OP^2), else None;
-    d/dx (V(a)/V) = c' x^(m-1) (1-x)^(k-1) with c' = m D(1)."""
-    m, k, _ = _record(spec)
-    if m != int(m) or k != int(k):
-        return None
-    m, k = int(m), int(k)
-    return m, k, tuple(math.comb(m + j - 1, j) for j in range(k))
-
-
 def _recentre(coeffs: list[Fraction]) -> list[Fraction]:
     """The coefficients of c(1 - s) from those of c(s), exactly: in integers
     over the coefficients' common denominator."""
@@ -252,18 +245,6 @@ def _recentre(coeffs: list[Fraction]) -> list[Fraction]:
             for k in range(i + 1):
                 out[k] += ci * math.comb(i, k) * (-1) ** k
     return [Fraction(v, den) for v in out]
-
-
-def _mul(a: list, b: list) -> list[Fraction]:
-    """The product of two coefficient lists of one length, cut to that length,
-    exactly: in integers over the coefficients' common denominators."""
-    dens = [math.lcm(*(Fraction(v).denominator for v in c)) for c in (a, b)]
-    a, b = ([int(v * den) for v in c] for c, den in zip((a, b), dens))
-    out = [0] * len(a)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b[: len(a) - i] if ai else ()):
-            out[i + j] += ai * bj
-    return [Fraction(v, dens[0] * dens[1]) for v in out]
 
 
 def _antiderivative(coeffs: list, j: int) -> tuple[list, Fraction]:
@@ -338,7 +319,7 @@ _RIGHT_SIGN = np.array(
     [[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]]
 )
 _CONJ_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
-# above this cosine a distance is taken from the chord, not from arccos
+# above this cosine a pair's x = sin^2(s d) is taken from the chord, not from the cosine
 _CHORD_COSINE = 0.99
 
 
@@ -382,12 +363,6 @@ def _modulus(h: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(h * h, axis=-2))
 
 
-def _cosines(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(A, B) cosines of the distances between two stacks of real frames."""
-    h = _products(_FIELD_RANK[spec.family], left, right)
-    return h[:, 0] if spec.family is Family.SPHERE else _modulus(h)
-
-
 def _aligned(spec: ManifoldSpec, x: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Representatives y u of the rows y of others with <x, y u> real and >= 0.
 
@@ -405,8 +380,10 @@ def _aligned(spec: ManifoldSpec, x: np.ndarray, others: np.ndarray) -> np.ndarra
     return np.einsum("cb,bcd->bd", u, _frames(k, others))
 
 
-def _chord_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """|x - y u|^2 for the paired rows x of left and y of right.
+def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """x = sin^2(s d) of the paired rows x of left and y of right, from the
+    chord c = |x - y u| = 2 sin(d/2): c^2 / 4 on spheres, c^2 (1 - c^2 / 4) on
+    the projective families.
 
     y u is y's representative aligned to x (see `_aligned`), formed pair
     by pair from the products of `_frames`. Near coincidence this keeps
@@ -419,14 +396,57 @@ def _chord_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> n
         h = np.einsum("acd,ad->ac", _frames(k, left), right)
         u = h * _CONJ_SIGN[:k] / _modulus(h[..., None])
         chord = left - np.einsum("ac,acd->ad", u, _frames(k, right))
-    return np.einsum("ad,ad->a", chord, chord)
+    c2 = np.einsum("ad,ad->a", chord, chord)
+    if spec.family is Family.SPHERE:
+        return 0.25 * c2
+    return c2 * (1.0 - 0.25 * c2)
 
 
-def _chord_distances(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Distances between the paired rows of left and right, 2 asin(|x - y u| / 2)
-    from `_chord_squares`."""
-    half = 0.5 * np.sqrt(_chord_squares(spec, left, right))
-    return 2.0 * np.arcsin(np.minimum(half, 1.0))
+def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of positions in a row-major upper triangle of `width`
+    columns, in which row r holds its columns r..width-1."""
+    rows = np.arange(width)
+    starts = rows * width - rows * (rows - 1) // 2
+    r = np.searchsorted(starts, flat, side="right") - 1
+    return r, flat - starts[r] + r
+
+
+def _pair_sin_cos_squares(
+    spec: ManifoldSpec, left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(h, pairs, x, y) of the pairs (r, c), c >= r, of the rows r of left and
+    c of right, A <= B rows of real frames: h[r, :, c] the products of
+    `_products`, left as they are, pairs the (A, B) mask of c >= r, and the
+    flat (x, y) = (sin^2(s d), cos^2(s d)) of the pairs, row by row.
+
+    They come from the Gram entries: x = (1 - t)/2 and y = (1 + t)/2 from
+    t = cos d on spheres, and y = sum_c h_c^2, x = 1 - y from the components
+    h_c of <p, q> on the projective families. A pair past `_CHORD_COSINE`,
+    where 1 - t keeps only half the digits, takes x from its chord
+    (`_chord_sin_squares`) and y = 1 - x; such pairs are located from the
+    flat index only when there are any.
+    """
+    h = _products(_FIELD_RANK[spec.family], left, right)
+    pairs = np.arange(len(right))[None, :] >= np.arange(len(left))[:, None]
+    if spec.family is Family.SPHERE:
+        y = h[:, 0][pairs]
+        x = y * -0.5
+        x += 0.5
+        y *= 0.5
+        y += 0.5
+    else:
+        y = np.square(h[:, 0])
+        for c in range(1, h.shape[1]):
+            y += np.square(h[:, c])
+        y = y[pairs]
+        x = np.subtract(1.0, y)
+    x_close = math.sin(_record(spec)[2] * math.acos(_CHORD_COSINE)) ** 2
+    if x.min() < x_close:
+        close = np.flatnonzero(x < x_close)
+        rows, cols = _pair_rows_cols(close, len(right))
+        x[close] = _chord_sin_squares(spec, left[rows], right[cols])
+        y[close] = 1.0 - x[close]
+    return h, pairs, x, y
 
 
 def _project_horizontal(spec: ManifoldSpec, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -579,17 +599,18 @@ class Configuration:
 def distance(p: Point, q: Point) -> float:
     """Geodesic distance between two points of the same manifold.
 
-    Near coincidence the arccos form loses half the digits, so the chord
-    of the phase-aligned representatives takes over there; identical
-    representatives give exactly zero.
+    d = atan2(sqrt x, sqrt y) / s from the pair's (x, y) =
+    (sin^2(s d), cos^2(s d)) of `_pair_sin_cos_squares`, which takes x from
+    the chord of the phase-aligned representatives near coincidence:
+    identical representatives give exactly zero on S^n, RP^n and CP^n, and
+    about 1e-16 on HP^n, where the rounded phase is not exactly 1.
     """
     if p.spec != q.spec:
         raise DomainError(f"points live on different manifolds: {p.spec} vs {q.spec}")
-    x, y = _flatten_coords(p.spec, p.coords), _flatten_coords(q.spec, q.coords)
-    c = float(_cosines(p.spec, x[None], y[None])[0, 0])
-    if c > _CHORD_COSINE:
-        return float(_chord_distances(p.spec, x[None], y[None])[0])
-    return math.acos(min(1.0, max(-1.0, c)))
+    rows = (_flatten_coords(p.spec, v.coords)[None] for v in (p, q))
+    _, _, x, y = _pair_sin_cos_squares(p.spec, *rows)
+    # y falls below 0 by rounding only at the antipode of a sphere
+    return math.atan2(math.sqrt(x[0]), math.sqrt(max(y[0], 0.0))) / _record(p.spec)[2]
 
 
 @dataclass(frozen=True)

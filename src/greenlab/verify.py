@@ -68,7 +68,7 @@ def _check_quadrature_additivity():
     return abs(whole - split) < 1e-12, f"split defect {abs(whole - split):.2e}"
 
 
-def _check_volume_consistency():
+def _check_volume_quadrature():
     worst = 0.0
     specs = CORE_SPECS + [
         ManifoldSpec(Family.SPHERE, 60),
@@ -150,7 +150,7 @@ def _check_sphere_profile_closed_form():
 # OP^2), where x^(1-m) amplifies rounding, and the odd form (S^3, S^5, RP^3).
 # Higher odd n are left to the tests, against 40-digit references: near the
 # floor the oracle phi_hat is itself about 1e-13 off there
-_TABLE_SPECS = [
+_PROFILE_SPECS = [
     ManifoldSpec(Family.SPHERE, 2),
     ManifoldSpec(Family.SPHERE, 3),
     ManifoldSpec(Family.SPHERE, 5),
@@ -166,32 +166,32 @@ _TABLE_SPECS = [
 ]
 
 
-def _table_radii(prof) -> np.ndarray:
+def _profile_radii(prof) -> np.ndarray:
     """18 radii in [r_cut, D), geometric over the whole range and uniform over its upper half."""
     D = prof.diameter
     frac = np.linspace(0.0, 1.0, 14)[1:-1] + 0.013
     return np.concatenate([prof.r_cut * (D / prof.r_cut) ** frac, D * (0.5 + 0.5 * frac[::2])])
 
 
-def _check_profile_table():
+def _check_closed_profile():
     worst = 0.0
-    for spec in _TABLE_SPECS:
+    for spec in _PROFILE_SPECS:
         prof = get_profile(spec)
         # and 4 radii below r_cut, down to 1e-6 D, which the closed form
         # treats as any other radius
         below = np.geomspace(max(1e-6 * prof.diameter, _phi_hat_floor(spec)), prof.r_cut, 5)[:-1]
-        radii = np.concatenate([below, _table_radii(prof)])
-        table = prof.phi_hat_values(radii)
+        radii = np.concatenate([below, _profile_radii(prof)])
+        closed = prof.phi_hat_values(radii)
         direct = np.array([phi_hat(spec, float(r)) for r in radii])
-        worst = max(worst, float(np.max(np.abs(table - direct) / (np.abs(direct) + abs(prof.c_m)))))
-    return worst < 1e-13, f"max table defect {worst:.2e} of |phi_hat| + |c_m|"
+        worst = max(worst, float(np.max(np.abs(closed - direct) / (np.abs(direct) + abs(prof.c_m)))))
+    return worst < 1e-13, f"max profile defect {worst:.2e} of |phi_hat| + |c_m|"
 
 
-def _check_slope_table():
+def _check_closed_slope():
     worst = 0.0
-    for spec in _TABLE_SPECS:
+    for spec in _PROFILE_SPECS:
         prof = get_profile(spec)
-        radii = _table_radii(prof)
+        radii = _profile_radii(prof)
         weight = radii ** (dimension(spec) - 1)
         direct = phi_hat_prime(spec, radii) * weight
         defect = np.abs(prof.phi_hat_prime_values(radii) * weight - direct)
@@ -439,14 +439,14 @@ QUICK_CHECKS = [
     ("beta symmetry", _check_beta_symmetry),
     ("quadrature panel exactness", _check_panel_exactness),
     ("quadrature additivity", _check_quadrature_additivity),
-    ("table volume consistency", _check_volume_consistency),
+    ("volume vs density quadrature", _check_volume_quadrature),
     ("ball volume vs quadrature", _check_ball_volume_quadrature),
     ("sphere area is dV/da", _check_sphere_area_derivative),
     ("distance axioms", _check_distance_axioms),
     ("green mean zero", _check_green_mean_zero),
     ("sphere profile closed form", _check_sphere_profile_closed_form),
-    ("profile table vs quadrature", _check_profile_table),
-    ("slope table vs direct psi", _check_slope_table),
+    ("closed profile vs quadrature", _check_closed_profile),
+    ("closed slope vs direct psi", _check_closed_slope),
     ("near-diagonal heads", _check_bm_heads),
     ("profile derivative", _check_profile_derivative),
     ("kernel closed vs quadrature", lambda: _check_kernel_cross_validation(True)),

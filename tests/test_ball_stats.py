@@ -20,7 +20,6 @@ from greenlab.green import get_profile
 from greenlab.manifold import (
     Family,
     ManifoldSpec,
-    _integer_record,
     _record,
     ball_volume,
     ball_volume_fraction,
@@ -374,10 +373,12 @@ class TestRecordSeries:
 
     @pytest.mark.parametrize("spec", SPECS[4:], ids=str)
     def test_volume_is_the_sphere_area_over_twice_the_slope_constant(self, spec):
-        # v(a) = V mu'(x) dx/da with mu' = c' x^(m-1) y^(k-1) and c' = m D(1)
-        m, _, d = _integer_record(spec)
+        # v(a) = V mu'(x) dx/da with mu' = c' x^(m-1) y^(k-1) and c' = m D(1),
+        # D(y) = sum_(j<k) C(m+j-1, j) y^j
+        m, k = (int(v) for v in _record(spec)[:2])
         omega = vol_unit_sphere(dimension(spec))
-        assert volume(spec) == pytest.approx(omega / (2 * m * sum(d)), rel=1e-14)
+        d_at_1 = sum(math.comb(m + j - 1, j) for j in range(k))
+        assert volume(spec) == pytest.approx(omega / (2 * m * d_at_1), rel=1e-14)
 
     @pytest.mark.parametrize(
         "spec",
@@ -426,6 +427,17 @@ class TestHighSphereFarSide:
         floor = 1e-14 * max(1.0, abs(get_profile(spec).c_m)) / volume(spec)
         assert bs.k_value(spec, radii[-1]) == pytest.approx(k, rel=1e-13)
         assert abs(bs.theta_value(spec, radii[-1]) - theta) <= 1e-13 * abs(theta) + floor
+
+    @pytest.mark.parametrize("n, fraction", [(100, 0.9998), (150, 0.9976)])
+    def test_theta_keeps_its_digits_where_one_minus_mu_is_subnormal(self, n, fraction):
+        # (4xy)^k is 6.6e-321 and 4.0e-319 at these radii, and Theta 2.3e-285
+        # and 2.0e-251: it is formed with no subnormal factor, to the
+        # relative precision of its normal range
+        spec = ManifoldSpec(Family.SPHERE, n)
+        D = diameter(spec)
+        radii = (0.5 * D, 0.9 * D, 0.99 * D, fraction * D)
+        theta = single_integral_oracle.kernels(spec, radii)[1][-1]
+        assert abs(bs.theta_value(spec, radii[-1]) - theta) <= 1e-13 * theta
 
 
 class TestThetaQuadrature:

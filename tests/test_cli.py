@@ -423,10 +423,10 @@ class TestVerify:
         for line in checks:
             assert re.search(r"\(\d+\.\d\d s\)$", line), line
 
-    def test_profile_table_check_passes(self):
-        ok, detail = dict(verify.QUICK_CHECKS)["profile table vs quadrature"]()
+    def test_closed_profile_check_passes(self):
+        ok, detail = dict(verify.QUICK_CHECKS)["closed profile vs quadrature"]()
         assert ok, detail
-        assert "profile table vs quadrature" in dict(verify.FULL_CHECKS)
+        assert "closed profile vs quadrature" in dict(verify.FULL_CHECKS)
 
 
 class TestPlumbing:

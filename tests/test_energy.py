@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from greenlab import energy as en
+from greenlab import manifold as mf
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.green import get_profile
 from greenlab.manifold import (
@@ -16,10 +17,12 @@ from greenlab.manifold import (
     Family,
     ManifoldSpec,
     Point,
-    _cosines,
+    _aligned,
     _flatten_coords,
     _frames,
     _geodesic_rows,
+    _modulus,
+    _products,
     _project_horizontal,
     _unflatten_coords,
     diameter,
@@ -217,24 +220,40 @@ def reference_distances(spec, rows):
     return dist.astype(float)
 
 
+def cosines(spec, rows):
+    """(N, N) cosines of the distances between the rows: h_0 on spheres, |<x, y>| elsewhere."""
+    h = _products(_FIELD_RANK[spec.family], rows, rows)
+    return h[:, 0] if spec.family is Family.SPHERE else _modulus(h)
+
+
 def rectangle_energy(spec, profile, coords):
     """The energy sweep over each block's whole Gram rectangle, as it was
     written before the flat pair sweep: the oracle for its bits. It forms
-    (x, y) = (sin^2, cos^2)(s d) on the rectangle by the flat sweep's
-    elementwise helpers."""
+    (x, y) = (sin^2, cos^2)(s d) on the rectangle elementwise, by the same
+    operations as the flat sweep, and x from the chord past `_CHORD_COSINE`."""
     n = len(coords)
     floor = en._MIN_SEPARATION_FACTOR * diameter(spec)
     k = en._FIELD_RANK[spec.family]
 
     def block_sum(lo, hi):
         later = coords[lo + 1 :]
-        whole = np.ones((hi - lo, n - lo - 1), dtype=bool)
-        products = en._products(k, coords[lo:hi], later)
-        x, y = (v.reshape(whole.shape) for v in en._gram_sin_cos_squares(spec, products, whole))
+        products = _products(k, coords[lo:hi], later)
+        if spec.family is Family.SPHERE:
+            t = products[:, 0].copy()
+            x = t * -0.5
+            x += 0.5
+            t *= 0.5
+            t += 0.5
+            y = t
+        else:
+            y = np.square(products[:, 0])
+            for c in range(1, k):
+                y += np.square(products[:, c])
+            x = np.subtract(1.0, y)
         upper = np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
         x_close = math.sin(profile.s * math.acos(_CHORD_COSINE)) ** 2
         rows, cols = np.nonzero(upper & (x < x_close))
-        x[rows, cols] = en._chord_sin_squares(spec, coords[lo + rows], later[cols])
+        x[rows, cols] = mf._chord_sin_squares(spec, coords[lo + rows], later[cols])
         y[rows, cols] = 1.0 - x[rows, cols]
         pair_x, pair_y = x[upper], y[upper]
         assert not np.any(pair_x < math.sin(profile.s * floor) ** 2)
@@ -286,37 +305,44 @@ class TestFlatSweep:
         rows = sample_uniform(spec, rng, 20).coords_array()
         close = [(2, 3), (2, 17), (3, 4), (5, 19), (0, 1), (17, 18)]
         rows = plant_close(rows, close, rng)
-        cos = _cosines(spec, rows, rows)
+        cos = cosines(spec, rows)
         assert all(cos[i, j] > _CHORD_COSINE for i, j in close)
         cfg = en.Configuration.from_array(spec, rows)
         expected = rectangle_energy(spec, get_profile(spec), rows)
         assert en.energy(cfg) == expected
 
     @pytest.mark.parametrize("spec", [S2, S3, RP3, HP1])
-    def test_chord_distances_only_for_close_pairs(self, spec, monkeypatch):
-        # close pairs take x from the chord, and only they
+    def test_chord_only_for_close_pairs_in_energy_and_gradient(self, spec, monkeypatch):
+        # close pairs take x from the chord, and only they, in the energy
+        # and in its gradient alike
         calls = []
-        chord = en._chord_sin_squares
+        chord = mf._chord_sin_squares
 
         def spy(spec, left, right):
-            calls.append(len(left))
+            calls.append((left.copy(), right.copy()))
             return chord(spec, left, right)
 
-        monkeypatch.setattr(en, "_chord_sin_squares", spy)
+        monkeypatch.setattr(mf, "_chord_sin_squares", spy)
         rng = np.random.default_rng(5)
         rows = sample_uniform(spec, rng, 40).coords_array()
         # no pair of the points kept is close
-        cos = _cosines(spec, rows, rows)
+        cos = cosines(spec, rows)
         kept = []
         for i in range(40):
             if all(cos[i, j] <= _CHORD_COSINE for j in kept):
                 kept.append(i)
         rows = rows[kept]
         assert len(kept) > 20
+        profile = get_profile(spec)
         en.energy(en.Configuration.from_array(spec, rows))
+        en._descent_rows(spec, profile, rows)
         assert calls == []
-        en.energy(en.Configuration.from_array(spec, plant_close(rows, [(1, 15)], rng)))
-        assert calls == [1]
+        planted = plant_close(rows, [(1, 15)], rng)
+        for sweep in (en._energy_rows, en._descent_rows):
+            sweep(spec, profile, planted)
+            (left, right), = calls
+            assert np.array_equal(left, planted[[1]]) and np.array_equal(right, planted[[15]])
+            calls.clear()
 
 
 class TestClosePairs:
@@ -409,6 +435,30 @@ class TestOptimizer:
             loop = np.einsum("k,km->m", weights / sin_d, aligned - cos_d[:, None] * base)
             np.testing.assert_allclose(rows[i], loop, rtol=1e-14, atol=1e-14 * np.abs(loop).max())
 
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    def test_descent_takes_close_pairs_from_the_chord(self, spec):
+        # one pair planted 1e-7 apart and one 1e-5 apart: each close point's
+        # row against the per-distance loop with d = 2 asin(c/2) from the
+        # chord c = |x_i - x_j u| of the aligned representatives, where the
+        # Gram route's 1 - cos d keeps only half the digits
+        from greenlab.green import phi_hat_prime
+
+        rng = np.random.default_rng(18)
+        points = random_config(spec, 12, 17).points
+        for i, d in ((0, 1e-7), (2, 1e-5)):
+            points[i + 1] = geodesic_step(points[i], rng.standard_normal(points[i].coords.shape), d)
+        coords = en.Configuration(spec, points).coords_array()
+        rows = en._descent_rows(spec, get_profile(spec), coords)
+        for i in range(4):
+            base = coords[i]
+            aligned = _aligned(spec, base, np.delete(coords, i, axis=0))
+            chord = np.linalg.norm(aligned - base, axis=1)
+            cos_d = aligned @ base
+            d = np.where(chord < 1.0, 2.0 * np.arcsin(0.5 * chord), np.arccos(np.clip(cos_d, -1.0, 1.0)))
+            weights = phi_hat_prime(spec, d) / volume(spec) / np.sin(d)
+            loop = weights @ (aligned - cos_d[:, None] * base)
+            assert np.linalg.norm(rows[i] - loop) <= 1e-7 * np.linalg.norm(loop)
+
     # final energies of the point-by-point descent that the batched one
     # replaced, at --iters 3 and seeds 1 to 6: the batched descent must not end higher
     EARLIER_FINAL_ENERGIES = {
@@ -463,7 +513,7 @@ class TestOptimizer:
         one_block = en._descent_rows(spec, profile, coords)
         final = en.optimize(spec, 20, 1, np.random.default_rng(9)).coords_array()
         monkeypatch.setattr(en, "_BLOCK_PAIRS", 64)
-        assert len(en._row_blocks(40, en._BLOCK_PAIRS // 4)) == 40
+        assert len(en._row_blocks(40, en._BLOCK_PAIRS)) == 40
         blocked = en._descent_rows(spec, profile, coords)
         np.testing.assert_allclose(blocked, one_block, rtol=0, atol=1e-14 * np.abs(one_block).max())
         again = en.optimize(spec, 20, 1, np.random.default_rng(9)).coords_array()
