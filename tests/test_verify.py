@@ -1,27 +1,35 @@
-"""`greenlab verify` is the user's self-check of the closed kernels: it must
-fail when one of their ingredients is off by a relative 1e-11.
+"""`greenlab verify` is the user's self-check of the closed profiles and
+kernels: it must fail when one of their ingredients is off by a relative 1e-11.
 
-Each case scales one ingredient by (1 + 1e-11): the coefficients of the
-record series F, H or r (`ball_stats._record_series`, on both sides of the
-mean), the mirror's Laurent coefficients (`green._laurent_parts` as
-`ball_stats` reads it: CP^n, HP^n, OP^2 and even S^n past the mean), or
-the odd form's parts behind odd S^n's far side. Every cache the kernels
-and the bound search fill is cleared before and after, so no value
-computed with or without the error outlives its case.
+Each case scales one ingredient by (1 + 1e-11), under every greenlab
+module's name for it: the coefficients of the record series F, H or r
+(`green._record_series`, read by the kernels on both sides of the mean and
+by odd S^n's profile past pi/2); the Laurent parts (`green._laurent_parts`:
+the profile of every integer-m record, and the mirror's H that the kernels
+read on CP^n, HP^n, OP^2 and even S^n past the mean), in all, in phi_hat's
+coefficients only or in the log coefficient only; the mean-zero moment c_m
+(`green._laurent_moment`); the odd form's parts behind odd S^n and RP^n
+(`green._odd_parts`), in all, in R only or in RP^n's constant only; and
+the volume (`manifold.volume`). Every cache the profiles, the kernels and
+the bound search fill is cleared before and after, so no value computed
+with or without the error outlives its case.
 """
 
 import io
+import sys
 
 import pytest
 
 from greenlab import ball_stats as bs
-from greenlab import bounds, verify
+from greenlab import bounds, green, manifold, verify
 
 SCALE = 1.0 + 1e-11
 
 
 def _clear_caches():
-    bs._record_series.cache_clear()
+    green._record_series.cache_clear()
+    green._radial_ratios.cache_clear()
+    green._PROFILE_CACHE.clear()
     bs._record_route.cache_clear()
     bounds._lattice.cache_clear()
     bounds._bracket.cache_clear()
@@ -35,33 +43,38 @@ def fresh_caches():
     _clear_caches()
 
 
-def _scaled_series(row):
-    series = bs._record_series
+def _scaled_items(*items):
+    """The function's tuple with the entries at `items` scaled, each a number or a sequence of them."""
 
-    def scaled(m, k, s):
-        rows = list(series(m, k, s))
-        rows[row] = tuple(v * SCALE for v in rows[row])
-        return tuple(rows)
+    def mutate(fn):
+        def scaled(*args):
+            out = list(fn(*args))
+            for i in items:
+                out[i] = type(out[i])(v * SCALE for v in out[i]) if hasattr(out[i], "__len__") else out[i] * SCALE
+            return tuple(out)
 
-    return scaled
+        return scaled
 
-
-def _scaled_laurent(record, parts=bs._laurent_parts):
-    c, a, b = parts(record)
-    return [v * SCALE for v in c], a, b * SCALE
-
-
-def _scaled_odd(k, parts=bs._odd_parts):
-    A, g, R, P, F, c = parts(k)
-    return A * SCALE, [v * SCALE for v in g], [v * SCALE for v in R], P, F * SCALE, c
+    return mutate
 
 
+def _scaled_value(fn):
+    return lambda *args: fn(*args) * SCALE
+
+
+# ingredient -> (home module, function name, mutation of the function)
 MUTATIONS = {
-    "F": ("_record_series", _scaled_series(0)),
-    "H": ("_record_series", _scaled_series(1)),
-    "r": ("_record_series", _scaled_series(2)),
-    "mirror Laurent": ("_laurent_parts", _scaled_laurent),
-    "mirror odd form": ("_odd_parts", _scaled_odd),
+    "F": (green, "_record_series", _scaled_items(0)),
+    "H": (green, "_record_series", _scaled_items(1)),
+    "r": (green, "_record_series", _scaled_items(2)),
+    "Laurent parts": (green, "_laurent_parts", _scaled_items(0, 2)),
+    "Laurent phi_hat coefficients": (green, "_laurent_parts", _scaled_items(0)),
+    "log coefficient": (green, "_laurent_parts", _scaled_items(2)),
+    "c_m": (green, "_laurent_moment", _scaled_value),
+    "odd form": (green, "_odd_parts", _scaled_items(0, 1, 2, 4)),
+    "odd R": (green, "_odd_parts", _scaled_items(2)),
+    "odd RP constant": (green, "_odd_parts", _scaled_items(5)),
+    "volume": (manifold, "volume", _scaled_value),
 }
 
 
@@ -71,8 +84,12 @@ def test_verify_passes_unperturbed(fresh_caches):
 
 @pytest.mark.parametrize("ingredient", MUTATIONS)
 def test_verify_fails_on_a_perturbed_ingredient(ingredient, fresh_caches, monkeypatch):
-    name, mutated = MUTATIONS[ingredient]
-    monkeypatch.setattr(bs, name, mutated)
+    home, name, mutate = MUTATIONS[ingredient]
+    original = getattr(home, name)
+    mutated = mutate(original)
+    for key, module in list(sys.modules.items()):
+        if key.startswith("greenlab.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, mutated)
     out = io.StringIO()
     assert not verify.run_verification(quick=False, stream=out)
     failed = [line for line in out.getvalue().splitlines() if line.startswith("FAIL")]
