@@ -23,16 +23,14 @@ lattice call it, and `k_closed`, `theta_closed`, `k_value` and
 coefficients. A non-finite K or Theta raises SingularityError naming the
 radius.
 
-Records and mirrors. Each manifold's radial geometry is its Jacobi record
-(m, k, s) (`manifold`): S^n (n/2, n/2, 1/2), CP^n (n, 1, 1), HP^n (2n, 2, 1)
-and OP^2 (8, 4, 1). In x = sin^2(s a) and y = 1 - x the ball fraction is
-mu = I_x(m, k) = x^m y^k F(x) / (m B(m, k)) with F = 2F1(m + k, 1; m + 1; x),
-so
+Records and mirrors. On the Jacobi record (m, k, s) (`records`) of S^n,
+CP^n, HP^n or OP^2, in x = sin^2(s a) and y = 1 - x, the ball fraction is
+mu = I_x(m, k) = x^m y^k F(x) / (m B(m, k)) with F = 2F1(m + k, 1; m + 1; x), so
 
     H = int_0^x F / (4 s^2 m),    J / V(a) = q = r / F,
 
 where r solves x y r' + (m y - k x) r = x y F^2 / (4 s^2 m). F, H and r are
-series of positive terms (`green._record_series`), summed up to the mean
+series of positive terms (`records.record_series`), summed up to the mean
 x = m / (m + k), where V K = H - q and
 V Theta = (phi_hat + c_m) + V K + H (1 - mu) / mu, with phi_hat from the
 profile. Past the mean H and J diverge toward D while K and Theta stay
@@ -74,16 +72,15 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
+from . import records
 from .errors import DomainError, QuadratureError, SingularityError
-from .green import _laurent_parts, _odd_parts, _radial_ratios, _record_series, get_profile
+from .green import _radial_ratios, get_profile
 from .manifold import (
     Family,
     ManifoldSpec,
-    _pi_rational,
     _radius_limit,
     _record,
     _sin_cos_squares,
@@ -287,28 +284,27 @@ def _record_route(spec: ManifoldSpec) -> tuple[np.ndarray, float, tuple[float, .
     1 / (4^k m B(m, k)), rounded once, and Phi's constants.
 
     With integer k, H is the mirror's Laurent form c(v) - b log y, v = x / y
-    (`green._laurent_parts` of the record (k, m, s)), so Phi =
+    (`records.laurent_parts` of the record (k, m, s)), so Phi =
     (4x)^(k-1) (x^(k-1) c~(w) - b y^(k-1) log y), c~ the reversed c and
     w = y / x: the last row is c~ and the constants are (b,). On odd S^n,
-    n = 2j + 1, H is the profile's odd form at pi - a (`green._odd_parts`),
+    n = 2j + 1, H is the profile's odd form at pi - a (`records.odd_parts`),
     and Phi = F sin^(2j-1) a + A a |cos a| G + sin a R~, where G and R~ = -R
     are homogeneous of degree j - 1 in (cos^2 a, sin^2 a): the last rows are
     g and R~, each forwards and reversed, and the constants are (A, F).
     """
-    m, k, s = _record(spec)
+    m, k, s = record = _record(spec)
     if k == int(k):
-        c, _, b = _laurent_parts((k, m, s))
+        c, _, b = records.laurent_parts((k, m, s))
         rows, constants = [tuple(float(v) for v in c[:0:-1]) or (0.0,)], (float(b),)
     else:
-        A, g, R, _, F, _ = _odd_parts(round(k - 0.5))
+        A, g, R, _, F, _ = records.odd_parts(round(k - 0.5))
         g, R = tuple(map(float, g)), tuple(-float(v) for v in R)
         rows, constants = [g, g[::-1], R, R[::-1]], (float(A), float(F))
-    rows = [*_record_series(m, k, s), *_record_series(k, m, s), *rows]
+    rows = [*records.record_series(record), *records.record_series((k, m, s)), *rows]
     width = max(map(len, rows))
     table = np.array([row + (0.0,) * (width - len(row)) for row in rows]).T[:, :, None]
     table.flags.writeable = False
-    scale = _pi_rational(0, (m + k,), (m, k), 1 / (Fraction(m) * 2 ** round(2 * k)))
-    return table, scale, constants
+    return table, records.kernel_scale(record), constants
 
 
 def _record_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -370,9 +366,7 @@ def _closed_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.n
     """(K, Theta, mu) at checked radii, mu = V(a)/V, elementwise from the
     closed forms in one pass: a radius gets the same bits alone and in any
     batch. Values that leave the range of a double come back as inf or nan.
-
-    RP^n is S^n's double cover (module docstring): K_RP = 2 K_S,
-    Theta_RP = Theta_S + K_S + c_S / V_S and mu_RP = 2 mu_S, at a <= pi/2.
+    RP^n takes S^n's, its double cover's (module docstring).
     """
     cover = ManifoldSpec(Family.SPHERE, spec.n) if spec.family is Family.REAL_PROJ else spec
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):

@@ -10,7 +10,7 @@ where the integrand is the negative of the radial derivative of the
 profile and C is fixed by the mean-zero property of G.
 
 Every profile is evaluated in closed form at (x, y) = (sin^2(s r),
-cos^2(s r)) of the record (m, k, s) of `manifold`: phi_hat and
+cos^2(s r)) of the record (m, k, s) (`records`): phi_hat and
 h = -d phi_hat / dx, and the slope psi = 2 s h sqrt(x y). Its exact
 coefficients are derived once per manifold in rational arithmetic, and
 each radius is evaluated elementwise down to the representable floor, with
@@ -22,7 +22,7 @@ ball fraction mu = I_x(m, k), h = (1 - mu) / (4 s^2 x y mu') equals
 
     phi_hat = sum_j c_j v^j - b log x,   v = 1/x - 1 = cot^2(s r),
 
-with positive coefficients (`_laurent_profile`): -log x on S^2,
+with positive coefficients (`_build_laurent`): -log x on S^2,
 -(1/2) log x on RP^2, (1/x - 1 - log x)/8 on CP^2 and (1/x - 1 - 2 log x)/24
 on HP^1. Its rounding error grows like m, because x^(1-m) amplifies the
 rounding of x: 2.8e-16 m of |phi_hat| + |c_m| against a 40-digit sum.
@@ -33,14 +33,14 @@ for int sin^(2k) gives, with c = cot r and u = 1 + c^2 = 1 / sin^2 r,
     psi     = A (pi - r) u^k + c P(u),   A = (2k - 1)!! / (2k)!!,
     phi_hat = F(pi) + A (pi - r) c g(c^2) - R(c^2),
 
-S^3's (1 + (pi - r) cot r)/2 the smallest case (`_odd_profile`). RP^n is
+S^3's (1 + (pi - r) cot r)/2 the smallest case (`_build_odd`). RP^n is
 the double cover, phi_RP(r) = phi_S(r) + phi_S(pi - r); applied to these
 exact forms it leaves the same polynomials with pi/2 - r in place of
 pi - r and no constant, so every term is positive for r in (0, pi/2]. On
 S^n past r = pi/2 the two terms cancel toward the antipode, and the series
 h = (2/n) 2F1(1, n; n/2 + 1; y) of positive terms in y = sin^2((pi - r)/2),
 even in pi - r, takes over there, phi_hat its integral in y: the F and H
-of S^n's record, its own mirror (`_record_series`).
+of S^n's record, its own mirror (`records.record_series`).
 
 r_cut = max(D/100, 2 x the representable floor) only sets where `grid_rows`
 starts. The quadrature `phi_hat` and `phi_hat_prime` are the oracles the
@@ -52,26 +52,22 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import records
 from .chebyshev import lobatto_nodes
 from .errors import DomainError, SingularityError
 from .manifold import (
     Family,
     ManifoldSpec,
-    _antiderivative,
     _density,
     _radius_limit,
-    _recentre,
     _record,
     _regularized_beta,
     _sin_cos_squares,
-    _volume_ratio,
     diameter,
     dimension,
     volume,
@@ -112,7 +108,7 @@ def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
     psi is the profile slope magnitude, moment the integrand of Theta and of
     the mean-zero constant. With the record (m, k, s) of `manifold`, rho is
     (V/omega) I_x(m, k) / (v/omega), x = sin^2(s r), and psi the same ratio on
-    the mirrored record (k, m, y), y = cos^2(s r): no V - V(s) is a difference
+    the mirrored record (k, m, s) at y = cos^2(s r): no V - V(s) is a difference
     and omega divides nothing. Where I_t(p, q) leaves the normal range, or lies
     below half its mean with p + q >= _CF_ORDER, the ratio is
     sqrt(t (1 - t)) 2F1(p + q, 1; p + 1; t) / (2 s p) from a continued fraction.
@@ -121,7 +117,7 @@ def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
     K and Theta quadrature, the oracle of the closed kernels.
     """
     m, k, step = _record(spec)
-    mass = _volume_ratio(spec)
+    mass = records.volume_ratio(_record(spec))
     limit = _radius_limit(spec)
 
     def ratio(frac, p, q, t, u, density):
@@ -502,180 +498,27 @@ class _OddProfile(RadialGreenProfile):
         return out
 
 
-def _flip(coeffs: list) -> list:
-    """The coefficients of c(-s) from those of c(s)."""
-    return [v if i % 2 == 0 else -v for i, v in enumerate(coeffs)]
-
-
-def _laurent_numerator(record: tuple[float, float, float]) -> list[Fraction]:
-    """q_j of Q(1 - y) = sum_j q_j y^j, with h = Q(x) / x^m on a record
-    (m, k, s) with integer m, exactly: h = 2F1(k, 1 - m; k + 1; y) / (4 s^2 k x^m)
-    makes q_j = C(m-1, j) (-1)^j / ((k + j) 4 s^2)."""
-    m, k, s = record
-    m, k = int(m), Fraction(k)
-    scale = 1 / (4 * Fraction(s) ** 2)
-    return [scale * math.comb(m - 1, j) * (-1) ** j / (k + j) for j in range(m)]
-
-
-@lru_cache(maxsize=None)
-def _laurent_parts(record: tuple[float, float, float]) -> tuple[list[Fraction], list[Fraction], Fraction]:
-    """(c, a, b): phi_hat = sum_j c_j v^j - b log x = sum_j a_j (w^j - 1) - b log x,
-    exactly, j = 1..m-1 (c and a from index 1), for a record (m, k, s) with
-    integer m: a manifold's, or the mirror (k, m, s) of one with integer k.
-
-    phi_hat = int_x^1 Q / x^m = G(1) - G(x) / x^(m-1) - b log x, G and b from
-    `manifold._antiderivative`, and -G(x) / x^(m-1) = sum_j a_j w^j
-    re-expands in v = w - 1.
-    """
-    m = int(record[0])
-    g, b = _antiderivative(_recentre(_laurent_numerator(record)), m)
-    # a_j for j = 0..m-1, a_0 = 0: G has no x^(m-1) term
-    a = [-g[m - 1 - j] for j in range(m)]
-    # sum_j a_j ((1 + v)^j - 1) = sum_i c_i v^i, i >= 1: a(1 + v) is the
-    # recentred a at s = -v, less its constant a(1)
-    c = _flip(_recentre(a))
-    c[0] = Fraction(0)
-    return c, a, b
-
-
-def _laurent_moment(spec: ManifoldSpec) -> Fraction:
-    """int_0^1 mu h dx = -c_m of a record with integer m and k, exactly: with
-    mu = x^m D(y), D(y) = sum_(i<k) C(m+i-1, i) y^i, and x^m h = Q(x), it is
-    int_0^1 D(y) Q(1 - y) dy = sum_(i,j) C(m+i-1, i) q_j / (i + j + 1), q_j
-    of `_laurent_numerator`: in integers over L^2, L = lcm(1, ..., m + k)."""
-    m, k, s = _record(spec)
-    m, k = int(m), int(k)
-    L = math.lcm(*range(1, m + k + 1))
-    over = [0] + [L // i for i in range(1, m + k + 1)]  # L / i
-    d = [math.comb(m + i - 1, i) for i in range(k)]
-    total = sum(
-        math.comb(m - 1, j) * (-1) ** j * over[k + j] * sum(di * over[i + j + 1] for i, di in enumerate(d))
-        for j in range(m)
-    )
-    return Fraction(total, L * L) / (4 * Fraction(s) ** 2)
-
-
-def _laurent_profile(spec: ManifoldSpec) -> _LaurentProfile:
-    """The Laurent form of a record with integer m, with its mean-zero constant.
-
-    RP^(2j) (k = 1/2, no polynomial mu) takes the double cover of S^(2j):
-    phi_hat_RP + c_RP = (phi_hat_S(r) + phi_hat_S(pi - r)) / 2 + c_S and
-    phi_hat_RP(pi/2) = 0 give c_RP = c_S + phi_hat_S(pi/2), where x_S = 1/2:
-    c_S + sum_j c_j + b log 2.
-    """
-    c, a, b = _laurent_parts(_record(spec))
-    if spec.family is Family.REAL_PROJ:
-        cover = ManifoldSpec(Family.SPHERE, spec.n)
-        c_s, _, b_s = _laurent_parts(_record(cover))
-        c_m = float(sum(c_s) - _laurent_moment(cover)) + float(b_s) * math.log(2.0)
-    else:
-        c_m = float(-_laurent_moment(spec))
+def _build_laurent(spec: ManifoldSpec) -> _LaurentProfile:
+    """The Laurent form of a record with integer m, with its mean-zero constant."""
+    record = _record(spec)
+    c, a, b = records.laurent_parts(record)
     return _LaurentProfile(
         spec=spec,
         poly=tuple(float(v) for v in c[1:]),
         slope=(float(b), *(float(j * v) for j, v in enumerate(a) if j)),
-        c_m=c_m,
+        c_m=records.mean_zero_constant(record),
     )
 
 
-@lru_cache(maxsize=None)
-def _odd_parts(k: int) -> tuple:
-    """(A, g, R, P, F, c_RP) of S^(2k+1) and RP^(2k+1), exactly; see `_OddProfile`.
-
-    int_r^pi sin^(2k) = A (pi - r) + cos r sum_j beta_j sin^(2j+1) r, so psi =
-    that over sin^(2k) r is A (pi - r) u^k + c P(u) with P(u) = sum_j beta_j
-    u^(k-1-j). With G(c) = int_0^c (1 + t^2)^(k-1) dt = c g(c^2), integrating
-    psi by parts in c leaves phi_hat = F(pi) + A (pi - r) G(c) - R(c^2) with
-    dR/dc = c (A g(v) - P(u)) / u: in u = 1 + v, `manifold._antiderivative`
-    integrates N(u) / u, N = A g(u - 1) - P(u), and asserts that its log term,
-    the one that would not vanish at the antipode, is 0. R(0) = G(0) = 0, so
-    F(pi) = phi_hat(pi/2) = int_0^(pi/2) cos^(2k) t G(tan t) dt
-    = sum_(i<k) 1 / (2k (2i + 1)). RP^n's mean-zero constant
-    c_RP = -(1/V) int phi_hat v reduces to Wallis integrals, which sum to
-    -H_k / (4k), H_k the harmonic number.
-    """
-    A = Fraction(math.comb(2 * k, k), 4**k)
-    beta: list[Fraction] = []
-    for i in range(k):
-        beta = [v * Fraction(2 * i + 1, 2 * i + 2) for v in beta] + [Fraction(1, 2 * i + 2)]
-    g = [Fraction(math.comb(k - 1, i), 2 * i + 1) for i in range(k)]
-    P = beta[::-1]
-    # N(u) = A g(u - 1) - P(u): g(u - 1) is the recentred g(-s) at s = u
-    N = [A * gu - p for gu, p in zip(_recentre(_flip(g)), P)]
-    H, log_term = _antiderivative(N, 1)
-    if log_term:
-        raise AssertionError(f"the odd profile of S^{2 * k + 1} keeps a log term")
-    # R(v) = (H(1 + v) - H(1)) / 2, H(1 + v) the recentred H at s = -v
-    R = [v / 2 for v in _flip(_recentre(H))]
-    R[0] = Fraction(0)
-    F = sum(Fraction(1, 2 * i + 1) for i in range(k)) / (2 * k)
-    return A, g, R, P, F, -sum(Fraction(1, i) for i in range(1, k + 1)) / (4 * k)
-
-
-@cache
-def _record_series(m: float, k: float, s: float) -> tuple[tuple[float, ...], ...]:
-    """(F, H, r) of the record (m, k, s), k >= 1, in ascending powers of t,
-    as many terms as its mean t = m / (m + k) needs: F = 2F1(m + k, 1; m + 1; t),
-    H = int_0^t F / (4 s^2 m) and r = q F, with mu = t^m (1 - t)^k F / (m B(m, k))
-    and q = J / V(a) (`ball_stats` module docstring). The kernels read all
-    three, S^n's profile past pi/2 the first two.
-
-    With f_i, h_i, r_i and p_i the coefficients of F, H, r and (1 - t) F^2,
-    the first-order equations t (1 - t) F' = m - (m (1 - t) - k t) F and
-    t (1 - t) r' + (m (1 - t) - k t) r = t (1 - t) F^2 / (4 s^2 m) give
-
-        f_i = f_(i-1) (m + k + i - 1) / (m + i),    h_i = f_(i-1) / (4 s^2 m i),
-        (i + 2m) p_i = (i - 2 + 2m + 2k) p_(i-1) + 2m (k - 1) f_(i-1) / (m + i),
-        (i + m) r_i = (i - 1 + m + k) r_(i-1) + p_(i-1) / (4 s^2 m),
-
-    every term positive for k >= 1. They run in 40-digit decimals, so each
-    coefficient is its exact value, to some 35 digits, rounded once to a
-    double.
-
-    Each series stops once its last term at the mean, times rho / (1 - rho)
-    with rho the larger of the mean and the ratio of its last two terms, is
-    below 2^-56 of its sum: the ratios tend to the mean, so that bounds the
-    terms dropped.
-    """
-    mean = m / (m + k)
-    with localcontext() as context:
-        context.prec = 40
-        m, k, four = Decimal(m), Decimal(k), 4 * Decimal(s) ** 2 * Decimal(m)
-        exact = [Decimal(1), Decimal(0), Decimal(0)]  # f, h and r
-        coeffs: list[list[float]] = [[1.0], [0.0], [0.0]]
-        sums = [1.0, 0.0, 0.0]  # of f, h and r at the mean so far
-        p, power, i = Decimal(1), 1.0, 0
-        while True:
-            i += 1
-            f, _, r = exact
-            exact = [f * (m + k + i - 1) / (m + i), f / (four * i), ((i - 1 + m + k) * r + p / four) / (i + m)]
-            p = ((i - 2 + 2 * m + 2 * k) * p + 2 * m * (k - 1) * f / (m + i)) / (i + 2 * m)
-            power *= mean
-            settled = i > 1
-            for j, value in enumerate(map(float, exact)):
-                last, before = value * power, coeffs[j][-1] * power / mean
-                coeffs[j].append(value)
-                sums[j] += last
-                if settled:
-                    rho = max(last / before, mean)
-                    settled = rho < 1.0 and last * rho / (1.0 - rho) <= 2.0**-56 * sums[j]
-            if settled:
-                return tuple(map(tuple, coeffs))
-
-
-def _odd_profile(spec: ManifoldSpec) -> _OddProfile:
-    """The odd form of S^n or RP^n, n = 2k + 1.
-
-    By the double cover c_RP = c_S + phi_hat_S(pi/2) = c_S + F(pi) (see
-    `_laurent_profile`).
-    """
+def _build_odd(spec: ManifoldSpec) -> _OddProfile:
+    """The odd form of S^n or RP^n, n = 2k + 1, with its mean-zero constant."""
     k = (spec.n - 1) // 2
-    A, g, R, P, F, c_rp = _odd_parts(k)
+    A, g, R, P, F, _ = records.odd_parts(k)
     sphere = spec.family is Family.SPHERE
     # past pi/2 on S^n, h = F / m and phi_hat = H (4 s^2 = 1) of its record,
     # which is its own mirror, at y
-    m = _record(spec)[0]
-    f, H, _ = _record_series(m, m, 0.5) if sphere else ((), (0.0,), ())
+    record = _record(spec)
+    f, H, _ = records.record_series(record) if sphere else ((), (0.0,), ())
     return _OddProfile(
         spec=spec,
         sphere=sphere,
@@ -685,9 +528,9 @@ def _odd_profile(spec: ManifoldSpec) -> _OddProfile:
         g=tuple(float(v) for v in g),
         R=tuple(float(v) for v in R[1:]),
         P=tuple(float(v) for v in P),
-        series=tuple(v / m for v in f),
+        series=tuple(v / record[0] for v in f),
         series_phi=H[1:],
-        c_m=float(c_rp - F if sphere else c_rp),
+        c_m=records.mean_zero_constant(record),
     )
 
 
@@ -699,7 +542,7 @@ def build_profile(spec: ManifoldSpec) -> RadialGreenProfile:
     phi decreases, so its values at r_cut and D bound it there.
     """
     m = _record(spec)[0]
-    prof = _laurent_profile(spec) if m == int(m) else _odd_profile(spec)
+    prof = _build_laurent(spec) if m == int(m) else _build_odd(spec)
     V = volume(spec)
     for r, value in ((prof.r_cut, float(prof.phi_hat_values(prof.r_cut)[0])), (prof.diameter, 0.0)):
         if not math.isfinite((value + prof.c_m) / V):

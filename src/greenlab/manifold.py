@@ -4,18 +4,8 @@ Covers the geometric inventory every other module consumes: dimensions,
 diameters, volumes, radial volume densities, ball volumes, point models
 with geodesic distance, uniform sampling and radial distance sampling.
 
-Jacobi records
---------------
-Each family's radial geometry is one record (m, k, s): S^n (n/2, n/2, 1/2),
-RP^n (n/2, 1/2, 1), CP^n (n, 1, 1), HP^n (2n, 2, 1) and OP^2 (8, 4, 1), with
-v(r)/omega = s^(1-d) sin^(2m-1)(s r) cos^(2k-1)(s r), omega the area of the
-unit (d-1)-sphere. Everything else derives from it: d = 2m, D = pi/(2s),
-V/omega = B(m, k)/(2 s^d), V = pi^m Gamma(k)/(s^d Gamma(m+k)),
-B_M = (V/omega)/(d-2), c_opt = (d V/omega)^(2/d), and V(a)/V = I_x(m, k),
-x = sin^2(s a), or 1 - I_y(k, m), y = cos^2(s a), past the mean x = m/(m+k).
-For s = 1 and integer k that is x^m D(y), D(y) = sum_(j<k) C(m+j-1, j) y^j.
-V/omega and V are rationals times powers of pi, each rounded once; V raises
-SingularityError where it is not a normal double.
+Each family's radial geometry is its Jacobi record (m, k, s) (`_record`),
+from which `records` derives the volumes and every closed form.
 
 Point model
 -----------
@@ -55,12 +45,12 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, TextIO
 
 import numpy as np
 from scipy.special import betainc, betaincinv
 
+from . import records
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
 from .special_math import vol_unit_sphere
 
@@ -149,7 +139,7 @@ class ManifoldSpec:
         return f"{self.token}{'' if self.family is Family.CAYLEY_PLANE else self.n}"
 
 
-# (m, k, s) of each family: v(r)/omega = s^(1-d) sin^(2m-1)(s r) cos^(2k-1)(s r)
+# the Jacobi record (m, k, s) of each family (`records` module docstring)
 _RECORDS = {
     Family.SPHERE: lambda n: (n / 2, n / 2, 0.5),
     Family.REAL_PROJ: lambda n: (n / 2, 0.5, 1.0),
@@ -160,7 +150,7 @@ _RECORDS = {
 
 
 def _record(spec: ManifoldSpec) -> tuple[float, float, float]:
-    """The Jacobi record (m, k, s) of the module docstring."""
+    """The Jacobi record (m, k, s) of a manifold."""
     return _RECORDS[spec.family](spec.n)
 
 
@@ -179,33 +169,11 @@ def _radius_limit(spec: ManifoldSpec) -> float:
     return diameter(spec) * (1.0 + 1e-12)
 
 
-def _pi_rational(pi_power, up, down, scale) -> float:
-    """scale pi^pi_power prod Gamma(up) / prod Gamma(down), all in N/2, rounded once:
-    a rational times pi^p, p an integer, with fl(pi)^p exact as a fraction and
-    pi - fl(pi) = sin(fl(pi)) to within 1e-48."""
-    q, half_powers = Fraction(scale), round(2 * pi_power)
-    for sign, args in ((1, up), (-1, down)):
-        for j, half in (divmod(round(2 * x), 2) for x in args):
-            # Gamma(j) = (j-1)! and Gamma(j + 1/2) = sqrt(pi) (2j-1)!! / 2^j
-            r = Fraction(math.prod(range(1, 2 * j, 2)), 2**j) if half else math.factorial(j - 1)
-            q, half_powers = q * Fraction(r) ** sign, half_powers + sign * half
-    p = half_powers // 2
-    return float(q * Fraction(math.pi) ** p) * (1.0 + p * math.sin(math.pi) / math.pi)
-
-
-@functools.lru_cache(maxsize=None)
-def _volume_ratio(spec: ManifoldSpec) -> float:
-    """V / omega = B(m, k) / (2 s^d), omega the area of the unit (d-1)-sphere."""
-    m, k, s = _record(spec)
-    return _pi_rational(0, (m, k), (m + k,), 1 / (2 * Fraction(s) ** dimension(spec)))
-
-
 @functools.lru_cache(maxsize=None)
 def volume(spec: ManifoldSpec) -> float:
     """Riemannian volume V = pi^m Gamma(k) / (s^d Gamma(m + k)); SingularityError
     where V is not a normal double (d of about 430 and up)."""
-    m, k, s = _record(spec)
-    V = _pi_rational(m, (k,), (m + k,), 1 / Fraction(s) ** dimension(spec))
+    V = records.volume(_record(spec))
     if not V >= sys.float_info.min:
         raise SingularityError(f"the volume of {spec} is {V:.3g}, below the normal range of a double")
     return V
@@ -218,7 +186,7 @@ def bm_constant(spec: ManifoldSpec) -> float:
         raise UnsupportedManifoldError(
             f"the near-diagonal power coefficient needs d > 2, got d={d} for {spec}"
         )
-    return _volume_ratio(spec) / (d - 2)
+    return records.volume_ratio(_record(spec)) / (d - 2)
 
 
 def _radii(spec: ManifoldSpec, r, what: str = "r") -> np.ndarray:
@@ -233,23 +201,6 @@ def _like(r: np.ndarray, values: np.ndarray):
     """values, computed on np.atleast_1d(r), as a float for a scalar r (a
     one-element array gets the bits of a batch; numpy's scalar power does not)."""
     return float(values[0]) if r.ndim == 0 else values
-
-
-def _recentre(coeffs: list[Fraction]) -> list[Fraction]:
-    """The coefficients of c(1 - s) from those of c(s), exactly: in integers
-    over the coefficients' common denominator."""
-    den = math.lcm(*(Fraction(v).denominator for v in coeffs))
-    out = [0] * len(coeffs)
-    for i, ci in enumerate(int(v * den) for v in coeffs):
-        if ci:
-            for k in range(i + 1):
-                out[k] += ci * math.comb(i, k) * (-1) ** k
-    return [Fraction(v, den) for v in out]
-
-
-def _antiderivative(coeffs: list, j: int) -> tuple[list, Fraction]:
-    """(G, b) such that G(s) / s^(j-1) + b log s is an antiderivative of c(s) / s^j."""
-    return [0 if i == j - 1 else v / (i - j + 1) for i, v in enumerate(coeffs)], coeffs[j - 1]
 
 
 def _sin_cos_squares(spec: ManifoldSpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -81,7 +81,7 @@ def _check_volume_quadrature():
             lambda r: radial_density(spec, r), 0.0, diameter(spec)
         )
         worst = max(worst, abs(total - volume(spec)) / volume(spec))
-    return worst < 1e-10, f"max volume defect {worst:.2e}"
+    return worst < 1e-12, f"max volume defect {worst:.2e}"  # reads 1.2e-14
 
 
 def _check_ball_volume_quadrature():
@@ -94,7 +94,12 @@ def _check_ball_volume_quadrature():
                 lambda r: radial_density(spec, r), 0.0, a
             )
             worst = max(worst, abs(quad - ball_volume(spec, a)) / volume(spec))
-    return worst < 1e-10, f"max ball-volume defect {worst:.2e}"
+    return worst < 5e-14, f"max ball-volume defect {worst:.2e}"  # reads 5.4e-16
+
+
+# the three derivative checks difference another route (ball volumes, the
+# quadrature phi_hat, sphere means) against the exact derivative: only they tie
+# the two routes together; a central difference is 2e-11 to 3e-8 off, so 1e-6
 
 
 def _check_sphere_area_derivative():
@@ -132,7 +137,7 @@ def _check_green_mean_zero():
         prof = get_profile(spec)
         mz = integrate(lambda r: prof.phi(r) * sphere_area(spec, r), 0.0, diameter(spec), 1e-10)
         worst = max(worst, abs(mz))
-    return worst < 1e-8, f"max mean defect {worst:.2e}"
+    return worst < 1e-11, f"max mean defect {worst:.2e}"  # reads 1.2e-13
 
 
 def _check_sphere_profile_closed_form():
@@ -142,7 +147,7 @@ def _check_sphere_profile_closed_form():
     exact = -np.log(np.sin(rr / 2)) / (2 * math.pi) - 1 / (4 * math.pi)
     got = prof.phi(rr)
     worst = float(np.max(np.abs(got - exact)))
-    return worst < 1e-8, f"max pointwise defect {worst:.2e}"
+    return worst < 2e-15, f"max pointwise defect {worst:.2e}"  # reads 2.8e-17
 
 
 # the closed profiles against their direct forms, the quadrature phi_hat and
@@ -290,7 +295,7 @@ def _check_ball_average_identity():
         bs.ball_average_green(spec, t, 0.8) <= prof.phi(t) + bs.k_value(spec, 0.8) + 1e-12
         for t in (0.1, 0.4, 0.79, 1.2)
     )
-    ok = exact_branch == 0.0 and abs(continuity) < 1e-9 and bound_ok
+    ok = exact_branch == 0.0 and abs(continuity) < 5e-11 and bound_ok  # reads 5.3e-13
     return ok, f"branch {exact_branch:.1e}, continuity {continuity:.1e}, bound {bound_ok}"
 
 
@@ -412,7 +417,7 @@ def _check_cp1_isometry():
     p1, p2 = get_profile(cp1), get_profile(s2)
     rr = np.linspace(0.05, math.pi / 2, 20)
     worst = float(np.max(np.abs(p1.phi(rr) - p2.phi(2 * rr))))
-    return worst < 1e-8, f"profile transfer defect {worst:.2e}"
+    return worst < 1e-14, f"profile transfer defect {worst:.2e}"  # reads 0
 
 
 def _check_optimizer_tetrahedron():

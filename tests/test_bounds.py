@@ -61,21 +61,21 @@ class TestOptimalRadiusConstant:
         coeff = bd.optimal_radius_constant(spec)
         assert coeff.c_opt == pytest.approx(1.0, rel=1e-12)
         assert coeff.leading == pytest.approx(
-            n / (2 * (n * n - 1) * volume(spec)), rel=1e-12
+            n / (2 * (n * n - 1) * volume(spec)), rel=1e-12, abs=0
         )
-        assert coeff.exponent == pytest.approx(2 - 1 / n, rel=1e-15)
+        assert coeff.exponent == pytest.approx(2 - 1 / n, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_quaternionic_projective(self, n):
         spec = ManifoldSpec(Family.QUAT_PROJ, n)
         coeff = bd.optimal_radius_constant(spec)
-        assert coeff.c_opt == pytest.approx((2 * n + 1) ** (-1 / (2 * n)), rel=1e-12)
+        assert coeff.c_opt == pytest.approx((2 * n + 1) ** (-1 / (2 * n)), rel=1e-12, abs=0)
         expected = n / ((2 * n - 1) * (2 * n + 1) ** (1 + 1 / (2 * n)) * volume(spec))
-        assert coeff.leading == pytest.approx(expected, rel=1e-12)
+        assert coeff.leading == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_cayley_plane(self):
         coeff = bd.optimal_radius_constant(OP2)
-        assert coeff.c_opt == pytest.approx(165 ** (-1 / 8), rel=1e-12)
+        assert coeff.c_opt == pytest.approx(165 ** (-1 / 8), rel=1e-12, abs=0)
         assert coeff.leading == pytest.approx(
             4 / (63 * 165 ** (1 / 8) * volume(OP2)), rel=1e-12
         )
@@ -90,7 +90,7 @@ class TestOptimalRadiusConstant:
             * (math.gamma(n / 2 + 1) * math.sqrt(math.pi) / math.gamma((n + 1) / 2))
             ** (2 / n)
         )
-        assert coeff.leading == pytest.approx(expected, rel=1e-12)
+        assert coeff.leading == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("spec", [S2, ManifoldSpec(Family.COMPLEX_PROJ, 1)])
     def test_dimension_two_unsupported(self, spec):
@@ -103,7 +103,7 @@ class TestSphereLeadingCoefficient:
     def test_two_routes_collapse(self, n):
         direct = bd.sphere_leading_coefficient(n)
         pipeline = bd.optimal_radius_constant(ManifoldSpec(Family.SPHERE, n)).leading
-        assert direct == pytest.approx(pipeline, rel=1e-12)
+        assert direct == pytest.approx(pipeline, rel=1e-12, abs=0)
 
     def test_tabulation_finite_positive(self):
         vals = [bd.sphere_leading_coefficient(n) for n in range(3, 40)]
@@ -126,7 +126,7 @@ class TestPriorCoefficients:
         for n in (2, 5, 20):
             expected = n / (4 * (n - 1) * math.exp(math.lgamma(n + 1.0) / n))
             spec = ManifoldSpec(Family.COMPLEX_PROJ, n)
-            assert bd.matzke_coefficient(spec) == pytest.approx(expected, rel=1e-13)
+            assert bd.matzke_coefficient(spec) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_quaternionic_line_finite(self):
         val = bd.matzke_coefficient(HP1)
@@ -139,16 +139,6 @@ class TestPriorCoefficients:
     def test_real_projective_needs_n3(self):
         with pytest.raises(DomainError):
             bd.matzke_coefficient(ManifoldSpec(Family.REAL_PROJ, 2))
-
-
-class TestLegacyConstants:
-    def test_four_decimal_values(self):
-        table = bd.legacy_2d_constants()
-        assert math.floor(abs(table["C_BHS"]) * 1e4) / 1e4 == 0.0556
-        assert math.floor(abs(table["lauritsen"]) * 1e4) / 1e4 == 0.0568
-        assert table["cp1_nlogn"] == pytest.approx(-1 / math.pi, rel=1e-15)
-        assert table["cp1_linear"] == pytest.approx(-1 / (2 * math.pi), rel=1e-15)
-        assert table["rp2_nlogn"] == pytest.approx(-1 / (4 * math.pi), rel=1e-15)
 
 
 class TestBestFiniteBound:
@@ -306,7 +296,7 @@ class TestRadiusSearch:
         best = max(evaluations, key=evaluations.get)
         assert passes == [bd._NODES - 2, 1]
         assert best == pytest.approx(0.7, rel=0.0, abs=1e-12)
-        assert evaluations[best] == pytest.approx(0.7 * math.exp(-1.0), rel=1e-15)
+        assert evaluations[best] == pytest.approx(0.7 * math.exp(-1.0), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_monotone_bracket_adds_no_radius(self, monkeypatch, sign):
@@ -339,7 +329,7 @@ class TestCompareTable:
         assert len(rows) == hi - lo + 1
         for n, ours, prior, ratio in rows:
             assert 0 < abs(ours) < abs(prior)
-            assert ratio == pytest.approx(ours / prior, rel=1e-15)
+            assert ratio == pytest.approx(ours / prior, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize(
         ("family", "lo", "hi"),
@@ -429,7 +419,7 @@ class TestSearchCaches:
     def test_cached_arrays_reject_writes(self, spec):
         rep = bd.best_finite_bound(spec, 1000)
         lattice = bd._lattice(spec)
-        assert lattice.radii[0] == pytest.approx(1e-4 * diameter(spec), rel=1e-15)
+        assert lattice.radii[0] == pytest.approx(1e-4 * diameter(spec), rel=1e-15, abs=0)
         assert lattice.radii[-1] == diameter(spec)
         assert lattice.values.shape == (3, len(lattice.radii))
         bracket = bd._bracket(spec, int(np.argmax(lattice.bounds(spec, 1000))))

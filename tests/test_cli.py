@@ -91,7 +91,7 @@ class TestBound:
         assert code == 0
         payload = json.loads(out)
         expected = 1.0 / (3.0**1.5 * volume(ManifoldSpec(Family.QUAT_PROJ, 1)))
-        assert payload["leading_coefficient"] == pytest.approx(expected, rel=1e-12)
+        assert payload["leading_coefficient"] == pytest.approx(expected, rel=1e-12, abs=0)
         assert payload["best_bound"] <= 0.0
         assert len(payload["radius_grid"]) >= 32
 

@@ -177,7 +177,7 @@ class TestEnergy:
         points = [sample_uniform(spec, rng) for _ in range(12)]
         step = rng.standard_normal(points[0].coords.shape)
         near = rephased(geodesic_step(points[0], step, 1e-7))
-        assert distance(points[0], near) == pytest.approx(1e-7, rel=1e-8)
+        assert distance(points[0], near) == pytest.approx(1e-7, rel=1e-8, abs=0)
         profile = get_profile(spec)
         for pts in (points, points + [near]):
             terms = [profile.phi(distance(p, q)) for i, p in enumerate(pts) for q in pts[i + 1 :]]

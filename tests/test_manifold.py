@@ -82,25 +82,25 @@ class TestTableConstants:
             assert diameter(spec) == math.pi / 2
 
     def test_volumes(self):
-        assert volume(S2) == pytest.approx(4 * math.pi, rel=1e-14)
-        assert volume(S3) == pytest.approx(2 * math.pi**2, rel=1e-14)
-        assert volume(RP3) == pytest.approx(math.pi**2, rel=1e-14)
+        assert volume(S2) == pytest.approx(4 * math.pi, rel=1e-14, abs=0)
+        assert volume(S3) == pytest.approx(2 * math.pi**2, rel=1e-14, abs=0)
+        assert volume(RP3) == pytest.approx(math.pi**2, rel=1e-14, abs=0)
         for n in range(1, 6):
             spec = ManifoldSpec(Family.COMPLEX_PROJ, n)
             assert volume(spec) == pytest.approx(
-                math.pi**n / math.factorial(n), rel=1e-13
+                math.pi**n / math.factorial(n), rel=1e-13, abs=0
             )
-        assert volume(HP1) == pytest.approx(math.pi**2 / 6, rel=1e-14)
+        assert volume(HP1) == pytest.approx(math.pi**2 / 6, rel=1e-14, abs=0)
         assert volume(OP2) == pytest.approx(
-            math.pi**8 / (1320 * math.factorial(7)), rel=1e-13
+            math.pi**8 / (1320 * math.factorial(7)), rel=1e-13, abs=0
         )
 
     def test_bm_constants(self):
-        assert bm_constant(OP2) == pytest.approx(1 / 36960, rel=1e-15)
-        assert bm_constant(CP2) == pytest.approx(1 / 8, rel=1e-15)
-        assert bm_constant(HP1) == pytest.approx(1 / 24, rel=1e-15)
-        assert bm_constant(S3) == pytest.approx(math.pi / 2, rel=1e-14)
-        assert bm_constant(RP3) == pytest.approx(math.pi / 4, rel=1e-14)
+        assert bm_constant(OP2) == pytest.approx(1 / 36960, rel=1e-15, abs=0)
+        assert bm_constant(CP2) == pytest.approx(1 / 8, rel=1e-15, abs=0)
+        assert bm_constant(HP1) == pytest.approx(1 / 24, rel=1e-15, abs=0)
+        assert bm_constant(S3) == pytest.approx(math.pi / 2, rel=1e-14, abs=0)
+        assert bm_constant(RP3) == pytest.approx(math.pi / 4, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("spec", [S2, ManifoldSpec(Family.COMPLEX_PROJ, 1)])
     def test_bm_needs_dimension_above_two(self, spec):
@@ -180,11 +180,11 @@ class TestJacobiRecord:
 
 class TestRadialDensity:
     def test_examples(self):
-        assert radial_density(S3, math.pi / 2) == pytest.approx(1.0, rel=1e-15)
+        assert radial_density(S3, math.pi / 2) == pytest.approx(1.0, rel=1e-15, abs=0)
         assert radial_density(
             ManifoldSpec(Family.COMPLEX_PROJ, 3), math.pi / 2
         ) == pytest.approx(0.0, abs=1e-15)
-        assert radial_density(OP2, math.pi / 4) == pytest.approx(2.0**-11, rel=1e-13)
+        assert radial_density(OP2, math.pi / 4) == pytest.approx(2.0**-11, rel=1e-13, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -206,20 +206,20 @@ class TestRadialDensity:
         total = vol_unit_sphere(dimension(spec)) * integrate(
             lambda r: radial_density(spec, r), 0.0, diameter(spec)
         )
-        assert total == pytest.approx(volume(spec), rel=1e-10)
+        assert total == pytest.approx(volume(spec), rel=1e-10, abs=0)
 
 
 class TestBallVolume:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_full_ball_is_whole_manifold(self, spec):
-        assert ball_volume(spec, diameter(spec)) == pytest.approx(volume(spec), rel=1e-12)
+        assert ball_volume(spec, diameter(spec)) == pytest.approx(volume(spec), rel=1e-12, abs=0)
 
     def test_cp2_quarter_turn(self):
-        assert ball_volume(CP2, math.pi / 4) == pytest.approx(math.pi**2 / 8, rel=1e-13)
+        assert ball_volume(CP2, math.pi / 4) == pytest.approx(math.pi**2 / 8, rel=1e-13, abs=0)
 
     def test_cayley_polynomial_normalizes(self):
         # 165 - 440 + 396 - 120 = 1 makes the full ball close exactly
-        assert ball_volume(OP2, math.pi / 2) == pytest.approx(volume(OP2), rel=1e-14)
+        assert ball_volume(OP2, math.pi / 2) == pytest.approx(volume(OP2), rel=1e-14, abs=0)
 
     def test_cayley_fraction_near_the_diameter_against_mpmath(self):
         # x^8 D(y) with D = 1 + 8y + 36y^2 + 120y^3 has no cancellation; the
@@ -240,7 +240,7 @@ class TestBallVolume:
             oracle = vol_unit_sphere(dimension(spec)) * integrate(
                 lambda r: radial_density(spec, r), 0.0, a
             )
-            assert ball_volume(spec, a) == pytest.approx(oracle, rel=1e-10)
+            assert ball_volume(spec, a) == pytest.approx(oracle, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_strictly_increasing(self, spec):
@@ -304,7 +304,7 @@ class TestArrayRadii:
 class TestSphereArea:
     def test_two_sphere_circumference(self):
         for a in (0.3, 1.0, 2.5):
-            assert sphere_area(S2, a) == pytest.approx(2 * math.pi * math.sin(a), rel=1e-13)
+            assert sphere_area(S2, a) == pytest.approx(2 * math.pi * math.sin(a), rel=1e-13, abs=0)
 
     def test_vanishes_at_projective_diameter(self):
         assert sphere_area(CP2, diameter(CP2)) == pytest.approx(0.0, abs=1e-14)
@@ -319,7 +319,7 @@ class TestSphereArea:
         for frac in (0.2, 0.5, 0.8):
             a = frac * D
             deriv = (ball_volume(spec, a + h) - ball_volume(spec, a - h)) / (2 * h)
-            assert deriv == pytest.approx(sphere_area(spec, a), rel=1e-6)
+            assert deriv == pytest.approx(sphere_area(spec, a), rel=1e-6, abs=0)
 
 
 class TestDistance:
@@ -330,7 +330,7 @@ class TestDistance:
     def test_orthogonal_complex_representatives(self):
         p = Point(CP2, np.array([1.0 + 0j, 0.0, 0.0]))
         q = Point(CP2, np.array([0.0, 1.0 + 0j, 0.0]))
-        assert distance(p, q) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert distance(p, q) == pytest.approx(math.pi / 2, rel=1e-15, abs=0)
 
     def test_antipodal_projective_representatives(self):
         p = Point(RP3, np.array([0.0, 0.0, 0.0, 1.0]))

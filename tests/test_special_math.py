@@ -31,13 +31,13 @@ class TestLogGamma:
         assert log_gamma(1.0) == 0.0
 
     def test_gamma_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15)
+        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15, abs=0)
 
     def test_factorial_seven(self):
         fact = 1
         for k in range(1, 8):
             fact *= k
-        assert log_gamma(8.0) == pytest.approx(math.log(fact), rel=1e-14)
+        assert log_gamma(8.0) == pytest.approx(math.log(fact), rel=1e-14, abs=0)
 
     def test_against_mpmath_across_range(self):
         xs = [0.5, 0.77, 1.0, 2.5, 10.0, 33.3, 100.0, 170.0]
@@ -46,7 +46,7 @@ class TestLogGamma:
             if exact == 0.0:
                 assert abs(log_gamma(x)) < 1e-13
             else:
-                assert log_gamma(x) == pytest.approx(exact, rel=1e-13)
+                assert log_gamma(x) == pytest.approx(exact, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
     def test_domain(self, bad):
@@ -56,13 +56,13 @@ class TestLogGamma:
 
 class TestVolUnitSphere:
     def test_circle(self):
-        assert vol_unit_sphere(2) == pytest.approx(2 * math.pi, rel=1e-15)
+        assert vol_unit_sphere(2) == pytest.approx(2 * math.pi, rel=1e-15, abs=0)
 
     def test_two_sphere(self):
-        assert vol_unit_sphere(3) == pytest.approx(4 * math.pi, rel=1e-15)
+        assert vol_unit_sphere(3) == pytest.approx(4 * math.pi, rel=1e-15, abs=0)
 
     def test_three_sphere(self):
-        assert vol_unit_sphere(4) == pytest.approx(2 * math.pi**2, rel=1e-14)
+        assert vol_unit_sphere(4) == pytest.approx(2 * math.pi**2, rel=1e-14, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -77,7 +77,7 @@ class TestRegIncompleteBeta:
         assert reg_incomplete_beta(0.0, 2.3, 4.5) == 0.0
 
     def test_uniform_case(self):
-        assert reg_incomplete_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
+        assert reg_incomplete_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14, abs=0)
 
     def test_half_sphere_volume_fraction(self):
         # I_{sin^2(pi/4)}(3/2, 3/2) is the half-ball fraction of the 3-sphere:
@@ -86,7 +86,7 @@ class TestRegIncompleteBeta:
         den = integrate(lambda t: np.sin(t) ** 2, 0.0, math.pi)
         oracle = num / den
         got = reg_incomplete_beta(math.sin(math.pi / 4) ** 2, 1.5, 1.5)
-        assert got == pytest.approx(oracle, rel=1e-12)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0)
 
     @given(
         # away from the endpoints 1-s itself rounds; there the identity is
@@ -130,7 +130,7 @@ class TestIntegrate:
     def test_power_of_sine_times_cosine(self):
         # antiderivative sin^4/4 gives exactly 1/4 on [0, pi/2]
         val = integrate(lambda t: np.sin(t) ** 3 * np.cos(t), 0.0, math.pi / 2)
-        assert val == pytest.approx(0.25, rel=1e-12)
+        assert val == pytest.approx(0.25, rel=1e-12, abs=0)
 
     def test_endpoint_log_singularity(self):
         val = integrate(lambda t: -np.log(t), 0.0, 1.0)
@@ -197,7 +197,7 @@ class TestIntegrate:
             calls.append(t.shape)
             return np.cos(t)
 
-        assert integrate(f, 0.0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-15)
+        assert integrate(f, 0.0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-15, abs=0)
         assert calls == [(15,)]
 
     def test_each_bisection_evaluates_both_halves_in_one_call(self):
@@ -266,7 +266,7 @@ class TestIntegrate:
 
         val, _, _ = gauss_kronrod_panel(f, 0.0, 1.0)
         assert calls == [(15,)]
-        assert val == pytest.approx(math.sin(1.0), rel=1e-15)
+        assert val == pytest.approx(math.sin(1.0), rel=1e-15, abs=0)
 
     def test_small_integral_converges_to_its_own_scale(self):
         # a bump of height 1e-30: the error estimate follows the integrand's
@@ -281,7 +281,7 @@ class TestIntegrate:
         # the 15-point Kronrod rule integrates degree <= 22 exactly
         for deg in range(23):
             val, _, _ = gauss_kronrod_panel(lambda x, d=deg: x**d, 0.0, 1.0)
-            assert val == pytest.approx(1.0 / (deg + 1), rel=1e-13)
+            assert val == pytest.approx(1.0 / (deg + 1), rel=1e-13, abs=0)
 
     def test_panel_huge_integrand_stays_finite(self):
         # |K - G| near 1e240 must not reach the (200 |K - G|)^1.5 power
@@ -327,7 +327,7 @@ class TestPanels:
             g = math.fsum(fx[i] * _GK15_WEIGHTS[1])
             asc = math.fsum(np.abs(fx[i] - 0.5 * k) * _GK15_WEIGHTS[0])
             err = max(asc * min(1.0, 200.0 * abs(k - g) / asc) ** 1.5, 50.0 * 2.0**-52 * resabs[i])
-            assert values[i] == pytest.approx(k, rel=1e-14)
+            assert values[i] == pytest.approx(k, rel=1e-14, abs=0)
             assert errors[i] == pytest.approx(err, rel=1e-9)
 
     def test_constant_integrand_error_is_the_floor(self):
@@ -336,8 +336,8 @@ class TestPanels:
             values, errors, resabs = gauss_kronrod_panels(
                 lambda x: np.full_like(x, 3.0), np.array([0.0, 1.0]), np.array([1.0, 5.0])
             )
-        assert values == pytest.approx([3.0, 12.0], rel=1e-15)
-        assert errors == pytest.approx(50.0 * 2.0**-52 * resabs, rel=1e-14)
+        assert values == pytest.approx([3.0, 12.0], rel=1e-15, abs=0)
+        assert errors == pytest.approx(50.0 * 2.0**-52 * resabs, rel=1e-14, abs=0)
 
 
 class TestBetaContinuedFraction:

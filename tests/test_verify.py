@@ -1,35 +1,36 @@
 """`greenlab verify` is the user's self-check of the closed profiles and
 kernels: it must fail when one of their ingredients is off by a relative 1e-11.
 
-Each case scales one ingredient by (1 + 1e-11), under every greenlab
-module's name for it: the coefficients of the record series F, H or r
-(`green._record_series`, read by the kernels on both sides of the mean and
-by odd S^n's profile past pi/2); the Laurent parts (`green._laurent_parts`:
-the profile of every integer-m record, and the mirror's H that the kernels
-read on CP^n, HP^n, OP^2 and even S^n past the mean), in all, in phi_hat's
-coefficients only or in the log coefficient only; the mean-zero moment c_m
-(`green._laurent_moment`); the odd form's parts behind odd S^n and RP^n
-(`green._odd_parts`), in all, in R only or in RP^n's constant only; and
-the volume (`manifold.volume`). Every cache the profiles, the kernels and
-the bound search fill is cleared before and after, so no value computed
-with or without the error outlives its case.
+Each case scales one ingredient by (1 + 1e-11) with a single patch on
+`records`, which every module reads the exact algebra from: the
+coefficients of the record series F, H or r (`records.record_series`, read
+by the kernels on both sides of the mean and by odd S^n's profile past
+pi/2); the Laurent parts (`records.laurent_parts`: the profile of every
+integer-m record, and the mirror's H that the kernels read on CP^n, HP^n,
+OP^2 and even S^n past the mean), in all, in phi_hat's coefficients only or
+in the log coefficient only; the mean-zero moment c_m
+(`records.laurent_moment`); the odd form's parts behind odd S^n and RP^n
+(`records.odd_parts`), in all, in R only or in RP^n's constant only; and
+the volume (`records.volume`, behind `manifold.volume`). Every cache the
+profiles, the kernels and the bound search fill is cleared before and
+after, so no value computed with or without the error outlives its case.
 """
 
 import io
-import sys
 
 import pytest
 
 from greenlab import ball_stats as bs
-from greenlab import bounds, green, manifold, verify
+from greenlab import bounds, green, manifold, records, verify
 
 SCALE = 1.0 + 1e-11
 
 
 def _clear_caches():
-    green._record_series.cache_clear()
+    records.record_series.cache_clear()
     green._radial_ratios.cache_clear()
     green._PROFILE_CACHE.clear()
+    manifold.volume.cache_clear()
     bs._record_route.cache_clear()
     bounds._lattice.cache_clear()
     bounds._bracket.cache_clear()
@@ -62,19 +63,19 @@ def _scaled_value(fn):
     return lambda *args: fn(*args) * SCALE
 
 
-# ingredient -> (home module, function name, mutation of the function)
+# ingredient -> (function of `records`, mutation of the function)
 MUTATIONS = {
-    "F": (green, "_record_series", _scaled_items(0)),
-    "H": (green, "_record_series", _scaled_items(1)),
-    "r": (green, "_record_series", _scaled_items(2)),
-    "Laurent parts": (green, "_laurent_parts", _scaled_items(0, 2)),
-    "Laurent phi_hat coefficients": (green, "_laurent_parts", _scaled_items(0)),
-    "log coefficient": (green, "_laurent_parts", _scaled_items(2)),
-    "c_m": (green, "_laurent_moment", _scaled_value),
-    "odd form": (green, "_odd_parts", _scaled_items(0, 1, 2, 4)),
-    "odd R": (green, "_odd_parts", _scaled_items(2)),
-    "odd RP constant": (green, "_odd_parts", _scaled_items(5)),
-    "volume": (manifold, "volume", _scaled_value),
+    "F": ("record_series", _scaled_items(0)),
+    "H": ("record_series", _scaled_items(1)),
+    "r": ("record_series", _scaled_items(2)),
+    "Laurent parts": ("laurent_parts", _scaled_items(0, 2)),
+    "Laurent phi_hat coefficients": ("laurent_parts", _scaled_items(0)),
+    "log coefficient": ("laurent_parts", _scaled_items(2)),
+    "c_m": ("laurent_moment", _scaled_value),
+    "odd form": ("odd_parts", _scaled_items(0, 1, 2, 4)),
+    "odd R": ("odd_parts", _scaled_items(2)),
+    "odd RP constant": ("odd_parts", _scaled_items(5)),
+    "volume": ("volume", _scaled_value),
 }
 
 
@@ -84,12 +85,8 @@ def test_verify_passes_unperturbed(fresh_caches):
 
 @pytest.mark.parametrize("ingredient", MUTATIONS)
 def test_verify_fails_on_a_perturbed_ingredient(ingredient, fresh_caches, monkeypatch):
-    home, name, mutate = MUTATIONS[ingredient]
-    original = getattr(home, name)
-    mutated = mutate(original)
-    for key, module in list(sys.modules.items()):
-        if key.startswith("greenlab.") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, mutated)
+    name, mutate = MUTATIONS[ingredient]
+    monkeypatch.setattr(records, name, mutate(getattr(records, name)))
     out = io.StringIO()
     assert not verify.run_verification(quick=False, stream=out)
     failed = [line for line in out.getvalue().splitlines() if line.startswith("FAIL")]
