@@ -9,10 +9,10 @@ B_M = (V/omega)/(d-2), c_opt = (d V/omega)^(2/d), and V(a)/V = I_x(m, k),
 x = sin^2(s a), or 1 - I_y(k, m), y = cos^2(s a), past the mean x = m/(m+k).
 For s = 1 and integer k that is x^m D(y), D(y) = sum_(j<k) C(m+j-1, j) y^j.
 
-Each function derives, in `fractions` or 40-digit `decimal` arithmetic and
-from a record tuple alone (a mirror record (k, m, s) needs no manifold),
-what the other modules evaluate. The `manifold.Family` -> record table stays
-next to `ManifoldSpec`, so this module imports no greenlab module: no cycle.
+Each function derives an exact quantity that the other modules evaluate, in
+`fractions` or 40-digit `decimal` arithmetic, from a record tuple alone, so
+a mirror record (k, m, s) needs no manifold. The `manifold.Family` -> record
+table stays next to `ManifoldSpec`: this module imports no greenlab module.
 """
 
 import math
