@@ -366,7 +366,9 @@ def _closed_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.n
     """(K, Theta, mu) at checked radii, mu = V(a)/V, elementwise from the
     closed forms in one pass: a radius gets the same bits alone and in any
     batch. Values that leave the range of a double come back as inf or nan.
-    RP^n takes S^n's, its double cover's (module docstring).
+
+    RP^n is S^n's double cover (module docstring): K_RP = 2 K_S,
+    Theta_RP = Theta_S + K_S + c_S / V_S and mu_RP = 2 mu_S, at a <= pi/2.
     """
     cover = ManifoldSpec(Family.SPHERE, spec.n) if spec.family is Family.REAL_PROJ else spec
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):

@@ -58,6 +58,7 @@ __all__ = [
     "sphere_leading_coefficient",
     "matzke_coefficient",
     "our_coefficient",
+    "legacy_2d_constants",
     "best_finite_bound",
     "compare_table",
 ]
@@ -195,6 +196,30 @@ def our_coefficient(spec: ManifoldSpec) -> float:
     """Our leading coefficient without the 1/V factor (figure normalization): d c_opt / (d^2 - 4)."""
     d = dimension(spec)
     return d * _c_opt(spec) / (d * d - 4)
+
+
+def legacy_2d_constants() -> dict[str, float]:
+    """Reference constants for the dimension-2 cases, quoted for report footers."""
+    c_bhs = (
+        2.0 * math.log(2.0)
+        + 0.5 * math.log(2.0 / 3.0)
+        + 3.0 * math.log(math.sqrt(math.pi) / math.gamma(1.0 / 3.0))
+    )
+    return {
+        # logarithmic-energy constant upper bound and the matching lower-bound constant
+        "C_BHS": c_bhs,
+        "lauritsen": math.log(2.0) - 0.75,
+        # sphere Green energy: E >= -(N/4pi) log N - N/(8pi) + o(N)
+        "s2_nlogn": -1.0 / (4.0 * math.pi),
+        "s2_linear": -1.0 / (8.0 * math.pi),
+        "s2_linear_upper": (2.0 * c_bhs + 1.0 - 2.0 * math.log(2.0)) / (4.0 * math.pi),
+        # real projective plane
+        "rp2_nlogn": -1.0 / (4.0 * math.pi),
+        "rp2_linear": (0.5 - math.log(2.0)) / (4.0 * math.pi),
+        # complex projective line, as displayed in the source inventory
+        "cp1_nlogn": -1.0 / math.pi,
+        "cp1_linear": -1.0 / (2.0 * math.pi),
+    }
 
 
 _FLOOR = 1e-4  # the smallest radius searched, as a share of D

@@ -22,7 +22,7 @@ ball fraction mu = I_x(m, k), h = (1 - mu) / (4 s^2 x y mu') equals
 
     phi_hat = sum_j c_j v^j - b log x,   v = 1/x - 1 = cot^2(s r),
 
-with positive coefficients (`_build_laurent`): -log x on S^2,
+with positive coefficients (`_laurent_profile`): -log x on S^2,
 -(1/2) log x on RP^2, (1/x - 1 - log x)/8 on CP^2 and (1/x - 1 - 2 log x)/24
 on HP^1. Its rounding error grows like m, because x^(1-m) amplifies the
 rounding of x: 2.8e-16 m of |phi_hat| + |c_m| against a 40-digit sum.
@@ -33,7 +33,7 @@ for int sin^(2k) gives, with c = cot r and u = 1 + c^2 = 1 / sin^2 r,
     psi     = A (pi - r) u^k + c P(u),   A = (2k - 1)!! / (2k)!!,
     phi_hat = F(pi) + A (pi - r) c g(c^2) - R(c^2),
 
-S^3's (1 + (pi - r) cot r)/2 the smallest case (`_build_odd`). RP^n is
+S^3's (1 + (pi - r) cot r)/2 the smallest case (`_odd_profile`). RP^n is
 the double cover, phi_RP(r) = phi_S(r) + phi_S(pi - r); applied to these
 exact forms it leaves the same polynomials with pi/2 - r in place of
 pi - r and no constant, so every term is positive for r in (0, pi/2]. On
@@ -61,7 +61,6 @@ from . import records
 from .chebyshev import lobatto_nodes
 from .errors import DomainError, SingularityError
 from .manifold import (
-    Family,
     ManifoldSpec,
     _density,
     _radius_limit,
@@ -498,7 +497,7 @@ class _OddProfile(RadialGreenProfile):
         return out
 
 
-def _build_laurent(spec: ManifoldSpec) -> _LaurentProfile:
+def _laurent_profile(spec: ManifoldSpec) -> _LaurentProfile:
     """The Laurent form of a record with integer m, with its mean-zero constant."""
     record = _record(spec)
     c, a, b = records.laurent_parts(record)
@@ -510,14 +509,14 @@ def _build_laurent(spec: ManifoldSpec) -> _LaurentProfile:
     )
 
 
-def _build_odd(spec: ManifoldSpec) -> _OddProfile:
+def _odd_profile(spec: ManifoldSpec) -> _OddProfile:
     """The odd form of S^n or RP^n, n = 2k + 1, with its mean-zero constant."""
     k = (spec.n - 1) // 2
     A, g, R, P, F, _ = records.odd_parts(k)
-    sphere = spec.family is Family.SPHERE
+    record = _record(spec)
+    sphere = records.sphere_cover(record) == record
     # past pi/2 on S^n, h = F / m and phi_hat = H (4 s^2 = 1) of its record,
     # which is its own mirror, at y
-    record = _record(spec)
     f, H, _ = records.record_series(record) if sphere else ((), (0.0,), ())
     return _OddProfile(
         spec=spec,
@@ -542,7 +541,7 @@ def build_profile(spec: ManifoldSpec) -> RadialGreenProfile:
     phi decreases, so its values at r_cut and D bound it there.
     """
     m = _record(spec)[0]
-    prof = _build_laurent(spec) if m == int(m) else _build_odd(spec)
+    prof = _laurent_profile(spec) if m == int(m) else _odd_profile(spec)
     V = volume(spec)
     for r, value in ((prof.r_cut, float(prof.phi_hat_values(prof.r_cut)[0])), (prof.diameter, 0.0)):
         if not math.isfinite((value + prof.c_m) / V):

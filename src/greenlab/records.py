@@ -160,20 +160,27 @@ def odd_parts(k: int) -> tuple:
     return A, g, R, P, F, -sum(Fraction(1, i) for i in range(1, k + 1)) / (4 * k)
 
 
+def sphere_cover(record: Record) -> Record:
+    """The record (n/2, n/2, 1/2) of S^n from that of S^n or of RP^n,
+    (n/2, 1/2, 1), which S^n double-covers."""
+    return record[0], record[0], 0.5
+
+
 def mean_zero_constant(record: Record) -> float:
-    """c_m of an integer record, of S^n (n/2, n/2, 1/2) or of RP^n (n/2, 1/2, 1):
-    -`laurent_moment` on an integer record. S^n double-covers RP^n, so
+    """c_m of S^n, of RP^n or of an integer record: -`laurent_moment` on an
+    integer record. S^n double-covers RP^n, so
     phi_hat_RP + c_RP = (phi_hat_S(r) + phi_hat_S(pi - r)) / 2 + c_S and
     phi_hat_RP(pi/2) = 0 give c_RP = c_S + phi_hat_S(pi/2): c_S + sum_j c_j +
     b log 2 on even n (x_S = 1/2), the Wallis sum of `odd_parts` on odd n."""
     m, k, _ = record
+    sphere = sphere_cover(record)
     if m != int(m):
-        _, _, _, _, F, c_rp = odd_parts(round(m - 0.5))
-        return float(c_rp - F) if k == m else float(c_rp)
+        *_, F, c_rp = odd_parts(round(m - 0.5))
+        return float(c_rp - F if sphere == record else c_rp)
     if k == int(k):
         return float(-laurent_moment(record))
-    c, _, b = laurent_parts((m, m, 0.5))
-    return float(sum(c) - laurent_moment((m, m, 0.5))) + float(b) * math.log(2.0)
+    c, _, b = laurent_parts(sphere)
+    return float(sum(c) - laurent_moment(sphere)) + float(b) * math.log(2.0)
 
 
 @cache

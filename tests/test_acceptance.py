@@ -86,7 +86,14 @@ def test_criterion_2_paper_numerals():
     prior = bd.matzke_coefficient(OP2)
     assert math.floor(ours * 1e4) / 1e4 == 0.0335
     assert math.floor(prior * 1e4) / 1e4 == 0.0400
-    _report("paper numerals", f"ours {ours:.6f}, prior {prior:.6f}")
+    table = bd.legacy_2d_constants()
+    assert math.floor(abs(table["C_BHS"]) * 1e4) / 1e4 == 0.0556
+    assert math.floor(abs(table["lauritsen"]) * 1e4) / 1e4 == 0.0568
+    _report(
+        "paper numerals",
+        f"ours {ours:.6f}, prior {prior:.6f}, "
+        f"C_BHS {table['C_BHS']:.6f}, lauritsen {table['lauritsen']:.6f}",
+    )
 
 
 def test_criterion_3_closed_form_cross_validation():

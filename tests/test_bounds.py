@@ -141,6 +141,16 @@ class TestPriorCoefficients:
             bd.matzke_coefficient(ManifoldSpec(Family.REAL_PROJ, 2))
 
 
+class TestLegacyConstants:
+    def test_four_decimal_values(self):
+        table = bd.legacy_2d_constants()
+        assert math.floor(abs(table["C_BHS"]) * 1e4) / 1e4 == 0.0556
+        assert math.floor(abs(table["lauritsen"]) * 1e4) / 1e4 == 0.0568
+        assert table["cp1_nlogn"] == pytest.approx(-1 / math.pi, rel=1e-15, abs=0)
+        assert table["cp1_linear"] == pytest.approx(-1 / (2 * math.pi), rel=1e-15, abs=0)
+        assert table["rp2_nlogn"] == pytest.approx(-1 / (4 * math.pi), rel=1e-15, abs=0)
+
+
 class TestBestFiniteBound:
     def test_dominates_grid(self):
         rep = bd.best_finite_bound(CP2, 500)

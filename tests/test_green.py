@@ -636,6 +636,16 @@ class TestClosedProfile:
             Ri * wallis(k - i, i) for i, Ri in enumerate(R))
         assert c_rp - F == -mean / A
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 40, 61])
+    def test_the_sphere_record_covers_the_projective_one(self, n):
+        # the one place the S^n / RP^n split is decided: S^n's record is its
+        # own cover, and the odd profiles read their `sphere` from it
+        sphere, projective = (_record(ManifoldSpec(f, n)) for f in (Family.SPHERE, Family.REAL_PROJ))
+        assert records.sphere_cover(projective) == records.sphere_cover(sphere) == sphere
+        if n % 2:
+            assert build_profile(ManifoldSpec(Family.SPHERE, n)).sphere
+            assert not build_profile(ManifoldSpec(Family.REAL_PROJ, n)).sphere
+
     @pytest.mark.parametrize("spec", CLOSED, ids=str)
     def test_matches_the_quadrature(self, spec):
         # the derivation: over [r_cut, D], within 1e-13 of |phi_hat| + |c_m|
