@@ -242,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=200,
         help="sweeps; each is 3 steps, every step one gradient over all pairs "
-        "and one backtracking line search that moves every point",
+        "and one backtracking line search that moves every point; up to 256 "
+        "points the gradient reads the accepted trial's pairs, with no "
+        "sweep of its own",
     )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_optimize)

@@ -18,7 +18,11 @@ x < sin^2(s floor).
 The optimizer's gradient shares that sweep, blocks, (x, y), chord and
 floor checks alike, with one array evaluation of h per block: its weight
 is -h(x, y)/(2V) on spheres and -2h(x, y)/V (over cos d) on the
-projective families, from phi'(d) = -2 s h sqrt(x y) / V.
+projective families, from phi'(d) = -2 s h sqrt(x y) / V. While one block
+holds every pair (N <= 256 at 2^16 pairs a block), the descent's energy
+sweeps keep it and the gradient reads the accepted trial's block rather
+than sweeping again; no more than that one block is ever held, so memory
+stays within one block. Past one block the gradient sweeps anew.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .manifold import (
     _geodesic_rows,
     _pair_sin_cos_squares,
     _project_horizontal,
+    _row_dots,
     diameter,
     random_distance,
     sample_uniform,
@@ -87,7 +92,8 @@ def _pair_blocks(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.nda
     lo..hi-1 against the points after lo (column c is point lo + 1 + c), each
     block once all its pairs clear the separation floor and the profile's
     representable floor. Nothing here keeps a block once it is yielded, so a
-    caller that drops h frees it."""
+    caller that drops h frees it; only the descent keeps one, and only when
+    it holds every pair (`_energy_rows`)."""
     n = len(coords)
     floor = _MIN_SEPARATION_FACTOR * diameter(spec)
     s = profile.s
@@ -115,15 +121,30 @@ def _pair_blocks(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.nda
         yield checked(lo, *_pair_sin_cos_squares(spec, coords[lo:hi], coords[lo + 1 :]))
 
 
-def _energy_rows(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray) -> float:
-    """`energy` of the unit rows of coords."""
+def _energy_rows(
+    spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray, kept: list | None = None
+) -> float:
+    """`energy` of the unit rows of coords.
+
+    Each block's h is dropped before the profile runs on it, in place in
+    x. Given a list `kept`, a block that holds every pair (the sweep's
+    only one: N <= 256 at `_BLOCK_PAIRS` = 2^16) is appended to it instead,
+    with the profile evaluated into an array of its own, so that its x
+    survives for the gradient (`_descent_rows`). No more than that one
+    block is kept, so the sweep's memory stays within one block.
+    """
     V = volume(spec)
     partials = []
-    for _, _, _, x, y in _pair_blocks(spec, profile, coords):
-        profile.phi_hat(x, y, out=x)
-        x += profile.c_m
-        partials.append(float(np.sum(x)) / V)
-        del x, y  # before the next block is formed
+    for lo, h, pairs, x, y in _pair_blocks(spec, profile, coords):
+        out = x
+        if kept is not None and len(pairs) >= len(coords) - 1:
+            kept.append((lo, h, pairs, x, y))
+            out = np.empty_like(x)
+        del h  # before the profile runs
+        profile.phi_hat(x, y, out=out)
+        out += profile.c_m
+        partials.append(float(np.sum(out)) / V)
+        del out, x, y  # before the next block is formed
     return 2.0 * float(np.sum(np.asarray(partials)))
 
 
@@ -176,7 +197,7 @@ class EnergyReport:
 
 
 def _descent_rows(
-    spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray
+    spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray, kept: list | None = None
 ) -> np.ndarray:
     """Negative Riemannian gradients of every point's interaction energy, as rows.
 
@@ -186,7 +207,9 @@ def _descent_rows(
     (`_pair_blocks`), so phi' is evaluated once per unordered pair at the
     energy's (x, y), chord and floor checks included, and each pair adds to
     both of its rows through k matrix products with the right multiples
-    x e_c. The total energy's gradient at row i is -2 times row i.
+    x e_c. The total energy's gradient at row i is -2 times row i. A block
+    that `_energy_rows` kept for coords is read as it is, and the pairs
+    are swept again only when there is none.
 
     phi'(d) = -2 s h(x, y) sqrt(x y) / V makes w = phi'(d) / sin d
     = -h / (2 V) on spheres (s = 1/2), and w / cos d = -2 h / V on the
@@ -201,7 +224,7 @@ def _descent_rows(
     # conj[c, j] = x_j conj(e_c), the conj-sign c times x_j e_c
     conj = (frames * _CONJ_SIGN[:k, None]).transpose(1, 0, 2)
     descent = np.zeros_like(coords)
-    for lo, h, pairs, x, y in _pair_blocks(spec, profile, coords):
+    for lo, h, pairs, x, y in kept or _pair_blocks(spec, profile, coords):
         rows, cols = pairs.shape
         hi = lo + rows
         w = profile.h(x, y) * factor
@@ -213,7 +236,7 @@ def _descent_rows(
         descent[lo:hi] -= wc.sum(axis=1)[:, None] * coords[lo:hi]
         descent[lo + 1 :] += a.reshape(rows * k, cols).T @ frames[lo:hi].reshape(rows * k, width)
         descent[lo + 1 :] -= wc.sum(axis=0)[:, None] * coords[lo + 1 :]
-    return _project_horizontal(spec, coords, descent)
+    return _project_horizontal(frames, descent)
 
 
 # a sweep is this many descent steps
@@ -241,23 +264,33 @@ def _descent_steps(
     with a pair closer than the separation floor of `energy` is rejected.
     Each step tries twice the previous step's t first. The generator stops
     early when a step finds no decrease.
+
+    Each step does its work once. |g_i| and g_i / |g_i| are formed once per
+    step, not per trial. When one block holds every pair (N <= 256 at
+    `_BLOCK_PAIRS` = 2^16), the energy sweeps keep it (`_energy_rows`), and
+    the next gradient reads the accepted trial's block instead of sweeping
+    again: 1 + (energy evaluations) pair sweeps in all, with at most one
+    block held at a time. Past one block every gradient sweeps anew.
     """
     if not steps:
         return
     D = diameter(spec)
-    e = _energy_rows(spec, profile, coords)
+    kept = []
+    e = _energy_rows(spec, profile, coords, kept)
     t = None
     for _ in range(steps):
-        g = _descent_rows(spec, profile, coords)
+        g = _descent_rows(spec, profile, coords, kept)
         speed = np.linalg.norm(g, axis=1)
         if not speed.max() > 0.0:
             return
+        unit = g / np.where(speed > 0.0, speed, 1.0)[:, None]
         t = _FIRST_MOVE * D / speed.max() if t is None else 2.0 * t
         slope = 2.0 * float(np.sum(speed * speed))  # -dE/dt at t = 0
         for _ in range(_MAX_HALVINGS):
-            trial = _geodesic_rows(coords, g, np.minimum(t * speed, _MAX_MOVE * D))
+            trial = _geodesic_rows(coords, unit, np.minimum(t * speed, _MAX_MOVE * D))
+            kept = []  # the last block goes before the next is formed
             try:
-                e_trial = _energy_rows(spec, profile, trial)
+                e_trial = _energy_rows(spec, profile, trial, kept)
             except SingularityError:
                 e_trial = math.inf
             if e_trial <= e - _ARMIJO * t * slope:
@@ -297,7 +330,7 @@ def _optimized(spec: ManifoldSpec, N: int, iterations: int, rng) -> tuple[Config
     coords = sample_uniform(spec, gen, N).coords_array()
     # rescaled once more as real frames, as the output of earlier versions
     # was: a seeded run with no sweeps keeps its bits
-    coords = coords / np.sqrt([x.dot(x) for x in coords])[:, None]
+    coords = coords / np.sqrt(_row_dots(coords))[:, None]
     e = None
     for coords, e in _descent_steps(spec, profile, coords, _STEPS_PER_SWEEP * iterations):
         pass

@@ -239,21 +239,28 @@ def phi_hat(spec: ManifoldSpec, r: float) -> float:
     return upper + integrate(log_integrand, 0.0, math.log(knee / r))
 
 
-def _horner(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] t^(j+1), by Horner's rule in place; with one coefficient
-    its product overwrites t."""
-    acc = np.multiply(t, coeffs[-1], out=None if len(coeffs) > 1 else t)
+def _horner(coeffs: tuple[float, ...], t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j coeffs[j] t^(j+1), by Horner's rule in place in out, which is not
+    t; with no out, a new array, or with one coefficient t itself."""
+    if out is None and len(coeffs) == 1:
+        out = t
+    acc = np.multiply(t, coeffs[-1], out=out)
     for c in coeffs[-2::-1]:
         acc += c
         acc *= t
     return acc
 
 
-def _polyval(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] t^j as a new array."""
+def _polyval(coeffs: tuple[float, ...], t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j coeffs[j] t^j, written to out (a new array by default), which is not t."""
+    if out is None:
+        out = np.empty_like(t)
     if len(coeffs) == 1:
-        return np.full_like(t, coeffs[0])
-    return _horner(coeffs[1:], t.copy()) + coeffs[0]
+        out.fill(coeffs[0])
+        return out
+    _horner(coeffs[1:], t, out)
+    out += coeffs[0]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,50 +425,61 @@ class _OddProfile(RadialGreenProfile):
     series_phi: tuple[float, ...]  # H_1, H_2, ..., of y^(j+1) in phi_hat
 
     def _angles(self, x, y):
-        """(t, c, v, sin^2 r) of the direct form."""
-        t = np.arctan2(np.sqrt(y), np.sqrt(x))
+        """(t, c, v, sin^2 r) of the direct form, each step written into an
+        array of its own; sin^2 r is x itself on RP^n."""
+        t = np.sqrt(y)
+        c = np.sqrt(x)
+        np.arctan2(t, c, out=t)
         if self.sphere:
             t *= 2.0
-            sin2 = 4.0 * x * y
-            v = np.square(y - x)
+            sin2 = np.multiply(4.0, x)
+            sin2 *= y
+            v = np.subtract(y, x)
+            np.square(v, out=v)
             v /= sin2
         else:
             sin2 = x
-            v = y / x
-        return t, np.sqrt(v), v, sin2
+            v = np.divide(y, x)
+        np.sqrt(v, out=c)
+        return t, c, v, sin2
 
-    def _parts(self, x, y, direct, near):
-        """direct(x, y), and on S^n near(x, y) below y = 1/2 instead, elementwise.
+    def _parts(self, x, y, direct, near, out=None):
+        """direct(x, y, out), and on S^n near(x, y, out) below y = 1/2 instead,
+        elementwise, written to out (a new array when None), which may be x.
 
         The two sets are gathered by index, which costs a fraction of a
         boolean mask's gather on pairs in random order.
         """
         series = np.flatnonzero(y < 0.5) if self.sphere else ()
         if not len(series):
-            return direct(x, y)
+            return direct(x, y, out)
         if len(series) == y.size:
-            return near(x, y)
+            return near(x, y, out)
         rest = np.flatnonzero(y >= 0.5)
-        out = np.empty_like(x)
-        out.put(rest, direct(x.take(rest), y.take(rest)))
-        out.put(series, near(x.take(series), y.take(series)))
+        if out is None:
+            out = np.empty_like(x)
+        # each gather reads x before out (which may be x) is written there
+        out.put(rest, direct(x.take(rest), y.take(rest), None))
+        out.put(series, near(x.take(series), y.take(series), None))
         return out
 
-    def _phi_direct(self, x, y):
+    def _phi_direct(self, x, y, out=None):
+        """The direct form of phi_hat, written to out (a new array when None),
+        which may be x: `_angles` reads x before out is written."""
         t, c, v, _ = self._angles(x, y)
-        out = _polyval(self.g, v)
+        out = _polyval(self.g, v, out)
         out *= c
         out *= t
         out *= self.A
         if self.R:
-            out -= _horner(self.R, v)
+            out -= _horner(self.R, v, c)
         out += self.const
         return out
 
-    def _psi_direct(self, x, y):
+    def _psi_direct(self, x, y, out=None):
         t, c, _, sin2 = self._angles(x, y)
         u = np.divide(1.0, sin2)
-        out = np.power(u, self.k)
+        out = np.power(u, self.k, out=out)
         out *= t
         out *= self.A
         out += c * _polyval(self.P, u)
@@ -469,19 +487,21 @@ class _OddProfile(RadialGreenProfile):
 
     def phi_hat(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """phi_hat at the flat arrays (x, y), written to out (which may be x) and returned."""
-        out[...] = self._parts(x, y, self._phi_direct, lambda x, y: _horner(self.series_phi, y.copy()))
-        return out
+        return self._parts(x, y, self._phi_direct, lambda x, y, out: _horner(self.series_phi, y, out), out)
 
     def psi(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """psi = 2 s h sqrt(x y) at the flat arrays (x, y)."""
-        return self._parts(x, y, self._psi_direct, lambda x, y: _polyval(self.series, y) * np.sqrt(x * y))
+        return self._parts(
+            x, y, self._psi_direct,
+            lambda x, y, out: np.multiply(_polyval(self.series, y), np.sqrt(x * y), out=out),
+        )
 
     def h(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """h = -d phi_hat / dx at the flat arrays (x, y)."""
         if self.sphere:  # 2 s sqrt(x y) = sqrt(x y)
             return self._parts(
-                x, y, lambda x, y: self._psi_direct(x, y) / np.sqrt(x * y),
-                lambda x, y: _polyval(self.series, y),
+                x, y, lambda x, y, out: np.divide(self._psi_direct(x, y), np.sqrt(x * y), out=out),
+                lambda x, y, out: _polyval(self.series, y, out),
             )
         # psi / (2 sqrt(x y)) = (A (t / sqrt(y)) x^(-k-1/2) + P(1/x) / x) / 2,
         # where t / sqrt(y) -> 1 at y = 0 (r = D)

@@ -400,20 +400,17 @@ def _pair_sin_cos_squares(
     return h, pairs, x, y
 
 
-def _project_horizontal(spec: ManifoldSpec, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _project_horizontal(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Each row of v minus its components along every x e_c of the matching
-    row x of rows: the part orthogonal to x's line."""
-    frames = _frames(_FIELD_RANK[spec.family], rows)
+    row x, given as its `_frames` (A, k, D): the part orthogonal to x's line."""
     return v - np.einsum("ac,acd->ad", np.einsum("acd,ad->ac", frames, v), frames)
 
 
-def _geodesic_rows(rows: np.ndarray, directions: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _geodesic_rows(rows: np.ndarray, units: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Each unit row x moved by its angle along the geodesic towards its
-    horizontal direction g: cos(angle) x + sin(angle) g / |g|, rescaled to unit
+    horizontal unit direction u: cos(angle) x + sin(angle) u, rescaled to unit
     length. A zero direction leaves its row where it is."""
-    lengths = np.linalg.norm(directions, axis=1)
-    unit = directions / np.where(lengths > 0.0, lengths, 1.0)[:, None]
-    moved = np.cos(angles)[:, None] * rows + np.sin(angles)[:, None] * unit
+    moved = np.cos(angles)[:, None] * rows + np.sin(angles)[:, None] * units
     return moved / np.linalg.norm(moved, axis=1)[:, None]
 
 
@@ -657,8 +654,10 @@ def save_configuration(points: Configuration | Iterable[Point], fh: TextIO) -> N
             raise DomainError("cannot save an empty configuration")
         points = Configuration(points[0].spec, points)
     spec = points.spec
+    rows = points.coords_array()
+    template = " ".join(["%.17g"] * rows.shape[1])
     lines = [f"# manifold={spec.token} n={spec.n}"]
-    lines += [" ".join(f"{x:.17g}" for x in row) for row in points.coords_array().tolist()]
+    lines += [template % tuple(row) for row in rows.tolist()]
     fh.write("\n".join(lines) + "\n")
 
 

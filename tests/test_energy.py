@@ -44,7 +44,9 @@ OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
 def geodesic_step(p: Point, direction: np.ndarray, t: float) -> Point:
     """The point at arclength t from p along the horizontal part of a direction."""
     x = _flatten_coords(p.spec, p.coords)[None]
-    u = _project_horizontal(p.spec, x, _flatten_coords(p.spec, np.asarray(direction))[None])
+    v = _flatten_coords(p.spec, np.asarray(direction))[None]
+    u = _project_horizontal(_frames(_FIELD_RANK[p.spec.family], x), v)
+    u /= np.linalg.norm(u, axis=1)[:, None]
     return Point(p.spec, _unflatten_coords(p.spec, _geodesic_rows(x, u, np.array([t]))[0]))
 
 
@@ -518,6 +520,66 @@ class TestOptimizer:
         np.testing.assert_allclose(blocked, one_block, rtol=0, atol=1e-14 * np.abs(one_block).max())
         again = en.optimize(spec, 20, 1, np.random.default_rng(9)).coords_array()
         np.testing.assert_allclose(again, final, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    def test_kept_block_gives_the_fresh_sweep(self, spec):
+        # the block an energy sweep keeps, close pairs and all, gives the
+        # gradient of a sweep of its own bit for bit
+        rng = np.random.default_rng(12)
+        close = [(0, 1), (5, 30), (30, 31)]
+        rows = plant_close(sample_uniform(spec, rng, 40).coords_array(), close, rng)
+        cos = cosines(spec, rows)
+        assert all(cos[i, j] > _CHORD_COSINE for i, j in close)
+        profile = get_profile(spec)
+        kept = []
+        assert en._energy_rows(spec, profile, rows, kept) == en._energy_rows(spec, profile, rows)
+        (block,) = kept
+        assert block[0] == 0 and block[2].shape == (40, 39)
+        fresh = en._descent_rows(spec, profile, rows)
+        assert np.array_equal(en._descent_rows(spec, profile, rows, kept), fresh)
+
+    @pytest.mark.parametrize("spec", [S2, HP1])
+    @pytest.mark.parametrize("n, blocks", [(40, 1), (256, 1), (257, 2)])
+    def test_one_pair_sweep_per_energy_in_one_block(self, spec, n, blocks, monkeypatch):
+        # N <= 256 at 2^16 pairs: one sweep for the start and one per trial
+        # energy, the gradients reading the accepted trials' blocks; past one
+        # block each gradient sweeps every block again
+        sweeps, evaluations = [], []
+        pair_sweep, energy_rows = en._pair_sin_cos_squares, en._energy_rows
+
+        def sweep_spy(*args):
+            sweeps.append(1)
+            return pair_sweep(*args)
+
+        def energy_spy(*args):
+            evaluations.append(1)
+            return energy_rows(*args)
+
+        monkeypatch.setattr(en, "_pair_sin_cos_squares", sweep_spy)
+        monkeypatch.setattr(en, "_energy_rows", energy_spy)
+        assert len([lo for lo, _ in en._row_blocks(n, en._BLOCK_PAIRS) if lo < n - 1]) == blocks
+        coords = sample_uniform(spec, np.random.default_rng(3), n).coords_array()
+        steps = len(list(en._descent_steps(spec, get_profile(spec), coords, 3)))
+        trials = len(evaluations) - 1
+        assert steps == 3 and trials >= steps
+        if blocks == 1:
+            assert len(sweeps) == 1 + trials
+        else:
+            assert len(sweeps) == blocks * (1 + trials + steps)
+
+    @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_kept_blocks_do_not_change_the_descent(self, spec, n, monkeypatch):
+        kept = en._optimized(spec, n, 3, np.random.default_rng(n))
+        descent_rows = en._descent_rows
+
+        def sweep_anew(spec, profile, coords, kept=None):
+            return descent_rows(spec, profile, coords)
+
+        monkeypatch.setattr(en, "_descent_rows", sweep_anew)
+        fresh = en._optimized(spec, n, 3, np.random.default_rng(n))
+        assert np.array_equal(kept[0].coords_array(), fresh[0].coords_array())
+        assert kept[1] == fresh[1]
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(DomainError):

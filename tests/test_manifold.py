@@ -415,10 +415,16 @@ class TestBatchedSampling:
         assert np.array_equal(batch.coords_array(), single.coords_array())
 
 
+def horizontal_units(spec, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The horizontal parts of the rows of v at the matching rows, scaled to unit length."""
+    u = _project_horizontal(mf._frames(mf._FIELD_RANK[spec.family], rows), v)
+    return u / np.linalg.norm(u, axis=1)[:, None]
+
+
 def step(p: Point, direction: np.ndarray, t: float) -> Point:
     """The point at arclength t from p along the horizontal part of a direction, by `_geodesic_rows`."""
     x = _flatten_coords(p.spec, p.coords)[None]
-    u = _project_horizontal(p.spec, x, _flatten_coords(p.spec, np.asarray(direction))[None])
+    u = horizontal_units(p.spec, x, _flatten_coords(p.spec, np.asarray(direction))[None])
     return Point(p.spec, _unflatten_coords(p.spec, _geodesic_rows(x, u, np.array([t]))[0]))
 
 
@@ -469,7 +475,9 @@ class TestGeodesicRows:
     def test_zero_direction_stays(self):
         p = Point(S2, np.array([0.0, 0.0, 1.0]))
         rows = _flatten_coords(S2, p.coords)[None]
-        moved = _geodesic_rows(rows, _project_horizontal(S2, rows, rows.copy()), np.array([0.3]))
+        zero = _project_horizontal(mf._frames(1, rows), rows.copy())
+        assert not zero.any()
+        moved = _geodesic_rows(rows, zero, np.array([0.3]))
         assert np.array_equal(moved, rows)
 
     @pytest.mark.parametrize("spec", POINT_SPECS)
@@ -479,7 +487,7 @@ class TestGeodesicRows:
         tangents = rng.standard_normal(config.coords_array().shape)
         angles = np.linspace(-0.3, 0.9, 6) * diameter(spec)
         rows = config.coords_array()
-        moved = _geodesic_rows(rows, _project_horizontal(spec, rows, tangents), angles)
+        moved = _geodesic_rows(rows, horizontal_units(spec, rows, tangents), angles)
         singles = [step(p, _unflatten_coords(spec, v), t) for p, v, t in zip(config, tangents, angles)]
         np.testing.assert_allclose(moved, Configuration(spec, singles).coords_array(), rtol=0, atol=1e-15)
 

@@ -322,13 +322,28 @@ class TestPanels:
         half = 0.5 * (hi - lo)
         nodes = half[:, None] * _GK15_NODES + (0.5 * (hi + lo))[:, None]
         fx = self.f(nodes) * half[:, None]
+        # |K - G| is summed in one pass with the weight differences, so it can
+        # differ from k - g below by a few units in the last place of K: where
+        # that is far below |K - G| the estimate matches to 1e-9, and elsewhere
+        # it lies between the recipe's values at |K - G| -+ 4 ulp
+        well_above = 0
         for i in range(25):
             k = math.fsum(fx[i] * _GK15_WEIGHTS[0])
             g = math.fsum(fx[i] * _GK15_WEIGHTS[1])
             asc = math.fsum(np.abs(fx[i] - 0.5 * k) * _GK15_WEIGHTS[0])
-            err = max(asc * min(1.0, 200.0 * abs(k - g) / asc) ** 1.5, 50.0 * 2.0**-52 * resabs[i])
+
+            def recipe(diff):
+                return max(asc * min(1.0, 200.0 * diff / asc) ** 1.5, 50.0 * 2.0**-52 * resabs[i])
+
             assert values[i] == pytest.approx(k, rel=1e-14, abs=0)
-            assert errors[i] == pytest.approx(err, rel=1e-9)
+            ulp = math.ulp(max(abs(k), abs(g)))
+            if abs(k - g) > 1e9 * ulp:
+                well_above += 1
+                assert errors[i] == pytest.approx(recipe(abs(k - g)), rel=1e-9, abs=0)
+            else:
+                low, high = recipe(max(abs(k - g) - 4 * ulp, 0.0)), recipe(abs(k - g) + 4 * ulp)
+                assert low * (1 - 1e-14) <= errors[i] <= high * (1 + 1e-14)
+        assert well_above == 6
 
     def test_constant_integrand_error_is_the_floor(self):
         with warnings.catch_warnings():
