@@ -23,8 +23,16 @@ Review 55, 2013); an unresolved proxy, as where the bracket ends at D, is
 rebuilt on its best node's neighbours by one `finite_bounds` pass a
 round. One `finite_bounds` pass then evaluates the report's grid (32
 log-spaced radii from a small radius to exactly D), the asymptotic radius
-when d > 2 and the proxy's maximiser together. Each (spec, N) is searched
-once per process; later calls get copies of the stored report.
+when d > 2 and the proxy's maximiser together.
+
+So a fresh N on a manifold searched before costs one kernel pass (that
+last one, 33 to 34 radii; a second for the 22 interior nodes of a bracket
+not used before, and one per further proxy round) plus arithmetic on
+values cached per spec: the lattice and its brackets, `volume`,
+`optimal_radius_constant` and `matzke_coefficient`, with the proxy's
+derivative matrices (`_DIFF`, `_DIFF2`) formed once. Each (spec, N) is
+searched once per process while its report is among the last
+`_REPORTS_KEPT` searched; later calls get copies of the stored report.
 """
 
 from __future__ import annotations
@@ -32,7 +40,8 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -98,6 +107,13 @@ class BoundReport:
                 "energy; bound evaluation is broken"
             )
 
+    def _copy(self) -> BoundReport:
+        """A copy with a list of its own for radius_grid, made without
+        re-running `__init__` and its check."""
+        copy = object.__new__(BoundReport)
+        copy.__dict__.update(self.__dict__, radius_grid=list(self.radius_grid))
+        return copy
+
     def to_dict(self) -> dict:
         return {
             "family": self.spec.token,
@@ -153,8 +169,10 @@ def _c_opt(spec: ManifoldSpec) -> float:
     return math.exp(2.0 / d * math.log(d * records.volume_ratio(_record(spec))))
 
 
+@functools.cache
 def optimal_radius_constant(spec: ManifoldSpec) -> BoundCoefficients:
-    """Closed optimal-radius constant and N^(2-2/d) coefficient for d > 2."""
+    """Closed optimal-radius constant and N^(2-2/d) coefficient for d > 2,
+    computed once per spec."""
     d = dimension(spec)
     c_opt = _c_opt(spec)
     leading = d * c_opt / ((d * d - 4) * volume(spec))
@@ -172,8 +190,10 @@ def sphere_leading_coefficient(n: int) -> float:
     )
 
 
+@functools.cache
 def matzke_coefficient(spec: ManifoldSpec) -> float:
-    """Prior leading coefficient (1/V factor excluded, as in the comparisons)."""
+    """Prior leading coefficient (1/V factor excluded, as in the comparisons),
+    computed once per spec."""
     n = spec.n
     if spec.family is Family.REAL_PROJ:
         if n < 3:
@@ -227,8 +247,9 @@ _FLOOR = 1e-4  # the smallest radius searched, as a share of D
 
 def _log_radii(lo: float, hi: float, count: int) -> np.ndarray:
     """count log-spaced radii from exactly lo to exactly hi."""
-    step = (math.log(hi) - math.log(lo)) / (count - 1)
-    inner = [math.exp(math.log(lo) + k * step) for k in range(1, count - 1)]
+    log_lo = math.log(lo)
+    step = (math.log(hi) - log_lo) / (count - 1)
+    inner = [math.exp(log_lo + k * step) for k in range(1, count - 1)]
     return np.array([lo, *inner, hi])
 
 
@@ -251,6 +272,7 @@ _DIFF = np.array(
     [[2.0 * j if j > k and (j - k) % 2 else 0.0 for j in range(_NODES)] for k in range(_NODES)]
 )
 _DIFF[0] *= 0.5
+_DIFF2 = _DIFF @ _DIFF  # the second derivative's, as `_DIFF @ _DIFF @ c` groups
 
 
 def _proxy_argmax(c: np.ndarray, j: int) -> float | None:
@@ -259,7 +281,7 @@ def _proxy_argmax(c: np.ndarray, j: int) -> float | None:
     derivative from node j, bisecting j's neighbours where a step leaves them or the
     series is not concave there.
     """
-    derivatives = np.stack([_DIFF @ c, _DIFF @ _DIFF @ c])
+    derivatives = np.stack([_DIFF @ c, _DIFF2 @ c])
     slopes = lambda x: (derivatives @ np.cos(_K * math.acos(x))).tolist()  # p'(x), p''(x)
     x = float(_LOBATTO[j])
     if (j == 0 and slopes(x)[0] <= 0.0) or (j == _NODES - 1 and slopes(x)[0] >= 0.0):
@@ -358,14 +380,16 @@ def _bracket(spec: ManifoldSpec, i: int) -> _KernelTable:
 
 _REPORTS: dict[tuple[ManifoldSpec, int], BoundReport] = {}
 _REPORTS_LOCK = threading.Lock()
+_REPORTS_KEPT = 1024  # reports kept, about 4 KB each; past it the oldest go first
 
 
 def best_finite_bound(spec: ManifoldSpec, N: int) -> BoundReport:
     """Maximize the finite-N bound over the probe radius (module docstring).
 
     The reported best is the maximum over everything evaluated. The first
-    call for a (spec, N) runs the search and keeps its report; every call
-    returns its own copy, so callers may mutate it.
+    call for a (spec, N) runs the search and keeps its report, among the
+    last `_REPORTS_KEPT` searched; every call returns its own copy, so
+    callers may mutate it.
     """
     if N < 2:
         raise DomainError(f"need N >= 2, got {N}")
@@ -376,13 +400,15 @@ def best_finite_bound(spec: ManifoldSpec, N: int) -> BoundReport:
         report = _search_radius(spec, N)
         with _REPORTS_LOCK:
             report = _REPORTS.setdefault(key, report)
-    return replace(report, radius_grid=list(report.radius_grid))
+            while len(_REPORTS) > _REPORTS_KEPT:
+                del _REPORTS[next(iter(_REPORTS))]
+    return report._copy()
 
 
 def _search_radius(spec: ManifoldSpec, N: int) -> BoundReport:
     d = dimension(spec)
     grid_radii = _log_grid(spec, N)
-    radii = grid_radii
+    extra = []  # the asymptotic radius where d > 2, then the proxy's maximiser
     report = BoundReport(spec=spec, N=N, radius_grid=[], best_a=math.nan, best_bound=-math.inf)
     if d > 2:
         coeff = optimal_radius_constant(spec)
@@ -393,7 +419,7 @@ def _search_radius(spec: ManifoldSpec, N: int) -> BoundReport:
             report.matzke_coefficient = matzke_coefficient(spec)
         except (DomainError, UnsupportedManifoldError):
             report.matzke_coefficient = None
-        radii = np.append(grid_radii, report.asymptotic_a)
+        extra.append(report.asymptotic_a)
 
     # the bound is flat near its maximum; bracket it by the lattice argmax's neighbours
     evaluations, best = {}, None
@@ -407,21 +433,21 @@ def _search_radius(spec: ManifoldSpec, N: int) -> BoundReport:
         nodes = bracket.bounds(spec, N)
         if not np.isfinite(nodes).all():
             # raise as a search by `finite_bounds` alone would: the grid's error first
-            finite_bounds(spec, N, radii)
+            finite_bounds(spec, N, np.concatenate([grid_radii, extra]))
             nodes = finite_bounds(spec, N, bracket.radii)
         found, best = _proxy_search(spec, N, bracket.radii.tolist(), nodes.tolist())
         evaluations.update(found)
     if best is not None:
-        radii = np.append(radii, best)
+        extra.append(best)
 
-    values = finite_bounds(spec, N, radii).tolist()
+    values = finite_bounds(spec, N, np.concatenate([grid_radii, extra])).tolist()
     grid = report.radius_grid = list(zip(grid_radii.tolist(), values))
     evaluations.update(grid)
     if d > 2:
         report.asymptotic_bound = evaluations[report.asymptotic_a] = values[GRID_POINTS]
     if best is not None:
         evaluations[best] = values[-1]
-    report.best_a, report.best_bound = max(evaluations.items(), key=lambda kv: kv[1])
+    report.best_a, report.best_bound = max(evaluations.items(), key=itemgetter(1))
     report.__post_init__()
     return report
 

@@ -1,11 +1,14 @@
 """Command line interface.
 
 Subcommands: profile, ball, bound, compare, energy, optimize, verify.
-Every run emits the payload (CSV or JSON, 17 significant digits) plus a
-run manifest with the full parameter set, seed, version and wall time;
+Every run emits the payload (CSV with 17 significant digits, or JSON) plus
+a run manifest with the full parameter set, seed, version and wall time;
 with --out the manifest lands next to the payload as <out>.manifest.json,
-otherwise it goes to stderr. Identical invocations
-with the same seed reproduce payload bytes exactly.
+otherwise it goes to stderr. JSON payloads and manifests are exactly the
+bytes of `json.dumps(obj, indent=2)` (the manifest with `default=str`),
+written by `_json_text`, which keeps the C encoder's float and string
+forms without the pure-Python encoder that `indent` selects. Identical
+invocations with the same seed reproduce payload bytes exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from . import __version__
 from . import ball_stats as bs
@@ -57,9 +61,100 @@ def _format_cell(x) -> str:
     return str(x)
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii  # the C encoder's, ensure_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # allow_nan
+
+
+def _float_text(x) -> str:
+    """A float (np.float64 included) as the JSON encoder writes it."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+_SCALARS = {
+    str: _ESCAPE,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(key) -> str:
+    """A dict key as the JSON encoder writes it: a string, or a scalar's text quoted."""
+    if isinstance(key, str):
+        return _ESCAPE(key)
+    if key is None or isinstance(key, (int, float)):  # bools are ints
+        return _ESCAPE(_json_value(key, "", None))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float_rows(rows, indent: str) -> str | None:
+    """The items of a list of float lists of one width, laid out at indent and
+    joined, or None for any other list: one template filled with every cell."""
+    first = rows[0]
+    width = len(first) if type(first) is list else 0
+    if not width or any(type(row) is not list or len(row) != width for row in rows):
+        return None
+    try:
+        cells = tuple(map(float.__repr__, chain.from_iterable(rows)))
+    except TypeError:
+        return None
+    inner = indent + "  "
+    row = "[" + inner + ("," + inner).join(["%s"] * width) + indent + "]"
+    template = ("," + indent).join([row] * len(rows))
+    text = template % cells
+    if "n" in text:  # a NaN or an infinity: no other cell, nor the layout, holds an n
+        text = template % tuple(map(_float_text, chain.from_iterable(rows)))
+    return text
+
+
+def _json_value(obj, indent: str, default) -> str:
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        body = _float_rows(obj, inner) or ("," + inner).join([_json_value(v, inner, default) for v in obj])
+        return "[" + inner + body + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [
+                (_ESCAPE(k) if type(k) is str else _key_text(k)) + ": " + _json_value(v, inner, default)
+                for k, v in obj.items()
+            ]
+        ) + indent + "}"
+    # subclasses, as the encoder takes them: np.float64, IntEnum, str subclasses
+    if isinstance(obj, str):
+        return _ESCAPE(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if default is None:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    return _json_value(default(obj), indent, default)
+
+
+def _json_text(obj, default=None) -> str:
+    """Exactly `json.dumps(obj, indent=2, default=default)`, laid out by joins.
+
+    Floats take `float.__repr__` (NaN and the infinities as the encoder
+    spells them), ints `int.__repr__` and strings the C encoder's
+    `encode_basestring_ascii`; tuples are lists, and `[]`/`{}` stay empty.
+    Unlike `json.dumps` it does not look for circular references.
+    """
+    return _json_value(obj, "\n", default)
+
+
 def _emit(args, payload: str, manifest: RunManifest) -> None:
     # the fields as they are: asdict would deep-copy the parameters first
-    manifest_json = json.dumps(vars(manifest), indent=2, default=str)
+    manifest_json = _json_text(vars(manifest), default=str)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
@@ -77,7 +172,7 @@ def _csv(rows: list[list], header: list[str]) -> str:
 
 
 def _json_payload(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_text(obj) + "\n"
 
 
 def _cmd_profile(args) -> str:
@@ -180,8 +275,9 @@ def _cmd_optimize(args) -> str:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own by name, built once per
+    process: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="greenlab",
         description="Green functions, energies and certified lower bounds on "
@@ -253,12 +349,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true")
     p.set_defaults(fn=None)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The top-level parser's `parse_args(argv)`: the same namespace, output
+    and exit status.
+
+    Given a subcommand first, that parser only hands the rest to the
+    subcommand's parser, and then reports what is left over, so this does
+    both directly, without the top-level pass over every argument. Anything
+    else (help, --version, a missing or unknown subcommand) goes to the
+    top-level parser.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
 
     start = time.monotonic()
     try:

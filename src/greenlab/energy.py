@@ -27,6 +27,7 @@ stays within one block. Past one block the gradient sweeps anew.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ from .manifold import (
     _geodesic_rows,
     _pair_sin_cos_squares,
     _project_horizontal,
+    _record,
     _row_dots,
     diameter,
     random_distance,
@@ -86,6 +88,15 @@ def _row_blocks(n: int, pairs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_floors(spec: ManifoldSpec) -> tuple[float, float, float]:
+    """The separation floor and sin^2(s d) at it and at the representable
+    floor of phi_hat: once per manifold."""
+    floor = _MIN_SEPARATION_FACTOR * diameter(spec)
+    s = _record(spec)[2]
+    return floor, math.sin(s * floor) ** 2, math.sin(s * _phi_hat_floor(spec)) ** 2
+
+
 def _pair_blocks(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray):
     """The pairs i < j of the unit rows of coords, one row block at a time:
     yields (lo, h, pairs, x, y) of `manifold._pair_sin_cos_squares` for rows
@@ -95,11 +106,8 @@ def _pair_blocks(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.nda
     caller that drops h frees it; only the descent keeps one, and only when
     it holds every pair (`_energy_rows`)."""
     n = len(coords)
-    floor = _MIN_SEPARATION_FACTOR * diameter(spec)
+    floor, x_floor, x_unrepresentable = _pair_floors(spec)
     s = profile.s
-    # sin^2(s d) at the separation floor and the representable floor
-    x_floor = math.sin(s * floor) ** 2
-    x_unrepresentable = math.sin(s * _phi_hat_floor(spec)) ** 2
 
     def checked(lo, h, pairs, x, y):
         least = float(x.min())

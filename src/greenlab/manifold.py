@@ -353,6 +353,13 @@ def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) 
     return c2 * (1.0 - 0.25 * c2)
 
 
+@functools.lru_cache(maxsize=None)
+def _close_sin_square(spec: ManifoldSpec) -> float:
+    """x = sin^2(s d) at the cosine `_CHORD_COSINE`, below which a pair takes
+    its chord: once per manifold."""
+    return math.sin(_record(spec)[2] * math.acos(_CHORD_COSINE)) ** 2
+
+
 def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) of positions in a row-major upper triangle of `width`
     columns, in which row r holds its columns r..width-1."""
@@ -391,7 +398,7 @@ def _pair_sin_cos_squares(
             y += np.square(h[:, c])
         y = y[pairs]
         x = np.subtract(1.0, y)
-    x_close = math.sin(_record(spec)[2] * math.acos(_CHORD_COSINE)) ** 2
+    x_close = _close_sin_square(spec)
     if x.min() < x_close:
         close = np.flatnonzero(x < x_close)
         rows, cols = _pair_rows_cols(close, len(right))

@@ -15,6 +15,10 @@ M = int_0^a V(u) psi(u) du, psi = (V - V(u))/v(u):
 the last from Theta = phi(a) + M / (V V(a)), phi = (phi_hat + c_m)/V and
 c_m = -M(D)/V. Both of Theta's terms are positive, so it does not cancel
 near D, where it vanishes.
+
+H's integrand grows like (D - u)^(1-n) on S^n, which one Gauss-Legendre
+call over [0, a] near D does not resolve: the integrals from 0 are cut at
+the radii and at 0.5, 0.9 and 0.99 D, where these lie below the last radius.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ def kernels(spec: ManifoldSpec, radii: tuple[float, ...]) -> tuple[list[float], 
         a = [mp.mpf(r) for r in radii]
         if a[-1] >= D:
             a[-1] = D
-        edges = [mp.mpf(0)] + a
+        cuts = [D * f for f in (mp.mpf(1) / 2, mp.mpf(9) / 10, mp.mpf(99) / 100) if D * f < a[-1]]
+        edges = sorted({mp.mpf(0), *a, *cuts})
         # H and J diverge at D on S^n, where K needs neither
         pieces = {
             part: [
@@ -87,8 +92,11 @@ def kernels(spec: ManifoldSpec, radii: tuple[float, ...]) -> tuple[list[float], 
         k_out, theta_out = [], []
         H = J = M = mp.mpf(0)
         totals = [mp.fsum(tail[i:]) for i in range(len(a))]
+        done = 0  # the pieces summed into H, J and M
         for i, r in enumerate(a):
-            H, J, M = H + pieces["H"][i], J + pieces["J"][i], M + pieces["M"][i]
+            while done < len(edges) - 1 and edges[done + 1] <= r:
+                H, J, M = H + pieces["H"][done], J + pieces["J"][done], M + pieces["M"][done]
+                done += 1
             vol, rest, _ = volumes(r) if r < D else (V, mp.mpf(0), None)
             if rp or r <= D / 2:
                 k = (vol * H - J) / (V * vol)

@@ -428,6 +428,17 @@ class TestHighSphereFarSide:
         assert bs.k_value(spec, radii[-1]) == pytest.approx(k, rel=1e-13)
         assert abs(bs.theta_value(spec, radii[-1]) - theta) <= 1e-13 * abs(theta) + floor
 
+    @pytest.mark.parametrize("n, radius", [(10, lambda D: D - 1e-3), (150, lambda D: 0.9976 * D)], ids=["s10", "s150"])
+    def test_a_lone_radius_near_the_diameter_matches_the_oracle(self, n, radius):
+        # the oracle cuts its integrals at 0.5, 0.9 and 0.99 D by itself, so a
+        # radius near D needs no others before it
+        spec = ManifoldSpec(Family.SPHERE, n)
+        a = radius(diameter(spec))
+        (k,), (theta,) = single_integral_oracle.kernels(spec, (a,))
+        floor = 1e-14 * max(1.0, abs(get_profile(spec).c_m)) / volume(spec)
+        assert bs.k_value(spec, a) == pytest.approx(k, rel=1e-13)
+        assert abs(bs.theta_value(spec, a) - theta) <= 1e-13 * abs(theta) + floor
+
     @pytest.mark.parametrize("n, fraction", [(100, 0.9998), (150, 0.9976)])
     def test_theta_keeps_its_digits_where_one_minus_mu_is_subnormal(self, n, fraction):
         # (4xy)^k is 6.6e-321 and 4.0e-319 at these radii, and Theta 2.3e-285

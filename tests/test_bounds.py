@@ -9,8 +9,9 @@ import pytest
 
 from greenlab import ball_stats as bs
 from greenlab import bounds as bd
+from greenlab import energy as en
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
-from greenlab.manifold import Family, ManifoldSpec, diameter, dimension, volume
+from greenlab.manifold import Family, ManifoldSpec, diameter, dimension, sample_uniform, volume
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
 S3 = ManifoldSpec(Family.SPHERE, 3)
@@ -473,3 +474,43 @@ class TestReportCache:
         assert all(rep == reports[0] for rep in reports)
         assert len({id(rep.radius_grid) for rep in reports}) == len(reports)
         assert len(bd._REPORTS) == 1
+
+    def test_the_oldest_reports_go_past_the_kept_count(self, monkeypatch):
+        monkeypatch.setattr(bd, "_REPORTS", {})
+        monkeypatch.setattr(bd, "_REPORTS_KEPT", 3)
+        reports = {N: bd.best_finite_bound(CP2, N) for N in range(780, 785)}
+        assert list(bd._REPORTS) == [(CP2, N) for N in (782, 783, 784)]
+        # an evicted report is searched again, to the same bits
+        assert repr(bd.best_finite_bound(CP2, 780)) == repr(reports[780])
+        assert list(bd._REPORTS) == [(CP2, N) for N in (783, 784, 780)]
+
+    def test_the_kept_count_bounds_the_cache(self, monkeypatch):
+        # stand-ins at the real count: one more search drops the oldest only
+        kept = {(S3, N): None for N in range(10**6, 10**6 + bd._REPORTS_KEPT)}
+        monkeypatch.setattr(bd, "_REPORTS", dict(kept))
+        bd.best_finite_bound(S3, 786)
+        assert len(bd._REPORTS) == bd._REPORTS_KEPT
+        assert list(bd._REPORTS) == [*list(kept)[1:], (S3, 786)]
+
+    def test_a_copy_is_the_report_without_a_second_check(self, monkeypatch):
+        monkeypatch.setattr(bd, "_REPORTS", {})
+        first = bd.best_finite_bound(HP1, 787)
+        checks = []
+        monkeypatch.setattr(bd.BoundReport, "__post_init__", lambda self: checks.append(self))
+        copy = bd.best_finite_bound(HP1, 787)
+        assert checks == []
+        assert copy == first and copy.radius_grid is not first.radius_grid
+        assert vars(copy) == vars(first)
+
+    def test_an_energy_after_its_warm_up_bound_is_a_hit(self, monkeypatch):
+        # as `energy` runs after a bound at its N: the report comes from the cache
+        monkeypatch.setattr(bd, "_REPORTS", {})
+        cfg = sample_uniform(RP3, np.random.default_rng(2), 40)
+        warm = bd.best_finite_bound(RP3, 40)
+        searches = []
+        search = bd._search_radius
+        monkeypatch.setattr(bd, "_search_radius", lambda *args: searches.append(args) or search(*args))
+        for N in range(41, 41 + 50):
+            bd.best_finite_bound(CP2, N)
+        assert en.EnergyReport.from_configuration(cfg).bound == warm
+        assert searches == [(CP2, N) for N in range(41, 41 + 50)]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import greenlab
+from greenlab import cli
 from greenlab import energy as en
 from greenlab import verify
 from greenlab.cli import RunManifest, main
@@ -410,6 +411,54 @@ class TestParserReuse:
             )
             separate[id(argv)] = proc.stdout
         assert payloads == [separate[id(a)] for a in (bound, optimize, energy, bound)]
+
+
+class TestParseArgs:
+    """`main` parses a subcommand's arguments with that subcommand's parser
+    alone; the top-level parser's `parse_args` is the reference: the same
+    namespace, attributes in the same order, or the same exit status, stdout
+    and stderr."""
+
+    ARGV = [
+        ["bound", "--family", "cp", "--n", "2", "--points", "77"],
+        ["bound", "--family=s", "--n", "3", "--points", "9", "--format", "csv", "--out", "x"],
+        ["bound", "--fam", "hp", "--n", "1", "--poi", "7"],
+        ["profile", "--family", "rp", "--n", "3", "--format", "json"],
+        ["ball", "--family", "s", "--n", "2", "--radius", "0.5", "--radius", "-0.25"],
+        ["compare", "--family", "op2"],
+        ["energy", "--config", "c.txt", "--seed", "3"],
+        ["optimize", "--family", "rp", "--n", "3", "--points", "5", "--iters", "1", "--seed", "2"],
+        ["verify"],
+        ["verify", "--quick"],
+        # usage errors and help, after a subcommand and before one
+        ["bound", "--family", "s", "--n", "2", "--points", "10", "--seed", "4", "extra"],
+        ["bound", "--vers"],
+        ["bound", "--version"],
+        ["bound"],
+        ["bound", "--family", "xx", "--points", "3"],
+        ["bound", "--family", "s", "--points", "many"],
+        ["bound", "--", "--family", "s"],
+        ["bound", "-h"],
+        ["verify", "--quick", "--out", "x"],
+        [],
+        ["--version"],
+        ["-h"],
+        ["nosuch"],
+        ["--family", "s", "bound"],
+    ]
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            result = list(vars(parse(list(argv))).items())
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, *capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_same_as_the_top_level_parser(self, argv, capsys):
+        parser, _ = cli._parsers()
+        assert self.outcome(cli._parse_args, argv, capsys) == self.outcome(parser.parse_args, argv, capsys)
 
 
 class TestVerify:

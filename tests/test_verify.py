@@ -34,6 +34,8 @@ def _clear_caches():
     bs._record_route.cache_clear()
     bounds._lattice.cache_clear()
     bounds._bracket.cache_clear()
+    bounds.optimal_radius_constant.cache_clear()
+    bounds.matzke_coefficient.cache_clear()
     bounds._REPORTS.clear()
 
 
