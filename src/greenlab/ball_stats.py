@@ -17,9 +17,9 @@ coefficients derived once per manifold, through one numpy evaluator over
 the radius array (`_closed_kernels`). The same pass returns the ball
 fraction mu = V(a)/V, and calls no scipy function. Every step is
 elementwise, so a radius gets the same bits alone and in any batch:
-`k_values`, `theta_values` and the bound's `finite_bounds` and radius
-lattice call it, and `k_closed`, `theta_closed`, `k_value` and
-`theta_value` are its one-radius case. Nothing is memoised here but the
+`k_values`, `theta_values` and the bound's `finite_bounds` call it, and
+`k_closed`, `theta_closed`, `k_value` and `theta_value` are its
+one-radius case. Nothing is memoised here but the
 coefficients. A non-finite K or Theta raises SingularityError naming the
 radius.
 
@@ -376,6 +376,52 @@ def _closed_kernels(spec: ManifoldSpec, a: np.ndarray) -> tuple[np.ndarray, np.n
         if cover is spec:
             return k, theta, mu
         return 2.0 * k, theta + k + get_profile(cover).c_m / volume(cover), 2.0 * mu
+
+
+def _log_fraction_root(series: np.ndarray, p, q, c: float, target: float, limit: float):
+    """t = log x where c + log(x^p (1 - x)^q F(x)) = target, F the series, by
+    Newton's method from the small-ball guess c + p t = target; None once t
+    passes limit.
+
+    That is log mu on a record (p, q, s), or log(1 - mu) on its mirror: the log
+    of the CDF of log X, X ~ Beta(p, q), whose slope in t is p / ((1 - x) F)
+    (`records.record_series`' equation for F). Its density is log-concave for
+    q >= 1, so the CDF is too: each tangent lies above it, and from the guess,
+    which (1 - x)^(q-1) <= 1 puts at or below the root, every step lands at or
+    below the root and climbs to it.
+    """
+    powers, t = np.arange(len(series)), (target - c) / p
+    for _ in range(64):
+        if t > limit:
+            return None
+        x, y = math.exp(t), -math.expm1(t)
+        f = float(series @ x**powers)
+        step = (target - c - p * t - q * math.log(y) - math.log(f)) * y * f / p
+        t += step
+        if abs(step) <= 1e-10:  # the error squares each step: the next one is far below an ulp
+            return t
+    raise AssertionError(f"no root of the ball fraction at {math.exp(target)!r}")
+
+
+def _fraction_radius(spec: ManifoldSpec, u: float) -> float:
+    """The radius a where mu = V(a)/V = u, 0 < u <= 1/2, numpy-only, from the
+    record series the kernel pass sums (`_record_route`): mu = 4^k scale x^m
+    y^k F(x) in log x up to the mean x = m / (m + k), and past it the mirror's
+    1 - mu = (m/k) 4^k scale y^k x^m F~(y) in log y. RP^n takes its S^n cover
+    at u/2 (module docstring).
+    """
+    if spec.family is Family.REAL_PROJ:
+        spec, u = ManifoldSpec(Family.SPHERE, spec.n), 0.5 * u
+    m, k, s = _record(spec)
+    table, scale, _ = _record_route(spec)
+    c = math.log(scale) + k * math.log(4.0)
+    t = _log_fraction_root(table[:, 0, 0], m, k, c, math.log(u), math.log(m / (m + k)))
+    if t is None:
+        t = _log_fraction_root(table[:, 3, 0], k, m, c + math.log(m / k), math.log1p(-u), math.inf)
+        x, y = -math.expm1(t), math.exp(t)
+    else:
+        x, y = math.exp(t), -math.expm1(t)
+    return math.atan2(math.sqrt(x), math.sqrt(y)) / s
 
 
 def k_closed(spec: ManifoldSpec, a: float) -> float:

@@ -10,29 +10,33 @@ asymptotic coefficient of N^(2-2/d), which this module reproduces both
 through the general pipeline and through the per-family closed formulas,
 together with the prior coefficients they are compared against.
 
-K, Theta and mu = V(a)/V do not depend on N, so `best_finite_bound`
-searches a on a log lattice that each manifold computes once: from
-1e-4 D to exactly D, spaced no wider than the 32-point report grid at
-N = 1000. K, Theta and mu at the lattice radii, and at the 24
-Chebyshev-Lobatto nodes in log a of each lattice bracket
-[L(i-1), L(i+1)] the first time it is used, are kept as read-only arrays
-(non-finite values included). Per N the search is then arithmetic on
-them: the lattice argmax over the finite values picks the bracket, whose
-cached nodes are round 0 of a Chebyshev proxy of the bound (Boyd, SIAM
-Review 55, 2013); an unresolved proxy, as where the bracket ends at D, is
-rebuilt on its best node's neighbours by one `finite_bounds` pass a
-round. One `finite_bounds` pass then evaluates the report's grid (32
-log-spaced radii from a small radius to exactly D), the asymptotic radius
-when d > 2 and the proxy's maximiser together.
+The bound B(a) has one maximum, where V(a)/V = 1/N. With v = V(a)',
+H = int_0^a V/v and J = int_0^a V^2/v (H' = V(a)/v, J' = V(a)^2/v),
+`ball_stats`' K = H/V - J/(V V(a)) and Theta = phi(a) + K + (1/V(a) - 1/V) H,
+with phi' = -psi/V = -(V - V(a))/(V v), give
 
-So a fresh N on a manifold searched before costs one kernel pass (that
-last one, 33 to 34 radii; a second for the 22 interior nodes of a bracket
-not used before, and one per further proxy round) plus arithmetic on
-values cached per spec: the lattice and its brackets, `volume`,
-`optimal_radius_constant` and `matzke_coefficient`, with the proxy's
-derivative matrices (`_DIFF`, `_DIFF2`) formed once. Each (spec, N) is
-searched once per process while its report is among the last
-`_REPORTS_KEPT` searched; later calls get copies of the stored report.
+    K'     = v J / (V V(a)^2) > 0,
+    Theta' = K' - v H / V(a)^2.
+
+Of B' below, -N V v K / V(a)^2 and the term N v H / V(a)^2 of -N Theta'
+add up to N v J / V(a)^3 = N V K' / V(a), as H - V K = J / V(a); so
+
+    B' = N (1 - 2N + V/V(a)) K' - N V v K / V(a)^2 - N Theta'
+       = 2N K' (V/V(a) - N).
+
+The bound rises while V(a) < V/N and falls after; the paper's asymptotic
+radius sqrt(c_opt) N^(-1/d) is the same condition with V(a) ~ omega a^d / d.
+`best_finite_bound` takes that radius from `ball_stats._fraction_radius`, a
+numpy-only Newton solve on the record series, and makes one `finite_bounds`
+pass over the report's grid (32 log-spaced radii from a small radius to
+exactly D), the asymptotic radius when d > 2 and that radius together; the
+reported best is the largest of them.
+
+So a fresh N costs one kernel pass of 33 to 34 radii plus a scalar Newton
+solve, with `volume`, `optimal_radius_constant` and `matzke_coefficient`
+cached per spec. Each (spec, N) is searched once per process while its
+report is among the last `_REPORTS_KEPT` searched; later calls get copies
+of the stored report.
 """
 
 from __future__ import annotations
@@ -46,8 +50,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import records
-from .ball_stats import _closed_kernels, _kernel_radii, _kernels, _require_finite
-from .chebyshev import lobatto_nodes
+from .ball_stats import _fraction_radius, _kernel_radii, _kernels, _require_finite
 from .errors import DomainError, UnsupportedManifoldError
 from .manifold import (
     Family,
@@ -130,11 +133,14 @@ class BoundReport:
         }
 
 
-def _bounds(V: float, N: int, k: np.ndarray, theta: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """The bound from K, Theta and mu = V(a)/V at each radius, elementwise;
-    non-finite where they or V(a) = V mu leave the range of a double."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return N * (1.0 - 2.0 * N + V / (V * mu)) * k - N * theta
+def _check_points(N: int, least: int) -> None:
+    """DomainError unless least <= N and N fits in a double."""
+    if N < least:
+        raise DomainError(f"need N >= {least}, got {N}")
+    try:
+        float(N)
+    except OverflowError:
+        raise DomainError(f"need N < 2^1024 to fit in a double, got an N of {N.bit_length()} bits") from None
 
 
 def finite_bounds(spec: ManifoldSpec, N: int, radii) -> np.ndarray:
@@ -144,13 +150,16 @@ def finite_bounds(spec: ManifoldSpec, N: int, radii) -> np.ndarray:
     of the closed forms behind `k_values` and `theta_values`, with no
     quadrature, so a radius gets the same bits alone as in any batch. A
     non-finite K, Theta or bound, as where V(a) underflows, raises
-    SingularityError naming the radius.
+    SingularityError naming the radius; an N past the range of a double
+    raises DomainError.
     """
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
+    _check_points(N, 1)
     radii = _kernel_radii(spec, radii, "the bound")
     V = volume(spec)
-    return _require_finite(_bounds(V, N, *_kernels(spec, radii)), radii, "the bound", spec)
+    k, theta, mu = _kernels(spec, radii)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bounds = N * (1.0 - 2.0 * N + V / (V * mu)) * k - N * theta
+    return _require_finite(bounds, radii, "the bound", spec)
 
 
 def finite_bound(spec: ManifoldSpec, N: int, a: float) -> float:
@@ -242,140 +251,16 @@ def legacy_2d_constants() -> dict[str, float]:
     }
 
 
-_FLOOR = 1e-4  # the smallest radius searched, as a share of D
-
-
-def _log_radii(lo: float, hi: float, count: int) -> np.ndarray:
-    """count log-spaced radii from exactly lo to exactly hi."""
-    log_lo = math.log(lo)
-    step = (math.log(hi) - log_lo) / (count - 1)
-    inner = [math.exp(log_lo + k * step) for k in range(1, count - 1)]
-    return np.array([lo, *inner, hi])
+_FLOOR = 1e-4  # the grid's smallest radius, as a share of D
 
 
 def _log_grid(spec: ManifoldSpec, N: int) -> np.ndarray:
     """The report's GRID_POINTS radii, log-spaced from lo to exactly D."""
     D = diameter(spec)
     lo = max(_FLOOR * D, 0.05 * D * float(N) ** (-2.0 / dimension(spec)))
-    return _log_radii(lo, D, GRID_POINTS)
-
-
-_NODES = 24  # Chebyshev-Lobatto nodes of a proxy, both bracket ends included
-_TAIL = 1e-13  # a proxy is resolved when its last two coefficients are within _TAIL max|bound|
-_ROUNDS = 4  # proxies built at most, each on the last one's best node and its neighbours
-_LOBATTO = lobatto_nodes(_NODES, -1.0, 1.0)
-_K = np.arange(_NODES)
-_ENDS = np.r_[0.5, np.ones(_NODES - 2), 0.5]
-# node values -> Chebyshev coefficients (the DCT-I), and coefficients -> the derivative's
-_DCT = np.outer(_ENDS, _ENDS) * np.cos(np.pi * np.outer(_K, _K[::-1]) / _K[-1]) * 2.0 / _K[-1]
-_DIFF = np.array(
-    [[2.0 * j if j > k and (j - k) % 2 else 0.0 for j in range(_NODES)] for k in range(_NODES)]
-)
-_DIFF[0] *= 0.5
-_DIFF2 = _DIFF @ _DIFF  # the second derivative's, as `_DIFF @ _DIFF @ c` groups
-
-
-def _proxy_argmax(c: np.ndarray, j: int) -> float | None:
-    """The maximiser of the Chebyshev series c next to its best Lobatto node j, or None
-    where j is an end of [-1, 1] that the series rises towards: Newton's iteration on the
-    derivative from node j, bisecting j's neighbours where a step leaves them or the
-    series is not concave there.
-    """
-    derivatives = np.stack([_DIFF @ c, _DIFF2 @ c])
-    slopes = lambda x: (derivatives @ np.cos(_K * math.acos(x))).tolist()  # p'(x), p''(x)
-    x = float(_LOBATTO[j])
-    if (j == 0 and slopes(x)[0] <= 0.0) or (j == _NODES - 1 and slopes(x)[0] >= 0.0):
-        return None
-    lo, hi = float(_LOBATTO[max(j - 1, 0)]), float(_LOBATTO[min(j + 1, _NODES - 1)])
-    for _ in range(64):
-        slope, curve = slopes(x)
-        lo, hi = (x, hi) if slope > 0.0 else (lo, x)
-        step = x - slope / curve if curve < 0.0 else math.nan
-        x, last = (step if lo < step < hi else 0.5 * (lo + hi)), x
-        if abs(x - last) <= 1e-15:
-            break
-    return x
-
-
-def _lobatto_radii(lo: float, hi: float) -> list[float]:
-    """The _NODES Chebyshev-Lobatto nodes of [lo, hi] in log a, ends exact."""
-    t_mid, t_half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
-    return [lo, *np.exp(t_mid + t_half * _LOBATTO[1:-1]).tolist(), hi]
-
-
-def _proxy_search(spec: ManifoldSpec, N: int, radii: list[float], values: list[float]):
-    """Maximize the bound by proxies in log a, from its values at the
-    `_lobatto_radii` of a bracket (round 0).
-
-    An unresolved proxy (where the bound is not analytic at an end, as
-    Theta at D) is rebuilt on its best node's neighbours, one
-    `finite_bounds` pass over the interior nodes a round. Returns every
-    radius evaluated, and the last proxy's maximiser, or None where the
-    proxy rises towards an end of its bracket; the caller evaluates it.
-    """
-    evaluations = {}
-    for rounds in range(_ROUNDS):
-        if rounds:
-            (lo, f_lo), (hi, f_hi) = ends
-            radii = _lobatto_radii(lo, hi)
-            values = [f_lo, *finite_bounds(spec, N, radii[1:-1]).tolist(), f_hi]
-        evaluations.update(zip(radii, values))
-        c = _DCT @ values
-        j = max(range(_NODES), key=values.__getitem__)
-        if np.abs(c[-2:]).max() <= _TAIL * max(map(abs, values)) or rounds == _ROUNDS - 1:
-            break
-        ends = [(radii[i], values[i]) for i in (max(j - 1, 0), min(j + 1, _NODES - 1))]
-    x = _proxy_argmax(c, j)
-    if x is None:
-        return evaluations, None
-    lo, hi = radii[0], radii[-1]
-    t_mid, t_half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
-    return evaluations, min(max(math.exp(t_mid + t_half * x), lo), hi)
-
-
-@dataclass(frozen=True)
-class _KernelTable:
-    """K, Theta and mu = V(a)/V, the rows of values, at radii: read-only,
-    non-finite values kept."""
-
-    radii: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.radii.flags.writeable = False
-        self.values.flags.writeable = False
-
-    def bounds(self, spec: ManifoldSpec, N: int) -> np.ndarray:
-        """The bound at every radius, with the bits `finite_bounds` gives it."""
-        return _bounds(volume(spec), N, *self.values)
-
-
-def _kernel_rows(spec: ManifoldSpec, radii: np.ndarray) -> np.ndarray:
-    """[K, Theta, mu] at radii in (0, D] from one `_closed_kernels` pass."""
-    return np.array(_closed_kernels(spec, radii))
-
-
-@functools.cache
-def _lattice(spec: ManifoldSpec) -> _KernelTable:
-    """The search lattice: log-spaced from _FLOOR D to exactly D, at most as
-    far apart as the report grid's radii at N = 1000."""
-    grid = _log_grid(spec, 1000)
-    # where that grid starts at the floor (d = 2), the lattice is that grid
-    count = math.ceil(math.log(1.0 / _FLOOR) / math.log(grid[1] / grid[0]) - 1e-9) + 1
-    radii = _log_radii(_FLOOR * grid[-1], grid[-1], count)
-    return _KernelTable(radii, _kernel_rows(spec, radii))
-
-
-@functools.cache
-def _bracket(spec: ManifoldSpec, i: int) -> _KernelTable:
-    """The `_lobatto_radii` of the lattice bracket [L(i-1), L(i+1)]: the ends
-    from the lattice, the interior nodes from one pass."""
-    lattice = _lattice(spec)
-    ends = [max(i - 1, 0), min(i + 1, len(lattice.radii) - 1)]
-    radii = _lobatto_radii(*lattice.radii[ends].tolist())
-    inner = _kernel_rows(spec, np.array(radii[1:-1]))
-    lo, hi = lattice.values[:, ends].T
-    return _KernelTable(np.array(radii), np.column_stack([lo, inner, hi]))
+    log_lo = math.log(lo)
+    step = (math.log(D) - log_lo) / (GRID_POINTS - 1)
+    return np.array([lo, *(math.exp(log_lo + k * step) for k in range(1, GRID_POINTS - 1)), D])
 
 
 _REPORTS: dict[tuple[ManifoldSpec, int], BoundReport] = {}
@@ -386,13 +271,12 @@ _REPORTS_KEPT = 1024  # reports kept, about 4 KB each; past it the oldest go fir
 def best_finite_bound(spec: ManifoldSpec, N: int) -> BoundReport:
     """Maximize the finite-N bound over the probe radius (module docstring).
 
-    The reported best is the maximum over everything evaluated. The first
+    The reported best is the maximum over every radius evaluated. The first
     call for a (spec, N) runs the search and keeps its report, among the
     last `_REPORTS_KEPT` searched; every call returns its own copy, so
     callers may mutate it.
     """
-    if N < 2:
-        raise DomainError(f"need N >= 2, got {N}")
+    _check_points(N, 2)
     key = (spec, N)
     with _REPORTS_LOCK:
         report = _REPORTS.get(key)
@@ -408,7 +292,7 @@ def best_finite_bound(spec: ManifoldSpec, N: int) -> BoundReport:
 def _search_radius(spec: ManifoldSpec, N: int) -> BoundReport:
     d = dimension(spec)
     grid_radii = _log_grid(spec, N)
-    extra = []  # the asymptotic radius where d > 2, then the proxy's maximiser
+    extra = []  # the asymptotic radius where d > 2, then the one where V(a)/V = 1/N
     report = BoundReport(spec=spec, N=N, radius_grid=[], best_a=math.nan, best_bound=-math.inf)
     if d > 2:
         coeff = optimal_radius_constant(spec)
@@ -420,34 +304,14 @@ def _search_radius(spec: ManifoldSpec, N: int) -> BoundReport:
         except (DomainError, UnsupportedManifoldError):
             report.matzke_coefficient = None
         extra.append(report.asymptotic_a)
+    extra.append(_fraction_radius(spec, 1.0 / N))
 
-    # the bound is flat near its maximum; bracket it by the lattice argmax's neighbours
-    evaluations, best = {}, None
-    lattice = _lattice(spec)
-    values = lattice.bounds(spec, N)
-    finite = np.isfinite(values)
-    if finite.any():
-        i = int(np.argmax(np.where(finite, values, -np.inf)))
-        evaluations[lattice.radii[i].item()] = values[i].item()
-        bracket = _bracket(spec, i)
-        nodes = bracket.bounds(spec, N)
-        if not np.isfinite(nodes).all():
-            # raise as a search by `finite_bounds` alone would: the grid's error first
-            finite_bounds(spec, N, np.concatenate([grid_radii, extra]))
-            nodes = finite_bounds(spec, N, bracket.radii)
-        found, best = _proxy_search(spec, N, bracket.radii.tolist(), nodes.tolist())
-        evaluations.update(found)
-    if best is not None:
-        extra.append(best)
-
-    values = finite_bounds(spec, N, np.concatenate([grid_radii, extra])).tolist()
-    grid = report.radius_grid = list(zip(grid_radii.tolist(), values))
-    evaluations.update(grid)
+    radii = [*grid_radii.tolist(), *extra]
+    values = finite_bounds(spec, N, radii).tolist()
+    report.radius_grid = list(zip(radii[:GRID_POINTS], values))
     if d > 2:
-        report.asymptotic_bound = evaluations[report.asymptotic_a] = values[GRID_POINTS]
-    if best is not None:
-        evaluations[best] = values[-1]
-    report.best_a, report.best_bound = max(evaluations.items(), key=itemgetter(1))
+        report.asymptotic_bound = values[GRID_POINTS]
+    report.best_a, report.best_bound = max(zip(radii, values), key=itemgetter(1))
     report.__post_init__()
     return report
 

@@ -1,7 +1,7 @@
 """Chebyshev-Lobatto points, and piecewise barycentric interpolation on them.
 
-`lobatto_nodes` lays out the points that `bounds` samples its bound on and
-that `RadialGreenProfile.grid_rows` lists the profile at.
+`lobatto_nodes` lays out the points that `RadialGreenProfile.grid_rows`
+lists the profile at.
 
 A panel table is a run of panels, each a Chebyshev-Lobatto grid of m
 nodes on its own interval, neighbours sharing their end node

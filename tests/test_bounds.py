@@ -11,7 +11,15 @@ from greenlab import ball_stats as bs
 from greenlab import bounds as bd
 from greenlab import energy as en
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
-from greenlab.manifold import Family, ManifoldSpec, diameter, dimension, sample_uniform, volume
+from greenlab.manifold import (
+    Family,
+    ManifoldSpec,
+    ball_volume_fraction,
+    diameter,
+    dimension,
+    sample_uniform,
+    volume,
+)
 
 S2 = ManifoldSpec(Family.SPHERE, 2)
 S3 = ManifoldSpec(Family.SPHERE, 3)
@@ -24,6 +32,10 @@ OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
 S40 = ManifoldSpec(Family.SPHERE, 40)
 CP30 = ManifoldSpec(Family.COMPLEX_PROJ, 30)
 HP15 = ManifoldSpec(Family.QUAT_PROJ, 15)
+S200 = ManifoldSpec(Family.SPHERE, 200)
+RP186 = ManifoldSpec(Family.REAL_PROJ, 186)
+CP93 = ManifoldSpec(Family.COMPLEX_PROJ, 93)
+HP46 = ManifoldSpec(Family.QUAT_PROJ, 46)
 
 
 class TestFiniteBound:
@@ -217,16 +229,14 @@ def _golden_reference(spec, N, rep):
 
 
 def clear_search_caches(monkeypatch):
-    """No report, lattice or bracket comes from an earlier search."""
+    """No report comes from an earlier search."""
     monkeypatch.setattr(bd, "_REPORTS", {})
-    bd._lattice.cache_clear()
-    bd._bracket.cache_clear()
 
 
 @pytest.fixture
 def passes(monkeypatch):
     """The sizes of the `finite_bounds` passes and the number of kernel passes
-    (`_closed_kernels` calls, under either module's name) while a test runs."""
+    (`ball_stats._closed_kernels` calls) while a test runs."""
     found = {"finite_bounds": [], "kernels": 0}
     bounds, kernels = bd.finite_bounds, bs._closed_kernels
 
@@ -239,7 +249,6 @@ def passes(monkeypatch):
         return kernels(spec, a)
 
     monkeypatch.setattr(bd, "finite_bounds", counted_bounds)
-    monkeypatch.setattr(bd, "_closed_kernels", counted_kernels)
     monkeypatch.setattr(bs, "_closed_kernels", counted_kernels)
     return found
 
@@ -248,13 +257,11 @@ class TestRadiusSearch:
     SPECS = [S2, S3, RP3, CP2, HP1, OP2]
 
     @pytest.mark.parametrize("spec", SPECS)
-    def test_cold_search_fills_the_lattice_and_one_bracket(self, spec, monkeypatch, passes):
+    def test_cold_search_makes_one_pass(self, spec, monkeypatch, passes):
         clear_search_caches(monkeypatch)
         bd.best_finite_bound(spec, 1000)
-        # the lattice, the bracket's interior nodes, then one final pass over the
-        # 32 grid points, the asymptotic radius and the proxy's maximiser: the
-        # first proxy is resolved
-        assert passes == {"finite_bounds": [bd.GRID_POINTS + (dimension(spec) > 2) + 1], "kernels": 3}
+        # one pass over the 32 grid points, the asymptotic radius and the root of V(a)/V = 1/N
+        assert passes == {"finite_bounds": [bd.GRID_POINTS + (dimension(spec) > 2) + 1], "kernels": 1}
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_warm_search_makes_one_pass(self, spec, monkeypatch, passes):
@@ -271,8 +278,7 @@ class TestRadiusSearch:
         ids=str,
     )
     def test_matches_golden_section_reference(self, spec, N):
-        # at N = 2 and 3 the CP^30 bracket ends at D, where Theta's log cos^2 a
-        # leaves the first proxy unresolved and the search shrinks it
+        # at N = 2 the CP^30 maximum lies past the mean, on the mirror's side
         rep = bd.best_finite_bound(spec, N)
         reference = _golden_reference(spec, N, rep)
         assert rep.best_bound == pytest.approx(reference, rel=1e-14, abs=0.0)
@@ -282,48 +288,41 @@ class TestRadiusSearch:
         rep = bd.best_finite_bound(spec, 1000)
         assert all(rep.best_bound >= val for _, val in rep.radius_grid)
 
-    @staticmethod
-    def analytic_search(monkeypatch, f, lo, hi):
-        """`_proxy_search` on [lo, hi] with f in place of the bound, and its pass
-        sizes: round 0's interior nodes, the later rounds' and the maximiser's."""
-        passes = []
+    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2, S200, RP186, CP93, HP46], ids=str)
+    def test_best_radius_holds_one_nth_of_the_volume(self, spec):
+        # B' = 2N K' (V/V(a) - N) vanishes there alone; ball_volume_fraction
+        # (betainc) checks the numpy-only root
+        checked = 0
+        for N in (2, 3, 77, 1234, 10**6):
+            try:
+                rep = bd.best_finite_bound(spec, N)
+            except SingularityError:
+                continue  # the bound is not finite at some radius of the grid
+            checked += 1
+            mu = ball_volume_fraction(spec, np.array([rep.best_a]))[0]
+            assert abs(N * mu - 1.0) <= 1e-12, N
+        assert checked
 
-        def bounds(spec, N, radii):
-            passes.append(len(radii))
-            return f(np.asarray(radii, dtype=float))
+    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2, CP30], ids=str)
+    def test_slope_factors_through_the_ball_fraction(self, spec):
+        # B'/(2N K') = V/V(a) - N by central differences, K' > 0
+        for frac in (0.1, 0.4, 0.8):
+            a = frac * diameter(spec)
+            h = 1e-5 * a
+            inverse = 1.0 / ball_volume_fraction(spec, np.array([a]))[0]  # V/V(a)
+            k_slope = (bs.k_value(spec, a + h) - bs.k_value(spec, a - h)) / (2.0 * h)
+            assert k_slope > 0.0
+            for N in (3, 1000):
+                slope = (bd.finite_bound(spec, N, a + h) - bd.finite_bound(spec, N, a - h)) / (2.0 * h)
+                assert slope / (2.0 * N * k_slope) == pytest.approx(inverse - N, rel=0.0, abs=1e-6 * inverse)
 
-        monkeypatch.setattr(bd, "finite_bounds", bounds)
-        radii = bd._lobatto_radii(lo, hi)
-        values = [f(lo), *bounds(S3, 10, radii[1:-1]).tolist(), f(hi)]
-        evaluations, best = bd._proxy_search(S3, 10, radii, values)
-        if best is not None:
-            evaluations[best] = float(bounds(S3, 10, [best])[0])
-        return evaluations, passes
-
-    def test_proxy_finds_an_interior_maximum(self, monkeypatch):
-        # a exp(-a / 0.7) peaks at exactly a = 0.7
-        f = lambda a: a * np.exp(-a / 0.7)
-        evaluations, passes = self.analytic_search(monkeypatch, f, 0.4, 1.2)
-        best = max(evaluations, key=evaluations.get)
-        assert passes == [bd._NODES - 2, 1]
-        assert best == pytest.approx(0.7, rel=0.0, abs=1e-12)
-        assert evaluations[best] == pytest.approx(0.7 * math.exp(-1.0), rel=1e-15, abs=0)
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_monotone_bracket_adds_no_radius(self, monkeypatch, sign):
-        f = lambda a: sign * np.log1p(a)
-        evaluations, passes = self.analytic_search(monkeypatch, f, 0.2, 0.7)
-        assert passes == [bd._NODES - 2]
-        assert max(evaluations, key=evaluations.get) == (0.7 if sign > 0 else 0.2)
-
-    def test_unresolved_proxy_shrinks_the_bracket(self, monkeypatch):
-        # |a - 0.61|^3 is not analytic, so no proxy is resolved: every round
-        # runs, each on the last one's best node and its neighbours
-        f = lambda a: -np.abs(a - 0.61) ** 3
-        evaluations, passes = self.analytic_search(monkeypatch, f, 0.2, 1.0)
-        assert passes == [bd._NODES - 2] * bd._ROUNDS + [1]
-        best = max(evaluations, key=evaluations.get)
-        assert best == pytest.approx(0.61, abs=1e-4) and evaluations[best] > -1e-15
+    @pytest.mark.parametrize(("spec", "key"), [(S2, "s2"), (RP2, "rp2")], ids=["s2", "rp2"])
+    @pytest.mark.parametrize("N", [10**8, 10**9, 10**12])
+    def test_dimension_two_follows_the_n_log_n_law(self, spec, key, N):
+        # the maximum lies below the grid's 1e-4 D floor from N of about 4e7
+        table = bd.legacy_2d_constants()
+        law = table[f"{key}_nlogn"] * N * math.log(N) + table[f"{key}_linear"] * N
+        assert bd.best_finite_bound(spec, N).best_bound == pytest.approx(law, rel=1e-9, abs=0.0)
 
 
 class TestCompareTable:
@@ -395,8 +394,7 @@ class TestBoundArrays:
 
 
 class TestSearchCaches:
-    """The lattice and its brackets hold N-independent K, Theta and mu, so a
-    report has the same bits whatever other N filled them."""
+    """A report has the same bits whatever other N were searched before it."""
 
     @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2, CP30], ids=str)
     def test_report_does_not_depend_on_the_caches(self, spec, monkeypatch):
@@ -413,39 +411,20 @@ class TestSearchCaches:
             monkeypatch.setattr(bd, "_REPORTS", {})
             assert repr(bd.best_finite_bound(spec, N).to_dict()) == repr(cold[N]), N
 
-    def test_non_finite_bracket_raises_the_grid_error_first(self):
-        # on S^429 at N = 5000 the lattice bracket holds a non-finite node, and
-        # the grid's smallest radius, where Theta overflows, is named as before
+    def test_the_grid_error_comes_first(self):
+        # on S^429 at N = 5000 Theta overflows at the grid's smallest radius,
+        # the first radius of the search's one pass
         spec, N = ManifoldSpec(Family.SPHERE, 429), 5000
-        lattice = bd._lattice(spec)
-        values = lattice.bounds(spec, N)
-        finite = np.isfinite(values)
-        i = int(np.argmax(np.where(finite, values, -np.inf)))
-        assert not np.isfinite(bd._bracket(spec, i).bounds(spec, N)).all()
         lo = float(bd._log_grid(spec, N)[0])
         with pytest.raises(SingularityError, match=f"Theta is inf at a = {lo!r} on s429"):
             bd.best_finite_bound(spec, N)
 
-    @pytest.mark.parametrize("spec", [S3, RP3, CP2], ids=str)
-    def test_cached_arrays_reject_writes(self, spec):
-        rep = bd.best_finite_bound(spec, 1000)
-        lattice = bd._lattice(spec)
-        assert lattice.radii[0] == pytest.approx(1e-4 * diameter(spec), rel=1e-15, abs=0)
-        assert lattice.radii[-1] == diameter(spec)
-        assert lattice.values.shape == (3, len(lattice.radii))
-        bracket = bd._bracket(spec, int(np.argmax(lattice.bounds(spec, 1000))))
-        assert bracket.values.shape == (3, bd._NODES)
-        assert bracket.radii[0] < rep.best_a < bracket.radii[-1]
-        for table in (lattice, bracket):
-            for array in (table.radii, table.values):
-                with pytest.raises(ValueError):
-                    array[..., 0] = 0.0
-
-    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2], ids=str)
-    def test_lattice_bounds_are_finite_bounds(self, spec):
-        # the cached route gives each radius the bits of `finite_bounds`
-        for table in (bd._lattice(spec), bd._bracket(spec, 5)):
-            assert table.bounds(spec, 777).tolist() == bd.finite_bounds(spec, 777, table.radii).tolist()
+    def test_an_n_past_the_double_range_is_a_domain_error(self):
+        N = 10**400
+        with pytest.raises(DomainError, match="fit in a double"):
+            bd.best_finite_bound(S3, N)
+        with pytest.raises(DomainError, match="fit in a double"):
+            bd.finite_bounds(S3, N, [0.5])
 
 
 class TestReportCache:

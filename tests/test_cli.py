@@ -154,6 +154,19 @@ class TestBound:
         assert code == 1 and out == ""
         assert re.match(r"error: Theta is (inf|nan) at a = [0-9.e-]+ on " + family + "250", err)
 
+    def test_an_n_past_the_double_range_is_one_error_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "greenlab.cli", "bound", "--family", "s", "--n", "3",
+             "--points", "1" + "0" * 400],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert re.fullmatch(r"error: need N < 2\^1024 to fit in a double, got an N of 1329 bits\n", proc.stderr)
+
 
 class TestProfile:
     def test_csv_header_and_precision(self, capsys):

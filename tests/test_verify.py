@@ -32,8 +32,6 @@ def _clear_caches():
     green._PROFILE_CACHE.clear()
     manifold.volume.cache_clear()
     bs._record_route.cache_clear()
-    bounds._lattice.cache_clear()
-    bounds._bracket.cache_clear()
     bounds.optimal_radius_constant.cache_clear()
     bounds.matzke_coefficient.cache_clear()
     bounds._REPORTS.clear()
