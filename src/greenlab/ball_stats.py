@@ -15,7 +15,7 @@ profile. With H(a) = int_0^a V/v and J(a) = int_0^a V^2/v they are
 Every family evaluates both in closed form, from series and profile
 coefficients derived once per manifold, through one numpy evaluator over
 the radius array (`_closed_kernels`). The same pass returns the ball
-fraction mu = V(a)/V, and calls no scipy function. Every step is
+fraction mu = V(a)/V from its own series, with no incomplete beta. Every step is
 elementwise, so a radius gets the same bits alone and in any batch:
 `k_values`, `theta_values` and the bound's `finite_bounds` call it, and
 `k_closed`, `theta_closed`, `k_value` and `theta_value` are its

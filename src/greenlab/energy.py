@@ -354,7 +354,10 @@ def mc_energy_moment(
 
     The Cayley plane has no point model; there, each ordered pair is
     simulated by an independent radial draw, which reproduces the mean
-    exactly because the expectation is linear in the pair terms.
+    exactly because the expectation is linear in the pair terms. The standard
+    error is no error bar for d >= 4, where Var phi(r) is infinite (int r^(4-2d)
+    r^(d-1) dr diverges at 0): on OP^2, N = 2 and 10^5 samples, 20 seeds gave
+    z-scores of mean -2.63, deviation 2.58 and largest size 6.80.
     """
     if N < 2:
         raise DomainError(f"need N >= 2, got {N}")

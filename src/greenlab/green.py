@@ -65,13 +65,12 @@ from .manifold import (
     _density,
     _radius_limit,
     _record,
-    _regularized_beta,
     _sin_cos_squares,
     diameter,
     dimension,
     volume,
 )
-from .special_math import _beta_continued_fraction, integrate
+from .special_math import incomplete_beta, integrate
 
 __all__ = [
     "RadialGreenProfile",
@@ -88,10 +87,6 @@ _PROFILE_ROWS = 200  # radii listed by `grid_rows`
 # to 131 ms in one pass on S^3, 40 to 42 against 52 to 64 ms on RP^3; CP^2,
 # S^2 and HP^1 take 20 to 26 ms either way
 _SWEEP_CHUNK = 1 << 16
-# betainc's relative error below half the mean grows with p + q (5.8e-16 at
-# p = q = 4, 1.1e-15 at 12, 1.9e-15 at 20 against mpmath), so the oracle psi
-# takes the continued fraction there from this p + q on
-_CF_ORDER = 24
 
 
 class _Ratios(NamedTuple):
@@ -107,49 +102,32 @@ def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
     psi is the profile slope magnitude, moment the integrand of Theta and of
     the mean-zero constant. With the record (m, k, s) of `manifold`, rho is
     (V/omega) I_x(m, k) / (v/omega), x = sin^2(s r), and psi the same ratio on
-    the mirrored record (k, m, s) at y = cos^2(s r): no V - V(s) is a difference
-    and omega divides nothing. Where I_t(p, q) leaves the normal range, or lies
-    below half its mean with p + q >= _CF_ORDER, the ratio is
-    sqrt(t (1 - t)) 2F1(p + q, 1; p + 1; t) / (2 s p) from a continued fraction.
-    The moment is the smaller fraction's ratio times the larger fraction.
-    These are the oracles of the closed profiles, and the integrands of the
-    K and Theta quadrature, the oracle of the closed kernels.
+    the mirrored record (k, m, s) at y = cos^2(s r). Each is sqrt(x y) F / (2 s m),
+    or / (2 s k), on its side of the mean, F the continued fraction of
+    `special_math.incomplete_beta`, so it underflows only with the ratio, and
+    takes 1 minus the fraction on the other. The moment is the near ratio times
+    the far fraction. These are the oracles of the closed profiles and the
+    integrands of the K and Theta quadrature, the oracle of the closed kernels.
     """
-    m, k, step = _record(spec)
-    mass = records.volume_ratio(_record(spec))
-    limit = _radius_limit(spec)
+    m, k, step = record = _record(spec)
+    mass, scale = records.volume_ratio(record), records.kernel_scale(record)
 
-    def ratio(frac, p, q, t, u, density):
-        """(V/omega) I_t(p, q) / (v/omega) from frac = I_t(p, q)."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = mass * frac / density
-        low = frac < 1e-280
-        if p + q >= _CF_ORDER:
-            low |= t < 0.5 * p / (p + q)
-        if low.any():
-            cf = _beta_continued_fraction(p, q, t[low])
-            out[low] = np.sqrt(t[low] * u[low]) * cf / (2.0 * step * p)
-        return out
-
-    def rho(r):
+    def ratios(r):
+        """(rho, psi, moment / V) at radii r."""
         x, y = _sin_cos_squares(spec, r)
-        return ratio(_regularized_beta(m, k, x, y)[0], m, k, x, y, _density(spec, x, y))
+        mu, rest, above, F = incomplete_beta(m, k, x, y, scale)
+        near = np.sqrt(x * y) * F / (2.0 * step * np.where(above, k, m))
+        fraction = np.where(above, mu, rest)  # the far one
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            far = mass * fraction / _density(spec, x, y)
+        return np.where(above, far, near), np.where(above, near, far), near * fraction
 
     def psi(r):
-        if (r > limit).any():
+        if (r > _radius_limit(spec)).any():
             raise DomainError(f"psi needs s <= D = {diameter(spec)} on {spec}, got {float(r.max())!r}")
-        x, y = _sin_cos_squares(spec, r)
-        return ratio(_regularized_beta(m, k, x, y)[1], k, m, y, x, _density(spec, x, y))
+        return ratios(r)[1]
 
-    def moment(r):
-        x, y = _sin_cos_squares(spec, r)
-        mu, rest = _regularized_beta(m, k, x, y)
-        density = _density(spec, x, y)
-        lower, upper = ratio(mu, m, k, x, y, density), ratio(rest, k, m, y, x, density)
-        with np.errstate(invalid="ignore", over="ignore"):  # in the branch not taken
-            return volume(spec) * np.where(mu <= rest, lower * rest, mu * upper)
-
-    return _Ratios(rho, psi, moment)
+    return _Ratios(lambda r: ratios(r)[0], psi, lambda r: volume(spec) * ratios(r)[2])
 
 
 def phi_hat_prime(spec: ManifoldSpec, s):

@@ -48,11 +48,10 @@ from enum import Enum
 from typing import Iterable, TextIO
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from . import records
 from .errors import DomainError, SingularityError, UnsupportedManifoldError
-from .special_math import vol_unit_sphere
+from .special_math import incomplete_beta, vol_unit_sphere
 
 __all__ = [
     "Family",
@@ -209,16 +208,6 @@ def _sin_cos_squares(spec: ManifoldSpec, r: np.ndarray) -> tuple[np.ndarray, np.
     return np.sin(s * r) ** 2, np.cos(s * r) ** 2
 
 
-def _regularized_beta(p, q, t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(I_t(p, q), I_u(q, p)) for t + u = 1: betainc in t up to the mean t = p / (p + q) and
-    in u above it, so neither argument is taken as 1 minus the other; one betainc call.
-    p and q are floats or arrays that broadcast against t."""
-    above = t > p / (p + q)
-    # each element with its own side's parameters
-    near = betainc(np.where(above, q, p), np.where(above, p, q), np.where(above, u, t))
-    return np.where(above, 1.0 - near, near), np.where(above, near, 1.0 - near)
-
-
 def _density(spec: ManifoldSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """v/omega = s^(1-d) x^(m-1/2) y^(k-1/2) from x = sin^2(s r), y = cos^2(s r), as
     (x/s^2)^(m-k) (4xy)^(k-1/2) (2s)^(1-2k) (m >= k): 4xy = sin^2(2sr) underflows only with v."""
@@ -244,9 +233,10 @@ def ball_volume(spec: ManifoldSpec, a):
 
 
 def ball_volume_fraction(spec: ManifoldSpec, a: np.ndarray) -> np.ndarray:
-    """V(a)/V = I_x(m, k), x = sin^2(s a), for an array of radii."""
-    m, k, _ = _record(spec)
-    return _regularized_beta(m, k, *_sin_cos_squares(spec, np.asarray(a, dtype=float)))[0]
+    """V(a)/V = I_x(m, k), x = sin^2(s a), past the mean 1 - I_y(k, m), for an array of radii."""
+    m, k, _ = record = _record(spec)
+    x, y = _sin_cos_squares(spec, np.asarray(a, dtype=float))
+    return incomplete_beta(m, k, x, y, records.kernel_scale(record))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -621,14 +611,13 @@ def sample_uniform(spec: ManifoldSpec, rng, size: int | None = None):
 def random_distance(spec: ManifoldSpec, rng, size: int | None = None):
     """Distance of a uniform point from a fixed pole: density v(r)/V on [0, D], every family.
 
-    u = V(r)/V = I_x(m, k) is inverted by betaincinv in x = sin^2(s r), or where
-    x > 1/2 in y = cos^2(s r) on the mirrored record, I_y(k, m) = 1 - u."""
+    x = sin^2(s r) ~ Beta(m, k) is g1 / (g1 + g2), g1 ~ Gamma(m) and g2 ~ Gamma(k)
+    drawn in that order (Devroye, Non-Uniform Random Variate Generation, 1986,
+    ch. IX), so r = atan2(sqrt(g1), sqrt(g2)) / s."""
     gen = _as_generator(rng)
-    u = gen.random(1 if size is None else int(size))
+    count = 1 if size is None else int(size)
     m, k, s = _record(spec)
-    out = np.arcsin(np.sqrt(betaincinv(m, k, u)))
-    far = out > 0.25 * np.pi
-    out[far] = np.arccos(np.sqrt(betaincinv(k, m, 1.0 - u[far])))
+    out = np.arctan2(np.sqrt(gen.standard_gamma(m, count)), np.sqrt(gen.standard_gamma(k, count)))
     out /= s
     return float(out[0]) if size is None else out
 

@@ -50,6 +50,7 @@ def volume(record: Record) -> float:
     return pi_rational(m, (k,), (m + k,), 1 / Fraction(s) ** round(2 * m))
 
 
+@cache
 def kernel_scale(record: Record) -> float:
     """1 / (4^k m B(m, k)), which turns 4^k x^m y^k F(x) into mu (`record_series`)."""
     m, k, _ = record

@@ -20,23 +20,28 @@ larger one only for an integral whose value is about 0 against the
 integral of |f|: each panel's error is floored at 50 eps times its
 integral of |f|, which there lies above 1e-12 |value|, so the relative
 test cannot be met and the integral would raise QuadratureError.
+
+`incomplete_beta` is the one regularized incomplete beta, in numpy: the ball
+fraction, the oracle ratios and `reg_incomplete_beta` all call it.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc
 
+from . import records
 from .errors import DomainError, QuadratureError
 
 __all__ = [
     "log_gamma",
     "vol_unit_sphere",
     "reg_incomplete_beta",
+    "incomplete_beta",
     "integrate",
     "gauss_kronrod_panel",
     "gauss_kronrod_panels",
@@ -55,58 +60,82 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+@functools.cache
 def vol_unit_sphere(k: int) -> float:
-    """Surface volume of the unit (k-1)-sphere in R^k: 2 pi^(k/2) / Gamma(k/2)."""
+    """Surface volume of the unit (k-1)-sphere in R^k: 2 pi^(k/2) / Gamma(k/2), rounded once."""
     if k < 1:
         raise DomainError(f"vol_unit_sphere requires k >= 1, got {k}")
-    return math.exp(math.log(2.0) + 0.5 * k * math.log(math.pi) - math.lgamma(0.5 * k))
+    return records.pi_rational(k / 2, (), (k / 2,), 2)
 
 
 def reg_incomplete_beta(s: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_s(a, b) = B_s(a,b) / B(a,b), via scipy."""
+    """Regularized incomplete beta I_s(a, b) by `incomplete_beta`, its constant rounded
+    once where 2a and 2b are integers, else from `math.lgamma` (1e-14 off at a = 30)."""
     if a <= 0 or b <= 0:
         raise DomainError(f"reg_incomplete_beta requires a, b > 0, got a={a}, b={b}")
     if s < 0.0 or s > 1.0:
         raise DomainError(f"reg_incomplete_beta requires 0 <= s <= 1, got s={s}")
-    return float(betainc(a, b, s))
+    if float(2 * a).is_integer() and float(2 * b).is_integer():  # exact, as on the records
+        scale = records.kernel_scale((a, b, 1.0)) * 4.0 ** (b - min(a, b))
+    else:
+        scale = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) - min(a, b) * math.log(4.0)) / a
+    return float(incomplete_beta(a, b, np.array([s]), np.array([1.0 - s]), scale)[0][0])
+
+
+def incomplete_beta(p, q, t: np.ndarray, u: np.ndarray, scale: float) -> tuple[np.ndarray, ...]:
+    """(I_t(p, q), I_u(q, p), above, F), t + u = 1, above = t > p / (p + q), the mean:
+    t^p u^q F / (p B(p, q)) with F = 2F1(p + q, 1; p + 1; t) up to the mean,
+    t^p u^q F / (q B(p, q)) with F = 2F1(p + q, 1; q + 1; u) past it, each 1 minus
+    the other on the other side. scale = 1 / (4^l p B(p, q)), l = min(p, q)
+    (`records.kernel_scale` on a record), and the powers are grouped as t^(p-l)
+    u^(q-l) (4 t u)^l, so no factor leaves the range while the fraction is normal."""
+    above = t > p / (p + q)
+    F = np.empty_like(t)
+    for side, (a, b, z) in ((~above, (p, q, t)), (above, (q, p, u))):
+        if side.any():
+            F[side] = _beta_continued_fraction(a, b, z[side])
+    low = min(p, q)
+    power = t ** (p - low) * u ** (q - low) * (4.0 * t * u) ** low
+    near = scale * power * np.where(above, p / q, 1.0) * F
+    return np.where(above, 1.0 - near, near), np.where(above, near, 1.0 - near), above, F
 
 
 def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """The incomplete-beta continued fraction 2F1(a+b, 1; a+1; x), vectorised.
-
-    Modified Lentz iteration (Press et al., Numerical Recipes, 6.4), so that
-    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) times the result. Converges fast for
-    x below a/(a+b); within 3.6e-15 of mpmath for a = b = n/2, n <= 100, x <= 1/2.
-    An element whose last factor settles has its x set to 0, which makes
-    every later factor exactly 1, so it keeps the value it has alone however
-    long the rest of the batch runs.
-    """
+    """2F1(a+b, 1; a+1; x) = 1 / (1 + e_1 x / (1 + e_2 x / ...)) (Press et al., Numerical
+    Recipes, 6.4), vectorised, up to the mean a/(a+b): 10 steps at a = b = 1/2, 110
+    at a = 100, b = 1/2. Lentz's forward iteration finds where each element's
+    factors settle, and that convergent is evaluated from its tail up, t = 1 +
+    e_j x / t, which damps each rounding where the product carries it (9 ulps
+    off, not 20, near the mean of a = 4.5, b = 1/2). Each element keeps its own
+    depth, so it gets the same bits alone as in any batch."""
     tiny = 1e-300
     x = np.asarray(x, dtype=float)
     c = np.ones_like(x)
-    h = d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
-    settled_count = 0
+    d = 1.0 / (1.0 - (a + b) / (a + 1.0) * x)
+    depth = np.zeros(x.shape, dtype=int)
+    terms = []
     for m in range(1, 400):
-        for aa in (
-            m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
-            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m)),
-        ):
+        even = m * (b - m) / ((a - 1.0 + 2 * m) * (a + 2 * m))
+        terms.append((even, -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 1.0 + 2 * m))))
+        for term in terms[-1]:
+            aa = term * x
             d = 1.0 + aa * d
             d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
             c = 1.0 + aa / c
             c = np.where(np.abs(c) < tiny, tiny, c)
-            factor = d * c
-            h = h * factor
         # one ulp of slack: for a = b = 1/2 the last factor settles at 1 - eps/2
-        settled = np.abs(factor - 1.0) <= 2.3e-16
-        count = np.count_nonzero(settled)
-        if count == x.size:
-            return h
-        if count > settled_count:
-            x = np.where(settled, 0.0, x)
-            settled_count = count
-    nan = float("nan")
-    raise QuadratureError(f"beta continued fraction did not converge for a={a}, b={b}", nan, nan)
+        depth[(np.abs(d * c - 1.0) <= 2.3e-16) & (depth == 0)] = m
+        if depth.all():
+            break
+    else:
+        raise QuadratureError(f"beta continued fraction did not converge at a={a}, b={b}", math.nan, math.nan)
+    t = np.ones_like(x)
+    for m in range(int(depth.max(initial=0)), 0, -1):
+        live = depth >= m
+        even, odd = terms[m - 1]
+        t = np.where(live, 1.0 + odd * x / t, t)
+        t = np.where(live, 1.0 + even * x / t, t)
+    return 1.0 / (1.0 - (a + b) / (a + 1.0) * x / t)
 
 
 # 7-point Gauss / 15-point Kronrod node-weight table on [-1, 1].

@@ -42,15 +42,38 @@ CORE_SPECS = [
 ]
 
 
+_BETA_S = (0.01, 0.2, 0.5, 0.77, 0.99)
+_BETA_AB = ((0.5, 0.5), (1.5, 2.5), (8.0, 3.0), (30.0, 30.0))
+
+
 def _check_beta_symmetry():
+    # past the mean I_(1-s)(b, a) is 1 - I_s(a, b) by construction, so this
+    # checks rounding; the closed forms below check the values
     worst = 0.0
-    for s in (0.01, 0.2, 0.5, 0.77, 0.99):
-        for a, b in ((0.5, 0.5), (1.5, 2.5), (8.0, 3.0), (30.0, 30.0)):
+    for s in _BETA_S:
+        for a, b in _BETA_AB:
             worst = max(
                 worst,
                 abs(reg_incomplete_beta(s, a, b) + reg_incomplete_beta(1 - s, b, a) - 1),
             )
     return worst < 1e-12, f"max symmetry defect {worst:.2e}"
+
+
+def _check_beta_closed_forms():
+    # I_x(a, 1) = x^a, I_x(1, b) = 1 - (1 - x)^b, and the arcsine forms of
+    # I_x(1/2, 1/2) and I_x(3/2, 3/2), relative, at the symmetry check's grid
+    worst = 0.0
+    for x in _BETA_S:
+        angle = math.asin(math.sqrt(x))
+        cases = [(a, 1.0, x**a) for a, _ in _BETA_AB]
+        cases += [(1.0, b, -math.expm1(b * math.log1p(-x))) for _, b in _BETA_AB]
+        cases += [
+            (0.5, 0.5, 2.0 / math.pi * angle),
+            (1.5, 1.5, 2.0 / math.pi * (angle - (1.0 - 2.0 * x) * math.sqrt(x * (1.0 - x)))),
+        ]
+        for a, b, exact in cases:
+            worst = max(worst, abs(reg_incomplete_beta(x, a, b) - exact) / exact)
+    return worst < 1e-13, f"max closed-form defect {worst:.2e}"  # reads 3.2e-15
 
 
 def _check_panel_exactness():
@@ -81,7 +104,7 @@ def _check_volume_quadrature():
             lambda r: radial_density(spec, r), 0.0, diameter(spec)
         )
         worst = max(worst, abs(total - volume(spec)) / volume(spec))
-    return worst < 1e-12, f"max volume defect {worst:.2e}"  # reads 1.2e-14
+    return worst < 1e-12, f"max volume defect {worst:.2e}"  # reads 1.7e-15
 
 
 def _check_ball_volume_quadrature():
@@ -94,7 +117,7 @@ def _check_ball_volume_quadrature():
                 lambda r: radial_density(spec, r), 0.0, a
             )
             worst = max(worst, abs(quad - ball_volume(spec, a)) / volume(spec))
-    return worst < 5e-14, f"max ball-volume defect {worst:.2e}"  # reads 5.4e-16
+    return worst < 5e-14, f"max ball-volume defect {worst:.2e}"  # reads 4.6e-16
 
 
 # the three derivative checks difference another route (ball volumes, the
@@ -442,6 +465,7 @@ def _check_sampling_statistics():
 
 QUICK_CHECKS = [
     ("beta symmetry", _check_beta_symmetry),
+    ("incomplete beta closed forms", _check_beta_closed_forms),
     ("quadrature panel exactness", _check_panel_exactness),
     ("quadrature additivity", _check_quadrature_additivity),
     ("volume vs density quadrature", _check_volume_quadrature),

@@ -378,7 +378,7 @@ class TestRecordSeries:
         m, k = (int(v) for v in _record(spec)[:2])
         omega = vol_unit_sphere(dimension(spec))
         d_at_1 = sum(math.comb(m + j - 1, j) for j in range(k))
-        assert volume(spec) == pytest.approx(omega / (2 * m * d_at_1), rel=1e-14)
+        assert volume(spec) == pytest.approx(omega / (2 * m * d_at_1), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize(
         "spec",
@@ -492,7 +492,7 @@ class TestRealProjectiveDoubleCover:
 
 class TestKernelPassFraction:
     """The closed kernel pass returns mu = V(a)/V with K and Theta, from the
-    same series: within a few ulps per power of x of scipy's incomplete beta."""
+    same series: within a few ulps per power of x of the incomplete beta."""
 
     @pytest.mark.parametrize(
         "spec",

@@ -291,7 +291,7 @@ class TestRadiusSearch:
     @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2, S200, RP186, CP93, HP46], ids=str)
     def test_best_radius_holds_one_nth_of_the_volume(self, spec):
         # B' = 2N K' (V/V(a) - N) vanishes there alone; ball_volume_fraction
-        # (betainc) checks the numpy-only root
+        # (the incomplete beta, not the record series) checks the root
         checked = 0
         for N in (2, 3, 77, 1234, 10**6):
             try:

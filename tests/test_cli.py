@@ -27,18 +27,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize costs about 0.3 s and 22 MB at start-up; the radius
-    # search is written in bounds.py so that the CLI never loads it
+def test_import_and_verify_leave_scipy_out():
+    # numpy is the one runtime dependency: importing scipy.special alone
+    # cost about 0.4 s and 26 MB at start-up, so no command may load any of it
+    code = (
+        "import contextlib, io, sys\n"
+        "import greenlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert greenlab.cli.main(['verify', '--quick']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, greenlab.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": SRC},
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bound_leaves_mpmath_out():
