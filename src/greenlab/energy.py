@@ -12,8 +12,10 @@ Every profile is its closed form in (x, y) = (sin^2(s d), cos^2(s d))
 (`RadialGreenProfile.phi_hat`), and a block takes each pair's (x, y) from
 `manifold._pair_sin_cos_squares`, with no arccos: from the Gram entries,
 and from the chord of the aligned representatives for close pairs, where
-the cosine has lost digits. The separation floor is the test
-x < sin^2(s floor).
+the cosine has lost digits. The scan of x that finds those pairs also
+gives the least x, so the separation floor is the one test least <
+sin^2(s floor). Blocks of one shape share one triangle mask, and spheres
+form y only for a profile or a gradient that reads it.
 
 The optimizer's gradient shares that sweep, blocks, (x, y), chord and
 floor checks alike, with one array evaluation of h per block: its weight
@@ -89,28 +91,30 @@ def _row_blocks(n: int, pairs: int) -> list[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_floors(spec: ManifoldSpec) -> tuple[float, float, float]:
-    """The separation floor and sin^2(s d) at it and at the representable
+def _pair_floors(spec: ManifoldSpec) -> tuple[float, float, float, float]:
+    """s, the separation floor and sin^2(s d) at it and at the representable
     floor of phi_hat: once per manifold."""
     floor = _MIN_SEPARATION_FACTOR * diameter(spec)
     s = _record(spec)[2]
-    return floor, math.sin(s * floor) ** 2, math.sin(s * _phi_hat_floor(spec)) ** 2
+    return s, floor, math.sin(s * floor) ** 2, math.sin(s * _phi_hat_floor(spec)) ** 2
 
 
-def _pair_blocks(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.ndarray):
+def _pair_blocks(spec: ManifoldSpec, coords: np.ndarray, with_y: bool = True):
     """The pairs i < j of the unit rows of coords, one row block at a time:
     yields (lo, h, pairs, x, y) of `manifold._pair_sin_cos_squares` for rows
-    lo..hi-1 against the points after lo (column c is point lo + 1 + c), each
-    block once all its pairs clear the separation floor and the profile's
+    lo..hi-1 against the points after lo (column c is point lo + 1 + c), y
+    None on spheres unless `with_y`, each block once its least x, which that
+    function scans for, clears the separation floor and the profile's
     representable floor. Nothing here keeps a block once it is yielded, so a
     caller that drops h frees it; only the descent keeps one, and only when
     it holds every pair (`_energy_rows`)."""
     n = len(coords)
-    floor, x_floor, x_unrepresentable = _pair_floors(spec)
-    s = profile.s
-
-    def checked(lo, h, pairs, x, y):
-        least = float(x.min())
+    s, floor, x_floor, x_unrepresentable = _pair_floors(spec)
+    # the last point has no later partner: a block of it alone is left out
+    for lo, hi in _row_blocks(n, _BLOCK_PAIRS):
+        if lo == n - 1:
+            break
+        h, pairs, x, y, least = _pair_sin_cos_squares(spec, coords[lo:hi], coords[lo + 1 :], with_y)
         if least < x_floor:
             at = int(np.flatnonzero(x < x_floor)[0])
             i, j = (int(v[at]) for v in np.nonzero(pairs))
@@ -120,13 +124,7 @@ def _pair_blocks(spec: ManifoldSpec, profile: RadialGreenProfile, coords: np.nda
             )
         if least < x_unrepresentable:
             raise _unrepresentable(spec, math.asin(math.sqrt(least)) / s, "phi_hat")
-        return lo, h, pairs, x, y
-
-    # the last point has no later partner: a block of it alone is left out
-    for lo, hi in _row_blocks(n, _BLOCK_PAIRS):
-        if lo == n - 1:
-            break
-        yield checked(lo, *_pair_sin_cos_squares(spec, coords[lo:hi], coords[lo + 1 :]))
+        yield lo, h, pairs, x, y
 
 
 def _energy_rows(
@@ -143,7 +141,7 @@ def _energy_rows(
     """
     V = volume(spec)
     partials = []
-    for lo, h, pairs, x, y in _pair_blocks(spec, profile, coords):
+    for lo, h, pairs, x, y in _pair_blocks(spec, coords, profile.reads_y or kept is not None):
         out = x
         if kept is not None and len(pairs) >= len(coords) - 1:
             kept.append((lo, h, pairs, x, y))
@@ -151,9 +149,9 @@ def _energy_rows(
         del h  # before the profile runs
         profile.phi_hat(x, y, out=out)
         out += profile.c_m
-        partials.append(float(np.sum(out)) / V)
+        partials.append(float(np.add.reduce(out)) / V)
         del out, x, y  # before the next block is formed
-    return 2.0 * float(np.sum(np.asarray(partials)))
+    return 2.0 * float(np.add.reduce(partials))
 
 
 @dataclass(frozen=True)
@@ -231,8 +229,8 @@ def _descent_rows(
     frames = _frames(k, coords)
     # conj[c, j] = x_j conj(e_c), the conj-sign c times x_j e_c
     conj = (frames * _CONJ_SIGN[:k, None]).transpose(1, 0, 2)
-    descent = np.zeros_like(coords)
-    for lo, h, pairs, x, y in kept or _pair_blocks(spec, profile, coords):
+    descent = np.zeros(coords.shape)
+    for lo, h, pairs, x, y in kept or _pair_blocks(spec, coords):
         rows, cols = pairs.shape
         hi = lo + rows
         w = profile.h(x, y) * factor
@@ -241,9 +239,9 @@ def _descent_rows(
         wc[pairs] = w * (y - x if sphere else y)
         a = weight[:, None, :] if sphere else h * weight[:, None, :]
         descent[lo:hi] += a.reshape(rows, k * cols) @ conj[:, lo + 1 :].reshape(k * cols, width)
-        descent[lo:hi] -= wc.sum(axis=1)[:, None] * coords[lo:hi]
+        descent[lo:hi] -= np.add.reduce(wc, axis=1)[:, None] * coords[lo:hi]
         descent[lo + 1 :] += a.reshape(rows * k, cols).T @ frames[lo:hi].reshape(rows * k, width)
-        descent[lo + 1 :] -= wc.sum(axis=0)[:, None] * coords[lo + 1 :]
+        descent[lo + 1 :] -= np.add.reduce(wc, axis=0)[:, None] * coords[lo + 1 :]
     return _project_horizontal(frames, descent)
 
 
@@ -288,12 +286,13 @@ def _descent_steps(
     t = None
     for _ in range(steps):
         g = _descent_rows(spec, profile, coords, kept)
-        speed = np.linalg.norm(g, axis=1)
-        if not speed.max() > 0.0:
+        speed = np.sqrt(np.add.reduce(g * g, axis=1))
+        fastest = np.maximum.reduce(speed)
+        if not fastest > 0.0:
             return
         unit = g / np.where(speed > 0.0, speed, 1.0)[:, None]
-        t = _FIRST_MOVE * D / speed.max() if t is None else 2.0 * t
-        slope = 2.0 * float(np.sum(speed * speed))  # -dE/dt at t = 0
+        t = _FIRST_MOVE * D / fastest if t is None else 2.0 * t
+        slope = 2.0 * float(np.add.reduce(speed * speed))  # -dE/dt at t = 0
         for _ in range(_MAX_HALVINGS):
             trial = _geodesic_rows(coords, unit, np.minimum(t * speed, _MAX_MOVE * D))
             kept = []  # the last block goes before the next is formed

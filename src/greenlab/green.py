@@ -445,13 +445,14 @@ class _OddProfile(RadialGreenProfile):
         """The direct form of phi_hat, written to out (a new array when None),
         which may be x: `_angles` reads x before out is written."""
         t, c, v, _ = self._angles(x, y)
-        out = _polyval(self.g, v, out)
-        out *= c
-        out *= t
+        if len(self.g) > 1:  # g_0 = 1, so a lone g is no factor
+            c *= _polyval(self.g, v)
+        out = np.multiply(c, t, out=t if out is None else out)
         out *= self.A
         if self.R:
             out -= _horner(self.R, v, c)
-        out += self.const
+        if self.const:  # 0 on RP^n
+            out += self.const
         return out
 
     def _psi_direct(self, x, y, out=None):

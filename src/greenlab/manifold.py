@@ -113,6 +113,13 @@ class ManifoldSpec:
                 f"{self.family.value} with n=1 is a circle; the Green energy "
                 "needs dimension d >= 2"
             )
+        object.__setattr__(self, "_hash", hash((self.family, self.n)))  # once: specs key every cache
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # a Family's hash is salted per process: a loaded spec hashes anew
+        return ManifoldSpec, (self.family, self.n)
 
     @classmethod
     def from_token(cls, token: str, n: int | None = None) -> "ManifoldSpec":
@@ -344,10 +351,18 @@ def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) 
 
 
 @functools.lru_cache(maxsize=None)
-def _close_sin_square(spec: ManifoldSpec) -> float:
-    """x = sin^2(s d) at the cosine `_CHORD_COSINE`, below which a pair takes
-    its chord: once per manifold."""
-    return math.sin(_record(spec)[2] * math.acos(_CHORD_COSINE)) ** 2
+def _pair_constants(spec: ManifoldSpec) -> tuple[int, float]:
+    """The field rank k and x = sin^2(s d) at the cosine `_CHORD_COSINE`,
+    below which a pair takes its chord: once per manifold."""
+    return _FIELD_RANK[spec.family], math.sin(_record(spec)[2] * math.acos(_CHORD_COSINE)) ** 2
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_mask(rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) mask of c >= r, read-only and shared by the blocks of that shape."""
+    mask = np.arange(cols)[None, :] >= np.arange(rows)[:, None]
+    mask.flags.writeable = False
+    return mask
 
 
 def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,41 +375,49 @@ def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _pair_sin_cos_squares(
-    spec: ManifoldSpec, left: np.ndarray, right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(h, pairs, x, y) of the pairs (r, c), c >= r, of the rows r of left and
-    c of right, A <= B rows of real frames: h[r, :, c] the products of
-    `_products`, left as they are, pairs the (A, B) mask of c >= r, and the
-    flat (x, y) = (sin^2(s d), cos^2(s d)) of the pairs, row by row.
+    spec: ManifoldSpec, left: np.ndarray, right: np.ndarray, with_y: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, float]:
+    """(h, pairs, x, y, least) of the pairs (r, c), c >= r, of the rows r of
+    left and c of right, A <= B rows of real frames: h[r, :, c] the products
+    of `_products`, left as they are, pairs the read-only (A, B) mask of
+    c >= r (`_upper_mask`), the flat (x, y) = (sin^2(s d), cos^2(s d)) of the
+    pairs, row by row, and least, the least x. y is None on spheres unless
+    `with_y`; the projective families form it on the way to x.
 
     They come from the Gram entries: x = (1 - t)/2 and y = (1 + t)/2 from
     t = cos d on spheres, and y = sum_c h_c^2, x = 1 - y from the components
     h_c of <p, q> on the projective families. A pair past `_CHORD_COSINE`,
     where 1 - t keeps only half the digits, takes x from its chord
     (`_chord_sin_squares`) and y = 1 - x; such pairs are located from the
-    flat index only when there are any.
+    flat index only when there are any. This function alone scans x: once
+    for least, which tells whether there are any, and then, as every other
+    x is at least the switch's, only the chord values.
     """
-    h = _products(_FIELD_RANK[spec.family], left, right)
-    pairs = np.arange(len(right))[None, :] >= np.arange(len(left))[:, None]
+    k, x_close = _pair_constants(spec)
+    h = _products(k, left, right)
+    pairs = _upper_mask(len(left), len(right))
     if spec.family is Family.SPHERE:
-        y = h[:, 0][pairs]
-        x = y * -0.5
+        t = h[:, 0][pairs]
+        x = t * -0.5
         x += 0.5
-        y *= 0.5
-        y += 0.5
+        y = t * 0.5 + 0.5 if with_y else None
     else:
         y = np.square(h[:, 0])
-        for c in range(1, h.shape[1]):
+        for c in range(1, k):
             y += np.square(h[:, c])
         y = y[pairs]
         x = np.subtract(1.0, y)
-    x_close = _close_sin_square(spec)
-    if x.min() < x_close:
+    least = np.minimum.reduce(x)
+    if least < x_close:
         close = np.flatnonzero(x < x_close)
         rows, cols = _pair_rows_cols(close, len(right))
-        x[close] = _chord_sin_squares(spec, left[rows], right[cols])
-        y[close] = 1.0 - x[close]
-    return h, pairs, x, y
+        x[close] = chord = _chord_sin_squares(spec, left[rows], right[cols])
+        if y is not None:
+            y[close] = 1.0 - chord
+        least = np.minimum.reduce(chord)
+        if not least < x_close:  # every chord rounded up past the switch
+            least = np.minimum.reduce(x)
+    return h, pairs, x, y, float(least)
 
 
 def _project_horizontal(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -408,7 +431,7 @@ def _geodesic_rows(rows: np.ndarray, units: np.ndarray, angles: np.ndarray) -> n
     horizontal unit direction u: cos(angle) x + sin(angle) u, rescaled to unit
     length. A zero direction leaves its row where it is."""
     moved = np.cos(angles)[:, None] * rows + np.sin(angles)[:, None] * units
-    return moved / np.linalg.norm(moved, axis=1)[:, None]
+    return moved / np.sqrt(np.add.reduce(moved * moved, axis=1))[:, None]
 
 
 def quat_hermitian_inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -553,7 +576,7 @@ def distance(p: Point, q: Point) -> float:
     if p.spec != q.spec:
         raise DomainError(f"points live on different manifolds: {p.spec} vs {q.spec}")
     rows = (_flatten_coords(p.spec, v.coords)[None] for v in (p, q))
-    _, _, x, y = _pair_sin_cos_squares(p.spec, *rows)
+    _, _, x, y, _ = _pair_sin_cos_squares(p.spec, *rows)
     # y falls below 0 by rounding only at the antipode of a sphere
     return math.atan2(math.sqrt(x[0]), math.sqrt(max(y[0], 0.0))) / _record(p.spec)[2]
 

@@ -1,13 +1,19 @@
 """Geometry of the five families: constants, densities, points, sampling."""
 
+import copy
 import io
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import betainc
 
+import greenlab
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.manifold import (
     Configuration,
@@ -72,6 +78,45 @@ class TestSpecValidation:
         for spec in ALL_SPECS:
             again = ManifoldSpec.from_token(spec.token, spec.n)
             assert again == spec
+
+
+class TestSpecHash:
+    """A spec hashes once, to the bits of its fields, and pickles without its hash."""
+
+    def test_hash_and_equality_are_the_fields(self):
+        for spec in ALL_SPECS:
+            assert hash(spec) == hash((spec.family, spec.n))
+            twin = ManifoldSpec(spec.family, spec.n)
+            assert twin == spec and twin is not spec and hash(twin) == hash(spec)
+        assert S2 != ManifoldSpec(Family.SPHERE, 3) and S2 != RP3
+        assert len({S2, S3, RP3, CP2, HP1, OP2, ManifoldSpec(Family.SPHERE, 2)}) == 6
+
+    def test_copies_and_pickles_are_equal(self):
+        for spec in ALL_SPECS:
+            for again in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+                assert again == spec and hash(again) == hash(spec)
+            assert b"_hash" not in pickle.dumps(spec)
+
+    def test_a_pickled_spec_hashes_anew_in_another_process(self):
+        # a Family hashes by its name, and string hashes are salted per
+        # process: a spec loaded under another salt hashes as that process's
+        # (family, n), not as this one's
+        code = (
+            "import pickle, sys\n"
+            "spec = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(hash(spec) == hash((spec.family, spec.n)), spec)\n"
+        )
+        src = os.path.dirname(os.path.dirname(greenlab.__file__))
+        for seed in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                input=pickle.dumps(CP2),
+                capture_output=True,
+                check=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            assert out.split() == [b"True", b"cp2"]
 
 
 class TestTableConstants:
