@@ -9,6 +9,12 @@ bytes of `json.dumps(obj, indent=2)` (the manifest with `default=str`),
 written by `_json_text`, which keeps the C encoder's float and string
 forms without the pure-Python encoder that `indent` selects. Identical
 invocations with the same seed reproduce payload bytes exactly.
+
+One table, `_COMMANDS`, gives each subcommand its help line and options.
+A run is parsed by its subcommand's parser alone; the top-level parser,
+with all seven under it, is built only for what it answers itself (help,
+--version, usage errors). `verify` and its oracles load only for the
+verify command.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .manifold import (
     load_configuration,
     save_configuration,
 )
-from .verify import run_verification
 
 _FMT = "{:.17g}"
 
@@ -274,64 +279,54 @@ def _cmd_optimize(args) -> str:
     return buf.getvalue()
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own by name, built once per
-    process: parsing leaves them unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="greenlab",
-        description="Green functions, energies and certified lower bounds on "
-        "compact harmonic manifolds",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# each subcommand registers only the options it reads, so the manifest's
+# parameters are exactly the knobs that shaped the result
+def _family(p, n=True):
+    p.add_argument("--family", required=True, choices=["s", "rp", "cp", "hp", "op2"])
+    if n:
+        p.add_argument("--n", type=int, default=None, help="dimension parameter")
 
-    # each subcommand registers only the options it reads, so the manifest's
-    # parameters are exactly the knobs that shaped the result
-    def family(p, n=True):
-        p.add_argument("--family", required=True, choices=["s", "rp", "cp", "hp", "op2"])
-        if n:
-            p.add_argument("--n", type=int, default=None, help="dimension parameter")
 
-    def output(p, default_format=None):
-        p.add_argument("--out", default=None, help="payload file; manifest lands alongside")
-        if default_format:
-            p.add_argument("--format", choices=["csv", "json"], default=default_format)
+def _output(p, default_format=None):
+    p.add_argument("--out", default=None, help="payload file; manifest lands alongside")
+    if default_format:
+        p.add_argument("--format", choices=["csv", "json"], default=default_format)
 
-    p = sub.add_parser("profile", help="dump the radial Green profile grid")
-    family(p)
-    output(p, "csv")
-    p.set_defaults(fn=_cmd_profile)
 
-    p = sub.add_parser("ball", help="ball kernels by quadrature and closed form")
-    family(p)
-    output(p, "csv")
+def _profile_options(p):
+    _family(p)
+    _output(p, "csv")
+
+
+def _ball_options(p):
+    _family(p)
+    _output(p, "csv")
     p.add_argument("--grid-size", type=int, default=8)
     p.add_argument("--radius", type=float, action="append", help="explicit radius (repeatable)")
-    p.set_defaults(fn=_cmd_ball)
 
-    p = sub.add_parser("bound", help="maximize the finite-N lower bound")
-    family(p)
-    output(p, "json")
+
+def _bound_options(p):
+    _family(p)
+    _output(p, "json")
     p.add_argument("--points", type=int, required=True, help="number of points N")
-    p.set_defaults(fn=_cmd_bound)
 
-    p = sub.add_parser("compare", help="our coefficients against the prior ones")
-    family(p, n=False)
-    output(p, "csv")
+
+def _compare_options(p):
+    _family(p, n=False)
+    _output(p, "csv")
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
-    p.set_defaults(fn=_cmd_compare)
 
-    p = sub.add_parser("energy", help="energy report for a configuration file")
-    output(p)
+
+def _energy_options(p):
+    _output(p)
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=0, help="recorded in the report")
-    p.set_defaults(fn=_cmd_energy)
 
-    p = sub.add_parser("optimize", help="Riemannian gradient descent from a random start")
-    family(p)
-    output(p)
+
+def _optimize_options(p):
+    _family(p)
+    _output(p)
     p.add_argument("--points", type=int, required=True)
     p.add_argument(
         "--iters",
@@ -343,13 +338,51 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         "sweep of its own",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_optimize)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
+
+def _verify_options(p):
     p.add_argument("--quick", action="store_true")
-    p.set_defaults(fn=None)
 
-    return parser, sub.choices
+
+# name -> (help line, the function that adds its options, the command; verify's is in `main`)
+_COMMANDS = {
+    "profile": ("dump the radial Green profile grid", _profile_options, _cmd_profile),
+    "ball": ("ball kernels by quadrature and closed form", _ball_options, _cmd_ball),
+    "bound": ("maximize the finite-N lower bound", _bound_options, _cmd_bound),
+    "compare": ("our coefficients against the prior ones", _compare_options, _cmd_compare),
+    "energy": ("energy report for a configuration file", _energy_options, _cmd_energy),
+    "optimize": ("Riemannian gradient descent from a random start", _optimize_options, _cmd_optimize),
+    "verify": ("run the invariant suite", _verify_options, None),
+}
+
+
+@functools.cache
+def _parsers() -> argparse.ArgumentParser:
+    """The top-level parser, with every subcommand's parser under it, built
+    once per process: parsing leaves it unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="greenlab",
+        description="Green functions, energies and certified lower bounds on "
+        "compact harmonic manifolds",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_line, options, fn) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        options(p)
+        p.set_defaults(fn=fn)
+    return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser `_parsers` puts under `name`, built alone: `add_parser`
+    gives a subcommand's parser no setting but its prog."""
+    _, options, fn = _COMMANDS[name]
+    p = argparse.ArgumentParser(prog=f"greenlab {name}")
+    options(p)
+    p.set_defaults(fn=fn)
+    return p
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -358,17 +391,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
     Given a subcommand first, that parser only hands the rest to the
     subcommand's parser, and then reports what is left over, so this does
-    both directly, without the top-level pass over every argument. Anything
-    else (help, --version, a missing or unknown subcommand) goes to the
-    top-level parser.
+    both directly, with that subcommand's parser alone. The top-level
+    parser is built only for what it answers itself: help, --version, a
+    missing or unknown subcommand, and arguments left over.
     """
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if not argv or argv[0] not in _COMMANDS:
+        return _parsers().parse_args(argv)
+    args, extra = _command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
     if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        _parsers().error(f"unrecognized arguments: {' '.join(extra)}")
     return args
 
 
@@ -378,8 +409,9 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         if args.subcommand == "verify":
-            ok = run_verification(quick=args.quick)
-            return 0 if ok else 1
+            from .verify import run_verification  # the oracles load only for verify
+
+            return 0 if run_verification(quick=args.quick) else 1
         payload = args.fn(args)
     except (GreenLabError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

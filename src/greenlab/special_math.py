@@ -107,14 +107,19 @@ def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
     factors settle, and that convergent is evaluated from its tail up, t = 1 +
     e_j x / t, which damps each rounding where the product carries it (9 ulps
     off, not 20, near the mean of a = 4.5, b = 1/2). Each element keeps its own
-    depth, so it gets the same bits alone as in any batch."""
+    depth, so it gets the same bits alone as in any batch.
+
+    Near the mean the depth grows like sqrt(a/b) + sqrt(a + b): it was at most
+    8.3 times that for a and b from 0.01 to 1e5 (462 steps at a = 1000,
+    b = 0.1). The loop gives up at 400 steps plus 16 times that, never fewer
+    than 400."""
     tiny = 1e-300
     x = np.asarray(x, dtype=float)
     c = np.ones_like(x)
     d = 1.0 / (1.0 - (a + b) / (a + 1.0) * x)
     depth = np.zeros(x.shape, dtype=int)
     terms = []
-    for m in range(1, 400):
+    for m in range(1, 400 + math.ceil(16.0 * (math.sqrt(a / b) + math.sqrt(a + b)))):
         even = m * (b - m) / ((a - 1.0 + 2 * m) * (a + 2 * m))
         terms.append((even, -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 1.0 + 2 * m))))
         for term in terms[-1]:

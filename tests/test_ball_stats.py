@@ -1,5 +1,6 @@
 """Ball kernels: quadrature vs closed forms, asymptotics, average identities."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -323,6 +324,22 @@ class TestRecordSeries:
             assert rounded == tuple(float(v) for v in full[: len(rounded)])
             terms = [float(v) * mean**j for j, v in enumerate(full)]
             assert math.fsum(terms[len(rounded) :]) <= 2.0**-56 * math.fsum(terms)
+
+    def test_series_keep_their_bits(self):
+        # the sha256 of every coefficient, in hex, of the 412 distinct records
+        # of S^n, RP^n, CP^n and HP^n (n < 60), OP^2 and their mirrors: a
+        # coefficient one ulp off, or a term more or fewer, changes it
+        pinned = []
+        for n in range(1, 60):
+            pinned += [(n / 2, n / 2, 0.5), (n / 2, 0.5, 1.0), (float(n), 1.0, 1.0), (2.0 * n, 2.0, 1.0)]
+        pinned.append((8.0, 4.0, 1.0))
+        pinned = list(dict.fromkeys(pinned + [(k, m, s) for m, k, s in pinned]))
+        digest = hashlib.sha256()
+        for record in pinned:
+            for series in records.record_series.__wrapped__(record):  # uncached
+                digest.update((",".join(map(float.hex, series)) + ";").encode())
+        assert len(pinned) == 412
+        assert digest.hexdigest() == "9b884665ce33684a5c38f3de7bf485c054ed137e5a110d5d9aa19395e1710b27"
 
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
     def test_complex_projective_k_is_its_series(self, n):

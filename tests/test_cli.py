@@ -460,6 +460,19 @@ class TestParseArgs:
         ["bound", "--", "--family", "s"],
         ["bound", "-h"],
         ["verify", "--quick", "--out", "x"],
+        # every subcommand's help, and a bad value for each
+        ["profile", "-h"],
+        ["ball", "-h"],
+        ["compare", "-h"],
+        ["energy", "-h"],
+        ["optimize", "-h"],
+        ["verify", "-h"],
+        ["profile", "--family", "xx", "--n", "2"],
+        ["ball", "--family", "s", "--n", "2", "--grid-size", "x"],
+        ["compare", "--family", "op2", "--n-min", "1.5"],
+        ["energy", "--config", "c.txt", "--seed", "z"],
+        ["optimize", "--family", "s", "--n", "2", "--points", "4", "--iters", "q"],
+        ["verify", "--quick=1"],
         [],
         ["--version"],
         ["-h"],
@@ -477,8 +490,50 @@ class TestParseArgs:
 
     @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
     def test_same_as_the_top_level_parser(self, argv, capsys):
-        parser, _ = cli._parsers()
+        parser = cli._parsers()
         assert self.outcome(cli._parse_args, argv, capsys) == self.outcome(parser.parse_args, argv, capsys)
+
+
+    def test_a_command_builds_its_parser_alone(self):
+        # the top-level parser, with all seven subcommands, is built only for
+        # what it answers itself; a bound needs the bound parser alone
+        code = (
+            "import contextlib, io, sys\n"
+            "from greenlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert cli.main(['bound', '--family', 'cp', '--n', '2', '--points', '50']) == 0\n"
+            "print(cli._parsers.cache_info().currsize, cli._command_parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.stdout.split() == ["0", "1"]
+
+
+def test_import_leaves_verify_out():
+    # the oracles and their checks load only for the verify command
+    code = (
+        "import contextlib, io, sys\n"
+        "from greenlab import cli\n"
+        "print('greenlab.verify' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(['bound', '--family', 'hp', '--n', '1', '--points', '50']) == 0\n"
+        "print('greenlab.verify' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.stdout.split() == ["False", "False"]
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 """Special functions and the adaptive integrator."""
 
+import hashlib
 import math
 import time
 import warnings
@@ -112,6 +113,13 @@ class TestRegIncompleteBeta:
                 assert reg_incomplete_beta(s, a, b) == pytest.approx(
                     float(scipy_betainc(a, b, s)), rel=1e-11, abs=1e-14
                 )
+
+    @pytest.mark.parametrize("s, a, b", [(0.9999, 1000.0, 0.1), (0.9995, 1000.0, 0.1), (0.998, 200.0, 0.01)])
+    def test_large_a_with_small_b_near_the_mean(self, s, a, b):
+        # the fraction's depth near the mean grows like sqrt(a / b): 462 steps
+        # at the first case, which once raised QuadratureError at step 400;
+        # the constant's lgamma route limits the agreement to about 5e-13
+        assert reg_incomplete_beta(s, a, b) == pytest.approx(float(scipy_betainc(a, b, s)), rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("bad_s", [-0.1, 1.0001])
     def test_domain_s(self, bad_s):
@@ -362,6 +370,17 @@ class TestBetaContinuedFraction:
         batch = _beta_continued_fraction(a, a, x)
         lone = [_beta_continued_fraction(a, a, x[i : i + 1])[0] for i in range(x.size)]
         assert batch.tolist() == lone
+
+    def test_depth_is_where_the_factors_settle(self):
+        # the step cap follows a and b but is never below 400, so an element
+        # that settled within 400 steps keeps its depth and its bits: the
+        # sha256 of these values, all of which settle there
+        h = hashlib.sha256()
+        for a in (0.5, 1.5, 4.5, 30.0, 60.0, 200.0):
+            for b in (0.1, 0.5, 1.0, 2.0, 10.5):
+                x = a / (a + b) * np.linspace(0.0, 1.0, 41)
+                h.update(_beta_continued_fraction(a, b, x).astype("<f8").tobytes())
+        assert h.hexdigest() == "df6859094291f4df1b4eb90b64764666e24f6f8972246461a53435871beaa3a8"
 
     def test_against_mpmath(self):
         for n in (2, 3, 10, 40):
