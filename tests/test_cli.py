@@ -494,36 +494,17 @@ class TestParseArgs:
         assert self.outcome(cli._parse_args, argv, capsys) == self.outcome(parser.parse_args, argv, capsys)
 
 
-    def test_a_command_builds_its_parser_alone(self):
-        # the top-level parser, with all seven subcommands, is built only for
-        # what it answers itself; a bound needs the bound parser alone
-        code = (
-            "import contextlib, io, sys\n"
-            "from greenlab import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-            "    assert cli.main(['bound', '--family', 'cp', '--n', '2', '--points', '50']) == 0\n"
-            "print(cli._parsers.cache_info().currsize, cli._command_parser.cache_info().currsize)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": SRC},
-        )
-        assert proc.stdout.split() == ["0", "1"]
-
-
-def test_import_leaves_verify_out():
-    # the oracles and their checks load only for the verify command
+def test_a_bound_builds_its_parser_alone_and_no_oracles():
+    # the top-level parser, with all seven subcommands, is built only for what
+    # it answers itself, and the oracles and their checks load only for verify
     code = (
         "import contextlib, io, sys\n"
         "from greenlab import cli\n"
         "print('greenlab.verify' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert cli.main(['bound', '--family', 'hp', '--n', '1', '--points', '50']) == 0\n"
+        "    assert cli.main(['bound', '--family', 'cp', '--n', '2', '--points', '50']) == 0\n"
         "print('greenlab.verify' in sys.modules)\n"
+        "print(cli._parsers.cache_info().currsize, cli._command_parser.cache_info().currsize)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -533,7 +514,7 @@ def test_import_leaves_verify_out():
         timeout=120,
         env={**os.environ, "PYTHONPATH": SRC},
     )
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False", "False", "0", "1"]
 
 
 class TestVerify:
