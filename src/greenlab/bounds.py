@@ -33,17 +33,17 @@ exactly D), the asymptotic radius when d > 2 and that radius together; the
 reported best is the largest of them.
 
 So a fresh N costs one kernel pass of 33 to 34 radii plus a scalar Newton
-solve, with `volume`, `optimal_radius_constant` and `matzke_coefficient`
-cached per spec. Each (spec, N) is searched once per process while its
-report is among the last `_REPORTS_KEPT` searched; later calls get copies
-of the stored report.
+solve, with `volume`, `optimal_radius_constant` and the prior coefficient
+cached per spec. The search keeps its last 1024 reports (`functools.lru_cache`,
+about 4 KB each): a (spec, N) among them is not searched again, and every
+caller gets a report with a radius grid of its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -109,13 +109,6 @@ class BoundReport:
                 f"a positive lower bound {self.best_bound} contradicts the mean-zero "
                 "energy; bound evaluation is broken"
             )
-
-    def _copy(self) -> BoundReport:
-        """A copy with a list of its own for radius_grid, made without
-        re-running `__init__` and its check."""
-        copy = object.__new__(BoundReport)
-        copy.__dict__.update(self.__dict__, radius_grid=list(self.radius_grid))
-        return copy
 
     def to_dict(self) -> dict:
         return {
@@ -199,10 +192,8 @@ def sphere_leading_coefficient(n: int) -> float:
     )
 
 
-@functools.cache
 def matzke_coefficient(spec: ManifoldSpec) -> float:
-    """Prior leading coefficient (1/V factor excluded, as in the comparisons),
-    computed once per spec."""
+    """Prior leading coefficient (1/V factor excluded, as in the comparisons)."""
     n = spec.n
     if spec.family is Family.REAL_PROJ:
         if n < 3:
@@ -263,57 +254,55 @@ def _log_grid(spec: ManifoldSpec, N: int) -> np.ndarray:
     return np.array([lo, *(math.exp(log_lo + k * step) for k in range(1, GRID_POINTS - 1)), D])
 
 
-_REPORTS: dict[tuple[ManifoldSpec, int], BoundReport] = {}
-_REPORTS_LOCK = threading.Lock()
-_REPORTS_KEPT = 1024  # reports kept, about 4 KB each; past it the oldest go first
-
-
 def best_finite_bound(spec: ManifoldSpec, N: int) -> BoundReport:
     """Maximize the finite-N bound over the probe radius (module docstring).
 
-    The reported best is the maximum over every radius evaluated. The first
-    call for a (spec, N) runs the search and keeps its report, among the
-    last `_REPORTS_KEPT` searched; every call returns its own copy, so
-    callers may mutate it.
+    The reported best is the maximum over every radius evaluated. Each call
+    returns a report of its own, so callers may mutate it.
     """
     _check_points(N, 2)
-    key = (spec, N)
-    with _REPORTS_LOCK:
-        report = _REPORTS.get(key)
-    if report is None:
-        report = _search_radius(spec, N)
-        with _REPORTS_LOCK:
-            report = _REPORTS.setdefault(key, report)
-            while len(_REPORTS) > _REPORTS_KEPT:
-                del _REPORTS[next(iter(_REPORTS))]
-    return report._copy()
+    report = _search_radius(spec, N)
+    return dataclasses.replace(report, radius_grid=list(report.radius_grid))
 
 
+@functools.cache
+def _prior_coefficient(spec: ManifoldSpec) -> float | None:
+    """`matzke_coefficient`, or None for a family without one (S^n, RP^2, CP^1)."""
+    try:
+        return matzke_coefficient(spec)
+    except (DomainError, UnsupportedManifoldError):
+        return None
+
+
+@functools.lru_cache(maxsize=1024)
 def _search_radius(spec: ManifoldSpec, N: int) -> BoundReport:
     d = dimension(spec)
-    grid_radii = _log_grid(spec, N)
+    asymptotic = {}
     extra = []  # the asymptotic radius where d > 2, then the one where V(a)/V = 1/N
-    report = BoundReport(spec=spec, N=N, radius_grid=[], best_a=math.nan, best_bound=-math.inf)
     if d > 2:
         coeff = optimal_radius_constant(spec)
-        report.asymptotic_a = math.sqrt(coeff.c_opt) * float(N) ** (-1.0 / d)
-        report.leading_coefficient = coeff.leading
-        report.exponent = coeff.exponent
-        try:
-            report.matzke_coefficient = matzke_coefficient(spec)
-        except (DomainError, UnsupportedManifoldError):
-            report.matzke_coefficient = None
-        extra.append(report.asymptotic_a)
+        asymptotic = {
+            "asymptotic_a": math.sqrt(coeff.c_opt) * float(N) ** (-1.0 / d),
+            "leading_coefficient": coeff.leading,
+            "matzke_coefficient": _prior_coefficient(spec),
+            "exponent": coeff.exponent,
+        }
+        extra.append(asymptotic["asymptotic_a"])
     extra.append(_fraction_radius(spec, 1.0 / N))
 
-    radii = [*grid_radii.tolist(), *extra]
+    radii = [*_log_grid(spec, N).tolist(), *extra]
     values = finite_bounds(spec, N, radii).tolist()
-    report.radius_grid = list(zip(radii[:GRID_POINTS], values))
     if d > 2:
-        report.asymptotic_bound = values[GRID_POINTS]
-    report.best_a, report.best_bound = max(zip(radii, values), key=itemgetter(1))
-    report.__post_init__()
-    return report
+        asymptotic["asymptotic_bound"] = values[GRID_POINTS]
+    best_a, best_bound = max(zip(radii, values), key=itemgetter(1))
+    return BoundReport(
+        spec=spec,
+        N=N,
+        radius_grid=list(zip(radii[:GRID_POINTS], values)),
+        best_a=best_a,
+        best_bound=best_bound,
+        **asymptotic,
+    )
 
 
 _COMPARE_RANGES = {

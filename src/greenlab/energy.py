@@ -90,7 +90,7 @@ def _row_blocks(n: int, pairs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _pair_floors(spec: ManifoldSpec) -> tuple[float, float, float, float]:
     """s, the separation floor and sin^2(s d) at it and at the representable
     floor of phi_hat: once per manifold."""

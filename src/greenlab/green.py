@@ -49,10 +49,9 @@ tests and `verify` check the profile against.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -95,7 +94,7 @@ class _Ratios(NamedTuple):
     moment: Callable[[np.ndarray], np.ndarray]
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
     """Array functions rho(s) = V(s)/v(s), psi(s) = (V - V(s))/v(s) and moment(s) = V(s) psi(s).
 
@@ -152,7 +151,7 @@ def _check_slope_radii(spec: ManifoldSpec, s: np.ndarray) -> None:
         raise _unrepresentable(spec, float(np.min(s)), "phi_hat_prime")
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _phi_hat_floor(spec: ManifoldSpec) -> float:
     """Smallest radius at which phi_hat can be represented in floating point.
 
@@ -548,17 +547,7 @@ def build_profile(spec: ManifoldSpec) -> RadialGreenProfile:
     return prof
 
 
-_PROFILE_CACHE: dict[ManifoldSpec, RadialGreenProfile] = {}
-_CACHE_LOCK = threading.Lock()
-
-
+@functools.cache
 def get_profile(spec: ManifoldSpec) -> RadialGreenProfile:
     """The profile of a manifold, built once per spec and shared."""
-    with _CACHE_LOCK:
-        prof = _PROFILE_CACHE.get(spec)
-    if prof is None:
-        prof = build_profile(spec)
-        with _CACHE_LOCK:
-            _PROFILE_CACHE.setdefault(spec, prof)
-            prof = _PROFILE_CACHE[spec]
-    return prof
+    return build_profile(spec)  # by the module's name, so a wrapper set on it sees every build

@@ -175,7 +175,7 @@ def _radius_limit(spec: ManifoldSpec) -> float:
     return diameter(spec) * (1.0 + 1e-12)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def volume(spec: ManifoldSpec) -> float:
     """Riemannian volume V = pi^m Gamma(k) / (s^d Gamma(m + k)); SingularityError
     where V is not a normal double (d of about 430 and up)."""
@@ -275,7 +275,7 @@ def _is_point_family(family: Family) -> bool:
     return family is not Family.CAYLEY_PLANE
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _right_units(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Index and sign arrays, each (k, k m), of the maps x -> x e_c on real frames."""
     index = k * np.arange(m)[:, None] + _RIGHT_PERM[:k, None, :k]
@@ -350,7 +350,7 @@ def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) 
     return c2 * (1.0 - 0.25 * c2)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _pair_constants(spec: ManifoldSpec) -> tuple[int, float]:
     """The field rank k and x = sin^2(s d) at the cosine `_CHORD_COSINE`,
     below which a pair takes its chord: once per manifold."""

@@ -228,11 +228,6 @@ def _golden_reference(spec, N, rep):
     return max(found)
 
 
-def clear_search_caches(monkeypatch):
-    """No report comes from an earlier search."""
-    monkeypatch.setattr(bd, "_REPORTS", {})
-
-
 @pytest.fixture
 def passes(monkeypatch):
     """The sizes of the `finite_bounds` passes and the number of kernel passes
@@ -257,17 +252,15 @@ class TestRadiusSearch:
     SPECS = [S2, S3, RP3, CP2, HP1, OP2]
 
     @pytest.mark.parametrize("spec", SPECS)
-    def test_cold_search_makes_one_pass(self, spec, monkeypatch, passes):
-        clear_search_caches(monkeypatch)
+    def test_cold_search_makes_one_pass(self, spec, fresh_caches, passes):
         bd.best_finite_bound(spec, 1000)
         # one pass over the 32 grid points, the asymptotic radius and the root of V(a)/V = 1/N
         assert passes == {"finite_bounds": [bd.GRID_POINTS + (dimension(spec) > 2) + 1], "kernels": 1}
 
     @pytest.mark.parametrize("spec", SPECS)
-    def test_warm_search_makes_one_pass(self, spec, monkeypatch, passes):
-        clear_search_caches(monkeypatch)
+    def test_warm_search_makes_one_pass(self, spec, fresh_caches, passes):
         bd.best_finite_bound(spec, 1000)
-        monkeypatch.setattr(bd, "_REPORTS", {})
+        bd._search_radius.cache_clear()
         passes.update(finite_bounds=[], kernels=0)
         bd.best_finite_bound(spec, 1000)
         assert passes == {"finite_bounds": [bd.GRID_POINTS + (dimension(spec) > 2) + 1], "kernels": 1}
@@ -397,18 +390,18 @@ class TestSearchCaches:
     """A report has the same bits whatever other N were searched before it."""
 
     @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2, CP30], ids=str)
-    def test_report_does_not_depend_on_the_caches(self, spec, monkeypatch):
+    def test_report_does_not_depend_on_the_caches(self, spec, fresh_caches):
         sizes = [2, 3, 401, 2400, 10**6]
         cold = {}
         for N in sizes:
-            clear_search_caches(monkeypatch)
+            fresh_caches()
             cold[N] = bd.best_finite_bound(spec, N).to_dict()
         for N in sizes:
-            clear_search_caches(monkeypatch)
+            fresh_caches()
             for other in sizes[::-1]:
                 if other != N:
                     bd.best_finite_bound(spec, other)
-            monkeypatch.setattr(bd, "_REPORTS", {})
+            bd._search_radius.cache_clear()
             assert repr(bd.best_finite_bound(spec, N).to_dict()) == repr(cold[N]), N
 
     def test_the_grid_error_comes_first(self):
@@ -428,15 +421,13 @@ class TestSearchCaches:
 
 
 class TestReportCache:
-    def test_repeated_calls_return_equal_reports(self, monkeypatch):
-        monkeypatch.setattr(bd, "_REPORTS", {})
+    def test_repeated_calls_return_equal_reports(self, fresh_caches):
         first = bd.best_finite_bound(S3, 777)
         second = bd.best_finite_bound(S3, 777)
         assert first == second and first is not second
-        assert len(bd._REPORTS) == 1
+        assert bd._search_radius.cache_info().currsize == 1
 
-    def test_mutating_a_report_leaves_the_cache_alone(self, monkeypatch):
-        monkeypatch.setattr(bd, "_REPORTS", {})
+    def test_mutating_a_report_leaves_the_cache_alone(self, fresh_caches):
         first = bd.best_finite_bound(CP2, 778)
         grid = list(first.radius_grid)
         first.radius_grid[0] = (1.0, 1.0)
@@ -446,50 +437,36 @@ class TestReportCache:
         assert again.radius_grid == grid
         assert again.best_bound != -1.0
 
-    def test_concurrent_searches_agree(self, monkeypatch):
-        monkeypatch.setattr(bd, "_REPORTS", {})
+    def test_concurrent_searches_agree(self, fresh_caches):
         with ThreadPoolExecutor(max_workers=8) as pool:
             reports = list(pool.map(lambda _: bd.best_finite_bound(RP3, 779), range(16)))
         assert all(rep == reports[0] for rep in reports)
         assert len({id(rep.radius_grid) for rep in reports}) == len(reports)
-        assert len(bd._REPORTS) == 1
+        assert bd._search_radius.cache_info().currsize == 1
 
-    def test_the_oldest_reports_go_past_the_kept_count(self, monkeypatch):
-        monkeypatch.setattr(bd, "_REPORTS", {})
-        monkeypatch.setattr(bd, "_REPORTS_KEPT", 3)
-        reports = {N: bd.best_finite_bound(CP2, N) for N in range(780, 785)}
-        assert list(bd._REPORTS) == [(CP2, N) for N in (782, 783, 784)]
-        # an evicted report is searched again, to the same bits
-        assert repr(bd.best_finite_bound(CP2, 780)) == repr(reports[780])
-        assert list(bd._REPORTS) == [(CP2, N) for N in (783, 784, 780)]
+    def test_a_cleared_report_is_searched_again_to_the_same_bits(self, fresh_caches):
+        assert bd._search_radius.cache_info().maxsize == 1024
+        first = bd.best_finite_bound(CP2, 780)
+        bd._search_radius.cache_clear()
+        again = bd.best_finite_bound(CP2, 780)
+        assert bd._search_radius.cache_info().misses == 1
+        assert repr(again) == repr(first)
 
-    def test_the_kept_count_bounds_the_cache(self, monkeypatch):
-        # stand-ins at the real count: one more search drops the oldest only
-        kept = {(S3, N): None for N in range(10**6, 10**6 + bd._REPORTS_KEPT)}
-        monkeypatch.setattr(bd, "_REPORTS", dict(kept))
-        bd.best_finite_bound(S3, 786)
-        assert len(bd._REPORTS) == bd._REPORTS_KEPT
-        assert list(bd._REPORTS) == [*list(kept)[1:], (S3, 786)]
+    def test_the_prior_is_looked_up_once_per_spec(self, fresh_caches, monkeypatch):
+        # S^3 has no prior: its lookup raises once and is kept as None
+        calls = []
+        prior = bd.matzke_coefficient
+        monkeypatch.setattr(bd, "matzke_coefficient", lambda spec: calls.append(spec) or prior(spec))
+        reports = [bd.best_finite_bound(spec, N) for spec in (S3, RP3, CP2) for N in (400, 401, 2400)]
+        assert calls == [S3, RP3, CP2]
+        assert [rep.matzke_coefficient for rep in reports[::3]] == [None, prior(RP3), prior(CP2)]
 
-    def test_a_copy_is_the_report_without_a_second_check(self, monkeypatch):
-        monkeypatch.setattr(bd, "_REPORTS", {})
-        first = bd.best_finite_bound(HP1, 787)
-        checks = []
-        monkeypatch.setattr(bd.BoundReport, "__post_init__", lambda self: checks.append(self))
-        copy = bd.best_finite_bound(HP1, 787)
-        assert checks == []
-        assert copy == first and copy.radius_grid is not first.radius_grid
-        assert vars(copy) == vars(first)
-
-    def test_an_energy_after_its_warm_up_bound_is_a_hit(self, monkeypatch):
+    def test_an_energy_after_its_warm_up_bound_is_a_hit(self, fresh_caches):
         # as `energy` runs after a bound at its N: the report comes from the cache
-        monkeypatch.setattr(bd, "_REPORTS", {})
         cfg = sample_uniform(RP3, np.random.default_rng(2), 40)
         warm = bd.best_finite_bound(RP3, 40)
-        searches = []
-        search = bd._search_radius
-        monkeypatch.setattr(bd, "_search_radius", lambda *args: searches.append(args) or search(*args))
         for N in range(41, 41 + 50):
             bd.best_finite_bound(CP2, N)
+        assert bd._search_radius.cache_info().misses == 51
         assert en.EnergyReport.from_configuration(cfg).bound == warm
-        assert searches == [(CP2, N) for N in range(41, 41 + 50)]
+        assert bd._search_radius.cache_info().misses == 51

@@ -125,7 +125,7 @@ def test_optimize_command_does_not_sweep_the_energy_again():
 
 
 @pytest.fixture
-def quadrature_calls(monkeypatch):
+def quadrature_calls(monkeypatch, fresh_caches):
     """The integration routine's name once per call while a test runs, through
     any greenlab module's name for it; no bound or profile comes from a cache."""
     calls = []
@@ -139,8 +139,6 @@ def quadrature_calls(monkeypatch):
     for module in modules:
         if getattr(module, "integrate", None) is original:
             monkeypatch.setattr(module, "integrate", spy)
-    monkeypatch.setattr(bounds, "_REPORTS", {})
-    monkeypatch.setattr(green, "_PROFILE_CACHE", {})
     return calls
 
 
@@ -168,10 +166,10 @@ def test_bound_and_energy_report_run_no_quadrature(spec, quadrature_calls):
 def test_bound_calls_no_incomplete_beta(monkeypatch, capsys, family, n, warm):
     spec = ManifoldSpec.from_token(family, n)
     green.get_profile(spec)  # built beforehand: the profile is not a kernel pass
-    monkeypatch.setattr(bounds, "_REPORTS", {})
+    bounds._search_radius.cache_clear()
     if warm:
         bounds.best_finite_bound(spec, 1234)
-        monkeypatch.setattr(bounds, "_REPORTS", {})
+        bounds._search_radius.cache_clear()
     calls = {"incomplete_beta": 0, "kernels": 0}
 
     def spy(name, fn):

@@ -121,6 +121,38 @@ class TestRegIncompleteBeta:
         # the constant's lgamma route limits the agreement to about 5e-13
         assert reg_incomplete_beta(s, a, b) == pytest.approx(float(scipy_betainc(a, b, s)), rel=1e-11, abs=0)
 
+    @pytest.mark.parametrize(
+        "s, a, b",
+        [
+            (0.5, 1e5, 1e4),  # far below the mean: both 0
+            (0.91, 1e5, 1e4),  # near the mean
+            (9.99990000099999e-06, 1.0, 1e5),  # the worst of a grid to a, b = 1e5: 3.9e-10
+            (0.3, 1000.0, 2000.0),  # 4^(b - a) overflows
+            (0.5, 0.5, 1e4),
+            (0.5, 1e4 + 0.3, 1e3 + 0.2),  # exp of the lgamma constant overflows
+        ],
+    )
+    def test_a_constant_past_the_double_range_is_taken_in_logs(self, s, a, b):
+        # these once raised a raw OverflowError; log B(a, b) from lgamma, a
+        # difference of terms up to 1e6 in size, limits the agreement
+        assert reg_incomplete_beta(s, a, b) == pytest.approx(float(scipy_betainc(a, b, s)), rel=5e-10, abs=0)
+
+    def test_the_log_route_keeps_the_endpoints_and_the_symmetry(self):
+        assert reg_incomplete_beta(0.0, 1e5, 1e4) == 0.0
+        assert reg_incomplete_beta(1.0, 1e5, 1e4) == 1.0
+        for s in (0.9, 0.905, 0.91, 0.915):
+            total = reg_incomplete_beta(s, 1e5, 1e4) + reg_incomplete_beta(1.0 - s, 1e4, 1e5)
+            assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_constant_in_range_keeps_its_bits(self):
+        # the sha256 of values on a grid, as they were before the log route
+        h = hashlib.sha256()
+        for a in (0.5, 1.5, 2.3, 30.0, 30.5, 250.5, 2000.0):
+            for b in (0.1, 0.5, 4.5, 60.0, 300.0):
+                for s in np.linspace(0.0, 1.0, 21).tolist():
+                    h.update(np.float64(reg_incomplete_beta(s, a, b)).tobytes())
+        assert h.hexdigest() == "928496e195e0212a26ab27d6f1ec104d392410ef01cf42da15153a73ec431bc0"
+
     @pytest.mark.parametrize("bad_s", [-0.1, 1.0001])
     def test_domain_s(self, bad_s):
         with pytest.raises(DomainError):

@@ -11,37 +11,18 @@ OP^2 and even S^n past the mean), in all, in phi_hat's coefficients only or
 in the log coefficient only; the mean-zero moment c_m
 (`records.laurent_moment`); the odd form's parts behind odd S^n and RP^n
 (`records.odd_parts`), in all, in R only or in RP^n's constant only; and
-the volume (`records.volume`, behind `manifold.volume`). Every cache the
-profiles, the kernels and the bound search fill is cleared before and
-after, so no value computed with or without the error outlives its case.
+the volume (`records.volume`, behind `manifold.volume`). Every greenlab
+cache is cleared before and after (the `fresh_caches` fixture), so no value
+computed with or without the error outlives its case.
 """
 
 import io
 
 import pytest
 
-from greenlab import ball_stats as bs
-from greenlab import bounds, green, manifold, records, verify
+from greenlab import records, verify
 
 SCALE = 1.0 + 1e-11
-
-
-def _clear_caches():
-    records.record_series.cache_clear()
-    green._radial_ratios.cache_clear()
-    green._PROFILE_CACHE.clear()
-    manifold.volume.cache_clear()
-    bs._record_route.cache_clear()
-    bounds.optimal_radius_constant.cache_clear()
-    bounds.matzke_coefficient.cache_clear()
-    bounds._REPORTS.clear()
-
-
-@pytest.fixture
-def fresh_caches():
-    _clear_caches()
-    yield
-    _clear_caches()
 
 
 def _scaled_items(*items):
