@@ -56,9 +56,11 @@ Theta_RP = Theta_S + K_S + c_S / V_S and mu_RP = 2 mu_S.
 Quadrature. `k_quadrature`, `theta_quadrature` and `cum_volume_over_area`
 integrate the single-integral forms adaptively: they are the oracle that
 `verify`, the tests and `greenlab ball` check the closed forms against,
-and no bound or energy calls them. psi comes from green._radial_ratios
-without cancellation; both integrands vanish like u at the pole and stay
-bounded up to the diameter. While V(a) <= V/2, K takes V(a) - V(u)
+and no bound or energy calls them. Each integrand reads V(u)/V, rho(u),
+psi(u) and the moment V(u) psi(u) at its nodes from one incomplete beta,
+`green._radial_ratios(spec, u)` (psi without cancellation), and V(a) and
+psi(a) come from one call at the radius. Both integrands vanish like u at
+the pole and stay bounded up to the diameter. While V(a) <= V/2, K takes V(a) - V(u)
 directly; past that it uses v(u) psi(u) - (V - V(a)), with
 V - V(a) = v(a) psi(a): the direct difference loses its digits near a = D,
 the rewritten one at small a. Theta switches at the same point to
@@ -85,7 +87,6 @@ from .manifold import (
     _record,
     _sin_cos_squares,
     ball_volume,
-    ball_volume_fraction,
     bm_constant,
     diameter,
     dimension,
@@ -119,7 +120,7 @@ def cum_volume_over_area(spec: ManifoldSpec, r: float) -> float:
     """
     if r < 0.0 or r >= diameter(spec):
         raise DomainError(f"cumulative volume ratio needs 0 <= r < D, got {r}")
-    return integrate(_radial_ratios(spec).rho, 0.0, r)
+    return integrate(lambda u: _radial_ratios(spec, u)[1], 0.0, r)
 
 
 def _kernel_radii(spec: ManifoldSpec, radii, name: str) -> np.ndarray:
@@ -153,10 +154,10 @@ def _require_finite(values: np.ndarray, radii: np.ndarray, name: str, spec: Mani
 _LAYER_SHARE = 0.05
 
 
-def _k_integrand(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray):
-    """K's integrand at the one checked radius a = radii[0], with va = V(a),
-    and the points 0 < ... < a that cut [0, a] into the pieces it is
-    integrated over.
+def _k_integrand(spec: ManifoldSpec, a: float, ball: float, psi_a: float):
+    """K's integrand at the one checked radius a, with ball = V(a) and
+    psi_a = psi(a), each evaluation from one `_radial_ratios` call at its
+    nodes, and the points 0 < ... < a that cut [0, a] into its pieces.
 
     As in the module docstring, K takes V(a) - V(u) directly while
     V(a) <= V/2, v(u) psi(u) - v(a) psi(a) past that, and the plain moment at
@@ -165,50 +166,39 @@ def _k_integrand(spec: ManifoldSpec, radii: np.ndarray, va: np.ndarray):
     as psi(a) exp(log V(u) + log (v(a) / v(u))).
     """
     V, D = volume(spec), diameter(spec)
-    ratios = _radial_ratios(spec)
-    a, ball = radii[0], va[0]
-    if ball <= 0.5 * V:
-        return lambda u: ratios.rho(u) * (ball - V * ball_volume_fraction(spec, u)), [0.0, a]
-    if a == D:
-        return ratios.moment, [0.0, a]
-    area, psi_a = sphere_area(spec, radii)[0], ratios.psi(radii)[0]
-    tiny = area < np.finfo(float).tiny
-    if tiny:
-        log_sin = np.log(np.sin(radii))[0]
+    area = float(sphere_area(spec, a))
+    tiny, log_sin = area < np.finfo(float).tiny, np.log(np.sin(a))
 
-        def integrand(u: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore"):
-                log_ratio = (spec.n - 1) * (log_sin - np.log(np.sin(u)))
-                scaled_rho = np.exp(np.log(V * ball_volume_fraction(spec, u)) + log_ratio)
-            return ratios.moment(u) - psi_a * scaled_rho
-
-    else:
-        far = area * psi_a
-
-        def integrand(u: np.ndarray) -> np.ndarray:
-            return ratios.moment(u) - far * ratios.rho(u)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        mu, rho, _, moment = _radial_ratios(spec, u)
+        if ball <= 0.5 * V:
+            return rho * (ball - V * mu)
+        if a == D:
+            return moment
+        if not tiny:
+            return moment - area * psi_a * rho
+        with np.errstate(divide="ignore"):
+            log_ratio = (spec.n - 1) * (log_sin - np.log(np.sin(u)))
+            return moment - psi_a * np.exp(np.log(V * mu) + log_ratio)
 
     # v(a) psi(a) rho(u) falls from the size of the moment to nothing within
     # about (D - a) / n of a, too close for the first panels to see where v(a)
     # is tiny, and on S^n wherever that is a small share of a. Such a radius
-    # gets a second piece, over the last 40 (D - a) / (n - 1), where the fall
-    # is more than e^-35 of the moment
-    if tiny or (spec.family is Family.SPHERE and 40.0 * (D - a) < _LAYER_SHARE * (spec.n - 1) * a):
+    # past V/2 gets a second piece, over the last 40 (D - a) / (n - 1), where
+    # the fall is more than e^-35 of the moment
+    thin = spec.family is Family.SPHERE and 40.0 * (D - a) < _LAYER_SHARE * (spec.n - 1) * a
+    if ball > 0.5 * V and a < D and (tiny or thin):
         return integrand, [0.0, a - min(0.5 * a, 40.0 * (D - a) / (spec.n - 1)), a]
     return integrand, [0.0, a]
-
-
-def _ball_volumes(spec: ManifoldSpec, radii: np.ndarray) -> np.ndarray:
-    """V(a) at every radius."""
-    return volume(spec) * ball_volume_fraction(spec, radii)
 
 
 def k_quadrature(spec: ManifoldSpec, a: float) -> float:
     """K(M, a) by adaptive quadrature of its single-integral form, one
     `integrate` call per piece of `_k_integrand`."""
     radii = _kernel_radii(spec, [a], "K")
-    va = _ball_volumes(spec, radii)
-    integrand, cuts = _k_integrand(spec, radii, va)
+    mu, _, psi, _ = _radial_ratios(spec, radii)
+    va = volume(spec) * mu
+    integrand, cuts = _k_integrand(spec, radii[0], va[0], psi[0])
     total = sum(integrate(integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k = total / (volume(spec) * va)
@@ -225,7 +215,7 @@ def theta_quadrature(spec: ManifoldSpec, a: float) -> float:
     `get_profile(spec)`; a profile that fails to build raises before the
     moment's quadrature error."""
     radii = _kernel_radii(spec, [a], "Theta")
-    va = _ball_volumes(spec, radii)
+    va = volume(spec) * _radial_ratios(spec, radii)[0]
     if va[0] > 0.5 * volume(spec):
         prof = get_profile(spec)
         tail = integrate(lambda r: prof.phi(r) * sphere_area(spec, r), radii[0], diameter(spec))
@@ -233,7 +223,7 @@ def theta_quadrature(spec: ManifoldSpec, a: float) -> float:
             theta = 0.0 - tail / va  # +0 at D
         return float(_require_finite(theta, radii, "Theta", spec)[0])
     try:
-        moment = integrate(_radial_ratios(spec).moment, 0.0, radii[0])
+        moment = integrate(lambda r: _radial_ratios(spec, r)[3], 0.0, radii[0])
     except QuadratureError:
         get_profile(spec)
         raise

@@ -219,7 +219,13 @@ def our_coefficient(spec: ManifoldSpec) -> float:
 
 
 def legacy_2d_constants() -> dict[str, float]:
-    """Reference constants for the dimension-2 cases, quoted for report footers."""
+    """Reference constants for the dimension-2 cases, quoted for report footers.
+
+    CP^1 is S^2 of radius 1/2, and scaling the metric leaves the 2-D Green
+    function as it is: phi_CP1(r) = phi_S2(2 r) (`verify`'s "complex line
+    isometry"). So CP^1's energies, bound and N log N law are S^2's; the
+    source inventory's -1/pi and -1/(2 pi) are 4 = V_S2 / V_CP1 times these.
+    """
     c_bhs = (
         2.0 * math.log(2.0)
         + 0.5 * math.log(2.0 / 3.0)
@@ -236,9 +242,9 @@ def legacy_2d_constants() -> dict[str, float]:
         # real projective plane
         "rp2_nlogn": -1.0 / (4.0 * math.pi),
         "rp2_linear": (0.5 - math.log(2.0)) / (4.0 * math.pi),
-        # complex projective line, as displayed in the source inventory
-        "cp1_nlogn": -1.0 / math.pi,
-        "cp1_linear": -1.0 / (2.0 * math.pi),
+        # complex projective line: the sphere's law
+        "cp1_nlogn": -1.0 / (4.0 * math.pi),
+        "cp1_linear": -1.0 / (8.0 * math.pi),
     }
 
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,45 +87,27 @@ _PROFILE_ROWS = 200  # radii listed by `grid_rows`
 _SWEEP_CHUNK = 1 << 16
 
 
-class _Ratios(NamedTuple):
-    rho: Callable[[np.ndarray], np.ndarray]
-    psi: Callable[[np.ndarray], np.ndarray]
-    moment: Callable[[np.ndarray], np.ndarray]
-
-
-@functools.cache
-def _radial_ratios(spec: ManifoldSpec) -> _Ratios:
-    """Array functions rho(s) = V(s)/v(s), psi(s) = (V - V(s))/v(s) and moment(s) = V(s) psi(s).
-
-    psi is the profile slope magnitude, moment the integrand of Theta and of
-    the mean-zero constant. With the record (m, k, s) of `manifold`, rho is
-    (V/omega) I_x(m, k) / (v/omega), x = sin^2(s r), and psi the same ratio on
-    the mirrored record (k, m, s) at y = cos^2(s r). Each is sqrt(x y) F / (2 s m),
-    or / (2 s k), on its side of the mean, F the continued fraction of
-    `special_math.incomplete_beta`, so it underflows only with the ratio, and
-    takes 1 minus the fraction on the other. The moment is the near ratio times
-    the far fraction. These are the oracles of the closed profiles and the
-    integrands of the K and Theta quadrature, the oracle of the closed kernels.
+def _radial_ratios(spec: ManifoldSpec, r: np.ndarray):
+    """(mu, rho, psi, moment) at radii r <= D from one incomplete beta:
+    mu = V(r)/V, the bits of `ball_volume_fraction`, rho = V(r)/v(r), the
+    profile slope psi = (V - V(r))/v(r), and moment = V(r) psi, the integrand
+    of Theta and of the mean-zero constant: the oracles of the closed profiles
+    and kernels. psi is rho on the mirrored record (k, m, s) at y = cos^2(s r).
+    Each ratio is sqrt(x y) F / (2 s m), or / (2 s k), on its side of the
+    mean, F the continued fraction of `special_math.incomplete_beta`, so it
+    underflows only with the ratio, and takes 1 minus the fraction on the
+    other. The moment is the near ratio times the far fraction.
     """
+    if (r > _radius_limit(spec)).any():
+        raise DomainError(f"psi needs s <= D = {diameter(spec)} on {spec}, got {float(r.max())!r}")
     m, k, step = record = _record(spec)
-    mass, scale = records.volume_ratio(record), records.kernel_scale(record)
-
-    def ratios(r):
-        """(rho, psi, moment / V) at radii r."""
-        x, y = _sin_cos_squares(spec, r)
-        mu, rest, above, F = incomplete_beta(m, k, x, y, scale)
-        near = np.sqrt(x * y) * F / (2.0 * step * np.where(above, k, m))
-        fraction = np.where(above, mu, rest)  # the far one
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            far = mass * fraction / _density(spec, x, y)
-        return np.where(above, far, near), np.where(above, near, far), near * fraction
-
-    def psi(r):
-        if (r > _radius_limit(spec)).any():
-            raise DomainError(f"psi needs s <= D = {diameter(spec)} on {spec}, got {float(r.max())!r}")
-        return ratios(r)[1]
-
-    return _Ratios(lambda r: ratios(r)[0], psi, lambda r: volume(spec) * ratios(r)[2])
+    x, y = _sin_cos_squares(spec, r)
+    mu, rest, above, F = incomplete_beta(m, k, x, y, records.kernel_scale(record))
+    near = np.sqrt(x * y) * F / (2.0 * step * np.where(above, k, m))
+    fraction = np.where(above, mu, rest)  # the far one
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        far = records.volume_ratio(record) * fraction / _density(spec, x, y)
+    return mu, np.where(above, far, near), np.where(above, near, far), volume(spec) * (near * fraction)
 
 
 def phi_hat_prime(spec: ManifoldSpec, s):
@@ -138,7 +119,7 @@ def phi_hat_prime(spec: ManifoldSpec, s):
     """
     s_arr = np.asarray(s, dtype=float)
     _check_slope_radii(spec, s_arr)
-    out = -_radial_ratios(spec).psi(np.atleast_1d(s_arr))
+    out = -_radial_ratios(spec, np.atleast_1d(s_arr))[2]
     return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
 
 
@@ -200,7 +181,10 @@ def phi_hat(spec: ManifoldSpec, r: float) -> float:
         raise DomainError(f"phi_hat needs r <= D={D}, got r={r}")
     if r >= D:
         return 0.0
-    psi = _radial_ratios(spec).psi
+
+    def psi(s: np.ndarray) -> np.ndarray:
+        return _radial_ratios(spec, s)[2]
+
     knee = D / 8.0
     if r >= knee:
         return integrate(psi, r, D)

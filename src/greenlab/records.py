@@ -52,9 +52,10 @@ def volume(record: Record) -> float:
 
 @cache
 def kernel_scale(record: Record) -> float:
-    """1 / (4^k m B(m, k)), which turns 4^k x^m y^k F(x) into mu (`record_series`)."""
+    """1 / (4^l m B(m, k)), l = min(m, k) (`special_math.incomplete_beta`): with m >= k
+    on every manifold record, it turns 4^k x^m y^k F(x) into mu (`record_series`)."""
     m, k, _ = record
-    return pi_rational(0, (m + k,), (m, k), 1 / (Fraction(m) * 2 ** round(2 * k)))
+    return pi_rational(0, (m + k,), (m, k), 1 / (Fraction(m) * 2 ** round(2 * min(m, k))))
 
 
 def recentre(coeffs: list[Fraction]) -> list[Fraction]:

@@ -23,8 +23,8 @@ test cannot be met and the integral would raise QuadratureError.
 
 `incomplete_beta` is the one regularized incomplete beta, in numpy: the ball
 fraction, the oracle ratios and `reg_incomplete_beta` all call it, but where
-the last one's constant leaves the double range it takes the same continued
-fraction with the rest in logs.
+the last one's constant or powers leave the double range it takes the same
+continued fraction with the rest in logs.
 """
 
 from __future__ import annotations
@@ -72,21 +72,26 @@ def vol_unit_sphere(k: int) -> float:
 
 def reg_incomplete_beta(s: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_s(a, b) by `incomplete_beta`, its constant rounded
-    once where 2a and 2b are integers, else from `math.lgamma` (1e-14 off at a = 30).
-    Where the constant 1/(4^l a B(a, b)), or a factor of it, leaves the double range
-    (a = 1e5, b = 1e4), it is summed with the powers in logs, log B from `math.lgamma`:
-    2.8e-11 off scipy's betainc at (0.91, 1e5, 1e4), at most 3.9e-10 for a, b to 1e5."""
+    once where 2a and 2b are integers (`records.kernel_scale`, 4.6e-13 off scipy's
+    betainc at (1e-5, 0.5, 1e4)), else from `math.lgamma` (1e-14 off at a = 30).
+    Where the constant 1/(4^l a B(a, b)) leaves the double range (a = 1e5, b = 1e4), or
+    the powers s^a (1 - s)^b 4^l fall below it ((0.6, 2000, 300) is 5.2e-179), it is
+    summed with the powers in logs, log B from `math.lgamma`: 2.8e-11 off scipy's
+    betainc at (0.91, 1e5, 1e4), at most 3.9e-10 for a, b to 1e5."""
     if a <= 0 or b <= 0:
         raise DomainError(f"reg_incomplete_beta requires a, b > 0, got a={a}, b={b}")
     if s < 0.0 or s > 1.0:
         raise DomainError(f"reg_incomplete_beta requires 0 <= s <= 1, got s={s}")
     log_inv_beta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     log_a_scale = log_inv_beta - min(a, b) * math.log(4.0)
+    log_powers = a * math.log(s) + b * math.log1p(-s) if 0.0 < s < 1.0 else 0.0
     scale = math.inf
-    if log_a_scale - math.log(a) < 710.0:  # else the constant is past the largest double, e^709.8
+    # a constant past the largest double, e^709.8, or powers below the normal range,
+    # e^-708.4, which a large constant would lift back into it, go to logs
+    if log_a_scale - math.log(a) < 710.0 and log_powers + min(a, b) * math.log(4.0) > -708.0:
         try:
             if float(2 * a).is_integer() and float(2 * b).is_integer():  # exact, as on the records
-                scale = records.kernel_scale((a, b, 1.0)) * 4.0 ** (b - min(a, b))
+                scale = records.kernel_scale((a, b, 1.0))
             else:
                 scale = math.exp(log_a_scale) / a
         except OverflowError:
@@ -97,7 +102,7 @@ def reg_incomplete_beta(s: float, a: float, b: float) -> float:
         return float(s)
     above = s > a / (a + b)  # as in `incomplete_beta`
     p, q, z = (b, a, 1.0 - s) if above else (a, b, s)
-    near = math.exp(a * math.log(s) + b * math.log1p(-s) + log_inv_beta - math.log(p))
+    near = math.exp(log_powers + log_inv_beta - math.log(p))
     near *= float(_beta_continued_fraction(p, q, np.array([z]))[0])
     return 1.0 - near if above else near
 
@@ -108,7 +113,8 @@ def incomplete_beta(p, q, t: np.ndarray, u: np.ndarray, scale: float) -> tuple[n
     t^p u^q F / (q B(p, q)) with F = 2F1(p + q, 1; q + 1; u) past it, each 1 minus
     the other on the other side. scale = 1 / (4^l p B(p, q)), l = min(p, q)
     (`records.kernel_scale` on a record), and the powers are grouped as t^(p-l)
-    u^(q-l) (4 t u)^l, so no factor leaves the range while the fraction is normal."""
+    u^(q-l) (4 t u)^l, so no factor leaves the range while the fraction is normal
+    and scale is small: at most (2n + 1)/16, on HP^n, for a record."""
     above = t > p / (p + q)
     F = np.empty_like(t)
     for side, (a, b, z) in ((~above, (p, q, t)), (above, (q, p, u))):

@@ -15,7 +15,7 @@ import pytest
 
 import greenlab
 from greenlab import ball_stats as bs
-from greenlab import records, special_math
+from greenlab import green, manifold, records, special_math
 from greenlab.errors import DomainError, QuadratureError, SingularityError
 from greenlab.green import get_profile
 from greenlab.manifold import (
@@ -684,10 +684,59 @@ class TestQuadratureRoutes:
         assert cuts[0] == 0.0 and cuts[-1] == a
         assert all(hi == lo for (_, hi, _), (lo, _, _) in zip(calls, calls[1:]))
         total = sum(value for _, _, value in calls)
-        assert k == total / (volume(spec) * bs._ball_volumes(spec, np.array([a]))[0])
+        assert k == total / (volume(spec) * (volume(spec) * ball_volume_fraction(spec, np.array([a]))[0]))
         if fraction == 0.999:
             tiny = sphere_area(spec, a) < np.finfo(float).tiny
             assert tiny == (spec.n == 150)
+
+    @pytest.fixture
+    def beta_calls(self, monkeypatch):
+        """(incomplete beta calls in all, the calls in each evaluation of an
+        integrand that the oracles pass to `integrate`), counted under both
+        names `ball_stats` could reach it by."""
+        calls, per_evaluation = [], []
+
+        def counted_beta(*args):
+            calls.append(args)
+            return special_math.incomplete_beta(*args)
+
+        def counted_integrate(f, lo, hi, *rest):
+            def counted(u):
+                before = len(calls)
+                out = f(u)
+                per_evaluation.append(len(calls) - before)
+                return out
+
+            return special_math.integrate(counted, lo, hi, *rest)
+
+        for module in (green, manifold):
+            monkeypatch.setattr(module, "incomplete_beta", counted_beta)
+        monkeypatch.setattr(bs, "integrate", counted_integrate)
+        return calls, per_evaluation
+
+    @pytest.mark.parametrize(
+        "spec, fraction",
+        [(S3, 0.1), (S3, 0.7), (S3, 1.0), (ManifoldSpec(Family.SPHERE, 150), 0.999)],
+        ids=["below-half", "past-half", "diameter", "tiny-area"],
+    )
+    def test_each_k_evaluation_reads_one_incomplete_beta(self, spec, fraction, beta_calls):
+        # V(a) and psi(a) come from one call at the radius, and every
+        # evaluation of each branch's integrand from one call at its nodes
+        calls, per_evaluation = beta_calls
+        bs.k_quadrature(spec, fraction * diameter(spec))
+        assert per_evaluation and set(per_evaluation) == {1}
+        assert len(calls) == len(per_evaluation) + 1
+
+    @pytest.mark.parametrize("spec", [S3, CP2, OP2], ids=str)
+    def test_theta_moment_and_h_read_one_incomplete_beta(self, spec, beta_calls):
+        calls, per_evaluation = beta_calls
+        bs.theta_quadrature(spec, 0.2 * diameter(spec))
+        assert per_evaluation and set(per_evaluation) == {1}
+        assert len(calls) == len(per_evaluation) + 1
+        del calls[:], per_evaluation[:]
+        bs.cum_volume_over_area(spec, 0.4 * diameter(spec))
+        assert per_evaluation and set(per_evaluation) == {1}
+        assert len(calls) == len(per_evaluation)
 
     def test_theta_integrates_the_moment_once(self, monkeypatch):
         calls = []
@@ -706,9 +755,12 @@ class TestQuadratureRoutes:
             bs.k_quadrature(ManifoldSpec(Family.SPHERE, 200), 0.05)
 
     def test_theta_quadrature_error_names_the_interval(self, monkeypatch):
-        ratios = bs._radial_ratios(S3)
-        broken = ratios._replace(moment=lambda s: np.full(s.size, np.nan))
-        monkeypatch.setattr(bs, "_radial_ratios", lambda spec: broken)
+        ratios = bs._radial_ratios
+
+        def broken(spec, r):
+            return (*ratios(spec, r)[:3], np.full(r.size, np.nan))
+
+        monkeypatch.setattr(bs, "_radial_ratios", broken)
         with pytest.raises(QuadratureError, match=r"not finite on \[0\.0, 0\.3\]"):
             bs.theta_quadrature(S3, 0.3)
 

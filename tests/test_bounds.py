@@ -159,8 +159,8 @@ class TestLegacyConstants:
         table = bd.legacy_2d_constants()
         assert math.floor(abs(table["C_BHS"]) * 1e4) / 1e4 == 0.0556
         assert math.floor(abs(table["lauritsen"]) * 1e4) / 1e4 == 0.0568
-        assert table["cp1_nlogn"] == pytest.approx(-1 / math.pi, rel=1e-15, abs=0)
-        assert table["cp1_linear"] == pytest.approx(-1 / (2 * math.pi), rel=1e-15, abs=0)
+        assert table["cp1_nlogn"] == pytest.approx(-1 / (4 * math.pi), rel=1e-15, abs=0)
+        assert table["cp1_linear"] == pytest.approx(-1 / (8 * math.pi), rel=1e-15, abs=0)
         assert table["rp2_nlogn"] == pytest.approx(-1 / (4 * math.pi), rel=1e-15, abs=0)
 
 
@@ -309,13 +309,16 @@ class TestRadiusSearch:
                 slope = (bd.finite_bound(spec, N, a + h) - bd.finite_bound(spec, N, a - h)) / (2.0 * h)
                 assert slope / (2.0 * N * k_slope) == pytest.approx(inverse - N, rel=0.0, abs=1e-6 * inverse)
 
-    @pytest.mark.parametrize(("spec", "key"), [(S2, "s2"), (RP2, "rp2")], ids=["s2", "rp2"])
+    @pytest.mark.parametrize(("spec", "key"), [(S2, "s2"), (RP2, "rp2"), (CP1, "cp1")], ids=["s2", "rp2", "cp1"])
     @pytest.mark.parametrize("N", [10**8, 10**9, 10**12])
     def test_dimension_two_follows_the_n_log_n_law(self, spec, key, N):
-        # the maximum lies below the grid's 1e-4 D floor from N of about 4e7
+        # the maximum lies below the grid's 1e-4 D floor from N of about 4e7.
+        # CP^1 is S^2 with the metric scaled, which the 2-D Green function
+        # does not see: its bound, and so its law, are S^2's
         table = bd.legacy_2d_constants()
         law = table[f"{key}_nlogn"] * N * math.log(N) + table[f"{key}_linear"] * N
-        assert bd.best_finite_bound(spec, N).best_bound == pytest.approx(law, rel=1e-9, abs=0.0)
+        rel = 1e-13 if N == 10**12 else 1e-9
+        assert bd.best_finite_bound(spec, N).best_bound == pytest.approx(law, rel=rel, abs=0.0)
 
 
 class TestCompareTable:

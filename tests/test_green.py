@@ -35,6 +35,7 @@ from greenlab.manifold import (
     ManifoldSpec,
     _record,
     _sin_cos_squares,
+    ball_volume_fraction,
     bm_constant,
     diameter,
     dimension,
@@ -149,7 +150,9 @@ class TestPhiHatPrime:
 class TestRadialRatios:
     @pytest.mark.parametrize("spec", [CP1, CP2, HP1, HP10, OP2, RP3])
     def test_psi_refuses_radii_past_the_diameter(self, spec):
-        psi = _radial_ratios(spec).psi
+        def psi(s):
+            return _radial_ratios(spec, s)[2]
+
         D = diameter(spec)
         assert np.all(np.isfinite(psi(np.array([0.5 * D, D * (1 + 1e-13)]))))
         with pytest.raises(DomainError, match="psi needs s <= D"):
@@ -173,17 +176,20 @@ class TestRadialRatios:
     def test_rho_and_psi_against_mpmath(self, spec):
         # psi is rho on the mirrored record; values beyond a double are skipped
         radii = half_angle_oracle.radii(spec)
-        ratios = _radial_ratios(spec)
-        rho, psi = ratios.rho(radii), ratios.psi(radii)
+        _, rho, psi, _ = _radial_ratios(spec, radii)
         for r, got in zip(radii.tolist(), zip(rho.tolist(), psi.tolist())):
             for value, exact in zip(got, half_angle_oracle.ratios(spec, r)):
                 if 1e-300 < exact < 1e300:
                     assert abs(value - exact) <= half_angle_oracle.tolerance(spec, 3) * exact, r
 
+    @pytest.mark.parametrize("spec", [S2, S3, RP2, RP3, CP2, HP1, OP2, HP10, S100], ids=str)
+    def test_mu_is_the_ball_volume_fraction_bit_for_bit(self, spec):
+        radii = np.linspace(0.0, diameter(spec), 41)
+        assert _radial_ratios(spec, radii)[0].tolist() == ball_volume_fraction(spec, radii).tolist()
+
     def test_sphere_psi_past_half_the_diameter_is_the_mirrored_ratio(self):
-        ratios = _radial_ratios(S3)
         s = np.array([1.7, 2.5, 3.1])
-        np.testing.assert_allclose(ratios.psi(s), ratios.rho(np.pi - s), rtol=1e-14)
+        np.testing.assert_allclose(_radial_ratios(S3, s)[2], _radial_ratios(S3, np.pi - s)[1], rtol=1e-14)
 
 
 class TestPhiHat:
@@ -683,7 +689,7 @@ class TestClosedProfile:
 
     @pytest.mark.parametrize("spec", CLOSED, ids=str)
     def test_c_m_matches_the_moment_quadrature(self, spec):
-        moment = integrate(_radial_ratios(spec).moment, 0.0, diameter(spec)) / volume(spec)
+        moment = integrate(lambda r: _radial_ratios(spec, r)[3], 0.0, diameter(spec)) / volume(spec)
         assert get_profile(spec).c_m == pytest.approx(-moment, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("spec", [S2, S4, CP2, HP1, OP2] + SLOPES, ids=str)

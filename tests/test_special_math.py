@@ -127,8 +127,8 @@ class TestRegIncompleteBeta:
             (0.5, 1e5, 1e4),  # far below the mean: both 0
             (0.91, 1e5, 1e4),  # near the mean
             (9.99990000099999e-06, 1.0, 1e5),  # the worst of a grid to a, b = 1e5: 3.9e-10
-            (0.3, 1000.0, 2000.0),  # 4^(b - a) overflows
-            (0.5, 0.5, 1e4),
+            (0.3, 1000.0, 2000.0),  # in range since the constant takes 4^min(a, b)
+            (0.5, 0.5, 1e4),  # likewise
             (0.5, 1e4 + 0.3, 1e3 + 0.2),  # exp of the lgamma constant overflows
         ],
     )
@@ -151,7 +151,24 @@ class TestRegIncompleteBeta:
             for b in (0.1, 0.5, 4.5, 60.0, 300.0):
                 for s in np.linspace(0.0, 1.0, 21).tolist():
                     h.update(np.float64(reg_incomplete_beta(s, a, b)).tobytes())
-        assert h.hexdigest() == "928496e195e0212a26ab27d6f1ec104d392410ef01cf42da15153a73ec431bc0"
+        # but for the seven values whose powers s^a (1 - s)^b 4^l are below the
+        # normal range, which take the log route: (0.6, 2000, 300) is 5.2e-179
+        assert h.hexdigest() == "d33d8d6f1355d15eed0abcf9d8a395738e2a8437dd065d35fffce6e7724d30d4"
+
+    @pytest.mark.parametrize("s, a, b", [(0.3, 1000.0, 2000.0), (0.33, 1000.0, 2000.0), (1e-5, 0.5, 1e4)])
+    def test_an_exact_constant_for_b_above_a(self, s, a, b):
+        # the constant 1 / (4^l a B(a, b)), l = min(a, b), is in range here,
+        # though 1 / (4^b a B(a, b)) is not; the log route is 1.5e-12 to 1.5e-11 off
+        assert reg_incomplete_beta(s, a, b) == pytest.approx(float(scipy_betainc(a, b, s)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "s, a, b",
+        [(0.1, 1000.0, 2000.0), (0.1, 1000.3, 2000.2), (0.6, 2000.0, 300.0), (0.4, 1000.0, 100.0)],
+    )
+    def test_powers_below_the_normal_range_are_taken_in_logs(self, s, a, b):
+        # the constant lifts s^a (1 - s)^b 4^l from below the normal range to
+        # 1e-265 and up, so their product in doubles would be 0
+        assert reg_incomplete_beta(s, a, b) == pytest.approx(float(scipy_betainc(a, b, s)), rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("bad_s", [-0.1, 1.0001])
     def test_domain_s(self, bad_s):
