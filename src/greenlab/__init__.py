@@ -2,9 +2,9 @@
 compact harmonic manifolds (spheres, projective spaces over R, C, H and
 the Cayley plane)."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-from .manifold import Family, ManifoldSpec, Point, RngSeed
+from .manifold import Family, ManifoldSpec
 from .green import RadialGreenProfile, build_profile, get_profile
 from .energy import Configuration, EnergyReport
 from .bounds import BoundCoefficients, BoundReport
@@ -13,8 +13,6 @@ __all__ = [
     "__version__",
     "Family",
     "ManifoldSpec",
-    "Point",
-    "RngSeed",
     "RadialGreenProfile",
     "build_profile",
     "get_profile",

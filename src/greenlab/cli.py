@@ -272,7 +272,7 @@ def _cmd_energy(args) -> str:
 def _cmd_optimize(args) -> str:
     spec = _spec_from_args(args)
     # the energy of the last accepted step, not a second sweep over the pairs
-    cfg, e = en._optimized(spec, args.points, args.iters, args.seed)
+    cfg, e = en.optimize(spec, args.points, args.iters, args.seed)
     buf = io.StringIO()
     save_configuration(cfg, buf)
     sys.stderr.write(f"final energy {_FMT.format(e)}\n")

@@ -309,8 +309,10 @@ def _descent_steps(
         yield coords, e
 
 
-def optimize(spec: ManifoldSpec, N: int, iterations: int, rng) -> Configuration:
-    """Riemannian gradient descent from a uniform random start.
+def optimize(spec: ManifoldSpec, N: int, iterations: int, rng) -> tuple[Configuration, float]:
+    """Riemannian gradient descent from a uniform random start: the final
+    configuration and its energy, the one the last accepted step computed
+    (the same bits as `energy` of the configuration).
 
     The start is `sample_uniform(spec, rng, N)`. Each of the `iterations`
     sweeps takes `_STEPS_PER_SWEEP` (3) steps of `_descent_steps`: one
@@ -320,12 +322,6 @@ def optimize(spec: ManifoldSpec, N: int, iterations: int, rng) -> Configuration:
     deterministic for a fixed seed. It ends early when a step finds no
     decrease.
     """
-    return _optimized(spec, N, iterations, rng)[0]
-
-
-def _optimized(spec: ManifoldSpec, N: int, iterations: int, rng) -> tuple[Configuration, float]:
-    """`optimize`'s configuration and its energy, the one the last accepted
-    step computed (the same bits as `energy` of the configuration)."""
     if spec.family is Family.CAYLEY_PLANE:
         raise UnsupportedManifoldError("no point model on the Cayley plane")
     if N < 2:
@@ -343,7 +339,7 @@ def _optimized(spec: ManifoldSpec, N: int, iterations: int, rng) -> tuple[Config
         pass
     if e is None:
         e = _energy_rows(spec, profile, coords)
-    return Configuration.from_array(spec, coords), e
+    return Configuration(spec, coords), e
 
 
 def mc_energy_moment(

@@ -1,21 +1,20 @@
 """The five compact harmonic manifold families.
 
 Covers the geometric inventory every other module consumes: dimensions,
-diameters, volumes, radial volume densities, ball volumes, point models
-with geodesic distance, uniform sampling and radial distance sampling.
+diameters, volumes, radial volume densities, ball volumes, points as real
+frames with geodesic distance, uniform sampling and radial distance sampling.
 
 Each family's radial geometry is its Jacobi record (m, k, s) (`_record`),
 from which `records` derives the volumes and every closed form.
 
-Point model
+Real frames
 -----------
-A point of S^n or RP^n is a unit vector in R^(n+1), of CP^n a unit vector
-in C^(n+1) and of HP^n a unit vector in H^(n+1) (on the projective
-families a homogeneous representative: any right multiple by a unit
-scalar names the same point). All geometry works on the real frame of
-that vector: the row x in R^(k(n+1)), k = 1, 1, 2, 4, holding each
-coordinate's real components (re, im or w, x, y, z) in turn, which is
-exactly one line of a configuration file. Right multiplication by
+A point is given by its real frame: the row x in R^(k(n+1)), k = 1, 1, 2,
+4, of a unit vector of R^(n+1) on S^n and RP^n, of C^(n+1) on CP^n and of
+H^(n+1) on HP^n, holding each coordinate's real components (re, im or w,
+x, y, z) in turn, which is exactly one line of a configuration file. On
+the projective families a row is a homogeneous representative: any right
+multiple by a unit scalar names the same point. Right multiplication by
 e_c in {1, i, j, k} only permutes and negates the entries of x, so the k
 components h_c = (x_p e_c) . x_q of the Hermitian inner product
 <p, q> = sum conj(p_i) q_i come from one real matrix product for every
@@ -26,9 +25,9 @@ projective families, the normalization under which the radial densities
 below hold, and near coincidence x comes from the chord of the
 phase-aligned representatives instead. Phase alignment and the horizontal
 projection are built from the same products. A `Configuration` holds N
-points as the (N, D) array of their real frames. The Cayley plane has no
-point model here; all its radial quantities and radial sampling are fully
-supported.
+points as the read-only (N, D) array of their real frames. The Cayley
+plane has no point model here; all its radial quantities and radial
+sampling are fully supported.
 
 Configuration file format
 -------------------------
@@ -45,7 +44,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -56,9 +55,7 @@ from .special_math import incomplete_beta, vol_unit_sphere
 __all__ = [
     "Family",
     "ManifoldSpec",
-    "Point",
     "Configuration",
-    "RngSeed",
     "dimension",
     "diameter",
     "volume",
@@ -247,7 +244,7 @@ def ball_volume_fraction(spec: ManifoldSpec, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Points, distances and sampling
+# Real frames, distances and sampling
 # ---------------------------------------------------------------------------
 
 
@@ -269,10 +266,6 @@ _RIGHT_SIGN = np.array(
 _CONJ_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
 # above this cosine a pair's x = sin^2(s d) is taken from the chord, not from the cosine
 _CHORD_COSINE = 0.99
-
-
-def _is_point_family(family: Family) -> bool:
-    return family is not Family.CAYLEY_PLANE
 
 
 @functools.cache
@@ -444,46 +437,12 @@ def quat_hermitian_inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _products(4, np.reshape(p, (1, -1)), np.reshape(q, (1, -1)))[0, :, 0]
 
 
-@dataclass(frozen=True, eq=False)
-class Point:
-    """A point given by a unit representative vector over the base field.
-
-    coords is float (n+1,) for sphere/real projective, complex (n+1,) for
-    complex projective and float (n+1, 4) for quaternionic projective.
-    Distances and steps use its real frame, the row of k(n+1) reals
-    (k = 1, 1, 2, 4) that `_flatten_coords` returns and a configuration
-    file stores, together with the frame's right multiples by 1, i, j, k.
-    Treated as immutable; do not mutate coords in place.
-    """
-
-    spec: ManifoldSpec
-    coords: np.ndarray
-
-    def __post_init__(self):
-        if not _is_point_family(self.spec.family):
-            raise UnsupportedManifoldError(
-                "the Cayley plane has no point model; radial quantities only"
-            )
-        expected = _coords_shape(self.spec)
-        if self.coords.shape != expected:
-            raise DomainError(
-                f"coords shape {self.coords.shape} does not match {expected} for {self.spec}"
-            )
-        nrm = float(np.linalg.norm(self.coords))
-        if abs(nrm - 1.0) > 1e-12:
-            raise DomainError(f"representative vector must be unit norm, got {nrm!r}")
-
-
-def _coords_shape(spec: ManifoldSpec) -> tuple:
-    m = spec.n + 1
-    return (m, 4) if spec.family is Family.QUAT_PROJ else (m,)
-
-
 def _row_width(spec: ManifoldSpec) -> int:
     """Length k(n+1) of a real frame; the Cayley plane has none."""
-    if not _is_point_family(spec.family):
+    if spec.family is Family.CAYLEY_PLANE:
         raise UnsupportedManifoldError(
-            "the Cayley plane has no point model; radial quantities only"
+            "the Cayley plane has no point model; radial quantities only "
+            "(use random_distance for radial statistics)"
         )
     return _FIELD_RANK[spec.family] * (spec.n + 1)
 
@@ -494,10 +453,10 @@ def _row_dots(rows: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(spec: ManifoldSpec, rows: np.ndarray) -> np.ndarray:
-    """rows scaled to unit length, each with the bits its Point-shaped coords
-    get from division by np.linalg.norm: the same dot products, and for
-    complex coords a product with the reciprocal, which is how numpy divides
-    a complex array by a real."""
+    """rows scaled to unit length. Every sampled and loaded configuration
+    takes its bits from here, so CP^n keeps its own branch: its norms add
+    the real and the imaginary parts' dot products, and it multiplies by
+    the reciprocal norm, as numpy divides a complex array by a real."""
     if spec.family is Family.COMPLEX_PROJ:
         norms = np.sqrt(_row_dots(rows[:, 0::2]) + _row_dots(rows[:, 1::2]))
     else:
@@ -509,126 +468,84 @@ def _unit_rows(spec: ManifoldSpec, rows: np.ndarray) -> np.ndarray:
     return rows / norms[:, None]
 
 
-class Configuration:
-    """A finite set of points sharing one manifold, held as the (N, D) array
-    of their real frames.
+def _check_rows(spec: ManifoldSpec, rows: np.ndarray) -> None:
+    """DomainError unless rows is a non-empty (N, D) array of unit real frames of spec."""
+    width = _row_width(spec)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise DomainError(
+            f"expected rows of {width} coordinates for {spec}, got shape {rows.shape}"
+        )
+    if not len(rows):
+        raise DomainError("a configuration needs at least one point")
+    norms = np.linalg.norm(rows, axis=1)
+    if not (np.abs(norms - 1.0) <= 1e-12).all():
+        raise DomainError("every row must be a finite unit vector")
 
-    `Configuration(spec, points)` takes `Point`s and `from_array` takes the
-    rows directly; `Point`s are built only on request (`points`, iteration).
-    """
+
+class Configuration:
+    """A finite set of points sharing one manifold, held as the read-only
+    (N, D) array of their real frames."""
 
     __slots__ = ("spec", "_coords")
 
-    def __init__(self, spec: ManifoldSpec, points: Iterable[Point]):
-        points = list(points)
-        if not points:
-            raise DomainError("a configuration needs at least one point")
-        for p in points:
-            if p.spec != spec:
-                raise DomainError("all points must share the configuration's manifold")
-        self.spec = spec
-        self._coords = np.stack([_flatten_coords(spec, p.coords) for p in points])
-        self._coords.flags.writeable = False
-
-    @classmethod
-    def from_array(cls, spec: ManifoldSpec, coords: np.ndarray) -> "Configuration":
-        """Configuration of the rows of coords, unit real frames (copied)."""
-        coords = np.array(coords, dtype=float)
-        width = _row_width(spec)
-        if coords.ndim != 2 or coords.shape[1] != width:
-            raise DomainError(
-                f"expected rows of {width} coordinates for {spec}, got shape {coords.shape}"
-            )
-        if not len(coords):
-            raise DomainError("a configuration needs at least one point")
-        norms = np.linalg.norm(coords, axis=1)
-        if not (np.abs(norms - 1.0) <= 1e-12).all():
-            raise DomainError("every row must be a finite unit vector")
+    def __init__(self, spec: ManifoldSpec, rows: np.ndarray):
+        """The rows of `rows`, unit real frames of spec, copied and checked."""
+        coords = np.array(rows, dtype=float)
+        _check_rows(spec, coords)
         coords.flags.writeable = False
-        config = cls.__new__(cls)
-        config.spec, config._coords = spec, coords
-        return config
+        self.spec, self._coords = spec, coords
 
     def __len__(self):
         return len(self._coords)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    @property
-    def points(self) -> list[Point]:
-        return [Point(self.spec, _unflatten_coords(self.spec, x)) for x in self._coords]
 
     def coords_array(self) -> np.ndarray:
         """(N, D) real frames of the points, one configuration-file row each (read-only)."""
         return self._coords
 
 
-def distance(p: Point, q: Point) -> float:
-    """Geodesic distance between two points of the same manifold.
+def distance(spec: ManifoldSpec, p: np.ndarray, q: np.ndarray) -> float:
+    """Geodesic distance between the points of spec with real frames p and q.
 
-    d = atan2(sqrt x, sqrt y) / s from the pair's (x, y) =
-    (sin^2(s d), cos^2(s d)) of `_pair_sin_cos_squares`, which takes x from
-    the chord of the phase-aligned representatives near coincidence:
-    identical representatives give exactly zero on S^n, RP^n and CP^n, and
-    about 1e-16 on HP^n, where the rounded phase is not exactly 1.
+    Each row must have the width k(n+1) of spec's real frames and unit
+    norm within 1e-12. d = atan2(sqrt x, sqrt y) / s from the pair's
+    (x, y) = (sin^2(s d), cos^2(s d)) of `_pair_sin_cos_squares`, which
+    takes x from the chord of the phase-aligned representatives near
+    coincidence: identical rows give exactly zero on S^n, RP^n and CP^n,
+    and about 1e-16 on HP^n, where the rounded phase is not exactly 1.
     """
-    if p.spec != q.spec:
-        raise DomainError(f"points live on different manifolds: {p.spec} vs {q.spec}")
-    rows = (_flatten_coords(p.spec, v.coords)[None] for v in (p, q))
-    _, _, x, y, _ = _pair_sin_cos_squares(p.spec, *rows)
+    rows = [np.asarray(v, dtype=float)[None] for v in (p, q)]
+    for row in rows:
+        _check_rows(spec, row)
+    _, _, x, y, _ = _pair_sin_cos_squares(spec, *rows)
     # y falls below 0 by rounding only at the antipode of a sphere
-    return math.atan2(math.sqrt(x[0]), math.sqrt(max(y[0], 0.0))) / _record(p.spec)[2]
-
-
-@dataclass(frozen=True)
-class RngSeed:
-    """Seed wrapper guaranteeing reproducible sample streams."""
-
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise DomainError("seed must fit in an unsigned 64-bit integer")
-
-    def generator(self, stream: int = 0) -> np.random.Generator:
-        return np.random.default_rng([self.seed, stream])
+    return math.atan2(math.sqrt(x[0]), math.sqrt(max(y[0], 0.0))) / _record(spec)[2]
 
 
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, RngSeed):
-        return rng.generator()
     if isinstance(rng, (int, np.integer)) and rng < 0:
         raise DomainError(f"a seed must be a non-negative integer, got {rng}")
     return np.random.default_rng(rng)
 
 
-def sample_uniform(spec: ManifoldSpec, rng, size: int | None = None):
-    """Uniform point with respect to normalized Riemannian volume, or a
-    `Configuration` of `size` independent ones.
+def sample_uniform(spec: ManifoldSpec, rng, size: int) -> Configuration:
+    """A `Configuration` of `size` independent points, uniform with respect
+    to normalized Riemannian volume.
 
-    Normalizes a standard Gaussian vector over the base field, which is
+    Normalizes standard Gaussian vectors over the base field, which are
     rotation invariant and hence uniform on the sphere of representatives.
-    The draws for `size` points are those of `size` single calls, in turn.
+    The draws for `size` points are those of `size` calls of size 1, in turn.
     """
-    if not _is_point_family(spec.family):
-        raise UnsupportedManifoldError(
-            "uniform point sampling is unavailable on the Cayley plane; "
-            "use random_distance for radial statistics"
-        )
+    width = _row_width(spec)
     gen = _as_generator(rng)
-    count = 1 if size is None else int(size)
+    count = int(size)
     m, k = spec.n + 1, _FIELD_RANK[spec.family]
     if spec.family is Family.COMPLEX_PROJ:  # m real parts, then m imaginary parts
         raw = gen.standard_normal((count, 2, m)).swapaxes(1, 2)
     else:
         raw = gen.standard_normal((count, m, k))
-    rows = _unit_rows(spec, raw.reshape(count, k * m))
-    if size is None:
-        return Point(spec, _unflatten_coords(spec, rows[0]))
-    return Configuration.from_array(spec, rows)
+    return Configuration(spec, _unit_rows(spec, raw.reshape(count, width)))
 
 
 def random_distance(spec: ManifoldSpec, rng, size: int | None = None):
@@ -650,30 +567,9 @@ def random_distance(spec: ManifoldSpec, rng, size: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _flatten_coords(spec: ManifoldSpec, coords: np.ndarray) -> np.ndarray:
-    """Real frame of Point-shaped coords: each coordinate's (re, im) or (w, x, y, z) in turn."""
-    dtype = complex if spec.family is Family.COMPLEX_PROJ else float
-    return np.ascontiguousarray(coords, dtype=dtype).view(float).ravel()
-
-
-def _unflatten_coords(spec: ManifoldSpec, row: np.ndarray) -> np.ndarray:
-    """Point-shaped coords of a real frame; inverse of `_flatten_coords`."""
-    expected = _row_width(spec)
-    if row.size != expected:
-        raise DomainError(f"expected {expected} coordinates per line for {spec}, got {row.size}")
-    dtype = complex if spec.family is Family.COMPLEX_PROJ else float
-    return np.ascontiguousarray(row, dtype=float).view(dtype).reshape(_coords_shape(spec))
-
-
-def save_configuration(points: Configuration | Iterable[Point], fh: TextIO) -> None:
+def save_configuration(config: Configuration, fh: TextIO) -> None:
     """Write a header line and one real frame per line, 17 significant digits."""
-    if not isinstance(points, Configuration):
-        points = list(points)
-        if not points:
-            raise DomainError("cannot save an empty configuration")
-        points = Configuration(points[0].spec, points)
-    spec = points.spec
-    rows = points.coords_array()
+    spec, rows = config.spec, config.coords_array()
     template = " ".join(["%.17g"] * rows.shape[1])
     lines = [f"# manifold={spec.token} n={spec.n}"]
     lines += [template % tuple(row) for row in rows.tolist()]
@@ -681,7 +577,7 @@ def save_configuration(points: Configuration | Iterable[Point], fh: TextIO) -> N
 
 
 def load_configuration(fh: TextIO) -> Configuration:
-    """Read a configuration file; each row is scaled to unit length as a `Point` is."""
+    """Read a configuration file; each row is scaled to unit length by `_unit_rows`."""
     header = fh.readline().strip()
     if not header.startswith("#"):
         raise DomainError("configuration file must start with '# manifold=<family> n=<n>'")
@@ -714,7 +610,7 @@ def load_configuration(fh: TextIO) -> Configuration:
             values = None
     if values is None or values.shape[1] != width:
         _raise_bad_line(lines, width, spec)
-    return Configuration.from_array(spec, _unit_rows(spec, values))
+    return Configuration(spec, _unit_rows(spec, values))
 
 
 def _raise_bad_line(lines: list[str], width: int, spec: ManifoldSpec) -> None:

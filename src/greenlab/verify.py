@@ -146,10 +146,10 @@ def _check_distance_axioms():
         if spec.family is Family.CAYLEY_PLANE:
             continue
         for _ in range(20):
-            p, q, r = (sample_uniform(spec, rng) for _ in range(3))
-            dpq, dqp = distance(p, q), distance(q, p)
+            p, q, r = sample_uniform(spec, rng, 3).coords_array()
+            dpq, dqp = distance(spec, p, q), distance(spec, q, p)
             worst_sym = max(worst_sym, abs(dpq - dqp))
-            worst_tri = max(worst_tri, dpq - distance(p, r) - distance(r, q))
+            worst_tri = max(worst_tri, dpq - distance(spec, p, r) - distance(spec, r, q))
     ok = worst_sym < 1e-12 and worst_tri < 1e-12
     return ok, f"symmetry {worst_sym:.1e}, triangle excess {worst_tri:.1e}"
 
@@ -422,8 +422,7 @@ def _check_certificates():
     rng = np.random.default_rng(7)
     for spec in (ManifoldSpec(Family.SPHERE, 2), ManifoldSpec(Family.COMPLEX_PROJ, 2)):
         for _ in range(3):
-            cfg = en.Configuration(spec, [sample_uniform(spec, rng) for _ in range(12)])
-            en.EnergyReport.from_configuration(cfg)
+            en.EnergyReport.from_configuration(sample_uniform(spec, rng, 12))
     return True, "no certificate violations"
 
 
@@ -446,9 +445,9 @@ def _check_cp1_isometry():
 def _check_optimizer_tetrahedron():
     spec = ManifoldSpec(Family.SPHERE, 2)
     prof = get_profile(spec)
-    cfg = en.optimize(spec, 4, 300, np.random.default_rng(7))
+    _, e = en.optimize(spec, 4, 300, np.random.default_rng(7))
     target = 12 * prof.phi(math.acos(-1.0 / 3.0))
-    dev = abs(en.energy(cfg) - target)
+    dev = abs(e - target)
     return dev < 1e-6, f"tetrahedron defect {dev:.2e}"
 
 

@@ -250,15 +250,11 @@ def test_criterion_7_lower_bound_never_violated():
             bound_values = [val for _, val in report.radius_grid] + [report.best_bound]
             for k in range(17):
                 rng = np.random.default_rng([spec.n, n_points, k])
-                cfg = en.Configuration(
-                    spec, [sample_uniform(spec, rng) for _ in range(n_points)]
-                )
-                e = en.energy(cfg)
+                e = en.energy(sample_uniform(spec, rng, n_points))
                 assert all(e >= b for b in bound_values)
                 checked += 1
-        opt = en.optimize(spec, 30, 30, np.random.default_rng(17))
+        _, e_opt = en.optimize(spec, 30, 30, np.random.default_rng(17))
         report = bd.best_finite_bound(spec, 30)
-        e_opt = en.energy(opt)
         assert all(e_opt >= b for _, b in report.radius_grid)
         assert e_opt >= report.best_bound
         checked += 1
@@ -297,8 +293,8 @@ def test_criterion_9_comparison_rows_all_sharper():
 def test_criterion_10_optimizer_tetrahedron():
     """Four points on the 2-sphere descend to the regular tetrahedron."""
     prof = get_profile(S2)
-    cfg = en.optimize(S2, 4, 300, np.random.default_rng(7))
+    _, e = en.optimize(S2, 4, 300, np.random.default_rng(7))
     target = 12 * prof.phi(math.acos(-1.0 / 3.0))
-    gap = abs(en.energy(cfg) - target)
+    gap = abs(e - target)
     assert gap <= 1e-6
     _report("optimizer tetrahedron", f"energy gap {gap:.2e}")

@@ -317,8 +317,9 @@ class TestEnergyAndOptimize:
         )
         assert code == 0
         spec = ManifoldSpec.from_token(family, n)
-        cfg = en.optimize(spec, 12, iters, np.random.default_rng(5))
-        assert f"final energy {en.energy(cfg):.17g}\n" in err
+        cfg, e = en.optimize(spec, 12, iters, np.random.default_rng(5))
+        assert e == en.energy(cfg)
+        assert f"final energy {e:.17g}\n" in err
 
     @pytest.mark.parametrize("t", [4e-9, 6.28e-9])
     def test_unrepresentable_pair_distance_is_error(self, capsys, tmp_path, t):
@@ -385,8 +386,8 @@ class TestRejectedInputs:
     def test_a_seed_gives_the_stream_of_its_generator(self):
         spec = ManifoldSpec.from_token("s", 2)
         for seed in (0, 5, 2**64 - 1):
-            by_seed = en.optimize(spec, 5, 0, seed)
-            by_rng = en.optimize(spec, 5, 0, np.random.default_rng(seed))
+            by_seed, _ = en.optimize(spec, 5, 0, seed)
+            by_rng, _ = en.optimize(spec, 5, 0, np.random.default_rng(seed))
             assert np.array_equal(by_seed.coords_array(), by_rng.coords_array())
 
     def test_empty_compare_range_is_an_error(self, capsys):

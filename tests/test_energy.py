@@ -17,15 +17,13 @@ from greenlab.manifold import (
     _FIELD_RANK,
     Family,
     ManifoldSpec,
-    Point,
     _aligned,
-    _flatten_coords,
     _frames,
     _geodesic_rows,
     _modulus,
     _products,
     _project_horizontal,
-    _unflatten_coords,
+    _row_width,
     diameter,
     distance,
     sample_uniform,
@@ -42,65 +40,80 @@ HP1 = ManifoldSpec(Family.QUAT_PROJ, 1)
 OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
 
 
-def geodesic_step(p: Point, direction: np.ndarray, t: float) -> Point:
-    """The point at arclength t from p along the horizontal part of a direction."""
-    x = _flatten_coords(p.spec, p.coords)[None]
-    v = _flatten_coords(p.spec, np.asarray(direction))[None]
-    u = _project_horizontal(_frames(_FIELD_RANK[p.spec.family], x), v)
+def quaternions(row: np.ndarray) -> np.ndarray:
+    """The (n+1, 4) quaternionic coordinates, (w, x, y, z) layout, of a real frame of HP^n."""
+    return row.reshape(-1, 4)
+
+
+def frame(coords: np.ndarray) -> np.ndarray:
+    """The real frame of coordinates over the base field."""
+    return np.ascontiguousarray(coords).view(float).ravel()
+
+
+def geodesic_step(spec, p: np.ndarray, direction: np.ndarray, t: float) -> np.ndarray:
+    """The real frame at arclength t from the row p along the horizontal part of a direction."""
+    x = p[None]
+    v = np.asarray(direction, dtype=float)[None]
+    u = _project_horizontal(_frames(_FIELD_RANK[spec.family], x), v)
     u /= np.linalg.norm(u, axis=1)[:, None]
-    return Point(p.spec, _unflatten_coords(p.spec, _geodesic_rows(x, u, np.array([t]))[0]))
+    return _geodesic_rows(x, u, np.array([t]))[0]
+
+
+def coordinate_normal(spec, rng) -> np.ndarray:
+    """A real frame of standard normal draws, one per real coordinate of
+    S^n, RP^n and HP^n and one per complex coordinate of CP^n, in its real
+    part (the imaginary parts are 0)."""
+    if spec.family is Family.COMPLEX_PROJ:
+        return frame(rng.standard_normal(spec.n + 1).astype(complex))
+    return rng.standard_normal(_row_width(spec))
 
 
 def random_config(spec, n, seed):
-    rng = np.random.default_rng(seed)
-    return en.Configuration(spec, [sample_uniform(spec, rng) for _ in range(n)])
+    return sample_uniform(spec, np.random.default_rng(seed), n)
 
 
-def hopf_image(p: Point) -> Point:
-    """Complex projective line to unit two-sphere."""
-    z0, z1 = p.coords
+def hopf_image(row: np.ndarray) -> np.ndarray:
+    """Complex projective line to unit two-sphere, on real frames."""
+    z0, z1 = row.view(complex)
     x = 2.0 * (z0.conjugate() * z1).real
     y = 2.0 * (z0.conjugate() * z1).imag
     z = abs(z0) ** 2 - abs(z1) ** 2
-    return Point(S2, np.array([x, y, z]) / np.linalg.norm([x, y, z]))
+    return np.array([x, y, z]) / np.linalg.norm([x, y, z])
 
 
-def rephased(p: Point) -> Point:
-    """The same point under another representative: coords times a unit scalar on the right."""
+def rephased(spec, row: np.ndarray) -> np.ndarray:
+    """The same point under another representative: the row's coordinates
+    times a unit scalar on the right."""
     c, s = math.cos(0.7), math.sin(0.7)
-    if p.spec.family is Family.SPHERE:
-        return p
-    if p.spec.family is Family.REAL_PROJ:
-        return Point(p.spec, -p.coords)
-    if p.spec.family is Family.COMPLEX_PROJ:
-        return Point(p.spec, p.coords * complex(c, s))
-    w, x, y, z = p.coords.T  # right product by the quaternion c + s i
-    return Point(p.spec, np.stack([c * w - s * x, c * x + s * w, c * y + s * z, c * z - s * y], axis=1))
+    if spec.family is Family.SPHERE:
+        return row
+    if spec.family is Family.REAL_PROJ:
+        return -row
+    if spec.family is Family.COMPLEX_PROJ:
+        return frame(row.view(complex) * complex(c, s))
+    w, x, y, z = quaternions(row).T  # right product by the quaternion c + s i
+    return frame(np.stack([c * w - s * x, c * x + s * w, c * y + s * z, c * z - s * y], axis=1))
 
 
 class TestEnergy:
     def test_single_point(self):
-        cfg = en.Configuration(S2, [sample_uniform(S2, np.random.default_rng(0))])
+        cfg = sample_uniform(S2, np.random.default_rng(0), 1)
         assert en.energy(cfg) == 0.0
 
     def test_antipodal_pair(self):
-        p = Point(S2, np.array([0.0, 0.0, 1.0]))
-        q = Point(S2, np.array([0.0, 0.0, -1.0]))
-        cfg = en.Configuration(S2, [p, q])
+        cfg = en.Configuration(S2, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         assert en.energy(cfg) == pytest.approx(-1 / (2 * math.pi), rel=1e-10)
 
     def test_relabeling_invariance(self):
         cfg = random_config(S2, 30, 5)
-        shuffled = en.Configuration(S2, list(reversed(cfg.points)))
+        shuffled = en.Configuration(S2, cfg.coords_array()[::-1])
         assert en.energy(shuffled) == pytest.approx(en.energy(cfg), abs=1e-10)
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(8)
         cfg = random_config(S3, 15, 8)
         q_mat, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        rotated = en.Configuration(
-            S3, [Point(S3, q_mat @ p.coords) for p in cfg.points]
-        )
+        rotated = en.Configuration(S3, [q_mat @ p for p in cfg.coords_array()])
         assert en.energy(rotated) == pytest.approx(en.energy(cfg), abs=1e-10)
 
     def test_unitary_invariance(self):
@@ -108,9 +121,7 @@ class TestEnergy:
         cfg = random_config(CP2, 12, 9)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         q_mat, _ = np.linalg.qr(a)
-        rotated = en.Configuration(
-            CP2, [Point(CP2, q_mat @ p.coords) for p in cfg.points]
-        )
+        rotated = en.Configuration(CP2, [frame(q_mat @ p.view(complex)) for p in cfg.coords_array()])
         assert en.energy(rotated) == pytest.approx(en.energy(cfg), abs=1e-10)
 
     def test_quaternionic_isometry_invariance(self):
@@ -122,7 +133,7 @@ class TestEnergy:
         u /= np.linalg.norm(u)
 
         def act(p):
-            flipped = p.coords[::-1].copy()
+            flipped = quaternions(p)[::-1].copy()
             twisted = np.stack(
                 [
                     np.array(
@@ -136,9 +147,9 @@ class TestEnergy:
                     for q in flipped
                 ]
             )
-            return Point(HP1, twisted / np.linalg.norm(twisted))
+            return frame(twisted / np.linalg.norm(twisted))
 
-        moved = en.Configuration(HP1, [act(p) for p in cfg.points])
+        moved = en.Configuration(HP1, [act(p) for p in cfg.coords_array()])
         assert en.energy(moved) == pytest.approx(en.energy(cfg), abs=1e-10)
 
     def test_mean_zero_over_uniform_configurations(self):
@@ -148,8 +159,8 @@ class TestEnergy:
         assert abs(mean) < 3 * stderr
 
     def test_duplicate_guard_names_indices(self):
-        p = Point(S2, np.array([0.0, 0.0, 1.0]))
-        q = sample_uniform(S2, np.random.default_rng(1))
+        p = np.array([0.0, 0.0, 1.0])
+        q = sample_uniform(S2, np.random.default_rng(1), 1).coords_array()[0]
         cfg = en.Configuration(S2, [p, q, p])
         with pytest.raises(SingularityError, match="0 and 2"):
             en.energy(cfg)
@@ -159,7 +170,7 @@ class TestEnergy:
         # points after its first row, and the error still names both indices
         rows = sample_uniform(S2, np.random.default_rng(2), 300).coords_array().copy()
         rows[280] = rows[250]
-        cfg = en.Configuration.from_array(S2, rows)
+        cfg = en.Configuration(S2, rows)
         assert len(en._row_blocks(300, en._BLOCK_PAIRS)) > 1
         with pytest.raises(SingularityError, match="points 250 and 280 "):
             en.energy(cfg)
@@ -168,7 +179,7 @@ class TestEnergy:
     def test_duplicate_guard_names_the_first_pair_in_row_order(self, spec):
         rows = sample_uniform(spec, np.random.default_rng(3), 50).coords_array().copy()
         rows[40], rows[12] = rows[10], rows[11]
-        cfg = en.Configuration.from_array(spec, rows)
+        cfg = en.Configuration(spec, rows)
         with pytest.raises(SingularityError, match="points 10 and 40 "):
             en.energy(cfg)
 
@@ -177,13 +188,13 @@ class TestEnergy:
         # the Gram/arccos sweep against scalar `distance` calls; the pair 1e-7
         # apart, under another representative, takes the chord route in both
         rng = np.random.default_rng(17)
-        points = [sample_uniform(spec, rng) for _ in range(12)]
-        step = rng.standard_normal(points[0].coords.shape)
-        near = rephased(geodesic_step(points[0], step, 1e-7))
-        assert distance(points[0], near) == pytest.approx(1e-7, rel=1e-8, abs=0)
+        points = list(sample_uniform(spec, rng, 12).coords_array())
+        step = coordinate_normal(spec, rng)
+        near = rephased(spec, geodesic_step(spec, points[0], step, 1e-7))
+        assert distance(spec, points[0], near) == pytest.approx(1e-7, rel=1e-8, abs=0)
         profile = get_profile(spec)
         for pts in (points, points + [near]):
-            terms = [profile.phi(distance(p, q)) for i, p in enumerate(pts) for q in pts[i + 1 :]]
+            terms = [profile.phi(distance(spec, p, q)) for i, p in enumerate(pts) for q in pts[i + 1 :]]
             # relative to sum |phi|: the random pairs' terms largely cancel
             scale = 2.0 * math.fsum(abs(t) for t in terms)
             got = en.energy(en.Configuration(spec, pts))
@@ -295,7 +306,7 @@ class TestFlatSweep:
         monkeypatch.setattr(en, "_BLOCK_PAIRS", block_pairs)
         rows = sample_uniform(spec, np.random.default_rng(n), n).coords_array()
         profile = get_profile(spec)
-        cfg = en.Configuration.from_array(spec, rows)
+        cfg = en.Configuration(spec, rows)
         expected = rectangle_energy(spec, profile, rows)
         assert en.energy(cfg) == expected
 
@@ -310,7 +321,7 @@ class TestFlatSweep:
         rows = plant_close(rows, close, rng)
         cos = cosines(spec, rows)
         assert all(cos[i, j] > _CHORD_COSINE for i, j in close)
-        cfg = en.Configuration.from_array(spec, rows)
+        cfg = en.Configuration(spec, rows)
         expected = rectangle_energy(spec, get_profile(spec), rows)
         assert en.energy(cfg) == expected
 
@@ -323,7 +334,7 @@ class TestFlatSweep:
         shapes = {(hi - lo, 39 - lo) for lo, hi in en._row_blocks(40, en._BLOCK_PAIRS) if lo < 39}
         assert held is not None and len(shapes) == 39 > held
         rows = sample_uniform(spec, np.random.default_rng(40), 40).coords_array()
-        cfg = en.Configuration.from_array(spec, rows)
+        cfg = en.Configuration(spec, rows)
         expected = rectangle_energy(spec, get_profile(spec), rows)
         assert en.energy(cfg) == expected
         assert en.energy(cfg) == expected
@@ -379,7 +390,7 @@ class TestFlatSweep:
         rows = rows[kept]
         assert len(kept) > 20
         profile = get_profile(spec)
-        en.energy(en.Configuration.from_array(spec, rows))
+        en.energy(en.Configuration(spec, rows))
         en._descent_rows(spec, profile, rows)
         assert calls == []
         planted = plant_close(rows, [(1, 15)], rng)
@@ -399,10 +410,10 @@ class TestClosePairs:
         # The scale is sum |phi|: E itself cancels 100 to 1250 fold, so that
         # even ulp-exact distances would move it by about 1e-14 of |E|.
         rng = np.random.default_rng(0)
-        points = [sample_uniform(spec, rng) for _ in range(n)]
+        points = list(sample_uniform(spec, rng, n).coords_array())
         for t in (1e-3, 3e-3, 1e-2, 3e-2):
-            step = rng.standard_normal(points[0].coords.shape)
-            points.append(geodesic_step(points[len(points) % 7], step, t * diameter(spec)))
+            step = coordinate_normal(spec, rng)
+            points.append(geodesic_step(spec, points[len(points) % 7], step, t * diameter(spec)))
         profile = get_profile(spec)
         rows = en.Configuration(spec, points).coords_array()
         terms = profile.phi(reference_distances(spec, rows))
@@ -434,7 +445,7 @@ class TestIsometryRelations:
         # map a CP^1 configuration through the Riemann-sphere identification;
         # dimension-2 Green kernels are scale invariant, so energies agree
         cfg = random_config(CP1, 10, 4)
-        mapped = en.Configuration(S2, [hopf_image(p) for p in cfg.points])
+        mapped = en.Configuration(S2, [hopf_image(p) for p in cfg.coords_array()])
         assert en.energy(mapped) == pytest.approx(en.energy(cfg), abs=1e-8)
 
     def test_real_projective_plane_affine_relation(self):
@@ -443,9 +454,9 @@ class TestIsometryRelations:
         def pair(seed, n=12):
             cfg = random_config(RP2, n, seed)
             lifted = []
-            for p in cfg.points:
-                lifted.append(Point(S2, p.coords.copy()))
-                lifted.append(Point(S2, -p.coords.copy()))
+            for p in cfg.coords_array():
+                lifted.append(p.copy())
+                lifted.append(-p.copy())
             return en.energy(cfg), en.energy(en.Configuration(S2, lifted))
 
         # solve e_rp = alpha * e_s2 + c from two independent samples
@@ -489,9 +500,9 @@ class TestOptimizer:
         from greenlab.green import phi_hat_prime
 
         rng = np.random.default_rng(18)
-        points = random_config(spec, 12, 17).points
+        points = list(random_config(spec, 12, 17).coords_array())
         for i, d in ((0, 1e-7), (2, 1e-5)):
-            points[i + 1] = geodesic_step(points[i], rng.standard_normal(points[i].coords.shape), d)
+            points[i + 1] = geodesic_step(spec, points[i], coordinate_normal(spec, rng), d)
         coords = en.Configuration(spec, points).coords_array()
         rows = en._descent_rows(spec, get_profile(spec), coords)
         for i in range(4):
@@ -521,7 +532,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("spec, n", list(EARLIER_FINAL_ENERGIES))
     def test_three_sweeps_end_no_higher_than_before(self, spec, n, seed):
         pinned = self.EARLIER_FINAL_ENERGIES[spec, n][seed - 1]
-        got = en.energy(en.optimize(spec, n, 3, np.random.default_rng(seed)))
+        _, got = en.optimize(spec, n, 3, np.random.default_rng(seed))
         assert got <= pinned + 1e-12 * abs(pinned)
 
     # the repr of the final energy and the leading 16 hex digits of the
@@ -543,7 +554,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("seed", (1, 2))
     @pytest.mark.parametrize("spec, n", list(PINNED_DESCENTS))
     def test_three_sweeps_keep_their_bits(self, spec, n, seed):
-        config, e = en._optimized(spec, n, 3, np.random.default_rng(seed))
+        config, e = en.optimize(spec, n, 3, np.random.default_rng(seed))
         digest = hashlib.sha256(config.coords_array().tobytes()).hexdigest()[:16]
         assert (repr(e), digest) == self.PINNED_DESCENTS[spec, n][seed - 1]
         assert repr(en.energy(config)) == repr(e)
@@ -553,9 +564,9 @@ class TestOptimizer:
         rng = np.random.default_rng(8)
         coords = sample_uniform(spec, rng, 30).coords_array()
         profile = get_profile(spec)
-        energies = [en.energy(en.Configuration.from_array(spec, coords))]
+        energies = [en.energy(en.Configuration(spec, coords))]
         for rows, e in en._descent_steps(spec, profile, coords, 12):
-            assert e == en.energy(en.Configuration.from_array(spec, rows))
+            assert e == en.energy(en.Configuration(spec, rows))
             energies.append(e)
         assert len(energies) == 13
         assert all(b < a for a, b in zip(energies, energies[1:]))
@@ -565,9 +576,8 @@ class TestOptimizer:
         # the start is the sample rescaled once more as real frames, which
         # moves no coordinate by more than two units in the last place
         rng = np.random.default_rng(4)
-        points = [sample_uniform(spec, rng) for _ in range(25)]
-        sample = en.Configuration(spec, points).coords_array()
-        got = en.optimize(spec, 25, 0, np.random.default_rng(4)).coords_array()
+        sample = sample_uniform(spec, rng, 25).coords_array()
+        got = en.optimize(spec, 25, 0, np.random.default_rng(4))[0].coords_array()
         norms = np.sqrt([x.dot(x) for x in sample])
         assert np.array_equal(got, sample / norms[:, None])
         assert np.all(np.abs(got - sample) <= 2.0 * np.spacing(np.abs(sample)))
@@ -580,12 +590,12 @@ class TestOptimizer:
         profile = get_profile(spec)
         coords = random_config(spec, 40, 9).coords_array()
         one_block = en._descent_rows(spec, profile, coords)
-        final = en.optimize(spec, 20, 1, np.random.default_rng(9)).coords_array()
+        final = en.optimize(spec, 20, 1, np.random.default_rng(9))[0].coords_array()
         monkeypatch.setattr(en, "_BLOCK_PAIRS", 64)
         assert len(en._row_blocks(40, en._BLOCK_PAIRS)) == 40
         blocked = en._descent_rows(spec, profile, coords)
         np.testing.assert_allclose(blocked, one_block, rtol=0, atol=1e-14 * np.abs(one_block).max())
-        again = en.optimize(spec, 20, 1, np.random.default_rng(9)).coords_array()
+        again = en.optimize(spec, 20, 1, np.random.default_rng(9))[0].coords_array()
         np.testing.assert_allclose(again, final, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
@@ -637,14 +647,14 @@ class TestOptimizer:
     @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
     @pytest.mark.parametrize("n", [20, 60])
     def test_kept_blocks_do_not_change_the_descent(self, spec, n, monkeypatch):
-        kept = en._optimized(spec, n, 3, np.random.default_rng(n))
+        kept = en.optimize(spec, n, 3, np.random.default_rng(n))
         descent_rows = en._descent_rows
 
         def sweep_anew(spec, profile, coords, kept=None):
             return descent_rows(spec, profile, coords)
 
         monkeypatch.setattr(en, "_descent_rows", sweep_anew)
-        fresh = en._optimized(spec, n, 3, np.random.default_rng(n))
+        fresh = en.optimize(spec, n, 3, np.random.default_rng(n))
         assert np.array_equal(kept[0].coords_array(), fresh[0].coords_array())
         assert kept[1] == fresh[1]
 
@@ -656,28 +666,27 @@ class TestOptimizer:
         seed = 21
         spec = S2
         rng = np.random.default_rng(seed)
-        start = en.Configuration(spec, [sample_uniform(spec, rng) for _ in range(20)])
-        optimized = en.optimize(spec, 20, 30, np.random.default_rng(seed))
-        assert en.energy(optimized) < en.energy(start)
+        start = sample_uniform(spec, rng, 20)
+        optimized, e = en.optimize(spec, 20, 30, np.random.default_rng(seed))
+        assert e == en.energy(optimized) < en.energy(start)
 
     def test_deterministic_for_fixed_seed(self):
-        a = en.optimize(S2, 10, 15, np.random.default_rng(3))
-        b = en.optimize(S2, 10, 15, np.random.default_rng(3))
-        assert np.array_equal(a.coords_array(), b.coords_array())
+        a, e_a = en.optimize(S2, 10, 15, np.random.default_rng(3))
+        b, e_b = en.optimize(S2, 10, 15, np.random.default_rng(3))
+        assert np.array_equal(a.coords_array(), b.coords_array()) and e_a == e_b
 
     def test_tetrahedron(self):
         prof = get_profile(S2)
-        cfg = en.optimize(S2, 4, 300, np.random.default_rng(7))
+        _, e = en.optimize(S2, 4, 300, np.random.default_rng(7))
         target = 12 * prof.phi(math.acos(-1.0 / 3.0))
-        assert en.energy(cfg) == pytest.approx(target, abs=1e-6)
+        assert e == pytest.approx(target, abs=1e-6)
 
     def test_optimized_beats_random_and_respects_bound(self):
         from greenlab.bounds import best_finite_bound
 
         spec = S2
         n = 60
-        optimized = en.optimize(spec, n, 40, np.random.default_rng(50))
-        e_opt = en.energy(optimized)
+        _, e_opt = en.optimize(spec, n, 40, np.random.default_rng(50))
         e_rand = np.mean([en.energy(random_config(spec, n, 600 + k)) for k in range(5)])
         bound = best_finite_bound(spec, n).best_bound
         assert e_opt < e_rand
@@ -685,8 +694,8 @@ class TestOptimizer:
 
     def test_projective_families_run(self):
         for spec in (CP2, HP1):
-            cfg = en.optimize(spec, 6, 10, np.random.default_rng(2))
-            assert len(cfg) == 6
+            cfg, e = en.optimize(spec, 6, 10, np.random.default_rng(2))
+            assert len(cfg) == 6 and e == en.energy(cfg)
 
     def test_cayley_plane_rejected(self):
         with pytest.raises(UnsupportedManifoldError):
@@ -751,7 +760,7 @@ class TestClosedRoute:
             return arccos(*args, **kwargs)
 
         monkeypatch.setattr(np, "arccos", arccos_spy)
-        en.energy(en.Configuration.from_array(spec, coords))
+        en.energy(en.Configuration(spec, coords))
         en._descent_rows(spec, profile, coords)
         assert calls == []
 
@@ -809,5 +818,5 @@ class TestClosedRoute:
                     x = (1 - h[0]) / 2 if spec.family is Family.SPHERE else 1 - mpmath.fdot(h, h)
                     total += (form(x) + c_m) / volume_
             exact = 2 * total
-        got = en.energy(en.Configuration.from_array(spec, rows))
+        got = en.energy(en.Configuration(spec, rows))
         assert abs(got - exact) <= 5e-14 * abs(exact)

@@ -19,8 +19,6 @@ from greenlab.manifold import (
     Configuration,
     Family,
     ManifoldSpec,
-    Point,
-    RngSeed,
     ball_volume,
     ball_volume_fraction,
     bm_constant,
@@ -31,8 +29,6 @@ from greenlab.manifold import (
     _project_horizontal,
     _record,
     _row_width,
-    _flatten_coords,
-    _unflatten_coords,
     load_configuration,
     radial_density,
     random_distance,
@@ -58,6 +54,28 @@ OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
 
 ALL_SPECS = [S2, S3, RP3, CP2, HP1, OP2]
 POINT_SPECS = [S2, S3, RP3, CP2, HP1]
+
+
+def field_coords(spec, row: np.ndarray) -> np.ndarray:
+    """A real frame as coordinates over the base field: complex (n+1,) on
+    CP^n, (n+1, 4) quaternions in (w, x, y, z) layout on HP^n, the row itself
+    on S^n and RP^n."""
+    row = np.ascontiguousarray(row, dtype=float)
+    if spec.family is Family.COMPLEX_PROJ:
+        return row.view(complex)
+    if spec.family is Family.QUAT_PROJ:
+        return row.reshape(-1, 4)
+    return row
+
+
+def frame(coords: np.ndarray) -> np.ndarray:
+    """The real frame of coordinates over the base field; inverse of `field_coords`."""
+    return np.ascontiguousarray(coords).view(float).ravel()
+
+
+def one_point(spec, rng) -> np.ndarray:
+    """The real frame of one uniform point."""
+    return sample_uniform(spec, rng, 1).coords_array()[0]
 
 
 class TestSpecValidation:
@@ -369,45 +387,46 @@ class TestSphereArea:
 
 class TestDistance:
     def test_coincident(self):
-        p = sample_uniform(CP2, np.random.default_rng(0))
-        assert distance(p, p) == 0.0
+        p = one_point(CP2, np.random.default_rng(0))
+        assert distance(CP2, p, p) == 0.0
 
     def test_orthogonal_complex_representatives(self):
-        p = Point(CP2, np.array([1.0 + 0j, 0.0, 0.0]))
-        q = Point(CP2, np.array([0.0, 1.0 + 0j, 0.0]))
-        assert distance(p, q) == pytest.approx(math.pi / 2, rel=1e-15, abs=0)
+        p = frame(np.array([1.0 + 0j, 0.0, 0.0]))
+        q = frame(np.array([0.0, 1.0 + 0j, 0.0]))
+        assert distance(CP2, p, q) == pytest.approx(math.pi / 2, rel=1e-15, abs=0)
 
     def test_antipodal_projective_representatives(self):
-        p = Point(RP3, np.array([0.0, 0.0, 0.0, 1.0]))
-        q = Point(RP3, np.array([0.0, 0.0, 0.0, -1.0]))
-        assert distance(p, q) == 0.0
+        p = np.array([0.0, 0.0, 0.0, 1.0])
+        q = np.array([0.0, 0.0, 0.0, -1.0])
+        assert distance(RP3, p, q) == 0.0
 
     def test_spec_mismatch(self):
+        # a point of S^3 has no real frame of S^2's width
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
-            distance(sample_uniform(S2, rng), sample_uniform(S3, rng))
+            distance(S2, one_point(S2, rng), one_point(S3, rng))
 
     @pytest.mark.parametrize("spec", POINT_SPECS)
     def test_symmetry_and_triangle(self, spec):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            p, q, r = (sample_uniform(spec, rng) for _ in range(3))
-            assert distance(p, q) == pytest.approx(distance(q, p), abs=1e-12)
-            assert distance(p, q) <= distance(p, r) + distance(r, q) + 1e-12
+            p, q, r = sample_uniform(spec, rng, 3).coords_array()
+            assert distance(spec, p, q) == pytest.approx(distance(spec, q, p), abs=1e-12)
+            assert distance(spec, p, q) <= distance(spec, p, r) + distance(spec, r, q) + 1e-12
 
     def test_phase_invariance_complex(self):
         rng = np.random.default_rng(3)
-        p, q = sample_uniform(CP2, rng), sample_uniform(CP2, rng)
-        q2 = Point(CP2, q.coords * np.exp(1j * 0.87))
-        assert distance(p, q2) == pytest.approx(distance(p, q), abs=1e-12)
+        p, q = sample_uniform(CP2, rng, 2).coords_array()
+        q2 = frame(field_coords(CP2, q) * np.exp(1j * 0.87))
+        assert distance(CP2, p, q2) == pytest.approx(distance(CP2, p, q), abs=1e-12)
 
     def test_phase_invariance_quaternion(self):
         rng = np.random.default_rng(4)
-        p, q = sample_uniform(HP1, rng), sample_uniform(HP1, rng)
+        p, q = sample_uniform(HP1, rng, 2).coords_array()
         u = rng.standard_normal(4)
         u /= np.linalg.norm(u)
         # right product q_i u of every quaternionic coordinate, (w, x, y, z) layout
-        w, x, y, z = q.coords.T
+        w, x, y, z = field_coords(HP1, q).T
         rephased = np.stack(
             [
                 w * u[0] - x * u[1] - y * u[2] - z * u[3],
@@ -417,24 +436,73 @@ class TestDistance:
             ],
             axis=1,
         )
-        q2 = Point(HP1, rephased)
-        assert distance(p, q2) == pytest.approx(distance(p, q), abs=1e-12)
+        assert distance(HP1, p, frame(rephased)) == pytest.approx(distance(HP1, p, q), abs=1e-12)
+
+
+class TestDistanceRows:
+    """`distance` takes two real frames and checks them as a configuration's rows."""
+
+    @pytest.mark.parametrize("spec", POINT_SPECS)
+    def test_wrong_width_rejected(self, spec):
+        p = one_point(spec, np.random.default_rng(1))
+        for bad in (p[:-1], np.append(p, 0.0), p.reshape(1, -1)):
+            with pytest.raises(DomainError, match="coordinates"):
+                distance(spec, p, bad)
+            with pytest.raises(DomainError, match="coordinates"):
+                distance(spec, bad, p)
+
+    @pytest.mark.parametrize("spec", POINT_SPECS)
+    def test_non_unit_row_rejected(self, spec):
+        p, q = sample_uniform(spec, np.random.default_rng(2), 2).coords_array()
+        for bad in (q * (1.0 + 1e-11), np.zeros_like(q), np.full_like(q, np.nan)):
+            with pytest.raises(DomainError, match="unit vector"):
+                distance(spec, p, bad)
+            with pytest.raises(DomainError, match="unit vector"):
+                distance(spec, bad, p)
+        # within the 1e-12 norm tolerance a row is taken as it is
+        assert distance(spec, p, q * (1.0 + 1e-13)) == pytest.approx(distance(spec, p, q), abs=1e-12)
+
+    def test_cayley_plane_rejected(self):
+        row = np.eye(17)[0]
+        with pytest.raises(UnsupportedManifoldError):
+            distance(OP2, row, row)
+
+
+class TestPublicSurface:
+    REMOVED = ("Point", "RngSeed")
+
+    @pytest.mark.parametrize("module", [greenlab, mf], ids=lambda m: m.__name__)
+    def test_all_resolves_and_names_no_removed_symbol(self, module):
+        assert not set(self.REMOVED) & set(module.__all__)
+        for name in module.__all__:
+            assert hasattr(module, name), name
+        for name in self.REMOVED:
+            assert not hasattr(module, name), name
+
+    def test_rows_are_the_only_point_form(self):
+        assert not hasattr(Configuration, "from_array")
+        assert not hasattr(Configuration, "points")
+        assert not hasattr(Configuration, "__iter__")
+        for helper in ("_coords_shape", "_flatten_coords", "_unflatten_coords"):
+            assert not hasattr(mf, helper), helper
+
+    def test_sample_uniform_needs_a_size(self):
+        with pytest.raises(TypeError):
+            sample_uniform(S2, np.random.default_rng(0))
 
 
 class TestSampleUniform:
     def test_axis_moment_on_two_sphere(self):
         rng = np.random.default_rng(123)
-        vals = np.array(
-            [sample_uniform(S2, rng).coords[2] ** 2 for _ in range(100_000)]
-        )
+        vals = sample_uniform(S2, rng, 100_000).coords_array()[:, 2] ** 2
         assert abs(float(vals.mean()) - 1.0 / 3.0) < 0.01
 
     @pytest.mark.parametrize("spec", [S3, CP2])
     def test_distance_cdf_matches_ball_fraction(self, spec):
         rng = np.random.default_rng(7)
-        pole = sample_uniform(spec, rng)
+        pole = one_point(spec, rng)
         draws = np.sort(
-            [distance(pole, sample_uniform(spec, rng)) for _ in range(100_000)]
+            [distance(spec, pole, q) for q in sample_uniform(spec, rng, 100_000).coords_array()]
         )
         cdf = ball_volume_fraction(spec, draws)
         emp = (np.arange(draws.size) + 0.5) / draws.size
@@ -442,22 +510,22 @@ class TestSampleUniform:
 
     def test_samples_distinct(self):
         rng = np.random.default_rng(5)
-        p, q = sample_uniform(S2, rng), sample_uniform(S2, rng)
-        assert distance(p, q) > 0.0
+        p, q = sample_uniform(S2, rng, 2).coords_array()
+        assert distance(S2, p, q) > 0.0
 
     def test_cayley_plane_rejected(self):
         with pytest.raises(UnsupportedManifoldError):
-            sample_uniform(OP2, np.random.default_rng(0))
+            sample_uniform(OP2, np.random.default_rng(0), 1)
 
 
 class TestBatchedSampling:
     @pytest.mark.parametrize("spec", POINT_SPECS + [ManifoldSpec(Family.COMPLEX_PROJ, 20)])
     def test_batch_is_the_single_draws_in_turn(self, spec):
         rng = np.random.default_rng(6)
-        single = Configuration(spec, [sample_uniform(spec, rng) for _ in range(30)])
+        single = np.concatenate([sample_uniform(spec, rng, 1).coords_array() for _ in range(30)])
         batch = sample_uniform(spec, np.random.default_rng(6), 30)
         assert isinstance(batch, Configuration) and batch.spec == spec
-        assert np.array_equal(batch.coords_array(), single.coords_array())
+        assert np.array_equal(batch.coords_array(), single)
 
 
 def horizontal_units(spec, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -466,60 +534,60 @@ def horizontal_units(spec, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1)[:, None]
 
 
-def step(p: Point, direction: np.ndarray, t: float) -> Point:
-    """The point at arclength t from p along the horizontal part of a direction, by `_geodesic_rows`."""
-    x = _flatten_coords(p.spec, p.coords)[None]
-    u = horizontal_units(p.spec, x, _flatten_coords(p.spec, np.asarray(direction))[None])
-    return Point(p.spec, _unflatten_coords(p.spec, _geodesic_rows(x, u, np.array([t]))[0]))
+def step(spec, p: np.ndarray, direction: np.ndarray, t: float) -> np.ndarray:
+    """The real frame at arclength t from the row p along the horizontal part
+    of a direction, by `_geodesic_rows`."""
+    x = p[None]
+    u = horizontal_units(spec, x, np.asarray(direction, dtype=float)[None])
+    return _geodesic_rows(x, u, np.array([t]))[0]
 
 
 class TestGeodesicRows:
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(2)
-        p = sample_uniform(S3, rng)
+        p = one_point(S3, rng)
         u = rng.standard_normal(4)
-        q = step(p, u, 0.0)
-        assert distance(p, q) < 1e-12
+        q = step(S3, p, u, 0.0)
+        assert distance(S3, p, q) < 1e-12
 
     def test_great_circle_formula(self):
-        p = Point(S2, np.array([0.0, 0.0, 1.0]))
-        q = step(p, np.array([1.0, 0.0, 0.0]), 0.7)
+        p = np.array([0.0, 0.0, 1.0])
+        q = step(S2, p, np.array([1.0, 0.0, 0.0]), 0.7)
         expected = np.array([math.sin(0.7), 0.0, math.cos(0.7)])
-        assert np.allclose(q.coords, expected, atol=1e-15)
+        assert np.allclose(q, expected, atol=1e-15)
 
     def test_cp1_quarter_diameter(self):
         cp1 = ManifoldSpec(Family.COMPLEX_PROJ, 1)
         rng = np.random.default_rng(9)
-        p = sample_uniform(cp1, rng)
+        p = one_point(cp1, rng)
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        q = step(p, u, math.pi / 2)
-        assert distance(p, q) == pytest.approx(math.pi / 2, abs=1e-12)
+        q = step(cp1, p, frame(u), math.pi / 2)
+        assert distance(cp1, p, q) == pytest.approx(math.pi / 2, abs=1e-12)
 
     @pytest.mark.parametrize("spec", POINT_SPECS)
     def test_arclength_realized(self, spec):
         rng = np.random.default_rng(13)
-        p = sample_uniform(spec, rng)
-        u = (
-            rng.standard_normal(p.coords.shape)
-            if p.coords.dtype != complex
-            else rng.standard_normal(p.coords.shape) + 1j * rng.standard_normal(p.coords.shape)
-        )
+        p = one_point(spec, rng)
+        shape = field_coords(spec, p).shape
+        if spec.family is Family.COMPLEX_PROJ:
+            u = frame(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        else:
+            u = rng.standard_normal(shape).ravel()
         for t in (0.1, 0.4 * diameter(spec), 0.9 * diameter(spec)):
-            q = step(p, u, t)
-            assert distance(p, q) == pytest.approx(t, abs=1e-10)
+            q = step(spec, p, u, t)
+            assert distance(spec, p, q) == pytest.approx(t, abs=1e-10)
 
     def test_non_horizontal_direction_projected(self):
         rng = np.random.default_rng(21)
-        p = sample_uniform(S2, rng)
+        p = one_point(S2, rng)
         u = rng.standard_normal(3)
-        skewed = u + 3.7 * p.coords
-        q1 = step(p, u, 0.5)
-        q2 = step(p, skewed, 0.5)
-        assert distance(q1, q2) < 1e-12
+        skewed = u + 3.7 * p
+        q1 = step(S2, p, u, 0.5)
+        q2 = step(S2, p, skewed, 0.5)
+        assert distance(S2, q1, q2) < 1e-12
 
     def test_zero_direction_stays(self):
-        p = Point(S2, np.array([0.0, 0.0, 1.0]))
-        rows = _flatten_coords(S2, p.coords)[None]
+        rows = np.array([[0.0, 0.0, 1.0]])
         zero = _project_horizontal(mf._frames(1, rows), rows.copy())
         assert not zero.any()
         moved = _geodesic_rows(rows, zero, np.array([0.3]))
@@ -528,13 +596,12 @@ class TestGeodesicRows:
     @pytest.mark.parametrize("spec", POINT_SPECS)
     def test_rows_move_as_single_steps(self, spec):
         rng = np.random.default_rng(14)
-        config = sample_uniform(spec, rng, 6)
-        tangents = rng.standard_normal(config.coords_array().shape)
+        rows = sample_uniform(spec, rng, 6).coords_array()
+        tangents = rng.standard_normal(rows.shape)
         angles = np.linspace(-0.3, 0.9, 6) * diameter(spec)
-        rows = config.coords_array()
         moved = _geodesic_rows(rows, horizontal_units(spec, rows, tangents), angles)
-        singles = [step(p, _unflatten_coords(spec, v), t) for p, v, t in zip(config, tangents, angles)]
-        np.testing.assert_allclose(moved, Configuration(spec, singles).coords_array(), rtol=0, atol=1e-15)
+        singles = [step(spec, p, v, t) for p, v, t in zip(rows, tangents, angles)]
+        np.testing.assert_allclose(moved, np.stack(singles), rtol=0, atol=1e-15)
 
 
 class TestRandomDistance:
@@ -578,53 +645,23 @@ class TestRandomDistance:
         assert isinstance(val, float) and 0.0 <= val <= math.pi / 2
 
 
-class TestRngSeed:
-    def test_reproducible(self):
-        a = sample_uniform(S2, RngSeed(99).generator())
-        b = sample_uniform(S2, RngSeed(99).generator())
-        assert np.array_equal(a.coords, b.coords)
-
-    def test_stream_independence(self):
-        a = sample_uniform(S2, RngSeed(99).generator(stream=0))
-        b = sample_uniform(S2, RngSeed(99).generator(stream=1))
-        assert not np.array_equal(a.coords, b.coords)
-
-    def test_seed_range(self):
-        with pytest.raises(DomainError):
-            RngSeed(-1)
-
-
-class TestPointValidation:
-    def test_norm_enforced(self):
-        with pytest.raises(DomainError):
-            Point(S2, np.array([1.0, 1.0, 1.0]))
-
-    def test_cayley_plane_has_no_points(self):
-        with pytest.raises(UnsupportedManifoldError):
-            Point(OP2, np.zeros(17))
-
-    def test_shape_enforced(self):
-        with pytest.raises(DomainError):
-            Point(S2, np.array([1.0, 0.0]))
-
-
 class TestConfigurationFiles:
     @pytest.mark.parametrize("spec", POINT_SPECS)
     def test_round_trip(self, spec):
         rng = np.random.default_rng(55)
-        pts = [sample_uniform(spec, rng) for _ in range(5)]
+        pts = sample_uniform(spec, rng, 5)
         buf = io.StringIO()
         save_configuration(pts, buf)
         buf.seek(0)
         again = load_configuration(buf)
-        assert len(again) == 5
-        for p, q in zip(pts, again):
-            assert q.spec == spec
-            assert distance(p, q) < 1e-12
+        assert len(again) == 5 and again.spec == spec
+        for p, q in zip(pts.coords_array(), again.coords_array()):
+            assert distance(spec, p, q) < 1e-12
 
     @pytest.mark.parametrize("spec", POINT_SPECS)
     def test_rows_scaled_as_points(self, spec):
-        # each row gets the bits of its Point-shaped coords divided by their norm
+        # each row gets the bits of its coordinates over the base field
+        # divided by their norm
         rng = np.random.default_rng(56)
         raw = rng.standard_normal((7, _row_width(spec)))
         text = f"# manifold={spec.token} n={spec.n}\n"
@@ -632,19 +669,31 @@ class TestConfigurationFiles:
         loaded = load_configuration(io.StringIO(text))
         expected = []
         for row in raw:
-            coords = _unflatten_coords(spec, row)
-            expected.append(Point(spec, coords / np.linalg.norm(coords)))
-        assert np.array_equal(loaded.coords_array(), Configuration(spec, expected).coords_array())
+            coords = field_coords(spec, row)
+            expected.append(frame(coords / np.linalg.norm(coords)))
+        assert np.array_equal(loaded.coords_array(), np.stack(expected))
 
     def test_array_must_hold_unit_rows(self):
         with pytest.raises(DomainError):
-            Configuration.from_array(S2, np.array([[1.0, 1.0, 0.0]]))
+            Configuration(S2, np.array([[1.0, 1.0, 0.0]]))
         with pytest.raises(DomainError):
-            Configuration.from_array(S2, np.array([[np.nan, 0.0, 0.0]]))
+            Configuration(S2, np.array([[np.nan, 0.0, 0.0]]))
         with pytest.raises(DomainError):
-            Configuration.from_array(S2, np.array([[1.0, 0.0]]))
+            Configuration(S2, np.array([[1.0, 0.0]]))
+        with pytest.raises(DomainError):
+            Configuration(S2, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(DomainError):
+            Configuration(S2, np.empty((0, 3)))
         with pytest.raises(UnsupportedManifoldError):
-            Configuration.from_array(OP2, np.eye(17)[:1])
+            Configuration(OP2, np.eye(17)[:1])
+
+    def test_rows_are_copied_and_read_only(self):
+        rows = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        config = Configuration(S2, rows)
+        rows[0, 2] = 5.0
+        held = config.coords_array()
+        assert np.array_equal(held, [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        assert not held.flags.writeable and len(config) == 2
 
     def test_cayley_plane_file_rejected(self):
         with pytest.raises(UnsupportedManifoldError):
