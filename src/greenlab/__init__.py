@@ -2,7 +2,7 @@
 compact harmonic manifolds (spheres, projective spaces over R, C, H and
 the Cayley plane)."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .manifold import Family, ManifoldSpec
 from .green import RadialGreenProfile, build_profile, get_profile

@@ -118,7 +118,7 @@ def cum_volume_over_area(spec: ManifoldSpec, r: float) -> float:
     Diverges at r = D on every family whose density vanishes there, hence
     the strict upper bound.
     """
-    if r < 0.0 or r >= diameter(spec):
+    if not 0.0 <= r < diameter(spec):
         raise DomainError(f"cumulative volume ratio needs 0 <= r < D, got {r}")
     return integrate(lambda u: _radial_ratios(spec, u)[1], 0.0, r)
 

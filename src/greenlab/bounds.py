@@ -35,13 +35,12 @@ reported best is the largest of them.
 So a fresh N costs one kernel pass of 33 to 34 radii plus a scalar Newton
 solve, with `volume`, `optimal_radius_constant` and the prior coefficient
 cached per spec. The search keeps its last 1024 reports (`functools.lru_cache`,
-about 4 KB each): a (spec, N) among them is not searched again, and every
-caller gets a report with a radius grid of its own.
+about 4 KB each): a (spec, N) among them is not searched again. A report is
+frozen, its radius grid a tuple, so every caller may share it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -88,13 +87,13 @@ class BoundCoefficients:
     exponent: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
     """Result of maximizing the finite-N bound over the probe radius."""
 
     spec: ManifoldSpec
     N: int
-    radius_grid: list[tuple[float, float]]
+    radius_grid: tuple[tuple[float, float], ...]
     best_a: float
     best_bound: float
     asymptotic_a: float | None = None
@@ -263,12 +262,10 @@ def _log_grid(spec: ManifoldSpec, N: int) -> np.ndarray:
 def best_finite_bound(spec: ManifoldSpec, N: int) -> BoundReport:
     """Maximize the finite-N bound over the probe radius (module docstring).
 
-    The reported best is the maximum over every radius evaluated. Each call
-    returns a report of its own, so callers may mutate it.
+    The reported best is the maximum over every radius evaluated.
     """
     _check_points(N, 2)
-    report = _search_radius(spec, N)
-    return dataclasses.replace(report, radius_grid=list(report.radius_grid))
+    return _search_radius(spec, N)
 
 
 @functools.cache
@@ -304,7 +301,7 @@ def _search_radius(spec: ManifoldSpec, N: int) -> BoundReport:
     return BoundReport(
         spec=spec,
         N=N,
-        radius_grid=list(zip(radii[:GRID_POINTS], values)),
+        radius_grid=tuple(zip(radii[:GRID_POINTS], values)),
         best_a=best_a,
         best_bound=best_bound,
         **asymptotic,

@@ -102,7 +102,7 @@ def _radial_ratios(spec: ManifoldSpec, r: np.ndarray):
         raise DomainError(f"psi needs s <= D = {diameter(spec)} on {spec}, got {float(r.max())!r}")
     m, k, step = record = _record(spec)
     x, y = _sin_cos_squares(spec, r)
-    mu, rest, above, F = incomplete_beta(m, k, x, y, records.kernel_scale(record))
+    mu, rest, above, F = incomplete_beta(m, k, x, y)
     near = np.sqrt(x * y) * F / (2.0 * step * np.where(above, k, m))
     fraction = np.where(above, mu, rest)  # the far one
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -173,11 +173,11 @@ def phi_hat(spec: ManifoldSpec, r: float) -> float:
     tests and `verify` compare them against.
     """
     D = diameter(spec)
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"phi_hat needs r > 0, got r={r}")
     if r < _phi_hat_floor(spec):
         raise _unrepresentable(spec, r, "phi_hat")
-    if r > _radius_limit(spec):
+    if not r <= _radius_limit(spec):
         raise DomainError(f"phi_hat needs r <= D={D}, got r={r}")
     if r >= D:
         return 0.0
@@ -279,7 +279,7 @@ class RadialGreenProfile:
             least, most = x.min(), x.max()
             if least <= 0.0:
                 raise SingularityError("phi_hat diverges at r = 0")
-            if most > limit:
+            if not most <= limit:  # or a nan, which min and max carry
                 raise DomainError("radius beyond the manifold diameter")
             if least < _phi_hat_floor(self.spec):
                 raise _unrepresentable(self.spec, float(least), "phi_hat")

@@ -195,7 +195,7 @@ def bm_constant(spec: ManifoldSpec) -> float:
 def _radii(spec: ManifoldSpec, r, what: str = "r") -> np.ndarray:
     """r as a float array, checked to lie in [0, D]."""
     r = np.asarray(r, dtype=float)
-    if (r < 0.0).any() or (r > _radius_limit(spec)).any():
+    if not ((r >= 0.0).all() and (r <= _radius_limit(spec)).all()):
         raise DomainError(f"{what}={r} outside [0, {diameter(spec)}] for {spec}")
     return r
 
@@ -238,9 +238,9 @@ def ball_volume(spec: ManifoldSpec, a):
 
 def ball_volume_fraction(spec: ManifoldSpec, a: np.ndarray) -> np.ndarray:
     """V(a)/V = I_x(m, k), x = sin^2(s a), past the mean 1 - I_y(k, m), for an array of radii."""
-    m, k, _ = record = _record(spec)
-    x, y = _sin_cos_squares(spec, np.asarray(a, dtype=float))
-    return incomplete_beta(m, k, x, y, records.kernel_scale(record))[0]
+    m, k, _ = _record(spec)
+    x, y = _sin_cos_squares(spec, _radii(spec, a, "a"))
+    return incomplete_beta(m, k, x, y)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +463,8 @@ def _unit_rows(spec: ManifoldSpec, rows: np.ndarray) -> np.ndarray:
         norms = np.sqrt(_row_dots(rows))
     if not norms.all():
         raise DomainError("zero vector cannot represent a point")
+    if not np.isfinite(norms).all():  # an inf or nan coordinate, before it reaches the division
+        raise DomainError("every row must be a finite unit vector")
     if spec.family is Family.COMPLEX_PROJ:
         return rows * (1.0 / norms)[:, None]
     return rows / norms[:, None]
@@ -540,6 +542,8 @@ def sample_uniform(spec: ManifoldSpec, rng, size: int) -> Configuration:
     width = _row_width(spec)
     gen = _as_generator(rng)
     count = int(size)
+    if count < 1:
+        raise DomainError("a configuration needs at least one point")
     m, k = spec.n + 1, _FIELD_RANK[spec.family]
     if spec.family is Family.COMPLEX_PROJ:  # m real parts, then m imaginary parts
         raw = gen.standard_normal((count, 2, m)).swapaxes(1, 2)
@@ -556,6 +560,8 @@ def random_distance(spec: ManifoldSpec, rng, size: int | None = None):
     ch. IX), so r = atan2(sqrt(g1), sqrt(g2)) / s."""
     gen = _as_generator(rng)
     count = 1 if size is None else int(size)
+    if count < 0:
+        raise DomainError(f"random_distance needs size >= 0, got {size}")
     m, k, s = _record(spec)
     out = np.arctan2(np.sqrt(gen.standard_gamma(m, count)), np.sqrt(gen.standard_gamma(k, count)))
     out /= s

@@ -42,6 +42,7 @@ from greenlab.manifold import (
     sphere_area,
     volume,
 )
+from greenlab.ball_stats import cum_volume_over_area
 from greenlab.special_math import incomplete_beta, integrate, vol_unit_sphere
 
 import half_angle_oracle
@@ -164,7 +165,7 @@ class TestRadialRatios:
         mass = volume(OP2) / vol_unit_sphere(dimension(OP2))
         s = np.linspace(0.0, diameter(OP2), 202)[1:-1]
         m, k, _ = _record(OP2)
-        fractions = incomplete_beta(m, k, *_sin_cos_squares(OP2, s), records.kernel_scale(_record(OP2)))
+        fractions = incomplete_beta(m, k, *_sin_cos_squares(OP2, s))
         got = records.volume_ratio(_record(OP2)) * fractions[1]
         with mpmath.workdps(40):
             for si, value in zip(s, got):
@@ -224,6 +225,14 @@ class TestPhiHat:
         with pytest.raises(DomainError):
             phi_hat(S2, 0.0)
 
+    @pytest.mark.parametrize(
+        "oracle", [phi_hat, cum_volume_over_area], ids=lambda fn: fn.__name__
+    )
+    def test_a_nan_radius_is_a_domain_error(self, oracle):
+        # it once reached the continued fraction, which raised that it did not converge
+        with pytest.raises(DomainError):
+            oracle(S3, math.nan)
+
 
 class TestProfileConstants:
     def test_frozen_constants(self):
@@ -251,6 +260,14 @@ class TestProfileConstants:
 
 
 class TestGreenEval:
+    @pytest.mark.parametrize("method", ["phi", "phi_hat_values"])
+    @pytest.mark.parametrize("spec", [S2, S3, CP2], ids=str)
+    def test_a_nan_radius_is_a_domain_error(self, spec, method):
+        # the chunk's range check is a positive condition, so a nan, which its
+        # min and max carry, fails it instead of coming back as a value
+        with pytest.raises(DomainError, match="radius beyond the manifold diameter"):
+            getattr(get_profile(spec), method)(np.array([0.5, math.nan]))
+
     def test_two_sphere_against_log_formula(self):
         prof = get_profile(S2)
         rr = np.linspace(0.02, math.pi, 50)

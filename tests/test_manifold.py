@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -38,7 +39,6 @@ from greenlab.manifold import (
     volume,
 )
 from greenlab import manifold as mf
-from greenlab import records
 from greenlab.ball_stats import theta_value
 from greenlab.green import get_profile
 from greenlab.special_math import incomplete_beta, integrate, vol_unit_sphere
@@ -342,7 +342,7 @@ class TestRegularizedBeta:
         above = mean + np.linspace(0.001, 1.0, 15) * (diameter(spec) - mean)
         a = {"below": below, "above": above, "mixed": np.concatenate([above, below])}[side]
         x, y = np.sin(s * a) ** 2, np.cos(s * a) ** 2
-        got = incomplete_beta(m, k, x, y, records.kernel_scale(_record(spec)))[:2]
+        got = incomplete_beta(m, k, x, y)[:2]
         for g, w in zip(got, self.two_calls(m, k, x, y)):
             np.testing.assert_allclose(g, w, rtol=half_angle_oracle.tolerance(spec, 2), atol=0)
 
@@ -362,6 +362,19 @@ class TestArrayRadii:
             ball_volume(S2, np.array([0.5, 4.0]))
         with pytest.raises(DomainError):
             sphere_area(CP2, np.array([-0.1, 0.5]))
+
+    @pytest.mark.parametrize(
+        "fn, r",
+        [(fn, math.nan) for fn in (radial_density, sphere_area, ball_volume, ball_volume_fraction)]
+        + [(ball_volume_fraction, 4.0), (ball_volume_fraction, -0.5)],
+        ids=lambda v: getattr(v, "__name__", repr(v)),
+    )
+    def test_a_nan_or_outside_radius_is_a_domain_error(self, fn, r):
+        # the range check is a positive condition, so a nan fails it: the
+        # density once came back nan and the ball volume raised the continued
+        # fraction's error, and the ball fraction checked no range at all
+        with pytest.raises(DomainError, match="outside"):
+            fn(S3, np.array([0.5, r]))
 
 
 class TestSphereArea:
@@ -517,6 +530,15 @@ class TestSampleUniform:
         with pytest.raises(UnsupportedManifoldError):
             sample_uniform(OP2, np.random.default_rng(0), 1)
 
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda rng: sample_uniform(S2, rng, -1), lambda rng: random_distance(S2, rng, size=-1)],
+        ids=["sample_uniform", "random_distance"],
+    )
+    def test_a_negative_size_is_a_domain_error(self, draw):
+        with pytest.raises(DomainError):
+            draw(np.random.default_rng(0))
+
 
 class TestBatchedSampling:
     @pytest.mark.parametrize("spec", POINT_SPECS + [ManifoldSpec(Family.COMPLEX_PROJ, 20)])
@@ -646,6 +668,16 @@ class TestRandomDistance:
 
 
 class TestConfigurationFiles:
+    @pytest.mark.parametrize("spec", [S2, CP2, HP1], ids=str)
+    @pytest.mark.parametrize("bad", ["inf", "-inf"])
+    def test_a_non_finite_row_is_rejected_before_it_is_scaled(self, spec, bad):
+        # inf / inf once warned of an invalid division before the error
+        row = " ".join(["0.5"] * (_row_width(spec) - 1) + [bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="every row must be a finite unit vector"):
+                load_configuration(io.StringIO(f"# manifold={spec.token} n={spec.n}\n{row}\n"))
+
     @pytest.mark.parametrize("spec", POINT_SPECS)
     def test_round_trip(self, spec):
         rng = np.random.default_rng(55)

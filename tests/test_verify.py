@@ -10,10 +10,13 @@ integer-m record, and the mirror's H that the kernels read on CP^n, HP^n,
 OP^2 and even S^n past the mean), in all, in phi_hat's coefficients only or
 in the log coefficient only; the mean-zero moment c_m
 (`records.laurent_moment`); the odd form's parts behind odd S^n and RP^n
-(`records.odd_parts`), in all, in R only or in RP^n's constant only; and
-the volume (`records.volume`, behind `manifold.volume`). Every greenlab
-cache is cleared before and after (the `fresh_caches` fixture), so no value
-computed with or without the error outlives its case.
+(`records.odd_parts`), in all, in R only or in RP^n's constant only; the
+volume (`records.volume`, behind `manifold.volume`); and the incomplete
+beta's constant (`records.kernel_scale`, which `special_math.incomplete_beta`
+reads for the ball fraction, the oracles and both beta checks, and the
+kernels for mu). Every greenlab cache is cleared before and after (the
+`fresh_caches` fixture), so no value computed with or without the error
+outlives its case.
 """
 
 import io
@@ -57,6 +60,7 @@ MUTATIONS = {
     "odd R": ("odd_parts", _scaled_items(2)),
     "odd RP constant": ("odd_parts", _scaled_items(5)),
     "volume": ("volume", _scaled_value),
+    "incomplete beta constant": ("kernel_scale", _scaled_value),
 }
 
 
