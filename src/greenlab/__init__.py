@@ -2,11 +2,11 @@
 compact harmonic manifolds (spheres, projective spaces over R, C, H and
 the Cayley plane)."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
-from .manifold import Family, ManifoldSpec
+from .manifold import Configuration, Family, ManifoldSpec
 from .green import RadialGreenProfile, build_profile, get_profile
-from .energy import Configuration, EnergyReport
+from .energy import EnergyReport
 from .bounds import BoundCoefficients, BoundReport
 
 __all__ = [

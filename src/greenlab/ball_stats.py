@@ -86,10 +86,7 @@ from .manifold import (
     _radius_limit,
     _record,
     _sin_cos_squares,
-    ball_volume,
-    bm_constant,
     diameter,
-    dimension,
     sphere_area,
     volume,
 )
@@ -104,10 +101,6 @@ __all__ = [
     "theta_value",
     "k_values",
     "theta_values",
-    "k_asymptotic",
-    "theta_asymptotic",
-    "ball_average_green",
-    "spherical_mean",
     "cum_volume_over_area",
 ]
 
@@ -425,7 +418,7 @@ def theta_closed(spec: ManifoldSpec, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Array kernels, asymptotics
+# Array kernels
 # ---------------------------------------------------------------------------
 
 
@@ -461,64 +454,3 @@ def k_value(spec: ManifoldSpec, a: float) -> float:
 def theta_value(spec: ManifoldSpec, a: float) -> float:
     """Theta(M, a) at one radius: `theta_values` on a one-element array."""
     return float(theta_values(spec, [a])[0])
-
-
-def k_asymptotic(spec: ManifoldSpec, a: float) -> float:
-    """Small-radius law K = a^2 / (2 (d+2) V)."""
-    return a * a / (2.0 * (dimension(spec) + 2) * volume(spec))
-
-
-def theta_asymptotic(spec: ManifoldSpec, a: float) -> float:
-    """Small-radius law Theta = d B_M a^(2-d) / (2 V); requires d > 2."""
-    d = dimension(spec)
-    return d * bm_constant(spec) * a ** (2 - d) / (2.0 * volume(spec))
-
-
-# ---------------------------------------------------------------------------
-# Ball and sphere averages of G
-# ---------------------------------------------------------------------------
-
-
-def ball_average_green(spec: ManifoldSpec, t: float, a: float) -> float:
-    """Mean of G(p, .) over the ball B(p0, a) with t = d_R(p0, p).
-
-    Equals phi(t) + K(M, a) for t >= a; for t < a the overlap correction
-    subtracts a double integral, collapsed here to a single one by
-    swapping the integration order. t = 0 is rejected: phi diverges there
-    while the true ball mean is the finite Theta(M, a).
-    """
-    D = diameter(spec)
-    if t == 0.0:
-        raise SingularityError(
-            "the ball average at t = 0 is Theta(M, a); phi diverges pointwise"
-        )
-    if not 0.0 < t <= D:
-        raise DomainError(f"need 0 < t <= D, got t={t}")
-    if not 0.0 < a < D:
-        raise DomainError(f"need 0 < a < D, got a={a}")
-    base = get_profile(spec).phi(t) + k_value(spec, a)
-    if t >= a:
-        return base
-    va = ball_volume(spec, a)
-
-    def overlap(u: np.ndarray) -> np.ndarray:
-        return (va - ball_volume(spec, u)) / sphere_area(spec, u)
-
-    # only the base's absolute accuracy is needed: near t = a, va - V(u) is rounding noise
-    correction = integrate(overlap, t, a, max(1e-15 * va * abs(base), 1e-300)) / va
-    return base - correction
-
-
-def spherical_mean(spec: ManifoldSpec, t: float, a: float) -> float:
-    """Mean of G(p, .) over the geodesic sphere S(p0, a), for a < t = d_R(p, p0).
-
-    Closed identity: phi(t) + (1/V) int_0^a V(u)/v(u) du.
-    """
-    D = diameter(spec)
-    if not 0.0 < t <= D:
-        raise DomainError(f"need 0 < t <= D, got t={t}")
-    if not 0.0 < a < t:
-        raise DomainError(
-            f"the sphere-mean identity holds for a < t only, got a={a}, t={t}"
-        )
-    return get_profile(spec).phi(t) + cum_volume_over_area(spec, a) / volume(spec)

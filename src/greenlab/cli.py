@@ -35,6 +35,7 @@ from . import energy as en
 from .errors import DomainError, GreenLabError
 from .green import get_profile
 from .manifold import (
+    _CLI_TOKENS,
     Family,
     ManifoldSpec,
     diameter,
@@ -244,14 +245,13 @@ def _cmd_bound(args) -> str:
 
 
 def _cmd_compare(args) -> str:
-    spec_family = ManifoldSpec.from_token(args.family, args.n_min or 2).family
-    if spec_family is Family.CAYLEY_PLANE:
-        n_min = n_max = 2
-    else:
-        if args.n_min is None or args.n_max is None:
-            raise GreenLabError("compare needs --n-min and --n-max for this family")
-        n_min, n_max = args.n_min, args.n_max
-    rows = bd.compare_table(spec_family, n_min, n_max)
+    family = _CLI_TOKENS[args.family]
+    n_min, n_max = args.n_min, args.n_max
+    if family is Family.CAYLEY_PLANE:  # n = 2 where a bound is not given
+        n_min, n_max = (2 if n is None else n for n in (n_min, n_max))
+    elif n_min is None or n_max is None:
+        raise GreenLabError("compare needs --n-min and --n-max for this family")
+    rows = bd.compare_table(family, n_min, n_max)
     if args.format == "json":
         return _json_payload(
             [
@@ -265,7 +265,7 @@ def _cmd_compare(args) -> str:
 def _cmd_energy(args) -> str:
     with open(args.config) as fh:
         cfg = load_configuration(fh)
-    report = en.EnergyReport.from_configuration(cfg, seed=args.seed)
+    report = en.EnergyReport.from_configuration(cfg)
     return _json_payload(report.to_dict())
 
 
@@ -321,7 +321,6 @@ def _compare_options(p):
 def _energy_options(p):
     _output(p)
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0, help="recorded in the report")
 
 
 def _optimize_options(p):

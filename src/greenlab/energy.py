@@ -52,17 +52,14 @@ from .manifold import (
     _record,
     _row_dots,
     diameter,
-    random_distance,
     sample_uniform,
     volume,
 )
 
 __all__ = [
-    "Configuration",
     "EnergyReport",
     "energy",
     "optimize",
-    "mc_energy_moment",
 ]
 
 _MIN_SEPARATION_FACTOR = 1e-9
@@ -163,7 +160,6 @@ class EnergyReport:
     energy: float
     bound: BoundReport
     slack: float
-    seed: int | None = None
 
     def __post_init__(self):
         if self.slack < 0.0:
@@ -178,7 +174,7 @@ class EnergyReport:
                 )
 
     @classmethod
-    def from_configuration(cls, config: Configuration, seed: int | None = None) -> "EnergyReport":
+    def from_configuration(cls, config: Configuration) -> "EnergyReport":
         e = energy(config)
         rep = best_finite_bound(config.spec, len(config))
         return cls(
@@ -187,7 +183,6 @@ class EnergyReport:
             energy=e,
             bound=rep,
             slack=e - rep.best_bound,
-            seed=seed,
         )
 
     def to_dict(self) -> dict:
@@ -195,7 +190,6 @@ class EnergyReport:
             "family": self.spec.token,
             "n": self.spec.n,
             "N": self.N,
-            "seed": self.seed,
             "energy": self.energy,
             "slack": self.slack,
             "bound": self.bound.to_dict(),
@@ -208,8 +202,10 @@ def _descent_rows(
     """Negative Riemannian gradients of every point's interaction energy, as rows.
 
     Row i is sum_j [phi'(d_ij) / sin d_ij] (x_j u_ij - cos(d_ij) x_i), with
-    x_j u_ij the representative of x_j aligned to x_i (see
-    `manifold._aligned`). The pairs come from the energy's block sweep
+    x_j u_ij the representative of x_j aligned to x_i: its right multiple by
+    the unit scalar u_ij that makes <x_i, x_j u_ij> real and >= 0 (1 on S^n,
+    a sign on RP^n, a phase on CP^n, a unit quaternion on HP^n). The pairs
+    come from the energy's block sweep
     (`_pair_blocks`), so phi' is evaluated once per unordered pair at the
     energy's (x, y), chord and floor checks included, and each pair adds to
     both of its rows through k matrix products with the right multiples
@@ -340,33 +336,3 @@ def optimize(spec: ManifoldSpec, N: int, iterations: int, rng) -> tuple[Configur
     if e is None:
         e = _energy_rows(spec, profile, coords)
     return Configuration(spec, coords), e
-
-
-def mc_energy_moment(
-    spec: ManifoldSpec, N: int, samples: int, rng
-) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of E over i.i.d. uniform configurations.
-
-    The Cayley plane has no point model; there, each ordered pair is
-    simulated by an independent radial draw, which reproduces the mean
-    exactly because the expectation is linear in the pair terms. The standard
-    error is no error bar for d >= 4, where Var phi(r) is infinite (int r^(4-2d)
-    r^(d-1) dr diverges at 0): on OP^2, N = 2 and 10^5 samples, 20 seeds gave
-    z-scores of mean -2.63, deviation 2.58 and largest size 6.80.
-    """
-    if N < 2:
-        raise DomainError(f"need N >= 2, got {N}")
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples}")
-    gen = _as_generator(rng)
-    values = np.empty(samples)
-    if spec.family is Family.CAYLEY_PLANE:
-        pairs = N * (N - 1)
-        draws = random_distance(spec, gen, size=samples * pairs)
-        values = get_profile(spec).phi(draws).reshape(samples, pairs).sum(axis=1)
-    else:
-        for s in range(samples):
-            values[s] = energy(sample_uniform(spec, gen, N))
-    mean = float(np.mean(values))
-    std_err = float(np.std(values, ddof=1) / math.sqrt(samples))
-    return mean, std_err

@@ -115,21 +115,16 @@ def phi_hat_prime(spec: ManifoldSpec, s):
 
     Array-valued like s; like phi_hat, raises `SingularityError` below
     `_phi_hat_floor`. This is the direct form by the incomplete beta, the
-    oracle of `RadialGreenProfile.phi_hat_prime_values`.
+    oracle of the profile's closed slope: -2 s h(x, y) sqrt(x y).
     """
     s_arr = np.asarray(s, dtype=float)
-    _check_slope_radii(spec, s_arr)
+    D = diameter(spec)
+    if not ((s_arr > 0.0).all() and (s_arr < D).all()):
+        raise DomainError(f"phi_hat_prime needs 0 < s < D={D}, got s={s_arr}")
+    if (s_arr < _phi_hat_floor(spec)).any():
+        raise _unrepresentable(spec, float(np.min(s_arr)), "phi_hat_prime")
     out = -_radial_ratios(spec, np.atleast_1d(s_arr))[2]
     return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
-
-
-def _check_slope_radii(spec: ManifoldSpec, s: np.ndarray) -> None:
-    """The domain and floor errors of phi_hat_prime."""
-    D = diameter(spec)
-    if not ((s > 0.0).all() and (s < D).all()):
-        raise DomainError(f"phi_hat_prime needs 0 < s < D={D}, got s={s}")
-    if (s < _phi_hat_floor(spec)).any():
-        raise _unrepresentable(spec, float(np.min(s)), "phi_hat_prime")
 
 
 @functools.cache
@@ -182,20 +177,20 @@ def phi_hat(spec: ManifoldSpec, r: float) -> float:
     if r >= D:
         return 0.0
 
-    def psi(s: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray) -> np.ndarray:  # psi
         return _radial_ratios(spec, s)[2]
 
     knee = D / 8.0
     if r >= knee:
-        return integrate(psi, r, D)
-    upper = integrate(psi, knee, D)
+        return integrate(integrand, r, D)
+    upper = integrate(integrand, knee, D)
 
     def log_integrand(w: np.ndarray) -> np.ndarray:
         # s = knee exp(-w) keeps the integrand a smooth exponential even where
         # psi carries the s^(1-d) blow-up, so plain adaptive panels converge
         # quickly however small r is
         s = knee * np.exp(-w)
-        return psi(s) * s
+        return integrand(s) * s
 
     return upper + integrate(log_integrand, 0.0, math.log(knee / r))
 
@@ -229,9 +224,10 @@ class RadialGreenProfile:
     """Evaluable radial Green function phi(r) = (phi_hat(r) + c_m) / V.
 
     Each manifold's profile is its closed form, `_LaurentProfile` or
-    `_OddProfile`: the form gives phi_hat(x, y, out), h(x, y) and psi(x, y)
-    at x = sin^2(s r), y = cos^2(s r), and `reads_y` says whether phi_hat
-    reads y; this class takes radii. Immutable, so one profile serves
+    `_OddProfile`: the form gives phi_hat(x, y, out) and its slope
+    h(x, y) = -d phi_hat / dx (psi = 2 s h sqrt(x y)) at x = sin^2(s r),
+    y = cos^2(s r), and `reads_y` says whether phi_hat reads y; this class
+    takes radii. Immutable, so one profile serves
     concurrent callers.
     """
 
@@ -299,18 +295,6 @@ class RadialGreenProfile:
                 acc /= V
         return out.reshape(r.shape)
 
-    def phi_hat_prime_values(self, s):
-        """-psi = -2 s h(x, y) sqrt(x y) from the closed form; array-valued like s.
-
-        It raises the same domain and floor errors as `phi_hat_prime`, and is
-        elementwise, so a radius has the same bits alone and in any batch.
-        """
-        s_arr = np.asarray(s, dtype=float)
-        _check_slope_radii(self.spec, s_arr)
-        x, y = _sin_cos_squares(self.spec, np.atleast_1d(s_arr).ravel())
-        out = -self.psi(x, y)
-        return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
-
     def grid_rows(self):
         """(r, phi_hat, phi) rows at 200 Chebyshev-Lobatto radii from r_cut to D."""
         nodes = lobatto_nodes(_PROFILE_ROWS, self.r_cut, self.diameter)
@@ -350,17 +334,10 @@ class _LaurentProfile(RadialGreenProfile):
         """h = -d phi_hat / dx at the flat arrays (x, y)."""
         return _horner(self.slope, np.divide(1.0, x))
 
-    def psi(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """psi = 2 s h sqrt(x y), as 2 s (h / w) sqrt(y / x): h / w grows like
-        x^(1-m), as phi_hat does, so no factor overflows where psi is a double."""
-        w = 1.0 / x
-        over_w = _horner(self.slope[1:], w) + self.slope[0] if len(self.slope) > 1 else self.slope[0]
-        return 2.0 * self.s * over_w * (np.sqrt(y) / np.sqrt(x))
-
 
 @dataclass(frozen=True, eq=False)
 class _OddProfile(RadialGreenProfile):
-    """phi_hat, h and psi of S^n or RP^n with odd n = 2k + 1, from (x, y).
+    """phi_hat and h of S^n or RP^n with odd n = 2k + 1, from (x, y).
 
     With c = cot r, v = c^2 and u = 1 + v = 1 / sin^2 r of the distance r,
     and t = pi - r on S^n (x = sin^2(r/2)) or pi/2 - r on RP^n (x = sin^2 r):
@@ -450,13 +427,6 @@ class _OddProfile(RadialGreenProfile):
     def phi_hat(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """phi_hat at the flat arrays (x, y), written to out (which may be x) and returned."""
         return self._parts(x, y, self._phi_direct, lambda x, y, out: _horner(self.series_phi, y, out), out)
-
-    def psi(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """psi = 2 s h sqrt(x y) at the flat arrays (x, y)."""
-        return self._parts(
-            x, y, self._psi_direct,
-            lambda x, y, out: np.multiply(_polyval(self.series, y), np.sqrt(x * y), out=out),
-        )
 
     def h(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """h = -d phi_hat / dx at the flat arrays (x, y)."""

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -304,31 +305,16 @@ def _modulus(h: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(h * h, axis=-2))
 
 
-def _aligned(spec: ManifoldSpec, x: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Representatives y u of the rows y of others with <x, y u> real and >= 0.
-
-    u = conj(h) / |h| for h = <x, y>, and u = 1 where h = 0. This is the
-    sign on RP^n, the phase on CP^n and a unit quaternion on HP^n; sphere
-    points are returned unchanged.
-    """
-    if spec.family is Family.SPHERE:
-        return others
-    k = _FIELD_RANK[spec.family]
-    h = _products(k, x[None], others)[0]
-    mod = _modulus(h)
-    u = h * _CONJ_SIGN[:k, None] / np.where(mod > 0.0, mod, 1.0)
-    u[0, mod == 0.0] = 1.0
-    return np.einsum("cb,bcd->bd", u, _frames(k, others))
-
-
 def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """x = sin^2(s d) of the paired rows x of left and y of right, from the
     chord c = |x - y u| = 2 sin(d/2): c^2 / 4 on spheres, c^2 (1 - c^2 / 4) on
     the projective families.
 
-    y u is y's representative aligned to x (see `_aligned`), formed pair
-    by pair from the products of `_frames`. Near coincidence this keeps
-    the digits that the cosine loses; <x, y> must not be 0.
+    y u is y's representative aligned to x: u = conj(h) / |h| for
+    h = <x, y>, the unit scalar (a sign on RP^n, a phase on CP^n, a unit
+    quaternion on HP^n) that makes <x, y u> real and >= 0, formed pair by
+    pair from the products of `_frames`. Near coincidence this keeps the
+    digits that the cosine loses; <x, y> must not be 0.
     """
     if spec.family is Family.SPHERE:
         chord = left - right
@@ -531,6 +517,15 @@ def _as_generator(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _size(size, what: str) -> int:
+    """size as an int by `operator.index`, which Python and numpy integers
+    pass; anything else raises DomainError naming it."""
+    try:
+        return operator.index(size)
+    except TypeError:
+        raise DomainError(f"{what} needs an integer size, got {size!r}") from None
+
+
 def sample_uniform(spec: ManifoldSpec, rng, size: int) -> Configuration:
     """A `Configuration` of `size` independent points, uniform with respect
     to normalized Riemannian volume.
@@ -541,7 +536,7 @@ def sample_uniform(spec: ManifoldSpec, rng, size: int) -> Configuration:
     """
     width = _row_width(spec)
     gen = _as_generator(rng)
-    count = int(size)
+    count = _size(size, "sample_uniform")
     if count < 1:
         raise DomainError("a configuration needs at least one point")
     m, k = spec.n + 1, _FIELD_RANK[spec.family]
@@ -559,7 +554,7 @@ def random_distance(spec: ManifoldSpec, rng, size: int | None = None):
     drawn in that order (Devroye, Non-Uniform Random Variate Generation, 1986,
     ch. IX), so r = atan2(sqrt(g1), sqrt(g2)) / s."""
     gen = _as_generator(rng)
-    count = 1 if size is None else int(size)
+    count = 1 if size is None else _size(size, "random_distance")
     if count < 0:
         raise DomainError(f"random_distance needs size >= 0, got {size}")
     m, k, s = _record(spec)

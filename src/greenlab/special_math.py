@@ -41,7 +41,6 @@ from . import records
 from .errors import DomainError, QuadratureError
 
 __all__ = [
-    "log_gamma",
     "vol_unit_sphere",
     "reg_incomplete_beta",
     "incomplete_beta",
@@ -53,13 +52,6 @@ __all__ = [
 # the relative tolerance of every integral and its subinterval budget
 _REL_TOL = 1e-12
 _MAX_SUBDIVISIONS = 4000
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 @functools.cache

@@ -16,6 +16,7 @@ import pytest
 import greenlab
 from greenlab import ball_stats as bs
 from greenlab import green, manifold, records, special_math
+from greenlab import verify as vf
 from greenlab.errors import DomainError, QuadratureError, SingularityError
 from greenlab.green import get_profile
 from greenlab.manifold import (
@@ -89,7 +90,7 @@ class TestKQuadrature:
     @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, OP2])
     def test_small_radius_law(self, spec):
         a = 1e-2 * diameter(spec)
-        assert bs.k_quadrature(spec, a) / bs.k_asymptotic(spec, a) == pytest.approx(
+        assert bs.k_quadrature(spec, a) / vf._k_asymptotic(spec, a) == pytest.approx(
             1.0, abs=0.01
         )
 
@@ -138,7 +139,7 @@ class TestKQuadrature:
         theta = bs.theta_quadrature(spec, a)
         assert math.isfinite(k) and k > 0.0
         assert math.isfinite(theta) and theta > 0.0
-        assert k == pytest.approx(bs.k_asymptotic(spec, a), rel=1e-6)
+        assert k == pytest.approx(vf._k_asymptotic(spec, a), rel=1e-6)
 
     @pytest.mark.parametrize("fraction", [0.995, 0.999])
     def test_s150_near_the_diameter_against_mpmath(self, fraction):
@@ -374,7 +375,7 @@ class TestRecordSeries:
         _, h, r = records.record_series((m, k, s))
         assert h[1] - r[1] == pytest.approx(1.0 / (4 * s * s * (m + 1)), rel=1e-15, abs=0)
         a = 1e-6 * diameter(spec)
-        assert bs.k_value(spec, a) == pytest.approx(bs.k_asymptotic(spec, a), rel=1e-11, abs=0)
+        assert bs.k_value(spec, a) == pytest.approx(vf._k_asymptotic(spec, a), rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_theta_vanishes_at_the_diameter(self, spec):
@@ -386,7 +387,7 @@ class TestRecordSeries:
     def test_theta_head_is_the_small_radius_law(self, spec):
         # Theta -> d B_M a^(2-d) / (2 V)
         a = 1e-3 * diameter(spec)
-        assert bs.theta_value(spec, a) == pytest.approx(bs.theta_asymptotic(spec, a), rel=1e-4)
+        assert bs.theta_value(spec, a) == pytest.approx(vf._theta_asymptotic(spec, a), rel=1e-4)
 
     @pytest.mark.parametrize("spec", SPECS[4:], ids=str)
     def test_volume_is_the_sphere_area_over_twice_the_slope_constant(self, spec):
@@ -472,8 +473,8 @@ class TestThetaQuadrature:
     @pytest.mark.parametrize("spec", [S3, RP3, CP2, HP1, OP2])
     def test_small_radius_law(self, spec):
         D = diameter(spec)
-        dev2 = abs(bs.theta_quadrature(spec, 1e-2 * D) / bs.theta_asymptotic(spec, 1e-2 * D) - 1)
-        dev3 = abs(bs.theta_quadrature(spec, 1e-3 * D) / bs.theta_asymptotic(spec, 1e-3 * D) - 1)
+        dev2 = abs(bs.theta_quadrature(spec, 1e-2 * D) / vf._theta_asymptotic(spec, 1e-2 * D) - 1)
+        dev3 = abs(bs.theta_quadrature(spec, 1e-3 * D) / vf._theta_asymptotic(spec, 1e-3 * D) - 1)
         assert dev2 < 0.02
         assert dev3 < dev2
 
@@ -543,12 +544,12 @@ class TestBallAverage:
     def test_outside_branch_is_exact(self):
         prof = get_profile(S2)
         k = bs.k_value(S2, 0.3)
-        assert bs.ball_average_green(S2, 1.0, 0.3) == prof.phi(1.0) + k
+        assert vf._ball_average_green(S2, 1.0, 0.3) == prof.phi(1.0) + k
 
     def test_branches_agree_at_boundary(self):
         t = 0.4
-        outside = bs.ball_average_green(S2, t, t)
-        inside = bs.ball_average_green(S2, t - 1e-12, t)
+        outside = vf._ball_average_green(S2, t, t)
+        inside = vf._ball_average_green(S2, t - 1e-12, t)
         assert inside == pytest.approx(outside, abs=1e-9)
 
     @pytest.mark.parametrize("spec", [S2, CP2])
@@ -557,7 +558,7 @@ class TestBallAverage:
         a = 0.4 * diameter(spec)
         bound = bs.k_value(spec, a)
         for t in (0.1 * a, 0.5 * a, 0.99 * a, 1.5 * a):
-            avg = bs.ball_average_green(spec, t, a)
+            avg = vf._ball_average_green(spec, t, a)
             assert avg <= prof.phi(t) + bound + 1e-12
 
     def test_monte_carlo_oracle(self):
@@ -578,22 +579,22 @@ class TestBallAverage:
         vals = prof.phi(dists)
         mc = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(want))
-        assert abs(mc - bs.ball_average_green(S2, t, a)) < 3 * se
+        assert abs(mc - vf._ball_average_green(S2, t, a)) < 3 * se
 
     def test_pole_rejected(self):
         with pytest.raises(SingularityError):
-            bs.ball_average_green(S2, 0.0, 0.3)
+            vf._ball_average_green(S2, 0.0, 0.3)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            bs.ball_average_green(S2, 0.5, diameter(S2))
+            vf._ball_average_green(S2, 0.5, diameter(S2))
 
 
 class TestSphericalMean:
     def test_shrinking_sphere_limit(self):
         prof = get_profile(S3)
         t = 1.0
-        assert bs.spherical_mean(S3, t, 1e-8) == pytest.approx(prof.phi(t), rel=1e-12, abs=0)
+        assert vf._spherical_mean(S3, t, 1e-8) == pytest.approx(prof.phi(t), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("spec", [S2, S3, CP2])
     def test_radial_derivative(self, spec):
@@ -601,7 +602,7 @@ class TestSphericalMean:
         t, a = 0.8 * D, 0.4 * D
         h = 1e-5 * D
         numeric = (
-            bs.spherical_mean(spec, t, a + h) - bs.spherical_mean(spec, t, a - h)
+            vf._spherical_mean(spec, t, a + h) - vf._spherical_mean(spec, t, a - h)
         ) / (2 * h)
         exact = ball_volume(spec, a) / (volume(spec) * sphere_area(spec, a))
         assert numeric == pytest.approx(exact, rel=1e-6)
@@ -612,15 +613,15 @@ class TestSphericalMean:
         h = 5e-4
 
         def g(x):
-            return ball_volume(S2, x) * bs.ball_average_green(S2, t, x)
+            return ball_volume(S2, x) * vf._ball_average_green(S2, t, x)
 
         numeric = (g(a + h) - g(a - h)) / (2 * h)
-        exact = sphere_area(S2, a) * bs.spherical_mean(S2, t, a)
+        exact = sphere_area(S2, a) * vf._spherical_mean(S2, t, a)
         assert numeric == pytest.approx(exact, rel=1e-6)
 
     def test_requires_a_below_t(self):
         with pytest.raises(DomainError):
-            bs.spherical_mean(S2, 0.5, 0.5)
+            vf._spherical_mean(S2, 0.5, 0.5)
 
 
 class TestConditionalPositivity:

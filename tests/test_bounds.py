@@ -11,6 +11,7 @@ import pytest
 from greenlab import ball_stats as bs
 from greenlab import bounds as bd
 from greenlab import energy as en
+from greenlab import verify as vf
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.manifold import (
     Family,
@@ -115,17 +116,17 @@ class TestOptimalRadiusConstant:
 class TestSphereLeadingCoefficient:
     @pytest.mark.parametrize("n", [3, 4, 7, 10])
     def test_two_routes_collapse(self, n):
-        direct = bd.sphere_leading_coefficient(n)
+        direct = vf._sphere_leading_coefficient(n)
         pipeline = bd.optimal_radius_constant(ManifoldSpec(Family.SPHERE, n)).leading
         assert direct == pytest.approx(pipeline, rel=1e-12, abs=0)
 
     def test_tabulation_finite_positive(self):
-        vals = [bd.sphere_leading_coefficient(n) for n in range(3, 40)]
+        vals = [vf._sphere_leading_coefficient(n) for n in range(3, 40)]
         assert all(v > 0 and math.isfinite(v) for v in vals)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            bd.sphere_leading_coefficient(2)
+            vf._sphere_leading_coefficient(2)
 
 
 class TestPriorCoefficients:

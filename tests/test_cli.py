@@ -399,6 +399,15 @@ class TestRejectedInputs:
         code, out, err = run_cli(capsys, "compare", "--family", "s", "--n-min", "3", "--n-max", "4")
         assert (code, out, err) == (1, "", "error: no comparison data for family sphere\n")
 
+    def test_compare_reads_the_family_from_its_token(self, capsys):
+        # n = 1 names a circle on S^n and RP^n, but the comparison answers first
+        code, out, err = run_cli(capsys, "compare", "--family", "s", "--n-min", "1", "--n-max", "3")
+        assert (code, out, err) == (1, "", "error: no comparison data for family sphere\n")
+
+    def test_compare_checks_its_own_range(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--family", "rp", "--n-min", "1", "--n-max", "3")
+        assert (code, out, err) == (1, "", "error: family real_proj supports n in [3, inf], got [1, 3]\n")
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_grid_size_below_one_is_an_error(self, capsys, size):
         code, out, err = run_cli(capsys, "ball", "--family", "s", "--n", "2", "--grid-size", size)
@@ -447,7 +456,7 @@ class TestParseArgs:
         ["profile", "--family", "rp", "--n", "3", "--format", "json"],
         ["ball", "--family", "s", "--n", "2", "--radius", "0.5", "--radius", "-0.25"],
         ["compare", "--family", "op2"],
-        ["energy", "--config", "c.txt", "--seed", "3"],
+        ["energy", "--config", "c.txt"],
         ["optimize", "--family", "rp", "--n", "3", "--points", "5", "--iters", "1", "--seed", "2"],
         ["verify"],
         ["verify", "--quick"],
@@ -471,7 +480,7 @@ class TestParseArgs:
         ["profile", "--family", "xx", "--n", "2"],
         ["ball", "--family", "s", "--n", "2", "--grid-size", "x"],
         ["compare", "--family", "op2", "--n-min", "1.5"],
-        ["energy", "--config", "c.txt", "--seed", "z"],
+        ["energy", "--config"],
         ["optimize", "--family", "s", "--n", "2", "--points", "4", "--iters", "q"],
         ["verify", "--quick=1"],
         [],
@@ -552,6 +561,13 @@ class TestPlumbing:
         manifest = json.loads(err)
         assert manifest["subcommand"] == "compare"
 
+    def test_version_is_the_project_version(self):
+        # CI compares the installed script's --version with this field too
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            assert greenlab.__version__ == tomllib.load(fh)["project"]["version"]
+
     def test_missing_config_is_error(self, capsys, tmp_path):
         missing = tmp_path / "nope.txt"
         code, _, err = run_cli(capsys, "energy", "--config", str(missing))
@@ -565,8 +581,12 @@ class TestOptionsPerSubcommand:
     @pytest.mark.parametrize("flag", ["--seed", "--threads"])
     @pytest.mark.parametrize(
         "argv",
-        [["bound", "--family", "s", "--n", "2", "--points", "10"], ["profile", "--family", "s", "--n", "2"]],
-        ids=["bound", "profile"],
+        [
+            ["bound", "--family", "s", "--n", "2", "--points", "10"],
+            ["profile", "--family", "s", "--n", "2"],
+            ["energy", "--config", "c.txt"],
+        ],
+        ids=["bound", "profile", "energy"],
     )
     def test_unread_option_is_a_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -595,7 +615,7 @@ class TestOptionsPerSubcommand:
                 ["--family", "s", "--n", "2", "--points", "4", "--iters", "1"],
                 {"family", "n", "out", "points", "iters", "seed"},
             ),
-            "energy": (["--config", points], {"out", "config", "seed"}),
+            "energy": (["--config", points], {"out", "config"}),
         }
         for sub, (argv, expected) in runs.items():
             out = points if sub == "optimize" else str(tmp_path / f"{sub}.out")
@@ -606,6 +626,7 @@ class TestOptionsPerSubcommand:
             manifest = json.loads(text)
             assert manifest["subcommand"] == sub
             assert set(manifest["parameters"]) == expected, sub
+            assert (manifest["seed"] is None) == (sub != "optimize"), sub
             # the bytes `dataclasses.asdict` gives the same manifest
             assert text == json.dumps(asdict(RunManifest(**manifest)), indent=2, default=str) + "\n", sub
 
@@ -629,7 +650,7 @@ class TestOptionsPerSubcommand:
             ["--family", "s", "--n", "2", "--points", "4", "--iters", "1"],
             {"--family": "rp", "--n": "3", "--points": "5", "--iters": "2", "--seed": "1"},
         ),
-        "energy": (["--config", "{square}"], {"--config": "{line}", "--seed": "1"}),
+        "energy": (["--config", "{square}"], {"--config": "{line}"}),
     }
 
     @pytest.mark.parametrize("sub", sorted(VARIED))

@@ -10,14 +10,15 @@ import pytest
 
 from greenlab import energy as en
 from greenlab import manifold as mf
+from greenlab import verify as vf
 from greenlab.errors import DomainError, SingularityError, UnsupportedManifoldError
 from greenlab.green import get_profile
 from greenlab.manifold import (
     _CHORD_COSINE,
+    _CONJ_SIGN,
     _FIELD_RANK,
     Family,
     ManifoldSpec,
-    _aligned,
     _frames,
     _geodesic_rows,
     _modulus,
@@ -66,6 +67,24 @@ def coordinate_normal(spec, rng) -> np.ndarray:
     if spec.family is Family.COMPLEX_PROJ:
         return frame(rng.standard_normal(spec.n + 1).astype(complex))
     return rng.standard_normal(_row_width(spec))
+
+
+def aligned_rows(spec, x: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Representatives y u of the rows y of others with <x, y u> real and >= 0:
+    the per-distance reference of the gradient tests.
+
+    u = conj(h) / |h| for h = <x, y>, and u = 1 where h = 0. This is the
+    sign on RP^n, the phase on CP^n and a unit quaternion on HP^n; sphere
+    points are returned unchanged.
+    """
+    if spec.family is Family.SPHERE:
+        return others
+    k = _FIELD_RANK[spec.family]
+    h = _products(k, x[None], others)[0]
+    mod = _modulus(h)
+    u = h * _CONJ_SIGN[:k, None] / np.where(mod > 0.0, mod, 1.0)
+    u[0, mod == 0.0] = 1.0
+    return np.einsum("cb,bcd->bd", u, _frames(k, others))
 
 
 def random_config(spec, n, seed):
@@ -428,13 +447,13 @@ class TestEnergyReport:
     def test_certificate_holds_for_random_configs(self):
         for k in range(5):
             cfg = random_config(CP2, 10, 300 + k)
-            rep = en.EnergyReport.from_configuration(cfg, seed=300 + k)
+            rep = en.EnergyReport.from_configuration(cfg)
             assert rep.slack >= 0.0
             assert rep.energy >= rep.bound.best_bound
 
     def test_serialization(self):
         cfg = random_config(S2, 8, 77)
-        rep = en.EnergyReport.from_configuration(cfg, seed=77)
+        rep = en.EnergyReport.from_configuration(cfg)
         payload = rep.to_dict()
         assert payload["N"] == 8 and payload["family"] == "s"
         assert payload["slack"] >= 0.0
@@ -474,13 +493,13 @@ class TestOptimizer:
     @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
     def test_descent_direction_matches_per_distance_loop(self, spec):
         from greenlab.green import phi_hat_prime
-        from greenlab.manifold import _aligned, volume
+        from greenlab.manifold import volume
 
         coords = random_config(spec, 12, 5).coords_array()
         rows = en._descent_rows(spec, get_profile(spec), coords)
         for i in (0, 7):
             base = coords[i]
-            aligned = _aligned(spec, base, np.delete(coords, i, axis=0))
+            aligned = aligned_rows(spec, base, np.delete(coords, i, axis=0))
             cos_d = np.clip(aligned @ base, -1.0, 1.0)
             d = np.arccos(cos_d)
             sin_d = np.sqrt(np.maximum(1.0 - cos_d * cos_d, 1e-30))
@@ -507,7 +526,7 @@ class TestOptimizer:
         rows = en._descent_rows(spec, get_profile(spec), coords)
         for i in range(4):
             base = coords[i]
-            aligned = _aligned(spec, base, np.delete(coords, i, axis=0))
+            aligned = aligned_rows(spec, base, np.delete(coords, i, axis=0))
             chord = np.linalg.norm(aligned - base, axis=1)
             cos_d = aligned @ base
             d = np.where(chord < 1.0, 2.0 * np.arcsin(0.5 * chord), np.arccos(np.clip(cos_d, -1.0, 1.0)))
@@ -704,22 +723,22 @@ class TestOptimizer:
 
 class TestMonteCarloMoments:
     def test_mean_zero_two_sphere(self):
-        mean, stderr = en.mc_energy_moment(S2, 20, 200, np.random.default_rng(12))
+        mean, stderr = vf._mc_energy_moment(S2, 20, 200, np.random.default_rng(12))
         assert abs(mean) < 3 * stderr
 
     def test_mean_zero_cayley_plane(self):
         # one million radial pair draws in total (N(N-1) = 2 per sample)
-        mean, stderr = en.mc_energy_moment(OP2, 2, 500_000, np.random.default_rng(13))
+        mean, stderr = vf._mc_energy_moment(OP2, 2, 500_000, np.random.default_rng(13))
         assert abs(mean) < 3 * stderr
 
     def test_stderr_scaling(self):
-        _, se1 = en.mc_energy_moment(S2, 10, 200, np.random.default_rng(14))
-        _, se2 = en.mc_energy_moment(S2, 10, 800, np.random.default_rng(15))
+        _, se1 = vf._mc_energy_moment(S2, 10, 200, np.random.default_rng(14))
+        _, se2 = vf._mc_energy_moment(S2, 10, 800, np.random.default_rng(15))
         assert 0.3 < se2 / se1 < 0.75
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            en.mc_energy_moment(S2, 1, 100, np.random.default_rng(0))
+            vf._mc_energy_moment(S2, 1, 100, np.random.default_rng(0))
 
 
 RP5 = ManifoldSpec(Family.REAL_PROJ, 5)

@@ -97,7 +97,7 @@ class TestSubcommandOutput:
         "ball": ["--family", "s", "--n", "3", "--format", "json", "--grid-size", "3", "--radius", "3.14159"],
         "bound": ["--family", "cp", "--n", "2", "--points", "77"],
         "compare": ["--family", "hp", "--n-min", "1", "--n-max", "3", "--format", "json"],
-        "energy": ["--config", "{config}", "--seed", "3"],
+        "energy": ["--config", "{config}"],
         "optimize": ["--family", "s", "--n", "2", "--points", "6", "--iters", "1"],
     }
 

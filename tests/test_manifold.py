@@ -539,6 +539,19 @@ class TestSampleUniform:
         with pytest.raises(DomainError):
             draw(np.random.default_rng(0))
 
+    # a nan raised ValueError and an infinity OverflowError, and 2.7 drew 2 points
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), 2.7, "3"], ids=repr)
+    def test_sample_uniform_takes_integer_sizes_only(self, size):
+        with pytest.raises(DomainError) as exc:
+            sample_uniform(S2, np.random.default_rng(0), size)
+        assert repr(size) in str(exc.value)
+
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), 2.7, "3"], ids=repr)
+    def test_random_distance_takes_integer_sizes_only(self, size):
+        with pytest.raises(DomainError) as exc:
+            random_distance(S2, np.random.default_rng(0), size=size)
+        assert repr(size) in str(exc.value)
+
 
 class TestBatchedSampling:
     @pytest.mark.parametrize("spec", POINT_SPECS + [ManifoldSpec(Family.COMPLEX_PROJ, 20)])

@@ -112,7 +112,6 @@ def test_kernels_integrate_from_one_routine():
         "cum_volume_over_area",
         "k_quadrature",
         "theta_quadrature",
-        "ball_average_green",
     }
 
 

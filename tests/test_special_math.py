@@ -23,38 +23,9 @@ from greenlab.special_math import (
     gauss_kronrod_panel,
     incomplete_beta,
     integrate,
-    log_gamma,
     reg_incomplete_beta,
     vol_unit_sphere,
 )
-
-
-class TestLogGamma:
-    def test_gamma_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_gamma_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15, abs=0)
-
-    def test_factorial_seven(self):
-        fact = 1
-        for k in range(1, 8):
-            fact *= k
-        assert log_gamma(8.0) == pytest.approx(math.log(fact), rel=1e-14, abs=0)
-
-    def test_against_mpmath_across_range(self):
-        xs = [0.5, 0.77, 1.0, 2.5, 10.0, 33.3, 100.0, 170.0]
-        for x in xs:
-            exact = float(mpmath.loggamma(x))
-            if exact == 0.0:
-                assert abs(log_gamma(x)) < 1e-13
-            else:
-                assert log_gamma(x) == pytest.approx(exact, rel=1e-13, abs=0)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
 
 
 class TestVolUnitSphere:
