@@ -12,19 +12,25 @@ Every profile is its closed form in (x, y) = (sin^2(s d), cos^2(s d))
 (`RadialGreenProfile.phi_hat`), and a block takes each pair's (x, y) from
 `manifold._pair_sin_cos_squares`, with no arccos: from the Gram entries,
 and from the chord of the aligned representatives for close pairs, where
-the cosine has lost digits. The scan of x that finds those pairs also
-gives the least x, so the separation floor is the one test least <
-sin^2(s floor). Blocks of one shape share one triangle mask, and spheres
-form y only for a profile or a gradient that reads it.
+the cosine has lost digits. On CP^n and HP^n, n <= 7, the Gram entries
+are y = cos^2 d itself, from the projectors' coordinates that the sweep
+forms once (`manifold._gram_rows`), and the components h_c of <p, q>
+serve only the chords and the gradient's phases. The scan of x that
+finds the close pairs also gives the least x, so the separation floor is
+the one test least < sin^2(s floor). Blocks of one shape share one
+triangle mask, and spheres form y only for a profile or a gradient that
+reads it.
 
 The optimizer's gradient shares that sweep, blocks, (x, y), chord and
-floor checks alike, with one array evaluation of h per block: its weight
-is -h(x, y)/(2V) on spheres and -2h(x, y)/V (over cos d) on the
-projective families, from phi'(d) = -2 s h sqrt(x y) / V. While one block
-holds every pair (N <= 256 at 2^16 pairs a block), the descent's energy
-sweeps keep it and the gradient reads the accepted trial's block rather
-than sweeping again; no more than that one block is ever held, so memory
-stays within one block. Past one block the gradient sweeps anew.
+floor checks alike, with one array evaluation of the profile's slope h
+per block: its weight is -h(x, y)/(2V) on spheres and -2h(x, y)/V (over
+cos d) on the projective families, from phi'(d) = -2 s h sqrt(x y) / V,
+and the projective families form the components of <x_i, x_j> for the
+phases once per block. While one block holds every pair (N <= 256 at 2^16
+pairs a block), the descent's energy sweeps keep it, as (lo, pairs, x, y),
+and the gradient reads the accepted trial's block rather than sweeping
+again; no more than that one block is ever held, so memory stays within
+one block. Past one block the gradient sweeps anew.
 """
 
 from __future__ import annotations
@@ -47,7 +53,10 @@ from .manifold import (
     _as_generator,
     _frames,
     _geodesic_rows,
+    _gram_rows,
+    _matmul_chunks,
     _pair_sin_cos_squares,
+    _products,
     _project_horizontal,
     _record,
     _row_dots,
@@ -98,20 +107,24 @@ def _pair_floors(spec: ManifoldSpec) -> tuple[float, float, float, float]:
 
 def _pair_blocks(spec: ManifoldSpec, coords: np.ndarray, with_y: bool = True):
     """The pairs i < j of the unit rows of coords, one row block at a time:
-    yields (lo, h, pairs, x, y) of `manifold._pair_sin_cos_squares` for rows
+    yields (lo, pairs, x, y) of `manifold._pair_sin_cos_squares` for rows
     lo..hi-1 against the points after lo (column c is point lo + 1 + c), y
     None on spheres unless `with_y`, each block once its least x, which that
     function scans for, clears the separation floor and the profile's
-    representable floor. Nothing here keeps a block once it is yielded, so a
-    caller that drops h frees it; only the descent keeps one, and only when
-    it holds every pair (`_energy_rows`)."""
+    representable floor. The rows' Gram factors (`manifold._gram_rows`) are
+    formed once for all blocks. Nothing here keeps a block once it is
+    yielded; only the descent keeps one, and only when it holds every pair
+    (`_energy_rows`)."""
     n = len(coords)
     s, floor, x_floor, x_unrepresentable = _pair_floors(spec)
+    left, right = _gram_rows(spec, coords)
     # the last point has no later partner: a block of it alone is left out
     for lo, hi in _row_blocks(n, _BLOCK_PAIRS):
         if lo == n - 1:
             break
-        h, pairs, x, y, least = _pair_sin_cos_squares(spec, coords[lo:hi], coords[lo + 1 :], with_y)
+        pairs, x, y, least = _pair_sin_cos_squares(
+            spec, coords[lo:hi], coords[lo + 1 :], with_y, (left[lo:hi], right[lo + 1 :])
+        )
         if least < x_floor:
             at = int(np.flatnonzero(x < x_floor)[0])
             i, j = (int(v[at]) for v in np.nonzero(pairs))
@@ -121,7 +134,8 @@ def _pair_blocks(spec: ManifoldSpec, coords: np.ndarray, with_y: bool = True):
             )
         if least < x_unrepresentable:
             raise _unrepresentable(spec, math.asin(math.sqrt(least)) / s, "phi_hat")
-        yield lo, h, pairs, x, y
+        yield lo, pairs, x, y
+        del x, y  # the block's arrays go before the next block's are formed
 
 
 def _energy_rows(
@@ -129,21 +143,20 @@ def _energy_rows(
 ) -> float:
     """`energy` of the unit rows of coords.
 
-    Each block's h is dropped before the profile runs on it, in place in
-    x. Given a list `kept`, a block that holds every pair (the sweep's
-    only one: N <= 256 at `_BLOCK_PAIRS` = 2^16) is appended to it instead,
-    with the profile evaluated into an array of its own, so that its x
-    survives for the gradient (`_descent_rows`). No more than that one
-    block is kept, so the sweep's memory stays within one block.
+    The profile runs on each block in place in x. Given a list `kept`, a
+    block that holds every pair (the sweep's only one: N <= 256 at
+    `_BLOCK_PAIRS` = 2^16) is appended to it instead, with the profile
+    evaluated into an array of its own, so that its x survives for the
+    gradient (`_descent_rows`). No more than that one block is kept, so the
+    sweep's memory stays within one block.
     """
     V = volume(spec)
     partials = []
-    for lo, h, pairs, x, y in _pair_blocks(spec, coords, profile.reads_y or kept is not None):
+    for lo, pairs, x, y in _pair_blocks(spec, coords, profile.reads_y or kept is not None):
         out = x
         if kept is not None and len(pairs) >= len(coords) - 1:
-            kept.append((lo, h, pairs, x, y))
+            kept.append((lo, pairs, x, y))
             out = np.empty_like(x)
-        del h  # before the profile runs
         profile.phi_hat(x, y, out=out)
         out += profile.c_m
         partials.append(float(np.add.reduce(out)) / V)
@@ -209,9 +222,12 @@ def _descent_rows(
     (`_pair_blocks`), so phi' is evaluated once per unordered pair at the
     energy's (x, y), chord and floor checks included, and each pair adds to
     both of its rows through k matrix products with the right multiples
-    x e_c. The total energy's gradient at row i is -2 times row i. A block
-    that `_energy_rows` kept for coords is read as it is, and the pairs
-    are swept again only when there is none.
+    x e_c. The projective families form the components h of <x_i, x_j>
+    (`manifold._products`), which the phase needs, once per block here:
+    the sweep keeps none, and on CP^n and HP^n, n <= 7, forms cos^2 d
+    without them. The total energy's gradient at
+    row i is -2 times row i. A block that `_energy_rows` kept for coords is
+    read as it is, and the pairs are swept again only when there is none.
 
     phi'(d) = -2 s h(x, y) sqrt(x y) / V makes w = phi'(d) / sin d
     = -h / (2 V) on spheres (s = 1/2), and w / cos d = -2 h / V on the
@@ -226,17 +242,21 @@ def _descent_rows(
     # conj[c, j] = x_j conj(e_c), the conj-sign c times x_j e_c
     conj = (frames * _CONJ_SIGN[:k, None]).transpose(1, 0, 2)
     descent = np.zeros(coords.shape)
-    for lo, h, pairs, x, y in kept or _pair_blocks(spec, coords):
+    for lo, pairs, x, y in kept or _pair_blocks(spec, coords):
         rows, cols = pairs.shape
         hi = lo + rows
         w = profile.h(x, y) * factor
         weight, wc = np.zeros(pairs.shape), np.zeros(pairs.shape)
         weight[pairs] = w
         wc[pairs] = w * (y - x if sphere else y)
-        a = weight[:, None, :] if sphere else h * weight[:, None, :]
-        descent[lo:hi] += a.reshape(rows, k * cols) @ conj[:, lo + 1 :].reshape(k * cols, width)
+        if sphere:
+            a = weight[:, None, :]
+        else:
+            a = _products(k, coords[lo:hi], coords[lo + 1 :])
+            a *= weight[:, None, :]
+        descent[lo:hi] += _matmul_chunks(a.reshape(rows, k * cols), conj[:, lo + 1 :].reshape(k * cols, width))
         descent[lo:hi] -= np.add.reduce(wc, axis=1)[:, None] * coords[lo:hi]
-        descent[lo + 1 :] += a.reshape(rows * k, cols).T @ frames[lo:hi].reshape(rows * k, width)
+        descent[lo + 1 :] += _matmul_chunks(a.reshape(rows * k, cols).T, frames[lo:hi].reshape(rows * k, width))
         descent[lo + 1 :] -= np.add.reduce(wc, axis=0)[:, None] * coords[lo + 1 :]
     return _project_horizontal(frames, descent)
 

@@ -18,14 +18,18 @@ multiple by a unit scalar names the same point. Right multiplication by
 e_c in {1, i, j, k} only permutes and negates the entries of x, so the k
 components h_c = (x_p e_c) . x_q of the Hermitian inner product
 <p, q> = sum conj(p_i) q_i come from one real matrix product for every
-family. A pair's (x, y) = (sin^2(s d), cos^2(s d)) comes from them in one
-place (`_pair_sin_cos_squares`), which `distance`, the energy and its
-gradient share: cos d is h_0 on the sphere and |<p, q>| = ||h|| on the
-projective families, the normalization under which the radial densities
-below hold, and near coincidence x comes from the chord of the
-phase-aligned representatives instead. Phase alignment and the horizontal
-projection are built from the same products. A `Configuration` holds N
-points as the read-only (N, D) array of their real frames. The Cayley
+family. A pair's (x, y) = (sin^2(s d), cos^2(s d)) comes from one place
+(`_pair_sin_cos_squares`), which `distance`, the energy and its gradient
+share: cos d is h_0 on the sphere and |<p, q>| = ||h|| on the projective
+families, the normalization under which the radial densities below hold.
+On CP^n and HP^n, n <= 7, y = cos^2 d = tr(P_p P_q) comes from one Gram
+of the real coordinates of the projectors P = x x* instead, with no
+component products (Anderson, Dostert, Grabner, Matzke & Stepaniuk,
+*Riesz and Green energy on projective spaces*, study the energies in this
+model), and near coincidence x comes from the chord of the phase-aligned
+representatives. The components h serve only the phases, the chords and
+the horizontal projection. A `Configuration` holds N points as the
+read-only (N, D) array of their real frames. The Cayley
 plane has no point model here; all its radial quantities and radial
 sampling are fully supported.
 
@@ -287,15 +291,124 @@ def _frames(k: int, rows: np.ndarray) -> np.ndarray:
     return rows[:, index] * sign
 
 
-def _products(k: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Components h[a, c, b] = (x_a e_c) . y_b of the inner products <x_a, y_b>.
+# OpenBLAS runs a gemm of at most 2^18 multiply-adds on one thread (its
+# SMP threshold, 65536 times GEMM_MULTITHREAD_THRESHOLD 4), and a product
+# split among threads rounds differently: every product of the pair sweeps
+# is cut into chunks under this size
+_GEMM_ENTRIES = 1 << 18
+
+
+def _even_ends(length: int, piece: int) -> list[int]:
+    """Ends of the fewest even pieces, of at most `piece` each, that cover range(length)."""
+    chunks = -(-length // piece)
+    return [length * c // chunks for c in range(chunks + 1)]
+
+
+def _matmul_chunks(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out = left @ right (a new array if out is None), written in chunks of
+    at most `_GEMM_ENTRIES` multiply-adds each, so that its bits do not
+    depend on the BLAS thread count; one call does it all when it is small
+    enough. A product with a long inner dimension adds its pieces up in
+    order; any other is cut into tiles of out, across the whole of its
+    shorter side if that leaves tiles about as long as wide, and else
+    square (a few narrow tiles took up to twice the time of about square
+    ones), with a transposed right factor copied first (its tiles took up
+    to 1.6 times as long)."""
+    rows, depth = left.shape
+    cols = right.shape[1]
+    if rows * cols * depth <= _GEMM_ENTRIES:
+        return np.matmul(left, right, out=out)
+    if out is None:
+        out = np.empty((rows, cols))
+    if right.flags.f_contiguous:
+        right = np.ascontiguousarray(right)
+    if depth > max(rows, cols):
+        ends = _even_ends(depth, max(1, _GEMM_ENTRIES // (rows * cols)))
+        np.matmul(left[:, : ends[1]], right[: ends[1]], out=out)
+        for lo, hi in zip(ends[1:], ends[2:]):
+            out += np.matmul(left[:, lo:hi], right[lo:hi])
+        return out
+    area = max(1, _GEMM_ENTRIES // depth)  # entries of out a call may write
+    short = min(rows, cols)
+    across = short if short * short <= 2 * area else math.isqrt(area)
+    tall, wide = (across, area // across) if rows == short else (area // across, across)
+    row_ends, col_ends = _even_ends(rows, tall), _even_ends(cols, wide)
+    for r0, r1 in zip(row_ends, row_ends[1:]):
+        for c0, c1 in zip(col_ends, col_ends[1:]):
+            np.matmul(left[r0:r1], right[:, c0:c1], out=out[r0:r1, c0:c1])
+    return out
+
+
+def _products(k: int, left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Components h[a, c, b] = (x_a e_c) . y_b of the inner products <x_a, y_b>,
+    written to the flat array out when one is given.
 
     Rows are real frames over a base field of rank k. Only the left rows
     are expanded into their k right multiples; the right rows enter as
     they are.
     """
     framed = _frames(k, left).reshape(len(left) * k, -1)
-    return (framed @ right.T).reshape(len(left), k, len(right))
+    if out is not None:
+        out = out.reshape(len(framed), len(right))
+    return _matmul_chunks(framed, right.T, out).reshape(len(left), k, len(right))
+
+
+@functools.cache
+def _projector_units(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (left, right), each (k, W), and the scale (W,) of the
+    projector coordinates of m coordinates over a field of rank k, W =
+    m + k m (m - 1) / 2: coordinate w of a frame x is the sum over t of
+    z[left[t, w]] x[right[t, w]], z the frame x followed by -x. They are
+    |x_i|^2 for every i, then the k components of x_i conj(x_j) for i < j;
+    scale doubles the latter.
+
+    Component c of x_i conj(x_j) is (a_i e_c) . a_j for the conjugate
+    coordinates a = conj(x), which the tables of `_right_units` give.
+    """
+    i, j = np.triu_indices(m, 1)
+    perm = _RIGHT_PERM[:k, :k]
+    sign = _RIGHT_SIGN[:k, :k] * _CONJ_SIGN[perm] * _CONJ_SIGN[:k]
+    cross_left = k * i[None, None, :] + perm.T[:, :, None] + np.where(sign.T < 0.0, k * m, 0)[:, :, None]
+    cross_right = np.broadcast_to(k * j[None, None, :] + np.arange(k)[:, None, None], cross_left.shape)
+    square = k * np.arange(m)[None, :] + np.arange(k)[:, None]
+    left = np.concatenate((square, cross_left.reshape(k, -1)), axis=1)
+    right = np.concatenate((square, cross_right.reshape(k, -1)), axis=1)
+    scale = np.concatenate((np.ones(m), np.full(k * len(i), 2.0)))
+    for array in (left, right, scale):
+        array.flags.writeable = False
+    return left, right, scale
+
+
+# entries of the (k, W, A) products that `_projector_rows` gathers in one
+# go: at most 2^13 took up to half the time of k gathers (HP^1, N = 16),
+# and from about 2^14 up as much as 5 times as long (HP^7, N = 340)
+_GATHER_ENTRIES = 1 << 13
+
+
+def _projector_rows(k: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real coordinates of the projectors P = x x* of the real frames x,
+    rows (A, k(n+1)) over a base field of rank k, as a pair (twice, once):
+    |x_i|^2 for every i, then the k components of x_i conj(x_j) for i < j,
+    twice and once, width (n+1)(1 + k n / 2), as transposed views of
+    column-major arrays. The dot product of a row of twice with a row of
+    once is tr(P_p P_q) = |<p, q>|^2 = sum_c h_c^2, each off-diagonal
+    entry counted twice by an exact doubling (a factor sqrt 2 on both sides
+    would round every cos^2 d up by one part in 10^16).
+    """
+    left, right, scale = _projector_units(k, rows.shape[1] // k)
+    # gathered as columns (whole rows of the transposed frames gathered up
+    # to 7 times as fast at N = 1000 as single entries of the frames), all
+    # terms t at once while the gathered arrays stay small, and else one
+    # term at a time: the same sums, in the same order
+    columns = np.ascontiguousarray(rows.T)
+    signed = np.concatenate((columns, -columns))
+    if left.size * len(rows) <= _GATHER_ENTRIES:
+        once = np.add.reduce(signed[left] * columns[right], axis=0)
+    else:
+        once = signed[left[0]] * columns[right[0]]
+        for t in range(1, k):
+            once += signed[left[t]] * columns[right[t]]
+    return (once * scale[:, None]).T, once.T
 
 
 def _modulus(h: np.ndarray) -> np.ndarray:
@@ -314,26 +427,54 @@ def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) 
     h = <x, y>, the unit scalar (a sign on RP^n, a phase on CP^n, a unit
     quaternion on HP^n) that makes <x, y u> real and >= 0, formed pair by
     pair from the products of `_frames`. Near coincidence this keeps the
-    digits that the cosine loses; <x, y> must not be 0.
+    digits that the cosine loses; <x, y> must not be 0. The imaginary
+    components h_c, c >= 1, are skew, (x e_c) . y = -(y e_c) . x, and are
+    taken as half the difference of the two, which is the same sum twice
+    for identical rows: there u is exactly 1 and the chord exactly 0.
     """
     if spec.family is Family.SPHERE:
         chord = left - right
     else:
         k = _FIELD_RANK[spec.family]
+        right_frames = _frames(k, right)
         h = np.einsum("acd,ad->ac", _frames(k, left), right)
+        if k > 1:
+            h[:, 1:] -= np.einsum("acd,ad->ac", right_frames[:, 1:], left)
+            h[:, 1:] *= 0.5
         u = h * _CONJ_SIGN[:k] / _modulus(h[..., None])
-        chord = left - np.einsum("ac,acd->ad", u, _frames(k, right))
+        chord = left - np.einsum("ac,acd->ad", u, right_frames)
     c2 = np.einsum("ad,ad->a", chord, chord)
     if spec.family is Family.SPHERE:
         return 0.25 * c2
     return c2 * (1.0 - 0.25 * c2)
 
 
+# the widest CP^n and HP^n whose pair sweep reads cos^2 d from the Gram of
+# the projectors (`_projector_rows`), of width (n+1)^2 and (n+1)(2n+1), at
+# most 4 times the frames' 2(n+1) and 4(n+1): a block of N = 1000 points
+# took 1.3 times less that way than from the components h_c on CP^7 and
+# 1.7 times less on HP^7 (CP^10 and up took longer)
+_PROJECTOR_MAX_N = 7
+
+
 @functools.cache
-def _pair_constants(spec: ManifoldSpec) -> tuple[int, float]:
-    """The field rank k and x = sin^2(s d) at the cosine `_CHORD_COSINE`,
-    below which a pair takes its chord: once per manifold."""
-    return _FIELD_RANK[spec.family], math.sin(_record(spec)[2] * math.acos(_CHORD_COSINE)) ** 2
+def _pair_constants(spec: ManifoldSpec) -> tuple[int, float, bool]:
+    """The field rank k, x = sin^2(s d) at the cosine `_CHORD_COSINE`,
+    below which a pair takes its chord, and whether the pair sweep reads y
+    from the projectors' Gram: once per manifold."""
+    k = _FIELD_RANK[spec.family]
+    x_close = math.sin(_record(spec)[2] * math.acos(_CHORD_COSINE)) ** 2
+    projector = spec.family in (Family.COMPLEX_PROJ, Family.QUAT_PROJ) and spec.n <= _PROJECTOR_MAX_N
+    return k, x_close, projector
+
+
+def _gram_rows(spec: ManifoldSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row factors (left, right) whose products the pair sweep reads,
+    left[lo:hi] @ right[lo + 1:].T a block's Gram: the projector
+    coordinates (`_projector_rows`) on CP^n and HP^n, n <= 7, and else the
+    real frames themselves."""
+    k, _, projector = _pair_constants(spec)
+    return _projector_rows(k, rows) if projector else (rows, rows)
 
 
 @functools.lru_cache(maxsize=16)
@@ -353,50 +494,86 @@ def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
     return r, flat - starts[r] + r
 
 
-def _pair_sin_cos_squares(
-    spec: ManifoldSpec, left: np.ndarray, right: np.ndarray, with_y: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, float]:
-    """(h, pairs, x, y, least) of the pairs (r, c), c >= r, of the rows r of
-    left and c of right, A <= B rows of real frames: h[r, :, c] the products
-    of `_products`, left as they are, pairs the read-only (A, B) mask of
-    c >= r (`_upper_mask`), the flat (x, y) = (sin^2(s d), cos^2(s d)) of the
-    pairs, row by row, and least, the least x. y is None on spheres unless
-    `with_y`; the projective families form it on the way to x.
+# doubles in the least scratch array that holds a block's Gram or its
+# components (1.5 MB). Its first free raises glibc's dynamic mmap threshold
+# past it, and the heap's trim threshold to twice that: from then on every
+# block's arrays come from a heap that is not trimmed between sweeps, with
+# no fresh pages to fault in (with no array this large, RP^3 energies at
+# N = 400 faulted about 620 pages a call)
+_SCRATCH_DOUBLES = 3 << 16
 
-    They come from the Gram entries: x = (1 - t)/2 and y = (1 + t)/2 from
-    t = cos d on spheres, and y = sum_c h_c^2, x = 1 - y from the components
-    h_c of <p, q> on the projective families. A pair past `_CHORD_COSINE`,
-    where 1 - t keeps only half the digits, takes x from its chord
-    (`_chord_sin_squares`) and y = 1 - x; such pairs are located from the
-    flat index only when there are any. This function alone scans x: once
-    for least, which tells whether there are any, and then, as every other
-    x is at least the switch's, only the chord values.
+
+def _pair_sin_cos_squares(
+    spec: ManifoldSpec,
+    left: np.ndarray,
+    right: np.ndarray,
+    with_y: bool = True,
+    gram_rows: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
+    """(pairs, x, y, least) of the pairs (r, c), c >= r, of the rows r of
+    left and c of right, real frames with at most one more row in left than
+    in right: pairs the read-only mask of c >= r (`_upper_mask`), the flat
+    (x, y) = (sin^2(s d), cos^2(s d)) of the pairs, row by row, and least,
+    the least x. y is None on spheres unless `with_y`; the projective
+    families form it on the way to x. gram_rows are the left factor of
+    `_gram_rows` of left and the right one of right, which a sweep forms
+    once for all its blocks and slices; by default they are formed here.
+
+    They come from the Gram entries, which go to a scratch array of at
+    least `_SCRATCH_DOUBLES` (or the components do), in chunks that keep
+    the bits whatever the BLAS thread count (`_matmul_chunks`):
+    x = (1 - t)/2 and y = (1 + t)/2 from t = cos d on spheres; y = t^2 on
+    RP^n; y = tr(P_p P_q) = |<p, q>|^2 from the projector coordinates on
+    CP^n and HP^n, n <= 7, and y = sum_c h_c^2 from the components of
+    `_products` on the wider ones; x = 1 - y on the projective families.
+    A pair past `_CHORD_COSINE`, where 1 - t keeps only half the digits,
+    takes x from its chord (`_chord_sin_squares`) and y = 1 - x; such pairs
+    are located from the flat index only when there are any. This function
+    alone scans x: once for least, which tells whether there are any, and
+    then, as every other x is at least the switch's, only the chord values.
     """
-    k, x_close = _pair_constants(spec)
-    h = _products(k, left, right)
-    pairs = _upper_mask(len(left), len(right))
-    if spec.family is Family.SPHERE:
-        t = h[:, 0][pairs]
-        x = t * -0.5
-        x += 0.5
-        y = t * 0.5 + 0.5 if with_y else None
-    else:
-        y = np.square(h[:, 0])
+    k, x_close, projector = _pair_constants(spec)
+    a, b = len(left), len(right)
+    pairs = _upper_mask(a, b)
+    components = k > 1 and not projector
+    scratch = np.empty(max(_SCRATCH_DOUBLES, (1 + k * components) * a * b))
+    gram = scratch[: a * b].reshape(a, b)
+    if components:
+        h = _products(k, left, right, scratch[a * b : (1 + k) * a * b])
+        np.square(h[:, 0], out=gram)
         for c in range(1, k):
-            y += np.square(h[:, c])
-        y = y[pairs]
+            gram += np.square(h[:, c], out=h[:, c])
+        del h
+    else:
+        if gram_rows is None:
+            gram_rows = _gram_rows(spec, left)[0], _gram_rows(spec, right)[1]
+        _matmul_chunks(gram_rows[0], gram_rows[1].T, gram)
+    # a new array: np.compress into the scratch took 7 times as long
+    y = gram[pairs]
+    del gram, scratch
+    if spec.family is Family.SPHERE:
+        x = y * -0.5
+        x += 0.5
+        if with_y:
+            y *= 0.5
+            y += 0.5
+        else:
+            y = None
+    else:
+        if k == 1:
+            np.square(y, out=y)
         x = np.subtract(1.0, y)
     least = np.minimum.reduce(x)
     if least < x_close:
         close = np.flatnonzero(x < x_close)
-        rows, cols = _pair_rows_cols(close, len(right))
+        rows, cols = _pair_rows_cols(close, b)
         x[close] = chord = _chord_sin_squares(spec, left[rows], right[cols])
         if y is not None:
             y[close] = 1.0 - chord
         least = np.minimum.reduce(chord)
         if not least < x_close:  # every chord rounded up past the switch
             least = np.minimum.reduce(x)
-    return h, pairs, x, y, float(least)
+    return pairs, x, y, float(least)
 
 
 def _project_horizontal(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -498,14 +675,14 @@ def distance(spec: ManifoldSpec, p: np.ndarray, q: np.ndarray) -> float:
     norm within 1e-12. d = atan2(sqrt x, sqrt y) / s from the pair's
     (x, y) = (sin^2(s d), cos^2(s d)) of `_pair_sin_cos_squares`, which
     takes x from the chord of the phase-aligned representatives near
-    coincidence: identical rows give exactly zero on S^n, RP^n and CP^n,
-    and about 1e-16 on HP^n, where the rounded phase is not exactly 1.
+    coincidence: identical rows give exactly zero on every family.
     """
     rows = [np.asarray(v, dtype=float)[None] for v in (p, q)]
     for row in rows:
         _check_rows(spec, row)
-    _, _, x, y, _ = _pair_sin_cos_squares(spec, *rows)
-    # y falls below 0 by rounding only at the antipode of a sphere
+    _, x, y, _ = _pair_sin_cos_squares(spec, *rows)
+    # y falls below 0 by rounding at the antipode of a sphere, and from the
+    # projectors' Gram at orthogonal points of CP^n and HP^n
     return math.atan2(math.sqrt(x[0]), math.sqrt(max(y[0], 0.0))) / _record(spec)[2]
 
 

@@ -16,7 +16,14 @@ from greenlab import cli
 from greenlab import energy as en
 from greenlab import verify
 from greenlab.cli import RunManifest, main
-from greenlab.manifold import Family, ManifoldSpec, diameter, volume
+from greenlab.manifold import (
+    Family,
+    ManifoldSpec,
+    diameter,
+    sample_uniform,
+    save_configuration,
+    volume,
+)
 
 SRC = os.path.dirname(os.path.dirname(greenlab.__file__))
 
@@ -336,6 +343,48 @@ class TestEnergyAndOptimize:
         assert code == 1
         assert "error:" in err and "not representable" in err
         assert "Infinity" not in out and "Traceback" not in err
+
+
+class TestThreadStableBits:
+    """Payloads do not depend on the BLAS thread count: every product of
+    the pair sweeps runs in chunks that OpenBLAS keeps on one thread."""
+
+    RUN_ALL = (
+        "import contextlib, io, sys\n"
+        "from greenlab.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        assert main(argv.split()) == 0\n"
+        "    final = [line for line in err.getvalue().splitlines() if line.startswith('final energy')]\n"
+        "    print(argv, out.getvalue(), *final, sep='\\n')\n"
+    )
+
+    def test_payloads_at_one_two_and_default_threads(self, tmp_path):
+        commands = []
+        for token, n in (("cp", 5), ("hp", 2)):
+            spec = ManifoldSpec.from_token(token, n)
+            for seed in (0, 3):
+                path = tmp_path / f"{token}{n}-{seed}.txt"
+                with open(path, "w") as fh:
+                    save_configuration(sample_uniform(spec, np.random.default_rng(seed), 1000), fh)
+                commands.append(f"energy --config {path}")
+        for token, n in (("cp", 2), ("hp", 1)):
+            commands.append(f"optimize --family {token} --n {n} --points 300 --iters 10 --seed 1")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", self.RUN_ALL, *commands],
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
+                env={**env, "PYTHONPATH": SRC, **threads},
+            ).stdout
+            for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {})
+        ]
+        assert outputs[0].count("final energy") == 2
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestRejectedInputs:

@@ -38,6 +38,7 @@ RP3 = ManifoldSpec(Family.REAL_PROJ, 3)
 CP1 = ManifoldSpec(Family.COMPLEX_PROJ, 1)
 CP2 = ManifoldSpec(Family.COMPLEX_PROJ, 2)
 HP1 = ManifoldSpec(Family.QUAT_PROJ, 1)
+HP8 = ManifoldSpec(Family.QUAT_PROJ, 8)  # past the projector route: y from the components
 OP2 = ManifoldSpec(Family.CAYLEY_PLANE, 2)
 
 
@@ -263,15 +264,20 @@ def rectangle_energy(spec, profile, coords):
     """The energy sweep over each block's whole Gram rectangle, as it was
     written before the flat pair sweep: the oracle for its bits. It forms
     (x, y) = (sin^2, cos^2)(s d) on the rectangle elementwise, by the same
-    operations as the flat sweep, and x from the chord past `_CHORD_COSINE`."""
+    operations as the flat sweep, y from the projectors' Gram where the
+    sweep reads it, and x from the chord past `_CHORD_COSINE`."""
     n = len(coords)
     floor = en._MIN_SEPARATION_FACTOR * diameter(spec)
-    k = en._FIELD_RANK[spec.family]
+    k, _, projector = mf._pair_constants(spec)
+    left, right = mf._gram_rows(spec, coords)
 
     def block_sum(lo, hi):
         later = coords[lo + 1 :]
         products = _products(k, coords[lo:hi], later)
-        if spec.family is Family.SPHERE:
+        if projector:
+            y = mf._matmul_chunks(left[lo:hi], right[lo + 1 :].T)
+            x = np.subtract(1.0, y)
+        elif spec.family is Family.SPHERE:
             t = products[:, 0].copy()
             x = t * -0.5
             x += 0.5
@@ -329,7 +335,7 @@ class TestFlatSweep:
         expected = rectangle_energy(spec, profile, rows)
         assert en.energy(cfg) == expected
 
-    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1])
+    @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1, HP8])
     def test_close_pairs_on_both_sides_of_a_block_boundary(self, spec, monkeypatch):
         # three rows per block: rows 0-2 form block 0 and rows 3-5 block 1
         monkeypatch.setattr(en, "_BLOCK_PAIRS", 3 * 20)
@@ -362,14 +368,14 @@ class TestFlatSweep:
     def test_masks_are_read_only_and_shared_by_one_shape(self):
         rng = np.random.default_rng(2)
         cp2, s2 = (sample_uniform(spec, rng, 30).coords_array() for spec in (CP2, S2))
-        first = mf._pair_sin_cos_squares(CP2, cp2[:7], cp2[1:])[1]
-        again = mf._pair_sin_cos_squares(S2, s2[:7], s2[1:])[1]
+        first = mf._pair_sin_cos_squares(CP2, cp2[:7], cp2[1:])[0]
+        again = mf._pair_sin_cos_squares(S2, s2[:7], s2[1:])[0]
         assert first.shape == (7, 29) and again is first
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0] = False
         assert np.array_equal(first, np.triu(np.ones((7, 29), dtype=bool)))
-        assert mf._pair_sin_cos_squares(CP2, cp2[:6], cp2[1:])[1] is not first
+        assert mf._pair_sin_cos_squares(CP2, cp2[:6], cp2[1:])[0] is not first
 
     @pytest.mark.parametrize("spec", [S2, S3, RP3, CP2, HP1])
     def test_least_x_and_y_of_a_block(self, spec):
@@ -379,9 +385,9 @@ class TestFlatSweep:
         rows = plant_close(sample_uniform(spec, rng, 30).coords_array(), [(0, 1), (4, 20)], rng)
         for lo, hi in ((0, 30), (3, 10)):
             left, right = rows[lo:hi], rows[lo + 1 :]
-            _, pairs, x, y, least = mf._pair_sin_cos_squares(spec, left, right)
+            pairs, x, y, least = mf._pair_sin_cos_squares(spec, left, right)
             assert least == x.min() and y.shape == x.shape == (np.count_nonzero(pairs),)
-            _, _, x_only, no_y, least_only = mf._pair_sin_cos_squares(spec, left, right, False)
+            _, x_only, no_y, least_only = mf._pair_sin_cos_squares(spec, left, right, False)
             assert np.array_equal(x_only, x) and least_only == least
             assert no_y is None if spec.family is Family.SPHERE else np.array_equal(no_y, y)
         assert least < mf._pair_constants(spec)[1]  # the planted pair (4, 20) takes its chord
@@ -556,18 +562,19 @@ class TestOptimizer:
 
     # the repr of the final energy and the leading 16 hex digits of the
     # sha256 of the output rows' bytes at --iters 3 and seeds 1 and 2, as
-    # commit 239a20c gave them (numpy 2.4 on its bundled OpenBLAS, x86-64):
-    # a change for speed keeps these bits. Another BLAS may round the Gram
-    # products differently.
+    # commit 239a20c gave them, and on CP^2 and HP^1 as the projector Gram
+    # of the pair sweep gives them (numpy 2.4 on its bundled OpenBLAS,
+    # x86-64): a change for speed keeps these bits. Another BLAS may round
+    # the Gram products differently.
     PINNED_DESCENTS = {
         (S2, 54): (("-19.114339184894455", "0f0a4af31367b60d"),
                    ("-19.007711037145405", "8c7f8bff7f94a6f7")),
         (RP3, 40): (("-11.091756438115278", "8f3dca108879401c"),
                     ("-11.067812787126355", "f26c2368b77fa61b")),
-        (CP2, 60): (("-30.3133674127749", "a6f10c225de4c349"),
-                    ("-30.30612737629147", "62f99d47875b05d6")),
-        (HP1, 16): (("-7.223567818557717", "d05e6749595a2ad7"),
-                    ("-7.271689590841007", "d5752222a8f5f4a4")),
+        (CP2, 60): (("-30.3133674127749", "12d1c7921e27000e"),
+                    ("-30.306127376291485", "c07ff15314d9f608")),
+        (HP1, 16): (("-7.223567818557732", "28f05af6fcff16c2"),
+                    ("-7.271689590841005", "0f853bdbb7d884c4")),
     }
 
     @pytest.mark.parametrize("seed", (1, 2))
@@ -630,7 +637,7 @@ class TestOptimizer:
         kept = []
         assert en._energy_rows(spec, profile, rows, kept) == en._energy_rows(spec, profile, rows)
         (block,) = kept
-        assert block[0] == 0 and block[2].shape == (40, 39)
+        assert block[0] == 0 and block[1].shape == (40, 39)
         fresh = en._descent_rows(spec, profile, rows)
         assert np.array_equal(en._descent_rows(spec, profile, rows, kept), fresh)
 
@@ -662,6 +669,29 @@ class TestOptimizer:
             assert len(sweeps) == 1 + trials
         else:
             assert len(sweeps) == blocks * (1 + trials + steps)
+
+    @pytest.mark.parametrize("spec", [CP2, HP1])
+    def test_only_the_gradient_forms_the_components(self, spec, monkeypatch):
+        # the energy reads cos^2 d from the projectors' Gram alone; the
+        # gradient forms the components of <x_i, x_j> for the phase, once
+        # a block (two blocks of 300 points, and one planted close pair)
+        calls = []
+        products = mf._products
+
+        def spy(k, left, right):
+            calls.append((len(left), len(right)))
+            return products(k, left, right)
+
+        monkeypatch.setattr(mf, "_products", spy)
+        monkeypatch.setattr(en, "_products", spy)
+        rng = np.random.default_rng(30)
+        rows = plant_close(sample_uniform(spec, rng, 300).coords_array(), [(3, 250)], rng)
+        profile = get_profile(spec)
+        en._energy_rows(spec, profile, rows)
+        assert calls == []
+        en._descent_rows(spec, profile, rows)
+        blocks = [(lo, hi) for lo, hi in en._row_blocks(300, en._BLOCK_PAIRS) if lo < 299]
+        assert len(blocks) == 2 and calls == [(hi - lo, 299 - lo) for lo, hi in blocks]
 
     @pytest.mark.parametrize("spec", [S2, RP3, CP2, HP1])
     @pytest.mark.parametrize("n", [20, 60])

@@ -403,6 +403,17 @@ class TestDistance:
         p = one_point(CP2, np.random.default_rng(0))
         assert distance(CP2, p, p) == 0.0
 
+    @pytest.mark.parametrize(
+        "spec",
+        POINT_SPECS + [ManifoldSpec(Family.QUAT_PROJ, 2), ManifoldSpec(Family.QUAT_PROJ, 3)],
+        ids=str,
+    )
+    def test_a_point_is_at_distance_zero_from_itself(self, spec):
+        # on HP^n too: the chord's imaginary components of <x, x> are the
+        # difference of one sum with itself, so the phase is exactly 1
+        for p in sample_uniform(spec, np.random.default_rng(5), 5).coords_array():
+            assert distance(spec, p, p) == 0.0
+
     def test_orthogonal_complex_representatives(self):
         p = frame(np.array([1.0 + 0j, 0.0, 0.0]))
         q = frame(np.array([0.0, 1.0 + 0j, 0.0]))
@@ -450,6 +461,59 @@ class TestDistance:
             axis=1,
         )
         assert distance(HP1, p, frame(rephased)) == pytest.approx(distance(HP1, p, q), abs=1e-12)
+
+
+class TestProjectorGram:
+    """cos^2 d of CP^n and HP^n, n <= 7, from one Gram of the projectors' coordinates."""
+
+    PROJECTOR_SPECS = [ManifoldSpec(f, n) for f in (Family.COMPLEX_PROJ, Family.QUAT_PROJ) for n in range(1, 8)]
+
+    @staticmethod
+    def rows_and_partners(spec, rng):
+        """20 uniform rows, and for each one a rephased copy of it (the same
+        point) and a unit row orthogonal to it over the base field."""
+        k = mf._FIELD_RANK[spec.family]
+        rows = sample_uniform(spec, rng, 20).coords_array()
+        phase = rng.standard_normal(k)
+        phase /= np.linalg.norm(phase)
+        index, sign = mf._right_units(k, spec.n + 1)
+        rephased = np.einsum("c,acd->ad", phase, rows[:, index] * sign)  # x u, u a unit scalar
+        other = sample_uniform(spec, rng, 20).coords_array()
+        orthogonal = other - np.einsum("ac,acd->ad", np.einsum("acd,ad->ac", mf._frames(k, rows), other), mf._frames(k, rows))
+        orthogonal /= np.linalg.norm(orthogonal, axis=1)[:, None]
+        return rows, rephased, orthogonal
+
+    @pytest.mark.parametrize("spec", PROJECTOR_SPECS, ids=str)
+    def test_matches_the_sum_of_squared_components(self, spec):
+        k = mf._FIELD_RANK[spec.family]
+        rows, rephased, orthogonal = self.rows_and_partners(spec, np.random.default_rng(spec.n))
+        twice, once = mf._projector_rows(k, rows)
+        assert twice.shape == once.shape == (20, (spec.n + 1) * (1 + k * spec.n // 2))
+        for partners in (rows, rephased, orthogonal):
+            h = mf._products(k, rows, partners)
+            squares = np.sum(h * h, axis=1)
+            gram = twice @ mf._projector_rows(k, partners)[1].T
+            assert np.abs(gram - squares).max() <= 4.0 * np.spacing(1.0)
+        assert np.abs(np.diag(squares)).max() <= 1e-15  # the orthogonal partners
+
+    def test_route_per_family_and_n(self):
+        # y from the projectors on CP^n and HP^n up to n = 7,
+        # where their Gram rows are at most 4 times as wide as the frames;
+        # the sum of squared components everywhere else
+        route = {}
+        for token, ns in (("s", range(2, 13)), ("rp", range(2, 13)), ("cp", range(1, 13)), ("hp", range(1, 9))):
+            for n in ns:
+                spec = ManifoldSpec.from_token(token, n)
+                route[str(spec)] = mf._pair_constants(spec)[2]
+                rows = sample_uniform(spec, np.random.default_rng(n), 3).coords_array()
+                left, right = mf._gram_rows(spec, rows)
+                if route[str(spec)]:
+                    assert left.shape == right.shape and left.shape[1] <= 4 * _row_width(spec)
+                else:
+                    assert left is rows and right is rows
+        assert sorted(name for name, lifted in route.items() if lifted) == sorted(
+            [f"{token}{n}" for token in ("cp", "hp") for n in range(1, 8)]
+        )
 
 
 class TestDistanceRows:
