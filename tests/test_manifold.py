@@ -409,8 +409,8 @@ class TestDistance:
         ids=str,
     )
     def test_a_point_is_at_distance_zero_from_itself(self, spec):
-        # on HP^n too: the chord's imaginary components of <x, x> are the
-        # difference of one sum with itself, so the phase is exactly 1
+        # on HP^n too: the chord takes the imaginary components of <x, x>
+        # as 0, not as the products' rounding residue, so the phase is 1
         for p in sample_uniform(spec, np.random.default_rng(5), 5).coords_array():
             assert distance(spec, p, p) == 0.0
 
